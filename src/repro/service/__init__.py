@@ -17,7 +17,8 @@ Components:
   lock-free reads for the OLC B+-tree);
 * :mod:`repro.service.router` — the batched front end
   (``get_many`` / ``put_many`` / ``scan``) executing per-shard
-  sub-batches on a thread pool, merging ordered scans across shards,
+  sub-batches on the caller's thread (a pool only overlaps the WAL
+  waits of durable writes), merging ordered scans across shards,
   and performing online shard split/merge with the PR-1
   build-aside+swap discipline (fault-injectable, zero lost keys).
 """

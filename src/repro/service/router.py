@@ -3,11 +3,14 @@
 A :class:`ShardRouter` owns N :class:`~repro.service.shard.Shard`\\ s and
 a :class:`~repro.service.partition.Partitioner`, and exposes the familiar
 index surface in batched form: ``get_many`` / ``put_many`` split each
-request into per-shard sub-batches and execute them on a
-``ThreadPoolExecutor`` (OLC B+-tree shards run truly concurrently;
-locked families serialize per shard), ``scan`` merges ordered results
+request into per-shard sub-batches, ``scan`` merges ordered results
 across shards (concatenation under range partitioning, a k-way heap
-merge under hash partitioning).
+merge under hash partitioning).  Sub-batches run **on the calling
+thread**: index work is pure Python under one interpreter lock, so a
+thread hand-off buys it no parallelism and costs more than the work.
+The one exception is a durable ``put_many``, whose per-shard WAL
+``fsync`` waits leave the interpreter lock and are overlapped on a
+``ThreadPoolExecutor``.
 
 Online **shard split/merge** reuses the PR-1 build-aside+swap
 discipline: the affected shards are write-frozen (reads keep flowing on
@@ -49,6 +52,8 @@ import threading
 from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -550,7 +555,12 @@ class ShardRouter:
 
     @property
     def queue_depth(self) -> int:
-        """Per-shard sub-batches currently in flight on the executor."""
+        """Durable-write sub-batches currently in flight on the executor.
+
+        Reads, scans and non-durable writes run on the caller's thread
+        and never count here; a non-zero depth means ``put_many`` calls
+        are waiting on per-shard WAL appends.
+        """
         return self._inflight
 
     def shard_for(self, key: Key) -> Shard:
@@ -568,8 +578,14 @@ class ShardRouter:
             return self._executor
 
     def _run_per_shard(self, tasks: Sequence[Callable[[], None]]) -> None:
-        """Execute per-shard thunks, on the pool when it pays off."""
-        if self._max_workers <= 0 or len(tasks) <= 1:
+        """Execute per-shard write thunks, pooled only on a durable router.
+
+        A durable sub-batch spends most of its time in the WAL ``fsync``,
+        outside the interpreter lock, so several shards' waits overlap
+        on the pool.  Without a WAL the work is pure Python and runs
+        faster inline on this thread.
+        """
+        if self._durability is None or self._max_workers <= 0 or len(tasks) <= 1:
             for task in tasks:
                 task()
             return
@@ -624,31 +640,27 @@ class ShardRouter:
             return self.shard_for(key).get(key)
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
-        """Values aligned with ``keys``; sub-batches run per shard."""
+        """Values aligned with ``keys``; one sub-batch per shard, inline."""
         keys = list(keys)
         if not keys:
             return []
         table = self._table
-        groups = self._group_positions(table, keys)
-        results: List[Optional[int]] = [None] * len(keys)
-
-        def reader(shard: Shard, positions: List[int]) -> Callable[[], None]:
-            def run() -> None:
-                values = shard.get_many([keys[position] for position in positions])
-                for position, value in zip(positions, values):
-                    results[position] = value
-
-            return run
-
-        with span_if_traced(
-            _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups)
-        ):
-            self._run_per_shard(
-                [
-                    reader(table.shards[shard_id], positions)
-                    for shard_id, positions in groups.items()
-                ]
-            )
+        shards = table.shards
+        if len(shards) == 1:
+            with span_if_traced(_ROUTE_SPAN, op="get_many", count=len(keys), fanout=1):
+                results = shards[0].get_many(keys)
+        else:
+            groups = self._group_positions(table, keys)
+            results = [None] * len(keys)
+            with span_if_traced(
+                _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups)
+            ):
+                for shard_id, positions in groups.items():
+                    values = shards[shard_id].get_many(
+                        [keys[position] for position in positions]
+                    )
+                    for position, value in zip(positions, values):
+                        results[position] = value
         self._count_ops("read", len(keys))
         return results
 
@@ -656,44 +668,35 @@ class ShardRouter:
         """Up to ``count`` pairs in key order starting at ``start_key``.
 
         Range partitions concatenate shard results in shard order; hash
-        partitions scan every shard in parallel and k-way merge.
+        partitions scan every shard and k-way merge.
         """
         if count <= 0:
             return []
         table = self._table
-        if table.partitioner.ordered:
-            result: List[Pair] = []
+        shards = table.shards
+        if len(shards) == 1:
+            with span_if_traced(_ROUTE_SPAN, op="scan", count=count, fanout=1):
+                result = shards[0].scan(start_key, count)
+        elif table.partitioner.ordered:
+            result = []
             first = table.partitioner.shard_of(start_key)
             with span_if_traced(
-                _ROUTE_SPAN, op="scan", count=count, fanout=len(table.shards) - first
+                _ROUTE_SPAN, op="scan", count=count, fanout=len(shards) - first
             ):
-                for shard in table.shards[first:]:
+                for shard in shards[first:]:
                     need = count - len(result)
                     if need <= 0:
                         break
                     result.extend(shard.scan(start_key, need))
-            self._count_ops("scan", 1)
-            return result[:count]
-        per_shard: List[List[Pair]] = [[] for _ in table.shards]
-
-        def scanner(position: int, shard: Shard) -> Callable[[], None]:
-            def run() -> None:
-                per_shard[position] = shard.scan(start_key, count)
-
-            return run
-
-        with span_if_traced(
-            _ROUTE_SPAN, op="scan", count=count, fanout=len(table.shards)
-        ):
-            self._run_per_shard(
-                [
-                    scanner(position, shard)
-                    for position, shard in enumerate(table.shards)
-                ]
-            )
+        else:
+            with span_if_traced(
+                _ROUTE_SPAN, op="scan", count=count, fanout=len(shards)
+            ):
+                per_shard = [shard.scan(start_key, count) for shard in shards]
+            merged = heapq.merge(*per_shard, key=itemgetter(0))
+            result = list(itertools.islice(merged, count))
         self._count_ops("scan", 1)
-        merged = heapq.merge(*per_shard, key=lambda pair: pair[0])
-        return list(itertools.islice(merged, count))
+        return result
 
     # ------------------------------------------------------------------
     # Writes
@@ -710,25 +713,27 @@ class ShardRouter:
         if not pairs:
             return
         table = self._table
-        groups = self._group_positions(table, [key for key, _ in pairs])
-
-        def writer(shard: Shard, positions: List[int]) -> Callable[[], None]:
-            def run() -> None:
-                self._write_group(
-                    shard, [pairs[position] for position in positions]
+        shards = table.shards
+        if len(shards) == 1:
+            with span_if_traced(
+                _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=1
+            ):
+                self._write_group(shards[0], pairs)
+        else:
+            groups = self._group_positions(table, [key for key, _ in pairs])
+            with span_if_traced(
+                _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups)
+            ):
+                self._run_per_shard(
+                    [
+                        partial(
+                            self._write_group,
+                            shards[shard_id],
+                            [pairs[position] for position in positions],
+                        )
+                        for shard_id, positions in groups.items()
+                    ]
                 )
-
-            return run
-
-        with span_if_traced(
-            _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups)
-        ):
-            self._run_per_shard(
-                [
-                    writer(table.shards[shard_id], positions)
-                    for shard_id, positions in groups.items()
-                ]
-            )
         self._count_ops("write", len(pairs))
 
     def _write_group(self, shard: Shard, group: List[Pair]) -> None:
@@ -1105,6 +1110,7 @@ class ShardRouter:
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe summary of the whole service."""
+        self._publish_shape_gauges()
         table = self._table
         return {
             "partitioner": table.partitioner.describe(),
@@ -1146,16 +1152,22 @@ class ShardRouter:
 
     def _count_ops(self, kind: str, amount: int) -> None:
         registry = active_registry()
-        if registry is None:
-            return
-        registry.counter(_OPS_COUNTERS[kind]).inc(amount)
-        registry.gauge("service.shards").set(self.num_shards)
-        registry.gauge("service.imbalance").set(self.imbalance())
+        if registry is not None:
+            registry.counter(_OPS_COUNTERS[kind]).inc(amount)
 
     def _publish_admin_metrics(self, counter_name: str) -> None:
         registry = active_registry()
         if registry is None:
             return
         registry.counter(counter_name).inc()
-        registry.gauge("service.shards").set(self.num_shards)
-        registry.gauge("service.imbalance").set(self.imbalance())
+        self._publish_shape_gauges()
+
+    def _publish_shape_gauges(self) -> None:
+        """Shard count and imbalance, published after each admin operation
+        (every ``_install`` caller ends in :meth:`_publish_admin_metrics`)
+        and on ``stats()`` — never per data call: ``imbalance()`` walks
+        every shard."""
+        registry = active_registry()
+        if registry is not None:
+            registry.gauge("service.shards").set(self.num_shards)
+            registry.gauge("service.imbalance").set(self.imbalance())

@@ -4,9 +4,9 @@ A :class:`Shard` wraps any existing family behind a uniform
 get/put/scan surface and enforces the right synchronization for it:
 
 * the OLC B+-tree synchronizes itself (versioned locks, validated
-  reads), so its shard carries **no operation lock** — readers run
-  truly concurrently and only the router-level ``write_gate`` orders
-  writers against online split/merge;
+  reads), so its shard carries **no operation lock** — concurrent
+  callers' reads interleave freely and only the router-level
+  ``write_gate`` orders writers against online split/merge;
 * every other family is single-threaded by construction (adaptive
   lookups may migrate encodings!), so both reads and writes serialize
   on the shard's re-entrant operation lock.
@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     Any,
     ContextManager,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -47,6 +46,7 @@ from typing import (
 from repro.faults.injector import fault_point
 from repro.obs.introspect import census_stats
 from repro.obs.runtime import active_tracer
+from repro.obs.tracing import Tracer
 from repro.service.partition import Key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -63,29 +63,49 @@ _SHARD_OP_SPAN = "service.shard_op"
 _WAL_APPEND_SPAN = "durability.wal.append"
 
 
-@contextmanager
-def span_if_traced(name: str, **attributes: object) -> Iterator[None]:
+#: The one context every untraced span site and unlocked guard shares:
+#: ``nullcontext`` holds no per-use state, so a single instance is safe
+#: to enter from any number of threads at once.
+_NOOP: ContextManager[None] = nullcontext()
+
+
+class _TracedSpan:
+    """A stack span around one service-layer operation of a traced request."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_started")
+
+    def __init__(
+        self, tracer: Tracer, name: str, attributes: Dict[str, object]
+    ) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+        self._span = self._tracer.start(self._name, **self._attributes)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._tracer.end(self._span, elapsed_s=time.perf_counter() - self._started)
+
+
+def span_if_traced(name: str, **attributes: object) -> ContextManager[None]:
     """Open a stack span only when this thread sits under a traced request.
 
     The distributed-trace propagation rule for the service layer: a
     request span is :meth:`~repro.obs.tracing.Tracer.adopt`-ed onto the
-    executor thread, so ``tracer.current()`` is non-None exactly when
-    this operation belongs to a traced request.  Untraced operations pay
-    one global read and one branch; direct (non-request) callers never
-    emit service spans.  Measured ``elapsed_s`` is attached on close —
-    this is the service/durability layer, outside the RA002 wall-clock
-    fence that guards the index hot paths.
+    thread that runs the operation, so ``tracer.current()`` is non-None
+    exactly when this operation belongs to a traced request.  Untraced
+    operations pay one global read and one branch and get the shared
+    no-op context back; direct (non-request) callers never emit service
+    spans.  Measured ``elapsed_s`` is attached on close — this is the
+    service/durability layer, outside the RA002 wall-clock fence that
+    guards the index hot paths.
     """
     tracer = active_tracer()
     if tracer is None or tracer.current() is None:
-        yield
-        return
-    started = time.perf_counter()
-    span = tracer.start(name, **attributes)
-    try:
-        yield
-    finally:
-        tracer.end(span, elapsed_s=time.perf_counter() - started)
+        return _NOOP
+    return _TracedSpan(tracer, name, attributes)
 
 
 class Shard:
@@ -128,7 +148,7 @@ class Shard:
     # Locking helpers
     # ------------------------------------------------------------------
     def _guard(self) -> ContextManager[Any]:
-        return self.op_lock if self.op_lock is not None else nullcontext()
+        return self.op_lock if self.op_lock is not None else _NOOP
 
     def _note_ops(self, amount: int) -> None:
         with self._ops_lock:

@@ -101,13 +101,44 @@ class TestPointAndBatchedOps:
             assert router.get(-77) is None
             assert router.delete(-77) is False
 
-    def test_inline_mode_without_executor(self):
+    @pytest.mark.parametrize("max_workers", (0, 8))
+    def test_reads_never_queue_on_the_executor(self, max_workers):
+        """``queue_depth`` counts pooled durable-write sub-batches only
+        (``tests/service/test_dispatch.py`` sees it non-zero mid-write):
+        reads leave it at zero whatever the pool width."""
         with ShardRouter.build(
-            int_pairs(200), num_shards=4, partitioning="hash", max_workers=0
+            int_pairs(200), num_shards=4, partitioning="hash", max_workers=max_workers
         ) as router:
             keys = [key for key, _ in int_pairs(200)]
             assert router.get_many(keys) == [value for _, value in int_pairs(200)]
             assert router.queue_depth == 0
+            assert router.stats()["queue_depth"] == 0
+            assert router._executor is None
+
+
+class TestSingleShardTable:
+    """One shard: batches go straight to it (no grouping, scatter or merge)."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batched_ops_agree_with_a_dict(self, family, partitioning, monkeypatch):
+        def no_grouping(*args):
+            raise AssertionError("a single-shard table must not group")
+
+        monkeypatch.setattr(ShardRouter, "_group_positions", staticmethod(no_grouping))
+        pairs = int_pairs(500)
+        expected = dict(pairs)
+        with ShardRouter.build(
+            pairs, family=family, num_shards=1, partitioning=partitioning
+        ) as router:
+            fresh = [(10**6 + key, key) for key in range(40)] + [(pairs[3][0], -1)]
+            router.put_many(fresh)
+            expected.update(fresh)
+            probes = [pairs[7][0], 1, 10**6 + 5, pairs[3][0], pairs[7][0]]
+            assert router.get_many(probes) == [expected.get(key) for key in probes]
+            ordered = sorted(expected.items())
+            assert router.scan(pairs[100][0], 450) == ordered[100:550]
+            assert router.scan(-1, 10**6) == ordered
+            router.verify()
 
 
 class TestCrossShardScan:
@@ -233,6 +264,20 @@ class TestStatsAndMetrics:
             assert snapshot["counters"]["service.splits"] == 1
             assert snapshot["counters"]["service.merges"] == 1
             assert snapshot["gauges"]["service.shards"] == 3
+
+    def test_shape_gauges_publish_on_stats_not_on_data_calls(self):
+        pairs = int_pairs(600)
+        with ShardRouter.build(pairs, num_shards=3, partitioning="range") as router:
+            with Telemetry(registry=MetricsRegistry()) as telemetry:
+                router.get_many([key for key, _ in pairs[:20]])
+                router.put_many([(10**8 + key, key) for key in range(600)])
+                router.scan(0, 30)
+                assert telemetry.registry.snapshot()["gauges"] == {}
+                router.stats()
+                gauges = telemetry.registry.snapshot()["gauges"]
+            assert gauges["service.shards"] == 3
+            assert gauges["service.imbalance"] == pytest.approx(router.imbalance())
+            assert gauges["service.imbalance"] > 1.4
 
     def test_imbalance_reflects_skewed_shards(self):
         pairs = int_pairs(900)

@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+import sys
 import threading
 
 import pytest
@@ -206,6 +207,8 @@ class TestConcurrentReadersDuringSplit:
         failures = []
 
         def reader(seed):
+            # Reads and scans run on this thread (default ``max_workers``:
+            # the pool is for durable writes only), racing the table swaps.
             rng = random.Random(seed)
             while not stop.is_set():
                 keys = [rng.randrange(0, 1200) * 2 for _ in range(64)]
@@ -214,8 +217,15 @@ class TestConcurrentReadersDuringSplit:
                     if value != expected[key]:
                         failures.append((key, value))
                         return
+                start = rng.randrange(0, 1100)
+                scanned = router.scan(start * 2, 48)
+                if scanned != pairs[start : start + 48]:
+                    failures.append((start, scanned))
+                    return
 
-        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(3)]
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
         for thread in threads:
             thread.start()
         try:
@@ -226,8 +236,10 @@ class TestConcurrentReadersDuringSplit:
         finally:
             stop.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
             router.close()
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert contents(router) == pairs
 
