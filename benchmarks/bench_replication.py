@@ -148,7 +148,7 @@ def run_fault_leg(
         ]
         router.close()  # the crash: no final checkpoint, WAL tails replay
 
-        recovered = ShardRouter.recover(durability)
+        recovered = ShardRouter.recover(durability, family="adaptive")
         try:
             items = sorted(acked.items())
             found = recovered.get_many([key for key, _ in items])

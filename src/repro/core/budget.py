@@ -14,8 +14,9 @@ with ``n_c``/``n_u`` compressed/uncompressed node counts and ``m_c``/
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 
 def estimate_expandable_k(
@@ -208,12 +209,13 @@ class ResourceArbiter:
 
     One arbiter per served process, arbitrating two resources:
 
-    * **memory** — the inherited behaviour: every registered index
-      structure is a member of an internal :class:`BudgetArbiter`, and
-      :meth:`rebalance` carves the global :class:`MemoryBudget` into
-      per-member budgets installed into the adaptation managers.
-      Members are named ``<tenant>/<shard>``, so one tenant's shard
-      group grows and shrinks together.
+    * **memory** — the inherited behaviour: ``memory`` is the one
+      :class:`BudgetArbiter` of the process.  Each tenant's shard
+      router is handed it and registers its own shards as the
+      ``<tenant>/shard-<n>`` group (re-registering that group, and only
+      it, after every split/merge), and :meth:`rebalance` carves the
+      global :class:`MemoryBudget` into per-member budgets installed
+      into the adaptation managers.
     * **admission** — per-tenant ops/sec token buckets plus a bounded
       inflight count (:class:`TenantQuota`).  :meth:`admit` is the
       single entry point the network front end calls per request; a
@@ -245,19 +247,11 @@ class ResourceArbiter:
     def unregister_tenant(self, name: str) -> None:
         """Drop one tenant and its memory members."""
         self._tenants.pop(name, None)
-        prefix = f"{name}/"
-        for member in [m for m in self.memory._members if m.startswith(prefix)]:
-            self.memory.unregister(member)
+        self.memory.replace_group(f"{name}/", {})
 
     def tenants(self) -> List[str]:
         """Registered tenant names, sorted."""
         return sorted(self._tenants)
-
-    def register_memory_member(self, tenant: str, shard: str, index: Any) -> None:
-        """Attach one index structure to ``tenant``'s memory share."""
-        if tenant not in self._tenants:
-            raise KeyError(f"unknown tenant {tenant!r}")
-        self.memory.register(f"{tenant}/{shard}", index)
 
     def rebalance(self) -> Dict[str, MemoryBudget]:
         """Re-carve the global memory budget across every member."""
@@ -361,6 +355,9 @@ class BudgetArbiter:
         self.budget = budget
         self.floor_bytes = floor_bytes
         self._members: Dict[str, Any] = {}
+        #: Serializes membership changes: routers of different tenants
+        #: share one arbiter and split/merge under their own admin locks.
+        self._members_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Membership
@@ -369,13 +366,24 @@ class BudgetArbiter:
         """Add (or replace) one member structure under ``name``."""
         self._members[name] = index
 
-    def unregister(self, name: str) -> None:
-        """Drop one member; unknown names are ignored."""
-        self._members.pop(name, None)
+    def replace_group(
+        self, prefix: str, members: Mapping[str, Any]
+    ) -> Dict[str, MemoryBudget]:
+        """Swap every member named ``prefix…`` for ``members``, then rebalance.
 
-    def clear(self) -> None:
-        """Drop every member."""
-        self._members.clear()
+        How one owner (a shard router) re-registers its slice after a
+        split/merge without touching other owners' members.  The member
+        map is replaced, never mutated, so a concurrent reader keeps
+        iterating the map it started with.
+        """
+        with self._members_lock:
+            kept = {
+                name: index
+                for name, index in self._members.items()
+                if not name.startswith(prefix)
+            }
+            self._members = {**kept, **members}
+            return self.rebalance()
 
     @property
     def num_members(self) -> int:
@@ -392,32 +400,31 @@ class BudgetArbiter:
         (the adaptive families) receive their allocation in place; the
         full allocation map is returned either way.
         """
-        allocations = self._allocate()
+        members = self._members
+        allocations = self._allocate(members)
         for name, allocation in allocations.items():
-            manager = getattr(self._members[name], "manager", None)
+            manager = getattr(members[name], "manager", None)
             if manager is not None:
                 manager.config.budget = allocation
         return allocations
 
-    def _allocate(self) -> Dict[str, MemoryBudget]:
-        if not self._members:
+    def _allocate(self, members: Mapping[str, Any]) -> Dict[str, MemoryBudget]:
+        if not members:
             return {}
         if self.budget.absolute_bytes is None:
             # Unbounded and relative budgets compose without arithmetic.
-            return {name: self.budget for name in self._members}
+            return {name: self.budget for name in members}
         total_bytes = self.budget.absolute_bytes
-        floor = min(self.floor_bytes, total_bytes // len(self._members))
-        distributable = total_bytes - floor * len(self._members)
-        keys_by_name = {
-            name: _member_keys(index) for name, index in self._members.items()
-        }
+        floor = min(self.floor_bytes, total_bytes // len(members))
+        distributable = total_bytes - floor * len(members)
+        keys_by_name = {name: _member_keys(index) for name, index in members.items()}
         total_keys = sum(keys_by_name.values())
         allocations: Dict[str, MemoryBudget] = {}
-        for name in self._members:
+        for name in members:
             if total_keys > 0:
                 share = distributable * keys_by_name[name] // total_keys
             else:
-                share = distributable // len(self._members)
+                share = distributable // len(members)
             allocations[name] = MemoryBudget.absolute(max(1, floor + share))
         return allocations
 

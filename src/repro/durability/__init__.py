@@ -27,6 +27,7 @@ from repro.durability.manager import (
     DurabilityManager,
     Manifest,
     build_partitioner,
+    manifest_for,
     partitioner_spec,
 )
 from repro.durability.snapshot import SnapshotStore, decode_snapshot, encode_snapshot
@@ -75,6 +76,7 @@ __all__ = [
     "encode_key",
     "encode_snapshot",
     "encode_value",
+    "manifest_for",
     "partitioner_spec",
     "read_frames",
 ]

@@ -20,7 +20,12 @@ Log ids encode the routing epoch (``e00000017-p0003`` = epoch 17,
 position 3), which is what lets split/merge *re-key* shards: retiring
 a shard seals its log under the old id and builds successors under
 fresh ids, so a stale writer can never durably append to a log that
-the manifest no longer reaches.
+the manifest no longer reaches.  A shard with several copies names one
+``-rNN`` log per copy.  Everything that depends on those conventions
+lives here and nowhere else: the manifest's shape (:func:`manifest_for`),
+log naming (:meth:`DurabilityManager.create_logs`), per-shard recovery
+(:meth:`~DurabilityManager.recover_shard`), and the publish / rollback /
+retire protocol of an epoch change (:meth:`~DurabilityManager.epoch_swap`).
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from __future__ import annotations
 import json
 import random
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.atomicio import discard_aside, publish_aside, write_aside
 from repro.durability.codec import Key
@@ -65,9 +71,39 @@ class Manifest:
     epoch: int
     partitioner: Dict[str, Any]
     shards: List[str]  # primary log ids, in routing-table order
-    #: Replication block: {"factor": int, "profiles": [str], "logs":
-    #: [[str]]} — or None for a plain single-copy store.
+    #: Replication block: {"factor": int, "profiles": [str], "policy":
+    #: str, "logs": [[str]]} — or None for a plain single-copy store.
+    #: ``policy`` (the replica read-routing policy) is optional on read:
+    #: manifests written before it existed mean ``"cost"``.
     replicas: Optional[Dict[str, Any]] = None
+
+    def shard_log_ids(self) -> List[List[str]]:
+        """Every log id of every routing position (one id when plain)."""
+        if self.replicas is not None:
+            return [list(log_ids) for log_ids in self.replicas["logs"]]
+        return [[log_id] for log_id in self.shards]
+
+
+def manifest_for(
+    epoch: int,
+    partitioner: Any,
+    shards: Sequence[Any],
+    replication: Optional[Mapping[str, Any]] = None,
+) -> Manifest:
+    """The manifest naming the logs of ``shards`` (each exposes ``logs()``).
+
+    ``replication`` is the store's ``replicas`` block minus its log ids,
+    or None for a single-copy store.  Every manifest the service
+    publishes — bootstrap, the epoch a split/merge commits, the undo it
+    may republish — is spelled here, so none can drop the block.
+    """
+    log_ids = [[log.log_id for log in shard.logs()] for shard in shards]
+    return Manifest(
+        epoch=epoch,
+        partitioner=partitioner_spec(partitioner),
+        shards=[ids[0] for ids in log_ids],
+        replicas=None if replication is None else {**replication, "logs": log_ids},
+    )
 
 
 def partitioner_spec(partitioner: Any) -> Dict[str, Any]:
@@ -136,16 +172,6 @@ class DurabilityManager:
         """The durable name of the shard at ``position`` in ``epoch``."""
         return f"e{epoch:08d}-p{position:04d}"
 
-    @staticmethod
-    def replica_log_id(epoch: int, position: int, replica: int) -> str:
-        """The durable name of one replica's private log.
-
-        Replica 0 is the primary named in ``Manifest.shards``; every
-        replica (0 included) carries the ``-rNN`` suffix so a replicated
-        store's log ids never collide with a plain store's.
-        """
-        return f"{DurabilityManager.log_id(epoch, position)}-r{replica:02d}"
-
     # ------------------------------------------------------------------
     # Manifest (the commit point)
     # ------------------------------------------------------------------
@@ -206,6 +232,7 @@ class DurabilityManager:
                 not isinstance(replicas, dict)
                 or not isinstance(replicas.get("factor"), int)
                 or not isinstance(replicas.get("profiles"), list)
+                or not isinstance(replicas.get("policy", "cost"), str)
                 or not isinstance(replicas.get("logs"), list)
                 or not all(
                     isinstance(ids, list) and all(isinstance(i, str) for i in ids)
@@ -239,6 +266,26 @@ class DurabilityManager:
             tear_rng=self.tear_rng,
         )
 
+    def create_logs(
+        self,
+        epoch: int,
+        position: int,
+        pairs: Sequence[Pair],
+        replication: Optional[Mapping[str, Any]] = None,
+    ) -> List[DurableLog]:
+        """One fresh log per copy of the shard at ``position`` in ``epoch``.
+
+        A single-copy store has the one :meth:`log_id`; a replicated one
+        names a private log per replica, and every replica (the primary,
+        replica 0, included) carries the ``-rNN`` suffix so its ids
+        never collide with a plain store's.
+        """
+        base = self.log_id(epoch, position)
+        log_ids = [base]
+        if replication is not None:
+            log_ids = [f"{base}-r{copy:02d}" for copy in range(replication["factor"])]
+        return [self.create_log(log_id, pairs) for log_id in log_ids]
+
     def recover_log(self, log_id: str) -> Tuple[DurableLog, RecoveryResult]:
         """Reopen ``log_id`` and rebuild its state from disk."""
         return DurableLog.recover(
@@ -249,6 +296,70 @@ class DurabilityManager:
             retain=self.retain,
             tear_rng=self.tear_rng,
         )
+
+    def recover_shard(
+        self, log_ids: Sequence[str]
+    ) -> Tuple[List[DurableLog], List[Pair], Dict[str, int]]:
+        """Recover every copy of one shard: ``(logs, content, tally)``.
+
+        Each log recovers from its *own* newest snapshot plus WAL tail.
+        The copy with the highest LSN is authoritative — fan-out appends
+        in copy order, so a higher LSN implies a superset of acked
+        writes — and its pairs are the shard's content.  A straggler (a
+        copy that was down or fenced when the crash hit) is consistent
+        but behind; checkpointing it at that content makes its log whole
+        again.  With one log there is nothing to reconcile.
+        """
+        recovered = [self.recover_log(log_id) for log_id in log_ids]
+        logs = [log for log, _ in recovered]
+        results = [result for _, result in recovered]
+        authoritative = max(results, key=lambda result: result.last_lsn)
+        pairs = sorted(authoritative.state.items())
+        stragglers = [log for log in logs if log.last_lsn < authoritative.last_lsn]
+        for log in stragglers:
+            log.checkpoint(pairs)
+        return logs, pairs, {
+            "frames_replayed": sum(result.frames_replayed for result in results),
+            "snapshots_skipped": sum(result.snapshots_skipped for result in results),
+            "torn_bytes": sum(result.torn_bytes for result in results),
+            "replicas_rebuilt": len(stragglers),
+        }
+
+    @contextmanager
+    def epoch_swap(
+        self,
+        undo: Manifest,
+        commit: Manifest,
+        born: Sequence[DurableLog],
+        retired: Sequence[DurableLog],
+    ) -> Iterator[None]:
+        """Durably commit a split/merge around the caller's in-memory swap.
+
+        ``commit`` (the next epoch, naming the ``born`` logs) is published
+        first, while the caller's write gates still block every
+        acknowledgment: a real crash from here on recovers into the new
+        epoch.  If the block raises — an in-process abort at the swap
+        fault point — ``undo`` is republished with fault injection off
+        (the abort path must not itself be killable, or the manifest
+        and the still-old in-memory table would diverge).  Either way a
+        failure destroys the ``born`` logs, which no published manifest
+        reaches.  On success the ``retired`` logs are sealed, so a stale
+        writer cannot get an ack recovery would not honor, and destroyed.
+        """
+        published = False
+        try:
+            self.publish_manifest(commit)
+            published = True
+            yield
+        except BaseException:
+            if published:
+                self.publish_manifest(undo, allow_fault=False)
+            for log in born:
+                log.delete_files()
+            raise
+        for log in retired:
+            log.seal()
+            log.delete_files()
 
     # ------------------------------------------------------------------
     # Orphan sweeping
@@ -261,43 +372,20 @@ class DurabilityManager:
         mid-split/merge) and unpublished ``*.tmp`` aside files are all
         unreachable by construction, so deleting them is safe.
         """
-        referenced = set(manifest.shards)
-        if manifest.replicas is not None:
-            for log_ids in manifest.replicas.get("logs", []):
-                referenced.update(log_ids)
+        referenced = {log_id for ids in manifest.shard_log_ids() for log_id in ids}
         removed = 0
-        for path in self.wal_dir.iterdir():
-            if path.suffix == ".tmp" or (
-                path.suffix == ".wal" and path.stem not in referenced
-            ):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
-        for path in self.snap_dir.iterdir():
-            if path.suffix == ".tmp":
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
-                continue
-            if path.suffix == ".snap":
-                log_id = path.name.split(".", 1)[0]
-                if log_id not in referenced:
+        for directory in (self.wal_dir, self.snap_dir, self.root):
+            for path in directory.iterdir():
+                # ``<log_id>.wal`` and ``<log_id>.<lsn>.snap``: ids hold no dot.
+                if path.suffix == ".tmp" or (
+                    path.suffix in (".wal", ".snap")
+                    and path.name.split(".", 1)[0] not in referenced
+                ):
                     try:
                         path.unlink()
                         removed += 1
                     except OSError:
                         continue
-        for path in self.root.iterdir():
-            if path.suffix == ".tmp":
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
         registry = active_registry()
         if registry is not None and removed:
             registry.counter(_COUNTERS["orphans"]).inc(removed)

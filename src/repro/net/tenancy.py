@@ -10,13 +10,14 @@ the paper's premise (adaptation driven by the workload each index
 actually observes) carried through to multi-tenant serving.
 
 The directory also owns the service-wide
-:class:`~repro.core.budget.ResourceArbiter`: every shard of every
-group is registered as a ``<tenant>/shard-<n>`` memory member (one
-global :class:`~repro.core.budget.MemoryBudget` carved across all
-tenants, key-count proportional), and each tenant's admission quota
-(ops/sec bucket + bounded inflight) is installed from its spec.  The
-network front end asks the arbiter per request; the directory is where
-tenancy and resource policy meet.
+:class:`~repro.core.budget.ResourceArbiter`: every group's router is
+handed its memory arbiter and keeps its own shards registered there as
+``<tenant>/shard-<n>`` members, across splits and merges (one global
+:class:`~repro.core.budget.MemoryBudget` carved across all tenants,
+key-count proportional), and each tenant's admission quota (ops/sec
+bucket + bounded inflight) is installed from its spec.  The network
+front end asks the arbiter per request; the directory is where tenancy
+and resource policy meet.
 """
 
 from __future__ import annotations
@@ -91,19 +92,12 @@ class TenantDirectory:
                 durability=durability,
                 replication_factor=spec.replication_factor,
                 replica_profiles=spec.replica_profiles,
+                arbiter=self.arbiter.memory,
+                member_prefix=f"{spec.name}/",
             )
             self._groups[spec.name] = router
             self._specs[spec.name] = spec
             self.arbiter.register_tenant(spec.name, spec.quota)
-            for position, shard in enumerate(router.table.shards):
-                if shard.is_replicated:
-                    # Replica budgets are per-profile divergence policy;
-                    # the global arbiter must not rebalance over them.
-                    continue
-                self.arbiter.register_memory_member(
-                    spec.name, f"shard-{position}", shard.index
-                )
-        self.arbiter.rebalance()
 
     # ------------------------------------------------------------------
     # Lookup

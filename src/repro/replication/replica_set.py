@@ -28,13 +28,27 @@ reconciles stragglers from the copy with the highest WAL LSN.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.obs.runtime import active_registry
 from repro.replication.profiles import ReplicaProfile
 from repro.replication.routing import ReplicaRouter
 from repro.service.partition import Key
 from repro.service.shard import Pair, Shard, span_if_traced
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.durability.log import DurableLog
 
 T = TypeVar("T")
 
@@ -87,8 +101,6 @@ class Replica:
 
 class ReplicatedShard(Shard):
     """N divergent replicas presented as one service shard."""
-
-    is_replicated = True
 
     def __init__(
         self,
@@ -204,27 +216,39 @@ class ReplicatedShard(Shard):
     ) -> T:
         """Route one read batch; fall back to survivors on failure.
 
-        A replica that raises mid-read is marked down and the batch is
-        retried on the next-best copy — the caller never sees a single
-        replica failure.  Only when the last replica fails does the
-        router's pick raise :class:`ReplicaSetUnavailableError`.
-        Measurement is skip-sampled: on sampled batches the replica's
-        structural counter delta is priced and folded into its EWMA.
+        A replica that raises mid-read is skipped and the batch is
+        retried on the next-best copy; once a survivor answers, the
+        copies that failed are marked down — the caller never sees a
+        single replica failure.  A batch that fails on *every* live
+        replica is the request's fault (a wrong-typed key, say), not
+        the replicas': the error surfaces as a plain shard would raise
+        it and every copy stays up.  Only a set with no live replica
+        raises :class:`ReplicaSetUnavailableError` (from the router's
+        pick).  Measurement is skip-sampled: on sampled batches the
+        replica's structural counter delta is priced and folded into
+        its EWMA.
         """
         with span_if_traced(
             _REPLICA_OP_SPAN, op=op, shard_id=self.shard_id, kind=kind
         ):
+            failed: List[Tuple[Replica, Exception]] = []
             while True:
-                replica = self.router.pick(self, kind)
+                replica = self.router.pick(
+                    self, kind, exclude=[loser for loser, _ in failed]
+                )
                 before: Optional[Dict[str, int]] = None
                 if self.router.should_measure(replica, kind):
                     before = replica.shard.counter_snapshot()
                 try:
                     result = request(replica)
                 except Exception as error:
-                    self.mark_down(replica, f"{op} failed: {error!r}")
+                    failed.append((replica, error))
+                    if len(failed) == len(self._alive()):
+                        raise
                     self._note_fallback()
                     continue
+                for loser, error in failed:
+                    self.mark_down(loser, f"{op} failed: {error!r}")
                 replica.reads_routed += operations
                 self._note_ops(operations)
                 if before is not None:
@@ -271,9 +295,12 @@ class ReplicatedShard(Shard):
 
         Runs under this shard's operation lock so every replica WAL
         records the same append order.  A replica whose apply raises
-        (poisoned WAL, injected fault) is marked down and skipped; the
-        write acknowledges as long as at least one replica durably
-        accepted it, and only a fully-down set raises.
+        (poisoned WAL, injected fault) while another accepts the write
+        is marked down; the write acknowledges as long as at least one
+        replica durably accepted it.  A write that *every* live replica
+        refuses is the request's fault: the first error surfaces as a
+        plain shard would raise it and the replicas stay up.  Only a
+        fully-down set raises :class:`ReplicaSetUnavailableError`.
         """
         with span_if_traced(
             _REPLICA_OP_SPAN, op=op, shard_id=self.shard_id, records=records
@@ -281,6 +308,7 @@ class ReplicatedShard(Shard):
             with self._guard():
                 self._note_ops(records)
                 results: List[T] = []
+                failed: List[Tuple[Replica, Exception]] = []
                 for replica in self.replicas:
                     if replica.down:
                         replica.behind += records
@@ -288,12 +316,16 @@ class ReplicatedShard(Shard):
                     try:
                         results.append(apply(replica))
                     except Exception as error:
-                        self.mark_down(replica, f"{op} failed: {error!r}")
-                        replica.behind += records
+                        failed.append((replica, error))
                 if not results:
+                    if failed:
+                        raise failed[0][1]
                     raise ReplicaSetUnavailableError(
                         f"no replica of shard {self.shard_id} accepted the {op}"
                     )
+                for replica, error in failed:
+                    self.mark_down(replica, f"{op} failed: {error!r}")
+                    replica.behind += records
                 return results
 
     # ------------------------------------------------------------------
@@ -333,15 +365,6 @@ class ReplicatedShard(Shard):
                 slot["count"] += count
         return merged
 
-    def wal_lag(self) -> Optional[int]:
-        """Worst WAL replay debt across replicas (None when not durable)."""
-        lags = [
-            lag
-            for lag in (replica.shard.wal_lag() for replica in self.replicas)
-            if lag is not None
-        ]
-        return max(lags) if lags else None
-
     def checkpoint_logs(self) -> List[Dict[str, Any]]:
         """Snapshot every live replica's log (caller holds ``write_gate``).
 
@@ -349,30 +372,22 @@ class ReplicatedShard(Shard):
         for recovery, and reconciliation rebuilds them from the copy
         with the highest LSN.
         """
-        entries: List[Dict[str, Any]] = []
         with self._guard():
-            for replica in self.replicas:
-                log = replica.shard.durable_log
-                if log is None or replica.down:
-                    continue
-                pairs = replica.shard.items()
-                lsn = log.checkpoint(pairs)
-                entries.append(
-                    {
-                        "log_id": log.log_id,
-                        "lsn": lsn,
-                        "num_keys": len(pairs),
-                        "wal_bytes": log.wal_size_bytes(),
-                        "replica": replica.replica_id,
-                    }
-                )
-        return entries
+            return [
+                {**entry, "replica": replica.replica_id}
+                for replica in self._alive()
+                for entry in replica.shard.checkpoint_logs()
+            ]
 
-    def close_logs(self) -> None:
-        """Release every replica's log handle (idempotent)."""
-        for replica in self.replicas:
-            if replica.shard.durable_log is not None:
-                replica.shard.durable_log.close()
+    def logs(self) -> List[DurableLog]:
+        """Every replica's private log, in replica order."""
+        return [log for replica in self.replicas for log in replica.shard.logs()]
+
+    def budget_members(self) -> List[Any]:
+        """No members: replica budgets are divergence policy (each
+        profile carries its own); a global rebalance would overwrite
+        them and erase the very asymmetry replication exploits."""
+        return []
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe summary: the aggregate plus one row per replica."""
@@ -402,19 +417,9 @@ class ReplicatedShard(Shard):
                 }
             )
         return {
-            "shard_id": self.shard_id,
-            "family": replica_rows[0]["family"],
-            "thread_safe": False,
+            **super().stats(),
             "replication_factor": len(self.replicas),
             "replicas_up": len(self._alive()),
-            "durable": (
-                self.durable_log.stats() if self.durable_log is not None else None
-            ),
-            "wal_lag": self.wal_lag(),
-            "num_keys": self.num_keys,
-            "size_bytes": self.size_bytes(),
-            "ops": self.ops,
-            "encoding_census": self.encoding_census(),
             "adaptation_phases": sum(
                 row["adaptation_phases"] for row in replica_rows
             ),
@@ -453,26 +458,23 @@ def build_replicated_shard(
     shard_id: int,
     pairs: Sequence[Pair],
     profiles: Sequence[ReplicaProfile],
-    durability: Optional[Any] = None,
-    epoch: int = 0,
+    logs: Optional[Sequence[DurableLog]] = None,
     router: Optional[ReplicaRouter] = None,
 ) -> ReplicatedShard:
-    """Bulk-load one replicated shard: one index (and log) per profile."""
-    from repro.durability.manager import DurabilityManager
-
+    """Bulk-load one replicated shard: one index per profile, each over
+    its own entry of ``logs`` (replica order; None = not durable)."""
     group = list(pairs)
-    replicas: List[Replica] = []
-    for position, profile in enumerate(profiles):
-        log = None
-        if durability is not None:
-            log = durability.create_log(
-                DurabilityManager.replica_log_id(epoch, shard_id, position), group
-            )
-        inner = Shard(
-            shard_id,
-            profile.build_index(group),
-            thread_safe=False,
-            durable_log=log,
+    replicas = [
+        Replica(
+            position,
+            profile,
+            Shard(
+                shard_id,
+                profile.build_index(group),
+                thread_safe=False,
+                durable_log=logs[position] if logs else None,
+            ),
         )
-        replicas.append(Replica(position, profile, inner))
+        for position, profile in enumerate(profiles)
+    ]
     return ReplicatedShard(shard_id, replicas, router=router)

@@ -32,7 +32,7 @@ RA002-clean.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.runtime import active_registry
 from repro.sim.costmodel import CostModel
@@ -148,15 +148,23 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     # Picking
     # ------------------------------------------------------------------
-    def pick(self, shard: "ReplicatedShard", kind: str) -> "Replica":
+    def pick(
+        self, shard: "ReplicatedShard", kind: str, exclude: Sequence["Replica"] = ()
+    ) -> "Replica":
         """The replica that should serve the next ``kind`` batch.
 
-        Raises :class:`~repro.replication.replica_set
+        ``exclude`` names live replicas that already failed this batch
+        (the caller retries on the rest).  Raises
+        :class:`~repro.replication.replica_set
         .ReplicaSetUnavailableError` when every replica is down.
         """
         from repro.replication.replica_set import ReplicaSetUnavailableError
 
-        alive = [replica for replica in shard.replicas if not replica.down]
+        alive = [
+            replica
+            for replica in shard.replicas
+            if not replica.down and replica not in exclude
+        ]
         if not alive:
             raise ReplicaSetUnavailableError(
                 f"all {len(shard.replicas)} replicas of shard "

@@ -26,9 +26,15 @@ their route once the gate is acquired: the table may have been swapped
 while they waited, and writing into the now-orphaned shard would lose
 the pair, so re-routed pairs are retried against the fresh table.
 
-One global :class:`~repro.core.budget.BudgetArbiter` divides the
-service-wide memory budget across the per-shard adaptation managers and
-is rebalanced after every split/merge.
+One :class:`~repro.core.budget.BudgetArbiter` — the router's own, or
+the tenant directory's it is handed — divides the service-wide memory
+budget across the per-shard adaptation managers and is rebalanced after
+every split/merge.
+
+A shard is provisioned, recovered, split, merged and retired through
+one path whatever its number of copies: a :class:`ShardTemplate` turns
+(position, pairs, logs) into a plain shard or an N-replica set, and
+nothing else here knows which.
 
 With a :class:`~repro.durability.manager.DurabilityManager` attached,
 the router is **crash-durable**: every shard carries a per-shard WAL
@@ -50,7 +56,9 @@ import heapq
 import itertools
 import threading
 from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -58,6 +66,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -66,12 +75,7 @@ from typing import (
 
 from repro.core.budget import BudgetArbiter, MemoryBudget
 from repro.durability.log import DurableLog
-from repro.durability.manager import (
-    DurabilityManager,
-    Manifest,
-    build_partitioner,
-    partitioner_spec,
-)
+from repro.durability.manager import DurabilityManager, build_partitioner, manifest_for
 from repro.faults.injector import fault_point
 from repro.obs.runtime import active_registry, active_tracer
 from repro.obs.tracing import Span, Tracer
@@ -153,6 +157,97 @@ _OPS_COUNTERS = {
 
 
 @dataclass(frozen=True)
+class ShardTemplate:
+    """What every shard of one router is made of: one ``index_factory``
+    instance, or — when ``replication`` is set — one adaptive copy per
+    divergence profile behind a replica read router.  Build, recovery,
+    split and merge all make shards here; nothing else tells the two
+    shapes apart."""
+
+    index_factory: IndexFactory
+    thread_safe: bool = False
+    #: The manifest's ``replicas`` block minus its log ids — ``factor``,
+    #: ``profiles`` (names), ``policy`` — or None for single-copy shards.
+    replication: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def resolve(
+        cls,
+        family: str,
+        index_factory: Optional[IndexFactory] = None,
+        factor: int = 1,
+        profiles: Optional[Sequence[str]] = None,
+        policy: str = "cost",
+    ) -> "ShardTemplate":
+        """Validate what :meth:`ShardRouter.build` was asked for, or
+        what a recovered manifest recorded, into a template."""
+        if index_factory is None:
+            if family not in FAMILY_FACTORIES:
+                raise ValueError(
+                    f"unknown family {family!r}; expected one of "
+                    f"{sorted(FAMILY_FACTORIES)}"
+                )
+            index_factory = FAMILY_FACTORIES[family]
+        thread_safe = family in THREAD_SAFE_FAMILIES
+        if factor == 1 and profiles is None:
+            return cls(index_factory, thread_safe)
+        if family != "adaptive":
+            raise ValueError(
+                "replication requires the 'adaptive' family — divergence "
+                f"profiles tune its adaptation manager (got {family!r})"
+            )
+        from repro.replication.profiles import resolve_profiles
+        from repro.replication.routing import ReplicaRouter
+
+        if factor == 1 and profiles is not None:
+            factor = len(profiles)
+        names = [profile.name for profile in resolve_profiles(factor, profiles)]
+        ReplicaRouter(policy=policy)  # rejects an unknown policy
+        return cls(
+            index_factory,
+            thread_safe,
+            {"factor": factor, "profiles": names, "policy": policy},
+        )
+
+    def make(
+        self, position: int, pairs: List[Pair], logs: Optional[Sequence[DurableLog]]
+    ) -> Shard:
+        """One shard over ``pairs``; copy ``i`` logs to ``logs[i]`` if durable."""
+        if self.replication is None:
+            return Shard(
+                position,
+                self.index_factory(pairs),
+                thread_safe=self.thread_safe,
+                durable_log=logs[0] if logs else None,
+            )
+        from repro.replication.profiles import resolve_profiles
+        from repro.replication.replica_set import build_replicated_shard
+        from repro.replication.routing import ReplicaRouter
+
+        block = self.replication
+        return build_replicated_shard(
+            position,
+            pairs,
+            resolve_profiles(block["factor"], block["profiles"]),
+            logs,
+            ReplicaRouter(policy=block["policy"]),
+        )
+
+    def provision(
+        self,
+        position: int,
+        pairs: List[Pair],
+        durability: Optional[DurabilityManager],
+        epoch: int,
+    ) -> Shard:
+        """A fresh shard; when durable, each copy on a new ``epoch`` log."""
+        logs = None
+        if durability is not None:
+            logs = durability.create_logs(epoch, position, pairs, self.replication)
+        return self.make(position, pairs, logs)
+
+
+@dataclass(frozen=True)
 class _RoutingTable:
     """An immutable (partitioner, shards) snapshot, swapped atomically."""
 
@@ -167,11 +262,13 @@ class ShardRouter:
         self,
         shards: Sequence[Shard],
         partitioner: Partitioner,
-        index_factory: IndexFactory,
+        template: ShardTemplate,
         max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         epoch: int = 0,
+        arbiter: Optional[BudgetArbiter] = None,
+        member_prefix: str = "",
     ) -> None:
         if partitioner.num_shards != len(shards):
             raise PartitionError(
@@ -184,8 +281,13 @@ class ShardRouter:
                     raise ValueError(
                         "a durable router requires every shard to carry a DurableLog"
                     )
+        if arbiter is not None and budget is not None:
+            raise ValueError(
+                "pass a budget or the arbiter to register into, not both: two "
+                "arbiters would install budgets into the same managers"
+            )
         self._table = _RoutingTable(partitioner, tuple(shards))
-        self._index_factory = index_factory
+        self._template = template
         self._max_workers = max_workers
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
@@ -201,7 +303,10 @@ class ShardRouter:
         self._epoch = epoch
         #: Summary of the last :meth:`recover` that produced this router.
         self.last_recovery: Optional[Dict[str, Any]] = None
-        self.arbiter = BudgetArbiter(budget or MemoryBudget.unbounded())
+        #: The one arbiter setting these shards' manager budgets; in a
+        #: shared one the router owns the ``<member_prefix>shard-<n>`` names.
+        self.arbiter = arbiter or BudgetArbiter(budget or MemoryBudget.unbounded())
+        self._member_prefix = member_prefix
         self._register_shards()
 
     # ------------------------------------------------------------------
@@ -221,6 +326,8 @@ class ShardRouter:
         replication_factor: int = 1,
         replica_profiles: Optional[Sequence[str]] = None,
         replica_routing: str = "cost",
+        arbiter: Optional[BudgetArbiter] = None,
+        member_prefix: str = "",
     ) -> "ShardRouter":
         """Bulk-load a router from sorted unique pairs.
 
@@ -241,21 +348,22 @@ class ShardRouter:
         ``"round_robin"`` for the identical-replica baseline), writes
         fanned out to per-replica WALs.  Replication requires the
         ``"adaptive"`` family — the profiles exist to tune its manager.
+
+        ``arbiter`` wires the router into a shared budget arbiter (a
+        tenant directory's) instead of a private one over ``budget``;
+        its shards register there as ``<member_prefix>shard-<n>``.
         """
-        if index_factory is None:
-            if family not in FAMILY_FACTORIES:
-                raise ValueError(
-                    f"unknown family {family!r}; expected one of "
-                    f"{sorted(FAMILY_FACTORIES)}"
-                )
-            index_factory = FAMILY_FACTORIES[family]
+        template = ShardTemplate.resolve(
+            family, index_factory, replication_factor, replica_profiles, replica_routing
+        )
         pairs = list(pairs)
-        keys = [key for key, _ in pairs]
         partitioner: Partitioner
         if partitioning == "hash":
             partitioner = HashPartitioner(num_shards)
         elif partitioning == "range":
-            partitioner = RangePartitioner.from_keys(keys, num_shards)
+            partitioner = RangePartitioner.from_keys(
+                [key for key, _ in pairs], num_shards
+            )
         else:
             raise ValueError(
                 f"unknown partitioning {partitioning!r}; expected 'hash' or 'range'"
@@ -263,94 +371,24 @@ class ShardRouter:
         groups: List[List[Pair]] = [[] for _ in range(num_shards)]
         for pair in pairs:
             groups[partitioner.shard_of(pair[0])].append(pair)
-        factor = replication_factor
-        if factor == 1 and replica_profiles is not None:
-            factor = len(replica_profiles)
-        if factor > 1 or replica_profiles is not None:
-            if family != "adaptive":
-                raise ValueError(
-                    "replication requires the 'adaptive' family — divergence "
-                    f"profiles tune its adaptation manager (got {family!r})"
-                )
-            from repro.replication.profiles import resolve_profiles
-            from repro.replication.replica_set import build_replicated_shard
-            from repro.replication.routing import ReplicaRouter
-
-            profiles = resolve_profiles(factor, replica_profiles)
-            shards: List[Shard] = [
-                build_replicated_shard(
-                    shard_id,
-                    group,
-                    profiles,
-                    durability=durability,
-                    epoch=0,
-                    router=ReplicaRouter(policy=replica_routing),
-                )
-                for shard_id, group in enumerate(groups)
-            ]
-            if durability is not None:
-                durability.publish_manifest(
-                    Manifest(
-                        epoch=0,
-                        partitioner=partitioner_spec(partitioner),
-                        shards=[
-                            DurabilityManager.replica_log_id(0, i, 0)
-                            for i in range(num_shards)
-                        ],
-                        replicas={
-                            "factor": factor,
-                            "profiles": [profile.name for profile in profiles],
-                            "logs": [
-                                [
-                                    DurabilityManager.replica_log_id(0, i, r)
-                                    for r in range(factor)
-                                ]
-                                for i in range(num_shards)
-                            ],
-                        },
-                    )
-                )
-            return cls(
-                shards,
-                partitioner,
-                index_factory,
-                max_workers=max_workers,
-                budget=budget,
-                durability=durability,
-                epoch=0,
-            )
-        thread_safe = family in THREAD_SAFE_FAMILIES
-        shards = []
-        for shard_id, group in enumerate(groups):
-            log: Optional[DurableLog] = None
-            if durability is not None:
-                log = durability.create_log(
-                    DurabilityManager.log_id(0, shard_id), group
-                )
-            shards.append(
-                Shard(
-                    shard_id,
-                    index_factory(group),
-                    thread_safe=thread_safe,
-                    durable_log=log,
-                )
-            )
+        shards = [
+            template.provision(position, group, durability, epoch=0)
+            for position, group in enumerate(groups)
+        ]
         if durability is not None:
             durability.publish_manifest(
-                Manifest(
-                    epoch=0,
-                    partitioner=partitioner_spec(partitioner),
-                    shards=[DurabilityManager.log_id(0, i) for i in range(num_shards)],
-                )
+                manifest_for(0, partitioner, shards, template.replication)
             )
         return cls(
             shards,
             partitioner,
-            index_factory,
+            template,
             max_workers=max_workers,
             budget=budget,
             durability=durability,
             epoch=0,
+            arbiter=arbiter,
+            member_prefix=member_prefix,
         )
 
     @classmethod
@@ -365,145 +403,36 @@ class ShardRouter:
         """Rebuild a durable router from its on-disk state after a crash.
 
         Reads the routing manifest (the durable commit point), sweeps
-        files no epoch reaches, recovers every named log — newest valid
-        snapshot plus WAL-tail replay, torn final record tolerated —
-        and bulk-loads each shard's family from the recovered pair set.
-        ``last_recovery`` on the returned router summarizes what was
-        replayed, skipped, and swept.
+        files no epoch reaches, recovers every log it names — newest
+        valid snapshot plus WAL-tail replay, torn final record
+        tolerated; among several copies of a shard the highest-LSN one
+        is authoritative and stragglers are healed — and makes each
+        shard from its recovered pair set as :meth:`build` would.
+        ``family`` must fit the manifest: a replicated store is
+        ``"adaptive"`` and comes back under the profiles and routing
+        policy it recorded.  ``last_recovery`` on the returned router
+        summarizes what was replayed, skipped, swept and rebuilt.
         """
-        if index_factory is None:
-            if family not in FAMILY_FACTORIES:
-                raise ValueError(
-                    f"unknown family {family!r}; expected one of "
-                    f"{sorted(FAMILY_FACTORIES)}"
-                )
-            index_factory = FAMILY_FACTORIES[family]
         manifest = durability.read_manifest()
         orphans_removed = durability.cleanup_orphans(manifest)
-        partitioner = build_partitioner(manifest.partitioner)
-        if manifest.replicas is not None:
-            return cls._recover_replicated(
-                durability,
-                manifest,
-                partitioner,
-                orphans_removed,
-                max_workers=max_workers,
-                budget=budget,
-            )
-        thread_safe = family in THREAD_SAFE_FAMILIES
-        shards = []
-        frames_replayed = 0
-        snapshots_skipped = 0
-        torn_bytes = 0
-        for position, log_id in enumerate(manifest.shards):
-            log, result = durability.recover_log(log_id)
-            pairs = sorted(result.state.items())
-            shards.append(
-                Shard(
-                    position,
-                    index_factory(pairs),
-                    thread_safe=thread_safe,
-                    durable_log=log,
-                )
-            )
-            frames_replayed += result.frames_replayed
-            snapshots_skipped += result.snapshots_skipped
-            torn_bytes += result.torn_bytes
-        router = cls(
-            shards,
-            partitioner,
+        block = manifest.replicas or {}
+        template = ShardTemplate.resolve(
+            family,
             index_factory,
-            max_workers=max_workers,
-            budget=budget,
-            durability=durability,
-            epoch=manifest.epoch,
+            block.get("factor", 1),
+            block.get("profiles"),
+            block.get("policy", "cost"),
         )
-        router.last_recovery = {
-            "epoch": manifest.epoch,
-            "num_shards": len(shards),
-            "frames_replayed": frames_replayed,
-            "snapshots_skipped": snapshots_skipped,
-            "torn_bytes": torn_bytes,
-            "orphans_removed": orphans_removed,
-        }
-        return router
-
-    @classmethod
-    def _recover_replicated(
-        cls,
-        durability: DurabilityManager,
-        manifest: Manifest,
-        partitioner: Partitioner,
-        orphans_removed: int,
-        max_workers: int = _DEFAULT_MAX_WORKERS,
-        budget: Optional[MemoryBudget] = None,
-    ) -> "ShardRouter":
-        """Rebuild a replicated router: every replica from its own log.
-
-        Each replica recovers from its *own* newest snapshot plus WAL
-        tail, then bulk-loads under its *own* divergence profile (the
-        profile names come from the manifest).  Per shard, the replica
-        with the highest WAL LSN is authoritative — fan-out appends in
-        replica order, so a higher LSN implies a superset of acked
-        writes — and any straggler (a replica that was down or fenced
-        when the crash hit) is rebuilt from the authoritative content
-        and healed with a fresh snapshot.
-        """
-        from repro.replication.profiles import REPLICA_PROFILES
-        from repro.replication.replica_set import Replica, ReplicatedShard
-        from repro.replication.routing import ReplicaRouter
-
-        block = manifest.replicas
-        assert block is not None  # caller checked
-        unknown = [
-            name for name in block["profiles"] if name not in REPLICA_PROFILES
-        ]
-        if unknown:
-            raise ValueError(
-                f"manifest names unknown replica profiles {unknown}; "
-                f"expected names from {sorted(REPLICA_PROFILES)}"
-            )
-        profiles = [REPLICA_PROFILES[name] for name in block["profiles"]]
-        shards: List[Shard] = []
-        frames_replayed = 0
-        snapshots_skipped = 0
-        torn_bytes = 0
-        replicas_rebuilt = 0
-        for position, log_ids in enumerate(block["logs"]):
-            recovered = [durability.recover_log(log_id) for log_id in log_ids]
-            for _, result in recovered:
-                frames_replayed += result.frames_replayed
-                snapshots_skipped += result.snapshots_skipped
-                torn_bytes += result.torn_bytes
-            last_lsns = [log.last_lsn for log, _ in recovered]
-            authoritative = max(last_lsns)
-            auth_index = last_lsns.index(authoritative)
-            auth_pairs = sorted(recovered[auth_index][1].state.items())
-            replicas = []
-            for offset, (log, result) in enumerate(recovered):
-                if last_lsns[offset] < authoritative:
-                    # Straggler: its own log is consistent but behind
-                    # the acked history; rebuild from the authoritative
-                    # copy and checkpoint so its log is whole again.
-                    pairs = auth_pairs
-                    log.checkpoint(pairs)
-                    replicas_rebuilt += 1
-                else:
-                    pairs = sorted(result.state.items())
-                inner = Shard(
-                    position,
-                    profiles[offset].build_index(pairs),
-                    thread_safe=False,
-                    durable_log=log,
-                )
-                replicas.append(Replica(offset, profiles[offset], inner))
-            shards.append(
-                ReplicatedShard(position, replicas, router=ReplicaRouter())
-            )
+        shards = []
+        tally: Counter[str] = Counter()
+        for position, log_ids in enumerate(manifest.shard_log_ids()):
+            logs, pairs, replayed = durability.recover_shard(log_ids)
+            shards.append(template.make(position, pairs, logs))
+            tally.update(replayed)
         router = cls(
             shards,
-            partitioner,
-            FAMILY_FACTORIES["adaptive"],
+            build_partitioner(manifest.partitioner),
+            template,
             max_workers=max_workers,
             budget=budget,
             durability=durability,
@@ -512,12 +441,9 @@ class ShardRouter:
         router.last_recovery = {
             "epoch": manifest.epoch,
             "num_shards": len(shards),
-            "frames_replayed": frames_replayed,
-            "snapshots_skipped": snapshots_skipped,
-            "torn_bytes": torn_bytes,
             "orphans_removed": orphans_removed,
-            "replication_factor": int(block["factor"]),
-            "replicas_rebuilt": replicas_rebuilt,
+            "replication_factor": block.get("factor", 1),
+            **tally,
         }
         return router
 
@@ -810,19 +736,18 @@ class ShardRouter:
 
         Writes to the shard are frozen for the duration; reads keep
         flowing (OLC shards lock-free, locked families briefly
-        serialized).  A failure at any ``service.split.*`` fault point
-        aborts with the old routing table still serving — no key is
-        ever lost.  Returns the split key actually used.
+        serialized, replica sets on their replicas).  A failure at any
+        ``service.split.*`` fault point aborts with the old routing
+        table still serving — no key is ever lost.  Both successors are
+        built whole: on a replica set every copy of each is bulk-loaded
+        under its own profile from the authoritative copy, so a replica
+        that was down comes back healed.  Returns the split key
+        actually used.
         """
         with self._admin_lock:
             table = self._table
             self._check_shard_id(table, shard_id)
             shard = table.shards[shard_id]
-            if shard.is_replicated:
-                raise PartitionError(
-                    "online split is not supported on replicated shards; "
-                    "re-provision through build()/recover() instead"
-                )
             with shard.write_gate, shard._guard():
                 fault_point("service.split.collect")
                 pairs = shard.items()
@@ -832,44 +757,12 @@ class ShardRouter:
                 new_partitioner = table.partitioner.split(shard_id, split_key)
                 fault_point("service.split.build")
                 cut = bisect_left(pairs, (split_key,))
-                new_logs = self._build_logs(shard_id, [pairs[:cut], pairs[cut:]])
-                left = Shard(
-                    shard_id,
-                    self._index_factory(pairs[:cut]),
-                    thread_safe=shard.thread_safe,
-                    durable_log=new_logs[0] if new_logs else None,
-                )
-                right = Shard(
-                    shard_id + 1,
-                    self._index_factory(pairs[cut:]),
-                    thread_safe=shard.thread_safe,
-                    durable_log=new_logs[1] if new_logs else None,
-                )
-                shards = (
-                    table.shards[:shard_id]
-                    + (left, right)
-                    + table.shards[shard_id + 1 :]
-                )
-                # Durable commit point: the new manifest (new epoch, new
-                # log ids) is published before the in-memory swap, while
-                # the gate still blocks every acknowledgment.  A real
-                # crash after this line recovers into the new epoch; an
-                # in-process abort at the swap fault point below rolls
-                # the manifest back before any writer can proceed.  If
-                # the publish itself fails the old manifest still rules,
-                # so only the freshly built logs need destroying.
-                try:
-                    undo = self._publish_epoch(table, new_partitioner, shards)
-                except BaseException:
-                    self._delete_logs(new_logs)
-                    raise
-                try:
+                halves = [pairs[:cut], pairs[cut:]]
+                with self._replacing(
+                    table, new_partitioner, shard_id, [shard], halves
+                ) as shards:
                     fault_point("service.split.swap")
                     self._install(new_partitioner, shards)
-                except BaseException:
-                    self._unpublish_epoch(undo, new_logs)
-                    raise
-                self._retire_logs([shard])
             self.splits += 1
             self._publish_admin_metrics("service.splits")
             return split_key
@@ -888,11 +781,6 @@ class ShardRouter:
             # Validates adjacency and raises on hash partitions.
             new_partitioner = table.partitioner.merge(left_id)
             left, right = table.shards[left_id], table.shards[left_id + 1]
-            if left.is_replicated or right.is_replicated:
-                raise PartitionError(
-                    "online merge is not supported on replicated shards; "
-                    "re-provision through build()/recover() instead"
-                )
             # Gates before op locks on both shards: write_gate ranks above
             # op_lock in the lock hierarchy, and writers acquire gate then
             # op lock per shard, so interleaving gate/op across shards here
@@ -901,39 +789,60 @@ class ShardRouter:
                 fault_point("service.merge.collect")
                 pairs = left.items() + right.items()
                 fault_point("service.merge.build")
-                new_logs = self._build_logs(left_id, [pairs])
-                merged = Shard(
-                    left_id,
-                    self._index_factory(pairs),
-                    thread_safe=left.thread_safe,
-                    durable_log=new_logs[0] if new_logs else None,
-                )
-                shards = (
-                    table.shards[:left_id]
-                    + (merged,)
-                    + table.shards[left_id + 2 :]
-                )
-                # Same durable commit protocol as split_shard: manifest
-                # first (gates held), swap second, manifest rollback on
-                # an in-process abort at the swap point, new-log cleanup
-                # when the publish itself fails.
-                try:
-                    undo = self._publish_epoch(table, new_partitioner, shards)
-                except BaseException:
-                    self._delete_logs(new_logs)
-                    raise
-                try:
+                with self._replacing(
+                    table, new_partitioner, left_id, [left, right], [pairs]
+                ) as shards:
                     fault_point("service.merge.swap")
                     self._install(new_partitioner, shards)
-                except BaseException:
-                    self._unpublish_epoch(undo, new_logs)
-                    raise
-                self._retire_logs([left, right])
             self.merges += 1
             self._publish_admin_metrics("service.merges")
 
+    @contextmanager
+    def _replacing(
+        self,
+        table: _RoutingTable,
+        new_partitioner: Partitioner,
+        position: int,
+        retired: Sequence[Shard],
+        groups: Sequence[List[Pair]],
+    ) -> Iterator[Tuple[Shard, ...]]:
+        """The skeleton split and merge share: build aside, commit, let
+        the caller swap, then retire — or roll back.
+
+        One successor per pair group is built aside from ``position`` on
+        (each copy on a fresh next-epoch log) in place of the adjacent
+        ``retired`` shards; the new shard tuple is yielded for the
+        caller to cross its swap fault point and :meth:`_install`.  On
+        a durable router that block runs inside the manager's
+        ``epoch_swap``: the next epoch's manifest is published *before*
+        the in-memory swap, while the caller's gates still block every
+        acknowledgment, and rolled back if the block raises.
+        """
+        epoch = self._epoch + 1
+        successors = tuple(
+            self._template.provision(position + offset, group, self._durability, epoch)
+            for offset, group in enumerate(groups)
+        )
+        shards = (
+            table.shards[:position]
+            + successors
+            + table.shards[position + len(retired) :]
+        )
+        if self._durability is None:
+            yield shards
+            return
+        block = self._template.replication
+        with self._durability.epoch_swap(
+            undo=manifest_for(self._epoch, table.partitioner, table.shards, block),
+            commit=manifest_for(epoch, new_partitioner, shards, block),
+            born=[log for shard in successors for log in shard.logs()],
+            retired=[log for shard in retired for log in shard.logs()],
+        ):
+            yield shards
+        self._epoch = epoch
+
     # ------------------------------------------------------------------
-    # Durability admin (checkpointing + epoch re-keying)
+    # Durability admin (checkpointing)
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
         """Snapshot every durable shard and truncate its WAL.
@@ -958,94 +867,6 @@ class ShardRouter:
             self.checkpoints += 1
             self._publish_admin_metrics("service.checkpoints")
         return {"epoch": self._epoch, "shards": summaries}
-
-    def _build_logs(
-        self, position: int, groups: Sequence[List[Pair]]
-    ) -> Optional[List[DurableLog]]:
-        """Fresh next-epoch logs for replacement shards at ``position``.
-
-        Each log is born with a base snapshot of its group, so the new
-        epoch is self-contained the instant its manifest publishes.
-        Returns None on a non-durable router.
-        """
-        if self._durability is None:
-            return None
-        epoch = self._epoch + 1
-        return [
-            self._durability.create_log(
-                DurabilityManager.log_id(epoch, position + offset), group
-            )
-            for offset, group in enumerate(groups)
-        ]
-
-    @staticmethod
-    def _log_ids(shards: Sequence[Shard]) -> List[str]:
-        ids: List[str] = []
-        for shard in shards:
-            log = shard.durable_log
-            if log is None:
-                raise ValueError("durable router has a shard without a log")
-            ids.append(log.log_id)
-        return ids
-
-    def _publish_epoch(
-        self,
-        table: _RoutingTable,
-        new_partitioner: Partitioner,
-        new_shards: Sequence[Shard],
-    ) -> Optional[Manifest]:
-        """Durably commit the next routing epoch; returns the undo manifest.
-
-        Callers hold the affected write gates, so no acknowledgment can
-        land between this publish and either the in-memory swap or the
-        rollback in :meth:`_unpublish_epoch`.
-        """
-        if self._durability is None:
-            return None
-        undo = Manifest(
-            epoch=self._epoch,
-            partitioner=partitioner_spec(table.partitioner),
-            shards=self._log_ids(table.shards),
-        )
-        self._durability.publish_manifest(
-            Manifest(
-                epoch=self._epoch + 1,
-                partitioner=partitioner_spec(new_partitioner),
-                shards=self._log_ids(new_shards),
-            )
-        )
-        self._epoch += 1
-        return undo
-
-    def _unpublish_epoch(
-        self, undo: Optional[Manifest], new_logs: Optional[List[DurableLog]]
-    ) -> None:
-        """Roll the durable epoch back after an aborted swap.
-
-        The undo republish runs with fault injection disabled: the
-        abort path must not itself be killable by the injector, or the
-        manifest and the (still-old) in-memory table would diverge.
-        """
-        if self._durability is None or undo is None:
-            return
-        self._durability.publish_manifest(undo, allow_fault=False)
-        self._epoch = undo.epoch
-        self._delete_logs(new_logs)
-
-    @staticmethod
-    def _delete_logs(logs: Optional[List[DurableLog]]) -> None:
-        """Destroy next-epoch logs that no published manifest reaches."""
-        if logs:
-            for log in logs:
-                log.delete_files()
-
-    def _retire_logs(self, shards: Sequence[Shard]) -> None:
-        """Seal and destroy the logs of shards a committed swap replaced."""
-        for shard in shards:
-            log = shard.durable_log
-            if log is not None:
-                log.seal()
-                log.delete_files()
 
     def _install(self, partitioner: Partitioner, shards: Tuple[Shard, ...]) -> None:
         # Never mutate shard objects here: they are shared with the
@@ -1076,15 +897,17 @@ class ShardRouter:
     # Budget arbitration
     # ------------------------------------------------------------------
     def _register_shards(self) -> None:
-        self.arbiter.clear()
-        for position, shard in enumerate(self._table.shards):
-            if shard.is_replicated:
-                # Replica budgets are divergence policy (each profile
-                # carries its own); a global rebalance would overwrite
-                # them and erase the very asymmetry replication exploits.
-                continue
-            self.arbiter.register(f"shard-{position}", shard.index)
-        self.arbiter.rebalance()
+        """(Re-)register this router's members — and only them — in its
+        arbiter, which then rebalances every manager it governs."""
+        group = f"{self._member_prefix}shard-"
+        self.arbiter.replace_group(
+            group,
+            {
+                f"{group}{position}": index
+                for position, shard in enumerate(self._table.shards)
+                for index in shard.budget_members()
+            },
+        )
 
     # ------------------------------------------------------------------
     # Introspection and metrics

@@ -111,11 +111,6 @@ def span_if_traced(name: str, **attributes: object) -> ContextManager[None]:
 class Shard:
     """One partition of the key space served by one index instance."""
 
-    #: True on :class:`~repro.replication.replica_set.ReplicatedShard`;
-    #: the router uses it to skip budget arbitration (replica budgets
-    #: are profile policy) and to refuse split/merge.
-    is_replicated = False
-
     def __init__(
         self,
         shard_id: int,
@@ -333,22 +328,30 @@ class Shard:
             }
         ]
 
+    def logs(self) -> List["DurableLog"]:
+        """Every log this shard carries, in copy order (empty when not durable)."""
+        return [] if self.durable_log is None else [self.durable_log]
+
     def close_logs(self) -> None:
         """Release every log handle this shard carries (idempotent)."""
-        if self.durable_log is not None:
-            self.durable_log.close()
+        for log in self.logs():
+            log.close()
+
+    def budget_members(self) -> List[Any]:
+        """The indexes whose manager budget a service-wide arbiter may set."""
+        return [self.index]
 
     def wal_lag(self) -> Optional[int]:
         """Records appended since the last snapshot (None when not durable).
 
         The ops console's per-shard durability lag: how much WAL replay
-        a crash right now would cost this shard.
+        a crash right now would cost this shard — the worst of its logs.
         """
-        if self.durable_log is None:
-            return None
-        snapshot_lsns = self.durable_log.snapshots.list_lsns()
-        floor = max(snapshot_lsns) if snapshot_lsns else 0
-        return max(0, self.durable_log.wal.last_lsn - floor)
+        lags = [
+            max(0, log.wal.last_lsn - max(log.snapshots.list_lsns(), default=0))
+            for log in self.logs()
+        ]
+        return max(lags, default=None)
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe summary of this shard."""

@@ -147,8 +147,8 @@ class TestResourceArbiterMemory:
         arbiter = ResourceArbiter(budget=MemoryBudget.absolute(1_000_000))
         arbiter.register_tenant("a")
         arbiter.register_tenant("b")
-        arbiter.register_memory_member("a", "shard-0", FakeIndex(keys=900, size=10))
-        arbiter.register_memory_member("b", "shard-0", FakeIndex(keys=100, size=10))
+        arbiter.memory.register("a/shard-0", FakeIndex(keys=900, size=10))
+        arbiter.memory.register("b/shard-0", FakeIndex(keys=100, size=10))
         allocations = arbiter.rebalance()
         assert set(allocations) == {"a/shard-0", "b/shard-0"}
         assert (
@@ -156,17 +156,13 @@ class TestResourceArbiterMemory:
             > allocations["b/shard-0"].absolute_bytes
         )
 
-    def test_memory_member_requires_registered_tenant(self):
-        arbiter = ResourceArbiter()
-        with pytest.raises(KeyError):
-            arbiter.register_memory_member("ghost", "shard-0", FakeIndex(1, 1))
-
     def test_unregister_tenant_drops_memory_members(self):
         arbiter = ResourceArbiter(budget=MemoryBudget.absolute(1_000_000))
         arbiter.register_tenant("a")
-        arbiter.register_memory_member("a", "shard-0", FakeIndex(10, 10))
-        arbiter.register_memory_member("a", "shard-1", FakeIndex(10, 10))
-        assert arbiter.memory.num_members == 2
+        arbiter.memory.register("a/shard-0", FakeIndex(10, 10))
+        arbiter.memory.register("a/shard-1", FakeIndex(10, 10))
+        arbiter.memory.register("ab/shard-0", FakeIndex(10, 10))
+        assert arbiter.memory.num_members == 3
         arbiter.unregister_tenant("a")
-        assert arbiter.memory.num_members == 0
+        assert arbiter.memory.num_members == 1
         assert arbiter.tenants() == []

@@ -67,6 +67,34 @@ class TestTenantDirectory:
             assert max(shares) < 1.5 * min(shares)
             assert sum(shares) <= 1 << 20
 
+    def test_split_and_merge_keep_the_tenant_budget_bounded(self):
+        pairs = [(key, key) for key in range(1000)]
+        spec = TenantSpec(
+            "t", family="adaptive", partitioning="range", num_shards=2, pairs=pairs
+        )
+        other = TenantSpec("u", family="adaptive", num_shards=1, pairs=pairs[:100])
+        budget = MemoryBudget.absolute(4_000_000)
+        with TenantDirectory([spec, other], budget=budget) as directory:
+            router = directory.router_for("t")
+            assert router.arbiter is directory.arbiter.memory
+
+            def check(members):
+                assert set(directory.arbiter.rebalance()) == members
+                managers = [
+                    shard.index.manager
+                    for tenant in ("t", "u")
+                    for shard in directory.router_for(tenant).table.shards
+                ]
+                budgets = [manager.config.budget for manager in managers]
+                assert all(budget.bounded for budget in budgets)
+                assert sum(budget.absolute_bytes for budget in budgets) <= 4_000_000
+
+            check({"t/shard-0", "t/shard-1", "u/shard-0"})
+            router.split_shard(0)
+            check({"t/shard-0", "t/shard-1", "t/shard-2", "u/shard-0"})
+            router.merge_shards(1)
+            check({"t/shard-0", "t/shard-1", "u/shard-0"})
+
     def test_quota_installed_from_spec(self):
         quota = TenantQuota(ops_per_sec=10.0, max_inflight=3)
         with demo_directory(["a"], keys_per_tenant=10, quota=quota) as directory:

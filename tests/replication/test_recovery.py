@@ -1,5 +1,8 @@
 """Durable replicated groups: manifest, recovery, and reconciliation."""
 
+import json
+import zlib
+
 import pytest
 
 from repro.durability.manager import DurabilityManager, Manifest
@@ -37,7 +40,7 @@ class TestManifest:
         router.close()
         stray = durability.wal_dir / "e00000099-p0000.wal"
         stray.write_bytes(b"debris")
-        recovered = ShardRouter.recover(durability)
+        recovered = ShardRouter.recover(durability, family="adaptive")
         try:
             assert not stray.exists()
             assert recovered.last_recovery["orphans_removed"] >= 1
@@ -61,7 +64,103 @@ class TestManifest:
             )
         )
         with pytest.raises(ValueError, match="mystery"):
-            ShardRouter.recover(durability)
+            ShardRouter.recover(durability, family="adaptive")
+
+
+def write_parent_format_manifest(durability, payload):
+    """MANIFEST.json exactly as the pre-policy-key writer laid it out."""
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
+    blob = json.dumps({"crc": crc, "payload": payload}, sort_keys=True)
+    durability.manifest_path.write_bytes(blob.encode("utf-8"))
+
+
+class TestManifestCompatibility:
+    def test_replicated_manifest_without_policy_key_recovers_as_cost(self, tmp_path):
+        durability, router, expected = build_router(tmp_path, factor=2)
+        router.put(1, 100)
+        router.close()
+        write_parent_format_manifest(
+            durability,
+            {
+                "format": 1,
+                "epoch": 0,
+                "partitioner": {"kind": "hash", "num_shards": 2},
+                "shards": ["e00000000-p0000-r00", "e00000000-p0001-r00"],
+                "replicas": {
+                    "factor": 2,
+                    "profiles": ["point", "scan"],
+                    "logs": [
+                        ["e00000000-p0000-r00", "e00000000-p0000-r01"],
+                        ["e00000000-p0001-r00", "e00000000-p0001-r01"],
+                    ],
+                },
+            },
+        )
+        recovered = ShardRouter.recover(durability, family="adaptive")
+        try:
+            assert recovered.table.shards[0].router.policy == "cost"
+            assert recovered.get(1) == 100
+            assert len(recovered) == len(expected) + 1
+            info = recovered.last_recovery
+            assert info["replication_factor"] == 2
+            assert info["replicas_rebuilt"] == 0
+            assert info["frames_replayed"] == 2  # the one put, on both copies
+        finally:
+            recovered.close()
+
+    def test_plain_parent_format_manifest_recovers(self, tmp_path):
+        durability = DurabilityManager(tmp_path)
+        pairs = [(key, key + 1) for key in range(0, 200, 2)]
+        router = ShardRouter.build(pairs, num_shards=2, durability=durability)
+        router.put(1, 100)
+        router.close()
+        write_parent_format_manifest(
+            durability,
+            {
+                "format": 1,
+                "epoch": 0,
+                "partitioner": {"kind": "hash", "num_shards": 2},
+                "shards": ["e00000000-p0000", "e00000000-p0001"],
+            },
+        )
+        recovered = ShardRouter.recover(durability)
+        try:
+            assert not hasattr(recovered.table.shards[0], "replicas")
+            assert recovered.scan(-1, 10**6) == sorted([*pairs, (1, 100)])
+            info = recovered.last_recovery
+            assert info["frames_replayed"] == 1
+            assert info["replicas_rebuilt"] == 0
+            for key in ("epoch", "num_shards", "snapshots_skipped", "torn_bytes"):
+                assert key in info
+        finally:
+            recovered.close()
+
+
+class TestRecoveredTemplate:
+    def test_routing_policy_survives_recovery(self, tmp_path):
+        durability = DurabilityManager(tmp_path)
+        ShardRouter.build(
+            [(key, key) for key in range(100)],
+            family="adaptive",
+            num_shards=2,
+            replication_factor=2,
+            replica_routing="round_robin",
+            durability=durability,
+        ).close()
+        assert durability.read_manifest().replicas["policy"] == "round_robin"
+        recovered = ShardRouter.recover(durability, family="adaptive")
+        try:
+            for shard in recovered.table.shards:
+                assert shard.router.policy == "round_robin"
+        finally:
+            recovered.close()
+
+    def test_family_must_fit_a_replicated_manifest(self, tmp_path):
+        durability, router, _ = build_router(tmp_path)
+        router.close()
+        with pytest.raises(ValueError, match="adaptive"):
+            ShardRouter.recover(durability, family="olc")
 
 
 class TestRecovery:
@@ -77,7 +176,7 @@ class TestRecovery:
         expected.update({odd: odd * 7 for odd in range(41, 81, 2)})
         router.close()
 
-        recovered = ShardRouter.recover(durability)
+        recovered = ShardRouter.recover(durability, family="adaptive")
         try:
             info = recovered.last_recovery
             assert info["replication_factor"] == 3
@@ -109,7 +208,7 @@ class TestRecovery:
         expected.update({5: 500, 7: 700})
         router.close()
 
-        recovered = ShardRouter.recover(durability)
+        recovered = ShardRouter.recover(durability, family="adaptive")
         try:
             assert recovered.last_recovery["replicas_rebuilt"] >= 1
             items = sorted(expected.items())
@@ -121,7 +220,7 @@ class TestRecovery:
     def test_recovered_router_keeps_serving_and_adapting(self, tmp_path):
         durability, router, expected = build_router(tmp_path, num_keys=200)
         router.close()
-        recovered = ShardRouter.recover(durability)
+        recovered = ShardRouter.recover(durability, family="adaptive")
         try:
             keys = sorted(expected)[:50]
             assert recovered.get_many(keys) == [expected[key] for key in keys]

@@ -16,7 +16,10 @@ PROFILES = [REPLICA_PROFILES[name] for name in ("point", "scan", "squeezed")]
 
 def make_shard(num_keys=500, durability=None):
     pairs = [(key, key + 1) for key in range(0, num_keys * 2, 2)]
-    return build_replicated_shard(0, pairs, PROFILES, durability=durability)
+    logs = None
+    if durability is not None:
+        logs = durability.create_logs(0, 0, pairs, {"factor": len(PROFILES)})
+    return build_replicated_shard(0, pairs, PROFILES, logs)
 
 
 class TestBasics:

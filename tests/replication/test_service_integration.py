@@ -4,9 +4,10 @@ import asyncio
 
 import pytest
 
+from repro.durability.manager import DurabilityManager
+from repro.faults.injector import FaultInjector, InjectedFault
 from repro.net import NetClient, NetServer
 from repro.net.tenancy import TenantDirectory, TenantSpec
-from repro.service.partition import PartitionError
 from repro.service.router import ShardRouter
 
 
@@ -36,20 +37,6 @@ class TestRouterWiring:
         assert router.table.shards[0].router.policy == "round_robin"
         router.close()
 
-    def test_split_and_merge_refuse_replicated_shards(self):
-        router = ShardRouter.build(
-            make_pairs(),
-            family="adaptive",
-            num_shards=2,
-            partitioning="range",
-            replication_factor=2,
-        )
-        with pytest.raises(PartitionError, match="replicated"):
-            router.split_shard(0)
-        with pytest.raises(PartitionError, match="replicated"):
-            router.merge_shards(0)
-        router.close()
-
     def test_routed_reads_serve_through_replicas(self):
         router = ShardRouter.build(
             make_pairs(400), family="adaptive", num_shards=2, replication_factor=3
@@ -63,6 +50,136 @@ class TestRouterWiring:
         )
         assert routed == len(keys)
         router.close()
+
+
+class TestRequestFaultsLeaveReplicasUp:
+    """A request every live replica refuses is the request's fault."""
+
+    @pytest.fixture
+    def router(self):
+        with ShardRouter.build(
+            make_pairs(), family="adaptive", num_shards=2, replication_factor=2
+        ) as router:
+            yield router
+
+    def assert_all_up_and_serving(self, router):
+        for shard in router.table.shards:
+            assert [replica.down for replica in shard.replicas] == [False, False]
+        assert router.get_many([10, 12]) == [11, 13]
+
+    def test_wrong_typed_read_raises_like_a_plain_shard(self, router):
+        with pytest.raises(TypeError):
+            router.get_many([b"abc"])
+        self.assert_all_up_and_serving(router)
+
+    def test_wrong_typed_write_raises_like_a_plain_shard(self, router):
+        with pytest.raises(TypeError):
+            router.put_many([(b"x", 1)])
+        self.assert_all_up_and_serving(router)
+        router.put_many([(11, 110)])
+        assert router.get(11) == 110
+
+
+class TestReplicatedReshape:
+    """Split/merge through the one shard lifecycle, at replication factor 2."""
+
+    PROFILES = ["scan", "squeezed"]
+
+    def build(self, durability=None):
+        return ShardRouter.build(
+            make_pairs(),
+            family="adaptive",
+            num_shards=2,
+            partitioning="range",
+            replica_profiles=self.PROFILES,
+            replica_routing="round_robin",
+            durability=durability,
+        )
+
+    def assert_shape(self, router, num_shards):
+        assert router.num_shards == num_shards
+        for shard in router.table.shards:
+            assert [replica.profile.name for replica in shard.replicas] == self.PROFILES
+            assert not any(replica.down for replica in shard.replicas)
+            assert shard.router.policy == "round_robin"
+        assert router.scan(-1, 10**6) == make_pairs()
+        router.verify()
+
+    def test_split_then_merge_in_memory(self):
+        with self.build() as router:
+            router.split_shard(0)
+            self.assert_shape(router, 3)
+            router.merge_shards(1)
+            self.assert_shape(router, 2)
+
+    def test_split_then_merge_durable_and_recoverable(self, tmp_path):
+        durability = DurabilityManager(tmp_path)
+        router = self.build(durability)
+        router.split_shard(0)
+        self.assert_shape(router, 3)
+        manifest = durability.read_manifest()
+        assert manifest.epoch == 1
+        assert manifest.replicas["profiles"] == self.PROFILES
+        logs = manifest.replicas["logs"]
+        assert logs[0] == ["e00000001-p0000-r00", "e00000001-p0000-r01"]
+        assert logs[2] == ["e00000000-p0001-r00", "e00000000-p0001-r01"]
+        router.merge_shards(1)
+        self.assert_shape(router, 2)
+        router.put_many([(1, 100), (599, 600)])
+        router.close()
+        manifest = durability.read_manifest()
+        assert manifest.epoch == 2 and len(manifest.replicas["logs"]) == 2
+        recovered = ShardRouter.recover(DurabilityManager(tmp_path), family="adaptive")
+        try:
+            assert recovered.get_many([1, 599, 10]) == [100, 600, 11]
+            assert len(recovered) == len(make_pairs()) + 2
+            assert recovered.last_recovery["epoch"] == 2
+            assert recovered.table.shards[0].router.policy == "round_robin"
+            recovered.verify()
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("site", ["service.split.swap", "service.merge.swap"])
+    def test_swap_fault_republishes_old_manifest_with_replica_block(
+        self, tmp_path, site
+    ):
+        durability = DurabilityManager(tmp_path)
+        router = self.build(durability)
+        before = durability.read_manifest()
+        try:
+            with pytest.raises(InjectedFault), FaultInjector(site=site, fail_at=1):
+                if "split" in site:
+                    router.split_shard(0)
+                else:
+                    router.merge_shards(0)
+            self.assert_shape(router, 2)
+            assert durability.read_manifest() == before
+            assert before.replicas is not None
+            on_disk = [*durability.wal_dir.iterdir(), *durability.snap_dir.iterdir()]
+            assert not [p.name for p in on_disk if p.name.startswith("e00000001")]
+            router.put(1, 100)  # the old logs still take writes
+        finally:
+            router.close()
+        recovered = ShardRouter.recover(DurabilityManager(tmp_path), family="adaptive")
+        try:
+            assert recovered.get(1) == 100
+            assert recovered.last_recovery["orphans_removed"] == 0
+        finally:
+            recovered.close()
+
+    def test_split_heals_a_down_replica(self):
+        with self.build() as router:
+            shard = router.table.shards[0]
+            shard.mark_down(shard.replicas[1], "operator")
+            router.put(1, 100)
+            assert shard.replicas[1].behind == 1
+            router.split_shard(0)
+            for successor in router.table.shards[:2]:
+                healed, other = successor.replicas
+                assert healed.shard.items() == other.shard.items()
+                assert not healed.down and not other.down
+            assert router.get(1) == 100
+            router.verify()
 
 
 class TestTenancy:

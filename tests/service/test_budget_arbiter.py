@@ -80,10 +80,23 @@ class TestAccounting:
         assert arbiter.used_bytes() > 0
         assert 0.0 < arbiter.utilization() < 1.0
         assert not arbiter.exceeded()
-        arbiter.unregister("a")
+        arbiter.replace_group("a", {})
         assert arbiter.num_members == 1
-        arbiter.clear()
+        arbiter.replace_group("", {})
         assert arbiter.num_members == 0
+
+    def test_replace_group_swaps_one_owners_members_and_rebalances(self):
+        arbiter = BudgetArbiter(MemoryBudget.absolute(4_000_000))
+        other = adaptive(100)
+        arbiter.register("t1/shard-0", other)
+        arbiter.register("t2/shard-0", adaptive(100))
+        left, right = adaptive(50), adaptive(50)
+        allocations = arbiter.replace_group(
+            "t2/shard-", {"t2/shard-0": left, "t2/shard-1": right}
+        )
+        assert set(allocations) == {"t1/shard-0", "t2/shard-0", "t2/shard-1"}
+        for index in (other, left, right):
+            assert index.manager.config.budget.bounded
 
     def test_exceeded_on_starved_budget(self):
         arbiter = BudgetArbiter(MemoryBudget.absolute(16))

@@ -70,7 +70,7 @@ class TestBuildAndRecover:
             ShardRouter(
                 plain.table.shards,
                 plain.table.partitioner,
-                plain._index_factory,
+                plain._template,
                 durability=make_durability(tmp_path),
             )
         plain.close()

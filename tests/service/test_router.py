@@ -4,10 +4,15 @@ import random
 
 import pytest
 
-from repro.core.budget import MemoryBudget
+from repro.core.budget import BudgetArbiter, MemoryBudget
 from repro.obs import MetricsRegistry, Telemetry
 from repro.service.partition import PartitionError
-from repro.service.router import FAMILY_FACTORIES, ReadOnlyShardError, ShardRouter
+from repro.service.router import (
+    FAMILY_FACTORIES,
+    ReadOnlyShardError,
+    ShardRouter,
+    ShardTemplate,
+)
 
 FAMILIES = ("olc", "adaptive", "dualstage")
 PARTITIONINGS = ("hash", "range")
@@ -43,7 +48,9 @@ class TestBuild:
 
         factory = FAMILY_FACTORIES["olc"]
         with pytest.raises(PartitionError):
-            ShardRouter([Shard(0, factory([]))], HashPartitioner(2), factory)
+            ShardRouter(
+                [Shard(0, factory([]))], HashPartitioner(2), ShardTemplate(factory)
+            )
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_all_keys_loaded_and_routable(self, family, partitioning):
@@ -215,6 +222,15 @@ class TestBudgetIntegration:
             total = sum(budget.absolute_bytes for budget in budgets)
             assert total <= 8_000_000
             assert router.arbiter.num_members == 4
+
+    def test_router_takes_a_budget_or_an_arbiter_never_both(self):
+        with pytest.raises(ValueError, match="arbiter"):
+            ShardRouter.build(
+                [(1, 1)],
+                num_shards=1,
+                budget=MemoryBudget.absolute(1 << 20),
+                arbiter=BudgetArbiter(MemoryBudget.unbounded()),
+            )
 
     def test_rebalance_follows_split(self):
         pairs = int_pairs(1000)

@@ -17,21 +17,29 @@ KEYS = st.integers(min_value=-1000, max_value=1000)
 VALUES = st.integers(min_value=-(2**31), max_value=2**31)
 
 
+#: (family, replication factor): the plain OLC shard, and the adaptive
+#: family as one copy and as a replica set — one lifecycle serves all.
+SHAPES = st.sampled_from([("olc", 1), ("adaptive", 1), ("adaptive", 2)])
+
+
 class RouterAgreesWithModel(RuleBasedStateMachine):
     """Random put/delete/get/scan/split/merge vs. a model dict."""
 
     @initialize(
         pairs=st.dictionaries(KEYS, VALUES, min_size=4, max_size=64),
         num_shards=st.integers(min_value=1, max_value=4),
+        shape=SHAPES,
     )
-    def build(self, pairs, num_shards):
+    def build(self, pairs, num_shards, shape):
         self.model = dict(pairs)
+        family, factor = shape
         self.router = ShardRouter.build(
             sorted(self.model.items()),
-            family="olc",
+            family=family,
             num_shards=num_shards,
             partitioning="range",
             max_workers=0,
+            replication_factor=factor,
         )
 
     def teardown(self):

@@ -177,11 +177,18 @@ class TestFaultInjectedSplitMerge:
             assert contents(router) == pairs
             router.verify()
 
-    def test_randomized_campaign_zero_lost_keys(self):
+    @pytest.mark.parametrize(
+        "shape",
+        ({"family": "olc"}, {"family": "adaptive", "replication_factor": 2}),
+        ids=("plain", "replicated"),
+    )
+    def test_randomized_campaign_zero_lost_keys(self, shape):
         rng = random.Random(0xC0FFEE)
         pairs = int_pairs(500)
         expected = dict(pairs)
-        with ShardRouter.build(pairs, num_shards=2, partitioning="range") as router:
+        with ShardRouter.build(
+            pairs, num_shards=2, partitioning="range", **shape
+        ) as router:
             with FaultInjector(site="service.*", rate=0.4, seed=99) as injector:
                 for round_number in range(30):
                     with contextlib.suppress(InjectedFault, PartitionError):
