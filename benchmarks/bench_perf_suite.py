@@ -36,7 +36,6 @@ from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
 from repro.dualstage.index import DualStageIndex, StaticEncoding
 from repro.fst.trie import FST
-from repro.hybridtrie.tree import HybridTrie
 
 DEFAULT_KEYS = 20_000
 SPEEDUP_FAMILIES_REQUIRED = 2
@@ -132,13 +131,6 @@ def run_suite(num_keys=DEFAULT_KEYS):
     families["fst"] = _measure(
         lambda: [fst.lookup(key) for key in byte_probes],
         lambda: fst.lookup_many(byte_probes),
-        len(byte_probes),
-    )
-
-    trie = HybridTrie(byte_pairs)
-    families["hybridtrie"] = _measure(
-        lambda: [trie.lookup(key) for key in byte_probes],
-        lambda: trie.lookup_many(byte_probes),
         len(byte_probes),
     )
 

@@ -63,6 +63,8 @@ class ART:
     """Adaptive Radix Tree with inserts, deletes, lookups, and scans."""
 
     stats_family = "art"
+    #: The one key type this family can order; the service refuses others.
+    key_type = bytes
 
     def __init__(self, counters: Optional[OpCounters] = None) -> None:
         self._root: Optional[object] = None
@@ -81,40 +83,28 @@ class ART:
     # Lookup
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        tracer = active_tracer()
-        if tracer is not None:
-            return self._traced_lookup(tracer, key)
-        node = self._root
-        depth = 0
-        while node is not None:
-            if isinstance(node, ARTLeaf):
-                self.counters.add("art_visit")
-                return node.value if node.key == key else None
-            self.counters.add("art_visit")
-            prefix = node.prefix
-            if prefix:
-                if key[depth : depth + len(prefix)] != prefix:
-                    return None
-                depth += len(prefix)
-            if depth >= len(key):
-                return None
-            node = node.find_child(key[depth])
-            depth += 1
-        return None
+        """Return the value stored under ``key``, or None.
 
-    def _traced_lookup(self, tracer, key: bytes) -> Optional[int]:
-        """:meth:`lookup` under an installed tracer (identical result)."""
-        span = tracer.op_start("lookup", family=self.stats_family)
+        Under an installed tracer the same descent emits a sampled
+        ``lookup`` span with ``descent`` / ``leaf_probe:<node kind>``
+        children; ``nodes_visited`` is the ``art_visit`` delta.
+        """
+        tracer = active_tracer()
+        span = (
+            tracer.op_start("lookup", family=self.stats_family)
+            if tracer is not None
+            else None
+        )
+        if span is not None:
+            visits_before = self.counters.get("art_visit")
         node = self._root
         depth = 0
-        visits = 0
         value: Optional[int] = None
         while node is not None:
-            visits += 1
             self.counters.add("art_visit")
             if isinstance(node, ARTLeaf):
-                value = node.value if node.key == key else None
+                if node.key == key:
+                    value = node.value
                 break
             prefix = node.prefix
             if prefix:
@@ -126,7 +116,11 @@ class ART:
             node = node.find_child(key[depth])
             depth += 1
         if span is not None:
-            tracer.event("descent", nodes_visited=visits, depth=depth)
+            tracer.event(
+                "descent",
+                nodes_visited=self.counters.get("art_visit") - visits_before,
+                depth=depth,
+            )
             tracer.event(
                 _PROBE_EVENTS.get(type(node), _PROBE_EVENT_MISS),
                 hit=value is not None,
@@ -193,20 +187,6 @@ class ART:
         if visits:
             self.counters.add("art_visit", visits)
         return results
-
-    def insert_many(self, pairs) -> List[bool]:
-        """Batched inserts; one bool per pair (True = key was new).
-
-        Inserts restructure nodes (grow/split/path-compression changes),
-        which invalidates any cached descent path, so this is a plain
-        loop — the batch API exists for interface symmetry and so callers
-        can hand whole workload chunks to every index family.
-        """
-        return [self.insert(key, value) for key, value in pairs]
-
-    def scan_many(self, requests) -> List[List[Tuple[bytes, int]]]:
-        """Batched range scans; one result list per (start_key, count)."""
-        return [self.scan(start, count) for start, count in requests]
 
     # ------------------------------------------------------------------
     # Insert

@@ -2,15 +2,18 @@
 
 Subclasses :class:`~repro.bptree.tree.BPlusTree`, defaults all leaves to
 the Succinct (cold) encoding, and wires an
-:class:`~repro.core.manager.AdaptationManager` into every access path:
+:class:`~repro.core.manager.AdaptationManager` into the base tree's
+access paths through its hooks — every lookup, insert, update, delete,
+scan and batched operation is the inherited one:
 
-* lookups, inserts, and scan iterator steps ask ``is_sample()`` and, when
-  sampled, ``track()`` the touched leaf with its parent as context;
-* inserts into a Succinct leaf *eagerly* migrate it to Gapped first (the
-  paper: "AHI-BTree eagerly migrates Succinct nodes to the Gapped
+* the leaf-access hook passes each access through the sample gate and
+  ``track()``-s the sampled ones with the leaf's parent as context;
+* the before-insert hook *eagerly* migrates a Succinct leaf to Gapped
+  (the paper: "AHI-BTree eagerly migrates Succinct nodes to the Gapped
   encoding on inserts and defers their compaction until they are cold
   again");
-* leaf splits propagate the new sibling's context to the manager;
+* leaf splits propagate the changed context to the manager, and an
+  emptied leaf is forgotten;
 * the manager calls back into :meth:`migrate` / :meth:`encoding_census` /
   :meth:`used_memory` to drive encoding migrations under the configured
   memory budget.
@@ -18,22 +21,16 @@ the Succinct (cold) encoding, and wires an
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.bptree.inner import InnerNode
-from repro.bptree.leaves import (
-    DEFAULT_LEAF_CAPACITY,
-    LEAF_PROBE_EVENTS,
-    LeafEncoding,
-    LeafNode,
-)
+from repro.bptree.leaves import DEFAULT_LEAF_CAPACITY, LeafEncoding, LeafNode
 from repro.bptree.migrate import migrate_leaf
 from repro.bptree.tree import DEFAULT_INNER_FANOUT, BPlusTree
 from repro.core.access import AccessType
 from repro.core.budget import MemoryBudget
 from repro.core.heuristics import Heuristic
 from repro.core.manager import AdaptationManager, ManagerConfig
-from repro.obs.runtime import active_tracer
 
 # Encodings ordered compact -> fast, as the manager expects.
 BTREE_ENCODING_ORDER: Tuple[LeafEncoding, ...] = (
@@ -95,39 +92,26 @@ class AdaptiveBPlusTree(BPlusTree):
         return tree
 
     # ------------------------------------------------------------------
-    # Tracked access paths
+    # The two access hooks (Section 4.1.3 / Table 4)
     # ------------------------------------------------------------------
-    def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        tracer = active_tracer()
-        if tracer is not None:
-            return self._traced_lookup(tracer, key)
-        leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
-        self.counters.add("sample_check")
-        if self.manager.is_sample():
-            parent = path[-1][0] if path else None
-            self.manager.track(leaf, AccessType.READ, context=parent)
-        return leaf.lookup(key)
+    def _leaf_accessed(
+        self,
+        leaf: LeafNode,
+        parent: Optional[InnerNode],
+        access: AccessType,
+        count: int = 1,
+    ) -> None:
+        """Pass ``count`` accesses to one leaf through the sample gate.
 
-    def _traced_lookup(self, tracer, key: int) -> Optional[int]:
-        """Tracked lookup under an installed tracer (identical result)."""
-        span = tracer.op_start("lookup", family=self.stats_family)
-        leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
-        self.counters.add("sample_check")
-        sampled = self.manager.is_sample()
-        if sampled:
-            parent = path[-1][0] if path else None
-            self.manager.track(leaf, AccessType.READ, context=parent)
-        value = leaf.lookup(key)
-        if span is not None:
-            tracer.event("descent", inner_visits=len(path), height=self._height)
-            tracer.event(LEAF_PROBE_EVENTS[leaf.encoding], hit=value is not None)
-            tracer.end(span, sampled=sampled)
-        return value
+        One sampler drain models all of them; the sampler state and the
+        tracked (leaf, access) events equal ``count`` single gates because
+        every access in the group touches the same leaf.
+        """
+        self.counters.add("sample_check", count)
+        for _ in self.manager.consume(count):
+            self.manager.track(leaf, access, context=parent)
 
-    def _maybe_expand_for_insert(self, leaf: LeafNode, parent) -> None:
+    def _before_leaf_insert(self, leaf: LeafNode, parent: Optional[InnerNode]) -> None:
         """Eager expansion: writes into compact leaves are expensive, so
         the tree switches the leaf to the write-optimized encoding
         immediately and lets the next cold classification compact it —
@@ -155,220 +139,8 @@ class AdaptiveBPlusTree(BPlusTree):
             # Register so a later cold classification compacts it.
             self.manager.register(leaf, context=parent)
 
-    def insert(self, key: int, value: int) -> bool:
-        """Insert ``key``; returns False when the key already existed."""
-        leaf, path = self._descend(key)
-        parent = path[-1][0] if path else None
-        self._maybe_expand_for_insert(leaf, parent)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
-        self.counters.add("sample_check")
-        if self.manager.is_sample():
-            self.manager.track(leaf, AccessType.INSERT, context=parent)
-        existed = leaf.lookup(key) is not None
-        self._count_leaf_write(leaf)
-        before = leaf.size_bytes()
-        if not leaf.insert(key, value):
-            self._leaf_bytes += leaf.size_bytes() - before
-            self._split_leaf(leaf, path)
-            leaf, path = self._descend(key)
-            before = leaf.size_bytes()
-            if not leaf.insert(key, value):  # pragma: no cover
-                raise AssertionError("leaf still full after split")
-        self._leaf_bytes += leaf.size_bytes() - before
-        if not existed:
-            self._num_keys += 1
-        return not existed
-
-    def update(self, key: int, value: int) -> bool:
-        """Overwrite the value of an existing ``key``; False if absent."""
-        leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
-        self.counters.add("sample_check")
-        if self.manager.is_sample():
-            parent = path[-1][0] if path else None
-            self.manager.track(leaf, AccessType.UPDATE, context=parent)
-        self._count_leaf_write(leaf)
-        before = leaf.size_bytes()
-        updated = leaf.update(key, value)
-        self._leaf_bytes += leaf.size_bytes() - before
-        return updated
-
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; returns False when it was absent."""
-        leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
-        self.counters.add("sample_check")
-        if self.manager.is_sample():
-            parent = path[-1][0] if path else None
-            self.manager.track(leaf, AccessType.DELETE, context=parent)
-        self._count_leaf_write(leaf)
-        before = leaf.size_bytes()
-        removed = leaf.delete(key)
-        self._leaf_bytes += leaf.size_bytes() - before
-        if removed:
-            self._num_keys -= 1
-            if leaf.num_entries() == 0:
-                self.manager.forget(leaf)
-        return removed
-
-    def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:
-        """Range scan; each visited leaf is a sampling opportunity
-        (iterator-based tracking, Section 4.1.3)."""
-        result: List[Tuple[int, int]] = []
-        for leaf, taken in self.scan_leaves(start_key, count):
-            self.counters.add("sample_check")
-            if self.manager.is_sample():
-                    self.manager.track(leaf, AccessType.SCAN)
-            result.extend(taken)
-        return result
-
     # ------------------------------------------------------------------
-    # Batched access paths
-    # ------------------------------------------------------------------
-    def _flush_sampled_group(self, leaf, parent, count: int, access) -> None:
-        """Model ``count`` accesses to one leaf through the sample gate.
-
-        One batched sampler drain replaces ``count`` individual
-        ``is_sample()`` calls; the sampler state and the set of tracked
-        (leaf, access) events are identical to the per-access loop
-        because every access in the group touches the same leaf.
-        """
-        if not count:
-            return
-        self.counters.add("sample_check", count)
-        for _ in self.manager.consume(count):
-            self.manager.track(leaf, access, context=parent)
-
-    def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
-        """Batched tracked lookups (see :meth:`BPlusTree.lookup_many`)."""
-        keys = list(keys)
-        if not keys:
-            return []
-        tracer = active_tracer()
-        span = (
-            tracer.op_start("lookup_many", family=self.stats_family, count=len(keys))
-            if tracer is not None
-            else None
-        )
-        if not self._is_sorted(keys):
-            unsorted = [self.lookup(key) for key in keys]
-            if span is not None:
-                tracer.end(span, sorted=False)
-            return unsorted
-        results: List[Optional[int]] = []
-        counters_add = self.counters.add
-        leaf: Optional[LeafNode] = None
-        parent = None
-        lookup_run = None
-        probe_event = ""
-        visit_event = ""
-        descents = 0
-        limit = float("-inf")  # forces the first descent
-        run: List[int] = []
-        run_append = run.append
-        for key in keys:
-            if key >= limit:
-                if run:
-                    counters_add(visit_event, len(run))
-                    results.extend(lookup_run(run))
-                    if span is not None:
-                        tracer.event(probe_event, count=len(run))
-                    self._flush_sampled_group(leaf, parent, len(run), AccessType.READ)
-                    run.clear()
-                leaf, path, upper = self._descend_bounded(key)
-                descents += 1
-                if span is not None:
-                    tracer.event("descent", height=self._height)
-                limit = float("inf") if upper is None else upper
-                parent = path[-1][0] if path else None
-                lookup_run = leaf.storage.lookup_run
-                probe_event = LEAF_PROBE_EVENTS[leaf.encoding]
-                visit_event = f"leaf_visit:{leaf.encoding}"
-            run_append(key)
-        if run:
-            counters_add(visit_event, len(run))
-            results.extend(lookup_run(run))
-            if span is not None:
-                tracer.event(probe_event, count=len(run))
-            self._flush_sampled_group(leaf, parent, len(run), AccessType.READ)
-        if span is not None:
-            tracer.end(span, sorted=True, descents=descents)
-        return results
-
-    def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
-        """Batched tracked inserts (see :meth:`BPlusTree.insert_many`).
-
-        Eager expansion runs once per descended leaf instead of once per
-        key — after the first expansion the leaf is already Gapped, so
-        the per-key re-check of :meth:`insert` would be a no-op anyway.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        if not self._is_sorted([key for key, _ in pairs]):
-            return [self.insert(key, value) for key, value in pairs]
-        results: List[bool] = []
-        leaf: Optional[LeafNode] = None
-        parent = None
-        path = []
-        upper: Optional[int] = None
-        group = 0
-        for key, value in pairs:
-            if leaf is None or (upper is not None and key >= upper):
-                self._flush_sampled_group(leaf, parent, group, AccessType.INSERT)
-                group = 0
-                leaf, path, upper = self._descend_bounded(key)
-                parent = path[-1][0] if path else None
-                self._maybe_expand_for_insert(leaf, parent)
-            self.counters.add(f"leaf_visit:{leaf.encoding}")
-            group += 1
-            existed = leaf.lookup(key) is not None
-            self._count_leaf_write(leaf)
-            before = leaf.size_bytes()
-            if not leaf.insert(key, value):
-                self._leaf_bytes += leaf.size_bytes() - before
-                self._split_leaf(leaf, path)
-                self._flush_sampled_group(leaf, parent, group, AccessType.INSERT)
-                group = 0
-                leaf, path, upper = self._descend_bounded(key)
-                parent = path[-1][0] if path else None
-                before = leaf.size_bytes()
-                if not leaf.insert(key, value):  # pragma: no cover
-                    raise AssertionError("leaf still full after split")
-            self._leaf_bytes += leaf.size_bytes() - before
-            if not existed:
-                self._num_keys += 1
-            results.append(not existed)
-        self._flush_sampled_group(leaf, parent, group, AccessType.INSERT)
-        return results
-
-    def scan_many(
-        self, requests: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, int]]]:
-        """Batched tracked range scans.
-
-        Each request drains the sampler once for all leaves it visited
-        instead of gating every leaf individually; sampled offsets map
-        back to the corresponding leaf in visit order.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        results: List[List[Tuple[int, int]]] = []
-        for start, count in requests:
-            result: List[Tuple[int, int]] = []
-            visited: List[LeafNode] = []
-            for leaf, taken in self.scan_leaves(start, count):
-                visited.append(leaf)
-                result.extend(taken)
-            self.counters.add("sample_check", len(visited))
-            for offset in self.manager.consume(len(visited)):
-                self.manager.track(visited[offset], AccessType.SCAN)
-            results.append(result)
-        return results
-
-    # ------------------------------------------------------------------
-    # Split context propagation (Section 4.1.4)
+    # Structural notifications (Section 4.1.4)
     # ------------------------------------------------------------------
     def _on_leaf_split(self, left: LeafNode, right: LeafNode) -> None:
         # The split may hang both halves under a (possibly new) parent;
@@ -376,6 +148,9 @@ class AdaptiveBPlusTree(BPlusTree):
         # the next sampled access, and the stale pointer is only used for
         # locality hints, so updating the left leaf's entry suffices here.
         self.manager.update_context(left, None)
+
+    def _on_leaf_emptied(self, leaf: LeafNode) -> None:
+        self.manager.forget(leaf)
 
     # ------------------------------------------------------------------
     # AdaptiveIndex protocol (manager callbacks)

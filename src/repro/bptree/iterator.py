@@ -66,7 +66,7 @@ class TreeIterator:
             self._position = 0
             self._exhausted = True
             return
-        self._track_leaf(leaf)
+        self._tree._leaf_accessed(leaf, None, AccessType.SCAN)
         if from_key is None:
             self._entries = tuple(leaf.to_pairs())
         else:
@@ -78,15 +78,6 @@ class TreeIterator:
         while not self._exhausted and self._position >= len(self._entries):
             next_leaf = self._leaf.next_leaf if self._leaf is not None else None
             self._load_leaf(next_leaf, from_key=None)
-
-    def _track_leaf(self, leaf: LeafNode) -> None:
-        """Sampled iterator tracking (only the adaptive tree has a manager)."""
-        manager = getattr(self._tree, "manager", None)
-        if manager is None:
-            return
-        self._tree.counters.add("sample_check")
-        if manager.is_sample():
-            manager.track(leaf, AccessType.SCAN)
 
     # ------------------------------------------------------------------
     # Access

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import InnerNode
 from repro.bptree.leaves import DEFAULT_LEAF_CAPACITY, LeafEncoding, LeafNode
 from repro.bptree.tree import DEFAULT_INNER_FANOUT, BPlusTree
+from repro.obs.runtime import active_tracer
 
 _MAX_RESTARTS = 10_000
 
@@ -176,14 +177,33 @@ class OlcBPlusTree(BPlusTree):
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Optional[int]:
         """Return the value stored under ``key``, or None."""
-        def run() -> Optional[int]:
+        tracer = active_tracer()
+        span = (
+            tracer.op_start("lookup", family=self.stats_family)
+            if tracer is not None
+            else None
+        )
+
+        def run() -> Tuple[LeafNode, Optional[int]]:
             leaf, version = self._olc_descend(key)
             self.counters.add(f"leaf_visit:{leaf.encoding}")
-            value = leaf.lookup(key)
+            try:
+                value = leaf.lookup(key)
+            except IndexError:
+                # A concurrent writer shifted the storage under us.
+                raise OlcRestart() from None
             _lock_of(leaf).validate(version)
-            return value
+            return leaf, value
 
-        return self._with_restarts(run)
+        leaf, value = self._with_restarts(run)
+        if span is not None:
+            self._end_lookup_span(tracer, span, leaf, value)
+        return value
+
+    def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
+        """One validated :meth:`lookup` per key: the base tree's cached
+        leaf run would read a leaf without the version protocol."""
+        return [self.lookup(key) for key in keys]
 
     def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed."""
@@ -209,6 +229,11 @@ class OlcBPlusTree(BPlusTree):
             return self._insert_with_split(key, value)
 
         return self._with_restarts(run)
+
+    def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
+        """One version-locked :meth:`insert` per pair: the base tree's
+        sorted-batch path would write and split leaves with no lock held."""
+        return [self.insert(key, value) for key, value in pairs]
 
     def _insert_with_split(self, key: int, value: int) -> bool:
         with self._structure_lock:

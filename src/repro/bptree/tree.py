@@ -25,6 +25,7 @@ from repro.bptree.leaves import (
     LeafEncoding,
     LeafNode,
 )
+from repro.core.access import AccessType
 from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 
@@ -36,6 +37,8 @@ class BPlusTree:
     """B+-tree with one leaf encoding for all leaves."""
 
     stats_family = "bptree"
+    #: The one key type this family can order; the service refuses others.
+    key_type = int
 
     def __init__(
         self,
@@ -189,38 +192,61 @@ class BPlusTree:
         parent = path[-1][0] if path else None
         return leaf, parent
 
+    def _leaf_accessed(
+        self,
+        leaf: LeafNode,
+        parent: Optional[InnerNode],
+        access: AccessType,
+        count: int = 1,
+    ) -> None:
+        """Hook: ``leaf`` (a child of ``parent``; None for the root and for
+        leaf-chain steps) was reached ``count`` times as ``access``.  Called
+        after the visit is counted and before the leaf is read or written.
+        The plain tree ignores it."""
+
+    def _before_leaf_insert(self, leaf: LeafNode, parent: Optional[InnerNode]) -> None:
+        """Hook: ``leaf`` is about to take inserts (called once per descent,
+        before the visit is counted, so it may re-encode the leaf)."""
+
+    def _on_leaf_emptied(self, leaf: LeafNode) -> None:
+        """Hook: a delete removed the last entry of ``leaf``."""
+
+    def _end_lookup_span(self, tracer, span, leaf: LeafNode, value: Optional[int]) -> None:
+        """Close a sampled ``lookup`` span with its ``descent`` and
+        ``leaf_probe:<encoding>`` children (every leaf sits at the same
+        depth, so the height gives the inner visits)."""
+        tracer.event("descent", inner_visits=self._height - 1, height=self._height)
+        tracer.event(LEAF_PROBE_EVENTS[leaf.encoding], hit=value is not None)
+        tracer.end(span)
+
     def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        tracer = active_tracer()
-        if tracer is not None:
-            return self._traced_lookup(tracer, key)
-        leaf, _ = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
-        return leaf.lookup(key)
+        """Return the value stored under ``key``, or None.
 
-    def _traced_lookup(self, tracer, key: int) -> Optional[int]:
-        """:meth:`lookup` under an installed tracer (identical result).
-
-        Emits a sampled ``lookup`` span with ``descent`` and
-        ``leaf_probe:<encoding>`` children; the untraced path stays a
-        straight-line function so the telemetry-off cost is one global
-        read plus a branch.
+        Under an installed tracer the same path emits a sampled ``lookup``
+        span; with telemetry off that costs one global read and a branch.
         """
-        span = tracer.op_start("lookup", family=self.stats_family)
+        tracer = active_tracer()
+        span = (
+            tracer.op_start("lookup", family=self.stats_family)
+            if tracer is not None
+            else None
+        )
         leaf, path = self._descend(key)
         self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.READ)
         value = leaf.lookup(key)
         if span is not None:
-            tracer.event("descent", inner_visits=len(path), height=self._height)
-            tracer.event(LEAF_PROBE_EVENTS[leaf.encoding], hit=value is not None)
-            tracer.end(span)
+            self._end_lookup_span(tracer, span, leaf, value)
         return value
 
     def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed (the
         value is overwritten either way)."""
         leaf, path = self._descend(key)
+        parent = path[-1][0] if path else None
+        self._before_leaf_insert(leaf, parent)
         self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self._leaf_accessed(leaf, parent, AccessType.INSERT)
         existed = leaf.lookup(key) is not None
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
@@ -261,6 +287,8 @@ class BPlusTree:
             return unsorted
         results: List[Optional[int]] = []
         counters_add = self.counters.add
+        leaf: Optional[LeafNode] = None
+        parent: Optional[InnerNode] = None
         lookup_run = None
         probe_event = ""
         visit_event = ""
@@ -275,12 +303,14 @@ class BPlusTree:
                     results.extend(lookup_run(run))
                     if span is not None:
                         tracer.event(probe_event, count=len(run))
+                    self._leaf_accessed(leaf, parent, AccessType.READ, len(run))
                     run.clear()
-                leaf, _, upper = self._descend_bounded(key)
+                leaf, path, upper = self._descend_bounded(key)
                 descents += 1
                 if span is not None:
                     tracer.event("descent", height=self._height)
                 limit = float("inf") if upper is None else upper
+                parent = path[-1][0] if path else None
                 lookup_run = leaf.storage.lookup_run
                 probe_event = LEAF_PROBE_EVENTS[leaf.encoding]
                 visit_event = f"leaf_visit:{leaf.encoding}"
@@ -290,6 +320,7 @@ class BPlusTree:
             results.extend(lookup_run(run))
             if span is not None:
                 tracer.event(probe_event, count=len(run))
+            self._leaf_accessed(leaf, parent, AccessType.READ, len(run))
         if span is not None:
             tracer.end(span, sorted=True, descents=descents)
         return results
@@ -299,8 +330,10 @@ class BPlusTree:
 
         Sorted batches reuse one descent per leaf run; a leaf split
         invalidates the cached leaf and the offending key re-descends,
-        exactly like the retry in :meth:`insert`.  Unsorted batches fall
-        back to per-key inserts.
+        exactly like the retry in :meth:`insert`.  The access hook fires
+        once per leaf run with the run's length (the split key counts
+        towards the leaf it overflowed).  Unsorted batches fall back to
+        per-key inserts.
         """
         pairs = list(pairs)
         if not pairs:
@@ -309,19 +342,30 @@ class BPlusTree:
             return [self.insert(key, value) for key, value in pairs]
         results: List[bool] = []
         leaf: Optional[LeafNode] = None
+        parent: Optional[InnerNode] = None
         path: List[Tuple[InnerNode, int]] = []
         upper: Optional[int] = None
+        group = 0
         for key, value in pairs:
             if leaf is None or (upper is not None and key >= upper):
+                if group:
+                    self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
+                    group = 0
                 leaf, path, upper = self._descend_bounded(key)
+                parent = path[-1][0] if path else None
+                self._before_leaf_insert(leaf, parent)
             self.counters.add(f"leaf_visit:{leaf.encoding}")
+            group += 1
             existed = leaf.lookup(key) is not None
             self._count_leaf_write(leaf)
             before = leaf.size_bytes()
             if not leaf.insert(key, value):
                 self._leaf_bytes += leaf.size_bytes() - before
                 self._split_leaf(leaf, path)
+                self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
+                group = 0
                 leaf, path, upper = self._descend_bounded(key)
+                parent = path[-1][0] if path else None
                 before = leaf.size_bytes()
                 if not leaf.insert(key, value):  # pragma: no cover
                     raise AssertionError("leaf still full after split")
@@ -329,12 +373,15 @@ class BPlusTree:
             if not existed:
                 self._num_keys += 1
             results.append(not existed)
+        if group:
+            self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
         return results
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
-        leaf, _ = self._descend(key)
+        leaf, path = self._descend(key)
         self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.UPDATE)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
         updated = leaf.update(key, value)
@@ -343,14 +390,17 @@ class BPlusTree:
 
     def delete(self, key: int) -> bool:
         """Delete ``key`` (lazy: leaves are never merged)."""
-        leaf, _ = self._descend(key)
+        leaf, path = self._descend(key)
         self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.DELETE)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
         removed = leaf.delete(key)
         self._leaf_bytes += leaf.size_bytes() - before
         if removed:
             self._num_keys -= 1
+            if leaf.num_entries() == 0:
+                self._on_leaf_emptied(leaf)
         return removed
 
     def _count_leaf_write(self, leaf: LeafNode) -> None:
@@ -383,51 +433,16 @@ class BPlusTree:
             current = current.next_leaf
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:
-        """Up to ``count`` pairs with key >= ``start_key``, in key order."""
+        """Up to ``count`` pairs with key >= ``start_key``, in key order
+        (each visited leaf is one scan access, Section 4.1.3)."""
         if count <= 0:
             return []
         leaf, _ = self._descend(start_key)
         result: List[Tuple[int, int]] = []
-        for _, taken in self._leaf_runs(leaf, start_key, count):
+        for visited, taken in self._leaf_runs(leaf, start_key, count):
+            self._leaf_accessed(visited, None, AccessType.SCAN)
             result.extend(taken)
         return result
-
-    def scan_leaves(self, start_key: int, count: int):
-        """Like :meth:`scan` but yields ``(leaf, pairs_taken)`` per leaf —
-        the hook the adaptive tree uses to sample iterator accesses."""
-        if count <= 0:
-            return
-        leaf, _ = self._descend(start_key)
-        yield from self._leaf_runs(leaf, start_key, count)
-
-    def scan_many(
-        self, requests: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, int]]]:
-        """Batched range scans; one result list per ``(start_key, count)``.
-
-        Sorted start keys reuse the previous descent while the next start
-        still falls inside the cached leaf's key range; unsorted request
-        batches fall back to per-request :meth:`scan` calls.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if not self._is_sorted([start for start, _ in requests]):
-            return [self.scan(start, count) for start, count in requests]
-        results: List[List[Tuple[int, int]]] = []
-        leaf: Optional[LeafNode] = None
-        upper: Optional[int] = None
-        for start, count in requests:
-            if count <= 0:
-                results.append([])
-                continue
-            if leaf is None or (upper is not None and start >= upper):
-                leaf, _, upper = self._descend_bounded(start)
-            result: List[Tuple[int, int]] = []
-            for _, taken in self._leaf_runs(leaf, start, count):
-                result.extend(taken)
-            results.append(result)
-        return results
 
     def iterator(self, start_key: Optional[int] = None):
         """A stateful :class:`~repro.bptree.iterator.TreeIterator`

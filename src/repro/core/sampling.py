@@ -124,6 +124,12 @@ class SkipSampler:
         """
         if count < 0:
             raise ValueError(f"access count must be >= 0, got {count}")
+        if count <= self._countdown:
+            # The whole batch falls inside the current skip interval — the
+            # common case for a single access, which the indexes' access
+            # hooks pass through here as a batch of one.
+            self._countdown -= count
+            return []
         offsets: List[int] = []
         position = 0
         while position < count:

@@ -194,6 +194,8 @@ class DualStageIndex:
     """Dynamic stage + static stage + Bloom filter, with ratio merges."""
 
     stats_family = "dualstage"
+    #: The one key type this family can order; the service refuses others.
+    key_type = int
 
     def __init__(
         self,
@@ -230,24 +232,17 @@ class DualStageIndex:
     # Operations
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        tracer = active_tracer()
-        if tracer is not None:
-            return self._traced_lookup(tracer, key)
-        self.counters.add("bloom_probe")
-        if key in self._bloom:
-            self.counters.add("dynamic_stage_probe")
-            value = self._dynamic.lookup(key)
-            if value is not None:
-                return value
-            if key in self._tombstones:
-                return None
-        self.counters.add("static_stage_probe")
-        return self._static.lookup(key)
+        """Return the value stored under ``key``, or None.
 
-    def _traced_lookup(self, tracer, key: int) -> Optional[int]:
-        """:meth:`lookup` under an installed tracer (identical result)."""
-        span = tracer.op_start("lookup", family=self.stats_family)
+        Under an installed tracer the same probe sequence emits a sampled
+        ``lookup`` span naming the stage that answered.
+        """
+        tracer = active_tracer()
+        span = (
+            tracer.op_start("lookup", family=self.stats_family)
+            if tracer is not None
+            else None
+        )
         self.counters.add("bloom_probe")
         bloom_hit = key in self._bloom
         value: Optional[int] = None
@@ -259,7 +254,7 @@ class DualStageIndex:
                 stage = "dynamic"
             elif key in self._tombstones:
                 stage = "tombstone"
-        if value is None and stage == "static":
+        if stage == "static":
             self.counters.add("static_stage_probe")
             value = self._static.lookup(key)
         if span is not None:
@@ -370,12 +365,6 @@ class DualStageIndex:
                     result.append(static_pair)
                 static_pair = next(static_iter, None)
         return result
-
-    def scan_many(
-        self, requests: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, int]]]:
-        """Batched range scans; one result list per (start_key, count)."""
-        return [self.scan(start, count) for start, count in requests]
 
     # ------------------------------------------------------------------
     # Merge

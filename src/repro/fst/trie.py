@@ -52,6 +52,8 @@ class FST:
     """A static succinct trie over prefix-free byte-string keys."""
 
     stats_family = "fst"
+    #: The one key type this family can order; the service refuses others.
+    key_type = bytes
 
     def __init__(
         self,
@@ -266,46 +268,36 @@ class FST:
     # Lookups and scans
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
+        """Return the value stored under ``key``, or None.
+
+        A sampled ``lookup`` span reports the descent's dense/sparse
+        steps as the deltas of the visit counters :meth:`step` bumps.
+        """
         if self._num_keys == 0:
             return None
         tracer = active_tracer()
-        if tracer is not None:
-            return self._traced_lookup(tracer, key)
-        return self.lookup_from(0, key, 0)
-
-    def _traced_lookup(self, tracer, key: bytes) -> Optional[int]:
-        """:meth:`lookup` under an installed tracer (identical result)."""
-        span = tracer.op_start("lookup", family=self.stats_family)
-        node = 0
-        depth = 0
-        dense_steps = 0
-        sparse_steps = 0
-        result: Optional[int] = None
-        while depth < len(key):
-            if node < self._num_dense_nodes:
-                dense_steps += 1
-            else:
-                sparse_steps += 1
-            child, value, found = self.step(node, key[depth])
-            if not found:
-                break
-            if value is not None:
-                if depth == len(key) - 1:
-                    result = value
-                break
-            node = child
-            depth += 1
+        span = (
+            tracer.op_start("lookup", family=self.stats_family)
+            if tracer is not None
+            else None
+        )
         if span is not None:
+            dense_before = self.counters.get("fst_dense_visit")
+            sparse_before = self.counters.get("fst_sparse_visit")
+        value = self.lookup_from(0, key, 0)
+        if span is not None:
+            sparse_steps = self.counters.get("fst_sparse_visit") - sparse_before
             tracer.event(
-                "descent", dense_steps=dense_steps, sparse_steps=sparse_steps
+                "descent",
+                dense_steps=self.counters.get("fst_dense_visit") - dense_before,
+                sparse_steps=sparse_steps,
             )
             tracer.event(
                 _PROBE_EVENTS["sparse" if sparse_steps else "dense"],
-                hit=result is not None,
+                hit=value is not None,
             )
             tracer.end(span)
-        return result
+        return value
 
     def lookup_from(self, node: int, key: bytes, depth: int) -> Optional[int]:
         """Continue a lookup from ``node`` at key byte ``depth`` — the entry
@@ -381,12 +373,6 @@ class FST:
         if sparse_visits:
             self.counters.add("fst_sparse_visit", sparse_visits)
         return results
-
-    def scan_many(
-        self, requests: Sequence[Tuple[bytes, int]]
-    ) -> List[List[Tuple[bytes, int]]]:
-        """Batched range scans: one ``scan(start, count)`` per request."""
-        return [self.scan(start_key, count) for start_key, count in requests]
 
     def iterate_subtree(self, node: int) -> Iterator[Tuple[bytes, int]]:
         """(key_suffix, value) pairs below ``node`` in key order."""

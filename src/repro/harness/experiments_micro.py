@@ -426,17 +426,23 @@ def experiment_table4() -> Dict:
     from repro.bptree.tree import BPlusTree as _BT
     from repro.hybridtrie.tree import HybridTrie as _HT
 
+    # AHI-BTree's lookup/insert resolve to the B+-tree's own; its tracking
+    # code is exactly the bodies of the hooks it overrides.
+    read_hooks = (_AHI._leaf_accessed,)
+    write_hooks = (_AHI._leaf_accessed, _AHI._before_leaf_insert)
     rows = []
-    for name, lookup_fn, insert_fn in (
-        ("B+-tree", _BT.lookup, _BT.insert),
-        ("AHI-BTree", _AHI.lookup, _AHI.insert),
-        ("ART", ART.lookup, ART.insert),
-        ("AHI-Trie", _HT.lookup, None),
-        ("FST", FST.lookup_from, None),
+    for name, lookup_fn, insert_fn, lookup_hooks, insert_hooks in (
+        ("B+-tree", _BT.lookup, _BT.insert, (), ()),
+        ("AHI-BTree", _AHI.lookup, _AHI.insert, read_hooks, write_hooks),
+        ("ART", ART.lookup, ART.insert, (), ()),
+        ("AHI-Trie", _HT.lookup, None, (), ()),
+        ("FST", FST.lookup_from, None, (), ()),
     ):
         lookup_logic, lookup_tracking = _loc_split(lookup_fn)
+        lookup_tracking += sum(sum(_loc_split(hook)) for hook in lookup_hooks)
         if insert_fn is not None:
             insert_logic, insert_tracking = _loc_split(insert_fn)
+            insert_tracking += sum(sum(_loc_split(hook)) for hook in insert_hooks)
         else:
             insert_logic = insert_tracking = 0
         rows.append(

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.art.nodes import ARTNode, art_node_for_fanout
-from repro.art.tree import _common_prefix_length
 from repro.core.access import AccessType
 from repro.core.budget import MemoryBudget
 from repro.core.heuristics import Heuristic
@@ -51,6 +50,8 @@ class HybridTrie:
     """Level-wise ART + FST with adaptive branch-wise refinement."""
 
     stats_family = "hybridtrie"
+    #: The one key type this family can order; the service refuses others.
+    key_type = bytes
 
     def __init__(
         self,
@@ -101,49 +102,28 @@ class HybridTrie:
     # Lookups (Listing 2)
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        tracer = active_tracer()
-        if tracer is not None:
-            return self._traced_lookup(tracer, key)
-        if self._root is None:
-            return None
-        self.counters.add("sample_check")
-        track = self.adaptive and self.manager.is_sample()
-        current = self._root
-        depth = 0
-        while True:
-            if isinstance(current, TrieBranch):
-                if track:
-                    self.manager.track(current, AccessType.READ)
-                if not current.expanded:
-                    return self._fst.lookup_from(current.fst_node, key, depth)
-                current = current.art_node
-                continue
-            # ART node (upper region or an expanded branch's node).
-            self.counters.add("art_visit")
-            if depth >= len(key):
-                return None
-            child = current.find_child(key[depth])
-            depth += 1
-            if child is None:
-                return None
-            if isinstance(child, int):
-                self.counters.add("trie_value_fetch")
-                return child if depth == len(key) else None
-            current = child
+        """Return the value stored under ``key``, or None.
 
-    def _traced_lookup(self, tracer, key: bytes) -> Optional[int]:
-        """:meth:`lookup` under an installed tracer (identical result)."""
-        span = tracer.op_start("lookup", family=self.stats_family)
+        Under an installed tracer the same descent emits a sampled
+        ``lookup`` span; its ``art_steps`` are the delta of the
+        ``art_visit`` counter the descent bumps.
+        """
+        tracer = active_tracer()
+        span = (
+            tracer.op_start("lookup", family=self.stats_family)
+            if tracer is not None
+            else None
+        )
         if self._root is None:
             if span is not None:
                 tracer.end(span, empty=True)
             return None
+        if span is not None:
+            art_before = self.counters.get("art_visit")
         self.counters.add("sample_check")
         track = self.adaptive and self.manager.is_sample()
         current = self._root
         depth = 0
-        art_steps = 0
         probe = "none"
         value: Optional[int] = None
         while True:
@@ -156,8 +136,8 @@ class HybridTrie:
                     break
                 current = current.art_node
                 continue
+            # ART node (upper region or an expanded branch's node).
             self.counters.add("art_visit")
-            art_steps += 1
             if depth >= len(key):
                 break
             child = current.find_child(key[depth])
@@ -171,87 +151,17 @@ class HybridTrie:
                 break
             current = child
         if span is not None:
-            tracer.event("descent", art_steps=art_steps, depth=depth)
+            tracer.event(
+                "descent",
+                art_steps=self.counters.get("art_visit") - art_before,
+                depth=depth,
+            )
             tracer.event(_PROBE_EVENTS[probe], hit=value is not None)
             tracer.end(span, sampled=track)
         return value
 
     def __contains__(self, key: bytes) -> bool:
         return self.lookup(key) is not None
-
-    def lookup_many(self, keys: Sequence[bytes]) -> List[Optional[int]]:
-        """Batched point lookups; one value (or None) per key.
-
-        Sorted batches keep the current root-to-termination path on a
-        stack of ``(node, depth)`` entries — ART nodes, expanded
-        branches, and the compact branch a descent ended in — and each
-        key rewinds only past the entries deeper than its common prefix
-        with the previous key.  The sample gate is drained once for the
-        whole batch (``manager.consume``) and the resulting tracking
-        events are flushed after the last key, so no migration can
-        invalidate the cached path mid-batch; the FST is complete and
-        immutable, which is what makes resuming from cached branches
-        safe.  Unsorted batches fall back to per-key lookups.
-        """
-        keys = list(keys)
-        if not keys:
-            return []
-        if self._root is None:
-            return [None] * len(keys)
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            return [self.lookup(key) for key in keys]
-        total = len(keys)
-        self.counters.add("sample_check", total)
-        sampled = set(self.manager.consume(total)) if self.adaptive else set()
-        to_track: List[TrieBranch] = []
-        results: List[Optional[int]] = []
-        art_visits = 0
-        value_fetches = 0
-        stack: List[Tuple[object, int]] = [(self._root, 0)]
-        previous: Optional[bytes] = None
-        for index, key in enumerate(keys):
-            if previous is not None:
-                common = _common_prefix_length(previous, key)
-                while len(stack) > 1 and stack[-1][1] > common:
-                    stack.pop()
-            previous = key
-            node, depth = stack[-1]
-            value: Optional[int] = None
-            while True:
-                if isinstance(node, TrieBranch):
-                    if not node.expanded:
-                        value = self._fst.lookup_from(node.fst_node, key, depth)
-                        break
-                    node = node.art_node
-                    continue
-                art_visits += 1
-                if depth >= len(key):
-                    break
-                child = node.find_child(key[depth])
-                depth += 1
-                if child is None:
-                    break
-                if isinstance(child, int):
-                    value_fetches += 1
-                    value = child if depth == len(key) else None
-                    break
-                stack.append((child, depth))
-                node = child
-            results.append(value)
-            if index in sampled:
-                to_track.extend(
-                    entry for entry, _ in stack if isinstance(entry, TrieBranch)
-                )
-        if art_visits:
-            self.counters.add("art_visit", art_visits)
-        if value_fetches:
-            self.counters.add("trie_value_fetch", value_fetches)
-        for branch in to_track:
-            # A track-triggered compaction may detach later branches in
-            # this list; a detached branch no longer exists as a unit.
-            if not branch.detached:
-                self.manager.track(branch, AccessType.READ)
-        return results
 
     # ------------------------------------------------------------------
     # Scans
@@ -299,40 +209,6 @@ class HybridTrie:
                 if extended < start_key[: len(extended)]:
                     continue
                 self._scan(child, extended, start_key, count, result, track)
-
-    def scan_many(
-        self, requests: Sequence[Tuple[bytes, int]]
-    ) -> List[List[Tuple[bytes, int]]]:
-        """Batched range scans; one result list per (start_key, count).
-
-        The sample gate is drained once for all non-empty requests
-        instead of once per scan; sampled offsets map back to the
-        corresponding request, which then runs tracked exactly like a
-        sampled :meth:`scan`.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        live = sum(
-            1 for start, count in requests if count > 0 and self._root is not None
-        )
-        sampled: set = set()
-        if live:
-            self.counters.add("sample_check", live)
-            if self.adaptive:
-                sampled = set(self.manager.consume(live))
-        results: List[List[Tuple[bytes, int]]] = []
-        gate = 0
-        for start, count in requests:
-            if count <= 0 or self._root is None:
-                results.append([])
-                continue
-            track = gate in sampled
-            gate += 1
-            result: List[Tuple[bytes, int]] = []
-            self._scan(self._root, b"", start, count, result, track)
-            results.append(result)
-        return results
 
     def prefix_items(self, prefix: bytes) -> List[Tuple[bytes, int]]:
         """All (key, value) pairs whose key starts with ``prefix``, in key

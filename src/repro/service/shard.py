@@ -37,6 +37,7 @@ from typing import (
     Any,
     ContextManager,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -149,6 +150,24 @@ class Shard:
         with self._ops_lock:
             self.ops += amount
 
+    def _refuse_unorderable(self, keys: Iterable[Key]) -> None:
+        """Reject keys the index cannot order before they reach the WAL.
+
+        The index raises the same ``TypeError`` by itself — but only once
+        the record is durable, and a log holding one wrong-typed key
+        fails every later recovery, which sorts the replayed keys.  An
+        index that declares no ``key_type`` keeps that risk.
+        """
+        expected = getattr(self.index, "key_type", None)
+        if expected is None:
+            return
+        for key in keys:
+            if not isinstance(key, expected):
+                raise TypeError(
+                    f"shard {self.shard_id} orders {expected.__name__} keys; "
+                    f"refusing to log {type(key).__name__} key {key!r}"
+                )
+
     # ------------------------------------------------------------------
     # Point and batched reads
     # ------------------------------------------------------------------
@@ -211,6 +230,7 @@ class Shard:
             with self._guard():
                 self._note_ops(1)
                 if self.durable_log is not None:
+                    self._refuse_unorderable((key,))
                     with span_if_traced(
                         _WAL_APPEND_SPAN, shard_id=self.shard_id, records=1
                     ):
@@ -234,6 +254,7 @@ class Shard:
             with self._guard():
                 self._note_ops(len(pairs))
                 if self.durable_log is not None:
+                    self._refuse_unorderable(key for key, _ in pairs)
                     with span_if_traced(
                         _WAL_APPEND_SPAN, shard_id=self.shard_id, records=len(pairs)
                     ):
@@ -253,6 +274,7 @@ class Shard:
             with self._guard():
                 self._note_ops(1)
                 if self.durable_log is not None:
+                    self._refuse_unorderable((key,))
                     with span_if_traced(
                         _WAL_APPEND_SPAN, shard_id=self.shard_id, records=1
                     ):

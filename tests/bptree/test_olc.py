@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.bptree.leaves import LeafEncoding
-from repro.bptree.olc import OlcBPlusTree, OlcRestart, VersionedLock
+from repro.bptree.olc import OlcBPlusTree, OlcRestart, VersionedLock, _lock_of
 
 
 class TestVersionedLock:
@@ -96,6 +96,106 @@ class TestSingleThreadedSemantics:
                 tree.insert(key, key * 2)
             assert tree.lookup(77) == 154
             tree.check_invariants()
+
+
+class _CountingLock:
+    """A ``threading.Lock`` stand-in that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class TestEveryWritePathTakesTheVersionLock:
+    """Nothing inherited from the plain tree may touch a leaf unlocked:
+    readers only detect interference through the version counter."""
+
+    def build(self):
+        return OlcBPlusTree.bulk_load(
+            [(key, key) for key in range(0, 400, 2)], leaf_capacity=16
+        )
+
+    def test_sorted_batch_bumps_each_touched_leaf(self):
+        tree = self.build()
+        batch = [(11, 1), (13, 1), (301, 1)]
+        touched = {tree.find_leaf(key)[0] for key, _ in batch}
+        assert len(touched) == 2
+        assert tree.insert_many(batch) == [True, True, True]
+        assert sorted(_lock_of(leaf).version for leaf in touched) == [2, 4]
+        assert not any(_lock_of(leaf).locked for leaf in tree.leaves())
+
+    def test_single_pair_batch_bumps_the_leaf(self):
+        tree = self.build()
+        leaf, _ = tree.find_leaf(11)
+        tree.insert_many([(11, 1)])
+        assert _lock_of(leaf).version == 2
+
+    def test_splitting_batch_serializes_like_a_splitting_insert(self):
+        batched = OlcBPlusTree.bulk_load(
+            [(key, key) for key in range(0, 64, 2)], leaf_capacity=8, fill_factor=1.0
+        )
+        looped = OlcBPlusTree.bulk_load(
+            [(key, key) for key in range(0, 64, 2)], leaf_capacity=8, fill_factor=1.0
+        )
+        batched._structure_lock = _CountingLock()
+        looped._structure_lock = _CountingLock()
+        leaf, parent = batched.find_leaf(1)
+        assert leaf.num_entries() == leaf.capacity
+        batch = [(1, 1), (3, 3)]
+        batched.insert_many(batch)
+        for key, value in batch:
+            looped.insert(key, value)
+        assert batched.counters.get("leaf_split") == 1
+        assert batched._structure_lock.acquired == looped._structure_lock.acquired == 1
+        assert _lock_of(parent).version == 2  # the split bumped the parent
+        assert [_lock_of(node).version for node in batched.inner_nodes()] == [
+            _lock_of(node).version for node in looped.inner_nodes()
+        ]
+        assert [_lock_of(node).version for node in batched.leaves()] == [
+            _lock_of(node).version for node in looped.leaves()
+        ]
+        batched.check_invariants()
+
+    def test_lookup_many_reads_through_validated_lookups(self):
+        tree = self.build()
+        leaf, _ = tree.find_leaf(10)
+        _lock_of(leaf).write_lock()  # a writer is mid-flight on the leaf
+        done = []
+        reader = threading.Thread(target=lambda: done.append(tree.lookup_many([10, 12])))
+        reader.start()
+        reader.join(timeout=0.2)
+        assert reader.is_alive()  # the batched read waits, as lookup() does
+        _lock_of(leaf).write_unlock()
+        reader.join(timeout=30)
+        assert done == [[10, 12]]
+        assert tree.restarts > 0
+
+    def test_torn_leaf_read_restarts_instead_of_raising(self):
+        tree = self.build()
+        leaf, _ = tree.find_leaf(10)
+        storage = leaf.storage
+        real_lookup = type(storage).lookup
+        calls = []
+
+        class TornOnce(type(storage)):
+            __slots__ = ()
+
+            def lookup(self, key):
+                calls.append(key)
+                if len(calls) == 1:
+                    raise IndexError("a writer shifted the arrays mid-read")
+                return real_lookup(self, key)
+
+        storage.__class__ = TornOnce
+        assert tree.lookup(10) == 10
+        assert calls == [10, 10] and tree.restarts == 1
 
 
 class TestConcurrent:

@@ -3,22 +3,32 @@
 Every ``*_many`` entry point promises the same return values as the
 equivalent per-key loop and the same final index contents.  Each test
 builds twin indexes from the same seed data, drives one through the
-batched API and the other through per-key calls, and compares both the
-returned values and the resulting contents; the families with a
-self-verifier additionally prove their invariants afterwards.
+batched API and the other through per-key calls, and compares the
+returned values, the resulting contents, the structural counters (a
+batch may only save descents) and — on the adaptive tree — the sampler
+state; the families with a self-verifier additionally prove their
+invariants afterwards.
+
+The last class pins the design: each family has one copy of each access
+path, so the adaptive B+-tree defines no access path of its own and no
+family carries a traced twin or a batched scan.
 """
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import repro
 from repro.art.tree import ART, terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
+from repro.bptree.olc import OlcBPlusTree, _lock_of
 from repro.bptree.tree import BPlusTree
 from repro.dualstage.index import DualStageIndex, StaticEncoding
 from repro.fst.trie import FST
-from repro.hybridtrie.tree import HybridTrie
 
 
 def int_workload(seed, universe=50_000, loaded=4000, probes=3000):
@@ -46,6 +56,25 @@ def byte_workload(seed, loaded=1500, probes=1500):
     return pairs, probe_keys
 
 
+def counters_saving_descents(index):
+    """Structural counters minus ``inner_visit`` — the one event a sorted
+    batch is allowed to save against the per-key loop."""
+    counts = index.counters.snapshot()
+    counts.pop("inner_visit", None)
+    return counts
+
+
+def sampler_state(tree):
+    manager = tree.manager
+    return (
+        manager.counters.accesses,
+        manager.counters.sampled,
+        manager._sampler._countdown,
+        manager._sampler._state,
+        manager.tracked_units,
+    )
+
+
 class TestBPlusTreeParity:
     @pytest.mark.parametrize(
         "encoding", [LeafEncoding.GAPPED, LeafEncoding.PACKED, LeafEncoding.SUCCINCT]
@@ -53,8 +82,10 @@ class TestBPlusTreeParity:
     def test_lookup_many_sorted_and_unsorted(self, encoding):
         pairs, probe_keys = int_workload(1)
         tree = BPlusTree.bulk_load(pairs, encoding)
+        looped = BPlusTree.bulk_load(pairs, encoding)
         for keys in (sorted(probe_keys), probe_keys):
-            assert tree.lookup_many(keys) == [tree.lookup(key) for key in keys]
+            assert tree.lookup_many(keys) == [looped.lookup(key) for key in keys]
+        assert counters_saving_descents(tree) == counters_saving_descents(looped)
 
     def test_insert_many_matches_loop(self):
         pairs, _ = int_workload(2)
@@ -67,15 +98,8 @@ class TestBPlusTreeParity:
                 looped.insert(key, value) for key, value in chunk_keys
             ]
         assert list(batched.items()) == list(looped.items())
+        assert counters_saving_descents(batched) == counters_saving_descents(looped)
         batched.verify()
-
-    def test_scan_many_matches_loop(self):
-        pairs, probe_keys = int_workload(3)
-        tree = BPlusTree.bulk_load(pairs, LeafEncoding.PACKED)
-        requests = [(start, 1 + start % 40) for start in sorted(probe_keys[:300])]
-        assert tree.scan_many(requests) == [
-            tree.scan(start, count) for start, count in requests
-        ]
 
     def test_duplicate_keys_in_one_batch(self):
         tree = BPlusTree(LeafEncoding.GAPPED)
@@ -100,11 +124,9 @@ class TestAdaptiveBPlusTreeParity:
         assert batched.insert_many(inserts) == [
             looped.insert(key, value) for key, value in inserts
         ]
-        requests = [(start, 1 + start % 25) for start in sorted_probes[:200]]
-        assert batched.scan_many(requests) == [
-            looped.scan(start, count) for start, count in requests
-        ]
         assert list(batched.items()) == list(looped.items())
+        assert counters_saving_descents(batched) == counters_saving_descents(looped)
+        assert sampler_state(batched) == sampler_state(looped)
         batched.verify()
         looped.verify()
 
@@ -116,8 +138,38 @@ class TestAdaptiveBPlusTreeParity:
         batched.lookup_many(sorted_probes)
         for key in sorted_probes:
             looped.lookup(key)
-        assert batched.manager.counters.accesses == looped.manager.counters.accesses
-        assert batched.manager.counters.sampled == looped.manager.counters.sampled
+        assert sampler_state(batched) == sampler_state(looped)
+        assert counters_saving_descents(batched) == counters_saving_descents(looped)
+
+
+class TestOlcBPlusTreeParity:
+    """The OLC tree batches over its own validated single operations."""
+
+    def test_lookup_many_matches_loop(self):
+        pairs, probe_keys = int_workload(16)
+        batched = OlcBPlusTree.bulk_load(pairs)
+        looped = OlcBPlusTree.bulk_load(pairs)
+        for keys in (sorted(probe_keys), probe_keys):
+            assert batched.lookup_many(keys) == [looped.lookup(key) for key in keys]
+        assert batched.counters.snapshot() == looped.counters.snapshot()
+
+    def test_insert_many_matches_loop_through_splits(self):
+        pairs, _ = int_workload(17, loaded=600)
+        batched = OlcBPlusTree.bulk_load(pairs, leaf_capacity=8)
+        looped = OlcBPlusTree.bulk_load(pairs, leaf_capacity=8)
+        rng = random.Random(170)
+        inserts = [(rng.randrange(60_000), rng.randrange(1000)) for _ in range(900)]
+        for chunk in (sorted(inserts[:450]), inserts[450:]):
+            assert batched.insert_many(chunk) == [
+                looped.insert(key, value) for key, value in chunk
+            ]
+        assert batched.counters.get("leaf_split") > 0
+        assert list(batched.items()) == list(looped.items())
+        assert batched.counters.snapshot() == looped.counters.snapshot()
+        assert [_lock_of(leaf).version for leaf in batched.leaves()] == [
+            _lock_of(leaf).version for leaf in looped.leaves()
+        ]
+        batched.verify()
 
 
 class TestARTParity:
@@ -127,22 +179,15 @@ class TestARTParity:
         for keys in (sorted(probe_keys), probe_keys):
             assert tree.lookup_many(keys) == [tree.lookup(key) for key in keys]
 
-    def test_insert_many_then_items_match(self):
-        pairs, _ = byte_workload(7)
-        batched = ART()
-        looped = ART()
-        assert batched.insert_many(pairs) == [
-            looped.insert(key, value) for key, value in pairs
-        ]
-        assert list(batched.items()) == list(looped.items())
-
-    def test_scan_many_matches_loop(self):
+    def test_sorted_batch_saves_only_node_visits(self):
         pairs, probe_keys = byte_workload(8)
-        tree = ART.from_sorted(pairs)
-        requests = [(start, 5) for start in sorted(probe_keys[:100])]
-        assert tree.scan_many(requests) == [
-            tree.scan(start, count) for start, count in requests
-        ]
+        batched = ART.from_sorted(pairs)
+        looped = ART.from_sorted(pairs)
+        batched.lookup_many(sorted(probe_keys))
+        for key in sorted(probe_keys):
+            looped.lookup(key)
+        assert set(batched.counters.snapshot()) == set(looped.counters.snapshot())
+        assert batched.counters.get("art_visit") <= looped.counters.get("art_visit")
 
     def test_lookup_many_empty_tree_and_batch(self):
         tree = ART()
@@ -156,49 +201,6 @@ class TestFSTParity:
         fst = FST(pairs)
         for keys in (sorted(probe_keys), probe_keys):
             assert fst.lookup_many(keys) == [fst.lookup(key) for key in keys]
-
-    def test_scan_many_matches_loop(self):
-        pairs, probe_keys = byte_workload(10)
-        fst = FST(pairs)
-        requests = [(start, 4) for start in sorted(probe_keys[:80])]
-        assert fst.scan_many(requests) == [
-            fst.scan(start, count) for start, count in requests
-        ]
-
-
-class TestHybridTrieParity:
-    def test_lookup_many_matches_loop_and_verify(self):
-        pairs, probe_keys = byte_workload(11)
-        batched = HybridTrie(pairs)
-        looped = HybridTrie(pairs)
-        sorted_probes = sorted(probe_keys)
-        assert batched.lookup_many(sorted_probes) == [
-            looped.lookup(key) for key in sorted_probes
-        ]
-        # Unsorted falls back to the per-key path on the same instance.
-        assert batched.lookup_many(probe_keys) == [
-            batched.lookup(key) for key in probe_keys
-        ]
-        assert batched.items() == looped.items()
-        batched.verify()
-        looped.verify()
-
-    def test_scan_many_matches_loop(self):
-        pairs, probe_keys = byte_workload(12)
-        trie = HybridTrie(pairs, adaptive=False)
-        requests = [(start, 6) for start in sorted(probe_keys[:80])] + [(b"", 0)]
-        assert trie.scan_many(requests) == [
-            trie.scan(start, count) for start, count in requests
-        ]
-
-    def test_non_adaptive_lookup_many(self):
-        pairs, probe_keys = byte_workload(13)
-        trie = HybridTrie(pairs, adaptive=False)
-        sorted_probes = sorted(probe_keys)
-        assert trie.lookup_many(sorted_probes) == [
-            trie.lookup(key) for key in sorted_probes
-        ]
-        trie.verify()
 
 
 class TestDualStageParity:
@@ -220,13 +222,18 @@ class TestDualStageParity:
         for key in deletions:
             assert batched.delete(key) == looped.delete(key)
         sorted_probes = sorted(probe_keys)
+        # insert_many merges once per batch, so only the probes' own
+        # events are comparable between the twins.
+        before_batched = batched.counters.snapshot()
+        before_looped = looped.counters.snapshot()
         assert batched.lookup_many(sorted_probes) == [
             looped.lookup(key) for key in sorted_probes
         ]
-        requests = [(start, 1 + start % 20) for start in sorted_probes[:150]]
-        assert batched.scan_many(requests) == [
-            looped.scan(start, count) for start, count in requests
-        ]
+        probe_events = batched.counters.diff(before_batched)
+        loop_events = looped.counters.diff(before_looped)
+        for events in (probe_events, loop_events):
+            events.pop("inner_visit", None)
+        assert probe_events == loop_events
         batched.verify()
         looped.verify()
 
@@ -239,3 +246,31 @@ class TestDualStageParity:
             index.delete(key)
         probe = present[:25] + [10**9 + offset for offset in range(5)]
         assert index.lookup_many(probe) == [index.lookup(key) for key in probe]
+
+
+class TestOneAccessPathPerFamily:
+    """The shape this suite relies on: variations layer over one copy."""
+
+    def test_adaptive_tree_defines_no_access_path(self):
+        own = set(vars(AdaptiveBPlusTree))
+        assert not own & {
+            "lookup", "insert", "update", "delete", "scan", "lookup_many", "insert_many",
+        }
+        assert {"_leaf_accessed", "_before_leaf_insert"} <= own
+
+    def test_no_traced_twin_or_batched_scan_anywhere(self):
+        offenders = []
+        for package in ("bptree", "art", "fst", "hybridtrie", "dualstage"):
+            root = importlib.import_module(f"{repro.__name__}.{package}")
+            for info in pkgutil.iter_modules(root.__path__, root.__name__ + "."):
+                module = importlib.import_module(info.name)
+                for name, cls in inspect.getmembers(module, inspect.isclass):
+                    if cls.__module__ != module.__name__:
+                        continue
+                    for banned in ("_traced_lookup", "scan_many"):
+                        if banned in vars(cls):
+                            offenders.append(f"{info.name}.{name}.{banned}")
+        assert offenders == []
+
+    def test_olc_tree_owns_its_batched_paths(self):
+        assert {"lookup_many", "insert_many"} <= set(vars(OlcBPlusTree))

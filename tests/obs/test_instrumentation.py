@@ -10,6 +10,7 @@ import pytest
 from repro.art.tree import ART, terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
+from repro.bptree.olc import OlcBPlusTree
 from repro.bptree.tree import BPlusTree
 from repro.core.bloom import BloomFilter
 from repro.core.sampling import SkipSampler
@@ -25,6 +26,18 @@ BYTE_PAIRS = [
 ]
 
 
+def _sampler_state(index):
+    manager = index.manager
+    return (
+        manager.counters.accesses,
+        manager.counters.sampled,
+        manager.counters.adaptation_phases,
+        manager._sampler._countdown,
+        manager._sampler._state,
+        manager.tracked_units,
+    )
+
+
 class TestTracedLookups:
     """Every family emits lookup -> descent/leaf_probe spans when traced."""
 
@@ -35,6 +48,8 @@ class TestTracedLookups:
              42, "leaf_probe:succinct"),
             (lambda: AdaptiveBPlusTree.bulk_load_adaptive(INT_PAIRS),
              42, "leaf_probe:"),
+            (lambda: OlcBPlusTree.bulk_load(INT_PAIRS),
+             42, "leaf_probe:gapped"),
             (lambda: DualStageIndex.bulk_load(INT_PAIRS, StaticEncoding.SUCCINCT),
              42, "leaf_probe:static"),
             (lambda: ART.from_sorted(BYTE_PAIRS),
@@ -44,11 +59,11 @@ class TestTracedLookups:
             (lambda: HybridTrie(BYTE_PAIRS),
              BYTE_PAIRS[0][0], "leaf_probe:"),
         ],
-        ids=["bptree", "bptree_adaptive", "dualstage", "art", "fst", "hybridtrie"],
+        ids=["bptree", "bptree_adaptive", "olc", "dualstage", "art", "fst", "hybridtrie"],
     )
     def test_lookup_span_tree(self, build, key, probe_prefix):
-        index = build()
-        expected = index.lookup(key)  # untraced result for comparison
+        index, untraced = build(), build()
+        expected = untraced.lookup(key)  # untraced twin for comparison
         with Telemetry.with_memory_trace(op_sample_every=1) as telemetry:
             assert index.lookup(key) == expected  # tracing must not change results
             sink = telemetry.tracer.sink
@@ -58,7 +73,32 @@ class TestTracedLookups:
                 record for record in sink.records
                 if record["parent_id"] == lookups[0]["span_id"]
             ]
+            assert [child["name"] for child in children][0] == "descent"
             assert any(child["name"].startswith(probe_prefix) for child in children)
+        # One access path: tracing moves no counter and no sampler state.
+        assert index.counters.snapshot() == untraced.counters.snapshot()
+        if hasattr(index, "manager"):
+            assert _sampler_state(index) == _sampler_state(untraced)
+
+    @pytest.mark.parametrize(
+        "build, keys",
+        [
+            (lambda: AdaptiveBPlusTree.bulk_load_adaptive(INT_PAIRS),
+             [key for key, _ in INT_PAIRS] + [10_001]),
+            (lambda: HybridTrie(BYTE_PAIRS),
+             [key for key, _ in BYTE_PAIRS] + [b"missing\x00"]),
+        ],
+        ids=["bptree_adaptive", "hybridtrie"],
+    )
+    def test_traced_run_samples_like_an_untraced_one(self, build, keys):
+        """Long enough to cross sample points and an adaptation phase."""
+        traced, untraced = build(), build()
+        expected = [untraced.lookup(key) for key in keys * 4]
+        with Telemetry.with_memory_trace(op_sample_every=3):
+            assert [traced.lookup(key) for key in keys * 4] == expected
+        assert traced.manager.counters.sampled > 0
+        assert traced.counters.snapshot() == untraced.counters.snapshot()
+        assert _sampler_state(traced) == _sampler_state(untraced)
 
     def test_sampling_gate_skips_op_spans(self):
         tree = BPlusTree.bulk_load(INT_PAIRS, LeafEncoding.GAPPED)

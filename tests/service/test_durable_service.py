@@ -51,6 +51,39 @@ class TestBuildAndRecover:
         assert recovered.last_recovery["epoch"] == 0
         recovered.close()
 
+    @pytest.mark.parametrize(
+        "shape",
+        [{"family": "olc"}, {"family": "adaptive", "replication_factor": 2}],
+        ids=["plain", "replicated"],
+    )
+    def test_wrong_typed_key_never_reaches_the_wal(self, tmp_path, shape):
+        pairs = [(key, key * 10) for key in range(200)]
+        durability = make_durability(tmp_path)
+        router = ShardRouter.build(
+            pairs, num_shards=2, max_workers=0, durability=durability, **shape
+        )
+        router.put(500, 5)
+        logs = [log for shard in router.table.shards for log in shard.logs()]
+        lsns = [log.last_lsn for log in logs]
+        before = state_of(router)
+        with pytest.raises(TypeError):
+            router.put(b"x", 1)
+        # A good key in the bad key's own shard: the whole batch is refused.
+        neighbour = next(
+            key for key in range(501, 600) if router.shard_for(key) is router.shard_for(b"y")
+        )
+        with pytest.raises(TypeError):
+            router.put_many([(neighbour, 1), (b"y", 2)])
+        with pytest.raises(TypeError):
+            router.delete(b"x")
+        assert [log.last_lsn for log in logs] == lsns  # no record landed
+        assert state_of(router) == before
+        router.close()
+        recovered = ShardRouter.recover(make_durability(tmp_path), family=shape["family"])
+        recovered.verify()
+        assert state_of(recovered) == before
+        recovered.close()
+
     def test_build_publishes_manifest_before_serving(self, tmp_path):
         durability = make_durability(tmp_path)
         router = ShardRouter.build(

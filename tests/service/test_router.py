@@ -1,9 +1,12 @@
 """ShardRouter: batched routing, cross-shard scans, metrics, budgets."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.bptree.olc import _lock_of
 from repro.core.budget import BudgetArbiter, MemoryBudget
 from repro.obs import MetricsRegistry, Telemetry
 from repro.service.partition import PartitionError
@@ -121,6 +124,63 @@ class TestPointAndBatchedOps:
             assert router.queue_depth == 0
             assert router.stats()["queue_depth"] == 0
             assert router._executor is None
+
+
+class TestOlcWritesKeepTheVersionProtocol:
+    """The service-default family carries no shard operation lock: its
+    readers rely on every router write bumping the leaf's version."""
+
+    def test_put_and_put_many_advance_the_leaf_version(self):
+        with ShardRouter.build(int_pairs(200), family="olc", num_shards=1) as router:
+            tree = router.table.shards[0].index
+            leaf, _ = tree.find_leaf(1)
+            router.put(1, 1)
+            assert _lock_of(leaf).version == 2
+            router.put_many([(2, 2)])
+            assert _lock_of(leaf).version == 4
+            router.put_many([(4, 4), (5, 5)])
+            assert _lock_of(leaf).version == 8
+
+    @pytest.mark.parametrize("writes", [2_000, pytest.param(60_000, marks=pytest.mark.slow)])
+    def test_get_many_never_misreads_under_concurrent_put_many(self, writes):
+        """Readers fetch keys that are never written while a writer fills
+        the gaps between them (shifting and splitting their leaves)."""
+        span, gap = 64, 1000
+        keys = [position * gap for position in range(span)]
+        expected = list(range(span))
+        router = ShardRouter.build(
+            list(zip(keys, expected)), family="olc", num_shards=1, max_workers=0
+        )
+        stop = threading.Event()
+        misreads = []
+
+        def reader():
+            while not stop.is_set():
+                values = router.get_many(keys)
+                if values != expected:
+                    misreads.append(values)
+                    return
+
+        fresh = [key for key in range(span * gap) if key % gap]
+        random.Random(writes).shuffle(fresh)
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        for thread in threads:
+            thread.start()
+        try:
+            for key in fresh[:writes]:
+                router.put_many([(key, -1)])
+            still_reading = [thread.is_alive() for thread in threads]
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+            router.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert misreads == []
+        assert all(still_reading)  # no reader died on a torn read either
 
 
 class TestSingleShardTable:
