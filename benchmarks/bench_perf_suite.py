@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.art.tree import ART, terminated
+from repro.art.tree import terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
@@ -119,13 +119,6 @@ def run_suite(num_keys=DEFAULT_KEYS):
     )
 
     byte_pairs, byte_probes = _byte_data(max(1000, num_keys // 4))
-
-    art = ART.from_sorted(byte_pairs)
-    families["art"] = _measure(
-        lambda: [art.lookup(key) for key in byte_probes],
-        lambda: art.lookup_many(byte_probes),
-        len(byte_probes),
-    )
 
     fst = FST(byte_pairs)
     families["fst"] = _measure(

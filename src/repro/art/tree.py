@@ -87,7 +87,8 @@ class ART:
 
         Under an installed tracer the same descent emits a sampled
         ``lookup`` span with ``descent`` / ``leaf_probe:<node kind>``
-        children; ``nodes_visited`` is the ``art_visit`` delta.
+        children; ``nodes_visited`` is the count the descent flushes to
+        ``art_visit`` once at the end.
         """
         tracer = active_tracer()
         span = (
@@ -95,13 +96,12 @@ class ART:
             if tracer is not None
             else None
         )
-        if span is not None:
-            visits_before = self.counters.get("art_visit")
         node = self._root
         depth = 0
+        visits = 0
         value: Optional[int] = None
         while node is not None:
-            self.counters.add("art_visit")
+            visits += 1
             if isinstance(node, ARTLeaf):
                 if node.key == key:
                     value = node.value
@@ -115,12 +115,10 @@ class ART:
                 break
             node = node.find_child(key[depth])
             depth += 1
+        if visits:
+            self.counters.add("art_visit", visits)
         if span is not None:
-            tracer.event(
-                "descent",
-                nodes_visited=self.counters.get("art_visit") - visits_before,
-                depth=depth,
-            )
+            tracer.event("descent", nodes_visited=visits, depth=depth)
             tracer.event(
                 _PROBE_EVENTS.get(type(node), _PROBE_EVENT_MISS),
                 hit=value is not None,
@@ -130,63 +128,6 @@ class ART:
 
     def __contains__(self, key: bytes) -> bool:
         return self.lookup(key) is not None
-
-    def lookup_many(self, keys: List[bytes]) -> List[Optional[int]]:
-        """Batched point lookups; one value (or None) per key.
-
-        Sorted batches keep a stack of the inner nodes on the current
-        root-to-leaf path; each key pops back to the node where its
-        common prefix with the previous key ends and resumes the descent
-        from there, so shared key prefixes are walked once per run
-        instead of once per key.  ``art_visit`` counts the nodes actually
-        stepped, flushed once per batch.  Unsorted batches fall back to
-        per-key lookups; results always equal ``[self.lookup(k) for k in
-        keys]``.
-        """
-        keys = list(keys)
-        if not keys:
-            return []
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            return [self.lookup(key) for key in keys]
-        if self._root is None:
-            return [None] * len(keys)
-        results: List[Optional[int]] = []
-        visits = 0
-        # (node, bytes of key consumed before reaching node)
-        stack: List[Tuple[object, int]] = [(self._root, 0)]
-        previous: Optional[bytes] = None
-        for key in keys:
-            if previous is not None:
-                common = _common_prefix_length(previous, key)
-                while len(stack) > 1 and stack[-1][1] > common:
-                    stack.pop()
-            previous = key
-            node, depth = stack[-1]
-            value: Optional[int] = None
-            while True:
-                if isinstance(node, ARTLeaf):
-                    visits += 1
-                    value = node.value if node.key == key else None
-                    break
-                visits += 1
-                prefix = node.prefix
-                if prefix:
-                    if key[depth : depth + len(prefix)] != prefix:
-                        break
-                    depth += len(prefix)
-                if depth >= len(key):
-                    break
-                child = node.find_child(key[depth])
-                if child is None:
-                    break
-                depth += 1
-                if not isinstance(child, ARTLeaf):
-                    stack.append((child, depth))
-                node = child
-            results.append(value)
-        if visits:
-            self.counters.add("art_visit", visits)
-        return results
 
     # ------------------------------------------------------------------
     # Insert

@@ -259,23 +259,15 @@ def _check_rank_directory(name: str, vector: Any, violations: List[str]) -> None
     from repro.succinct.bitvector import SELECT_SAMPLE_RATE
 
     select1 = []
-    select0 = []
     running = 0
     next_one = 1
-    next_zero = 1
     for word_index, word in enumerate(vector._words):
         running += word.bit_count()
         while next_one <= running:
             select1.append(word_index)
             next_one += SELECT_SAMPLE_RATE
-        zeros = min((word_index + 1) * 64, len(vector)) - running
-        while next_zero <= zeros:
-            select0.append(word_index)
-            next_zero += SELECT_SAMPLE_RATE
     if select1 != vector._select1_samples:
         violations.append(f"{name} select1 sample directory disagrees with payload")
-    if select0 != vector._select0_samples:
-        violations.append(f"{name} select0 sample directory disagrees with payload")
     if running != vector.ones:
         violations.append(
             f"{name} cached popcount {vector.ones} != actual {running}"

@@ -105,7 +105,7 @@ def fst_to_bytes(fst: FST) -> bytes:
     body_parts.append(_bitvector_to_bytes(fst._dense_labels))
     body_parts.append(_bitvector_to_bytes(fst._dense_haschild))
     body_parts.append(_U64.pack(len(fst._sparse_labels)))
-    body_parts.append(bytes(fst._sparse_labels))
+    body_parts.append(fst._sparse_labels)
     body_parts.append(_bitvector_to_bytes(fst._sparse_haschild))
     body_parts.append(_bitvector_to_bytes(fst._sparse_louds))
     body_parts.extend(_I64.pack(value) for value in fst._values)
@@ -215,7 +215,7 @@ def fst_from_bytes(blob: bytes) -> FST:
         offset + sparse_count <= len(blob),
         f"sparse label section of {sparse_count} bytes overruns the blob",
     )
-    sparse_labels = list(blob[offset : offset + sparse_count])
+    sparse_labels = bytes(blob[offset : offset + sparse_count])
     offset += sparse_count
 
     sparse_haschild, offset = _bitvector_from_bytes(blob, offset)

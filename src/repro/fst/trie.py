@@ -20,6 +20,7 @@ explicit in-node search and are markedly slower).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
@@ -30,6 +31,10 @@ from repro.succinct.bitvector import BitVector
 # Footnote 1 of the paper: the sparse encoding is smaller than the dense
 # one when a node stores fewer than 256/8 = 32 labels on average.
 DENSE_FANOUT_THRESHOLD = 32.0
+
+#: The 256 one-byte strings: extending a key path by a label is one
+#: table read and one concatenation.
+_BYTE = [bytes([label]) for label in range(256)]
 
 #: Precomputed ``leaf_probe:<region>`` span names (RA004: telemetry
 #: names are literal tables, never formatted on the hot path).
@@ -76,9 +81,9 @@ class FST:
     def _build(self, levels: TrieLevels) -> None:
         dense_labels = BitVector()
         dense_haschild = BitVector()
-        sparse_labels: List[int] = []
-        sparse_haschild = BitVector()
-        sparse_louds = BitVector()
+        sparse_labels = bytearray()
+        haschild_bits = bytearray()
+        louds_bits = bytearray()
         dense_values: List[int] = []
         sparse_values: List[int] = []
         dense_node_count = 0
@@ -104,20 +109,21 @@ class FST:
                     dense_haschild.extend_from_word(bitmap_haschild, 256)
                     dense_node_count += 1
                 else:
-                    for position, (label, has_child, value) in enumerate(
-                        zip(node.labels, node.has_child, node.values)
-                    ):
-                        sparse_labels.append(label)
-                        sparse_haschild.append(1 if has_child else 0)
-                        sparse_louds.append(1 if position == 0 else 0)
+                    # One byte per bit here, one bulk ``BitVector.extend``
+                    # per vector at the end: sparse nodes average barely
+                    # more than one label, too few to pay a call each.
+                    sparse_labels.extend(node.labels)
+                    haschild_bits.extend(node.has_child)
+                    louds_bits += b"\x01" + bytes(len(node.labels) - 1)
+                    for has_child, value in zip(node.has_child, node.values):
                         if not has_child:
                             sparse_values.append(value)
                 node_number += 1
         self._dense_labels = dense_labels.seal()
         self._dense_haschild = dense_haschild.seal()
-        self._sparse_labels = sparse_labels
-        self._sparse_haschild = sparse_haschild.seal()
-        self._sparse_louds = sparse_louds.seal()
+        self._sparse_labels = bytes(sparse_labels)
+        self._sparse_haschild = BitVector(haschild_bits).seal()
+        self._sparse_louds = BitVector(louds_bits).seal()
         self._values = dense_values + sparse_values
         self._num_dense_nodes = dense_node_count
         self._dense_hc_total = self._dense_haschild.ones if len(self._dense_haschild) else 0
@@ -166,55 +172,107 @@ class FST:
                 hi = mid - 1
         return lo
 
-    def _dense_step(self, node: int, label: int):
-        """(child_node, value, found): exactly one of child/value set."""
-        position = node * 256 + label
-        if not self._dense_labels[position]:
-            return None, None, False
-        if self._dense_haschild[position]:
-            child = self._dense_haschild.rank1(position + 1)
-            return child, None, True
-        value_index = (
-            self._dense_labels.rank1(position + 1)
-            - self._dense_haschild.rank1(position + 1)
-            - 1
+    # An *edge* is the navigation kernel's one-int answer to "follow
+    # ``label`` out of ``node``": a child node number (> 0; the root is
+    # nobody's child), ``~value_index`` (< 0) for a terminal label, or 0
+    # when the node has no such label.  The kernel reads payload words
+    # and rank blocks directly, but only at positions ``select1`` /
+    # ``bytes.find`` just produced on the same sealed vector (or inside a
+    # dense node's own bitmap); an overrun still raises ``IndexError``.
+    def _dense_edge(self, node: int, label: int) -> int:
+        word_index = node * 4 + (label >> 6)
+        bit = label & 63
+        labels = self._dense_labels
+        label_word = labels._words[word_index]
+        if not label_word >> bit & 1:
+            return 0
+        haschild = self._dense_haschild
+        child_word = haschild._words[word_index]
+        through = (2 << bit) - 1
+        children = haschild._rank_blocks[word_index] + (child_word & through).bit_count()
+        if child_word >> bit & 1:
+            return children
+        return ~(
+            labels._rank_blocks[word_index] + (label_word & through).bit_count() - children - 1
         )
-        return None, self._values[value_index], True
 
     def _sparse_range(self, node: int) -> Tuple[int, int]:
-        """Label positions [start, end) of a sparse node."""
-        sparse_index = node - self._num_dense_nodes
-        start = self._sparse_louds.select1(sparse_index + 1)
-        if sparse_index + 1 < self._sparse_louds.ones:
-            end = self._sparse_louds.select1(sparse_index + 2)
-        else:
-            end = len(self._sparse_labels)
-        return start, end
+        """Label positions [start, end) of a sparse node: one select for
+        the start, then a next-set-bit scan of the word it landed in —
+        only a node whose labels run past that word asks the vector."""
+        louds = self._sparse_louds
+        start = louds.select1(node - self._num_dense_nodes + 1)
+        rest = louds._words[start >> 6] >> (start & 63) >> 1
+        if rest:
+            return start, start + (rest & -rest).bit_length()
+        return start, louds.next1(start + 1)
 
-    def _sparse_step(self, node: int, label: int):
+    def _sparse_edge(self, node: int, label: int) -> int:
         start, end = self._sparse_range(node)
-        for position in range(start, end):  # explicit in-node search
-            if self._sparse_labels[position] == label:
-                if self._sparse_haschild[position]:
-                    child = self._dense_hc_total + self._sparse_haschild.rank1(
-                        position + 1
-                    )
-                    return child, None, True
-                value_index = self._dense_terminal_total + (
-                    position + 1 - self._sparse_haschild.rank1(position + 1) - 1
-                )
-                return None, self._values[value_index], True
-            if self._sparse_labels[position] > label:
-                break
-        return None, None, False
+        position = self._sparse_labels.find(label, start, end)  # in-node search
+        if position < 0:
+            return 0
+        # Has-child test and its rank from one word read.
+        word_index = position >> 6
+        bit = position & 63
+        haschild = self._sparse_haschild
+        word = haschild._words[word_index]
+        through = (2 << bit) - 1  # bits [0, bit] of the word: rank1(position + 1)
+        children = haschild._rank_blocks[word_index] + (word & through).bit_count()
+        if word >> bit & 1:
+            return self._dense_hc_total + children
+        return ~(self._dense_terminal_total + position - children)
 
     def step(self, node: int, label: int):
         """Follow ``label`` out of ``node``; returns (child, value, found)."""
-        if self.is_dense_node(node):
-            self.counters.add("fst_dense_visit")
-            return self._dense_step(node, label)
-        self.counters.add("fst_sparse_visit")
-        return self._sparse_step(node, label)
+        edge, _, dense = self._descend(node, _BYTE[label], 0)
+        self._count_visits(dense, 1 - dense)
+        if edge > 0:
+            return edge, None, True
+        return (None, self._values[~edge], True) if edge else (None, None, False)
+
+    def _edges(self, node: int, floor: int = 0) -> Iterator[Tuple[int, int]]:
+        """Lazily yield ``(label, edge)`` for ``node``'s labels >= ``floor``
+        in label order."""
+        if node < self._num_dense_nodes:
+            base = node * 256
+            remaining = self._dense_labels.word_slice(base, 256) >> floor << floor
+            haschild_bits = self._dense_haschild.word_slice(base, 256)
+            # Ranks *before* the first enumerated label; advanced per label.
+            child = self._dense_haschild.rank1(base + floor)
+            value_index = self._dense_labels.rank1(base + floor) - child
+            while remaining:
+                label = (remaining & -remaining).bit_length() - 1
+                remaining &= remaining - 1
+                if haschild_bits >> label & 1:
+                    child += 1
+                    yield label, child
+                else:
+                    yield label, ~value_index
+                    value_index += 1
+        else:
+            start, end = self._sparse_range(node)
+            labels = self._sparse_labels
+            if floor:
+                start = bisect_left(labels, floor, start, end)
+                if start == end:
+                    return
+            # Ranks *before* ``start`` (one word read), advanced per label.
+            words = self._sparse_haschild._words
+            below = (1 << (start & 63)) - 1
+            ones = (
+                self._sparse_haschild._rank_blocks[start >> 6]
+                + (words[start >> 6] & below).bit_count()
+            )
+            child = self._dense_hc_total + ones
+            value_index = self._dense_terminal_total + start - ones
+            for position, label in enumerate(labels[start:end], start):
+                if words[position >> 6] >> (position & 63) & 1:
+                    child += 1
+                    yield label, child
+                else:
+                    yield label, ~value_index
+                    value_index += 1
 
     def children(self, node: int) -> List[Tuple[int, Optional[int], Optional[int]]]:
         """All (label, child_node, value) triples of ``node`` in label order.
@@ -222,39 +280,11 @@ class FST:
         Exactly one of ``child_node`` / ``value`` is non-None per triple.
         This is what Hybrid Trie expansion enumerates.
         """
-        result: List[Tuple[int, Optional[int], Optional[int]]] = []
-        if self.is_dense_node(node):
-            base = node * 256
-            labels_bits = self._dense_labels.word_slice(base, 256)
-            haschild_bits = self._dense_haschild.word_slice(base, 256)
-            # Ranks *before* this node's bitmap; advanced incrementally.
-            child_rank = self._dense_haschild.rank1(base)
-            value_rank = self._dense_labels.rank1(base) - child_rank
-            remaining = labels_bits
-            while remaining:
-                label = (remaining & -remaining).bit_length() - 1
-                remaining &= remaining - 1
-                if (haschild_bits >> label) & 1:
-                    child_rank += 1
-                    result.append((label, child_rank, None))
-                else:
-                    result.append((label, None, self._values[value_rank]))
-                    value_rank += 1
-        else:
-            start, end = self._sparse_range(node)
-            child_rank = self._dense_hc_total + self._sparse_haschild.rank1(start)
-            value_rank = self._dense_terminal_total + (
-                start - self._sparse_haschild.rank1(start)
-            )
-            for position in range(start, end):
-                label = self._sparse_labels[position]
-                if self._sparse_haschild[position]:
-                    child_rank += 1
-                    result.append((label, child_rank, None))
-                else:
-                    result.append((label, None, self._values[value_rank]))
-                    value_rank += 1
-        return result
+        values = self._values
+        return [
+            (label, edge, None) if edge > 0 else (label, None, values[~edge])
+            for label, edge in self._edges(node)
+        ]
 
     def node_fanout(self, node: int) -> int:
         """Number of labels of ``node``."""
@@ -271,7 +301,7 @@ class FST:
         """Return the value stored under ``key``, or None.
 
         A sampled ``lookup`` span reports the descent's dense/sparse
-        steps as the deltas of the visit counters :meth:`step` bumps.
+        steps as the deltas of the visit counters the descent flushes.
         """
         if self._num_keys == 0:
             return None
@@ -299,18 +329,48 @@ class FST:
             tracer.end(span)
         return value
 
+    def _descend(
+        self, node: int, key: bytes, depth: int, trail: Optional[list] = None
+    ) -> Tuple[int, int, int]:
+        """Follow ``key[depth:]`` down from ``node`` until an edge is
+        terminal or missing or the key runs out; returns ``(last edge,
+        depth reached, dense visits)``.  Every visit consumes one byte,
+        so the sparse visits are the rest of the depth gained.  Each
+        inner node entered is appended to ``trail`` as ``(node, depth)``.
+        """
+        length = len(key)
+        num_dense = self._num_dense_nodes
+        sparse_edge = self._sparse_edge
+        dense_visits = 0
+        edge = 0
+        while depth < length:
+            if node < num_dense:
+                dense_visits += 1
+                edge = self._dense_edge(node, key[depth])
+            else:
+                edge = sparse_edge(node, key[depth])
+            depth += 1
+            if edge <= 0:
+                break
+            node = edge
+            if trail is not None:
+                trail.append((node, depth))
+        return edge, depth, dense_visits
+
+    def _count_visits(self, dense: int, sparse: int) -> None:
+        """One flush per descent; a zero total must not create the key."""
+        if dense:
+            self.counters.add("fst_dense_visit", dense)
+        if sparse:
+            self.counters.add("fst_sparse_visit", sparse)
+
     def lookup_from(self, node: int, key: bytes, depth: int) -> Optional[int]:
         """Continue a lookup from ``node`` at key byte ``depth`` — the entry
         point Hybrid Trie uses when descending out of the ART region."""
-        while depth < len(key):
-            child, value, found = self.step(node, key[depth])
-            if not found:
-                return None
-            if value is not None:
-                return value if depth == len(key) - 1 else None
-            node = child
-            depth += 1
-        return None
+        edge, end, dense = self._descend(node, key, depth)
+        self._count_visits(dense, end - depth - dense)
+        # A terminal label is a hit only when it consumed the whole key.
+        return self._values[~edge] if edge < 0 and end == len(key) else None
 
     def lookup_many(self, keys: Sequence[bytes]) -> List[Optional[int]]:
         """Batched point lookups; element ``i`` equals ``lookup(keys[i])``.
@@ -329,16 +389,11 @@ class FST:
         if any(a > b for a, b in zip(keys, keys[1:])):
             return [self.lookup(key) for key in keys]
         results: List[Optional[int]] = []
-        append = results.append
         stack: List[Tuple[int, int]] = [(0, 0)]  # (node, bytes consumed)
-        push = stack.append
-        pop = stack.pop
         previous: Optional[bytes] = None
         dense_visits = 0
         sparse_visits = 0
-        num_dense = self._num_dense_nodes
-        dense_step = self._dense_step
-        sparse_step = self._sparse_step
+        values = self._values
         for key in keys:
             if previous is not None:
                 limit = min(len(previous), len(key))
@@ -346,32 +401,14 @@ class FST:
                 while common < limit and previous[common] == key[common]:
                     common += 1
                 while len(stack) > 1 and stack[-1][1] > common:
-                    pop()
+                    stack.pop()
             previous = key
             node, depth = stack[-1]
-            found_value: Optional[int] = None
-            key_length = len(key)
-            while depth < key_length:
-                if node < num_dense:
-                    dense_visits += 1
-                    child, value, found = dense_step(node, key[depth])
-                else:
-                    sparse_visits += 1
-                    child, value, found = sparse_step(node, key[depth])
-                if not found:
-                    break
-                if value is not None:
-                    if depth == key_length - 1:
-                        found_value = value
-                    break
-                node = child
-                depth += 1
-                push((node, depth))
-            append(found_value)
-        if dense_visits:
-            self.counters.add("fst_dense_visit", dense_visits)
-        if sparse_visits:
-            self.counters.add("fst_sparse_visit", sparse_visits)
+            edge, end, dense = self._descend(node, key, depth, stack)
+            dense_visits += dense
+            sparse_visits += end - depth - dense
+            results.append(values[~edge] if edge < 0 and end == len(key) else None)
+        self._count_visits(dense_visits, sparse_visits)
         return results
 
     def iterate_subtree(self, node: int) -> Iterator[Tuple[bytes, int]]:
@@ -379,11 +416,11 @@ class FST:
         yield from self._iterate_from(node, b"")
 
     def _iterate_from(self, node: int, suffix: bytes) -> Iterator[Tuple[bytes, int]]:
-        for label, child, value in self.children(node):
-            if value is not None:
-                yield suffix + bytes([label]), value
+        for label, edge in self._edges(node):
+            if edge < 0:
+                yield suffix + _BYTE[label], self._values[~edge]
             else:
-                yield from self._iterate_from(child, suffix + bytes([label]))
+                yield from self._iterate_from(edge, suffix + _BYTE[label])
 
     def items(self) -> Iterator[Tuple[bytes, int]]:
         """Yield all ``(key, value)`` pairs in key order."""
@@ -418,28 +455,22 @@ class FST:
         in key order — e.g. every e-mail under one host."""
         if self._num_keys == 0:
             return
-        node = 0
-        for depth, label in enumerate(prefix):
-            child, value, found = self.step(node, label)
-            if not found:
-                return
-            if value is not None:
-                if depth == len(prefix) - 1:
-                    yield prefix, value
-                return
-            node = child
-        for suffix, value in self._iterate_from(node, b""):
-            yield prefix + suffix, value
+        edge, depth, dense = self._descend(0, prefix, 0)
+        self._count_visits(dense, depth - dense)
+        if edge > 0 or not prefix:  # an inner node (the root for b"")
+            yield from self._iterate_from(edge, prefix)
+        elif edge < 0 and depth == len(prefix):
+            yield prefix, self._values[~edge]
 
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
         """Up to ``count`` pairs with key >= ``start_key`` in key order."""
         if count <= 0 or self._num_keys == 0:
             return []
         result: List[Tuple[bytes, int]] = []
-        self._scan(0, b"", start_key, count, result)
+        self.scan_from(0, b"", start_key, count, result)
         return result
 
-    def _scan(
+    def scan_from(
         self,
         node: int,
         path: bytes,
@@ -447,29 +478,52 @@ class FST:
         count: int,
         result: List[Tuple[bytes, int]],
     ) -> None:
-        if self.is_dense_node(node):
-            self.counters.add("fst_dense_visit")
-        else:
-            self.counters.add("fst_sparse_visit")
-        depth = len(path)
-        # When the path so far equals the start key's prefix, labels below
-        # the start key's byte at this depth cannot contribute.
-        on_boundary = path == start_key[:depth]
-        minimum_label = start_key[depth] if on_boundary and depth < len(start_key) else 0
-        for label, child, value in self.children(node):
+        """Append pairs with key >= ``start_key`` from the subtree of
+        ``node`` (whose key prefix is ``path``) until ``result`` holds
+        ``count`` — how Hybrid Trie continues a scan below a compact
+        branch.  Visits are counted locally and flushed once."""
+        prefix = start_key[: len(path)]
+        if path < prefix:
+            return  # the whole subtree precedes the start key
+        visits = [0, 0]  # dense, sparse
+        bounded = path == prefix and len(path) < len(start_key)
+        self._scan(node, path, start_key, bounded, count, result, visits)
+        self._count_visits(*visits)
+
+    def _scan(
+        self,
+        node: int,
+        path: bytes,
+        start_key: bytes,
+        bounded: bool,
+        count: int,
+        result: List[Tuple[bytes, int]],
+        visits: List[int],
+    ) -> None:
+        # ``bounded``: ``path`` is a proper prefix of the start key, so
+        # labels below the start key's next byte cannot contribute, the
+        # equal label stays on the boundary (and is the start key itself
+        # when it is its ``last`` byte), and larger ones leave it.  Off
+        # the boundary every key of the subtree qualifies.
+        visits[node >= self._num_dense_nodes] += 1
+        floor = start_key[len(path)] if bounded else 0
+        last = len(path) + 1 == len(start_key)
+        for label, edge in self._edges(node, floor):
             if len(result) >= count:
                 return
-            if label < minimum_label:
-                continue
-            extended = path + bytes([label])
-            if value is not None:
-                if extended >= start_key:
-                    result.append((extended, value))
-            else:
-                # Skip subtrees whose keys all precede the start key.
-                if extended < start_key[: len(extended)]:
-                    continue
-                self._scan(child, extended, start_key, count, result)
+            on_boundary = bounded and label == floor
+            if edge > 0:
+                self._scan(
+                    edge,
+                    path + _BYTE[label],
+                    start_key,
+                    on_boundary and not last,
+                    count,
+                    result,
+                    visits,
+                )
+            elif last or not on_boundary:
+                result.append((path + _BYTE[label], self._values[~edge]))
 
     # ------------------------------------------------------------------
     # Serialization

@@ -105,8 +105,8 @@ class HybridTrie:
         """Return the value stored under ``key``, or None.
 
         Under an installed tracer the same descent emits a sampled
-        ``lookup`` span; its ``art_steps`` are the delta of the
-        ``art_visit`` counter the descent bumps.
+        ``lookup`` span; its ``art_steps`` are the ART nodes the descent
+        visited, the count it flushes to ``art_visit`` once at the end.
         """
         tracer = active_tracer()
         span = (
@@ -118,12 +118,11 @@ class HybridTrie:
             if span is not None:
                 tracer.end(span, empty=True)
             return None
-        if span is not None:
-            art_before = self.counters.get("art_visit")
         self.counters.add("sample_check")
         track = self.adaptive and self.manager.is_sample()
         current = self._root
         depth = 0
+        art_steps = 0
         probe = "none"
         value: Optional[int] = None
         while True:
@@ -137,7 +136,7 @@ class HybridTrie:
                 current = current.art_node
                 continue
             # ART node (upper region or an expanded branch's node).
-            self.counters.add("art_visit")
+            art_steps += 1
             if depth >= len(key):
                 break
             child = current.find_child(key[depth])
@@ -150,12 +149,10 @@ class HybridTrie:
                 probe = "art"
                 break
             current = child
+        if art_steps:
+            self.counters.add("art_visit", art_steps)
         if span is not None:
-            tracer.event(
-                "descent",
-                art_steps=self.counters.get("art_visit") - art_before,
-                depth=depth,
-            )
+            tracer.event("descent", art_steps=art_steps, depth=depth)
             tracer.event(_PROBE_EVENTS[probe], hit=value is not None)
             tracer.end(span, sampled=track)
         return value
@@ -173,7 +170,7 @@ class HybridTrie:
         self.counters.add("sample_check")
         track = self.adaptive and self.manager.is_sample()
         result: List[Tuple[bytes, int]] = []
-        self._scan(self._root, b"", start_key, count, result, track)
+        self._scan(self._root, b"", start_key, bool(start_key), count, result, track)
         return result
 
     def _scan(
@@ -181,34 +178,41 @@ class HybridTrie:
         current,
         path: bytes,
         start_key: bytes,
+        bounded: bool,
         count: int,
         result: List[Tuple[bytes, int]],
         track: bool,
     ) -> None:
+        # ``bounded`` as in :meth:`FST._scan`: ``path`` is a proper prefix
+        # of the start key, so only labels from its next byte up matter.
         if isinstance(current, TrieBranch):
             if track:
                 self.manager.track(current, AccessType.SCAN)
             if not current.expanded:
-                self._fst._scan(current.fst_node, path, start_key, count, result)
+                self._fst.scan_from(current.fst_node, path, start_key, count, result)
                 return
             current = current.art_node
         self.counters.add("art_visit")
-        depth = len(path)
-        on_boundary = path == start_key[:depth]
-        minimum_label = start_key[depth] if on_boundary and depth < len(start_key) else 0
+        floor = start_key[len(path)] if bounded else 0
+        last = len(path) + 1 == len(start_key)
         for label, child in current.children_items():
             if len(result) >= count:
                 return
-            if label < minimum_label:
+            if label < floor:
                 continue
-            extended = path + bytes([label])
-            if isinstance(child, int):
-                if extended >= start_key:
-                    result.append((extended, child))
-            else:
-                if extended < start_key[: len(extended)]:
-                    continue
-                self._scan(child, extended, start_key, count, result, track)
+            on_boundary = bounded and label == floor
+            if not isinstance(child, int):
+                self._scan(
+                    child,
+                    path + bytes([label]),
+                    start_key,
+                    on_boundary and not last,
+                    count,
+                    result,
+                    track,
+                )
+            elif last or not on_boundary:
+                result.append((path + bytes([label]), child))
 
     def prefix_items(self, prefix: bytes) -> List[Tuple[bytes, int]]:
         """All (key, value) pairs whose key starts with ``prefix``, in key
@@ -237,7 +241,7 @@ class HybridTrie:
         if self._root is None:
             return []
         result: List[Tuple[bytes, int]] = []
-        self._scan(self._root, b"", b"", self._num_keys, result, False)
+        self._scan(self._root, b"", b"", False, self._num_keys, result, False)
         return result
 
     # ------------------------------------------------------------------

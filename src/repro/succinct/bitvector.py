@@ -7,11 +7,13 @@ classic two-level directory: the bit payload lives in 64-bit words (an
 list of boxed ints), and a per-block popcount prefix array answers
 ``rank`` in O(1) word operations.
 
-``select`` uses a *sampled select directory*: at seal time the word
-index containing every :data:`SELECT_SAMPLE_RATE`-th set (and clear) bit
-is recorded, so a query binary-searches only the handful of rank blocks
-between two samples instead of the whole directory, then finishes with a
-byte-stepping scan of one word.
+``select1`` uses a *sampled select directory*: at seal time the word
+index containing every :data:`SELECT_SAMPLE_RATE`-th set bit is
+recorded, so a query bisects only the handful of rank blocks between two
+samples instead of the whole directory, then finishes inside one word
+with popcount halving and a select-in-byte table.  ``next1`` (the first
+set bit at or after a position) is what turns a LOUDS node start into
+its end without a second select.
 
 The structure is append-only while *unsealed*; :meth:`BitVector.seal`
 freezes it and builds the directories.  Sealed vectors are what the
@@ -24,45 +26,53 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List
 
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
 
-#: One select sample per this many set (or clear) bits.  256 keeps the
-#: directory tiny (one u32 per 256 bits of either kind) while bounding
-#: the binary-search window to ~4 rank blocks.
+#: One select sample per this many set bits.  256 keeps the directory
+#: tiny (one u32 per 256 set bits) while bounding the binary-search
+#: window to ~4 rank blocks.
 SELECT_SAMPLE_RATE = 256
 
 _NATIVE_LITTLE_ENDIAN = sys.byteorder == "little"
+_UNSEALED = "BitVector must be sealed before querying; call seal()"
 
 
-def _popcount(word: int) -> int:
-    return word.bit_count()
+#: ``_SELECT_IN_BYTE[byte << 3 | k]`` is the offset of the ``k``-th
+#: (0-based) set bit of ``byte``; slots past the popcount are never read.
+_SELECT_IN_BYTE = bytes(
+    ([bit for bit in range(8) if byte >> bit & 1] + [0] * 8)[k]
+    for byte in range(256)
+    for k in range(8)
+)
 
 
 def _select_in_word(word: int, remaining: int) -> int:
     """Bit offset of the ``remaining``-th set bit of ``word`` (1-based).
 
-    Steps a byte at a time using popcounts, so the scan is at most 8 byte
-    probes plus at most 8 bit probes instead of up to 64 bit probes.
+    Three popcount halvings (32, 16, 8 bits) pick the byte lane; the
+    table finishes inside it — no per-bit loop.
     """
     offset = 0
-    while True:
-        byte = word & 0xFF
-        ones = byte.bit_count()
-        if remaining <= ones:
-            break
+    ones = (word & 0xFFFFFFFF).bit_count()
+    if remaining > ones:
+        remaining -= ones
+        word >>= 32
+        offset = 32
+    ones = (word & 0xFFFF).bit_count()
+    if remaining > ones:
+        remaining -= ones
+        word >>= 16
+        offset += 16
+    ones = (word & 0xFF).bit_count()
+    if remaining > ones:
         remaining -= ones
         word >>= 8
         offset += 8
-    while True:
-        if word & 1:
-            remaining -= 1
-            if remaining == 0:
-                return offset
-        word >>= 1
-        offset += 1
+    return offset + _SELECT_IN_BYTE[(word & 0xFF) << 3 | remaining - 1]
 
 
 class BitVector:
@@ -80,7 +90,6 @@ class BitVector:
         self._sealed = False
         self._rank_blocks: List[int] = []
         self._select1_samples: List[int] = []
-        self._select0_samples: List[int] = []
         self._ones = 0
         if bits:
             self.extend(bits)
@@ -159,24 +168,16 @@ class BitVector:
             return self
         blocks = [0]
         select1: List[int] = []
-        select0: List[int] = []
         running = 0
         next_one = 1
-        next_zero = 1
-        size = self._size
         for word_index, word in enumerate(self._words):
-            running += _popcount(word)
+            running += word.bit_count()
             blocks.append(running)
             while next_one <= running:
                 select1.append(word_index)
                 next_one += SELECT_SAMPLE_RATE
-            zeros = min((word_index + 1) * _WORD_BITS, size) - running
-            while next_zero <= zeros:
-                select0.append(word_index)
-                next_zero += SELECT_SAMPLE_RATE
         self._rank_blocks = blocks
         self._select1_samples = select1
-        self._select0_samples = select0
         self._ones = running
         self._sealed = True
         return self
@@ -211,7 +212,8 @@ class BitVector:
     @property
     def ones(self) -> int:
         """Total number of set bits (requires a sealed vector)."""
-        self._require_sealed()
+        if not self._sealed:
+            raise ValueError(_UNSEALED)
         return self._ones
 
     def word_slice(self, start: int, length: int) -> int:
@@ -247,14 +249,15 @@ class BitVector:
         ``index`` may equal ``len(self)``, in which case the total
         popcount is returned.
         """
-        self._require_sealed()
+        if not self._sealed:
+            raise ValueError(_UNSEALED)
         if not 0 <= index <= self._size:
             raise IndexError(f"rank index {index} out of range for size {self._size}")
         word_index, bit_index = divmod(index, _WORD_BITS)
         count = self._rank_blocks[word_index]
         if bit_index:
             mask = (1 << bit_index) - 1
-            count += _popcount(self._words[word_index] & mask)
+            count += (self._words[word_index] & mask).bit_count()
         return count
 
     def rank0(self, index: int) -> int:
@@ -266,11 +269,13 @@ class BitVector:
 
         Raises :class:`ValueError` when fewer than ``count`` bits are set.
         """
-        self._require_sealed()
+        if not self._sealed:
+            raise ValueError(_UNSEALED)
         if count < 1 or count > self._ones:
             raise ValueError(f"select1({count}) out of range; vector has {self._ones} ones")
-        # The sampled directory brackets the word; binary search only the
-        # rank blocks between two adjacent samples.
+        # The sampled directory brackets the word; bisect only the rank
+        # blocks between two adjacent samples for the first word whose
+        # cumulative popcount reaches ``count``.
         samples = self._select1_samples
         sample_index = (count - 1) // SELECT_SAMPLE_RATE
         lo = samples[sample_index]
@@ -279,44 +284,33 @@ class BitVector:
         else:
             hi = len(self._words) - 1
         blocks = self._rank_blocks
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if blocks[mid + 1] >= count:
-                hi = mid
-            else:
-                lo = mid + 1
-        remaining = count - blocks[lo]
-        return lo * _WORD_BITS + _select_in_word(self._words[lo], remaining)
+        lo = bisect_left(blocks, count, lo + 1, hi + 1) - 1
+        return lo * _WORD_BITS + _select_in_word(self._words[lo], count - blocks[lo])
 
-    def select0(self, count: int) -> int:
-        """Position of the ``count``-th clear bit, counting from 1."""
-        self._require_sealed()
-        zeros = self._size - self._ones
-        if count < 1 or count > zeros:
-            raise ValueError(f"select0({count}) out of range; vector has {zeros} zeros")
-        samples = self._select0_samples
-        sample_index = (count - 1) // SELECT_SAMPLE_RATE
-        lo = samples[sample_index]
-        if sample_index + 1 < len(samples):
-            hi = samples[sample_index + 1]
-        else:
-            hi = len(self._words) - 1
+    def next1(self, index: int) -> int:
+        """Position of the first set bit at or after ``index``.
+
+        Returns ``len(self)`` when no set bit follows; ``index`` may
+        equal ``len(self)``.  One word read when the bit shares
+        ``index``'s word, otherwise a bisect of the rank blocks for the
+        next word that adds to the popcount — never a bit-by-bit walk.
+        """
+        if not self._sealed:
+            raise ValueError(_UNSEALED)
+        if not 0 <= index <= self._size:
+            raise IndexError(f"bit index {index} out of range for size {self._size}")
+        word_index = index >> 6
         blocks = self._rank_blocks
-        size = self._size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            border = min((mid + 1) * _WORD_BITS, size)
-            if border - blocks[mid + 1] >= count:
-                hi = mid
-            else:
-                lo = mid + 1
-        position = lo * _WORD_BITS
-        remaining = count - (position - blocks[lo])
-        inverted = ~self._words[lo] & _WORD_MASK
-        position += _select_in_word(inverted, remaining)
-        if position >= self._size:  # pragma: no cover - defended by the range check
-            raise AssertionError("select0 directory inconsistent")
-        return position
+        if blocks[word_index] == self._ones:
+            return self._size
+        word = self._words[word_index] >> (index & 63)
+        if not word:
+            if blocks[word_index + 1] == self._ones:
+                return self._size
+            word_index = bisect_right(blocks, blocks[word_index + 1], word_index + 2) - 1
+            word = self._words[word_index]
+            index = word_index * _WORD_BITS
+        return index + (word & -word).bit_length() - 1
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -333,10 +327,6 @@ class BitVector:
         payload = len(self._words) * 8
         directory = len(self._rank_blocks) * 4 if self._sealed else 0
         return payload + directory
-
-    def _require_sealed(self) -> None:
-        if not self._sealed:
-            raise ValueError("BitVector must be sealed before querying; call seal()")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "sealed" if self._sealed else "open"

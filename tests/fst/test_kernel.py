@@ -1,0 +1,178 @@
+"""The FST navigation kernel against a sorted-list model.
+
+Every read path (``lookup``, ``lookup_from``, ``lookup_many``, ``step``,
+``scan``, ``prefix_items``) must agree with a plain sorted list for any
+dense/sparse split, and the ``fst_dense_visit`` / ``fst_sparse_visit``
+totals — the cost model's inputs — are pinned as literals recorded from
+the per-step-add implementation this kernel replaced, as are the
+``to_bytes()`` digests (the encoding may not drift when the speed does).
+"""
+
+import bisect
+import hashlib
+import random
+
+import pytest
+
+from repro.fst.trie import FST
+from repro.hybridtrie.tree import HybridTrie
+
+_USERS = [b"al", b"alice", b"bob", b"carol", b"d", b"dave.x", b"eve", b"zed"]
+_HOSTS = [b"@a.org", b"@ab.org", b"@b.com", b"@mail.b.com", b"@z.net"]
+
+
+def email_pairs(count, seed):
+    """Sorted unique 0x00-terminated (hence prefix-free) e-mail-like keys."""
+    rng = random.Random(seed)
+    keys = set()
+    while len(keys) < count:
+        user = rng.choice(_USERS) + bytes(rng.choices(b"0123456789._", k=rng.randint(0, 4)))
+        keys.add(user + rng.choice(_HOSTS) + b"\x00")
+    return [(key, index * 7 - 3) for index, key in enumerate(sorted(keys))]
+
+
+def probes(pairs, seed):
+    """Hits, misses, proper prefixes, extensions and the empty key."""
+    rng = random.Random(seed)
+    keys = [key for key, _ in pairs]
+    found = [b"", b"\x00", b"\xff" * 3, keys[0], keys[-1]]
+    for key in rng.sample(keys, min(40, len(keys))):
+        cut = rng.randint(1, len(key) - 1)
+        found += [key, key[:cut], key + b"x", key[:cut] + b"\x01", key[:-1] + b"\x01"]
+    return found
+
+
+def model_scan(pairs, start_key, count):
+    keys = [key for key, _ in pairs]
+    first = bisect.bisect_left(keys, start_key)
+    return pairs[first : first + count]
+
+
+def scan_starts(pairs, seed):
+    """Present / absent / before-first / after-last start keys."""
+    rng = random.Random(seed)
+    keys = [key for key, _ in pairs]
+    starts = [b"", b"\x00", keys[0], keys[-1], keys[-1] + b"\x00", b"\xff\xff"]
+    for key in rng.sample(keys, min(12, len(keys))):
+        starts += [key, key[: len(key) // 2], key[:-1] + b"\x01", key + b"a"]
+    return starts
+
+
+def dense_configs(pairs):
+    return [0, 1, 2, FST(pairs).height]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_read_path_matches_the_model(seed):
+    pairs = email_pairs(150 + 40 * seed, seed)
+    model = dict(pairs)
+    for dense_levels in dense_configs(pairs):
+        fst = FST(pairs, dense_levels=dense_levels)
+        batch = probes(pairs, seed)
+        for key in batch:
+            assert fst.lookup(key) == model.get(key), (dense_levels, key)
+        ordered = sorted(batch)
+        assert fst.lookup_many(ordered) == [model.get(key) for key in ordered]
+        assert fst.lookup_many(batch) == [model.get(key) for key in batch]
+        # lookup_from resumes a descent that step() started.
+        for key, value in pairs[:: max(1, len(pairs) // 25)]:
+            node = 0
+            for depth in range(min(3, len(key) - 1)):
+                child, leaf, found = fst.step(node, key[depth])
+                assert found and leaf is None
+                assert fst.lookup_from(child, key, depth + 1) == value
+                node = child
+            assert fst.step(node, 0xFE) == (None, None, False)
+        for start in scan_starts(pairs, seed):
+            for count in (1, 7, len(pairs) + 5):
+                assert fst.scan(start, count) == model_scan(pairs, start, count)
+        for prefix in (b"", b"al", b"alice", b"bob@", b"nobody", pairs[5][0], pairs[5][0] + b"x"):
+            expected = [pair for pair in pairs if pair[0].startswith(prefix)]
+            assert list(fst.prefix_items(prefix)) == expected
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_hybrid_scan_matches_the_model_across_regions(seed):
+    pairs = email_pairs(220, seed)
+    for art_levels in (0, 1, 3):
+        trie = HybridTrie(pairs, art_levels=art_levels, adaptive=False)
+        trie.train([key for key, _ in pairs[::3]], rounds=2)
+        assert trie.items() == pairs
+        for start in scan_starts(pairs, seed):
+            for count in (1, 9, len(pairs) + 5):
+                assert trie.scan(start, count) == model_scan(pairs, start, count)
+
+
+#: Visit totals recorded from the implementation this kernel replaced
+#: (one ``counters.add`` per step, double-select node range) for the op
+#: list of :func:`run_pinned_ops` over ``email_pairs(300, 11)``.
+PINNED_VISITS = {
+    0: {"fst_dense_visit": 0, "fst_sparse_visit": 12029},
+    1: {"fst_dense_visit": 271, "fst_sparse_visit": 11758},
+    2: {"fst_dense_visit": 552, "fst_sparse_visit": 11477},
+    "height": {"fst_dense_visit": 12029, "fst_sparse_visit": 0},
+}
+
+#: sha256 of ``FST(email_pairs(300, 11), dense_levels=d).to_bytes()``
+#: written before the kernel and the bulk build path changed.
+PINNED_BLOB_SHA256 = {
+    0: "5ce718c4c58fae149c787949f722055a922757c62023c954295b3a072a8e088c",
+    1: "ccaf766a2a496b95140df3b22a9e570ba72c8aee3b38418de51b32082e68d5e0",
+    2: "f093d719fa2ad49afef67c21c27f3d4ed3267d13b1097ef5b20fb77f65d014e9",
+}
+
+
+def run_pinned_ops(fst, pairs):
+    for key in probes(pairs, 11):
+        fst.lookup(key)
+    fst.lookup_many(sorted(probes(pairs, 12)))
+    for start in scan_starts(pairs, 11):
+        fst.scan(start, 20)
+    for prefix in (b"al", b"bob@", pairs[9][0], b"nobody"):
+        list(fst.prefix_items(prefix))
+    fst.step(0, pairs[0][0][0])
+
+
+@pytest.mark.parametrize("dense_levels", [0, 1, 2, "height"])
+def test_visit_counters_are_the_replaced_algorithms(dense_levels):
+    pairs = email_pairs(300, 11)
+    levels = FST(pairs).height if dense_levels == "height" else dense_levels
+    fst = FST(pairs, dense_levels=levels)
+    run_pinned_ops(fst, pairs)
+    counts = fst.counters.snapshot()
+    assert {
+        "fst_dense_visit": counts.pop("fst_dense_visit", 0),
+        "fst_sparse_visit": counts.pop("fst_sparse_visit", 0),
+    } == PINNED_VISITS[dense_levels]
+    assert counts == {}  # a zero flush must not invent a counter key
+
+
+@pytest.mark.parametrize("dense_levels", [0, 1, 2])
+def test_to_bytes_is_byte_identical_to_the_parent(dense_levels):
+    fst = FST(email_pairs(300, 11), dense_levels=dense_levels)
+    assert hashlib.sha256(fst.to_bytes()).hexdigest() == PINNED_BLOB_SHA256[dense_levels]
+
+
+#: ``FST([(b"ab\0", 1), (b"ac\0", -2), (b"b\0", 3)], dense_levels=1)``
+#: as the parent commit serialized it: parent-written blobs still load.
+PARENT_BLOB_HEX = (
+    "465354328e831482030000000000000005000000000000000100000000000000"
+    "0300000000000000010000000000000003000000000000000300000000000000"
+    "0000000000000000010000000000000003000000000000000001000000000000"
+    "0400000000000000000000000000000000000000060000000000000000000000"
+    "0000000000000000000100000000000004000000000000000000000000000000"
+    "0000000006000000000000000000000000000000000000000500000000000000"
+    "6263000000050000000000000001000000000000000300000000000000050000"
+    "000000000001000000000000001d000000000000000300000000000000010000"
+    "0000000000feffffffffffffff"
+)
+
+
+def test_parent_written_blob_loads_and_reserializes():
+    pairs = [(b"ab\x00", 1), (b"ac\x00", -2), (b"b\x00", 3)]
+    blob = bytes.fromhex(PARENT_BLOB_HEX)
+    loaded = FST.from_bytes(blob)
+    assert list(loaded.items()) == pairs
+    assert [loaded.lookup(key) for key, _ in pairs] == [1, -2, 3]
+    loaded.verify()
+    assert loaded.to_bytes() == blob == FST(pairs, dense_levels=1).to_bytes()

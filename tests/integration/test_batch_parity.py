@@ -22,7 +22,7 @@ import random
 import pytest
 
 import repro
-from repro.art.tree import ART, terminated
+from repro.art.tree import terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree, _lock_of
@@ -170,29 +170,6 @@ class TestOlcBPlusTreeParity:
             _lock_of(leaf).version for leaf in looped.leaves()
         ]
         batched.verify()
-
-
-class TestARTParity:
-    def test_lookup_many_sorted_and_unsorted(self):
-        pairs, probe_keys = byte_workload(6)
-        tree = ART.from_sorted(pairs)
-        for keys in (sorted(probe_keys), probe_keys):
-            assert tree.lookup_many(keys) == [tree.lookup(key) for key in keys]
-
-    def test_sorted_batch_saves_only_node_visits(self):
-        pairs, probe_keys = byte_workload(8)
-        batched = ART.from_sorted(pairs)
-        looped = ART.from_sorted(pairs)
-        batched.lookup_many(sorted(probe_keys))
-        for key in sorted(probe_keys):
-            looped.lookup(key)
-        assert set(batched.counters.snapshot()) == set(looped.counters.snapshot())
-        assert batched.counters.get("art_visit") <= looped.counters.get("art_visit")
-
-    def test_lookup_many_empty_tree_and_batch(self):
-        tree = ART()
-        assert tree.lookup_many([]) == []
-        assert tree.lookup_many([b"a\x00", b"b\x00"]) == [None, None]
 
 
 class TestFSTParity:

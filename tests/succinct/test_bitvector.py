@@ -99,23 +99,12 @@ class TestSelect:
         assert bv.select1(2) == 3
         assert bv.select1(3) == 4
 
-    def test_select0_basic(self):
-        bv = make([1, 0, 0, 1, 0])
-        assert bv.select0(1) == 1
-        assert bv.select0(2) == 2
-        assert bv.select0(3) == 4
-
     def test_select1_out_of_range(self):
         bv = make([1, 0])
         with pytest.raises(ValueError):
             bv.select1(2)
         with pytest.raises(ValueError):
             bv.select1(0)
-
-    def test_select0_out_of_range(self):
-        bv = make([1, 1])
-        with pytest.raises(ValueError):
-            bv.select0(1)
 
     def test_select_across_words(self):
         bits = [0] * 100 + [1] + [0] * 100 + [1]
@@ -142,14 +131,11 @@ class TestSizeAccounting:
 def test_rank_select_agree_with_naive(bits):
     bv = make(bits)
     ones_positions = [index for index, bit in enumerate(bits) if bit]
-    zero_positions = [index for index, bit in enumerate(bits) if not bit]
     for index in range(len(bits) + 1):
         assert bv.rank1(index) == sum(bits[:index])
         assert bv.rank0(index) == index - sum(bits[:index])
     for count, position in enumerate(ones_positions, start=1):
         assert bv.select1(count) == position
-    for count, position in enumerate(zero_positions, start=1):
-        assert bv.select0(count) == position
 
 
 @settings(max_examples=40)
