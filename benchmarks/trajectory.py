@@ -170,23 +170,6 @@ def _extract_pr9(payload):
     return rows
 
 
-def _extract_pr10(payload):
-    suite = payload["suite"]
-    headline = payload["headline"]
-    return [
-        _row(suite, "analysis.cold_s", headline["cold_s"]),
-        _row(suite, "analysis.warm_s", headline["warm_s"]),
-        _row(
-            suite,
-            "analysis.warm_speedup",
-            headline["warm_speedup"],
-            ">=",
-            headline["required"],
-        ),
-        _row(suite, "analysis.findings", payload["findings"], "==", 0),
-    ]
-
-
 #: File stem -> headline extractor.  Files not listed here are checked
 #: for well-formedness only and reported by suite name.
 EXTRACTORS = {
@@ -197,7 +180,6 @@ EXTRACTORS = {
     "BENCH_PR7": _extract_pr7,
     "BENCH_PR8": _extract_pr8,
     "BENCH_PR9": _extract_pr9,
-    "BENCH_PR10": _extract_pr10,
 }
 
 

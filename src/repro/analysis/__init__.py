@@ -2,16 +2,21 @@
 
 An AST-based framework (loader, whole-program :class:`~repro.analysis
 .project.Project` with a lightweight call graph, rule registry,
-suppressions, text/JSON/SARIF reporters) plus four codebase-specific
+suppressions, text/JSON reporters) plus eight codebase-specific
 checkers:
 
-* **RA001** service lock discipline (order, no blocking under locks,
-  snapshot reads, gated-write revalidation),
+* **RA001** service lock discipline (no blocking under locks, snapshot
+  reads, gated-write revalidation),
 * **RA002** hot-path purity (no wall-clock/log/print/broad-except
   reachable from the registered hot roots),
 * **RA003** build-aside+swap migration discipline,
 * **RA004** telemetry naming hygiene (schema pattern, no f-string
-  names).
+  names),
+* **RA005** async purity (no blocking call reachable from a
+  ``repro.net`` coroutine),
+* **RA006** derived lock-order graph (no cycles, documented hierarchy),
+* **RA007** handle lifecycle (acquired handles reach ``close()``),
+* **RA008** WAL-fence discipline (fence on failure, never ack first).
 
 Run it as ``python -m repro.analysis [paths]``; the rule catalogue and
 suppression syntax live in ``docs/static_analysis.md``.

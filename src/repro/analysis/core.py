@@ -23,10 +23,6 @@ if TYPE_CHECKING:
     from repro.analysis.project import Project
 
 
-#: Finding severities, in increasing order of strictness.
-SEVERITIES = ("warning", "error")
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one source location."""
@@ -37,7 +33,6 @@ class Finding:
     rule: str
     message: str
     symbol: str = ""
-    severity: str = "error"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -47,21 +42,7 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "symbol": self.symbol,
-            "severity": self.severity,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        """Rebuild a finding from its :meth:`as_dict` shape (cache replay)."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[call-overload]
-            col=int(payload["col"]),  # type: ignore[call-overload]
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-            symbol=str(payload.get("symbol", "")),
-            severity=str(payload.get("severity", "error")),
-        )
 
 
 class Rule(ABC):
@@ -70,9 +51,6 @@ class Rule(ABC):
     id: str = ""
     title: str = ""
     rationale: str = ""
-    #: ``"error"`` findings always gate; ``"warning"`` findings gate unless
-    #: listed in the checked-in baseline (see ``docs/static_analysis.md``).
-    severity: str = "error"
 
     @abstractmethod
     def run(self, project: "Project") -> Iterator[Finding]:
@@ -93,7 +71,6 @@ class Rule(ABC):
             rule=self.id,
             message=message,
             symbol=symbol,
-            severity=self.severity,
         )
 
 

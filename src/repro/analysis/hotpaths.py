@@ -8,9 +8,9 @@ free, and RA002 analyzes everything lexically reachable from them.
 
 A :class:`HotRoot` pairs a dotted module prefix with an ``fnmatch``
 pattern over the function's local qualified name (``Class.method`` or
-``function``).  The defaults cover the four index families' read/write
-entry points, the leaf probe/decode layer, the succinct primitives they
-lean on, and the access sampler — extend the tuple (or pass custom
+``function``).  The defaults cover the index families' read/write entry
+points, the leaf probe/decode layer, the succinct primitives they lean
+on, and the access sampler — extend the tuple (or pass custom
 roots to :class:`~repro.analysis.rules.ra002_hotpath
 .HotPathPurityRule`) when a new family lands.  The registry is
 documented in ``docs/static_analysis.md``.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterable, List, Tuple
 
-from repro.analysis.project import FunctionInfo, Project
+from repro.analysis.project import FunctionInfo, Project, in_scope
 
 
 @dataclass(frozen=True)
@@ -33,36 +33,45 @@ class HotRoot:
     pattern: str
 
     def matches(self, info: FunctionInfo) -> bool:
-        module = info.module_name
-        prefix = self.module_prefix
-        if not (module == prefix or module.startswith(prefix + ".")):
-            return False
-        return fnmatchcase(info.local_name, self.pattern)
+        return in_scope(info.module_name, (self.module_prefix,)) and fnmatchcase(
+            info.local_name, self.pattern
+        )
 
 
-_FAMILY_PREFIXES: Tuple[str, ...] = (
+#: Families with both a read and a write path; the trie families below
+#: are built once and only ever looked up.
+_MUTABLE_FAMILY_PREFIXES: Tuple[str, ...] = (
     "repro.bptree",
     "repro.art",
-    "repro.fst",
-    "repro.hybridtrie",
     "repro.dualstage",
-    "repro.hashmap",
 )
 
-#: The registered hot roots: reachability for RA002 starts here.
+#: The registered hot roots: reachability for RA002 starts here.  Every
+#: entry must match a live function (``tests/analysis/test_self_clean.py``
+#: checks): a root that matches nothing silently un-checks its family.
 DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
     [
         HotRoot(prefix, pattern)
-        for prefix in _FAMILY_PREFIXES
+        for prefix in _MUTABLE_FAMILY_PREFIXES
         for pattern in ("*lookup*", "*insert*")
     ]
     + [
-        # Leaf probe / decode layer: reads that families dispatch to
-        # dynamically (invisible to the call graph).
-        HotRoot("repro.bptree.leaves", "*.probe*"),
+        HotRoot("repro.fst", "*lookup*"),
+        HotRoot("repro.hybridtrie", "*lookup*"),
+        # The hash maps speak the mapping protocol, not lookup/insert.
+        HotRoot("repro.hashmap", "*.get"),
+        HotRoot("repro.hashmap", "*.__getitem__"),
+        HotRoot("repro.hashmap", "*.__contains__"),
+        HotRoot("repro.hashmap", "*.__setitem__"),
+        HotRoot("repro.hashmap", "_Bucket.find"),
+        # Leaf scan layer: reads that families dispatch to dynamically
+        # (invisible to the call graph; the leaf probes are `*lookup*`).
         HotRoot("repro.bptree.leaves", "*.entries_from"),
-        # Succinct primitives backing compressed probes.
-        HotRoot("repro.succinct", "*.get"),
+        # Succinct primitives backing compressed probes and the FST
+        # navigation kernel (reached by attribute dispatch).
+        HotRoot("repro.succinct", "*.__getitem__"),
+        HotRoot("repro.succinct", "*.next1"),
+        HotRoot("repro.succinct", "*.word_slice"),
         HotRoot("repro.succinct", "*.rank*"),
         HotRoot("repro.succinct", "*.select*"),
         HotRoot("repro.succinct", "*decode*"),

@@ -1,9 +1,10 @@
 """Shared lock classification for the concurrency rules.
 
 RA001 (service lock discipline), RA005 (async purity), and RA006 (the
-derived lock-order graph) all need to answer the same question: *is
-this ``with`` context expression a lock, and which lock is it?*  The
-answer lives here once.
+derived lock-order graph) all need to answer the same questions: *is
+this ``with`` context expression a lock, which lock is it*, and *which
+locks are lexically held at this point of the function?*  The answers
+live here once.
 
 A lock *kind* is the attribute name that acquires it (``write_gate``,
 ``op_lock``, ``_guard``, ``_inflight_lock``, ...).  The service's named
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.project import attribute_chain
 
@@ -47,11 +48,6 @@ class LockUse:
     kind: str
     receiver: str
 
-    @property
-    def rank(self) -> Optional[int]:
-        """The documented service rank, when this is a named service lock."""
-        return SERVICE_LOCK_RANKS.get(self.kind)
-
 
 def classify_lock(expr: ast.expr) -> Optional[LockUse]:
     """Classify a ``with`` context expression as a lock acquisition.
@@ -76,3 +72,53 @@ def classify_lock(expr: ast.expr) -> Optional[LockUse]:
 def is_service_lock(use: LockUse) -> bool:
     """True when ``use`` is one of the named service-hierarchy locks."""
     return use.kind in SERVICE_LOCK_RANKS
+
+
+#: One acquisition site: the ``with`` item's context expression and its lock.
+Acquisition = Tuple[ast.expr, LockUse]
+
+
+def with_locks(node: ast.With | ast.AsyncWith) -> List[Acquisition]:
+    """The lock acquisitions among a ``with`` statement's items, in order."""
+    found: List[Acquisition] = []
+    for item in node.items:
+        lock = classify_lock(item.context_expr)
+        if lock is not None:
+            found.append((item.context_expr, lock))
+    return found
+
+
+_Step = Tuple[ast.AST, Sequence[LockUse], Sequence[Acquisition]]
+
+
+def walk_held(function: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[_Step]:
+    """Walk ``function`` lexically, tracking the locks held at each node.
+
+    Yields ``(node, held, acquired)`` in source order: ``held`` is every
+    lock an enclosing ``with`` holds at ``node`` (outermost first; a live
+    view, valid until the next step), and ``acquired`` is
+    :func:`with_locks` of ``node`` when it is a ``with`` statement —
+    those locks are held for its body and released after it.  ``with``
+    item expressions themselves are not walked, and nested ``def``s are
+    cut off: they run later, under their caller's locks.
+    """
+    held: List[LockUse] = []
+
+    def walk(node: ast.AST) -> Iterator[_Step]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            acquired = with_locks(node)
+            yield node, held, acquired
+            held.extend(lock for _, lock in acquired)
+            for statement in node.body:
+                yield from walk(statement)
+            for _ in acquired:
+                held.pop()
+            return
+        yield node, held, ()
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child)
+
+    for statement in function.body:
+        yield from walk(statement)

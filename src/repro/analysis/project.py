@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loader import ParsedModule
@@ -59,6 +60,33 @@ def attribute_chain(node: ast.AST) -> Optional[List[str]]:
         parts.reverse()
         return parts
     return None
+
+
+def call_name(call: ast.Call) -> Optional[str]:
+    """The bare name ``call`` targets: ``f`` for ``f(...)`` and ``a.b.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def node_position(node: ast.AST) -> Tuple[int, int]:
+    """``(line, column)`` of ``node``, for lexical before/after comparisons."""
+    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
+
+
+def in_scope(module_name: str, patterns: Iterable[str]) -> bool:
+    """True when a pattern names ``module_name`` or a package containing it.
+
+    Patterns are ``fnmatch`` globs over the dotted name, and each also
+    covers the submodules of what it names: ``repro.service`` matches
+    ``repro.service`` and ``repro.service.router`` (but not
+    ``repro.service_extra``); ``*`` matches everything.
+    """
+    return any(
+        fnmatchcase(module_name, pattern) or fnmatchcase(module_name, pattern + ".*")
+        for pattern in patterns
+    )
 
 
 def _import_map(tree: ast.Module) -> ImportMap:

@@ -28,13 +28,11 @@ of a hand-written rank (see
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatchcase
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.analysis.core import Finding, Rule, register
-from repro.analysis.loader import ParsedModule
-from repro.analysis.locks import LockUse, classify_lock, is_service_lock
-from repro.analysis.project import FunctionInfo, Project, attribute_chain
+from repro.analysis.locks import LockUse, is_service_lock, walk_held
+from repro.analysis.project import FunctionInfo, Project, attribute_chain, in_scope
 
 #: Callables that block (or enqueue work) and must not run under a lock.
 BLOCKING_ATTRS = frozenset({"submit", "shutdown", "result", "map"})
@@ -71,46 +69,22 @@ class LockDisciplineRule(Rule):
     def __init__(self, modules: Sequence[str] = DEFAULT_SCOPE) -> None:
         self._scope = tuple(modules)
 
-    def _in_scope(self, module: ParsedModule) -> bool:
-        return any(fnmatchcase(module.name, pattern) for pattern in self._scope)
-
     def run(self, project: Project) -> Iterator[Finding]:
         for info in project.functions.values():
-            if not self._in_scope(info.module):
+            if not in_scope(info.module_name, self._scope):
                 continue
             yield from self._check_function(info)
             yield from self._check_snapshot_reads(info)
 
     # -- checks 1 and 3: a lexical walk tracking held locks -------------
     def _check_function(self, info: FunctionInfo) -> Iterator[Finding]:
-        held: List[LockUse] = []
-
-        def walk_statements(statements: Sequence[ast.stmt]) -> Iterator[Finding]:
-            for statement in statements:
-                yield from walk(statement)
-
-        def walk(node: ast.AST) -> Iterator[Finding]:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not info.node:
-                return  # nested defs run later, under their caller's locks
+        for node, held, acquired in walk_held(info.node):
             if isinstance(node, (ast.With, ast.AsyncWith)):
-                acquired: List[LockUse] = []
-                for item in node.items:
-                    lock = classify_lock(item.context_expr)
-                    if lock is None or not is_service_lock(lock):
-                        continue
-                    acquired.append(lock)
-                    held.append(lock)
-                yield from self._check_gated_writes(info, node, acquired)
-                yield from walk_statements(node.body)
-                for _ in acquired:
-                    held.pop()
-                return
-            if isinstance(node, ast.Call) and held:
-                yield from self._check_blocking(info, node, held)
-            for child in ast.iter_child_nodes(node):
-                yield from walk(child)
-
-        yield from walk_statements(info.node.body)
+                yield from self._check_gated_writes(info, node, [lock for _, lock in acquired])
+            elif isinstance(node, ast.Call):
+                service = [lock for lock in held if is_service_lock(lock)]
+                if service:
+                    yield from self._check_blocking(info, node, service)
 
     def _check_blocking(
         self, info: FunctionInfo, call: ast.Call, held: Sequence[LockUse]

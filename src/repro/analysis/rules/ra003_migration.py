@@ -31,7 +31,7 @@ import ast
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import Finding, Rule, register
-from repro.analysis.project import FunctionInfo, Project, attribute_chain
+from repro.analysis.project import FunctionInfo, Project, attribute_chain, call_name, node_position
 
 MUTATING_METHODS = frozenset(
     {
@@ -54,20 +54,9 @@ MUTATING_METHODS = frozenset(
 #: Attribute chains through these names are instrumentation, not state.
 INSTRUMENTATION_SEGMENTS = frozenset({"counters"})
 
-_Position = Tuple[int, int]
-
-
-def _position(node: ast.AST) -> _Position:
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-
-
 def _fault_label(call: ast.Call) -> Optional[ast.expr]:
     """The label argument when ``call`` is a ``fault_point(...)`` call."""
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None
-    )
-    if name != "fault_point" or not call.args:
+    if call_name(call) != "fault_point" or not call.args:
         return None
     return call.args[0]
 
@@ -117,11 +106,11 @@ class MigrationDisciplineRule(Rule):
         swap_calls = [call for call, label in faults if label and label.endswith(".swap")]
         if not swap_calls:
             return
-        swap_at = min(_position(call) for call in swap_calls)
+        swap_at = min(node_position(call) for call in swap_calls)
         params = self._parameter_names(info)
         publish_at = self._publish_position(info, swap_at, params)
         for node in ast.walk(info.node):
-            position = _position(node)
+            position = node_position(node)
             if position < swap_at:
                 yield from self._check_mutation(info, node, params)
             elif (
@@ -197,11 +186,11 @@ class MigrationDisciplineRule(Rule):
                 )
 
     def _publish_position(
-        self, info: FunctionInfo, swap_at: _Position, params: Set[str]
-    ) -> Optional[_Position]:
-        publishes: List[_Position] = []
+        self, info: FunctionInfo, swap_at: Tuple[int, int], params: Set[str]
+    ) -> Optional[Tuple[int, int]]:
+        publishes: List[Tuple[int, int]] = []
         for node in ast.walk(info.node):
-            if _position(node) <= swap_at:
+            if node_position(node) <= swap_at:
                 continue
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -209,5 +198,5 @@ class MigrationDisciplineRule(Rule):
                     if isinstance(
                         target, (ast.Attribute, ast.Subscript)
                     ) and self._published_chain(target, params) is not None:
-                        publishes.append(_position(node))
+                        publishes.append(node_position(node))
         return min(publishes) if publishes else None

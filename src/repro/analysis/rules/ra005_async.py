@@ -29,8 +29,8 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.core import Finding, Rule, register
-from repro.analysis.locks import classify_lock
-from repro.analysis.project import FunctionInfo, Project, attribute_chain
+from repro.analysis.locks import with_locks
+from repro.analysis.project import FunctionInfo, Project, attribute_chain, in_scope
 
 #: Module prefixes whose coroutines root the reachability walk.
 DEFAULT_ASYNC_ROOT_MODULES: Tuple[str, ...] = ("repro.net",)
@@ -61,16 +61,8 @@ ROUTER_METHODS = frozenset(
 #: (dynamic dispatch) but which do index builds, WAL opens, and fsyncs.
 #: Registered explicitly, like the RA002 hot roots.
 HEAVY_BUILDERS = frozenset(
-    {"TenantDirectory", "ShardRouter", "ReplicatedShard", "DurableLog",
-     "WriteAheadLog", "DurableShardRouter"}
+    {"TenantDirectory", "ShardRouter", "ReplicatedShard", "DurableLog", "WriteAheadLog"}
 )
-
-
-def _module_in(prefixes: Sequence[str], module_name: str) -> bool:
-    return any(
-        module_name == prefix or module_name.startswith(prefix + ".")
-        for prefix in prefixes
-    )
 
 
 @register
@@ -96,7 +88,7 @@ class AsyncPurityRule(Rule):
             info.qualname
             for info in project.functions.values()
             if isinstance(info.node, ast.AsyncFunctionDef)
-            and _module_in(self._root_modules, info.module_name)
+            and in_scope(info.module_name, self._root_modules)
         )
 
     def run(self, project: Project) -> Iterator[Finding]:
@@ -135,14 +127,11 @@ class AsyncPurityRule(Rule):
                     yield from walk(child)
                 return
             if isinstance(node, ast.With):
-                for item in node.items:
-                    lock = classify_lock(item.context_expr)
-                    if lock is not None:
-                        yield emit(
-                            item.context_expr,
-                            f"sync `with {lock.receiver}.{lock.kind}` "
-                            "(thread-lock wait)",
-                        )
+                for expr, lock in with_locks(node):
+                    yield emit(
+                        expr,
+                        f"sync `with {lock.receiver}.{lock.kind}` (thread-lock wait)",
+                    )
             if isinstance(node, ast.Call):
                 label = self._blocking_label(imports.modules, imports.symbols, node)
                 if label is not None:

@@ -28,23 +28,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import Finding, Rule, register
 from repro.analysis.loader import ParsedModule
-from repro.analysis.locks import SERVICE_LOCK_RANKS, LockUse, classify_lock
-from repro.analysis.project import FunctionInfo, Project
+from repro.analysis.locks import SERVICE_LOCK_RANKS, walk_held
+from repro.analysis.project import FunctionInfo, Project, in_scope
 
 DEFAULT_SCOPE: Tuple[str, ...] = (
     "repro.service",
-    "repro.service.*",
     "repro.replication",
-    "repro.replication.*",
     "repro.durability",
-    "repro.durability.*",
     "repro.net",
-    "repro.net.*",
 )
 
 #: The documented hierarchy, seeded as consecutive-rank edges.
@@ -91,9 +86,6 @@ class LockOrderGraphRule(Rule):
     def __init__(self, modules: Sequence[str] = DEFAULT_SCOPE) -> None:
         self._scope = tuple(modules)
 
-    def _in_scope(self, module: ParsedModule) -> bool:
-        return any(fnmatchcase(module.name, pattern) for pattern in self._scope)
-
     # -- graph construction ---------------------------------------------
     def build_graph(self, project: Project) -> Dict[Tuple[str, str], _Edge]:
         graph: Dict[Tuple[str, str], _Edge] = {}
@@ -102,7 +94,7 @@ class LockOrderGraphRule(Rule):
                 DOCUMENTED_WITNESS
             )
         for info in sorted(project.functions.values(), key=lambda i: i.qualname):
-            if not self._in_scope(info.module):
+            if not in_scope(info.module_name, self._scope):
                 continue
             self._record_function(graph, info)
         return graph
@@ -110,45 +102,25 @@ class LockOrderGraphRule(Rule):
     def _record_function(
         self, graph: Dict[Tuple[str, str], _Edge], info: FunctionInfo
     ) -> None:
-        held: List[LockUse] = []
-
-        def walk(node: ast.AST) -> None:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not info.node
-            ):
-                return  # nested defs acquire under their caller, later
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                acquired: List[LockUse] = []
-                for item in node.items:
-                    lock = classify_lock(item.context_expr)
-                    if lock is None:
+        for _, held, acquired in walk_held(info.node):
+            # Items of one `with` are acquired left to right: each is
+            # ordered after the enclosing locks and its earlier siblings.
+            holders = list(held)
+            for expr, lock in acquired:
+                for holder in holders:
+                    if holder.kind == lock.kind:
                         continue
-                    for holder in held:
-                        if holder.kind == lock.kind:
-                            continue
-                        witness = (
-                            f"{info.module.path.as_posix()}:"
-                            f"{item.context_expr.lineno} in {info.qualname} "
-                            f"({holder.receiver}.{holder.kind} then "
-                            f"{lock.receiver}.{lock.kind})"
-                        )
-                        edge = graph.setdefault((holder.kind, lock.kind), _Edge())
-                        edge.witnesses.append(witness)
-                        if edge.site is None:
-                            edge.site = (info.module, item.context_expr, info.qualname)
-                    acquired.append(lock)
-                    held.append(lock)
-                for statement in node.body:
-                    walk(statement)
-                for _ in acquired:
-                    held.pop()
-                return
-            for child in ast.iter_child_nodes(node):
-                walk(child)
-
-        for statement in info.node.body:
-            walk(statement)
+                    witness = (
+                        f"{info.module.path.as_posix()}:"
+                        f"{expr.lineno} in {info.qualname} "
+                        f"({holder.receiver}.{holder.kind} then "
+                        f"{lock.receiver}.{lock.kind})"
+                    )
+                    edge = graph.setdefault((holder.kind, lock.kind), _Edge())
+                    edge.witnesses.append(witness)
+                    if edge.site is None:
+                        edge.site = (info.module, expr, info.qualname)
+                holders.append(lock)
 
     # -- cycle detection -------------------------------------------------
     def run(self, project: Project) -> Iterator[Finding]:

@@ -21,31 +21,25 @@ three days in.  This rule checks two shapes lexically:
   ``truncate_upto`` abort-path leak.
 
 Lifecycle tracking across functions is out of scope (ownership handoff
-is an escape), so the rule is a **warning**: new findings gate CI, but
-reviewed-and-accepted ones can be baselined (docs/static_analysis.md).
+is an escape): a reviewed false positive of that approximation takes a
+justified inline suppression like any other rule's
+(docs/static_analysis.md).
 """
 
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatchcase
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.core import Finding, Rule, register
-from repro.analysis.loader import ParsedModule
-from repro.analysis.project import FunctionInfo, Project, attribute_chain
+from repro.analysis.project import FunctionInfo, Project, attribute_chain, in_scope
 
 DEFAULT_SCOPE: Tuple[str, ...] = (
     "repro.service",
-    "repro.service.*",
     "repro.durability",
-    "repro.durability.*",
     "repro.replication",
-    "repro.replication.*",
     "repro.net",
-    "repro.net.*",
     "repro.core",
-    "repro.core.*",
 )
 
 #: Constructors whose return value is an OS-handle-like resource.
@@ -71,7 +65,6 @@ class HandleLifecycleRule(Rule):
 
     id = "RA007"
     title = "handle lifecycle"
-    severity = "warning"
     rationale = (
         "A handle that misses close() on an exception path is a descriptor "
         "leak that only shows up under sustained faults — both PR-6 fd "
@@ -81,12 +74,9 @@ class HandleLifecycleRule(Rule):
     def __init__(self, modules: Sequence[str] = DEFAULT_SCOPE) -> None:
         self._scope = tuple(modules)
 
-    def _in_scope(self, module: ParsedModule) -> bool:
-        return any(fnmatchcase(module.name, pattern) for pattern in self._scope)
-
     def run(self, project: Project) -> Iterator[Finding]:
         for info in sorted(project.functions.values(), key=lambda i: i.qualname):
-            if not self._in_scope(info.module):
+            if not in_scope(info.module_name, self._scope):
                 continue
             aliases = project.imports[info.module_name].modules
             yield from self._check_local_handles(info, aliases)

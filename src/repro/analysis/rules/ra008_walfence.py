@@ -15,7 +15,7 @@ inside an ``append*`` function):
   acknowledges a write that is not yet durable;
 * **raw handle writes fence on failure** — a raw ``*handle.write``
   must sit under a ``try`` whose handler calls a fence
-  (``_poison``/``seal``/``mark_down``/``fence``) — or, when the write
+  (``_poison``/``seal``/``mark_down``) — or, when the write
   itself is failure-path cleanup inside a handler, the fence must
   precede it there.  Re-raising alone is *not* enough: without the
   poison fence the next append acks on top of the garbage;
@@ -27,48 +27,36 @@ inside an ``append*`` function):
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatchcase
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.core import Finding, Rule, register
-from repro.analysis.loader import ParsedModule
-from repro.analysis.project import FunctionInfo, Project, attribute_chain
+from repro.analysis.project import (
+    FunctionInfo,
+    Project,
+    attribute_chain,
+    call_name,
+    in_scope,
+    node_position,
+)
 
 DEFAULT_SCOPE: Tuple[str, ...] = (
     "repro.service",
-    "repro.service.*",
     "repro.durability",
-    "repro.durability.*",
     "repro.replication",
-    "repro.replication.*",
     "repro.net",
-    "repro.net.*",
 )
 
 #: Calls that durably append to a WAL.
-APPEND_METHODS = frozenset(
-    {"append_batch", "append_put", "append_put_many", "append_delete", "append_record"}
-)
+APPEND_METHODS = frozenset({"append_batch", "append_put", "append_put_many", "append_delete"})
 
 #: Calls that acknowledge a write to a caller or apply it to the index.
 ACK_INDEX_METHODS = frozenset({"insert", "insert_many", "delete", "remove", "apply"})
 
 #: Methods that fence a failed log/replica off.
-FENCE_METHODS = frozenset({"_poison", "poison", "seal", "fence", "_fence", "mark_down"})
-
-_Position = Tuple[int, int]
-
-
-def _position(node: ast.AST) -> _Position:
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-
+FENCE_METHODS = frozenset({"_poison", "seal", "mark_down"})
 
 def _is_append_call(node: ast.Call) -> bool:
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None
-    )
-    return name in APPEND_METHODS
+    return call_name(node) in APPEND_METHODS
 
 
 def _is_raw_handle_write(node: ast.Call) -> bool:
@@ -96,13 +84,8 @@ def _is_ack_call(node: ast.Call) -> Optional[str]:
 
 def _calls_fence(node: ast.AST) -> bool:
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            func = sub.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
-            if name in FENCE_METHODS:
-                return True
+        if isinstance(sub, ast.Call) and call_name(sub) in FENCE_METHODS:
+            return True
     return False
 
 
@@ -125,12 +108,9 @@ class WalFenceRule(Rule):
     def __init__(self, modules: Sequence[str] = DEFAULT_SCOPE) -> None:
         self._scope = tuple(modules)
 
-    def _in_scope(self, module: ParsedModule) -> bool:
-        return any(fnmatchcase(module.name, pattern) for pattern in self._scope)
-
     def run(self, project: Project) -> Iterator[Finding]:
         for info in sorted(project.functions.values(), key=lambda i: i.qualname):
-            if not self._in_scope(info.module):
+            if not in_scope(info.module_name, self._scope):
                 continue
             yield from self._check_function(info)
 
@@ -147,7 +127,7 @@ class WalFenceRule(Rule):
             appends = appends + raw_writes
         if not appends:
             return
-        first_append = min(_position(call) for call in appends)
+        first_append = min(node_position(call) for call in appends)
         yield from self._check_ack_order(info, first_append)
         yield from self._check_swallowed_failures(info)
         if "append" in info.name:
@@ -155,10 +135,10 @@ class WalFenceRule(Rule):
 
     # -- check 1: no ack before the durable append -----------------------
     def _check_ack_order(
-        self, info: FunctionInfo, first_append: _Position
+        self, info: FunctionInfo, first_append: Tuple[int, int]
     ) -> Iterator[Finding]:
         for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call) or _position(node) >= first_append:
+            if not isinstance(node, ast.Call) or node_position(node) >= first_append:
                 continue
             label = _is_ack_call(node)
             if label is not None:
@@ -219,10 +199,10 @@ class WalFenceRule(Rule):
                 ]
                 if not fences:
                     continue
-                fence_at = min(_position(fence) for fence in fences)
+                fence_at = min(node_position(fence) for fence in fences)
                 for stmt in node.body:
                     for sub in ast.walk(stmt):
-                        if _position(sub) >= fence_at:
+                        if node_position(sub) >= fence_at:
                             guarded.add(id(sub))
         for write in raw_writes:
             if id(write) not in guarded:

@@ -224,11 +224,3 @@ class AdaptiveBPlusTree(BPlusTree):
         stats["total_size_bytes"] = self.total_size_bytes()
         return stats
 
-
-def find_parent(tree: BPlusTree, leaf: LeafNode) -> Optional[InnerNode]:
-    """Resolve a leaf's parent by key descent (context refresh helper)."""
-    min_key = leaf.min_key()
-    if min_key is None:
-        return None
-    _, parent = tree.find_leaf(min_key)
-    return parent

@@ -13,8 +13,10 @@ file, and both sides share a ``trace_id``.  This tool joins the files::
         --require-chain 'net.client.request>service.shard_op>lookup'
 
 Per trace it prints a flame-style breakdown: the stitched span tree
-(indentation = causality) and a per-layer attribution table — measured
-``elapsed_s`` summed by the layer each span name maps to (see
+(indentation = causality) and a per-layer attribution table — *self*
+time (a span's measured ``elapsed_s`` minus what its nearest timed
+descendants cover, so the rows add up to the request) summed by the
+layer each span name maps to (see
 :data:`repro.obs.distributed.SPAN_LAYERS`), span counts for layers that
 carry no wall-clock (the index hot path is sequence-ordered on purpose).
 
@@ -79,6 +81,14 @@ class SpanNode:
     def span_id(self) -> int:
         return int(self.record["span_id"])
 
+    @property
+    def elapsed_s(self) -> Optional[float]:
+        """The span's measured wall-clock, None for sequence-only spans."""
+        elapsed = self.record.get("attributes", {}).get("elapsed_s")
+        if isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool):
+            return float(elapsed)
+        return None
+
     def sort_children(self) -> None:
         self.children.sort(key=lambda node: node.record.get("seq_start", 0))
         for child in self.children:
@@ -107,16 +117,28 @@ class Trace:
     def span_count(self) -> int:
         return sum(1 for _ in self.walk())
 
+    def elapsed_s(self) -> float:
+        """The whole trace's wall-clock: its outermost timed spans, summed."""
+        return _timed_below(self.roots)
+
     def layers(self) -> Dict[str, Dict[str, float]]:
-        """Per-layer attribution: span count and summed ``elapsed_s``."""
+        """Per-layer attribution: span count, inclusive and self time.
+
+        ``elapsed_s`` sums each span's own (inclusive) figure, so nested
+        layers count the same interval once per level; ``self_s`` is the
+        additive one — a span's ``elapsed_s`` minus the ``elapsed_s`` of
+        its nearest timed descendants (looking through sequence-only
+        index spans), floored at 0 where parallel children overlap.
+        """
         summary: Dict[str, Dict[str, float]] = {}
         for _, node in self.walk():
             layer = layer_of(node.name)
-            entry = summary.setdefault(layer, {"spans": 0, "elapsed_s": 0.0})
+            entry = summary.setdefault(layer, {"spans": 0, "elapsed_s": 0.0, "self_s": 0.0})
             entry["spans"] += 1
-            elapsed = node.record.get("attributes", {}).get("elapsed_s")
-            if isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool):
-                entry["elapsed_s"] += float(elapsed)
+            elapsed = node.elapsed_s
+            if elapsed is not None:
+                entry["elapsed_s"] += elapsed
+                entry["self_s"] += max(0.0, elapsed - _timed_below(node.children))
         return summary
 
     def has_chain(self, chain: Sequence[str]) -> bool:
@@ -135,6 +157,15 @@ class Trace:
 
         want = tuple(chain)
         return any(descend(root, want) for root in self.roots)
+
+
+def _timed_below(nodes: Sequence[SpanNode]) -> float:
+    """Summed ``elapsed_s`` of the nearest timed span on each line below."""
+    total = 0.0
+    for node in nodes:
+        elapsed = node.elapsed_s
+        total += _timed_below(node.children) if elapsed is None else elapsed
+    return total
 
 
 def stitch(records: Sequence[Record]) -> List[Trace]:
@@ -201,8 +232,8 @@ _SHOWN_ATTRS = ("op", "tenant", "status", "decision", "count", "size", "fanout")
 def _describe(node: SpanNode) -> str:
     attributes = node.record.get("attributes", {})
     parts = [f"{key}={attributes[key]}" for key in _SHOWN_ATTRS if key in attributes]
-    elapsed = attributes.get("elapsed_s")
-    if isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool):
+    elapsed = node.elapsed_s
+    if elapsed is not None:
         parts.append(f"elapsed={elapsed * 1e6:.0f}us")
     return f" [{' '.join(parts)}]" if parts else ""
 
@@ -217,16 +248,13 @@ def render_text(traces: Sequence[Trace]) -> str:
         )
         for depth, node in trace.walk():
             lines.append(f"  {'  ' * depth}{node.name}{_describe(node)}")
-        layers = trace.layers()
-        total = sum(entry["elapsed_s"] for entry in layers.values())
+        total = trace.elapsed_s()
         lines.append("  -- layer attribution --")
-        for layer, entry in sorted(
-            layers.items(), key=lambda item: -item[1]["elapsed_s"]
-        ):
-            share = (entry["elapsed_s"] / total * 100.0) if total > 0 else 0.0
+        for layer, entry in sorted(trace.layers().items(), key=lambda item: -item[1]["self_s"]):
+            share = (entry["self_s"] / total * 100.0) if total > 0 else 0.0
             lines.append(
                 f"  {layer:>10}: {int(entry['spans'])} spans, "
-                f"{entry['elapsed_s'] * 1e6:9.0f}us ({share:5.1f}%)"
+                f"{entry['self_s'] * 1e6:9.0f}us self ({share:5.1f}%)"
             )
         lines.append("")
     lines.append(f"{len(traces)} stitched trace(s)")

@@ -1,17 +1,15 @@
-"""CLI and reporters: formats, schemas, and exit codes."""
+"""CLI and reporters: formats, the pinned JSON shape, and exit codes."""
 
 import json
 
 from repro.analysis.cli import main
-from repro.analysis.schema import SchemaError, load_schema, validate
 
 import pytest
 
 from tests.analysis.helpers import FIXTURES, REPO_ROOT
 
-REPORT_SCHEMA = load_schema(REPO_ROOT / "docs" / "analysis_report_schema.json")
-SARIF_SCHEMA = load_schema(REPO_ROOT / "docs" / "sarif_min_schema.json")
 TRACE_SCHEMA = str(REPO_ROOT / "docs" / "trace_schema.json")
+REPORT_KEYS = {"version", "tool", "paths", "rules", "findings", "summary"}
 
 
 def _cli(*argv, capsys=None):
@@ -72,8 +70,25 @@ class TestExitCodes:
             "RA008",
         ):
             assert rule_id in out
-        # Severity is part of the catalogue: RA007 is the warning rule.
-        assert "[warning]" in out and "[error]" in out
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            ["--cache"],
+            ["--cache-dir", "d"],
+            ["--changed-only"],
+            ["--baseline", "b.json"],
+            ["--write-baseline"],
+            ["--output", "report.json"],
+            ["--format", "sarif"],
+        ],
+    )
+    def test_removed_flags_are_rejected(self, removed):
+        # One run mode, one suppression mechanism, one machine format: a
+        # stale CI line that still passes a deleted flag must fail loudly.
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(FIXTURES / "ra004_good.py"), *removed])
+        assert exit_info.value.code == 2
 
 
 class TestJsonReport:
@@ -83,63 +98,31 @@ class TestJsonReport:
         )
         return code, json.loads(out)
 
-    def test_json_validates_against_checked_in_schema(self, capsys):
+    def test_json_report_shape_is_pinned(self, capsys):
         code, report = self._report(capsys, FIXTURES / "ra004_bad.py")
         assert code == 1
-        validate(report, REPORT_SCHEMA)
+        assert set(report) == REPORT_KEYS
+        assert report["version"] == 1 and report["tool"] == "repro.analysis"
+        assert set(report["summary"]) == {"total", "suppressed", "by_rule"}
         assert report["summary"]["total"] == len(report["findings"]) > 0
         assert report["summary"]["by_rule"] == {"RA004": report["summary"]["total"]}
+        assert all(set(rule) == {"id", "title", "rationale"} for rule in report["rules"])
+        first = report["findings"][0]
+        assert {key: first[key] for key in first if key != "message"} == {
+            "rule": "RA004",
+            "path": (FIXTURES / "ra004_bad.py").as_posix(),
+            "line": 5,
+            "col": 5,
+            "symbol": "ra004_bad.publish",
+        }
+        assert first["message"].startswith("dynamically formatted name passed to .span()")
 
     def test_clean_json_report_validates(self, capsys):
         code, report = self._report(capsys, FIXTURES / "ra004_good.py")
         assert code == 0
-        validate(report, REPORT_SCHEMA)
+        assert set(report) == REPORT_KEYS
         assert report["findings"] == []
-
-    def test_output_flag_writes_file(self, tmp_path):
-        target = tmp_path / "report.json"
-        code = main(
-            [
-                str(FIXTURES / "ra004_good.py"),
-                "--format",
-                "json",
-                "--trace-schema",
-                TRACE_SCHEMA,
-                "--output",
-                str(target),
-            ]
-        )
-        assert code == 0
-        validate(json.loads(target.read_text()), REPORT_SCHEMA)
-
-
-class TestSarifReport:
-    def test_sarif_validates_against_checked_in_schema(self, capsys):
-        code, out = _cli(
-            str(FIXTURES / "ra004_bad.py"),
-            "--format",
-            "sarif",
-            "--trace-schema",
-            TRACE_SCHEMA,
-            capsys=capsys,
-        )
-        assert code == 1
-        sarif = json.loads(out)
-        validate(sarif, SARIF_SCHEMA)
-        assert sarif["version"] == "2.1.0"
-        (run,) = sarif["runs"]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        assert {rule["id"] for rule in run["tool"]["driver"]["rules"]} == {
-            "RA001",
-            "RA002",
-            "RA003",
-            "RA004",
-            "RA005",
-            "RA006",
-            "RA007",
-            "RA008",
-        }
-        assert all(result["ruleId"] == "RA004" for result in run["results"])
+        assert report["summary"] == {"total": 0, "suppressed": 0, "by_rule": {}}
 
 
 class TestSuppressionGate:
@@ -192,22 +175,3 @@ class TestSuppressionGate:
         )
         assert code == 0
         assert "suppression hygiene clean" in out
-
-
-class TestSchemaValidator:
-    def test_validator_rejects_wrong_type(self):
-        with pytest.raises(SchemaError):
-            validate({"version": "1"}, {"properties": {"version": {"type": "integer"}}})
-
-    def test_validator_rejects_missing_required(self):
-        with pytest.raises(SchemaError):
-            validate({}, {"type": "object", "required": ["version"]})
-
-    def test_validator_rejects_bools_as_integers(self):
-        with pytest.raises(SchemaError):
-            validate(True, {"type": "integer"})
-
-    def test_validator_rejects_unexpected_keys(self):
-        schema = {"type": "object", "properties": {}, "additionalProperties": False}
-        with pytest.raises(SchemaError):
-            validate({"surprise": 1}, schema)

@@ -75,19 +75,7 @@ class TestFindings:
             "col": 7,
             "message": "msg",
             "symbol": "mod.f",
-            "severity": "error",
         }
-        assert Finding.from_dict(finding.as_dict()) == finding
-
-    def test_from_dict_defaults_missing_severity_to_error(self):
-        payload = {
-            "rule": "RA001",
-            "path": "a.py",
-            "line": 1,
-            "col": 1,
-            "message": "m",
-        }
-        assert Finding.from_dict(payload).severity == "error"
 
 
 class _LineOneRule(Rule):

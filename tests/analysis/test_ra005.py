@@ -15,7 +15,6 @@ class TestFiringFixture:
         findings = _run("ra005_bad.py", ("ra005_bad",))
         assert len(findings) == 8
         assert all(f.rule == "RA005" for f in findings)
-        assert all(f.severity == "error" for f in findings)
 
     def test_transitive_finding_names_its_async_root(self):
         findings = _run("ra005_bad.py", ("ra005_bad",))

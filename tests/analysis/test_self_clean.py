@@ -1,9 +1,12 @@
 """The suite on its own tree: clean today, and still sharp.
 
-Two guarantees:
+Three guarantees:
 
 * the real ``src/repro`` tree analyzes clean (anything true the rules
   surface gets fixed or justified at the PR that introduces it);
+* the rule registries name live code — a hot root or method name that
+  matches nothing silently un-checks whatever it was meant to cover,
+  the same way a stale suppression silently swallows a future finding;
 * the rules have not gone blunt — deleting the PR-4 writer-revalidation
   block from a copy of the router makes RA001 report the lost-write
   race again.
@@ -11,9 +14,13 @@ Two guarantees:
 
 import ast
 
+import pytest
+
 from repro.analysis import analyze_paths
-from repro.analysis.loader import load_module
+from repro.analysis.hotpaths import DEFAULT_HOT_ROOTS, hot_root_qualnames
+from repro.analysis.loader import load_module, load_paths
 from repro.analysis.project import Project
+from repro.analysis.rules import ra001_locks, ra005_async, ra008_walfence
 from repro.analysis.rules.ra001_locks import LockDisciplineRule
 from repro.analysis.rules.ra004_telemetry import TelemetryHygieneRule
 
@@ -47,13 +54,58 @@ class TestRealTree:
         assert len(suppressed) >= 1
 
     def test_every_tree_suppression_is_justified(self):
-        from repro.analysis.loader import load_paths
-
         for module in load_paths([REPO_ROOT / "src" / "repro"]):
             for suppression in module.suppressions:
                 assert suppression.justified, (
                     f"{module.path}:{suppression.line} lacks a justification"
                 )
+
+
+#: Rule registries of bare class/function names the rules match calls against.
+NAME_REGISTRIES = {
+    "BLOCKING_HELPERS": ra001_locks.BLOCKING_HELPERS,
+    "SHARD_WRITE_METHODS": ra001_locks.SHARD_WRITE_METHODS,
+    "HEAVY_BUILDERS": ra005_async.HEAVY_BUILDERS,
+    "ROUTER_METHODS": ra005_async.ROUTER_METHODS,
+    "APPEND_METHODS": ra008_walfence.APPEND_METHODS,
+    "FENCE_METHODS": ra008_walfence.FENCE_METHODS,
+}
+
+
+@pytest.fixture(scope="module")
+def tree():
+    return Project(load_paths([REPO_ROOT / "src" / "repro"]))
+
+
+@pytest.fixture(scope="module")
+def defined_names(tree):
+    """Every class and function name defined anywhere in ``src/repro``."""
+    return {
+        node.name
+        for parsed in tree.modules
+        for node in ast.walk(parsed.tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+class TestRegistryHygiene:
+    def test_every_hot_root_matches_a_function(self, tree):
+        dead = [root for root in DEFAULT_HOT_ROOTS if not hot_root_qualnames(tree, [root])]
+        assert dead == []
+
+    @pytest.mark.parametrize("registry", sorted(NAME_REGISTRIES))
+    def test_every_registered_name_is_defined_in_the_tree(self, defined_names, registry):
+        assert sorted(NAME_REGISTRIES[registry] - defined_names) == []
+
+    def test_hot_roots_reach_the_hash_maps_and_the_succinct_kernel(self, tree):
+        reached = tree.reachable_from(hot_root_qualnames(tree))
+        for qualname in (
+            "repro.hashmap.hopscotch.HopscotchMap.get",
+            "repro.hashmap.cuckoo.CuckooMap.get",
+            "repro.succinct.bitvector.BitVector.next1",
+            "repro.succinct.bitvector.BitVector.word_slice",
+        ):
+            assert qualname in reached
 
 
 def _strip_revalidation(source: str) -> str:

@@ -62,6 +62,11 @@ class TestStitch:
         assert layers["shard"]["elapsed_s"] == pytest.approx(0.001)
         assert layers["client"]["spans"] == 1
         assert layers["net"]["spans"] == 1
+        # Self time is additive: client 5 ms ⊃ server 4 ms ⊃ route 2 ms ⊃
+        # shard 1 ms is 1 + 2 + 1 + 1, not the 12 ms the inclusive sum gives.
+        self_ms = {layer: entry["self_s"] * 1e3 for layer, entry in layers.items()}
+        assert self_ms == pytest.approx({"client": 1, "net": 2, "route": 1, "shard": 1})
+        assert sum(self_ms.values()) == pytest.approx(trace.elapsed_s() * 1e3) == 5
 
     def test_untraced_records_are_skipped(self):
         tracer = Tracer(sink := InMemoryTraceSink())
