@@ -1,24 +1,30 @@
 """RA005 — async purity: the event loop never blocks.
 
-``repro.net`` runs one asyncio loop per process; every coroutine the
-server, client, or load generator schedules shares it.  One blocking
-call — a ``time.sleep``, a file read, an ``fsync``, a threading-lock
-wait, a ``Future.result()``, or a direct (un-executored) ``ShardRouter``
+``repro.net`` runs one asyncio loop per process; every coroutine and
+callback the server, client, or load generator schedules shares it.  One
+blocking call — a ``time.sleep``, a file read, an ``fsync``, a
+threading-lock wait, a ``Future.result()``, or a direct ``ShardRouter``
 operation — stalls *every* connection at once, which is how an index
 build or WAL append on the accept path turns into a cluster-wide tail
 spike.
 
-The rule mirrors RA002's transitive shape: roots are the module- and
-class-level ``async def`` coroutines of the registered ``repro.net``
-modules, reachability follows the project call graph (so a sync helper
-called inline from a coroutine is checked too), and transitive findings
-name their async root (``(async via repro.net.server.NetServer
-._serve_request)``).  Two deliberate blind spots match the runtime:
+The rule mirrors RA002's transitive shape.  Roots are everything in the
+registered ``repro.net`` modules that the loop itself calls: the
+``async def`` coroutines, every method of an ``asyncio.Protocol`` /
+``BufferedProtocol`` subclass (the server's request path is plain calls
+under ``data_received``), and every function handed to ``call_soon`` /
+``call_later`` / ``add_done_callback``.  Reachability follows the project
+call graph (so a sync helper called inline is checked too), and
+transitive findings name their root (``(on the loop via
+repro.net.server._Connection.data_received)``).  The blind spots match
+the runtime:
 
-* nested **sync** ``def``s are skipped — closures handed to
-  ``run_in_executor`` run off-loop by construction;
-* nested **async** ``def``s are walked — a coroutine defined inside a
-  coroutine (``fire``, ``worker``) still runs on the loop;
+* a nested sync ``def`` is skipped only when the enclosing function
+  hands it to ``run_in_executor`` / ``submit`` — it runs off-loop by
+  construction — and calling that same closure *inline* is a finding:
+  work declared blocking by being sent to the executor, run on the loop
+  (the coalescer's one sanctioned site carries the suppression);
+* every other nested ``def``, sync or async, is walked with its parent;
 * *awaited* calls are exempt — ``await lock.acquire()`` or
   ``await loop.run_in_executor(...)`` yield instead of blocking.
 """
@@ -26,14 +32,35 @@ name their async root (``(async via repro.net.server.NetServer
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import Finding, Rule, register
 from repro.analysis.locks import with_locks
-from repro.analysis.project import FunctionInfo, Project, attribute_chain, in_scope
+from repro.analysis.project import (
+    FunctionInfo,
+    Project,
+    attribute_chain,
+    call_name,
+    in_scope,
+)
 
 #: Module prefixes whose coroutines root the reachability walk.
 DEFAULT_ASYNC_ROOT_MODULES: Tuple[str, ...] = ("repro.net",)
+
+#: Loop methods that schedule a callback, and the callback's argument position.
+SCHEDULERS = {
+    "call_soon": 0,
+    "call_soon_threadsafe": 0,
+    "add_done_callback": 0,
+    "call_later": 1,
+    "call_at": 1,
+}
+
+#: Methods that move a callable off the loop, and its argument position.
+EXECUTOR_HANDOFFS = {"run_in_executor": 1, "submit": 0}
+
+#: Base classes whose methods the loop calls directly.
+PROTOCOL_BASES = frozenset({"asyncio.Protocol", "asyncio.BufferedProtocol"})
 
 #: Blocking file-object / path methods (sync I/O on the loop).
 FILE_IO_ATTRS = frozenset(
@@ -65,16 +92,34 @@ HEAVY_BUILDERS = frozenset(
 )
 
 
+def _dotted(
+    node: ast.expr, module_aliases: Dict[str, str], symbol_aliases: Dict[str, str]
+) -> str:
+    """``node`` as the dotted name its imports give it (``asyncio.Protocol``)."""
+    chain = attribute_chain(node) or [""]
+    head = symbol_aliases.get(chain[0]) or module_aliases.get(chain[0], chain[0])
+    return ".".join([head, *chain[1:]])
+
+
+def _handed_to(function: ast.AST, methods: Dict[str, int]) -> Iterator[ast.expr]:
+    """The callable argument of every ``methods`` call inside ``function``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            position = methods.get(call_name(node) or "")
+            if position is not None and len(node.args) > position:
+                yield node.args[position]
+
+
 @register
 class AsyncPurityRule(Rule):
-    """RA005: no blocking calls reachable from ``repro.net`` coroutines."""
+    """RA005: no blocking calls reachable from what the ``repro.net`` loop runs."""
 
     id = "RA005"
     title = "async purity"
     rationale = (
         "One blocking call on the event loop stalls every in-flight "
-        "connection; index and WAL work reaches the loop only through "
-        "run_in_executor (docs/networking.md)."
+        "connection; nothing that can wait (WAL, op_lock, file I/O) runs on "
+        "the loop thread (docs/networking.md)."
     )
 
     def __init__(
@@ -83,13 +128,39 @@ class AsyncPurityRule(Rule):
         self._root_modules = tuple(root_modules)
 
     def async_roots(self, project: Project) -> List[str]:
-        """Qualnames of every indexed coroutine in the root modules."""
-        return sorted(
-            info.qualname
-            for info in project.functions.values()
-            if isinstance(info.node, ast.AsyncFunctionDef)
-            and in_scope(info.module_name, self._root_modules)
-        )
+        """Qualnames of everything in the root modules the loop calls itself."""
+        roots: Set[str] = set()
+        for module in project.modules:
+            if not in_scope(module.name, self._root_modules):
+                continue
+            imports = project.imports[module.name]
+            for node in module.tree.body:
+                if isinstance(node, ast.ClassDef) and any(
+                    _dotted(base, imports.modules, imports.symbols) in PROTOCOL_BASES
+                    for base in node.bases
+                ):
+                    roots.update(
+                        f"{module.name}.{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    )
+        for info in project.functions.values():
+            if not in_scope(info.module_name, self._root_modules):
+                continue
+            if isinstance(info.node, ast.AsyncFunctionDef):
+                roots.add(info.qualname)
+            for callback in _handed_to(info.node, SCHEDULERS):
+                # A lambda's body runs on the loop: root what it calls.
+                targets = (
+                    [n for n in ast.walk(callback) if isinstance(n, ast.Call)]
+                    if isinstance(callback, ast.Lambda)
+                    else [ast.Call(func=callback, args=[], keywords=[])]
+                )
+                for target in targets:
+                    resolved = project.resolve_call(info, target)
+                    if resolved is not None:
+                        roots.add(resolved)
+        return sorted(roots)
 
     def run(self, project: Project) -> Iterator[Finding]:
         reached = project.reachable_from(self.async_roots(project))
@@ -101,22 +172,27 @@ class AsyncPurityRule(Rule):
     def _check_function(
         self, project: Project, info: FunctionInfo, root: str
     ) -> Iterator[Finding]:
-        origin = f" (async via {root})" if root != info.qualname else ""
+        origin = f" (on the loop via {root})" if root != info.qualname else ""
         imports = project.imports[info.module_name]
+        offloaded = {
+            handed.id
+            for handed in _handed_to(info.node, EXECUTOR_HANDOFFS)
+            if isinstance(handed, ast.Name)
+        }
 
         def emit(node: ast.AST, label: str) -> Finding:
             return self.finding(
                 info.module,
                 node,
-                f"{label} in coroutine-reachable {info.local_name}{origin}; "
+                f"{label} in loop-reachable {info.local_name}{origin}; "
                 "the event loop must never block — hand the work to the "
                 "executor",
                 symbol=info.qualname,
             )
 
         def walk(node: ast.AST) -> Iterator[Finding]:
-            if isinstance(node, ast.FunctionDef) and node is not info.node:
-                return  # sync closure: runs on the executor, off-loop
+            if isinstance(node, ast.FunctionDef) and node.name in offloaded:
+                return  # handed to the executor: runs off-loop
             if isinstance(node, ast.Await):
                 # The awaited call yields; still check its arguments.
                 value = node.value
@@ -134,6 +210,11 @@ class AsyncPurityRule(Rule):
                     )
             if isinstance(node, ast.Call):
                 label = self._blocking_label(imports.modules, imports.symbols, node)
+                if isinstance(node.func, ast.Name) and node.func.id in offloaded:
+                    label = (
+                        f"inline call of {node.func.id}(), which this function "
+                        "also hands to the executor as blocking work"
+                    )
                 if label is not None:
                     yield emit(node, label)
             for child in ast.iter_child_nodes(node):

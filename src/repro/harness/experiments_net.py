@@ -4,13 +4,20 @@ Two phases, four legs, every offered rate placed relative to a
 capacity probe of the machine under test (ratios travel across
 machines; absolute ops/sec do not):
 
+Every leg serves a **durable** directory (``adaptive`` family, one WAL
+per shard, ``sync="batch"``): that is where batching still pays for
+itself.  On a WAL-less directory a per-request dispatch is an inline
+call on the loop thread and coalescing on/off measures almost nothing;
+behind a WAL, per-request dispatch is one ``fsync`` per PUT and
+coalescing is group commit.
+
 **Coalescing** — the same open-loop Zipf workload at ~1.35x the
 per-request closed-loop capacity, served once with per-request
 dispatch (``max_batch=1``) and once with the coalescer merging
 in-flight requests into the shard routers' batch paths.  Above
 per-request capacity the uncoalesced server's queue grows without
 bound, so its p99 is the queueing collapse the open-loop generator is
-designed to expose; the coalesced server amortizes dispatch across
+designed to expose; the coalesced server amortizes the ``fsync`` across
 batches and stays ahead of the same arrival stream.
 
 **Admission** — the same workload at 2x capacity, served once with
@@ -28,6 +35,8 @@ answering.  Quantiles come from ``Histogram.quantile``.
 from __future__ import annotations
 
 import asyncio
+import tempfile
+from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.core.budget import TenantQuota
@@ -50,12 +59,11 @@ async def _run_leg(
     directory: TenantDirectory,
     config: LoadgenConfig,
     max_batch: int,
-    max_delay: float,
     admission: bool,
 ) -> Dict[str, Any]:
     try:
         async with NetServer(
-            directory, max_batch=max_batch, max_delay=max_delay, admission=admission
+            directory, max_batch=max_batch, admission=admission
         ) as server:
             result = await run_loadgen("127.0.0.1", server.port, config)
             coalescer = server.coalescer
@@ -81,7 +89,6 @@ def experiment_net_bench(
     probe_duration: float = 0.8,
     probe_concurrency: int = 64,
     max_batch: int = 128,
-    max_delay: float = 0.001,
     coalesce_overload: float = 1.35,
     admission_overload: float = 2.0,
     quota_fraction: float = 0.5,
@@ -93,13 +100,17 @@ def experiment_net_bench(
     """Tail latency of the network front end: coalescing on/off at the
     same offered load, then 2x overload with/without admission control."""
     tenants = [f"t{i}" for i in range(num_tenants)]
+    scratch = tempfile.TemporaryDirectory(prefix="repro-net-bench-")
+    wal_root = Path(scratch.name)  # one sub-folder per leg
 
-    def fresh_directory(quota: Optional[TenantQuota] = None) -> TenantDirectory:
+    def fresh_directory(leg: str, quota: Optional[TenantQuota] = None) -> TenantDirectory:
         return demo_directory(
             tenants,
             keys_per_tenant=keys_per_tenant,
             num_shards=num_shards,
+            family="adaptive",
             quota=quota,
+            durability_root=wal_root / leg,
         )
 
     def config(rate: float) -> LoadgenConfig:
@@ -116,7 +127,7 @@ def experiment_net_bench(
     async def bench() -> Dict[str, Any]:
         # Capacity probe: closed-loop per-request throughput anchors
         # every offered rate to this machine's actual speed.
-        directory = fresh_directory()
+        directory = fresh_directory("probe")
         try:
             async with NetServer(directory, max_batch=1) as server:
                 capacity = await measure_capacity(
@@ -134,11 +145,11 @@ def experiment_net_bench(
         rate_a = coalesce_overload * capacity
         legs: Dict[str, Dict[str, Any]] = {}
         legs["coalesce_off"] = await _run_leg(
-            fresh_directory(), config(rate_a), max_batch=1, max_delay=0.0, admission=False
+            fresh_directory("coalesce_off"), config(rate_a), max_batch=1, admission=False
         )
         legs["coalesce_on"] = await _run_leg(
-            fresh_directory(), config(rate_a), max_batch=max_batch,
-            max_delay=max_delay, admission=False,
+            fresh_directory("coalesce_on"), config(rate_a), max_batch=max_batch,
+            admission=False,
         )
 
         rate_b = admission_overload * capacity
@@ -148,15 +159,19 @@ def experiment_net_bench(
             max_inflight=max_inflight,
         )
         legs["overload_no_admission"] = await _run_leg(
-            fresh_directory(), config(rate_b), max_batch=1, max_delay=0.0, admission=False
+            fresh_directory("overload_no_admission"), config(rate_b), max_batch=1,
+            admission=False,
         )
         legs["overload_admission"] = await _run_leg(
-            fresh_directory(quota), config(rate_b), max_batch=1, max_delay=0.0,
+            fresh_directory("overload_admission", quota), config(rate_b), max_batch=1,
             admission=True,
         )
         return {"capacity_rps": capacity, "rate_a": rate_a, "rate_b": rate_b, "legs": legs}
 
-    outcome = asyncio.run(bench())
+    try:
+        outcome = asyncio.run(bench())
+    finally:
+        scratch.cleanup()
     legs = outcome["legs"]
 
     def row(phase: str, mode: str, leg: Dict[str, Any], offered_rps: float):

@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--keys", type=int, default=10_000)
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--max-batch", type=int, default=128)
-    parser.add_argument("--max-delay", type=float, default=0.001)
     parser.add_argument("--quota-ops", type=float, default=None)
     parser.add_argument("--max-inflight", type=int, default=None)
     return parser
@@ -60,7 +59,6 @@ async def _serve(args: argparse.Namespace) -> None:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            max_delay=args.max_delay,
         ) as server:
             print(
                 f"serving {len(tenants)} tenants x {args.keys} keys "

@@ -1,32 +1,35 @@
 """Server-side request coalescing into the batch paths.
 
-Concurrently in-flight GET/PUT requests for the same tenant are merged
-into one :meth:`ShardRouter.get_many` / :meth:`ShardRouter.put_many`
-call — the PR-2 batch paths were built for exactly this.  The window
-is bounded two ways:
+GET/PUT requests for the same tenant are merged into one
+:meth:`ShardRouter.get_many` / :meth:`ShardRouter.put_many` call — the
+PR-2 batch paths were built for exactly this.  There is no timer: the
+first entry into an empty queue schedules one ``loop.call_soon`` flush,
+so a batch is *what the loop read in one pass, across all connections*,
+cut FIFO into chunks of at most ``max_batch`` (``max_batch=1`` is
+per-request dispatch, the bench's baseline mode).  An idle server adds
+one loop iteration to a request, a busy one batches whatever arrived.
 
-* **max_batch** — a queue that reaches this size flushes immediately;
-* **max_delay** — the first request into an empty queue arms a timer;
-  whatever has accumulated when it fires is flushed.
+Where a flush runs depends on one property of the router, never on a
+size: without a WAL (``router.durable`` false) the work is bounded
+pure-Python index work that another thread could only run under the
+same interpreter lock, so it runs right here on the loop thread; with a
+WAL, ``Shard.op_lock`` is held across append + ``fsync``, so reads and
+writes alike go to the executor and the loop never parks behind a disk.
+A durable queue keeps **at most one flush in flight**: entries that
+arrive meanwhile go out together when it returns — group commit sized
+by the ``fsync``.  SCAN/DELETE follow the same rule one call at a time.
 
-So an isolated request pays at most ``max_delay`` of added latency,
-and a busy server pays (amortized) one thread-pool dispatch per
-*batch* instead of per request — which is where the tail-latency win
-in ``BENCH_PR7.json`` comes from.  With ``max_batch <= 1`` or
-``max_delay <= 0`` the coalescer degrades to per-request dispatch
-(the bench's baseline mode).
-
-The router's batch calls are synchronous (they fan out on their own
-thread pool), so flushes run in an executor via
-``loop.run_in_executor`` — the event loop never blocks on index work.
-Each queued request holds an :class:`asyncio.Future`; a failed flush
-fails every future in the batch, never silently drops one.
+Each queued request carries a completion callback ``done(result,
+error)``; a failed flush fails exactly its own batch, never silently
+drops a request, and the queue keeps serving.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import SIZE_BUCKETS
@@ -36,7 +39,9 @@ from repro.service.router import ShardRouter
 from repro.service.shard import Pair
 from repro.service.partition import Key
 
-#: RA004: literal instrument names for the coalescing path.
+#: RA004: literal instrument names for the coalescing path.  A "timer"
+#: flush is one whose window closed (the loop went idle) before the batch
+#: filled; the names predate the timer's removal and are kept stable.
 _COUNTERS = {
     "batches": "net.coalesce.batches",
     "requests": "net.coalesce.requests",
@@ -50,9 +55,13 @@ _BATCH_SPAN = "net.coalesce.batch"
 _GET = "get"
 _PUT = "put"
 
-#: One queued request: payload, its future, and (when the request is part
-#: of a sampled distributed trace) the server span to link/nest under.
-_Entry = Tuple[Any, "asyncio.Future[Any]", Optional[Span]]
+#: How a request learns its outcome: ``done(result, None)`` or
+#: ``done(None, error)``, always on the loop thread.
+Completion = Callable[[Any, Optional[BaseException]], None]
+
+#: One queued request: payload, its completion, and (when the request is
+#: part of a sampled distributed trace) the server span to link/nest under.
+_Entry = Tuple[Any, Completion, Optional[Span]]
 
 
 def _adopting(
@@ -68,42 +77,42 @@ def _adopting(
 
 
 class _Queue:
-    """Pending entries for one (tenant, kind) batch window."""
+    """Pending entries for one (router, kind); ``active`` while a flush is
+    scheduled, running or in flight — whoever holds it drains new entries."""
 
-    __slots__ = ("kind", "entries", "timer")
+    __slots__ = ("router", "kind", "entries", "active")
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, router: ShardRouter, kind: str) -> None:
+        self.router = router
         self.kind = kind
         self.entries: List[_Entry] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.active = False
 
 
 class Coalescer:
     """Merges in-flight requests into per-tenant router batches."""
 
     def __init__(
-        self,
-        max_batch: int = 128,
-        max_delay: float = 0.001,
-        executor: Optional[ThreadPoolExecutor] = None,
+        self, max_batch: int = 128, executor: Optional[ThreadPoolExecutor] = None
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self._executor = executor
         self._owns_executor = executor is None
         self._queues: Dict[Tuple[int, str], _Queue] = {}
-        self._routers: Dict[int, ShardRouter] = {}
         self.batches_flushed = 0
         self.requests_coalesced = 0
 
     @property
     def enabled(self) -> bool:
         """False when configured down to per-request dispatch."""
-        return self.max_batch > 1 and self.max_delay > 0
+        return self.max_batch > 1
+
+    @property
+    def max_delay(self) -> float:
+        """Timer share of a request's wait: none, the window is one loop pass."""
+        return 0.0
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -113,11 +122,11 @@ class Coalescer:
         return self._executor
 
     def close(self) -> None:
-        """Flush nothing further; shut the owned executor down."""
+        """Fail what is still queued; shut the owned executor down."""
         for queue in self._queues.values():
-            if queue.timer is not None:
-                queue.timer.cancel()
-                queue.timer = None
+            entries, queue.entries = queue.entries, []
+            for _, done, _ in entries:
+                done(None, ConnectionAbortedError("server stopped"))
         self._queues.clear()
         if self._owns_executor and self._executor is not None:
             self._executor.shutdown(wait=False)
@@ -127,80 +136,82 @@ class Coalescer:
     # Enqueue (event-loop side)
     # ------------------------------------------------------------------
     def get(
-        self, router: ShardRouter, key: Key, span: Optional[Span] = None
-    ) -> "asyncio.Future[Any]":
-        """Queue one GET against ``router``; resolves to the value/None."""
-        return self._enqueue(router, _GET, key, span)
+        self,
+        router: ShardRouter,
+        key: Key,
+        done: Completion,
+        span: Optional[Span] = None,
+    ) -> None:
+        """Queue one GET against ``router``; completes with the value/None."""
+        self._enqueue(router, _GET, key, done, span)
 
     def put(
-        self, router: ShardRouter, pair: Pair, span: Optional[Span] = None
-    ) -> "asyncio.Future[Any]":
-        """Queue one PUT against ``router``; resolves to None on ack."""
-        return self._enqueue(router, _PUT, pair, span)
+        self,
+        router: ShardRouter,
+        pair: Pair,
+        done: Completion,
+        span: Optional[Span] = None,
+    ) -> None:
+        """Queue one PUT against ``router``; completes with None on ack."""
+        self._enqueue(router, _PUT, pair, done, span)
 
     def run_single(
-        self, call: Callable[[], Any], span: Optional[Span] = None
-    ) -> "asyncio.Future[Any]":
-        """Dispatch one uncoalesced call (scan/delete/stats) off-loop.
+        self,
+        router: Optional[ShardRouter],
+        call: Callable[[], Any],
+        done: Completion,
+        span: Optional[Span] = None,
+    ) -> None:
+        """Run one uncoalesced call (scan/delete; stats with no router).
 
         When the request carries a sampled trace, ``span`` (the server
-        span) is adopted on the executor thread so the router/shard/index
+        span) is adopted on the running thread so the router/shard/index
         spans the call emits nest under it.
         """
-        loop = asyncio.get_running_loop()
         tracer = active_tracer()
-        task = call
         if span is not None and tracer is not None:
-            task = _adopting(tracer, span, call)
-        return asyncio.ensure_future(loop.run_in_executor(self._pool(), task))
+            call = _adopting(tracer, span, call)
+        self._run(router, call, done)
 
     def _enqueue(
         self,
         router: ShardRouter,
         kind: str,
         payload: Any,
-        span: Optional[Span] = None,
-    ) -> "asyncio.Future[Any]":
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Any]" = loop.create_future()
-        if not self.enabled:
-            # Per-request mode: one executor dispatch per request.
-            self._routers[id(router)] = router
-            self._flush_entries(router, kind, [(payload, future, span)], timer=False)
-            return future
-        slot = (id(router), kind)
-        self._routers[id(router)] = router
-        queue = self._queues.get(slot)
+        done: Completion,
+        span: Optional[Span],
+    ) -> None:
+        queue = self._queues.get((id(router), kind))
         if queue is None:
-            queue = self._queues[slot] = _Queue(kind)
-        queue.entries.append((payload, future, span))
-        if len(queue.entries) >= self.max_batch:
-            self._flush_queue(router, queue, timer=False)
-        elif queue.timer is None:
-            queue.timer = loop.call_later(
-                self.max_delay, self._flush_queue, router, queue, True
-            )
-        return future
+            queue = self._queues[(id(router), kind)] = _Queue(router, kind)
+        queue.entries.append((payload, done, span))
+        if not queue.active:
+            # The window: everything else the loop reads in this pass joins.
+            queue.active = True
+            asyncio.get_running_loop().call_soon(self._flush, queue)
 
     # ------------------------------------------------------------------
-    # Flush (event-loop side -> executor)
+    # Flush (event-loop side; the executor only behind a WAL)
     # ------------------------------------------------------------------
-    def _flush_queue(self, router: ShardRouter, queue: _Queue, timer: bool) -> None:
-        if queue.timer is not None:
-            queue.timer.cancel()
-            queue.timer = None
-        entries, queue.entries = queue.entries, []
-        if entries:
-            self._flush_entries(router, queue.kind, entries, timer=timer)
+    def _flush(self, queue: _Queue) -> None:
+        """Drain ``queue`` FIFO in ``max_batch`` chunks, one in flight at most."""
+        while queue.entries:
+            entries = queue.entries[: self.max_batch]
+            del queue.entries[: self.max_batch]
+            in_flight = self._flush_entries(queue, entries)
+            if in_flight is not None:
+                # On the executor: its completion resumes the drain, taking
+                # whatever arrived while it ran.
+                in_flight.add_done_callback(lambda _: self._flush(queue))
+                return
+        queue.active = False
 
     def _flush_entries(
-        self,
-        router: ShardRouter,
-        kind: str,
-        entries: List[_Entry],
-        timer: bool,
-    ) -> None:
+        self, queue: _Queue, entries: List[_Entry]
+    ) -> "Optional[asyncio.Future[None]]":
         loop = asyncio.get_running_loop()
+        router, kind = queue.router, queue.kind
+        timer = len(entries) < self.max_batch
         self.batches_flushed += 1
         self.requests_coalesced += len(entries)
         registry = active_registry()
@@ -213,6 +224,8 @@ class Coalescer:
                 registry.counter(_COUNTERS["size_flushes"]).inc()
             registry.histogram(_BATCH_SIZE_HISTOGRAM, SIZE_BUCKETS).record(len(entries))
         payloads = [payload for payload, _, _ in entries]
+        batch: Callable[[Any], Any] = router.get_many if kind == _GET else router.put_many
+        call: Callable[[], Any] = partial(batch, payloads)
 
         # One batch span per flush, parented under the *first* traced
         # request's server span; the other coalesced requests are linked
@@ -235,51 +248,40 @@ class Coalescer:
                         link_span_ids=[s.span_id for s in spans[1:]],
                         link_trace_ids=[s.trace_id for s in spans[1:]],
                     )
+                call = _adopting(tracer, batch_span, call)
         started = loop.time()
 
-        def call() -> Any:
+        def resolve(values: Any, error: Optional[BaseException]) -> None:
             if batch_span is not None and tracer is not None:
-                with tracer.adopt(batch_span):
-                    if kind == _GET:
-                        return router.get_many(payloads)
-                    return router.put_many(payloads)
-            if kind == _GET:
-                return router.get_many(payloads)
-            return router.put_many(payloads)
+                tracer.finish(batch_span, elapsed_s=loop.time() - started)
+            if error is not None or kind == _PUT:
+                values = repeat(None)
+            for (_, done, _), value in zip(entries, values):
+                done(value, error)
 
-        dispatch = loop.run_in_executor(self._pool(), call)
-        dispatch.add_done_callback(
-            lambda done: self._resolve(kind, entries, done, batch_span, started)
-        )
+        return self._run(router, call, resolve)
 
-    def _resolve(
-        self,
-        kind: str,
-        entries: List[_Entry],
-        done: "asyncio.Future[Any]",
-        batch_span: Optional[Span],
-        started: float,
-    ) -> None:
-        if batch_span is not None:
-            tracer = active_tracer()
-            if tracer is not None:
-                elapsed = asyncio.get_running_loop().time() - started
-                tracer.finish(batch_span, elapsed_s=elapsed)
-        error = done.exception() if not done.cancelled() else None
-        if done.cancelled() or error is not None:
-            for _, future, _ in entries:
-                if not future.done():
-                    if error is not None:
-                        future.set_exception(error)
-                    else:
-                        future.cancel()
-            return
-        if kind == _GET:
-            values = done.result()
-            for (_, future, _), value in zip(entries, values):
-                if not future.done():
-                    future.set_result(value)
-        else:
-            for _, future, _ in entries:
-                if not future.done():
-                    future.set_result(None)
+    def _run(
+        self, router: Optional[ShardRouter], call: Callable[[], Any], done: Completion
+    ) -> "Optional[asyncio.Future[None]]":
+        """Run ``call`` where it cannot park the loop; ``done`` gets the outcome.
+
+        Inline when ``router`` has no WAL (returns None, ``done`` already
+        called), else on the executor (returns the future in flight).
+        """
+        outcome: List[Any] = [None, RuntimeError("call did not run")]
+
+        def work() -> None:
+            try:
+                outcome[:] = call(), None
+            except Exception as error:  # noqa: BLE001 - delivered to ``done``
+                outcome[1] = error
+
+        if router is not None and not router.durable:
+            # repro: ignore[RA005] -- non-durable router: no WAL, no op_lock wait; ≤ max_batch keys ≈ 0.9 ms, docs/networking.md
+            work()
+            done(*outcome)
+            return None
+        in_flight = asyncio.get_running_loop().run_in_executor(self._pool(), work)
+        in_flight.add_done_callback(lambda _: done(*outcome))
+        return in_flight

@@ -380,9 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=128, help="coalescing batch ceiling"
     )
     parser.add_argument(
-        "--max-delay", type=float, default=0.001, help="coalescing window seconds"
-    )
-    parser.add_argument(
         "--quota-ops",
         type=float,
         default=None,
@@ -444,7 +441,6 @@ async def _amain(args: argparse.Namespace) -> LoadgenResult:
                 host=args.host,
                 port=args.port,
                 max_batch=args.max_batch,
-                max_delay=args.max_delay,
             ) as server:
                 result = await run_loadgen(args.host, server.port, config)
         finally:

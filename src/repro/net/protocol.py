@@ -48,8 +48,7 @@ from __future__ import annotations
 import asyncio
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.durability.codec import (
     Key,
@@ -132,8 +131,7 @@ def _require(condition: bool, message: str) -> None:
         raise ProtocolError(message)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One decoded client request."""
 
     req_id: int
@@ -145,8 +143,7 @@ class Request:
     trace: Optional[TraceContext] = None
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """One decoded server response."""
 
     req_id: int
@@ -179,7 +176,7 @@ def encode_frame(body: bytes) -> bytes:
     return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def decode_frame(buffer: bytes) -> Optional[Tuple[bytes, int]]:
+def decode_frame(buffer: Union[bytes, memoryview]) -> Optional[Tuple[bytes, int]]:
     """Decode one frame from the head of ``buffer``.
 
     Returns ``(body, bytes_consumed)``, or None when the buffer holds a
@@ -302,15 +299,7 @@ def decode_request(body: bytes) -> Request:
             offset += _U32.size
             _require(0 < count <= MAX_SCAN_COUNT, f"scan count {count} invalid")
         _require(offset == len(body), f"{len(body) - offset} trailing bytes after request")
-        return Request(
-            req_id=req_id,
-            op=op,
-            tenant=tenant,
-            key=key,
-            value=value,
-            count=count,
-            trace=trace,
-        )
+        return Request(req_id, op, tenant, key, value, count, trace)
     except CorruptSerializationError as error:
         # Key/value codec errors surface under the one protocol exception.
         raise ProtocolError(str(error)) from error

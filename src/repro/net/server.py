@@ -2,28 +2,32 @@
 
 One :class:`NetServer` owns a :class:`~repro.net.tenancy.TenantDirectory`
 (tenant -> shard group), a :class:`~repro.net.coalescer.Coalescer`, and
-the directory's :class:`~repro.core.budget.ResourceArbiter`.  Per
-connection, a read loop decodes frames and spawns one task per request,
-so many requests from one connection are in flight concurrently —
-that pipelining is what gives the coalescer batches to merge.
+the directory's :class:`~repro.core.budget.ResourceArbiter`.  Each
+connection is an :class:`asyncio.Protocol`: one ``data_received`` splits
+every complete frame it was handed and runs the request path as plain
+calls — no task, future or lock per request — so a pipelined burst
+reaches the coalescer in one loop pass, which is what gives it batches.
 
 The request path, in order:
 
-1. **decode** — a framing or body error (:class:`ProtocolError`)
-   closes the connection; a protocol peer that ships garbage cannot
-   wedge the reader, because every read is exact-length and
-   CRC-checked before any field is trusted.
+1. **decode** — a framing or body error (:class:`ProtocolError`, EOF
+   mid-frame included) closes the connection without resynchronising;
+   every length is bounds-checked and every body CRC-checked before any
+   field is trusted.
 2. **admission** — the arbiter answers ``ok`` / ``throttled`` /
    ``overloaded`` from the tenant's token bucket and bounded inflight
    count.  Sheds become *responses* (:data:`STATUS_THROTTLED` /
-   :data:`STATUS_OVERLOADED`) written immediately: bounded queues with
-   backpressure, never unbounded buffering.
-3. **dispatch** — GET/PUT flow through the coalescer into the shard
-   group's batch paths; SCAN/DELETE/STATS run as single executor
-   calls; PING answers inline.
-4. **respond** — per-connection writes serialize on a lock; request
-   latency (loop time, admission through response write) lands in the
-   ``net.request_seconds`` histogram with latency-scaled buckets.
+   :data:`STATUS_OVERLOADED`): bounded queues with backpressure, never
+   unbounded buffering.
+3. **dispatch** — GET/PUT enter the coalescer with a completion
+   callback; SCAN/DELETE are single calls under the coalescer's rule
+   (on the loop without a WAL, on the executor behind one); STATS
+   always runs on the executor; PING answers inline.
+4. **respond** — replies collect per connection and leave in one
+   ``transport.write`` per loop pass.  A peer that stops reading its
+   replies stops being read (``pause_writing`` -> ``pause_reading``).
+   Request latency (loop time, decode through reply queued) lands in
+   the ``net.request_seconds`` histogram with latency-scaled buckets.
 
 Every counter/gauge name is a literal in a module table (RA004).
 """
@@ -33,10 +37,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Any, Optional
+from functools import partial
+from typing import Any, List, Optional, Set
 
 from repro.core.budget import ADMIT_OK, SHED_THROTTLED
-from repro.net.coalescer import Coalescer
+from repro.net.coalescer import Coalescer, Completion
 from repro.net.protocol import (
     OP_DELETE,
     OP_GET,
@@ -45,7 +50,6 @@ from repro.net.protocol import (
     OP_PUT,
     OP_SCAN,
     OP_STATS,
-    STATUS_BAD_REQUEST,
     STATUS_OK,
     STATUS_OVERLOADED,
     STATUS_SERVER_ERROR,
@@ -54,17 +58,17 @@ from repro.net.protocol import (
     ProtocolError,
     Request,
     Response,
+    decode_frame,
     decode_request,
     encode_frame,
     encode_response,
-    read_frame,
 )
 from repro.net.tenancy import TenantDirectory
 from repro.obs.jsonable import to_jsonable
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
 from repro.obs.slo import SloMonitor
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Span
 
 #: RA004: literal instrument names for the serving path.
 _COUNTERS = {
@@ -92,6 +96,12 @@ _ADMISSION_EVENT = "net.admission"
 _SCAN_OP_WEIGHT = 0.05
 
 
+def _count(key: str) -> None:
+    registry = active_registry()
+    if registry is not None:
+        registry.counter(_COUNTERS[key]).inc()
+
+
 class NetServer:
     """A TCP index server over one tenant directory."""
 
@@ -101,7 +111,6 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 128,
-        max_delay: float = 0.001,
         admission: bool = True,
         slo: Optional[SloMonitor] = None,
         slo_interval: float = 1.0,
@@ -112,11 +121,11 @@ class NetServer:
         self.host = host
         self.port = port
         self.admission = admission
-        self.coalescer = Coalescer(max_batch=max_batch, max_delay=max_delay)
+        self.coalescer = Coalescer(max_batch=max_batch)
         self.slo = slo
         self.slo_interval = slo_interval
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: "set[asyncio.Task[None]]" = set()
+        self._live: "Set[_Connection]" = set()
         self._slo_task: "Optional[asyncio.Task[None]]" = None
         self.connections = 0
         self.requests = 0
@@ -129,8 +138,8 @@ class NetServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and begin accepting connections; ``self.port`` is real."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockets = self._server.sockets or []
         if sockets:
@@ -139,7 +148,7 @@ class NetServer:
             self._slo_task = asyncio.create_task(self._slo_loop())
 
     async def stop(self) -> None:
-        """Stop accepting, cancel per-connection tasks, release pools."""
+        """Stop accepting, drop live connections, release pools."""
         if self._slo_task is not None:
             self._slo_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -147,13 +156,11 @@ class NetServer:
             self._slo_task = None
         if self._server is not None:
             self._server.close()
+            # Before wait_closed(): from 3.12 it waits for live transports.
+            for connection in list(self._live):
+                connection.abort()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
         self.coalescer.close()
 
     async def _slo_loop(self) -> None:
@@ -172,235 +179,6 @@ class NetServer:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(_COUNTERS["connections"]).inc()
-        write_lock = asyncio.Lock()
-        request_tasks: "set[asyncio.Task[None]]" = set()
-        try:
-            while True:
-                try:
-                    body = await read_frame(reader)
-                except ProtocolError:
-                    self.protocol_errors += 1
-                    if registry is not None:
-                        registry.counter(_COUNTERS["protocol_errors"]).inc()
-                    break
-                if body is None:
-                    break
-                try:
-                    request = decode_request(body)
-                except ProtocolError:
-                    self.protocol_errors += 1
-                    if registry is not None:
-                        registry.counter(_COUNTERS["protocol_errors"]).inc()
-                    break
-                task = asyncio.create_task(
-                    self._serve_request(request, writer, write_lock)
-                )
-                request_tasks.add(task)
-                task.add_done_callback(request_tasks.discard)
-        except asyncio.CancelledError:
-            # Server shutdown: this is a top-level connection task, so
-            # absorbing the cancellation here just closes the socket
-            # quietly instead of spraying tracebacks from the streams
-            # machinery.
-            pass
-        finally:
-            for task in list(request_tasks):
-                task.cancel()
-            if request_tasks:
-                await asyncio.gather(*request_tasks, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(asyncio.CancelledError, ConnectionError, OSError):
-                await writer.wait_closed()
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
-            if registry is not None:
-                registry.counter(_COUNTERS["disconnects"]).inc()
-
-    # ------------------------------------------------------------------
-    # Request path
-    # ------------------------------------------------------------------
-    async def _serve_request(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        self.requests += 1
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(_COUNTERS["requests"]).inc()
-        # Continue the client's trace: a sampled context opens a detached
-        # server span (the per-thread stack is useless here — many request
-        # tasks interleave on this one loop thread).
-        tracer = active_tracer()
-        span: Optional[Span] = None
-        if (
-            tracer is not None
-            and request.trace is not None
-            and request.trace.sampled
-        ):
-            span = tracer.start_remote(
-                _SERVER_SPAN,
-                trace_id=request.trace.trace_id,
-                remote_parent_id=request.trace.parent_span_id,
-                op=OP_NAMES.get(request.op, f"0x{request.op:02x}"),
-                tenant=request.tenant,
-            )
-
-        def finish(status: int) -> None:
-            if span is not None and tracer is not None:
-                tracer.finish(span, status=status, elapsed_s=loop.time() - started)
-
-        if request.op == OP_PING:
-            await self._write(
-                writer, write_lock, Response(request.req_id, STATUS_OK), OP_PING
-            )
-            finish(STATUS_OK)
-            self._observe(registry, loop.time() - started)
-            return
-        if request.op == OP_STATS:
-            # Tenant-less introspection: bypasses admission on purpose so
-            # an operator can still see the arbiter while tenants shed.
-            try:
-                stats = await self.coalescer.run_single(self._stats_snapshot, span)
-                payload = json.dumps(stats, sort_keys=True).encode("utf-8")
-                response = Response(request.req_id, STATUS_OK, payload=payload)
-            except Exception as error:  # noqa: BLE001 - one response per failure
-                if registry is not None:
-                    registry.counter(_COUNTERS["server_errors"]).inc()
-                response = Response(
-                    request.req_id,
-                    STATUS_SERVER_ERROR,
-                    message=f"{type(error).__name__}: {error}",
-                )
-            await self._write(writer, write_lock, response, OP_STATS)
-            finish(response.status)
-            self._observe(registry, loop.time() - started)
-            return
-        if request.tenant not in self.directory:
-            if registry is not None:
-                registry.counter(_COUNTERS["unknown_tenant"]).inc()
-            await self._write(
-                writer,
-                write_lock,
-                Response(
-                    request.req_id,
-                    STATUS_UNKNOWN_TENANT,
-                    message=f"unknown tenant {request.tenant!r}",
-                ),
-                request.op,
-            )
-            finish(STATUS_UNKNOWN_TENANT)
-            return
-        arbiter = self.directory.arbiter
-        admitted = False
-        if self.admission:
-            cost = 1.0
-            if request.op == OP_SCAN:
-                cost = max(1.0, request.count * _SCAN_OP_WEIGHT)
-            decision = arbiter.admit(request.tenant, ops=cost, now=loop.time())
-            if span is not None and tracer is not None:
-                tracer.child_event(
-                    _ADMISSION_EVENT, span, decision=decision, cost=cost
-                )
-            if decision != ADMIT_OK:
-                self.sheds += 1
-                if registry is not None:
-                    if decision == SHED_THROTTLED:
-                        registry.counter(_COUNTERS["shed_throttled"]).inc()
-                    else:
-                        registry.counter(_COUNTERS["shed_overloaded"]).inc()
-                status = (
-                    STATUS_THROTTLED
-                    if decision == SHED_THROTTLED
-                    else STATUS_OVERLOADED
-                )
-                await self._write(
-                    writer,
-                    write_lock,
-                    Response(request.req_id, status, message=decision),
-                    request.op,
-                )
-                finish(status)
-                return
-            admitted = True
-        try:
-            response = await self._dispatch(request, span)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - one response per failure
-            if registry is not None:
-                registry.counter(_COUNTERS["server_errors"]).inc()
-            response = Response(
-                request.req_id,
-                STATUS_SERVER_ERROR,
-                message=f"{type(error).__name__}: {error}",
-            )
-        finally:
-            if admitted:
-                arbiter.release(request.tenant)
-                if registry is not None:
-                    registry.gauge(_GAUGES["inflight"]).set(
-                        sum(arbiter.inflight(t) for t in arbiter.tenants())
-                    )
-        service_elapsed = loop.time() - started
-        await self._write(writer, write_lock, response, request.op)
-        finish(response.status)
-        self._observe(registry, loop.time() - started, service_elapsed)
-
-    async def _dispatch(
-        self, request: Request, span: Optional[Span] = None
-    ) -> Response:
-        """Execute one admitted request against its tenant's shard group."""
-        router = self.directory.router_for(request.tenant)
-        if request.op == OP_GET:
-            assert request.key is not None
-            value = await self.coalescer.get(router, request.key, span)
-            return Response(
-                request.req_id, STATUS_OK, found=value is not None, value=value
-            )
-        if request.op == OP_PUT:
-            assert request.key is not None and request.value is not None
-            await self.coalescer.put(router, (request.key, request.value), span)
-            return Response(request.req_id, STATUS_OK)
-        if request.op == OP_DELETE:
-            key = request.key
-            assert key is not None
-
-            def delete_call() -> bool:
-                return router.delete(key)
-
-            removed = await self.coalescer.run_single(delete_call, span)
-            return Response(request.req_id, STATUS_OK, removed=bool(removed))
-        if request.op == OP_SCAN:
-            start_key = request.key
-            count = request.count
-            assert start_key is not None
-
-            def scan_call() -> Any:
-                return router.scan(start_key, count)
-
-            pairs = await self.coalescer.run_single(scan_call, span)
-            return Response(request.req_id, STATUS_OK, pairs=list(pairs))
-        return Response(
-            request.req_id, STATUS_BAD_REQUEST, message=f"unhandled opcode {request.op}"
-        )
 
     # ------------------------------------------------------------------
     # STATS snapshot (the ops-console payload)
@@ -447,20 +225,219 @@ class NetServer:
             snapshot["slo"] = self.slo.snapshot()
         return dict(to_jsonable(snapshot))
 
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: Response,
-        op: int,
-    ) -> None:
-        frame = encode_frame(encode_response(response, op))
+    def _stats_payload(self) -> bytes:
+        return json.dumps(self._stats_snapshot(), sort_keys=True).encode("utf-8")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, the request path, frames out."""
+
+    def __init__(self, server: NetServer) -> None:
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._tail = b""  # bytes of a frame still arriving
+        self._replies: List[bytes] = []  # frames to leave in this pass's one write
+
+    # ------------------------------------------------------------------
+    # Transport callbacks
+    # ------------------------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        self._server.connections += 1
+        self._server._live.add(self)
+        _count("connections")
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._transport = None
+        self._server._live.discard(self)
+        _count("disconnects")
+
+    def data_received(self, data: bytes) -> None:
+        buffer = memoryview(self._tail + data if self._tail else data)
+        offset = 0
         try:
-            async with write_lock:
-                writer.write(frame)
-                await writer.drain()
-        except (ConnectionError, OSError):
+            while True:
+                frame = decode_frame(buffer[offset:])
+                if frame is None:
+                    break
+                offset += frame[1]
+                self._on_request(decode_request(frame[0]))
+        except ProtocolError:
+            self._protocol_error()
             return
+        self._tail = bytes(buffer[offset:])
+
+    def eof_received(self) -> bool:
+        if self._tail:  # the peer hung up mid-frame
+            self._protocol_error()
+        return False  # the transport closes itself
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop reading its requests.
+        if self._transport is not None:
+            self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if self._transport is not None:
+            self._transport.resume_reading()
+
+    def abort(self) -> None:
+        if self._transport is not None:
+            self._transport.abort()
+
+    def _protocol_error(self) -> None:
+        """Count it and close: garbage is never resynchronised."""
+        self._server.protocol_errors += 1
+        _count("protocol_errors")
+        self._tail = b""
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+
+    def _send(self, response: Response, op: int) -> None:
+        if self._transport is None:
+            return
+        if not self._replies:
+            self._loop.call_soon(self._write_replies)
+        self._replies.append(encode_frame(encode_response(response, op)))
+
+    def _write_replies(self) -> None:
+        frames, self._replies = self._replies, []
+        if self._transport is not None:
+            self._transport.write(b"".join(frames))
+
+    # ------------------------------------------------------------------
+    # Request path
+    # ------------------------------------------------------------------
+    def _on_request(self, request: Request) -> None:
+        server, loop, op = self._server, self._loop, request.op
+        started = loop.time()
+        server.requests += 1
+        registry = active_registry()
+        if registry is not None:
+            registry.counter(_COUNTERS["requests"]).inc()
+        # Continue the client's trace: a sampled context opens a detached
+        # server span (the per-thread stack is useless here — many
+        # requests interleave on this one loop thread).
+        tracer = active_tracer()
+        span: Optional[Span] = None
+        if (
+            tracer is not None
+            and request.trace is not None
+            and request.trace.sampled
+        ):
+            span = tracer.start_remote(
+                _SERVER_SPAN,
+                trace_id=request.trace.trace_id,
+                remote_parent_id=request.trace.parent_span_id,
+                op=OP_NAMES.get(op, f"0x{op:02x}"),
+                tenant=request.tenant,
+            )
+
+        def reply(response: Response) -> None:
+            self._send(response, op)
+            if span is not None and tracer is not None:
+                tracer.finish(
+                    span, status=response.status, elapsed_s=loop.time() - started
+                )
+
+        if op == OP_PING:
+            reply(Response(request.req_id, STATUS_OK))
+            self._observe(registry, loop.time() - started)
+            return
+        admitted = False
+        if op != OP_STATS:
+            # STATS is tenant-less introspection and bypasses admission on
+            # purpose: an operator can still see the arbiter while tenants shed.
+            if request.tenant not in server.directory:
+                _count("unknown_tenant")
+                reply(
+                    Response(
+                        request.req_id,
+                        STATUS_UNKNOWN_TENANT,
+                        message=f"unknown tenant {request.tenant!r}",
+                    )
+                )
+                return
+            if server.admission:
+                cost = 1.0
+                if op == OP_SCAN:
+                    cost = max(1.0, request.count * _SCAN_OP_WEIGHT)
+                decision = server.directory.arbiter.admit(
+                    request.tenant, ops=cost, now=started
+                )
+                if span is not None and tracer is not None:
+                    tracer.child_event(
+                        _ADMISSION_EVENT, span, decision=decision, cost=cost
+                    )
+                if decision != ADMIT_OK:
+                    server.sheds += 1
+                    throttled = decision == SHED_THROTTLED
+                    _count("shed_throttled" if throttled else "shed_overloaded")
+                    status = STATUS_THROTTLED if throttled else STATUS_OVERLOADED
+                    reply(Response(request.req_id, status, message=decision))
+                    return
+                admitted = True
+
+        def complete(result: Any, error: Optional[BaseException]) -> None:
+            """One response per request, whatever the dispatch did."""
+            if error is not None:
+                _count("server_errors")
+                response = Response(
+                    request.req_id,
+                    STATUS_SERVER_ERROR,
+                    message=f"{type(error).__name__}: {error}",
+                )
+            elif op == OP_GET:
+                response = Response(
+                    request.req_id, STATUS_OK, found=result is not None, value=result
+                )
+            elif op == OP_DELETE:
+                response = Response(request.req_id, STATUS_OK, removed=bool(result))
+            elif op == OP_SCAN:
+                response = Response(request.req_id, STATUS_OK, pairs=list(result))
+            elif op == OP_STATS:
+                response = Response(request.req_id, STATUS_OK, payload=result)
+            else:
+                response = Response(request.req_id, STATUS_OK)
+            if admitted:
+                arbiter = server.directory.arbiter
+                arbiter.release(request.tenant)
+                if registry is not None:
+                    registry.gauge(_GAUGES["inflight"]).set(
+                        sum(arbiter.inflight(t) for t in arbiter.tenants())
+                    )
+            service_elapsed = None if op == OP_STATS else loop.time() - started
+            reply(response)
+            self._observe(registry, loop.time() - started, service_elapsed)
+
+        try:
+            self._dispatch(request, complete, span)
+        except Exception as error:  # noqa: BLE001 - one response per failure
+            complete(None, error)
+
+    def _dispatch(
+        self, request: Request, complete: Completion, span: Optional[Span]
+    ) -> None:
+        """Hand one admitted request to its tenant's shard group."""
+        coalescer, op, key = self._server.coalescer, request.op, request.key
+        if op == OP_STATS:
+            coalescer.run_single(None, self._server._stats_payload, complete, span)
+            return
+        router = self._server.directory.router_for(request.tenant)
+        assert key is not None
+        if op == OP_GET:
+            coalescer.get(router, key, complete, span)
+        elif op == OP_PUT:
+            assert request.value is not None
+            coalescer.put(router, (key, request.value), complete, span)
+        elif op == OP_DELETE:
+            coalescer.run_single(router, partial(router.delete, key), complete, span)
+        else:
+            scan = partial(router.scan, key, request.count)
+            coalescer.run_single(router, scan, complete, span)
 
     def _observe(
         self,
@@ -468,7 +445,7 @@ class NetServer:
         elapsed: float,
         service_elapsed: Optional[float] = None,
     ) -> None:
-        self.responses += 1
+        self._server.responses += 1
         if registry is None:
             return
         registry.counter(_COUNTERS["responses"]).inc()

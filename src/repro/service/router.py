@@ -480,6 +480,11 @@ class ShardRouter:
         return len(self._table.shards)
 
     @property
+    def durable(self) -> bool:
+        """True when writes go through a WAL (an op may wait on an ``fsync``)."""
+        return self._durability is not None
+
+    @property
     def queue_depth(self) -> int:
         """Durable-write sub-batches currently in flight on the executor.
 

@@ -2,6 +2,7 @@
 
 import asyncio
 import functools
+import typing
 
 
 def _read(path):
@@ -28,3 +29,21 @@ async def drain(loop, shard):
 async def serialized(lock):
     async with lock:
         return 1
+
+
+class Connection(asyncio.Protocol):
+    def data_received(self, data):
+        def work():
+            # Handed to the executor and never called inline.
+            return self.router.get_many(data)
+
+        self.loop.run_in_executor(None, work).add_done_callback(self.reply)
+
+    def reply(self, done):
+        self.transport.write(b"ok")
+
+
+class Shaped(typing.Protocol):
+    # typing.Protocol is not asyncio.Protocol: nothing here runs on a loop.
+    def load(self, path):
+        return path.read_bytes()

@@ -9,8 +9,10 @@ pins the zero-findings side so the rules stay precise, not just loud.
 
 import ast
 
+from repro.analysis.cli import main as analysis_main
 from repro.analysis.loader import load_module
 from repro.analysis.project import Project
+from repro.analysis.rules.ra005_async import AsyncPurityRule
 from repro.analysis.rules.ra006_lockgraph import (
     DOCUMENTED_WITNESS,
     LockOrderGraphRule,
@@ -23,6 +25,8 @@ from tests.analysis.helpers import REPO_ROOT
 SHARD = REPO_ROOT / "src" / "repro" / "service" / "shard.py"
 WAL = REPO_ROOT / "src" / "repro" / "durability" / "wal.py"
 REPLICA_SET = REPO_ROOT / "src" / "repro" / "replication" / "replica_set.py"
+NET_SERVER = REPO_ROOT / "src" / "repro" / "net" / "server.py"
+COALESCER = REPO_ROOT / "src" / "repro" / "net" / "coalescer.py"
 
 
 def _findings(rule, path):
@@ -143,3 +147,90 @@ class TestLockGraphMutation:
 
     def test_pristine_replica_set_is_clean(self):
         assert _findings(LockOrderGraphRule(modules=("*",)), REPLICA_SET) == []
+
+
+# -- RA005: the sync request path under data_received / call_soon -------
+def _prepend(function: str, statement: str):
+    """A transform inserting ``statement`` at the top of ``function``."""
+
+    def transform(source: str) -> str:
+        tree = ast.parse(source)
+        targets = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
+        if len(targets) != 1:
+            raise AssertionError(f"expected one def {function}, found {len(targets)}")
+        targets[0].body[:0] = ast.parse(statement).body
+        return ast.unparse(ast.fix_missing_locations(tree))
+
+    return transform
+
+
+class TestAsyncPurityMutation:
+    """PR 19 made the request path plain calls; RA005 must still see it."""
+
+    RULE = AsyncPurityRule(root_modules=("*",))
+
+    def test_sleep_in_data_received_fires(self, tmp_path):
+        mutated = _mutate(
+            tmp_path, NET_SERVER, _prepend("data_received", "import time; time.sleep(0.001)")
+        )
+        findings = _findings(self.RULE, mutated)
+        assert [f.symbol.rsplit(".", 1)[-1] for f in findings] == ["data_received"]
+        assert "blocking time.sleep()" in findings[0].message
+
+    def test_fsync_reachable_from_connection_made_fires(self, tmp_path):
+        # _count is what connection_made calls; the fsync is one hop away.
+        mutated = _mutate(tmp_path, NET_SERVER, _prepend("_count", "import os; os.fsync(0)"))
+        (finding,) = _findings(self.RULE, mutated)
+        assert "blocking os.fsync()" in finding.message
+        assert "(on the loop via " in finding.message
+
+    def test_router_call_in_a_call_soon_target_fires(self, tmp_path):
+        mutated = _mutate(
+            tmp_path, COALESCER, _prepend("_flush", "queue.router.get_many([])")
+        )
+        extra = [
+            f for f in _findings(self.RULE, mutated) if "direct ShardRouter call" in f.message
+        ]
+        assert [f.symbol.rsplit(".", 1)[-1] for f in extra] == ["_flush"]
+
+    def test_pristine_net_has_only_the_sanctioned_inline_site(self):
+        assert _findings(self.RULE, NET_SERVER) == []
+        (finding,) = _findings(self.RULE, COALESCER)
+        assert finding.symbol.endswith("Coalescer._run")
+        assert "inline call of work()" in finding.message
+        # ...and that site sits behind the one property that sanctions it.
+        guards = [
+            ast.unparse(node.test)
+            for node in ast.walk(ast.parse(COALESCER.read_text()))
+            if isinstance(node, ast.If)
+            and any(
+                getattr(inner, "lineno", 0) == finding.line
+                for statement in node.body
+                for inner in ast.walk(statement)
+            )
+        ]
+        assert any("not router.durable" in guard for guard in guards), guards
+
+    def test_deleting_the_durable_test_strands_the_suppression(self, tmp_path, capsys):
+        # Always-inline: ``work`` is no longer executor-bound, the sanctioned
+        # finding disappears and its suppression is reported stale.
+        source = COALESCER.read_text()
+        guard = "if router is not None and not router.durable:"
+        assert source.count(guard) == 1
+        package = tmp_path / "repro" / "net"
+        package.mkdir(parents=True)
+        (package / "coalescer.py").write_text(source)
+        assert analysis_main(["--check-suppressions", str(tmp_path)]) == 0
+        before = source.index(guard)
+        after = source.index("in_flight = asyncio.get_running_loop().run_in_executor")
+        end = source.index("return in_flight", after) + len("return in_flight")
+        mutated = source[:before] + "if True:" + source[before + len(guard) : after].rstrip()
+        mutated += "\n" + source[end:]
+        (package / "coalescer.py").write_text(mutated)
+        ast.parse(mutated)
+        assert analysis_main(["--check-suppressions", str(tmp_path)]) == 1
+        assert "stale suppression ignore[RA005]" in capsys.readouterr().out

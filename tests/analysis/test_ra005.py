@@ -20,7 +20,7 @@ class TestFiringFixture:
         findings = _run("ra005_bad.py", ("ra005_bad",))
         transitive = [f for f in findings if f.symbol.endswith("._load_blob")]
         assert len(transitive) == 1
-        assert "(async via ra005_bad.handle_request)" in transitive[0].message
+        assert "(on the loop via ra005_bad.handle_request)" in transitive[0].message
 
     def test_every_blocking_shape_detected(self):
         messages = " | ".join(
@@ -36,10 +36,37 @@ class TestFiringFixture:
         assert "blocking file I/O path.read_bytes()" in messages
 
 
+class TestLoopCallbackRoots:
+    """The request path is plain calls under ``data_received``: sync roots."""
+
+    def _by_symbol(self):
+        findings = _run("ra005_loop_bad.py", ("ra005_loop_bad",))
+        assert len(findings) == 5
+        return {f.symbol.rsplit(".", 1)[-1]: f.message for f in findings}
+
+    def test_protocol_methods_are_roots(self):
+        messages = self._by_symbol()
+        assert "blocking time.sleep()" in messages["data_received"]
+        assert "blocking os.fsync()" in messages["_sync_log"]
+        assert "Connection.connection_made)" in messages["_sync_log"]
+
+    def test_call_soon_target_is_a_root(self):
+        assert "direct ShardRouter call router.get_many()" in self._by_symbol()["_flush"]
+
+    def test_executor_closure_called_inline_is_a_finding(self):
+        message = self._by_symbol()["_run"]
+        assert "inline call of work()" in message
+        assert "(on the loop via ra005_loop_bad.Batcher._flush)" in message
+
+    def test_closure_never_handed_to_an_executor_is_walked(self):
+        assert "path.read_bytes()" in self._by_symbol()["handler"]
+
+
 class TestSilentFixture:
     def test_executor_routed_work_is_clean(self):
-        # Awaited executor hops, sync closures handed to the executor,
-        # async-with locks, and asyncio.sleep are all loop-safe.
+        # Awaited executor hops, sync closures handed to the executor (from
+        # a coroutine or a protocol callback), async-with locks,
+        # asyncio.sleep, and typing.Protocol classes are all loop-safe.
         assert _run("ra005_good.py", ("ra005_good",)) == []
 
 

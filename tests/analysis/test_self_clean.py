@@ -53,6 +53,18 @@ class TestRealTree:
         # The justified suppressions in the tree are counted, not hidden.
         assert len(suppressed) >= 1
 
+    def test_loop_thread_index_work_is_one_sanctioned_ra005_site(self):
+        # PR 19: a WAL-less router's flush runs on the loop thread.  That is
+        # exactly one suppressed RA005 finding (behind ``not router.durable``
+        # in the coalescer) on top of the five older suppressions.
+        _, suppressed = analyze_paths(
+            [REPO_ROOT / "src" / "repro"], rules=_default_rules()
+        )
+        assert len(suppressed) == 6
+        assert [f.symbol for f in suppressed if f.rule == "RA005"] == [
+            "repro.net.coalescer.Coalescer._run"
+        ]
+
     def test_every_tree_suppression_is_justified(self):
         for module in load_paths([REPO_ROOT / "src" / "repro"]):
             for suppression in module.suppressions:

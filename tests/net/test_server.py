@@ -22,6 +22,13 @@ from repro.net import (
     STATUS_UNKNOWN_TENANT,
     demo_directory,
 )
+from repro.net.protocol import (
+    Request,
+    decode_response,
+    encode_frame,
+    encode_request,
+    read_frame,
+)
 from repro.net.tenancy import TenantDirectory, TenantSpec
 from repro.obs.runtime import Telemetry
 
@@ -125,7 +132,7 @@ class TestCoalescing:
             directory = demo_directory(["alpha"], keys_per_tenant=2000)
             try:
                 async with (
-                    NetServer(directory, max_batch=64, max_delay=0.002) as server,
+                    NetServer(directory, max_batch=64) as server,
                     await NetClient.connect("127.0.0.1", server.port) as client,
                 ):
                     values = await asyncio.gather(
@@ -146,7 +153,7 @@ class TestCoalescing:
             directory = demo_directory(["alpha"], keys_per_tenant=10)
             try:
                 async with (
-                    NetServer(directory, max_batch=32, max_delay=0.002) as server,
+                    NetServer(directory, max_batch=32) as server,
                     await NetClient.connect("127.0.0.1", server.port) as client,
                 ):
                     await asyncio.gather(
@@ -230,22 +237,34 @@ class TestBackpressure:
                 ["q"], keys_per_tenant=50, quota=TenantQuota(max_inflight=2)
             )
             try:
-                # A wide coalescing window holds requests in flight long
-                # enough for the bounded queue to fill.
-                async with (
-                    NetServer(directory, max_batch=256, max_delay=0.05) as server,
-                    await NetClient.connect("127.0.0.1", server.port) as client,
-                ):
-                    responses = await asyncio.gather(
-                        *(client.request(OP_GET, "q", key=2) for _ in range(30))
+                async with NetServer(directory, max_batch=256) as server:
+                    # One pre-joined chunk: all 30 GETs are admitted in one
+                    # loop pass, before any of them can complete.
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
                     )
-                    return [response.status for response in responses]
+                    writer.write(
+                        b"".join(
+                            encode_frame(
+                                encode_request(Request(n + 1, OP_GET, "q", key=2))
+                            )
+                            for n in range(30)
+                        )
+                    )
+                    statuses = []
+                    for _ in range(30):
+                        statuses.append(
+                            decode_response(await read_frame(reader), OP_GET).status
+                        )
+                    writer.close()
+                    await writer.wait_closed()
+                    return statuses
             finally:
                 directory.close()
 
         statuses = run(scenario())
-        assert STATUS_OVERLOADED in statuses
-        assert statuses.count(STATUS_OK) <= 4
+        assert statuses.count(STATUS_OK) == 2
+        assert statuses.count(STATUS_OVERLOADED) == 28
 
     def test_typed_client_raises_backpressure_error(self):
         async def scenario():
