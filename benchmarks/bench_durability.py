@@ -21,34 +21,29 @@ sequential write amortized over the checkpoint interval, and recovery
 charges one sequential read of snapshot + tail — numbers this bench
 reports honestly rather than assumes.
 
-Regression checking compares *ratios* (group-commit / no-WAL), which
-are stable across machines; absolute ops/sec are reported alongside.
+Every run checks that gate and the group-commit *retention ratio*
+(stable across machines; absolute ops/sec are reported alongside)
+against the committed file (``benchkit``); ``--write`` rewrites it.
 
 ``--crash-campaign N`` additionally runs the ISSUE-6 crash-recovery
 fault campaign at N injected crashes (see
 ``repro.harness.experiments_durability``) and fails on any lost
-acknowledged write.
+acknowledged write::
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_durability.py --keys 40000
-    PYTHONPATH=src python benchmarks/bench_durability.py \
-        --keys 8000 --check BENCH_PR6.json --tolerance 0.30
-    PYTHONPATH=src python benchmarks/bench_durability.py \
-        --no-write --crash-campaign 120
+    PYTHONPATH=src python benchmarks/bench_durability.py --keys 8000 --crash-campaign 120
+    PYTHONPATH=src python benchmarks/bench_durability.py --crash-campaign 1000 --write
 
 or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_durability.py -q
 """
 
-import argparse
-import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
+import benchkit
 import pytest
 
 from repro.durability import DurabilityManager
@@ -59,8 +54,7 @@ from repro.service.router import ShardRouter
 DEFAULT_KEYS = 40_000
 BATCH_SIZE = 500
 GROUP_COMMIT_RETENTION_REQUIRED = 0.50
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_PR6.json"
+RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR6.json"
 
 #: (mode key, DurabilityManager sync policy or None for WAL off).
 MODES = (
@@ -194,48 +188,47 @@ def format_report(payload):
             f"{row['recovery_seconds']:.3f}s "
             f"({row['replay_frames_per_sec']:,.0f} frames/s replayed)"
         )
+    if "crash_campaign" in payload:
+        summary = payload["crash_campaign"]
+        lines.append(
+            f"crash campaign: {summary['crashes']} crashes over "
+            f"{summary['rounds']} rounds "
+            f"({summary['concurrent_crashes']} in concurrent rounds, "
+            f"{summary['recovery_crashes']} during recovery itself), "
+            f"{summary['torn_tails_recovered']} torn tails recovered, "
+            f"{summary['frames_replayed']} frames replayed, "
+            f"{summary['lost_writes']} lost acknowledged writes"
+        )
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance gate: group commit keeps >= 50% of no-WAL writes."""
-    headline = payload["headline"]
-    assert headline["group_commit_retention"] >= GROUP_COMMIT_RETENTION_REQUIRED, (
-        f"group-commit WAL retains only "
-        f"{headline['group_commit_retention']:.0%} of no-WAL write throughput; "
-        f"the durability claim requires >= {GROUP_COMMIT_RETENTION_REQUIRED:.0%}"
-    )
-    return headline["group_commit_retention"]
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on retention-ratio regressions beyond ``tolerance``.
-
-    Only ratios are compared (machine-independent); modes present in
-    the baseline but missing from the current run count as regressions.
-    """
-    failures = []
-    for mode_key, stats in baseline.get("write_throughput", {}).items():
-        current = payload["write_throughput"].get(mode_key)
-        if current is None:
-            failures.append(f"mode={mode_key}: missing from current run")
-            continue
-        floor = stats["retention_vs_wal_off"] * (1.0 - tolerance)
-        if current["retention_vs_wal_off"] < floor:
-            failures.append(
-                f"mode={mode_key}: retention "
-                f"{current['retention_vs_wal_off']:.2f} fell below {floor:.2f} "
-                f"(baseline {stats['retention_vs_wal_off']:.2f} "
-                f"- {tolerance:.0%} tolerance)"
-            )
-    return failures
+def headline(payload):
+    """Group commit keeps >= 50% of no-WAL writes; a campaign loses nothing."""
+    rows = [
+        benchkit.row(
+            "group_commit_retention",
+            payload["summary"]["group_commit_retention"],
+            ">=",
+            GROUP_COMMIT_RETENTION_REQUIRED,
+            drift=True,
+        )
+    ]
+    campaign = payload.get("crash_campaign")
+    if campaign is not None:
+        rows.append(benchkit.row("crash_campaign.crashes", campaign["crashes"]))
+        rows.append(
+            benchkit.row("crash_campaign.lost_writes", campaign["lost_writes"], "==", 0)
+        )
+        rows.append(
+            benchkit.row("crash_campaign.phantom_writes", campaign["phantom_writes"], "==", 0)
+        )
+    return rows
 
 
 @pytest.mark.perf
 def test_durability_bench_headline():
     payload = run_durability_bench(num_keys=8_000)
-    print(format_report(payload))
-    assert check_headline(payload) >= GROUP_COMMIT_RETENTION_REQUIRED
+    assert benchkit.finish(payload, headline, format_report, RESULT_FILE) == 0
 
 
 @pytest.mark.faults
@@ -249,30 +242,9 @@ def test_crash_campaign_smoke():
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Durability bench (PR 6).")
+    parser = benchkit.parser("Durability bench (PR 6).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--batch-size", type=int, default=BATCH_SIZE)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare retention ratios against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative retention regression vs the baseline (default 0.30)",
-    )
     parser.add_argument(
         "--crash-campaign",
         type=int,
@@ -294,50 +266,19 @@ def main(argv=None) -> int:
     if slo_checks and args.crash_campaign <= 0:
         parser.error("--slo requires --crash-campaign N")
     payload = run_durability_bench(num_keys=args.keys, batch_size=args.batch_size)
-    print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no retention regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
+    failures = []
     if args.crash_campaign > 0:
         summary = experiment_crash_campaign(num_crashes=args.crash_campaign)
-        print(
-            f"crash campaign: {summary['crashes']} crashes over "
-            f"{summary['rounds']} rounds "
-            f"({summary['concurrent_crashes']} in concurrent rounds, "
-            f"{summary['recovery_crashes']} during recovery itself), "
-            f"{summary['torn_tails_recovered']} torn tails recovered, "
-            f"{summary['frames_replayed']} frames replayed, "
-            f"{summary['lost_writes']} lost acknowledged writes"
-        )
         payload["crash_campaign"] = summary
-        if summary["lost_writes"] or summary["phantom_writes"]:
-            print("REGRESSION: crash campaign lost or fabricated writes")
-            return 1
-        if slo_checks:
-            values = {
-                key: float(value)
-                for key, value in summary.items()
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            }
-            violations = evaluate_checks(values, slo_checks)
-            for violation in violations:
-                print(f"REGRESSION: {violation}")
-            if violations:
-                return 1
-            print(f"slo ok: {len(slo_checks)} campaign check(s) passed")
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+        values = {
+            key: float(value)
+            for key, value in summary.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        }
+        failures = evaluate_checks(values, slo_checks)
+    return benchkit.finish(
+        payload, headline, format_report, RESULT_FILE, args.write, failures
+    )
 
 
 if __name__ == "__main__":

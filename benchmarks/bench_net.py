@@ -14,27 +14,20 @@ histograms and ``Histogram.quantile``:
   the accepted work's p999 bounded, instead of the unbounded queueing
   collapse the no-admission leg shows.
 
-Regression checking compares the two *ratios* (collapse vs controlled),
-which are machine-independent in direction; because a queueing collapse
-grows with drain budget, baseline ratios are clamped to 2x the required
-floor before the tolerance is applied — a faster machine must still
-beat the acceptance bar, not the raw collapse of the baseline machine.
+Every run checks the two *ratios* (collapse vs controlled) and the
+admitted p999 against their absolute bars only: a queueing collapse
+grows with drain budget and machine speed, so a run must beat the bar,
+not the raw collapse of the machine that wrote ``BENCH_PR7.json``
+(``--write`` rewrites it)::
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_net.py
-    PYTHONPATH=src python benchmarks/bench_net.py \
-        --duration 0.8 --check BENCH_PR7.json --tolerance 0.30
+    PYTHONPATH=src python benchmarks/bench_net.py [--write]
 
 or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_net.py -q
 """
 
-import argparse
-import json
-from pathlib import Path
-
+import benchkit
 import pytest
 
 from repro.harness.experiments_net import experiment_net_bench
@@ -44,8 +37,7 @@ ADMISSION_P999_RATIO_REQUIRED = 2.0
 #: Absolute ceiling on the admitted work's p999 under 2x overload; the
 #: inflight bound keeps the real figure near 1s even on slow machines.
 ADMISSION_P999_BOUND_S = 4.0
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_PR7.json"
+RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR7.json"
 
 
 def run_net_bench(
@@ -144,73 +136,30 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
+def headline(payload):
     """The acceptance claims from ISSUE.md, gated on quantile figures."""
-    headline = payload["headline"]
-    assert headline["coalescing_p99_ratio"] >= COALESCE_P99_REQUIRED, (
-        f"coalescing cut p99 by only {headline['coalescing_p99_ratio']:.2f}x at the "
-        f"same offered load; the claim requires >= {COALESCE_P99_REQUIRED}x"
-    )
-    assert headline["admission_sheds"] > 0, (
-        "admission control shed nothing under 2x overload — backpressure "
-        "responses never fired"
-    )
-    assert headline["admission_p999_s"] <= ADMISSION_P999_BOUND_S, (
-        f"admitted p999 of {headline['admission_p999_s']:.2f}s under 2x overload "
-        f"exceeds the {ADMISSION_P999_BOUND_S}s bound — admission is not "
-        "keeping the tail bounded"
-    )
-    assert headline["admission_p999_ratio"] >= ADMISSION_P999_RATIO_REQUIRED, (
-        f"admission improved p999 by only {headline['admission_p999_ratio']:.2f}x "
-        f"over unbounded queueing; the claim requires >= {ADMISSION_P999_RATIO_REQUIRED}x"
-    )
-    return headline
-
-
-def _ratio_floor(baseline_ratio, required, tolerance):
-    """Tolerance floor for a collapse ratio.
-
-    Collapse magnitude scales with drain budget, run duration, and
-    machine speed, so a baseline of 40x must not force future runs to
-    hit 28x: the baseline is clamped to 1.5x the acceptance bar before
-    tolerance applies, and the floor never drops below the bar itself.
-    """
-    effective = min(baseline_ratio, 1.5 * required)
-    return max(required, effective * (1.0 - tolerance))
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on ratio regressions beyond ``tolerance`` (clamped, see above)."""
-    failures = []
-    checks = [
-        (
-            "coalescing p99 ratio",
-            payload["coalescing"]["p99_ratio"],
-            baseline.get("coalescing", {}).get("p99_ratio"),
-            COALESCE_P99_REQUIRED,
+    summary = payload["summary"]
+    return [
+        benchkit.row(
+            "coalescing_p99_ratio", summary["coalescing_p99_ratio"], ">=", COALESCE_P99_REQUIRED
         ),
-        (
-            "admission p999 ratio",
-            payload["admission"]["p999_ratio"],
-            baseline.get("admission", {}).get("p999_ratio"),
+        benchkit.row(
+            "admission_p999_ratio",
+            summary["admission_p999_ratio"],
+            ">=",
             ADMISSION_P999_RATIO_REQUIRED,
         ),
+        benchkit.row(
+            "admission_p999_s", summary["admission_p999_s"], "<=", ADMISSION_P999_BOUND_S
+        ),
     ]
-    for name, current, past, required in checks:
-        if past is None:
-            failures.append(f"{name}: missing from baseline")
-            continue
-        floor = _ratio_floor(past, required, tolerance)
-        if current < floor:
-            failures.append(
-                f"{name}: {current:.2f}x fell below {floor:.2f}x "
-                f"(baseline {past:.2f}x clamped to {1.5 * required:.1f}x "
-                f"- {tolerance:.0%} tolerance)"
-            )
-    baseline_sheds = baseline.get("admission", {}).get("sheds", 0)
-    if baseline_sheds > 0 and payload["admission"]["sheds"] == 0:
-        failures.append("admission sheds: baseline shed requests, current run shed none")
-    return failures
+
+
+def check_sheds(payload):
+    """Backpressure must have fired, or the admission ratio measured nothing."""
+    if payload["admission"]["sheds"] > 0:
+        return []
+    return ["admission control shed nothing under 2x overload"]
 
 
 @pytest.mark.perf
@@ -218,39 +167,18 @@ def test_net_bench_headline():
     payload = run_net_bench(
         keys_per_tenant=2_000, duration=0.8, drain_timeout=6.0, probe_duration=0.5
     )
-    print(format_report(payload))
-    check_headline(payload)
+    failures = check_sheds(payload)
+    assert benchkit.finish(payload, headline, format_report, RESULT_FILE, failures=failures) == 0
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Network front-end bench (PR 7).")
+    parser = benchkit.parser("Network front-end bench (PR 7).")
     parser.add_argument("--keys", type=int, default=5_000, help="keys per tenant")
     parser.add_argument("--tenants", type=int, default=4)
     parser.add_argument("--duration", type=float, default=1.5, help="seconds of offered arrivals per leg")
     parser.add_argument("--drain-timeout", type=float, default=8.0)
     parser.add_argument("--probe-duration", type=float, default=0.8)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare latency ratios against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative ratio regression vs the baseline (default 0.30)",
-    )
     args = parser.parse_args(argv)
     payload = run_net_bench(
         keys_per_tenant=args.keys,
@@ -260,23 +188,9 @@ def main(argv=None) -> int:
         probe_duration=args.probe_duration,
         seed=args.seed,
     )
-    print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no tail-latency regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return benchkit.finish(
+        payload, headline, format_report, RESULT_FILE, args.write, check_sheds(payload)
+    )
 
 
 if __name__ == "__main__":

@@ -1,25 +1,8 @@
 """Observability overhead suite (PR 3, extended with the PR 8 net leg).
 
 Proves the telemetry layer's zero-cost-when-disabled claim on the PR 2
-perf-suite hot paths (single-key lookups on every index family) and
-writes the machine-readable ``BENCH_PR3.json`` at the repo root.
-
-``--net`` runs the PR 8 distributed-tracing leg instead and writes
-``BENCH_PR8.json``: closed-loop GETs through the full network path
-(client -> server -> coalescer -> router -> shard) at 0%, 1%, and 100%
-head-based trace sampling.  Like the PR 3 headline, the enforced bound
-is deterministic: the per-request price of tracing is modeled from
-directly-timed components — the disabled gate (``active_tracer()``
-read, times the number of instrumented gates a request crosses) and the
-full span choreography of one traced request — divided by the measured
-untraced request time.  Both the disabled share and the 1%-sampled
-share must stay <= 5%; the measured ops/sec of the three legs are
-reported as evidence, not gated (loopback wall clock is too noisy for a
-5% claim)::
-
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --net
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
-        --net --check BENCH_PR8.json --tolerance 0.5
+perf-suite hot paths (single-key lookups on every index family); the
+committed result is ``BENCH_PR3.json`` at the repo root.
 
 With no :class:`~repro.obs.runtime.Telemetry` installed, each
 instrumented lookup pays exactly one module-global read plus an
@@ -34,39 +17,42 @@ The suite also reports measured throughput with telemetry off, with a
 metrics registry installed, and with full tracing (sampled op spans
 into an in-memory sink) — the honest price of turning telemetry *on*.
 
-Run directly::
+``--net`` runs the PR 8 distributed-tracing leg instead
+(``BENCH_PR8.json``): closed-loop GETs through the full network path
+(client -> server -> coalescer -> router -> shard) at 0%, 1%, and 100%
+head-based trace sampling.  Like the PR 3 headline, the enforced bound
+is deterministic: the per-request price of tracing is modeled from
+directly-timed components — the disabled gate (``active_tracer()``
+read, times the number of instrumented gates a request crosses) and the
+full span choreography of one traced request — divided by the measured
+untraced request time.  Both the disabled share and the 1%-sampled
+share must stay <= 5%; the measured ops/sec of the three legs are
+reported as evidence, not gated (loopback wall clock is too noisy for a
+5% claim).
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
-        --check BENCH_PR3.json --tolerance 0.25
+Every run checks the absolute bound and nothing else: a share's
+denominator is the system's own speed, so a drift rule against the
+committed file would fail a PR for making lookups or requests faster
+(docs/observability.md, *Overhead budget*).  ``--write`` rewrites the
+committed file::
 
-Two gates are enforced, and they are different claims:
-
-* the **absolute** headline bound — gate share <= 5% on every family —
-  always runs (:func:`check_headline`); it is the documented contract.
-* the **relative** regression gate — gate share within ``--tolerance``
-  (default 25%) of the committed baseline — runs only with ``--check``
-  and catches creep long before the absolute bound is at risk.
-
-Gate share depends on tree depth (shallower trees -> faster lookups ->
-larger share), so baseline comparisons require the same ``--keys`` as
-the committed baseline; :func:`check_against_baseline` enforces it.
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--write]
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --net [--write]
 
 or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py -q
 """
 
-import argparse
 import asyncio
-import json
 import random
 import time
-from pathlib import Path
 
+import benchkit
 import pytest
+from benchkit import best_of as _best_of
 
-from repro.art.tree import ART, terminated
+from repro.art.tree import ART
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
@@ -81,9 +67,8 @@ from repro.obs import MetricsRegistry, Telemetry, active, active_tracer
 DEFAULT_KEYS = 4_000
 OVERHEAD_BOUND = 0.05          # disabled-telemetry gate share per lookup
 TRACE_SAMPLE_EVERY = 64        # op-span sampling in the traced mode
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_PR3.json"
-NET_RESULT_FILE = REPO_ROOT / "BENCH_PR8.json"
+RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR3.json"
+NET_RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR8.json"
 
 #: (leg key, client trace_sample_every) — 0 disables trace origination.
 NET_SAMPLING_LEGS = (
@@ -97,16 +82,6 @@ NET_SAMPLING_LEGS = (
 #: flush gates, the router's route-span and pool-adoption gates, the
 #: shard op gate, and the WAL append gate.
 NET_GATE_READS = 8
-
-
-def _best_of(runs, func):
-    """Fastest wall-clock of ``runs`` executions (noise floor, not mean)."""
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def measure_gate_ns(iterations=200_000, runs=5):
@@ -132,37 +107,10 @@ def measure_gate_ns(iterations=200_000, runs=5):
     return max(0.0, (probed_time - bare_time) / iterations * 1e9)
 
 
-def _int_data(num_keys, seed=0x5EED):
-    rng = random.Random(seed)
-    keys = sorted(rng.sample(range(num_keys * 4), num_keys))
-    pairs = [(key, key * 3 + 1) for key in keys]
-    probes = [
-        rng.choice(keys) if rng.random() < 0.8 else rng.randrange(num_keys * 4)
-        for _ in range(num_keys)
-    ]
-    return pairs, probes
-
-
-def _byte_data(num_keys, seed=0xBEEF):
-    rng = random.Random(seed)
-    words = set()
-    while len(words) < num_keys:
-        words.add(bytes(rng.randrange(97, 123) for _ in range(rng.randrange(4, 14))))
-    keys = sorted(terminated(word) for word in words)
-    pairs = [(key, index) for index, key in enumerate(keys)]
-    probes = [
-        rng.choice(keys)
-        if rng.random() < 0.8
-        else terminated(bytes(rng.randrange(97, 123) for _ in range(6)))
-        for _ in range(num_keys)
-    ]
-    return pairs, probes
-
-
 def _build_lookup_loops(num_keys):
     """One ``() -> None`` lookup loop per family, plus its probe count."""
-    pairs, probes = _int_data(num_keys)
-    byte_pairs, byte_probes = _byte_data(max(1000, num_keys // 4))
+    pairs, probes = benchkit.int_data(num_keys)
+    byte_pairs, byte_probes = benchkit.byte_data(max(1000, num_keys // 4))
 
     tree = BPlusTree.bulk_load(pairs, LeafEncoding.SUCCINCT)
     adaptive = AdaptiveBPlusTree.bulk_load_adaptive(pairs)
@@ -239,53 +187,12 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: gate share <= 5% on every family.
-
-    Failures name each offending family with the numbers behind the
-    share, so a CI log line is enough to see what regressed.
-    """
-    bound = payload.get("overhead_bound", OVERHEAD_BOUND)
-    failures = [
-        f"family '{family}': disabled-telemetry gate share "
-        f"{stats['gate_share']:.2%} exceeds the {bound:.0%} absolute bound "
-        f"(gate {payload['gate_ns']:.1f} ns / lookup "
-        f"{stats['off_ns_per_op']:.1f} ns)"
+def headline(payload):
+    """Gate share <= 5% on every family."""
+    return [
+        benchkit.row(f"{family}.gate_share", stats["gate_share"], "<=", OVERHEAD_BOUND)
         for family, stats in payload["families"].items()
-        if stats["gate_share"] > bound
     ]
-    assert not failures, "\n".join(failures)
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on gate-share regressions beyond ``tolerance``.
-
-    Gate share (gate ns / per-lookup ns) is a ratio of two measurements
-    on the same machine, so it is far more portable than raw ops/sec.
-    Families present in the baseline but missing now count as
-    regressions; the absolute <= 5% bound is enforced separately by
-    :func:`check_headline`.
-    """
-    failures = []
-    if baseline.get("keys") != payload["keys"]:
-        return [
-            f"baseline measured at {baseline.get('keys')} keys but this run "
-            f"used {payload['keys']}; gate share is depth-dependent — rerun "
-            f"with matching --keys"
-        ]
-    for family, stats in baseline.get("families", {}).items():
-        current = payload["families"].get(family)
-        if current is None:
-            failures.append(f"{family}: missing from current run")
-            continue
-        ceiling = stats["gate_share"] * (1.0 + tolerance)
-        if current["gate_share"] > ceiling:
-            failures.append(
-                f"{family}: gate share {current['gate_share']:.2%} rose above "
-                f"{ceiling:.2%} (baseline {stats['gate_share']:.2%} "
-                f"+ {tolerance:.0%} tolerance)"
-            )
-    return failures
 
 
 # ----------------------------------------------------------------------
@@ -438,80 +345,50 @@ def format_net_report(payload):
             f"{leg_key:16s} sample_every={stats['trace_sample_every']:>3d}  "
             f"{stats['ops_per_sec']:>10,.0f} req/s"
         )
-    headline = payload["headline"]
+    shares = payload["summary"]
     lines.append(
-        f"modeled shares: disabled {headline['disabled_share']:.3%}, "
-        f"1% sampled {headline['sampled_1pct_share']:.3%}, "
-        f"100% sampled {headline['sampled_100pct_share']:.3%}"
+        f"modeled shares: disabled {shares['disabled_share']:.3%}, "
+        f"1% sampled {shares['sampled_1pct_share']:.3%}, "
+        f"100% sampled {shares['sampled_100pct_share']:.3%}"
     )
     return "\n".join(lines)
 
 
-def check_net_headline(payload):
-    """The PR 8 acceptance gate: disabled and 1%-sampled shares <= 5%.
+def net_headline(payload):
+    """Disabled and 1%-sampled shares <= 5%.
 
     The 100% leg is reported but not gated — full tracing is a debug
-    mode, and its cost is the documented span choreography, not a
-    regression.
+    mode, and its cost is the documented span choreography.
     """
-    bound = payload.get("overhead_bound", OVERHEAD_BOUND)
-    headline = payload["headline"]
-    failures = [
-        f"{key}: modeled tracing share {headline[key]:.3%} exceeds the "
-        f"{bound:.0%} bound (gates {payload['num_gate_reads']}x"
-        f"{payload['gate_ns']:.1f} ns + sampled span work vs request "
-        f"{payload['request_ns']:,.0f} ns)"
-        for key in ("disabled_share", "sampled_1pct_share")
-        if headline[key] > bound
+    shares = payload["summary"]
+    return [
+        benchkit.row("tracing.disabled_share", shares["disabled_share"], "<=", OVERHEAD_BOUND),
+        benchkit.row(
+            "tracing.sampled_1pct_share", shares["sampled_1pct_share"], "<=", OVERHEAD_BOUND
+        ),
+        benchkit.row("tracing.sampled_100pct_share", shares["sampled_100pct_share"]),
     ]
-    assert not failures, "\n".join(failures)
-
-
-def check_net_against_baseline(payload, baseline, tolerance):
-    """Fail on modeled-share regressions beyond ``tolerance``.
-
-    Shares are ratios of same-machine measurements, so they travel
-    better than raw req/s; the absolute <= 5% bound is enforced
-    separately by :func:`check_net_headline`.
-    """
-    failures = []
-    for key, share in baseline.get("headline", {}).items():
-        current = payload["headline"].get(key)
-        if current is None:
-            failures.append(f"{key}: missing from current run")
-            continue
-        ceiling = share * (1.0 + tolerance)
-        if current > ceiling:
-            failures.append(
-                f"{key}: modeled share {current:.3%} rose above {ceiling:.3%} "
-                f"(baseline {share:.3%} + {tolerance:.0%} tolerance)"
-            )
-    return failures
 
 
 @pytest.mark.perf
 def test_obs_overhead_headline():
     payload = run_suite(num_keys=4_000)
-    print(format_report(payload))
-    check_headline(payload)
+    assert benchkit.finish(payload, headline, format_report, RESULT_FILE) == 0
 
 
 @pytest.mark.perf
 def test_net_tracing_overhead_headline():
     payload = run_net_suite(num_keys=1_000, duration=0.3, concurrency=4)
-    print(format_net_report(payload))
-    check_net_headline(payload)
+    assert benchkit.finish(payload, net_headline, format_net_report, NET_RESULT_FILE) == 0
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Observability overhead suite (PR 3 families, PR 8 net leg)."
-    )
+    parser = benchkit.parser("Observability overhead suite (PR 3 families, PR 8 net leg).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument(
         "--net",
         action="store_true",
-        help="run the PR 8 distributed-tracing net leg (writes BENCH_PR8.json)",
+        help="run the PR 8 distributed-tracing net leg (BENCH_PR8.json)",
     )
     parser.add_argument(
         "--duration",
@@ -525,61 +402,16 @@ def main(argv=None) -> int:
         default=8,
         help="closed-loop net clients (--net only; default 8)",
     )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help=f"result JSON path (default {RESULT_FILE}, or {NET_RESULT_FILE} with --net)",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare gate/modeled shares against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed relative share regression vs the baseline (default 0.25)",
-    )
     args = parser.parse_args(argv)
-    out = args.out if args.out is not None else (
-        NET_RESULT_FILE if args.net else RESULT_FILE
-    )
     if args.net:
         payload = run_net_suite(
             num_keys=args.keys, duration=args.duration, concurrency=args.concurrency
         )
-        print(format_net_report(payload))
-        headline_check = check_net_headline
-        baseline_check = check_net_against_baseline
-    else:
-        payload = run_suite(num_keys=args.keys)
-        print(format_report(payload))
-        headline_check = check_headline
-        baseline_check = check_against_baseline
-    try:
-        headline_check(payload)
-    except AssertionError as exc:
-        for line in str(exc).splitlines():
-            print(f"HEADLINE FAILURE: {line}")
-        return 1
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = baseline_check(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"no share regressions vs {args.check} (tolerance {args.tolerance:.0%})")
-    if not args.no_write:
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
-    return 0
+        return benchkit.finish(
+            payload, net_headline, format_net_report, NET_RESULT_FILE, args.write
+        )
+    payload = run_suite(num_keys=args.keys)
+    return benchkit.finish(payload, headline, format_report, RESULT_FILE, args.write)
 
 
 if __name__ == "__main__":

@@ -7,30 +7,22 @@ than per-key loops on at least two families, because the batch API
 amortizes tree descent (shared-prefix resumption), sampling-gate
 drains, and counter updates.
 
-Regression checking compares *speedup ratios* (batched / single), not
-absolute ops/sec — ratios are stable across machines while raw
-throughput is not.
+Every run checks that claim and the per-family *speedup ratios*
+(batched / single — stable across machines, unlike raw ops/sec) against
+the committed file (``benchkit``); ``--write`` rewrites it::
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_perf_suite.py --keys 20000
-    PYTHONPATH=src python benchmarks/bench_perf_suite.py \
-        --keys 4000 --check BENCH_PR2.json --tolerance 0.30
+    PYTHONPATH=src python benchmarks/bench_perf_suite.py --keys 4000
+    PYTHONPATH=src python benchmarks/bench_perf_suite.py --write
 
 or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_suite.py -q
 """
 
-import argparse
-import json
-import random
-import time
-from pathlib import Path
-
+import benchkit
 import pytest
+from benchkit import best_of as _best_of
 
-from repro.art.tree import terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
@@ -40,18 +32,7 @@ from repro.fst.trie import FST
 DEFAULT_KEYS = 20_000
 SPEEDUP_FAMILIES_REQUIRED = 2
 SPEEDUP_REQUIRED = 2.0
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_PR2.json"
-
-
-def _best_of(runs, func):
-    """Fastest wall-clock of ``runs`` executions (noise floor, not mean)."""
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR2.json"
 
 
 def _measure(single, batched, total_ops, runs=3):
@@ -64,31 +45,14 @@ def _measure(single, batched, total_ops, runs=3):
     }
 
 
-def _int_data(num_keys, seed=0x5EED):
-    rng = random.Random(seed)
-    keys = sorted(rng.sample(range(num_keys * 4), num_keys))
-    pairs = [(key, key * 3 + 1) for key in keys]
-    probes = sorted(
-        rng.choice(keys) if rng.random() < 0.8 else rng.randrange(num_keys * 4)
-        for _ in range(num_keys)
-    )
-    return pairs, probes
+def _int_data(num_keys):
+    pairs, probes = benchkit.int_data(num_keys)
+    return pairs, sorted(probes)
 
 
-def _byte_data(num_keys, seed=0xBEEF):
-    rng = random.Random(seed)
-    words = set()
-    while len(words) < num_keys:
-        words.add(bytes(rng.randrange(97, 123) for _ in range(rng.randrange(4, 14))))
-    keys = sorted(terminated(word) for word in words)
-    pairs = [(key, index) for index, key in enumerate(keys)]
-    probes = sorted(
-        rng.choice(keys)
-        if rng.random() < 0.8
-        else terminated(bytes(rng.randrange(97, 123) for _ in range(6)))
-        for _ in range(num_keys)
-    )
-    return pairs, probes
+def _byte_data(num_keys):
+    pairs, probes = benchkit.byte_data(num_keys)
+    return pairs, sorted(probes)
 
 
 def run_suite(num_keys=DEFAULT_KEYS):
@@ -177,91 +141,32 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: >= 2x batched lookups on >= 2 families."""
-    fast = [
-        family
-        for family, stats in payload["lookups"].items()
-        if stats["speedup"] >= SPEEDUP_REQUIRED
+def headline(payload):
+    """>= 2x batched lookups on >= 2 families; every speedup is drift-checked."""
+    rows = [
+        benchkit.row(f"{section}.{family}.speedup", stats["speedup"], drift=True)
+        for section in ("lookups", "inserts")
+        for family, stats in payload[section].items()
     ]
-    assert len(fast) >= SPEEDUP_FAMILIES_REQUIRED, (
-        f"only {fast} reached a {SPEEDUP_REQUIRED}x batched-lookup speedup; "
-        f"need {SPEEDUP_FAMILIES_REQUIRED} families"
+    fast = sum(stats["speedup"] >= SPEEDUP_REQUIRED for stats in payload["lookups"].values())
+    rows.append(
+        benchkit.row("lookups.families_at_2x", fast, ">=", SPEEDUP_FAMILIES_REQUIRED)
     )
-    return fast
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on speedup-ratio regressions beyond ``tolerance``.
-
-    Only ratios are compared (machine-independent); families present in
-    the baseline but missing from the current run count as regressions.
-    """
-    failures = []
-    for section in ("lookups", "inserts"):
-        for family, stats in baseline.get(section, {}).items():
-            current = payload.get(section, {}).get(family)
-            if current is None:
-                failures.append(f"{section}/{family}: missing from current run")
-                continue
-            floor = stats["speedup"] * (1.0 - tolerance)
-            if current["speedup"] < floor:
-                failures.append(
-                    f"{section}/{family}: speedup {current['speedup']:.2f}x fell "
-                    f"below {floor:.2f}x (baseline {stats['speedup']:.2f}x "
-                    f"- {tolerance:.0%} tolerance)"
-                )
-    return failures
+    return rows
 
 
 @pytest.mark.perf
 def test_perf_suite_headline():
     payload = run_suite(num_keys=4_000)
-    print(format_report(payload))
-    fast = check_headline(payload)
-    assert fast  # at least the headline families exist
+    assert benchkit.finish(payload, headline, format_report, RESULT_FILE) == 0
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Batched-ops perf suite (PR 2).")
+    parser = benchkit.parser("Batched-ops perf suite (PR 2).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare speedup ratios against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative speedup regression vs the baseline (default 0.30)",
-    )
     args = parser.parse_args(argv)
     payload = run_suite(num_keys=args.keys)
-    print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"no speedup regressions vs {args.check} (tolerance {args.tolerance:.0%})")
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return benchkit.finish(payload, headline, format_report, RESULT_FILE, args.write)
 
 
 if __name__ == "__main__":

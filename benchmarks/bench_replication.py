@@ -18,26 +18,23 @@ Two claims, one machine-readable ``BENCH_PR9.json`` at the repo root:
   profiles must survive recovery, and the fenced replica must have been
   rebuilt from the authoritative copy.
 
-Regression checking compares the modeled speedup ratio (identical /
-divergent), which is machine-independent.
+Every run checks both claims and the modeled speedup ratio (identical /
+divergent, machine-independent) against the committed file
+(``benchkit``); ``--write`` rewrites it::
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_replication.py --keys 16000
-    PYTHONPATH=src python benchmarks/bench_replication.py \
-        --keys 8000 --check BENCH_PR9.json --tolerance 0.30
+    PYTHONPATH=src python benchmarks/bench_replication.py --keys 8000
+    PYTHONPATH=src python benchmarks/bench_replication.py --write
 
 or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_replication.py -q
 """
 
-import argparse
-import json
 import random
 import tempfile
 from pathlib import Path
 
+import benchkit
 import pytest
 
 from repro.durability.manager import DurabilityManager
@@ -48,8 +45,7 @@ from repro.service.router import ShardRouter
 DEFAULT_KEYS = 16_000
 REPLICATION_FACTOR = 3
 HEADLINE_SPEEDUP_REQUIRED = 1.3
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_PR9.json"
+RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR9.json"
 
 
 def _workload_scale(num_keys):
@@ -184,10 +180,9 @@ def format_report(payload):
             f"modeled {leg['modeled_ns_per_read']:>6.2f} ns/read  "
             f"size {leg['size_bytes'] / (1024 * 1024):.2f} MiB"
         )
-    headline = payload["headline"]
     lines.append(
-        f"divergent speedup {headline['divergent_speedup']:.2f}x "
-        f"(required >= {headline['required']}x)"
+        f"divergent speedup {payload['summary']['divergent_speedup']:.2f}x "
+        f"(required >= {HEADLINE_SPEEDUP_REQUIRED}x)"
     )
     if "fault_leg" in payload:
         fault = payload["fault_leg"]
@@ -200,19 +195,31 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: divergent replicas >= 1.3x identical ones."""
-    headline = payload["headline"]
-    assert headline["divergent_speedup"] >= HEADLINE_SPEEDUP_REQUIRED, (
-        f"divergent replicas are only {headline['divergent_speedup']:.2f}x "
-        f"over identical ones; the replication claim requires "
-        f">= {HEADLINE_SPEEDUP_REQUIRED}x"
-    )
-    return headline["divergent_speedup"]
+def headline(payload):
+    """Divergent replicas >= 1.3x identical ones; the kill loses no acked write."""
+    rows = [
+        benchkit.row(
+            "replication.divergent_speedup",
+            payload["summary"]["divergent_speedup"],
+            ">=",
+            HEADLINE_SPEEDUP_REQUIRED,
+            drift=True,
+        )
+    ]
+    if "fault_leg" in payload:
+        rows.append(
+            benchkit.row(
+                "replication.lost_acked_writes",
+                payload["fault_leg"]["lost_acked_writes"],
+                "==",
+                0,
+            )
+        )
+    return rows
 
 
 def check_fault_leg(summary):
-    """The durability claim: the kill lost nothing and healed."""
+    """The kill happened and healed (lost writes are a ``headline`` row)."""
     failures = []
     if summary["faults_injected"] < 1:
         failures.append("fault leg injected no WAL append fault")
@@ -222,35 +229,13 @@ def check_fault_leg(summary):
         failures.append("recovery rebuilt no replica")
     if not summary["profiles_preserved"]:
         failures.append("divergence profiles did not survive recovery")
-    if summary["lost_acked_writes"]:
-        failures.append(
-            f"{summary['lost_acked_writes']} acked writes lost after the kill"
-        )
-    return failures
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on headline-speedup regressions beyond ``tolerance``."""
-    failures = []
-    base = baseline.get("headline", {}).get("divergent_speedup")
-    if base is None:
-        failures.append("baseline has no headline.divergent_speedup")
-        return failures
-    floor = base * (1.0 - tolerance)
-    current = payload["headline"]["divergent_speedup"]
-    if current < floor:
-        failures.append(
-            f"divergent speedup {current:.2f}x fell below {floor:.2f}x "
-            f"(baseline {base:.2f}x - {tolerance:.0%} tolerance)"
-        )
     return failures
 
 
 @pytest.mark.perf
 def test_replication_bench_headline():
     payload = run_replication_bench(num_keys=8_000)
-    print(format_report(payload))
-    assert check_headline(payload) >= HEADLINE_SPEEDUP_REQUIRED
+    assert benchkit.finish(payload, headline, format_report, RESULT_FILE) == 0
 
 
 @pytest.mark.faults
@@ -264,30 +249,9 @@ def test_replication_fault_leg_loses_nothing():
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Divergent replica bench (PR 9).")
+    parser = benchkit.parser("Divergent replica bench (PR 9).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--factor", type=int, default=REPLICATION_FACTOR)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare the headline speedup against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative speedup regression vs the baseline (default 0.30)",
-    )
     parser.add_argument(
         "--skip-fault-leg",
         action="store_true",
@@ -295,31 +259,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     payload = run_replication_bench(num_keys=args.keys, factor=args.factor)
+    failures = []
     if not args.skip_fault_leg:
         payload["fault_leg"] = run_fault_leg(num_keys=max(1000, args.keys // 4))
-    print(format_report(payload))
-    check_headline(payload)
-    if not args.skip_fault_leg:
-        fault_failures = check_fault_leg(payload["fault_leg"])
-        if fault_failures:
-            for failure in fault_failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no headline regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+        failures = check_fault_leg(payload["fault_leg"])
+    return benchkit.finish(
+        payload, headline, format_report, RESULT_FILE, args.write, failures
+    )
 
 
 if __name__ == "__main__":

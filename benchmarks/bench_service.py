@@ -10,28 +10,25 @@ figure (per-shard counter events priced by the cost model, aggregate
 time = max over shards) carries the scalability claim, the same idiom
 as the Figure-18 concurrency bench.
 
-Regression checking compares *modeled speedup ratios* (N shards / 1
-shard), not absolute ops/sec — ratios are stable across machines.
+Every run checks that claim and the *modeled speedup ratio* at each
+shard count (N shards / 1 shard — stable across machines, unlike raw
+ops/sec) against the committed file (``benchkit``); ``--write``
+rewrites it.
 
 ``--fault-campaign`` additionally runs a randomized online shard
-split/merge campaign under fault injection and fails on any lost key.
+split/merge campaign under fault injection and fails on any lost key::
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_service.py --keys 20000
-    PYTHONPATH=src python benchmarks/bench_service.py \
-        --keys 4000 --check BENCH_PR4.json --tolerance 0.30
+    PYTHONPATH=src python benchmarks/bench_service.py --keys 4000 --fault-campaign
+    PYTHONPATH=src python benchmarks/bench_service.py --write
 
 or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_service.py -q
 """
 
-import argparse
-import json
 import random
-from pathlib import Path
 
+import benchkit
 import pytest
 
 from repro.faults.injector import FaultInjector, InjectedFault
@@ -42,8 +39,7 @@ from repro.service.router import ShardRouter
 DEFAULT_KEYS = 20_000
 HEADLINE_SHARDS = 4
 HEADLINE_SPEEDUP_REQUIRED = 2.0
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_PR4.json"
+RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR4.json"
 
 
 def run_service_bench(num_keys=DEFAULT_KEYS, family="olc", partitioning="hash"):
@@ -135,46 +131,27 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: >= 2x modeled lookup throughput at 4 shards."""
-    headline = payload["headline"]
-    assert headline["modeled_speedup"] >= HEADLINE_SPEEDUP_REQUIRED, (
-        f"modeled speedup at {headline['shards']} shards is "
-        f"{headline['modeled_speedup']:.2f}x; the service claim requires "
-        f">= {HEADLINE_SPEEDUP_REQUIRED}x over a single shard"
-    )
-    return headline["modeled_speedup"]
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on modeled-speedup regressions beyond ``tolerance``.
-
-    Only speedup ratios are compared (machine-independent); shard counts
-    present in the baseline but missing from the current run count as
-    regressions.
-    """
-    failures = []
-    for shard_count, stats in baseline.get("shards", {}).items():
-        current = payload["shards"].get(shard_count)
-        if current is None:
-            failures.append(f"shards={shard_count}: missing from current run")
-            continue
-        floor = stats["modeled_speedup"] * (1.0 - tolerance)
-        if current["modeled_speedup"] < floor:
-            failures.append(
-                f"shards={shard_count}: modeled speedup "
-                f"{current['modeled_speedup']:.2f}x fell below {floor:.2f}x "
-                f"(baseline {stats['modeled_speedup']:.2f}x "
-                f"- {tolerance:.0%} tolerance)"
+def headline(payload):
+    """>= 2x modeled lookup throughput at 4 shards; every count is drift-checked."""
+    rows = []
+    for shard_count, stats in payload["shards"].items():
+        gated = int(shard_count) == HEADLINE_SHARDS
+        rows.append(
+            benchkit.row(
+                f"modeled_speedup@{shard_count}shards",
+                stats["modeled_speedup"],
+                ">=" if gated else None,
+                HEADLINE_SPEEDUP_REQUIRED if gated else None,
+                drift=True,
             )
-    return failures
+        )
+    return rows
 
 
 @pytest.mark.perf
 def test_service_bench_headline():
     payload = run_service_bench(num_keys=4_000)
-    print(format_report(payload))
-    assert check_headline(payload) >= HEADLINE_SPEEDUP_REQUIRED
+    assert benchkit.finish(payload, headline, format_report, RESULT_FILE) == 0
 
 
 @pytest.mark.faults
@@ -185,31 +162,10 @@ def test_service_fault_campaign_loses_nothing():
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Sharded service bench (PR 4).")
+    parser = benchkit.parser("Sharded service bench (PR 4).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--family", default="olc")
     parser.add_argument("--partitioning", default="hash")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare modeled speedups against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative speedup regression vs the baseline (default 0.30)",
-    )
     parser.add_argument(
         "--fault-campaign",
         action="store_true",
@@ -219,19 +175,7 @@ def main(argv=None) -> int:
     payload = run_service_bench(
         num_keys=args.keys, family=args.family, partitioning=args.partitioning
     )
-    print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no modeled-speedup regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
+    failures = []
     if args.fault_campaign:
         summary = run_fault_campaign(num_keys=max(1000, args.keys // 4))
         print(
@@ -241,12 +185,10 @@ def main(argv=None) -> int:
             f"{summary['lost_keys']} lost keys"
         )
         if summary["lost_keys"]:
-            print("REGRESSION: split/merge campaign lost keys")
-            return 1
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+            failures.append("split/merge campaign lost keys")
+    return benchkit.finish(
+        payload, headline, format_report, RESULT_FILE, args.write, failures
+    )
 
 
 if __name__ == "__main__":

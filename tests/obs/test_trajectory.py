@@ -1,120 +1,228 @@
-"""The cross-PR trajectory aggregator over committed BENCH_PR*.json."""
+"""The bench kit: one row schema, one checker, one report over BENCH_PR*.json."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-spec = importlib.util.spec_from_file_location(
-    "trajectory", REPO_ROOT / "benchmarks" / "trajectory.py"
-)
-assert spec is not None and spec.loader is not None
-trajectory = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(trajectory)
+
+def load_bench(name):
+    """Import ``benchmarks/<name>.py`` under its script-time module name."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "benchmarks" / f"{name}.py")
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the bench modules ``import benchkit``
+    spec.loader.exec_module(module)
+    return module
+
+
+benchkit = load_bench("benchkit")
+
+#: Committed file -> (bench module, the function that states its rows).
+SUITES = {
+    "BENCH_PR2.json": ("bench_perf_suite", "headline"),
+    "BENCH_PR3.json": ("bench_obs_overhead", "headline"),
+    "BENCH_PR4.json": ("bench_service", "headline"),
+    "BENCH_PR6.json": ("bench_durability", "headline"),
+    "BENCH_PR7.json": ("bench_net", "headline"),
+    "BENCH_PR8.json": ("bench_obs_overhead", "net_headline"),
+    "BENCH_PR9.json": ("bench_replication", "headline"),
+}
 
 
 def write(tmp_path, name, payload):
     (tmp_path / name).write_text(json.dumps(payload))
 
 
+def suite(*rows):
+    return {"suite": "s", "headline": list(rows)}
+
+
+class TestCheck:
+    def test_value_past_its_bound_is_flagged_not_raised(self):
+        rows = [
+            benchkit.row("speedup", 1.1, ">=", 2.0),
+            benchkit.row("share", 0.07, "<=", 0.05),
+            benchkit.row("lost", 1, "==", 0),
+            benchkit.row("fine", 3.0, ">=", 2.0),
+            benchkit.row("context", 42),
+        ]
+        failures = benchkit.check(rows)
+        assert len(failures) == 3
+        assert "speedup = 1.1, requires >= 2" in failures[0]
+        assert [benchkit.verdict(entry) for entry in rows] == [False, False, False, True, None]
+
+    def test_drift_only_reads_rows_the_committed_file_marks(self):
+        committed = [
+            benchkit.row("ratio", 4.0, drift=True),
+            benchkit.row("share", 0.01, "<=", 0.05),
+            benchkit.row("gone", 2.0, drift=True),
+        ]
+        rows = [benchkit.row("ratio", 2.9), benchkit.row("share", 0.04, "<=", 0.05)]
+        within = [benchkit.row("ratio", 2.8), benchkit.row("gone", 9.0)]
+        assert benchkit.check_drift(within, committed) == []
+        failures = benchkit.check_drift(rows, committed)
+        assert len(failures) == 1 and "gone: missing" in failures[0]
+        failures = benchkit.check_drift([benchkit.row("ratio", 2.7), *within[1:]], committed)
+        assert len(failures) == 1 and "ratio: 2.7 fell below 2.8" in failures[0]
+
+
+class TestFinish:
+    @staticmethod
+    def headline(payload):
+        return [benchkit.row("speedup", payload["speedup"], ">=", 1.3, drift=True)]
+
+    def finish(self, payload, result_file, write=False):
+        return benchkit.finish(payload, self.headline, lambda p: "report", result_file, write)
+
+    def test_baseline_twice_as_good_is_a_regression(self, tmp_path, capsys):
+        result_file = tmp_path / "BENCH_PR9.json"
+        committed = benchkit.stamp({"suite": "s", "speedup": 4.0}, self.headline)
+        result_file.write_text(json.dumps(committed))
+        assert self.finish({"suite": "s", "speedup": 2.0}, result_file) == 1
+        assert "REGRESSION: speedup: 2 fell below 2.8" in capsys.readouterr().out
+        assert self.finish({"suite": "s", "speedup": 3.0}, result_file) == 0
+
+    def test_violated_bound_exits_1_with_or_without_a_committed_file(self, tmp_path, capsys):
+        assert self.finish({"suite": "s", "speedup": 1.0}, tmp_path / "BENCH_PR9.json") == 1
+        assert "REGRESSION: speedup = 1, requires >= 1.3" in capsys.readouterr().out
+
+    def test_committed_file_is_rewritten_only_on_write(self, tmp_path):
+        result_file = tmp_path / "BENCH_PR9.json"
+        assert self.finish({"suite": "s", "speedup": 2.0}, result_file) == 0
+        assert not result_file.exists()
+        assert self.finish({"suite": "s", "speedup": 2.0}, result_file, write=True) == 0
+        before = result_file.read_text()
+        assert benchkit.load(result_file)["headline"][0]["value"] == 2.0
+        assert self.finish({"suite": "s", "speedup": 1.9}, result_file) == 0
+        assert self.finish({"suite": "s", "speedup": 1.0}, result_file, write=True) == 1
+        assert result_file.read_text() == before
+
+    def test_caller_failures_fail_the_run(self, tmp_path, capsys):
+        code = benchkit.finish(
+            {"suite": "s", "speedup": 2.0},
+            self.headline,
+            lambda p: "report",
+            tmp_path / "BENCH_PR9.json",
+            False,
+            ["campaign lost keys"],
+        )
+        assert code == 1
+        assert "REGRESSION: campaign lost keys" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["BENCH_PR3.json", "BENCH_PR8.json"])
+    def test_a_faster_system_does_not_fail_an_overhead_share(self, tmp_path, name):
+        """Halve the denominator: every share doubles, all still under 5%.
+
+        The parent's per-bench drift rule (25% / 75% over the committed
+        share) failed exactly this — a PR that made lookups faster.
+        """
+        module_name, function = SUITES[name]
+        module = load_bench(module_name)
+        headline = getattr(module, function)
+        report = module.format_report if function == "headline" else module.format_net_report
+
+        def with_shares(scale):
+            payload = json.loads((REPO_ROOT / name).read_text())
+            for stats in payload.get("families", {}).values():
+                stats["gate_share"] = 0.01 * scale
+                stats["off_ns_per_op"] /= scale
+            if "request_ns" in payload:
+                payload["request_ns"] /= scale
+                payload["summary"] = {key: 0.012 * scale for key in payload["summary"]}
+            return benchkit.stamp(payload, headline)
+
+        result_file = tmp_path / name
+        result_file.write_text(json.dumps(with_shares(1)))
+        assert benchkit.finish(with_shares(2), headline, report, result_file, False) == 0
+        assert benchkit.finish(with_shares(6), headline, report, result_file, False) == 1
+
+
 class TestCollect:
     def test_known_suite_rows_carry_their_own_bounds(self, tmp_path):
-        write(
-            tmp_path,
-            "BENCH_PR4.json",
-            {
-                "suite": "PR4 sharded index service bench",
-                "headline": {"shards": 4, "modeled_speedup": 3.5, "required": 2.0},
-            },
-        )
-        rows, errors = trajectory.collect(tmp_path)
+        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        rows, errors = benchkit.collect(tmp_path)
         assert errors == []
-        (row,) = rows
-        assert row["ok"] is True
-        assert row["file"] == "BENCH_PR4.json"
-        assert row["metric"] == "modeled_speedup@4shards"
+        (entry,) = rows
+        assert entry["ok"] is True
+        assert entry["file"] == "BENCH_PR4.json"
+        assert (entry["metric"], entry["op"], entry["bound"]) == ("speedup", ">=", 2.0)
 
     def test_violated_bound_is_flagged_not_raised(self, tmp_path):
-        write(
-            tmp_path,
-            "BENCH_PR4.json",
-            {
-                "suite": "PR4 sharded index service bench",
-                "headline": {"shards": 4, "modeled_speedup": 1.1, "required": 2.0},
-            },
-        )
-        rows, _errors = trajectory.collect(tmp_path)
-        assert rows[0]["ok"] is False
-
-    def test_unknown_future_pr_is_listed_not_an_error(self, tmp_path):
-        write(tmp_path, "BENCH_PR99.json", {"suite": "PR99 future bench"})
-        rows, errors = trajectory.collect(tmp_path)
+        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 1.1, ">=", 2.0)))
+        rows, errors = benchkit.collect(tmp_path)
         assert errors == []
-        assert rows[0]["suite"] == "PR99 future bench"
-        assert rows[0]["ok"] is None
+        assert rows[0]["ok"] is False
 
     def test_malformed_files_become_errors(self, tmp_path):
         (tmp_path / "BENCH_PR50.json").write_text("{not json")
         write(tmp_path, "BENCH_PR51.json", ["no", "suite"])
-        write(tmp_path, "BENCH_PR52.json", {"suite": "PR4-shaped", "headline": {}})
-        (tmp_path / "BENCH_PR52.json").rename(tmp_path / "BENCH_PR4.json")
-        rows, errors = trajectory.collect(tmp_path)
+        write(tmp_path, "BENCH_PR52.json", {"suite": "no headline at all"})
+        write(tmp_path, "BENCH_PR53.json", {"suite": "pre-kit dict", "headline": {"x": 1}})
+        write(tmp_path, "BENCH_PR54.json", {"suite": "no rows", "headline": []})
+        write(tmp_path, "BENCH_PR55.json", suite(benchkit.row("x", 1, "<", 2)))
+        write(tmp_path, "BENCH_PR56.json", suite({"metric": "x", "value": 1}))
+        rows, errors = benchkit.collect(tmp_path)
         assert rows == []
-        assert len(errors) == 3
+        assert [error.split(":")[0] for error in errors] == [
+            f"BENCH_PR{number}.json" for number in range(50, 57)
+        ]
+        assert "unknown op '<'" in errors[5]
 
     def test_files_sort_by_pr_number(self, tmp_path):
-        # PR numbers without extractors, so ordering is all that matters;
         # 12 vs 101 sorts numerically, not lexicographically.
-        write(tmp_path, "BENCH_PR101.json", {"suite": "one-oh-one"})
-        write(tmp_path, "BENCH_PR12.json", {"suite": "twelve"})
-        rows, _errors = trajectory.collect(tmp_path)
-        assert [row["suite"] for row in rows] == ["twelve", "one-oh-one"]
+        write(tmp_path, "BENCH_PR101.json", {**suite(benchkit.row("x", 1)), "suite": "one-oh-one"})
+        write(tmp_path, "BENCH_PR12.json", {**suite(benchkit.row("x", 1)), "suite": "twelve"})
+        rows, _errors = benchkit.collect(tmp_path)
+        assert [entry["suite"] for entry in rows] == ["twelve", "one-oh-one"]
 
 
 class TestCommittedArtifacts:
     def test_repo_root_results_are_all_clean(self):
         """The committed BENCH_PR*.json must satisfy their own bounds."""
-        rows, errors = trajectory.collect(REPO_ROOT)
+        rows, errors = benchkit.collect(REPO_ROOT)
         assert errors == []
-        assert rows, "expected committed BENCH_PR*.json files at the repo root"
-        failing = [row for row in rows if row["ok"] is False]
-        assert failing == []
-        # Every known suite contributed at least one checked bound.
-        checked_files = {row["file"] for row in rows if row["ok"] is not None}
-        assert {"BENCH_PR3.json", "BENCH_PR8.json"} <= checked_files
+        assert {entry["file"] for entry in rows} == set(SUITES)
+        checked = [entry for entry in rows if entry["ok"] is not None]
+        assert [entry for entry in checked if not entry["ok"]] == []
+        assert len(checked) == 18
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_bench_headline_reproduces_its_committed_rows(self, name):
+        """No measuring: the bench and its baseline agree on the row shape."""
+        module_name, function = SUITES[name]
+        payload = json.loads((REPO_ROOT / name).read_text())
+        committed = payload["headline"]
+        assert getattr(load_bench(module_name), function)(payload) == committed
+
+    def test_only_same_run_ratios_are_drift_checked(self):
+        rows, _errors = benchkit.collect(REPO_ROOT)
+        drifting = {entry["file"] for entry in rows if entry.get("drift")}
+        assert drifting == {
+            "BENCH_PR2.json",
+            "BENCH_PR4.json",
+            "BENCH_PR6.json",
+            "BENCH_PR9.json",
+        }
 
 
 class TestCli:
     def test_check_passes_on_clean_root(self, tmp_path, capsys):
-        write(
-            tmp_path,
-            "BENCH_PR4.json",
-            {
-                "suite": "s",
-                "headline": {"shards": 4, "modeled_speedup": 3.5, "required": 2.0},
-            },
-        )
-        assert trajectory.main(["--root", str(tmp_path), "--check"]) == 0
-        assert "trajectory ok" in capsys.readouterr().out
+        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        assert benchkit.main(tmp_path) == 0
+        assert "1 bound(s) checked, 0 failed, 0 file error(s)" in capsys.readouterr().out
 
     def test_check_fails_on_violation_and_malformed(self, tmp_path, capsys):
-        write(
-            tmp_path,
-            "BENCH_PR4.json",
-            {
-                "suite": "s",
-                "headline": {"shards": 4, "modeled_speedup": 1.0, "required": 2.0},
-            },
-        )
-        assert trajectory.main(["--root", str(tmp_path), "--check"]) == 1
-        assert "TRAJECTORY FAILURE" in capsys.readouterr().err
+        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 1.0, ">=", 2.0)))
+        assert benchkit.main(tmp_path) == 1
+        out = capsys.readouterr().out
+        assert "FAIL (requires >= 2)" in out and "1 failed" in out
         (tmp_path / "BENCH_PR4.json").write_text("{broken")
-        assert trajectory.main(["--root", str(tmp_path), "--check"]) == 1
-
-    def test_json_format_is_machine_readable(self, tmp_path, capsys):
-        write(tmp_path, "BENCH_PR77.json", {"suite": "s"})
-        assert trajectory.main(["--root", str(tmp_path), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["errors"] == []
-        assert payload["rows"][0]["suite"] == "s"
+        assert benchkit.main(tmp_path) == 1
+        assert "ERROR: BENCH_PR4.json: unreadable" in capsys.readouterr().out
