@@ -7,7 +7,11 @@ than per-key loops on at least two families, because the batch API
 amortizes tree descent (shared-prefix resumption), sampling-gate
 drains, and counter updates.
 
-Every run checks that claim and the per-family *speedup ratios*
+The ``leaf_writes`` section prices a write into a Succinct leaf against
+the same write into a Gapped one (same run, same bulk-loaded 0.70-fill
+trees): what a PUT costs where the budget blocks eager expansion.
+
+Every run checks those claims and the per-family *speedup ratios*
 (batched / single — stable across machines, unlike raw ops/sec) against
 the committed file (``benchkit``); ``--write`` rewrites it::
 
@@ -18,6 +22,8 @@ or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_suite.py -q
 """
+
+import time
 
 import benchkit
 import pytest
@@ -33,6 +39,12 @@ DEFAULT_KEYS = 20_000
 SPEEDUP_FAMILIES_REQUIRED = 2
 SPEEDUP_REQUIRED = 2.0
 RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR2.json"
+#: A Succinct write over the same write into a Gapped leaf, through the
+#: tree.  Measured 5.1-5.9 (overwrite: one value block re-encoded) and
+#: 24-28 (insert: the touched block to the last); both were 60-74 while
+#: every write re-encoded the whole leaf.
+OVERWRITE_RATIO_LIMIT = 10.0
+INSERT_RATIO_LIMIT = 40.0
 
 
 def _measure(single, batched, total_ops, runs=3):
@@ -53,6 +65,40 @@ def _int_data(num_keys):
 def _byte_data(num_keys):
     pairs, probes = benchkit.byte_data(num_keys)
     return pairs, sorted(probes)
+
+
+def _leaf_writes(pairs, runs=5):
+    """Microseconds per ``update`` of a present key and per ``insert`` of a
+    new one, through a tree bulk-loaded at 0.70 fill, per leaf encoding;
+    plus the Succinct-over-Gapped ratios the headline bounds."""
+    present = {key for key, _ in pairs}
+    overwrites = [key for key, _ in pairs[::4]]
+    # About 14 new keys a leaf: nowhere near a split, which is not a leaf write.
+    fresh = [key + 1 for key, _ in pairs[::10] if key + 1 not in present]
+    section = {}
+    for encoding in (LeafEncoding.SUCCINCT, LeafEncoding.GAPPED):
+        overwrite = insert = float("inf")
+        for _ in range(runs):
+            tree = BPlusTree.bulk_load(pairs, encoding)
+            start = time.perf_counter()
+            for key in overwrites:
+                tree.update(key, 7)
+            middle = time.perf_counter()
+            for key in fresh:
+                tree.insert(key, 7)
+            end = time.perf_counter()
+            overwrite = min(overwrite, (middle - start) / len(overwrites))
+            insert = min(insert, (end - middle) / len(fresh))
+        section[str(encoding)] = {
+            "overwrite_us": round(overwrite * 1e6, 2),
+            "insert_us": round(insert * 1e6, 2),
+        }
+    succinct, gapped = section["succinct"], section["gapped"]
+    for write in ("overwrite", "insert"):
+        section[f"succinct_{write}_over_gapped"] = round(
+            succinct[f"{write}_us"] / gapped[f"{write}_us"], 2
+        )
+    return section
 
 
 def run_suite(num_keys=DEFAULT_KEYS):
@@ -125,6 +171,7 @@ def run_suite(num_keys=DEFAULT_KEYS):
         "keys": num_keys,
         "lookups": families,
         "inserts": inserts,
+        "leaf_writes": _leaf_writes(pairs),
     }
 
 
@@ -138,11 +185,20 @@ def format_report(payload):
                 f"batched {stats['batched_ops_per_sec']:>12,.0f} ops/s  "
                 f"speedup {stats['speedup']:.2f}x"
             )
+    writes = payload["leaf_writes"]
+    lines.append("-- leaf writes (through the tree, 0.70-fill leaves) --")
+    for write in ("overwrite", "insert"):
+        lines.append(
+            f"{write:18s} succinct {writes['succinct'][f'{write}_us']:>8.2f} us  "
+            f"gapped {writes['gapped'][f'{write}_us']:>8.2f} us  "
+            f"ratio {writes[f'succinct_{write}_over_gapped']:.1f}x"
+        )
     return "\n".join(lines)
 
 
 def headline(payload):
-    """>= 2x batched lookups on >= 2 families; every speedup is drift-checked."""
+    """>= 2x batched lookups on >= 2 families; a Succinct leaf write within
+    its multiple of a Gapped one; every same-run ratio is drift-checked."""
     rows = [
         benchkit.row(f"{section}.{family}.speedup", stats["speedup"], drift=True)
         for section in ("lookups", "inserts")
@@ -152,6 +208,13 @@ def headline(payload):
     rows.append(
         benchkit.row("lookups.families_at_2x", fast, ">=", SPEEDUP_FAMILIES_REQUIRED)
     )
+    for write, limit in (("overwrite", OVERWRITE_RATIO_LIMIT), ("insert", INSERT_RATIO_LIMIT)):
+        metric = f"succinct_{write}_over_gapped"
+        rows.append(
+            benchkit.row(
+                f"leaf_writes.{metric}", payload["leaf_writes"][metric], "<=", limit, drift=True
+            )
+        )
     return rows
 
 

@@ -7,10 +7,11 @@ to its detail sections the file carries ``headline``, a list of rows::
      "op": ">=", "bound": 2.0, "drift": true}
 
 ``op``/``bound`` state the suite's absolute claim (both ``null`` on a row
-printed for context only).  ``drift`` marks a same-run speedup or
-retention ratio, which a fresh run must keep within ``DRIFT_TOLERANCE``
-of the committed value.  Only rows a faster system cannot fail carry it:
-an overhead *share* divides by the system's own speed, so it keeps its
+printed for context only).  ``drift`` marks a same-run ratio, which a
+fresh run must keep within ``DRIFT_TOLERANCE`` of the committed value: a
+speedup or retention ratio may not fall that far, a ``<=`` row (a cost
+ratio between two things the run measures) may not rise that far.  An
+overhead *share* divides by the system's own speed, so it keeps its
 absolute bound and no drift rule (docs/observability.md, *Overhead
 budget*).
 
@@ -33,7 +34,8 @@ from repro.art.tree import terminated
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 ROW_KEYS = {"metric", "value", "op", "bound"}
-#: How far a ``drift`` row (higher is better) may fall below its committed value.
+#: How far a ``drift`` row may fall below its committed value — or, a
+#: ``<=`` row (a cost ratio, lower is better), rise above it.
 DRIFT_TOLERANCE = 0.30
 
 
@@ -62,20 +64,23 @@ def check(rows):
 
 
 def check_drift(rows, committed):
-    """One failure line per ``drift`` row of ``committed`` this run fell below."""
+    """One failure line per ``drift`` row of ``committed`` this run got
+    worse than: fell below, or for a ``<=`` (cost) row rose above."""
     current = {entry["metric"]: entry["value"] for entry in rows}
     failures = []
     for base in committed:
         if not base.get("drift"):
             continue
         value = current.get(base["metric"])
-        floor = base["value"] * (1.0 - DRIFT_TOLERANCE)
+        cost = base["op"] == "<="  # lower is better: drifting is rising
+        limit = base["value"] * (1.0 + (DRIFT_TOLERANCE if cost else -DRIFT_TOLERANCE))
         if value is None:
             failures.append(f"{base['metric']}: missing from this run")
-        elif value < floor:
+        elif value > limit if cost else value < limit:
             failures.append(
-                f"{base['metric']}: {value:g} fell below {floor:g} "
-                f"(committed {base['value']:g} - {DRIFT_TOLERANCE:.0%})"
+                f"{base['metric']}: {value:g} {'rose above' if cost else 'fell below'} "
+                f"{limit:g} (committed {base['value']:g} {'+' if cost else '-'} "
+                f"{DRIFT_TOLERANCE:.0%})"
             )
     return failures
 

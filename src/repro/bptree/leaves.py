@@ -8,8 +8,10 @@ Three interchangeable storage classes implement the paper's leaf layouts:
 * :class:`PackedStorage` — keys and values densely packed; reads, updates
   and deletes are cheap, inserts shift the arrays.
 * :class:`SuccinctStorage` — frame-of-reference + bit packing for keys
-  and values; still randomly accessible (binary search works without
-  decompressing), but every mutation re-encodes the leaf.
+  and values in 32-entry blocks; still randomly accessible (binary search
+  works without decompressing), and a mutation re-encodes the blocks it
+  changes — one for an overwrite, the touched one to the last for an
+  insert or delete.
 
 A :class:`LeafNode` wraps one storage and gives the leaf a *stable
 identity* across encoding migrations — the adaptation manager tracks the
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import fault_point
@@ -31,6 +32,12 @@ from repro.succinct.for_codec import ForBlock, for_encode
 DEFAULT_LEAF_CAPACITY = 255
 _HEADER_BYTES = 16
 _SLOT_BYTES = 16  # 8-byte key + 8-byte value
+
+#: What a storage's ``insert`` did, found in its one search.  LEAF_FULL is
+#: the only falsy outcome: nothing was written and the caller splits.
+LEAF_FULL = 0
+INSERTED = 1
+OVERWROTE = 2
 
 
 class LeafEncoding(enum.Enum):
@@ -105,17 +112,19 @@ class _SortedPairStorage:
                 append(None)
         return results
 
-    def insert(self, key: int, value: int) -> bool:
-        """Insert or overwrite; False when the leaf is full (caller splits)."""
+    def insert(self, key: int, value: int) -> int:
+        """Insert or overwrite in one search; returns :data:`LEAF_FULL`
+        (nothing changed, caller splits), :data:`INSERTED` or
+        :data:`OVERWROTE`."""
         index = bisect.bisect_left(self.keys, key)
         if index < len(self.keys) and self.keys[index] == key:
             self.values[index] = value
-            return True
+            return OVERWROTE
         if len(self.keys) >= self.capacity:
-            return False
+            return LEAF_FULL
         self.keys.insert(index, key)
         self.values.insert(index, value)
-        return True
+        return INSERTED
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
@@ -168,6 +177,25 @@ class PackedStorage(_SortedPairStorage):
 _FOR_BLOCK_ENTRIES = 32
 
 
+def _encode_blocks(values: Sequence[int]) -> List[ForBlock]:
+    """FOR-encode ``values`` in consecutive 32-entry chunks."""
+    return [
+        for_encode(values[start : start + _FOR_BLOCK_ENTRIES])
+        for start in range(0, len(values), _FOR_BLOCK_ENTRIES)
+    ]
+
+
+def _decode_blocks(blocks: Sequence[ForBlock]) -> List[int]:
+    values: List[int] = []
+    for block in blocks:
+        values.extend(block.to_list())
+    return values
+
+
+def _blocks_bytes(blocks: Sequence[ForBlock]) -> int:
+    return sum(block.size_bytes() for block in blocks)
+
+
 class SuccinctStorage:
     """Block-wise FOR + bit-packed layout; random access, no decompression.
 
@@ -175,6 +203,12 @@ class SuccinctStorage:
     frame of reference and bit width for keys and values, so one distant
     outlier key cannot inflate the whole leaf's width — the behaviour of
     production FOR codecs and what yields the paper's ~73% savings.
+
+    A write re-encodes only the blocks whose contents change: an
+    overwrite one value block, an insert or delete the blocks from the
+    touched one to the end (every later entry moves one slot; chunk
+    boundaries stay at multiples of 32).  The blocks are therefore always
+    equal, one for one, to a from-scratch encode of the same pairs.
     """
 
     encoding = LeafEncoding.SUCCINCT
@@ -184,8 +218,8 @@ class SuccinctStorage:
         "_value_blocks",
         "_block_min_keys",
         "_num_entries",
+        "_size_bytes",
         "capacity",
-        "rebuilds",
     )
 
     def __init__(self, pairs: Sequence[Tuple[int, int]], capacity: int) -> None:
@@ -195,21 +229,11 @@ class SuccinctStorage:
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("leaf pairs must be strictly sorted by key")
         self.capacity = capacity
-        self.rebuilds = 0
-        self._encode(list(pairs))
-
-    def _encode(self, pairs: List[Tuple[int, int]]) -> None:
         self._key_blocks: List[ForBlock] = []
         self._value_blocks: List[ForBlock] = []
-        for start in range(0, len(pairs), _FOR_BLOCK_ENTRIES):
-            chunk = pairs[start : start + _FOR_BLOCK_ENTRIES]
-            self._key_blocks.append(for_encode([key for key, _ in chunk]))
-            self._value_blocks.append(for_encode([value for _, value in chunk]))
-        # Split keys array: each block's minimum, kept uncompressed so
-        # _find can bisect it instead of paying a packed-array decode per
-        # binary-search probe.
-        self._block_min_keys = [block[0] for block in self._key_blocks]
-        self._num_entries = len(pairs)
+        self._block_min_keys: List[int] = []
+        self._size_bytes = _HEADER_BYTES
+        self._replace_tail(0, keys, [value for _, value in pairs])
 
     def num_entries(self) -> int:
         """Number of stored entries."""
@@ -293,32 +317,68 @@ class SuccinctStorage:
                 append(None)
         return results
 
-    def _rebuild(self, pairs: List[Tuple[int, int]]) -> None:
-        self._encode(pairs)
-        self.rebuilds += 1
+    def _overwrite(self, index: int, value: int) -> None:
+        """Re-encode the one value block holding slot ``index``."""
+        block_index, offset = divmod(index, _FOR_BLOCK_ENTRIES)
+        old = self._value_blocks[block_index]
+        values = old.to_list()
+        values[offset] = value
+        new = for_encode(values)
+        self._size_bytes += new.size_bytes() - old.size_bytes()
+        self._value_blocks[block_index] = new
 
-    def insert(self, key: int, value: int) -> bool:
-        """Insert ``key``; returns False when the key already existed."""
+    def _tail(self, first: int) -> Tuple[List[int], List[int]]:
+        """The decoded keys and values of blocks ``first`` to the end."""
+        return (
+            _decode_blocks(self._key_blocks[first:]),
+            _decode_blocks(self._value_blocks[first:]),
+        )
+
+    def _replace_tail(self, first: int, keys: List[int], values: List[int]) -> None:
+        """Make ``keys`` / ``values`` the contents of blocks ``first`` onwards.
+
+        The new blocks are built aside and put in place with one slice
+        assignment per array, so an optimistic (OLC) reader sees the old
+        blocks, the new ones, or — between the assignments — a mix that
+        its version check or the ``IndexError`` it already restarts on
+        rejects.
+        """
+        key_tail = _encode_blocks(keys)
+        value_tail = _encode_blocks(values)
+        self._size_bytes += _blocks_bytes(key_tail + value_tail) - _blocks_bytes(
+            self._key_blocks[first:] + self._value_blocks[first:]
+        )
+        self._key_blocks[first:] = key_tail
+        self._value_blocks[first:] = value_tail
+        # Split keys array: each block's minimum, kept uncompressed so
+        # _find can bisect it instead of paying a packed-array decode per
+        # binary-search probe.
+        self._block_min_keys[first:] = keys[::_FOR_BLOCK_ENTRIES]
+        self._num_entries = first * _FOR_BLOCK_ENTRIES + len(keys)
+
+    def insert(self, key: int, value: int) -> int:
+        """Insert or overwrite in one search; returns :data:`LEAF_FULL`
+        (nothing changed, caller splits), :data:`INSERTED` or
+        :data:`OVERWROTE`."""
         index = self._find(key)
         if index < self._num_entries and self._key_at(index) == key:
-            pairs = self.to_pairs()
-            pairs[index] = (key, value)
-        else:
-            if self._num_entries >= self.capacity:
-                return False
-            pairs = self.to_pairs()
-            pairs.insert(index, (key, value))
-        self._rebuild(pairs)
-        return True
+            self._overwrite(index, value)
+            return OVERWROTE
+        if self._num_entries >= self.capacity:
+            return LEAF_FULL
+        first, offset = divmod(index, _FOR_BLOCK_ENTRIES)
+        keys, values = self._tail(first)
+        keys.insert(offset, key)
+        values.insert(offset, value)
+        self._replace_tail(first, keys, values)
+        return INSERTED
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
         index = self._find(key)
         if index >= self._num_entries or self._key_at(index) != key:
             return False
-        pairs = self.to_pairs()
-        pairs[index] = (key, value)
-        self._rebuild(pairs)
+        self._overwrite(index, value)
         return True
 
     def delete(self, key: int) -> bool:
@@ -326,30 +386,33 @@ class SuccinctStorage:
         index = self._find(key)
         if index >= self._num_entries or self._key_at(index) != key:
             return False
-        pairs = self.to_pairs()
-        del pairs[index]
-        self._rebuild(pairs)
+        first, offset = divmod(index, _FOR_BLOCK_ENTRIES)
+        keys, values = self._tail(first)
+        del keys[offset]
+        del values[offset]
+        self._replace_tail(first, keys, values)
         return True
 
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Return all ``(key, value)`` pairs as a list."""
-        pairs: List[Tuple[int, int]] = []
-        for key_block, value_block in zip(self._key_blocks, self._value_blocks):
-            pairs.extend(zip(key_block.to_list(), value_block.to_list()))
-        return pairs
+        return list(zip(*self._tail(0)))
 
     def entries_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
-        """Yield pairs with key >= ``start_key`` within this leaf."""
-        index = self._find(start_key)
-        for position in range(index, self._num_entries):
-            yield self._key_at(position), self._value_at(position)
+        """Yield pairs with key >= ``start_key`` within this leaf.
+
+        Each touched block is decoded once, as :meth:`lookup_run` does.
+        """
+        first, offset = divmod(self._find(start_key), _FOR_BLOCK_ENTRIES)
+        for block_index in range(first, len(self._key_blocks)):
+            keys = self._key_blocks[block_index].to_list()
+            values = self._value_blocks[block_index].to_list()
+            yield from zip(keys[offset:], values[offset:])
+            offset = 0
 
     def size_bytes(self) -> int:
-        """Return the modeled C++ footprint in bytes."""
-        total = _HEADER_BYTES
-        total += sum(block.size_bytes() for block in self._key_blocks)
-        total += sum(block.size_bytes() for block in self._value_blocks)
-        return total
+        """Return the modeled C++ footprint in bytes (kept up to date
+        wherever blocks are replaced, not re-summed per call)."""
+        return self._size_bytes
 
 
 _STORAGE_CLASSES = {
@@ -357,9 +420,6 @@ _STORAGE_CLASSES = {
     LeafEncoding.PACKED: PackedStorage,
     LeafEncoding.SUCCINCT: SuccinctStorage,
 }
-
-_leaf_ids = itertools.count(1)
-
 
 class LeafNode:
     """A leaf with stable identity and an interchangeable storage encoding.
@@ -376,8 +436,12 @@ class LeafNode:
         pairs: Sequence[Tuple[int, int]],
         encoding: LeafEncoding,
         capacity: int = DEFAULT_LEAF_CAPACITY,
+        leaf_id: int = 0,
     ) -> None:
-        self.leaf_id = next(_leaf_ids)
+        # Handed out by the owning tree's allocator, so what the manager's
+        # Bloom filter hashes depends on the tree's history alone and not
+        # on what else the process built; a leaf outside a tree keeps 0.
+        self.leaf_id = leaf_id
         self.storage = _STORAGE_CLASSES[encoding](pairs, capacity)
         self.next_leaf: Optional["LeafNode"] = None
         self.lock = None  # OlcBPlusTree attaches a VersionedLock here
@@ -420,8 +484,9 @@ class LeafNode:
         """Batched lookup of an ascending key run (see the storages)."""
         return self.storage.lookup_run(run)
 
-    def insert(self, key: int, value: int) -> bool:
-        """Insert ``key``; returns False when the key already existed."""
+    def insert(self, key: int, value: int) -> int:
+        """Insert or overwrite; :data:`LEAF_FULL`, :data:`INSERTED` or
+        :data:`OVERWROTE` (see the storages)."""
         return self.storage.insert(key, value)
 
     def update(self, key: int, value: int) -> bool:

@@ -25,7 +25,12 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import InnerNode
-from repro.bptree.leaves import DEFAULT_LEAF_CAPACITY, LeafEncoding, LeafNode
+from repro.bptree.leaves import (
+    DEFAULT_LEAF_CAPACITY,
+    INSERTED,
+    LeafEncoding,
+    LeafNode,
+)
 from repro.bptree.tree import DEFAULT_INNER_FANOUT, BPlusTree
 from repro.obs.runtime import active_tracer
 
@@ -214,15 +219,13 @@ class OlcBPlusTree(BPlusTree):
             try:
                 if leaf.num_entries() < leaf.capacity or leaf.lookup(key) is not None:
                     self.counters.add(f"leaf_visit:{leaf.encoding}")
-                    existed = leaf.lookup(key) is not None
                     self._count_leaf_write(leaf)
                     before = leaf.size_bytes()
-                    inserted = leaf.insert(key, value)
-                    assert inserted, "leaf had room but refused the insert"
-                    self._adjust_meta(
-                        0 if existed else 1, leaf.size_bytes() - before
-                    )
-                    return not existed
+                    outcome = leaf.insert(key, value)
+                    assert outcome, "leaf had room but refused the insert"
+                    new = outcome == INSERTED
+                    self._adjust_meta(int(new), leaf.size_bytes() - before)
+                    return new
             finally:
                 lock.write_unlock()
             # Leaf full: fall back to the serialized split path.
@@ -243,11 +246,11 @@ class OlcBPlusTree(BPlusTree):
                 lock.write_lock()
             try:
                 self.counters.add(f"leaf_visit:{leaf.encoding}")
-                existed = leaf.lookup(key) is not None
                 self._count_leaf_write(leaf)
-                before = leaf.size_bytes()
-                if not leaf.insert(key, value):
-                    self._adjust_meta(0, leaf.size_bytes() - before)
+                target = leaf
+                before = target.size_bytes()
+                outcome = target.insert(key, value)
+                if not outcome:  # full, nothing written
                     with self._meta_lock:
                         # The base split adjusts _leaf_bytes directly;
                         # holding the meta lock keeps that exchange atomic
@@ -255,14 +258,12 @@ class OlcBPlusTree(BPlusTree):
                         self._split_leaf(leaf, path)
                     target, _ = self._descend(key)
                     before = target.size_bytes()
-                    if not target.insert(key, value):  # pragma: no cover
+                    outcome = target.insert(key, value)
+                    if not outcome:  # pragma: no cover - split guarantees room
                         raise AssertionError("leaf still full after split")
-                    self._adjust_meta(0, target.size_bytes() - before)
-                else:
-                    self._adjust_meta(0, leaf.size_bytes() - before)
-                if not existed:
-                    self._adjust_meta(1, 0)
-                return not existed
+                new = outcome == INSERTED
+                self._adjust_meta(int(new), target.size_bytes() - before)
+                return new
             finally:
                 for lock in reversed(locks):
                     lock.write_unlock()

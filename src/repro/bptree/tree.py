@@ -16,11 +16,13 @@ cost model can price traversals (see :mod:`repro.sim`).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import Child, InnerNode
 from repro.bptree.leaves import (
     DEFAULT_LEAF_CAPACITY,
+    INSERTED,
     LEAF_PROBE_EVENTS,
     LeafEncoding,
     LeafNode,
@@ -54,7 +56,10 @@ class BPlusTree:
         self.leaf_capacity = leaf_capacity
         self.inner_fanout = inner_fanout
         self.counters = OpCounters()
-        self._root: Child = LeafNode([], leaf_encoding, leaf_capacity)
+        # Per tree, so a leaf's id (what the adaptation manager's Bloom
+        # filter hashes) is the same whatever else the process built.
+        self._leaf_ids = itertools.count(1)
+        self._root: Child = self._new_leaf([], leaf_encoding)
         self._num_keys = 0
         self._num_leaves = 1
         self._height = 1
@@ -64,6 +69,11 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _new_leaf(
+        self, pairs: Sequence[Tuple[int, int]], encoding: LeafEncoding
+    ) -> LeafNode:
+        return LeafNode(pairs, encoding, self.leaf_capacity, next(self._leaf_ids))
+
     @classmethod
     def bulk_load(
         cls,
@@ -96,9 +106,7 @@ class BPlusTree:
         per_leaf = max(1, int(self.leaf_capacity * fill_factor))
         leaves: List[LeafNode] = []
         for start in range(0, len(pairs), per_leaf):
-            leaf = LeafNode(
-                pairs[start : start + per_leaf], self.leaf_encoding, self.leaf_capacity
-            )
+            leaf = self._new_leaf(pairs[start : start + per_leaf], self.leaf_encoding)
             if leaves:
                 leaves[-1].next_leaf = leaf
             leaves.append(leaf)
@@ -247,20 +255,21 @@ class BPlusTree:
         self._before_leaf_insert(leaf, parent)
         self.counters.add(f"leaf_visit:{leaf.encoding}")
         self._leaf_accessed(leaf, parent, AccessType.INSERT)
-        existed = leaf.lookup(key) is not None
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
-        if not leaf.insert(key, value):
-            self._leaf_bytes += leaf.size_bytes() - before
+        outcome = leaf.insert(key, value)
+        if not outcome:  # full, nothing written
             self._split_leaf(leaf, path)
             leaf, path = self._descend(key)
             before = leaf.size_bytes()
-            if not leaf.insert(key, value):  # pragma: no cover - split guarantees room
+            outcome = leaf.insert(key, value)
+            if not outcome:  # pragma: no cover - split guarantees room
                 raise AssertionError("leaf still full after split")
         self._leaf_bytes += leaf.size_bytes() - before
-        if not existed:
+        new = outcome == INSERTED
+        if new:
             self._num_keys += 1
-        return not existed
+        return new
 
     def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
         """Batched point lookups; returns one value (or None) per key.
@@ -356,23 +365,24 @@ class BPlusTree:
                 self._before_leaf_insert(leaf, parent)
             self.counters.add(f"leaf_visit:{leaf.encoding}")
             group += 1
-            existed = leaf.lookup(key) is not None
             self._count_leaf_write(leaf)
             before = leaf.size_bytes()
-            if not leaf.insert(key, value):
-                self._leaf_bytes += leaf.size_bytes() - before
+            outcome = leaf.insert(key, value)
+            if not outcome:  # full, nothing written
                 self._split_leaf(leaf, path)
                 self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
                 group = 0
                 leaf, path, upper = self._descend_bounded(key)
                 parent = path[-1][0] if path else None
                 before = leaf.size_bytes()
-                if not leaf.insert(key, value):  # pragma: no cover
+                outcome = leaf.insert(key, value)
+                if not outcome:  # pragma: no cover - split guarantees room
                     raise AssertionError("leaf still full after split")
             self._leaf_bytes += leaf.size_bytes() - before
-            if not existed:
+            new = outcome == INSERTED
+            if new:
                 self._num_keys += 1
-            results.append(not existed)
+            results.append(new)
         if group:
             self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
         return results
@@ -404,6 +414,9 @@ class BPlusTree:
         return removed
 
     def _count_leaf_write(self, leaf: LeafNode) -> None:
+        """Charge one leaf write as the cost model prices it: the paper's
+        C++ Succinct leaf re-encodes every entry (Figure 16 reproduces
+        from that), whatever fewer blocks this implementation touches."""
         self.counters.add(f"leaf_write:{leaf.encoding}")
         if leaf.encoding is LeafEncoding.SUCCINCT:
             self.counters.add("leaf_rebuild_entry", leaf.num_entries())
@@ -471,7 +484,7 @@ class BPlusTree:
         before = leaf.size_bytes()
         # The left half stays in the existing wrapper so tracked identity
         # and the parent pointer survive; the right half is a new leaf.
-        right = LeafNode(pairs[middle:], leaf.encoding, leaf.capacity)
+        right = self._new_leaf(pairs[middle:], leaf.encoding)
         right.next_leaf = leaf.next_leaf
         leaf.storage = type(leaf.storage)(pairs[:middle], leaf.capacity)
         leaf.next_leaf = right

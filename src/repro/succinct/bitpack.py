@@ -39,12 +39,15 @@ class PackedIntArray:
             width = max((bits_required(v) for v in values), default=1)
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        limit = 1 << width
+        if values and (min(values) < 0 or max(values) >> width):
+            limit = 1 << width
+            offender = next(v for v in values if v < 0 or v >= limit)
+            raise ValueError(f"value {offender} does not fit in {width} bits")
         buffer = 0
-        for position, value in enumerate(values):
-            if value < 0 or value >= limit:
-                raise ValueError(f"value {value} does not fit in {width} bits")
-            buffer |= value << (position * width)
+        shift = 0
+        for value in values:
+            buffer |= value << shift
+            shift += width
         self._width = width
         self._length = len(values)
         self._buffer = buffer
@@ -66,11 +69,7 @@ class PackedIntArray:
         return (self._buffer >> (index * self._width)) & mask
 
     def __iter__(self) -> Iterator[int]:
-        mask = (1 << self._width) - 1
-        buffer = self._buffer
-        for _ in range(self._length):
-            yield buffer & mask
-            buffer >>= self._width
+        return iter(self.to_list())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedIntArray):
@@ -81,9 +80,15 @@ class PackedIntArray:
             and self._buffer == other._buffer
         )
 
-    def to_list(self) -> List[int]:
-        """Decode to a plain list."""
-        return list(self)
+    def to_list(self, base: int = 0) -> List[int]:
+        """Decode to a plain list, adding ``base`` to every element."""
+        width = self._width
+        mask = (1 << width) - 1
+        buffer = self._buffer
+        return [
+            base + ((buffer >> shift) & mask)
+            for shift in range(0, self._length * width, width)
+        ]
 
     def size_bytes(self) -> int:
         """Modeled storage footprint: payload bits rounded up to bytes."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.succinct.bitpack import PackedIntArray, bits_required
+from repro.succinct.bitpack import PackedIntArray
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class ForBlock:
 
     def to_list(self) -> List[int]:
         """Decode to a plain list."""
-        return [self.base + delta for delta in self.deltas]
+        return self.deltas.to_list(self.base)
 
     def size_bytes(self) -> int:
         """Modeled footprint: an 8-byte base plus the packed deltas."""
@@ -51,7 +51,7 @@ def for_encode(values: Sequence[int]) -> ForBlock:
         return ForBlock(base=0, deltas=PackedIntArray([], width=1))
     base = min(values)
     raw_deltas = [value - base for value in values]
-    width = max(bits_required(delta) for delta in raw_deltas)
+    width = max(raw_deltas).bit_length() or 1  # base is the minimum: deltas >= 0
     return ForBlock(base=base, deltas=PackedIntArray(raw_deltas, width=width))
 
 

@@ -118,12 +118,6 @@ class TestSizeModel:
         assert b < 4 * a
         assert b < whole_leaf_floor + a
 
-    def test_succinct_tracks_rebuilds(self):
-        storage = SuccinctStorage(pairs_of(1, 5), capacity=8)
-        storage.insert(3, 30)
-        storage.delete(1)
-        assert storage.rebuilds == 2
-
 
 class TestLeafNode:
     def test_identity_stable_across_migration(self):

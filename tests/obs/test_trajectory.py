@@ -72,6 +72,13 @@ class TestCheck:
         failures = benchkit.check_drift([benchkit.row("ratio", 2.7), *within[1:]], committed)
         assert len(failures) == 1 and "ratio: 2.7 fell below 2.8" in failures[0]
 
+    def test_a_cost_ratio_drifts_by_rising_not_by_falling(self):
+        committed = [benchkit.row("cost", 10.0, "<=", 40.0, drift=True)]
+        for value in (2.0, 10.0, 13.0):
+            assert benchkit.check_drift([benchkit.row("cost", value)], committed) == []
+        failures = benchkit.check_drift([benchkit.row("cost", 13.5)], committed)
+        assert len(failures) == 1 and "cost: 13.5 rose above 13" in failures[0]
+
 
 class TestFinish:
     @staticmethod
@@ -191,7 +198,7 @@ class TestCommittedArtifacts:
         assert {entry["file"] for entry in rows} == set(SUITES)
         checked = [entry for entry in rows if entry["ok"] is not None]
         assert [entry for entry in checked if not entry["ok"]] == []
-        assert len(checked) == 18
+        assert len(checked) == 20
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_bench_headline_reproduces_its_committed_rows(self, name):

@@ -48,6 +48,17 @@ class TestPackedIntArray:
         with pytest.raises(ValueError):
             PackedIntArray([-1])
 
+    def test_error_names_the_first_offending_value(self):
+        with pytest.raises(ValueError, match=r"^value 16 does not fit in 4 bits$"):
+            PackedIntArray([3, 16, -2, 99], width=4)
+        with pytest.raises(ValueError, match=r"^value -2 does not fit in 4 bits$"):
+            PackedIntArray([3, -2, 16], width=4)
+        with pytest.raises(ValueError, match=r"^width must be >= 1, got 0$"):
+            PackedIntArray([], width=0)
+
+    def test_to_list_adds_the_base(self):
+        assert PackedIntArray([0, 5, 2], width=3).to_list(100) == [100, 105, 102]
+
     def test_random_access(self):
         values = list(range(100))
         packed = PackedIntArray(values)
