@@ -1,6 +1,7 @@
 """One result schema and one checker for the gated benches.
 
-Every gated suite commits a ``BENCH_PR<N>.json`` at the repo root.  Next
+Every gated suite commits a ``BENCH_PR<N>.json`` at the repo root (the
+paper's figures, ``bench_paper.py``, commit ``BENCH_PAPER.json``).  Next
 to its detail sections the file carries ``headline``, a list of rows::
 
     {"metric": "modeled_speedup@4shards", "value": 3.94,
@@ -51,7 +52,7 @@ def verdict(entry):
     """True/False for a bounded row, None for an informational one."""
     if entry["op"] is None:
         return None
-    return OPS[entry["op"]](entry["value"], entry["bound"])
+    return bool(OPS[entry["op"]](entry["value"], entry["bound"]))  # numpy's False is not False
 
 
 def check(rows):
@@ -122,12 +123,14 @@ def _pr_number(path):
 
 
 def collect(root=REPO_ROOT):
-    """Every ``BENCH_PR*.json`` under ``root`` in PR order: (rows, errors).
+    """Every ``BENCH_PR*.json`` under ``root`` in PR order, then
+    ``BENCH_PAPER.json``: (rows, errors).
 
     Each row gains its ``file``, ``suite`` and ``ok`` verdict.
     """
     rows, errors = [], []
-    for path in sorted(root.glob("BENCH_PR*.json"), key=_pr_number):
+    paths = sorted(root.glob("BENCH_PR*.json"), key=_pr_number)
+    for path in [*paths, *root.glob("BENCH_PAPER.json")]:
         try:
             payload = load(path)
         except ValueError as error:
@@ -151,7 +154,7 @@ def format_row(entry):
 
 
 def format_trajectory(rows, errors):
-    lines = ["performance trajectory (committed BENCH_PR*.json headlines)", ""]
+    lines = ["performance trajectory (committed BENCH_*.json headlines)", ""]
     current = None
     for entry in rows:
         if entry["file"] != current:
@@ -175,7 +178,7 @@ def parser(description):
     result.add_argument(
         "--write",
         action="store_true",
-        help="rewrite the suite's committed BENCH_PR*.json with this run",
+        help="rewrite the suite's committed BENCH_*.json with this run",
     )
     return result
 

@@ -1,31 +1,15 @@
-"""Shared helpers for the paper-reproduction benchmarks.
-
-Every ``bench_*`` module regenerates one table or figure of the paper at
-a laptop scale: it runs the corresponding harness experiment, prints the
-paper-shaped rows/series (so the output is directly comparable with the
-paper; EXPERIMENTS.md records the side-by-side), asserts the qualitative
-shape, and reports the run through pytest-benchmark.
+"""Shared helpers for the pytest-benchmark targets that are not gated
+suites: ``bench_olc.py``, ``bench_serialization.py`` and
+``bench_fault_campaign.py`` print a table, assert a property and report
+one timed run.  (The paper's figures are rows in ``bench_paper.py``.)
 """
 
 from __future__ import annotations
-
-import pytest
 
 
 def banner(title: str) -> str:
     line = "=" * max(60, len(title) + 4)
     return f"\n{line}\n  {title}\n{line}"
-
-
-@pytest.fixture
-def show():
-    """Print that survives pytest capture (-s not required thanks to -rA?);
-    benchmarks print directly — run pytest with -s to see the tables."""
-
-    def _show(*parts: object) -> None:
-        print(*parts)
-
-    return _show
 
 
 def run_once(benchmark, func):

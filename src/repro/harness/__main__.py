@@ -10,11 +10,12 @@ Regenerate any paper table/figure from the shell::
     python -m repro.harness fig13 --trace out.jsonl --metrics out.prom
 
 ``--scale`` multiplies every integer size parameter (key counts,
-operation counts) of the chosen experiments; 1.0 is the benchmark
-default.  ``--trace``/``--metrics`` install the :mod:`repro.obs`
-telemetry layer around the run and export a JSONL span trace and a
-Prometheus snapshot; ``--trace-ops N`` additionally samples every N-th
-per-operation span (off by default — phase-level spans only).
+operation counts) of the chosen experiments' own defaults.  The sizes a
+figure's shape is *judged* at are written once, in the table of
+``benchmarks/bench_paper.py``.  ``--trace``/``--metrics`` install the
+:mod:`repro.obs` telemetry layer around the run and export a JSONL span
+trace and a Prometheus snapshot; ``--trace-ops N`` additionally samples
+every N-th per-operation span (off by default — phase-level spans only).
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ EXPERIMENTS: Dict[str, Callable] = {
     "tab1": exp.experiment_table1,
     "tab2": exp.experiment_table2,
     "tab4": exp.experiment_table4,
+    "appendix-fig2": exp.experiment_appendix_fig2_distributions,
+    "appendix-fig5": exp.experiment_appendix_fig5_workloads,
 }
 
 _SCALABLE_PARAMS = (
@@ -70,7 +73,8 @@ def _scaled_kwargs(function: Callable, scale: float) -> Dict[str, int]:
     return kwargs
 
 
-def _render(name: str, result: Dict) -> None:
+def render(name: str, result: Dict) -> None:
+    """Print one experiment result in the paper's table/series shape."""
     line = "=" * 68
     print(f"\n{line}\n  {name}\n{line}")
     if "rows" in result:
@@ -104,8 +108,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment names (fig2..fig20, tab1/tab2/tab4, faults, "
-        "service-bench), 'all', or 'list'",
+        help=f"experiment names ({', '.join(EXPERIMENTS)}), 'all', or 'list'",
     )
     parser.add_argument(
         "--scale",
@@ -142,9 +145,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:
+        width = max(map(len, EXPERIMENTS))
         for name, function in EXPERIMENTS.items():
             summary = (inspect.getdoc(function) or "").splitlines()[0]
-            print(f"{name:<6} {summary}")
+            print(f"{name:<{width}} {summary}")
         return 0
 
     names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
@@ -179,7 +183,7 @@ def main(argv=None) -> int:
             elapsed = time.perf_counter() - started
             if root_span is not None:
                 telemetry.tracer.end(root_span)
-            _render(f"{name}  ({elapsed:.1f}s)", result)
+            render(f"{name}  ({elapsed:.1f}s)", result)
             if args.export:
                 from repro.harness.export import write_result
 

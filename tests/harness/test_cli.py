@@ -31,6 +31,19 @@ class TestMain:
         assert "fig12" in output
         assert "tab4" in output
 
+    def test_appendix_experiments_are_registered_and_listed(self, capsys):
+        assert main(["list"]) == 0
+        output = capsys.readouterr().out
+        for name in ("appendix-fig2", "appendix-fig5"):
+            assert name in EXPERIMENTS and f"{name} " in output
+
+    def test_help_names_every_registered_experiment(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        output = " ".join(capsys.readouterr().out.split())
+        for name in EXPERIMENTS:
+            assert name in output.replace("- ", "-")  # argparse may wrap at a hyphen
+
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["figZZ"])

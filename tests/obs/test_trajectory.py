@@ -1,26 +1,10 @@
-"""The bench kit: one row schema, one checker, one report over BENCH_PR*.json."""
+"""The bench kit: one row schema, one checker, one report over BENCH_*.json."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def load_bench(name):
-    """Import ``benchmarks/<name>.py`` under its script-time module name."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "benchmarks" / f"{name}.py")
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # the bench modules ``import benchkit``
-    spec.loader.exec_module(module)
-    return module
-
+from tests.helpers import REPO_ROOT, load_bench
 
 benchkit = load_bench("benchkit")
 
@@ -33,6 +17,7 @@ SUITES = {
     "BENCH_PR7.json": ("bench_net", "headline"),
     "BENCH_PR8.json": ("bench_obs_overhead", "net_headline"),
     "BENCH_PR9.json": ("bench_replication", "headline"),
+    "BENCH_PAPER.json": ("bench_paper", "headline"),
 }
 
 
@@ -57,6 +42,13 @@ class TestCheck:
         assert len(failures) == 3
         assert "speedup = 1.1, requires >= 2" in failures[0]
         assert [benchkit.verdict(entry) for entry in rows] == [False, False, False, True, None]
+
+    def test_a_numpy_value_past_its_bound_is_flagged_too(self):
+        import numpy as np
+
+        rows = [benchkit.row("ratio", np.mean([0.9, 0.94]), "<=", 0.7)]
+        assert benchkit.verdict(rows[0]) is False
+        assert len(benchkit.check(rows)) == 1
 
     def test_drift_only_reads_rows_the_committed_file_marks(self):
         committed = [
@@ -189,6 +181,24 @@ class TestCollect:
         rows, _errors = benchkit.collect(tmp_path)
         assert [entry["suite"] for entry in rows] == ["twelve", "one-oh-one"]
 
+    def test_the_paper_file_is_collected_after_the_numbered_ones(self, tmp_path):
+        write(tmp_path, "BENCH_PAPER.json", suite(benchkit.row("fig15.inversions", 0, "==", 0)))
+        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        write(tmp_path, "BENCH_OTHER.json", suite(benchkit.row("ignored", 1, ">=", 2)))
+        rows, errors = benchkit.collect(tmp_path)
+        assert errors == []
+        assert [entry["file"] for entry in rows] == ["BENCH_PR4.json", "BENCH_PAPER.json"]
+        assert rows[1]["ok"] is True
+
+    def test_a_malformed_paper_file_is_reported_not_raised(self, tmp_path, capsys):
+        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        (tmp_path / "BENCH_PAPER.json").write_text('{"suite": "paper", "headline": [{"metric"')
+        rows, errors = benchkit.collect(tmp_path)
+        assert [entry["file"] for entry in rows] == ["BENCH_PR4.json"]
+        assert len(errors) == 1 and errors[0].startswith("BENCH_PAPER.json: unreadable")
+        assert benchkit.main(tmp_path) == 1
+        assert "ERROR: BENCH_PAPER.json: unreadable" in capsys.readouterr().out
+
 
 class TestCommittedArtifacts:
     def test_repo_root_results_are_all_clean(self):
@@ -198,7 +208,7 @@ class TestCommittedArtifacts:
         assert {entry["file"] for entry in rows} == set(SUITES)
         checked = [entry for entry in rows if entry["ok"] is not None]
         assert [entry for entry in checked if not entry["ok"]] == []
-        assert len(checked) == 20
+        assert len(checked) == 129  # 20 over the numbered suites, 109 paper rows
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_bench_headline_reproduces_its_committed_rows(self, name):
@@ -216,14 +226,18 @@ class TestCommittedArtifacts:
             "BENCH_PR4.json",
             "BENCH_PR6.json",
             "BENCH_PR9.json",
+            "BENCH_PAPER.json",
         }
 
 
 class TestCli:
     def test_check_passes_on_clean_root(self, tmp_path, capsys):
         write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        write(tmp_path, "BENCH_PAPER.json", suite(benchkit.row("tab1.ratio", 0.3, "<=", 0.45)))
         assert benchkit.main(tmp_path) == 0
-        assert "1 bound(s) checked, 0 failed, 0 file error(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "BENCH_PAPER.json  [s]" in out
+        assert "2 bound(s) checked, 0 failed, 0 file error(s)" in out
 
     def test_check_fails_on_violation_and_malformed(self, tmp_path, capsys):
         write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 1.0, ">=", 2.0)))
