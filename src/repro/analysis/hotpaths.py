@@ -53,7 +53,7 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
     [
         HotRoot(prefix, pattern)
         for prefix in _MUTABLE_FAMILY_PREFIXES
-        for pattern in ("*lookup*", "*insert*")
+        for pattern in ("*lookup*", "*insert*", "*scan*")
     ]
     + [
         HotRoot("repro.fst", "*lookup*"),
@@ -67,6 +67,7 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
         # Leaf scan layer: reads that families dispatch to dynamically
         # (invisible to the call graph; the leaf probes are `*lookup*`).
         HotRoot("repro.bptree.leaves", "*.entries_from"),
+        HotRoot("repro.bptree.leaves", "*.pairs_from"),
         # Succinct primitives backing compressed probes and the FST
         # navigation kernel (reached by attribute dispatch).
         HotRoot("repro.succinct", "*.__getitem__"),

@@ -153,11 +153,21 @@ class _SortedPairStorage:
         for position in range(index, len(self.keys)):
             yield self.keys[position], self.values[position]
 
+    def pairs_from(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
+        """Up to ``limit`` pairs with key >= ``start_key``: one slice per
+        array (an OLC scan validates the leaf once per call)."""
+        start = bisect.bisect_left(self.keys, start_key)
+        end = start + limit
+        return list(zip(self.keys[start:end], self.values[start:end]))
+
 
 class GappedStorage(_SortedPairStorage):
     """Fixed-capacity slotted layout; size is paid for every slot."""
 
     encoding = LeafEncoding.GAPPED
+    #: Counter names, spelled out: formatting the enum costs a Python call.
+    visit_event = "leaf_visit:gapped"
+    write_event = "leaf_write:gapped"
 
     def size_bytes(self) -> int:
         """Return the modeled C++ footprint in bytes."""
@@ -168,6 +178,8 @@ class PackedStorage(_SortedPairStorage):
     """Dense layout; size tracks the live entry count."""
 
     encoding = LeafEncoding.PACKED
+    visit_event = "leaf_visit:packed"
+    write_event = "leaf_write:packed"
 
     def size_bytes(self) -> int:
         """Return the modeled C++ footprint in bytes."""
@@ -212,6 +224,8 @@ class SuccinctStorage:
     """
 
     encoding = LeafEncoding.SUCCINCT
+    visit_event = "leaf_visit:succinct"
+    write_event = "leaf_write:succinct"
 
     __slots__ = (
         "_key_blocks",
@@ -408,6 +422,22 @@ class SuccinctStorage:
             values = self._value_blocks[block_index].to_list()
             yield from zip(keys[offset:], values[offset:])
             offset = 0
+
+    def pairs_from(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
+        """Up to ``limit`` pairs with key >= ``start_key``, decoding only
+        the blocks they come from."""
+        first, offset = divmod(self._find(start_key), _FOR_BLOCK_ENTRIES)
+        pairs: List[Tuple[int, int]] = []
+        for block_index in range(first, len(self._key_blocks)):
+            end = offset + limit - len(pairs)
+            pairs += zip(
+                self._key_blocks[block_index].to_list()[offset:end],
+                self._value_blocks[block_index].to_list()[offset:end],
+            )
+            if len(pairs) >= limit:
+                break
+            offset = 0
+        return pairs
 
     def size_bytes(self) -> int:
         """Return the modeled C++ footprint in bytes (kept up to date

@@ -11,7 +11,10 @@ coupling this acquires no locks at all on the read path.
 Python's GIL serializes bytecode, so this port cannot demonstrate
 parallel speedup — but the protocol is implemented fully (versioned
 locks, validation, restart loops, write upgrades) and its correctness
-under concurrent readers/writers is what the tests exercise.
+under concurrent readers/writers is what the tests exercise.  A read
+costs what the protocol says it should: one validated descent is a
+single frame of plain attribute reads and ``bisect`` calls, and an
+operation that does not restart builds no closure.
 
 Structure-modifying operations (splits) are serialized by a tree-level
 lock while still version-bumping every node they touch, a simplification
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import InnerNode
@@ -46,18 +50,21 @@ class VersionedLock:
 
     The version is even when unlocked and odd while a writer holds the
     lock; every write releases with ``version + 2`` so readers can detect
-    interference by comparing versions.
+    interference by comparing versions.  The tree's descent and scan read
+    :attr:`version` directly (the checks :meth:`read_version` and
+    :meth:`validate` name, without their calls); writers take the lock
+    through :meth:`upgrade`, splits through :meth:`write_lock`.
     """
 
-    __slots__ = ("_lock", "_version")
+    __slots__ = ("_lock", "version")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._version = 0
+        self.version = 0
 
     def read_version(self) -> int:
         """The version to validate against later; restarts while locked."""
-        version = self._version
+        version = self.version
         if version & 1:
             raise OlcRestart()
         return version
@@ -65,37 +72,32 @@ class VersionedLock:
     def validate(self, version: int) -> None:
         """Raise :class:`OlcRestart` if a writer interfered since
         ``version`` was read."""
-        if self._version != version:
+        if self.version != version:
             raise OlcRestart()
 
     def upgrade(self, version: int) -> None:
         """Atomically move from an optimistic read to a write lock."""
         if not self._lock.acquire(blocking=False):
             raise OlcRestart()
-        if self._version != version:
+        if self.version != version:
             self._lock.release()
             raise OlcRestart()
-        self._version += 1  # odd: locked
+        self.version += 1  # odd: locked
 
     def write_lock(self) -> None:
         """Blocking write acquisition (structure modifications)."""
         self._lock.acquire()
-        self._version += 1
+        self.version += 1
 
     def write_unlock(self) -> None:
         """Release the write lock, bumping the version."""
-        self._version += 1  # even again, but changed
+        self.version += 1  # even again, but changed
         self._lock.release()
-
-    @property
-    def version(self) -> int:
-        """The current version counter value."""
-        return self._version
 
     @property
     def locked(self) -> bool:
         """True while a writer holds the lock."""
-        return bool(self._version & 1)
+        return bool(self.version & 1)
 
 
 _lock_creation_guard = threading.Lock()
@@ -143,39 +145,60 @@ class OlcBPlusTree(BPlusTree):
     # ------------------------------------------------------------------
     # OLC traversal
     # ------------------------------------------------------------------
-    def _olc_descend(self, key: int) -> Tuple[LeafNode, int]:
-        """Optimistic descent: returns (leaf, leaf_version)."""
-        node = self._root
-        version = _lock_of(node).read_version()
-        if node is not self._root:
-            # The root was swapped by a concurrent split after we read it.
-            raise OlcRestart()
-        while isinstance(node, InnerNode):
-            child = node.route(key)
-            # Validate after reading the routing decision: if a writer
-            # changed this node meanwhile, the child may be wrong.
-            lock = _lock_of(node)
-            lock.validate(version)
-            child_version = _lock_of(child).read_version()
-            # The canonical OLC double validation: the parent must still
-            # be unchanged *after* the child's version was read, or a
-            # split may have moved our key range between the two reads.
-            lock.validate(version)
-            node, version = child, child_version
-        return node, version
+    def _descend_locked(self, key: int) -> Tuple[LeafNode, VersionedLock, int]:
+        """Optimistic descent: ``(leaf, leaf lock, leaf version)``.
 
-    def _with_restarts(self, operation):
-        for attempt in range(_MAX_RESTARTS):
+        Per level: read the child under a parent version, validate the
+        parent, read the child's version, validate the parent again — the
+        canonical OLC double validation: the parent must still be
+        unchanged *after* the child's version was read, or a split may
+        have moved our key range between the two reads.  An odd version
+        (a writer holds the node) or a root swapped by a concurrent split
+        restarts; so does an ``IndexError``, which a route racing
+        ``InnerNode.insert_child`` (keys grown, children not yet) raises.
+        """
+        node = self._root
+        lock = node.lock or _lock_of(node)
+        version = lock.version
+        if version & 1 or node is not self._root:
+            raise OlcRestart()
+        try:
+            while isinstance(node, InnerNode):
+                child = node.children[bisect_right(node.keys, key)]
+                if lock.version != version:
+                    raise OlcRestart()
+                child_lock = child.lock or _lock_of(child)
+                child_version = child_lock.version
+                if child_version & 1 or lock.version != version:
+                    raise OlcRestart()
+                node, lock, version = child, child_lock, child_version
+        except IndexError:
+            raise OlcRestart() from None
+        return node, lock, version
+
+    def _restarted(self, attempt: int) -> int:
+        """Count the restart of an operation's ``attempt``-th try, back
+        off, and return the next attempt's number.  Backoff yields the GIL
+        so the conflicting writer can finish; pure spinning livelocks
+        under heavy contention."""
+        self.restarts += 1
+        if attempt > 4:
+            if attempt >= _MAX_RESTARTS:  # pragma: no cover
+                raise RuntimeError("OLC operation restarted too often")
+            time.sleep(0 if attempt < 64 else 0.0001)
+        return attempt + 1
+
+    def _write_locked_leaf(self, key: int) -> Tuple[LeafNode, VersionedLock]:
+        """The leaf for ``key`` with its version lock upgraded to a write
+        lock (restarting until the upgrade succeeds)."""
+        attempt = 0
+        while True:
             try:
-                return operation()
+                leaf, lock, version = self._descend_locked(key)
+                lock.upgrade(version)
+                return leaf, lock
             except OlcRestart:
-                self.restarts += 1
-                # Backoff: yield the GIL so the conflicting writer can
-                # finish; pure spinning livelocks under heavy contention.
-                if attempt > 4:
-                    time.sleep(0 if attempt < 64 else 0.0001)
-                continue
-        raise RuntimeError("OLC operation restarted too often")  # pragma: no cover
+                attempt = self._restarted(attempt)
 
     # ------------------------------------------------------------------
     # Operations
@@ -188,19 +211,18 @@ class OlcBPlusTree(BPlusTree):
             if tracer is not None
             else None
         )
-
-        def run() -> Tuple[LeafNode, Optional[int]]:
-            leaf, version = self._olc_descend(key)
-            self.counters.add(f"leaf_visit:{leaf.encoding}")
+        attempt = 0
+        while True:
             try:
-                value = leaf.lookup(key)
-            except IndexError:
-                # A concurrent writer shifted the storage under us.
-                raise OlcRestart() from None
-            _lock_of(leaf).validate(version)
-            return leaf, value
-
-        leaf, value = self._with_restarts(run)
+                leaf, lock, version = self._descend_locked(key)
+                storage = leaf.storage
+                self.counters.add(storage.visit_event)
+                value = storage.lookup(key)
+                if lock.version == version:
+                    break
+            except (OlcRestart, IndexError):
+                pass  # IndexError: a writer shifted the storage under the read
+            attempt = self._restarted(attempt)
         if span is not None:
             self._end_lookup_span(tracer, span, leaf, value)
         return value
@@ -212,26 +234,22 @@ class OlcBPlusTree(BPlusTree):
 
     def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed."""
-        def run() -> bool:
-            leaf, version = self._olc_descend(key)
-            lock = _lock_of(leaf)
-            lock.upgrade(version)
-            try:
-                if leaf.num_entries() < leaf.capacity or leaf.lookup(key) is not None:
-                    self.counters.add(f"leaf_visit:{leaf.encoding}")
-                    self._count_leaf_write(leaf)
-                    before = leaf.size_bytes()
-                    outcome = leaf.insert(key, value)
-                    assert outcome, "leaf had room but refused the insert"
-                    new = outcome == INSERTED
-                    self._adjust_meta(int(new), leaf.size_bytes() - before)
-                    return new
-            finally:
-                lock.write_unlock()
-            # Leaf full: fall back to the serialized split path.
-            return self._insert_with_split(key, value)
-
-        return self._with_restarts(run)
+        leaf, lock = self._write_locked_leaf(key)
+        try:
+            storage = leaf.storage
+            if storage.num_entries() < storage.capacity or storage.lookup(key) is not None:
+                self.counters.add(storage.visit_event)
+                self._count_leaf_write(leaf)
+                before = storage.size_bytes()
+                outcome = storage.insert(key, value)
+                assert outcome, "leaf had room but refused the insert"
+                new = outcome == INSERTED
+                self._adjust_meta(int(new), storage.size_bytes() - before)
+                return new
+        finally:
+            lock.write_unlock()
+        # Leaf full: fall back to the serialized split path.
+        return self._insert_with_split(key, value)
 
     def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
         """One version-locked :meth:`insert` per pair: the base tree's
@@ -239,13 +257,17 @@ class OlcBPlusTree(BPlusTree):
         return [self.insert(key, value) for key, value in pairs]
 
     def _insert_with_split(self, key: int, value: int) -> bool:
+        """Insert under the structure lock, write-locking the path, the
+        full leaf and — after the split — the leaf that takes the key,
+        which is often the new right half: a root split publishes a new
+        root no writer holds, through which a reader reaches that leaf."""
         with self._structure_lock:
             leaf, path = self._descend(key)
             locks = [_lock_of(node) for node, _ in path] + [_lock_of(leaf)]
             for lock in locks:
                 lock.write_lock()
             try:
-                self.counters.add(f"leaf_visit:{leaf.encoding}")
+                self.counters.add(leaf.storage.visit_event)
                 self._count_leaf_write(leaf)
                 target = leaf
                 before = target.size_bytes()
@@ -257,6 +279,10 @@ class OlcBPlusTree(BPlusTree):
                         # against concurrent fast-path inserts.
                         self._split_leaf(leaf, path)
                     target, _ = self._descend(key)
+                    if target is not leaf:
+                        target_lock = _lock_of(target)
+                        target_lock.write_lock()
+                        locks.append(target_lock)
                     before = target.size_bytes()
                     outcome = target.insert(key, value)
                     if not outcome:  # pragma: no cover - split guarantees room
@@ -270,75 +296,60 @@ class OlcBPlusTree(BPlusTree):
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
-        def run() -> bool:
-            leaf, version = self._olc_descend(key)
-            lock = _lock_of(leaf)
-            lock.upgrade(version)
-            try:
-                self.counters.add(f"leaf_visit:{leaf.encoding}")
-                self._count_leaf_write(leaf)
-                before = leaf.size_bytes()
-                updated = leaf.update(key, value)
-                self._adjust_meta(0, leaf.size_bytes() - before)
-                return updated
-            finally:
-                lock.write_unlock()
-
-        return self._with_restarts(run)
+        leaf, lock = self._write_locked_leaf(key)
+        try:
+            storage = leaf.storage
+            self.counters.add(storage.visit_event)
+            self._count_leaf_write(leaf)
+            before = storage.size_bytes()
+            updated = storage.update(key, value)
+            self._adjust_meta(0, storage.size_bytes() - before)
+            return updated
+        finally:
+            lock.write_unlock()
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns False when it was absent."""
-        def run() -> bool:
-            leaf, version = self._olc_descend(key)
-            lock = _lock_of(leaf)
-            lock.upgrade(version)
-            try:
-                self.counters.add(f"leaf_visit:{leaf.encoding}")
-                self._count_leaf_write(leaf)
-                before = leaf.size_bytes()
-                removed = leaf.delete(key)
-                self._adjust_meta(-1 if removed else 0, leaf.size_bytes() - before)
-                return removed
-            finally:
-                lock.write_unlock()
-
-        return self._with_restarts(run)
+        leaf, lock = self._write_locked_leaf(key)
+        try:
+            storage = leaf.storage
+            self.counters.add(storage.visit_event)
+            self._count_leaf_write(leaf)
+            before = storage.size_bytes()
+            removed = storage.delete(key)
+            self._adjust_meta(-1 if removed else 0, storage.size_bytes() - before)
+            return removed
+        finally:
+            lock.write_unlock()
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:
-        """OLC range scan: validates every visited leaf, restarts on
-        interference."""
+        """OLC range scan: one slice per visited leaf, each validated
+        against the leaf's version; any interference restarts the scan.
+
+        Every leaf is sliced from ``start_key`` (the ones after the first
+        hold only larger keys, so that takes them whole)."""
         if count <= 0:
             return []
-
-        def run() -> List[Tuple[int, int]]:
-            leaf, version = self._olc_descend(start_key)
-            result: List[Tuple[int, int]] = []
-            current: Optional[LeafNode] = leaf
-            current_version = version
-            first = True
-            while current is not None and len(result) < count:
-                self.counters.add(f"leaf_visit:{current.encoding}")
-                try:
-                    entries = (
-                        current.entries_from(start_key)
-                        if first
-                        else current.entries_from(0)
-                    )
-                    taken = []
-                    for pair in entries:
-                        taken.append(pair)
-                        if len(result) + len(taken) >= count:
-                            break
-                except IndexError:
-                    # A concurrent writer shifted the storage under us.
-                    raise OlcRestart() from None
-                next_leaf = current.next_leaf
-                _lock_of(current).validate(current_version)
-                result.extend(taken)
-                first = False
-                current = next_leaf
-                if current is not None:
-                    current_version = _lock_of(current).read_version()
-            return result
-
-        return self._with_restarts(run)
+        attempt = 0
+        while True:
+            try:
+                leaf, lock, version = self._descend_locked(start_key)
+                result: List[Tuple[int, int]] = []
+                while True:
+                    storage = leaf.storage
+                    self.counters.add(storage.visit_event)
+                    taken = storage.pairs_from(start_key, count - len(result))
+                    next_leaf = leaf.next_leaf
+                    if lock.version != version:
+                        raise OlcRestart()
+                    result += taken
+                    if next_leaf is None or len(result) >= count:
+                        return result
+                    leaf = next_leaf
+                    lock = leaf.lock or _lock_of(leaf)
+                    version = lock.version
+                    if version & 1:
+                        raise OlcRestart()
+            except (OlcRestart, IndexError):
+                pass  # IndexError: a writer shifted the storage under the read
+            attempt = self._restarted(attempt)

@@ -240,7 +240,7 @@ class BPlusTree:
             else None
         )
         leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self.counters.add(leaf.storage.visit_event)
         self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.READ)
         value = leaf.lookup(key)
         if span is not None:
@@ -253,7 +253,7 @@ class BPlusTree:
         leaf, path = self._descend(key)
         parent = path[-1][0] if path else None
         self._before_leaf_insert(leaf, parent)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self.counters.add(leaf.storage.visit_event)
         self._leaf_accessed(leaf, parent, AccessType.INSERT)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
@@ -322,7 +322,7 @@ class BPlusTree:
                 parent = path[-1][0] if path else None
                 lookup_run = leaf.storage.lookup_run
                 probe_event = LEAF_PROBE_EVENTS[leaf.encoding]
-                visit_event = f"leaf_visit:{leaf.encoding}"
+                visit_event = leaf.storage.visit_event
             run_append(key)
         if run:
             counters_add(visit_event, len(run))
@@ -363,7 +363,7 @@ class BPlusTree:
                 leaf, path, upper = self._descend_bounded(key)
                 parent = path[-1][0] if path else None
                 self._before_leaf_insert(leaf, parent)
-            self.counters.add(f"leaf_visit:{leaf.encoding}")
+            self.counters.add(leaf.storage.visit_event)
             group += 1
             self._count_leaf_write(leaf)
             before = leaf.size_bytes()
@@ -390,7 +390,7 @@ class BPlusTree:
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
         leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self.counters.add(leaf.storage.visit_event)
         self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.UPDATE)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
@@ -401,7 +401,7 @@ class BPlusTree:
     def delete(self, key: int) -> bool:
         """Delete ``key`` (lazy: leaves are never merged)."""
         leaf, path = self._descend(key)
-        self.counters.add(f"leaf_visit:{leaf.encoding}")
+        self.counters.add(leaf.storage.visit_event)
         self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.DELETE)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
@@ -417,32 +417,29 @@ class BPlusTree:
         """Charge one leaf write as the cost model prices it: the paper's
         C++ Succinct leaf re-encodes every entry (Figure 16 reproduces
         from that), whatever fewer blocks this implementation touches."""
-        self.counters.add(f"leaf_write:{leaf.encoding}")
-        if leaf.encoding is LeafEncoding.SUCCINCT:
-            self.counters.add("leaf_rebuild_entry", leaf.num_entries())
+        storage = leaf.storage
+        self.counters.add(storage.write_event)
+        if storage.encoding is LeafEncoding.SUCCINCT:
+            self.counters.add("leaf_rebuild_entry", storage.num_entries())
 
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
     def _leaf_runs(self, leaf: LeafNode, start_key: int, count: int):
         """Walk the leaf chain from ``leaf``; yield ``(leaf, pairs)`` per
-        visited leaf until ``count`` pairs were produced."""
+        visited leaf until ``count`` pairs were produced.
+
+        Every leaf is sliced from ``start_key``: the ones after the first
+        hold only larger keys, so that takes them whole, negative keys
+        included."""
         remaining = count
         current: Optional[LeafNode] = leaf
-        first = True
         while current is not None and remaining > 0:
-            self.counters.add(f"leaf_visit:{current.encoding}")
-            taken: List[Tuple[int, int]] = []
-            entries = (
-                current.entries_from(start_key) if first else current.entries_from(0)
-            )
-            for pair in entries:
-                taken.append(pair)
-                remaining -= 1
-                if remaining == 0:
-                    break
+            storage = current.storage
+            self.counters.add(storage.visit_event)
+            taken = storage.pairs_from(start_key, remaining)
+            remaining -= len(taken)
             yield current, taken
-            first = False
             current = current.next_leaf
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 Key = Any  # int for the B+-tree families, bytes for the tries
 
@@ -66,6 +66,15 @@ class Partitioner:
         """The shard id serving ``key``."""
         raise NotImplementedError
 
+    def group(self, keys: Sequence[Key]) -> Dict[int, List[int]]:
+        """Positions in ``keys`` grouped by the shard id serving each key,
+        in one routing pass (shards in first-seen order)."""
+        shard_of = self.shard_of
+        groups: Dict[int, List[int]] = {}
+        for position, key in enumerate(keys):
+            groups.setdefault(shard_of(key), []).append(position)
+        return groups
+
     def split(self, shard_id: int, at_key: Key) -> "Partitioner":
         """A new partitioner with ``shard_id`` split at ``at_key``."""
         raise PartitionError(f"{self.kind} partitions do not support split")
@@ -102,6 +111,15 @@ class HashPartitioner(Partitioner):
     def shard_of(self, key: Key) -> int:
         """The shard id serving ``key``."""
         return stable_hash(key) % self._num_shards
+
+    def group(self, keys: Sequence[Key]) -> Dict[int, List[int]]:
+        """As :meth:`Partitioner.group`, hashing each key with no
+        :meth:`shard_of` call around it."""
+        num_shards = self._num_shards
+        groups: Dict[int, List[int]] = {}
+        for position, key in enumerate(keys):
+            groups.setdefault(stable_hash(key) % num_shards, []).append(position)
+        return groups
 
 
 class RangePartitioner(Partitioner):

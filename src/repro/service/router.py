@@ -545,23 +545,6 @@ class ShardRouter:
             with self._inflight_lock:
                 self._inflight -= len(tasks)
 
-    @staticmethod
-    def _group_positions(
-        table: _RoutingTable, keys: Sequence[Key]
-    ) -> Dict[int, List[int]]:
-        """Input positions grouped by the shard position serving each key.
-
-        Grouping always runs against an explicit ``table`` snapshot so
-        that the caller indexes ``table.shards`` with positions computed
-        by the *same* partitioner — re-reading ``self._table`` here
-        would tear the snapshot under a concurrent split/merge.
-        """
-        shard_of = table.partitioner.shard_of
-        groups: Dict[int, List[int]] = {}
-        for position, key in enumerate(keys):
-            groups.setdefault(shard_of(key), []).append(position)
-        return groups
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -581,7 +564,9 @@ class ShardRouter:
             with span_if_traced(_ROUTE_SPAN, op="get_many", count=len(keys), fanout=1):
                 results = shards[0].get_many(keys)
         else:
-            groups = self._group_positions(table, keys)
+            # Grouped by the snapshot's own partitioner, so the positions
+            # index ``table.shards`` even if a split/merge swaps the table.
+            groups = table.partitioner.group(keys)
             results = [None] * len(keys)
             with span_if_traced(
                 _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups)
@@ -634,8 +619,11 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def put(self, key: Key, value: int) -> None:
         """Upsert one pair."""
+        table = self._table
         with span_if_traced(_ROUTE_SPAN, op="put", fanout=1):
-            self._write_group(self.shard_for(key), [(key, value)])
+            self._write_group(
+                table.shards[table.partitioner.shard_of(key)], [(key, value)], table
+            )
         self._count_ops("write", 1)
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
@@ -649,9 +637,9 @@ class ShardRouter:
             with span_if_traced(
                 _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=1
             ):
-                self._write_group(shards[0], pairs)
+                self._write_group(shards[0], pairs, table)
         else:
-            groups = self._group_positions(table, [key for key, _ in pairs])
+            groups = table.partitioner.group([key for key, _ in pairs])
             with span_if_traced(
                 _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups)
             ):
@@ -661,39 +649,46 @@ class ShardRouter:
                             self._write_group,
                             shards[shard_id],
                             [pairs[position] for position in positions],
+                            table,
                         )
                         for shard_id, positions in groups.items()
                     ]
                 )
         self._count_ops("write", len(pairs))
 
-    def _write_group(self, shard: Shard, group: List[Pair]) -> None:
+    def _write_group(
+        self, shard: Shard, group: List[Pair], table: _RoutingTable
+    ) -> None:
         """Write ``group`` through ``shard``'s write gate, revalidating
         the route once the gate is held.
 
-        ``shard`` is where a routing snapshot sent these pairs, but a
-        concurrent split/merge holds the gate for its whole
-        build-aside+swap — a writer that blocked on the gate may wake up
-        *after* the table swap, when ``shard`` is an orphaned index no
-        table routes to any more.  Writing there would silently lose the
-        pairs.  So after acquiring the gate the current table is
-        re-read: pairs it still routes to ``shard`` land here, and the
-        rest are regrouped against the fresh table and retried.
+        ``table`` is the routing snapshot that sent these pairs to
+        ``shard``, but a concurrent split/merge holds the gate for its
+        whole build-aside+swap — a writer that blocked on the gate may
+        wake up *after* the table swap, when ``shard`` is an orphaned
+        index no table routes to any more.  Writing there would silently
+        lose the pairs.  So after acquiring the gate the current table is
+        re-read: while it is still ``table`` every pair stays (the
+        common case costs one identity check); after a swap, pairs it
+        still routes to ``shard`` land here, and the rest are regrouped
+        against the fresh table and retried.
         """
-        worklist: List[Tuple[Shard, List[Pair]]] = [(shard, group)]
+        worklist: List[Tuple[Shard, List[Pair], _RoutingTable]] = [(shard, group, table)]
         while worklist:
-            shard, group = worklist.pop()
+            shard, group, table = worklist.pop()
             self._check_writable(shard)
             moved: List[Pair] = []
             with shard.write_gate:
                 current = self._table
-                shard_of = current.partitioner.shard_of
-                still: List[Pair] = []
-                for pair in group:
-                    if current.shards[shard_of(pair[0])] is shard:
-                        still.append(pair)
-                    else:
-                        moved.append(pair)
+                still = group
+                if current is not table:
+                    shard_of = current.partitioner.shard_of
+                    still = []
+                    for pair in group:
+                        if current.shards[shard_of(pair[0])] is shard:
+                            still.append(pair)
+                        else:
+                            moved.append(pair)
                 if still:
                     shard.put_many(still)
             if moved:
@@ -701,12 +696,10 @@ class ShardRouter:
                 # new shards; retries are rare and small, so re-fan-out
                 # serially on this thread.
                 table = self._table
-                regrouped = self._group_positions(
-                    table, [key for key, _ in moved]
-                )
+                regrouped = table.partitioner.group([key for key, _ in moved])
                 for position, indexes in regrouped.items():
                     worklist.append(
-                        (table.shards[position], [moved[i] for i in indexes])
+                        (table.shards[position], [moved[i] for i in indexes], table)
                     )
 
     def delete(self, key: Key) -> bool:

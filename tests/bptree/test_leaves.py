@@ -79,6 +79,19 @@ class TestStorageCommon:
         assert list(storage.entries_from(5)) == [(6, 60), (8, 80)]
         assert list(storage.entries_from(99)) == []
 
+    @pytest.mark.parametrize("start", [-5, 0, 31, 32, 33, 95, 96, 200])
+    @pytest.mark.parametrize("limit", [0, 1, 5, 32, 33, 70, 500])
+    def test_pairs_from_is_a_prefix_of_entries_from(self, storage_class, start, limit):
+        # 100 entries: three full 32-entry Succinct blocks and a partial one.
+        storage = storage_class(pairs_of(*range(-4, 196, 2)), capacity=128)
+        expected = list(storage.entries_from(start))[:limit]
+        assert storage.pairs_from(start, limit) == expected
+
+    def test_counter_names_match_the_encoding(self, storage_class):
+        encoding = storage_class.encoding
+        assert storage_class.visit_event == f"leaf_visit:{encoding}"
+        assert storage_class.write_event == f"leaf_write:{encoding}"
+
     def test_rejects_unsorted(self, storage_class):
         with pytest.raises(ValueError):
             storage_class([(5, 1), (1, 2)], capacity=8)

@@ -2,11 +2,15 @@
 
 import random
 import threading
+import time
 
 import pytest
 
+from repro.bptree.inner import InnerNode
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree, OlcRestart, VersionedLock, _lock_of
+from repro.bptree.tree import BPlusTree
+from tests.bptree.test_succinct_writes import seeded_stream, stream_pairs
 
 
 class TestVersionedLock:
@@ -294,18 +298,139 @@ class TestConcurrent:
         assert not errors
 
     def test_restart_counter_moves_under_contention(self):
-        tree = OlcBPlusTree(LeafEncoding.GAPPED, leaf_capacity=8)
+        """A writer that finishes on the leaf between an operation's
+        descent and its validation (a read) or its upgrade (a write)
+        costs that operation exactly one restart."""
+        operations = {
+            "lookup": (lambda tree: tree.lookup(10), 10),
+            "insert": (lambda tree: tree.insert(11, 11), True),
+            "scan": (lambda tree: tree.scan(10, 40), [(k, k) for k in range(10, 90, 2)]),
+        }
+        for name, (operation, expected) in operations.items():
+            tree = OlcBPlusTree.bulk_load(
+                [(key, key) for key in range(0, 400, 2)], leaf_capacity=16
+            )
+            descend = tree._descend_locked
+            descents = []
 
-        def writer(base):
-            for offset in range(400):
-                tree.insert(base + offset, offset)
+            def contended(key):
+                leaf, lock, version = descend(key)
+                if not descents:
+                    lock.write_lock()  # the interfering writer
+                    lock.write_unlock()
+                descents.append(key)
+                return leaf, lock, version
 
-        threads = [threading.Thread(target=writer, args=(t * 350,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Overlapping ranges force version conflicts; at least the
-        # machinery must not deadlock, and the tree must be intact.
+            tree._descend_locked = contended
+            assert operation(tree) == expected, name
+            assert (tree.restarts, len(descents)) == (1, 2), name
+
+
+def leaf_states(tree):
+    return {leaf: (_lock_of(leaf).version, leaf.to_pairs()) for leaf in tree.leaves()}
+
+
+class TestSplitsLockEveryLeafTheyWrite:
+    """After a split the key goes into whichever half covers it — often
+    the new right leaf, which a reader reaches through the parent or a
+    freshly published root.  Every leaf a splitting insert writes must
+    come out with an advanced version, or a reader validates a torn read."""
+
+    def assert_written_leaves_advanced(self, tree, key):
+        before = leaf_states(tree)
+        splits = tree.counters.get("leaf_split")
+        assert tree.insert(key, key)
+        assert tree.counters.get("leaf_split") == splits + 1
+        written = []
+        for leaf, (version, pairs) in leaf_states(tree).items():
+            if leaf in before:
+                old_version, old_pairs = before[leaf]
+                changed = pairs != old_pairs
+            else:  # the new half: built aside, then written only if it took the key
+                old_version, changed = 0, key in dict(pairs)
+            if changed:
+                written.append(leaf)
+                assert version > old_version, f"leaf {leaf.leaf_id} written unlocked"
+        assert tree.find_leaf(key)[0] in written
+        assert len(written) == (2 if tree.find_leaf(key)[0] not in before else 1)
+        assert not any(_lock_of(node).locked for node in tree.inner_nodes())
+        assert not any(_lock_of(leaf).locked for leaf in tree.leaves())
         tree.check_invariants()
-        assert tree.restarts >= 0
+
+    @pytest.mark.parametrize("key", [50, 5])
+    def test_root_leaf_split(self, key):
+        tree = OlcBPlusTree(leaf_capacity=4)
+        for loaded in (10, 20, 30, 40):
+            tree.insert(loaded, loaded)
+        self.assert_written_leaves_advanced(tree, key)
+        assert tree.height == 2
+
+    @pytest.mark.parametrize("key", [13, 1])
+    def test_split_under_an_inner_node(self, key):
+        tree = OlcBPlusTree.bulk_load(
+            [(loaded, loaded) for loaded in range(0, 64, 2)],
+            leaf_capacity=8,
+            fill_factor=1.0,
+        )
+        assert tree.height == 2
+        self.assert_written_leaves_advanced(tree, key)
+
+    def test_route_racing_insert_child_restarts_instead_of_raising(self):
+        """``InnerNode.insert_child`` grows ``keys`` before ``children``; a
+        reader routing in between indexes one past the last child."""
+        tree = OlcBPlusTree.bulk_load(
+            [(key, key) for key in range(0, 400, 2)], leaf_capacity=16
+        )
+        root = tree.root
+        assert isinstance(root, InnerNode)
+        key = 398
+        assert root.keys[-1] + 1 < key
+        root.keys.append(root.keys[-1] + 1)  # torn: one key more than children
+        stop = threading.Event()
+
+        def repair():
+            while not tree.restarts and not stop.is_set():
+                time.sleep(0.001)
+            lock = _lock_of(root)
+            lock.write_lock()
+            root.keys.pop()
+            lock.write_unlock()
+
+        repairer = threading.Thread(target=repair)
+        repairer.start()
+        try:
+            assert tree.lookup(key) == key
+        finally:
+            stop.set()
+            repairer.join(timeout=30)
+        assert tree.restarts > 0
+        tree.check_invariants()
+
+
+@pytest.mark.parametrize("encoding", list(LeafEncoding), ids=str)
+@pytest.mark.parametrize("tree_class", [BPlusTree, OlcBPlusTree], ids=lambda c: c.__name__)
+def test_modeled_counters_equal_the_parent_commit(tree_class, encoding):
+    """The OLC read path reads counter names off the storage and slices
+    scanned leaves; what the cost model prices must not move.  Values
+    pinned from the commit before that change (seeded stream of
+    lookups, inserts with splits, updates, deletes and scans)."""
+    pairs = stream_pairs()
+    tree = tree_class.bulk_load(pairs, encoding, leaf_capacity=64)
+    seeded_stream(tree, pairs, seed=11)
+    tree.check_invariants()
+    expected = {
+        # The OLC descent counts no inner visits; only its split path does.
+        "inner_visit": 10030 if tree_class is BPlusTree else 60,
+        "leaf_split": 15,
+        f"leaf_visit:{encoding}": 5130,
+        f"leaf_write:{encoding}": 2215,
+    }
+    if encoding is LeafEncoding.SUCCINCT:
+        expected["leaf_rebuild_entry"] = 102858
+    assert tree.counters.snapshot() == expected
+    sizes = {
+        LeafEncoding.GAPPED: 64472,
+        LeafEncoding.PACKED: 46888,
+        LeafEncoding.SUCCINCT: 24540,
+    }
+    assert (tree.size_bytes(), len(tree)) == (sizes[encoding], 2805)

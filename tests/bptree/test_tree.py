@@ -154,6 +154,12 @@ class TestScans:
         tree = BPlusTree.bulk_load([(1, 1)], encoding)
         assert tree.scan(0, 0) == []
 
+    def test_scan_across_leaves_of_negative_keys(self, encoding):
+        pairs = [(key, key) for key in range(-300, 100, 3)]
+        tree = BPlusTree.bulk_load(pairs, encoding, leaf_capacity=8)
+        assert tree.scan(-300, 90) == pairs[:90]
+        assert tree.scan(-250, 1000) == [pair for pair in pairs if pair[0] >= -250]
+
 
 class TestCountersAndSizes:
     def test_leaf_visit_counted_by_encoding(self):

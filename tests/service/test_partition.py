@@ -45,6 +45,39 @@ class TestHashPartitioner:
             HashPartitioner(0)
 
 
+#: ints, negative ints, ints past 64 bits, and byte strings.
+INT_KEYS = {
+    "int": [3, 0, 17, 3, 2**40 + 1],
+    "negative": [-1, -(2**63), 5, -77, -1],
+    "wide": [2**64, 2**64 + 1, 2**200, -(2**90), 1],
+}
+BYTE_KEYS = [b"", b"a", bytearray(b"a"), b"\x00\xff", b"longer key"]
+GROUPING_CASES = {
+    **{
+        f"hash{shards}-{kind}": (HashPartitioner(shards), keys)
+        for shards in (1, 5)
+        for kind, keys in [*INT_KEYS.items(), ("bytes", BYTE_KEYS)]
+    },
+    **{
+        f"range-{kind}": (RangePartitioner([-10, 0, 2**64]), keys)
+        for kind, keys in INT_KEYS.items()
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "partitioner, keys", GROUPING_CASES.values(), ids=list(GROUPING_CASES)
+)
+def test_group_routes_every_key_like_shard_of(partitioner, keys):
+    expected = {}
+    for position, key in enumerate(keys):
+        expected.setdefault(partitioner.shard_of(key), []).append(position)
+    grouped = partitioner.group(keys)
+    assert grouped == expected
+    assert list(grouped) == list(expected)  # shards in first-seen order
+    assert partitioner.group([]) == {}
+
+
 class TestRangePartitioner:
     def test_routing_follows_boundaries(self):
         partitioner = RangePartitioner([10, 20])

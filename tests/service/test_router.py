@@ -9,7 +9,7 @@ import pytest
 from repro.bptree.olc import _lock_of
 from repro.core.budget import BudgetArbiter, MemoryBudget
 from repro.obs import MetricsRegistry, Telemetry
-from repro.service.partition import PartitionError
+from repro.service.partition import HashPartitioner, PartitionError, Partitioner
 from repro.service.router import (
     FAMILY_FACTORIES,
     ReadOnlyShardError,
@@ -46,7 +46,6 @@ class TestBuild:
             ShardRouter.build(int_pairs(10), partitioning="modulo")
 
     def test_shard_count_must_match_partitioner(self):
-        from repro.service.partition import HashPartitioner
         from repro.service.shard import Shard
 
         factory = FAMILY_FACTORIES["olc"]
@@ -191,7 +190,8 @@ class TestSingleShardTable:
         def no_grouping(*args):
             raise AssertionError("a single-shard table must not group")
 
-        monkeypatch.setattr(ShardRouter, "_group_positions", staticmethod(no_grouping))
+        monkeypatch.setattr(Partitioner, "group", no_grouping)
+        monkeypatch.setattr(HashPartitioner, "group", no_grouping)
         pairs = int_pairs(500)
         expected = dict(pairs)
         with ShardRouter.build(

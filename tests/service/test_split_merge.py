@@ -265,7 +265,7 @@ class TestConcurrentReadersDuringSplit:
             assert stale_shard not in router.table.shards
             # Emulate the racing writer: it routed `key` to stale_shard
             # before the swap and only now acquires the write gate.
-            router._write_group(stale_shard, [(key, 42)])
+            router._write_group(stale_shard, [(key, 42)], stale_table)
             assert router.get(key) == 42
             assert stale_shard.get(key) is None
             router.verify()
@@ -275,12 +275,13 @@ class TestConcurrentReadersDuringSplit:
         shards is re-fanned-out, losing nothing."""
         pairs = int_pairs(600)
         with ShardRouter.build(pairs, num_shards=1, partitioning="range") as router:
-            stale_shard = router.table.shards[0]
+            stale_table = router.table
+            stale_shard = stale_table.shards[0]
             router.split_shard(0)
             router.split_shard(0)
             assert router.num_shards == 3
             batch = [(key + 1, key) for key, _ in pairs[::100]]
-            router._write_group(stale_shard, batch)
+            router._write_group(stale_shard, batch, stale_table)
             assert router.get_many([key for key, _ in batch]) == [
                 value for _, value in batch
             ]
