@@ -9,9 +9,9 @@ Three interchangeable storage classes implement the paper's leaf layouts:
   and deletes are cheap, inserts shift the arrays.
 * :class:`SuccinctStorage` — frame-of-reference + bit packing for keys
   and values in 32-entry blocks; still randomly accessible (binary search
-  works without decompressing), and a mutation re-encodes the blocks it
-  changes — one for an overwrite, the touched one to the last for an
-  insert or delete.
+  works without decompressing), and a mutation edits the packed blocks it
+  changes: an overwrite one field, an insert or delete the touched block
+  plus a shift of one entry through each later block.
 
 A :class:`LeafNode` wraps one storage and gives the leaf a *stable
 identity* across encoding migrations — the adaptation manager tracks the
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import fault_point
+from repro.succinct.bitpack import PackedIntArray
 from repro.succinct.for_codec import ForBlock, for_encode
 
 DEFAULT_LEAF_CAPACITY = 255
@@ -208,6 +209,147 @@ def _blocks_bytes(blocks: Sequence[ForBlock]) -> int:
     return sum(block.size_bytes() for block in blocks)
 
 
+# ----------------------------------------------------------------------
+# The write kernel: a block edited in its packed buffer
+# ----------------------------------------------------------------------
+# A block of ``n`` ``w``-bit fields is one int, field ``i`` at bit
+# ``i * w``.  An insert moves every later entry one slot right, so each
+# later block takes the previous block's last entry in front and — when
+# full — hands its own last entry on; a delete is the mirror image.
+# Such a shift is a few big-int operations as long as the block's frame
+# of reference and width stay what a fresh encode would pick; otherwise
+# the block is decoded and re-encoded (the fallback), so every block is
+# always equal to ``for_encode`` of its entries.
+
+#: Memo of :func:`_ones`, a pure function (the division costs up to 1 µs
+#: at width 61); it holds one entry per width seen and block length.
+_ONES: Dict[Tuple[int, int], int] = {}
+
+
+def _ones(width: int, fields: int) -> int:
+    """R(w, n): the value 1 in each of ``fields`` ``width``-bit fields."""
+    ones = _ONES.get((width, fields))
+    if ones is None:
+        ones = ((1 << width * fields) - 1) // ((1 << width) - 1)
+        _ONES[width, fields] = ones
+    return ones
+
+
+def _single(value: int) -> ForBlock:
+    """The block ``for_encode([value])`` builds."""
+    return ForBlock(value, PackedIntArray._from_buffer(0, 1, 1))
+
+
+def _frame_holds(width: int, gone: int, kept: int, fields: int, delta: int) -> bool:
+    """Whether a value block keeps its base and width when the field
+    ``gone`` leaves, the ``fields`` fields of ``kept`` stay and ``delta``
+    (already known to fit ``width`` bits) joins: a 0 field must remain
+    (the base is the minimum) and, above width 1, a field with the top
+    bit (the width is the maximum's).  When nothing joins, ``delta`` 1
+    stands in: it is neither 0 nor, above width 1, a top-bit field."""
+    if not gone and delta:  # the leaving field may have been the only 0
+        return False
+    top = width - 1
+    return bool(
+        not top
+        or delta >> top
+        or not gone >> top
+        or kept & (_ones(width, fields) << top)
+    )
+
+
+def _push_key(block: ForBlock, key: int) -> Tuple[ForBlock, Optional[int]]:
+    """``block`` with ``key`` (below its first key) in front, and the key
+    that drops off its end when it was full (else None)."""
+    deltas = block.deltas
+    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    base = block.base
+    out = None
+    if length == _FOR_BLOCK_ENTRIES:
+        length -= 1
+        kept_bits = length * width
+        out = base + (buffer >> kept_bits)
+        buffer &= (1 << kept_bits) - 1
+    shift = base - key
+    # Keys are sorted, so the last kept field is the largest delta.
+    if (buffer >> (length - 1) * width) + shift >> width - 1 == 1:
+        buffer = (buffer + shift * _ones(width, length)) << width
+        return ForBlock(key, PackedIntArray._from_buffer(buffer, length + 1, width)), out
+    return for_encode([key] + block.to_list()[:length]), out
+
+
+def _push_value(block: ForBlock, value: int) -> Tuple[ForBlock, Optional[int]]:
+    """:func:`_push_key` for a value block (unsorted; base is the minimum)."""
+    deltas = block.deltas
+    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    base = block.base
+    delta = value - base
+    fits = not delta >> width  # a negative delta shifts to -1: no fit
+    if length < _FOR_BLOCK_ENTRIES:
+        if fits:
+            buffer = (buffer << width) | delta
+            return ForBlock(base, PackedIntArray._from_buffer(buffer, length + 1, width)), None
+        return for_encode([value] + block.to_list()), None
+    length -= 1
+    kept_bits = length * width
+    gone = buffer >> kept_bits
+    buffer &= (1 << kept_bits) - 1
+    if fits and _frame_holds(width, gone, buffer, length, delta):
+        buffer = (buffer << width) | delta
+        new = ForBlock(base, PackedIntArray._from_buffer(buffer, length + 1, width))
+    else:
+        new = for_encode([value] + block.to_list()[:length])
+    return new, base + gone
+
+
+def _pull_key(block: ForBlock, key: Optional[int]) -> Optional[ForBlock]:
+    """``block`` without its first key and with ``key`` (above its last
+    key; None: nothing) at the end; None when nothing is left."""
+    deltas = block.deltas
+    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    length -= 1
+    if not length and key is None:
+        return None
+    rest = buffer >> width
+    shift = rest & ((1 << width) - 1)  # the new first key's delta
+    base = block.base + shift
+    if key is None:
+        top = (rest >> (length - 1) * width) - shift
+    else:
+        top = key - base
+    if top >> width - 1 == 1:
+        rest -= shift * _ones(width, length)
+        if key is not None:
+            rest |= top << length * width
+            length += 1
+        return ForBlock(base, PackedIntArray._from_buffer(rest, length, width))
+    keys = block.to_list()[1:]
+    if key is not None:
+        keys.append(key)
+    return for_encode(keys)
+
+
+def _pull_value(block: ForBlock, value: Optional[int]) -> ForBlock:
+    """:func:`_pull_key` for a value block that keeps an entry."""
+    deltas = block.deltas
+    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    length -= 1
+    base = block.base
+    gone = buffer & ((1 << width) - 1)
+    rest = buffer >> width
+    if value is None:
+        if _frame_holds(width, gone, rest, length, 1):
+            return ForBlock(base, PackedIntArray._from_buffer(rest, length, width))
+        return for_encode(block.to_list()[1:])
+    delta = value - base
+    if not delta >> width and _frame_holds(width, gone, rest, length, delta):
+        rest |= delta << length * width
+        return ForBlock(base, PackedIntArray._from_buffer(rest, length + 1, width))
+    values = block.to_list()[1:]
+    values.append(value)
+    return for_encode(values)
+
+
 class SuccinctStorage:
     """Block-wise FOR + bit-packed layout; random access, no decompression.
 
@@ -216,11 +358,14 @@ class SuccinctStorage:
     outlier key cannot inflate the whole leaf's width — the behaviour of
     production FOR codecs and what yields the paper's ~73% savings.
 
-    A write re-encodes only the blocks whose contents change: an
-    overwrite one value block, an insert or delete the blocks from the
-    touched one to the end (every later entry moves one slot; chunk
-    boundaries stay at multiples of 32).  The blocks are therefore always
-    equal, one for one, to a from-scratch encode of the same pairs.
+    A write touches only the blocks whose contents change.  An overwrite
+    replaces one packed field; an insert or delete decodes and re-encodes
+    the touched block, and every later block — its entries move one slot,
+    chunk boundaries stay at multiples of 32 — takes one entry in and
+    hands one on with a few big-int operations on its packed buffer.  A
+    block whose frame of reference or width would change is re-encoded
+    instead, so the blocks always equal, one for one, a from-scratch
+    encode of the same pairs.
     """
 
     encoding = LeafEncoding.SUCCINCT
@@ -243,11 +388,16 @@ class SuccinctStorage:
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("leaf pairs must be strictly sorted by key")
         self.capacity = capacity
-        self._key_blocks: List[ForBlock] = []
-        self._value_blocks: List[ForBlock] = []
-        self._block_min_keys: List[int] = []
-        self._size_bytes = _HEADER_BYTES
-        self._replace_tail(0, keys, [value for _, value in pairs])
+        self._key_blocks = _encode_blocks(keys)
+        self._value_blocks = _encode_blocks([value for _, value in pairs])
+        # Split keys array: each block's minimum, kept uncompressed so
+        # _find can bisect it instead of paying a packed-array decode per
+        # binary-search probe.
+        self._block_min_keys = keys[::_FOR_BLOCK_ENTRIES]
+        self._num_entries = len(keys)
+        self._size_bytes = _HEADER_BYTES + _blocks_bytes(
+            self._key_blocks + self._value_blocks
+        )
 
     def num_entries(self) -> int:
         """Number of stored entries."""
@@ -332,48 +482,58 @@ class SuccinctStorage:
         return results
 
     def _overwrite(self, index: int, value: int) -> None:
-        """Re-encode the one value block holding slot ``index``."""
+        """Replace the value in slot ``index``: one field of its packed
+        block, or one block re-encoded when the block's frame moves."""
         block_index, offset = divmod(index, _FOR_BLOCK_ENTRIES)
         old = self._value_blocks[block_index]
+        deltas = old.deltas
+        width, length, buffer = deltas._width, deltas._length, deltas._buffer
+        shift = offset * width
+        gone = (buffer >> shift) & ((1 << width) - 1)
+        others = buffer ^ (gone << shift)
+        delta = value - old.base
+        if not delta >> width and _frame_holds(width, gone, others, length, delta):
+            buffer = others | (delta << shift)
+            self._value_blocks[block_index] = ForBlock(
+                old.base, PackedIntArray._from_buffer(buffer, length, width)
+            )
+            return
         values = old.to_list()
         values[offset] = value
         new = for_encode(values)
         self._size_bytes += new.size_bytes() - old.size_bytes()
         self._value_blocks[block_index] = new
 
-    def _tail(self, first: int) -> Tuple[List[int], List[int]]:
-        """The decoded keys and values of blocks ``first`` to the end."""
-        return (
-            _decode_blocks(self._key_blocks[first:]),
-            _decode_blocks(self._value_blocks[first:]),
-        )
+    def _publish(
+        self, first: int, key_tail: List[ForBlock], value_tail: List[ForBlock]
+    ) -> None:
+        """Make ``key_tail`` / ``value_tail`` the blocks ``first`` onwards.
 
-    def _replace_tail(self, first: int, keys: List[int], values: List[int]) -> None:
-        """Make ``keys`` / ``values`` the contents of blocks ``first`` onwards.
-
-        The new blocks are built aside and put in place with one slice
-        assignment per array, so an optimistic (OLC) reader sees the old
-        blocks, the new ones, or — between the assignments — a mix that
-        its version check or the ``IndexError`` it already restarts on
-        rejects.
+        The new blocks were built aside and are put in place with one
+        slice assignment per array, so an optimistic (OLC) reader sees the
+        old blocks, the new ones, or — between the assignments — a mix
+        that its version check or the ``IndexError`` it already restarts
+        on rejects.
         """
-        key_tail = _encode_blocks(keys)
-        value_tail = _encode_blocks(values)
+        key_blocks = self._key_blocks
+        value_blocks = self._value_blocks
         self._size_bytes += _blocks_bytes(key_tail + value_tail) - _blocks_bytes(
-            self._key_blocks[first:] + self._value_blocks[first:]
+            key_blocks[first:] + value_blocks[first:]
         )
-        self._key_blocks[first:] = key_tail
-        self._value_blocks[first:] = value_tail
-        # Split keys array: each block's minimum, kept uncompressed so
-        # _find can bisect it instead of paying a packed-array decode per
-        # binary-search probe.
-        self._block_min_keys[first:] = keys[::_FOR_BLOCK_ENTRIES]
-        self._num_entries = first * _FOR_BLOCK_ENTRIES + len(keys)
+        key_blocks[first:] = key_tail
+        value_blocks[first:] = value_tail
+        self._block_min_keys[first:] = [block.base for block in key_tail]
 
     def insert(self, key: int, value: int) -> int:
         """Insert or overwrite in one search; returns :data:`LEAF_FULL`
         (nothing changed, caller splits), :data:`INSERTED` or
-        :data:`OVERWROTE`."""
+        :data:`OVERWROTE`.
+
+        The touched block is decoded, edited and re-encoded; every later
+        block (all of them full but the last) takes the entry the block
+        before it hands on in front and hands on its own last one, by
+        :func:`_push_key` / :func:`_push_value`.
+        """
         index = self._find(key)
         if index < self._num_entries and self._key_at(index) == key:
             self._overwrite(index, value)
@@ -381,10 +541,31 @@ class SuccinctStorage:
         if self._num_entries >= self.capacity:
             return LEAF_FULL
         first, offset = divmod(index, _FOR_BLOCK_ENTRIES)
-        keys, values = self._tail(first)
-        keys.insert(offset, key)
-        values.insert(offset, value)
-        self._replace_tail(first, keys, values)
+        key_blocks = self._key_blocks
+        value_blocks = self._value_blocks
+        key_tail: List[ForBlock] = []
+        value_tail: List[ForBlock] = []
+        carry: Optional[int] = key
+        if first < len(key_blocks):
+            keys = key_blocks[first].to_list()
+            values = value_blocks[first].to_list()
+            keys.insert(offset, key)
+            values.insert(offset, value)
+            carry = None
+            if len(keys) > _FOR_BLOCK_ENTRIES:
+                carry, value = keys.pop(), values.pop()
+            key_tail.append(for_encode(keys))
+            value_tail.append(for_encode(values))
+            for block_index in range(first + 1, len(key_blocks)):
+                key_block, carry = _push_key(key_blocks[block_index], carry)
+                value_block, value = _push_value(value_blocks[block_index], value)
+                key_tail.append(key_block)
+                value_tail.append(value_block)
+        if carry is not None:  # a full last block spills a 1-entry block
+            key_tail.append(_single(carry))
+            value_tail.append(_single(value))
+        self._publish(first, key_tail, value_tail)
+        self._num_entries += 1
         return INSERTED
 
     def update(self, key: int, value: int) -> bool:
@@ -396,20 +577,46 @@ class SuccinctStorage:
         return True
 
     def delete(self, key: int) -> bool:
-        """Remove ``key``; returns False when it was absent."""
+        """Remove ``key``; returns False when it was absent.
+
+        The mirror of :meth:`insert`: each later block hands its first
+        entry to the block before it and takes the next block's first, by
+        :func:`_pull_key` / :func:`_pull_value`.
+        """
         index = self._find(key)
         if index >= self._num_entries or self._key_at(index) != key:
             return False
         first, offset = divmod(index, _FOR_BLOCK_ENTRIES)
-        keys, values = self._tail(first)
+        key_blocks = self._key_blocks
+        value_blocks = self._value_blocks
+        last = len(key_blocks) - 1
+        keys = key_blocks[first].to_list()
+        values = value_blocks[first].to_list()
         del keys[offset]
         del values[offset]
-        self._replace_tail(first, keys, values)
+        if first < last:
+            keys.append(key_blocks[first + 1].base)
+            values.append(value_blocks[first + 1][0])
+        key_tail = [for_encode(keys)] if keys else []
+        value_tail = [for_encode(values)] if values else []
+        for block_index in range(first + 1, last + 1):
+            next_key = next_value = None
+            if block_index < last:
+                next_key = key_blocks[block_index + 1].base
+                next_value = value_blocks[block_index + 1][0]
+            key_block = _pull_key(key_blocks[block_index], next_key)
+            if key_block is not None:  # None: the last block's only entry moved
+                key_tail.append(key_block)
+                value_tail.append(_pull_value(value_blocks[block_index], next_value))
+        self._publish(first, key_tail, value_tail)
+        self._num_entries -= 1
         return True
 
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Return all ``(key, value)`` pairs as a list."""
-        return list(zip(*self._tail(0)))
+        return list(
+            zip(_decode_blocks(self._key_blocks), _decode_blocks(self._value_blocks))
+        )
 
     def entries_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
         """Yield pairs with key >= ``start_key`` within this leaf.

@@ -50,9 +50,9 @@ class VersionedLock:
 
     The version is even when unlocked and odd while a writer holds the
     lock; every write releases with ``version + 2`` so readers can detect
-    interference by comparing versions.  The tree's descent and scan read
-    :attr:`version` directly (the checks :meth:`read_version` and
-    :meth:`validate` name, without their calls); writers take the lock
+    interference by comparing versions.  Readers use :attr:`version`
+    directly: an odd value means restart, and a value that differs from
+    the one read before means a writer interfered.  Writers take the lock
     through :meth:`upgrade`, splits through :meth:`write_lock`.
     """
 
@@ -61,19 +61,6 @@ class VersionedLock:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.version = 0
-
-    def read_version(self) -> int:
-        """The version to validate against later; restarts while locked."""
-        version = self.version
-        if version & 1:
-            raise OlcRestart()
-        return version
-
-    def validate(self, version: int) -> None:
-        """Raise :class:`OlcRestart` if a writer interfered since
-        ``version`` was read."""
-        if self.version != version:
-            raise OlcRestart()
 
     def upgrade(self, version: int) -> None:
         """Atomically move from an optimistic read to a write lock."""

@@ -28,11 +28,13 @@ from repro.core.manager import ManagerConfig
 
 Pair = Tuple[int, int]
 
-#: Budget (relative, bits per key) that comfortably holds one read
-#: class's hot leaves expanded to Gapped but not both classes at once —
-#: the pressure that makes divergence pay on a mixed workload.  At the
-#: default leaf geometry Succinct costs ~20 bits/key and Gapped ~196,
-#: so this budget expands roughly a third of a shard's leaves.
+#: Budget (relative, bits per key) meant to hold one read class's hot
+#: leaves expanded to Gapped but not both classes at once — the pressure
+#: that makes divergence pay on a mixed workload.  It only does so where
+#: Succinct is cheap: dense keys with values of up to 16 bits take 15-26
+#: bits/key in Succinct leaves (Gapped ~185), but 38-bit keys with 61-bit
+#: values bulk-load at 96.6 bits/key all-Succinct, above this budget, so
+#: there no leaf expands and every write lands on a Succinct leaf.
 _SPECIALIST_BITS_PER_KEY = 80.0
 
 #: Budget so far below the all-Succinct floor that the CSHF can never

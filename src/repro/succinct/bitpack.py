@@ -29,7 +29,9 @@ class PackedIntArray:
 
     The payload is held in a Python ``int`` used as a bit buffer, which
     mirrors a contiguous byte buffer in the modeled C++ layout; random
-    access shifts and masks exactly like the C++ code would.
+    access shifts and masks exactly like the C++ code would.  Element
+    ``i`` occupies bits ``[i * width, (i + 1) * width)`` of ``_buffer``;
+    the Succinct leaf's write kernel edits that buffer arithmetically.
     """
 
     __slots__ = ("_width", "_length", "_buffer")
@@ -51,6 +53,17 @@ class PackedIntArray:
         self._width = width
         self._length = len(values)
         self._buffer = buffer
+
+    @classmethod
+    def _from_buffer(cls, buffer: int, length: int, width: int) -> PackedIntArray:
+        """Wrap an already packed ``buffer`` without checking it: the
+        caller guarantees ``length`` fields of ``width`` bits and no bit
+        above them."""
+        array = cls.__new__(cls)
+        array._width = width
+        array._length = length
+        array._buffer = buffer
+        return array
 
     @property
     def width(self) -> int:

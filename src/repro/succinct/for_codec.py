@@ -50,9 +50,15 @@ def for_encode(values: Sequence[int]) -> ForBlock:
     if len(values) == 0:
         return ForBlock(base=0, deltas=PackedIntArray([], width=1))
     base = min(values)
-    raw_deltas = [value - base for value in values]
-    width = max(raw_deltas).bit_length() or 1  # base is the minimum: deltas >= 0
-    return ForBlock(base=base, deltas=PackedIntArray(raw_deltas, width=width))
+    # base is the minimum, so every delta is >= 0 and fits the width: the
+    # packed array needs none of the constructor's range checks.
+    width = (max(values) - base).bit_length() or 1
+    buffer = 0
+    shift = 0
+    for value in values:
+        buffer |= (value - base) << shift
+        shift += width
+    return ForBlock(base, PackedIntArray._from_buffer(buffer, len(values), width))
 
 
 def for_decode(block: ForBlock) -> List[int]:

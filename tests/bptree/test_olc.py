@@ -16,28 +16,30 @@ from tests.bptree.test_succinct_writes import seeded_stream, stream_pairs
 class TestVersionedLock:
     def test_read_version_even_when_free(self):
         lock = VersionedLock()
-        assert lock.read_version() == 0
+        assert lock.version == 0
         assert not lock.locked
 
     def test_read_version_restarts_while_locked(self):
         lock = VersionedLock()
         lock.write_lock()
+        assert lock.version & 1  # odd: a reader restarts
         with pytest.raises(OlcRestart):
-            lock.read_version()
+            lock.upgrade(lock.version)
         lock.write_unlock()
-        assert lock.read_version() == 2
+        assert lock.version == 2
 
     def test_validate_detects_writer(self):
         lock = VersionedLock()
-        version = lock.read_version()
+        version = lock.version
         lock.write_lock()
         lock.write_unlock()
+        assert lock.version != version
         with pytest.raises(OlcRestart):
-            lock.validate(version)
+            lock.upgrade(version)
 
     def test_upgrade_success_and_stale(self):
         lock = VersionedLock()
-        version = lock.read_version()
+        version = lock.version
         lock.upgrade(version)
         assert lock.locked
         lock.write_unlock()
@@ -46,7 +48,7 @@ class TestVersionedLock:
 
     def test_upgrade_fails_when_held(self):
         lock = VersionedLock()
-        version = lock.read_version()
+        version = lock.version
         lock.write_lock()
         with pytest.raises(OlcRestart):
             lock.upgrade(version)

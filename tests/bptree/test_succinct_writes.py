@@ -1,6 +1,7 @@
-"""Block-local Succinct leaf writes: layout identity, modeled-counter
-parity with the whole-leaf re-encode they replaced, per-tree leaf ids,
-and optimistic readers under a concurrent writer."""
+"""Block-local Succinct leaf writes: layout identity (including every
+boundary of the in-buffer shift kernel), modeled-counter parity with the
+whole-leaf re-encode they replaced, per-tree leaf ids, and optimistic
+readers under a concurrent writer."""
 
 import random
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bptree import leaves
 from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import (
     INSERTED,
@@ -24,7 +26,9 @@ from repro.core.manager import ManagerConfig
 
 CAPACITY = 256
 KEYS = st.integers(0, 2**40)
-VALUES = st.integers(0, 2**61)
+# Preloaded 61-bit values meet 40-bit writes, as on the wire benchmark;
+# 2-bit values give narrow blocks, width 1 included.
+VALUES = st.one_of(st.integers(0, 2**61), st.integers(0, 2**40), st.integers(0, 3))
 
 
 def assert_equals_fresh_encode(storage):
@@ -71,21 +75,88 @@ OPERATION = st.tuples(
 )
 
 
+def mixed(keys):
+    """``keys`` with values that share no order with them."""
+    return {key: key ^ 0x5A5A for key in keys}
+
+
+def evens(count, value_of):
+    """``count`` keys 0, 2, 4, ... (odd keys are free to insert), block
+    ``i`` holding keys ``64 * i`` to ``64 * i + 62``."""
+    return {key: value_of(key) for key in range(0, 2 * count, 2)}
+
+
+def insert_update_delete(new_key, value, updated, deleted):
+    """An insert into block 0 (shifts the blocks after it), one overwrite
+    and one delete from block 0 (shifts them back)."""
+    return [
+        ("insert", -new_key - 1, value),
+        ("update", -updated - 1, value),
+        ("delete", -deleted - 1, 0),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(KEYS, unique=True, max_size=CAPACITY),
+    st.dictionaries(KEYS, VALUES, max_size=CAPACITY),
     st.lists(OPERATION, max_size=40),
 )
 # Empty leaf; append at a block boundary (n % 32 == 0); position 0; an
 # overwrite in a full leaf; delete of the only entry of the last block.
-@example([], [("insert", -8, 1), ("delete", 0, 0), ("delete", 0, 0)])
-@example(list(range(10, 74)), [("insert", -(2**40) - 1, 2**61)])
-@example(list(range(10, 74)), [("insert", -1, 0), ("delete", 0, 0)])
-@example(list(range(CAPACITY)), [("insert", 255, 2**61), ("insert", -999, 1)])
-@example(list(range(65)), [("delete", 64, 0), ("insert", -64 - 1, 7)])
-def test_any_write_sequence_equals_a_fresh_encode(keys, operations):
-    keys = sorted(keys)
-    reference = {key: key ^ 0x5A5A for key in keys}
+@example({}, [("insert", -8, 1), ("delete", 0, 0), ("delete", 0, 0)])
+@example(mixed(range(10, 74)), [("insert", -(2**40) - 1, 2**61)])
+@example(mixed(range(10, 74)), [("insert", -1, 0), ("delete", 0, 0)])
+@example(mixed(range(CAPACITY)), [("insert", 255, 2**61), ("insert", -999, 1)])
+@example(mixed(range(65)), [("delete", 64, 0), ("insert", -64 - 1, 7)])
+# Kernel boundaries, each met by insert, overwrite and delete.
+# The plain shift: every block keeps its frame, a short last block included.
+@example(
+    evens(80, lambda key: 0 if key // 2 % 32 == 5 else key // 2 % 3 + 1),
+    insert_update_delete(1, 2, 64, 0),
+)
+# A key block's width grows: block 1 is 64, 66, ... 126 plus block 0's 62
+# (insert); block 2 is far from block 1, whose last slot it fills (delete).
+@example(
+    {**evens(32, int), **{key: key for key in range(64, 96)}},
+    insert_update_delete(1, 5, 64, 0),
+)
+@example(
+    {**evens(64, int), 10**6: 0, 10**6 + 1: 0}, insert_update_delete(1, 5, 64, 0)
+)
+# A key block's width shrinks: block 1's far last key is pushed out.
+@example(
+    {**evens(63, int), 300: 0, **{key: 0 for key in range(302, 340, 2)}},
+    insert_update_delete(1, 5, 64, 0),
+)
+# A value block's width shrinks: the leaving value is its only top-bit field
+# (block 1's last, pushed out by an insert; its first, pulled by a delete;
+# the overwritten one).
+@example(
+    evens(96, lambda key: 2**20 if key in (126, 128) else key // 2 % 4),
+    insert_update_delete(1, 1, 126, 0),
+)
+# The leaving value is a block's only minimum.
+@example(
+    evens(96, lambda key: 0 if key in (126, 128) else 5),
+    insert_update_delete(1, 5, 128, 0),
+)
+# The carried value is below the next block's base.
+@example(
+    evens(96, lambda key: 1 if key < 64 else 100 + key),
+    insert_update_delete(1, 1, 70, 0),
+)
+# Width-1 blocks: every value equal (all deltas 0), or 0 and 1.
+@example(evens(96, lambda key: 7), insert_update_delete(1, 7, 64, 0))
+@example(evens(96, lambda key: 7), insert_update_delete(1, 8, 64, 0))
+@example(evens(96, lambda key: key // 2 % 2), insert_update_delete(1, 1, 64, 0))
+# The wire benchmark's mix: 61-bit preloads, 40-bit writes.
+@example(
+    evens(200, lambda key: (key * 2654435761) % 2**61 + 1),
+    insert_update_delete(1, 2**40 - 5, 130, 0)
+    + [("insert", -(2 * key + 1) - 1, 2**39 + key) for key in range(40)],
+)
+def test_any_write_sequence_equals_a_fresh_encode(preload, operations):
+    reference = dict(preload)
     storage = SuccinctStorage(sorted(reference.items()), CAPACITY)
     for action, pick, value in operations:
         live = sorted(reference)
@@ -98,6 +169,22 @@ def test_any_write_sequence_equals_a_fresh_encode(keys, operations):
         apply(storage, reference, action, key, value)
         assert storage.to_pairs() == sorted(reference.items())
         assert_equals_fresh_encode(storage)
+
+
+def test_a_new_key_in_block_0_re_encodes_block_0_alone(monkeypatch):
+    """Eight full blocks of evenly spaced keys: the seven later blocks (and
+    the 1-entry block the last spills) are shifted in their packed
+    buffers, so only the touched key and value blocks are encoded."""
+    storage = SuccinctStorage([(key * 4, key % 4) for key in range(256)], 300)
+    encoded = []
+    encode = leaves.for_encode
+    monkeypatch.setattr(
+        leaves, "for_encode", lambda values: encoded.append(values) or encode(values)
+    )
+    assert storage.insert(1, 3) == INSERTED
+    assert len(encoded) <= 2
+    monkeypatch.undo()
+    assert_equals_fresh_encode(storage)
 
 
 def test_scan_entries_match_pairs_from_every_start():
