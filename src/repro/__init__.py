@@ -40,7 +40,7 @@ from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree
 from repro.bptree.tree import BPlusTree
 from repro.core.access import AccessType
-from repro.core.budget import BudgetArbiter, MemoryBudget
+from repro.core.budget import MemoryBudget
 from repro.core.manager import AdaptationManager, ManagerConfig
 from repro.core.invariants import InvariantViolation, validate
 from repro.dualstage.index import DualStageIndex
@@ -61,7 +61,6 @@ __all__ = [
     "OlcBPlusTree",
     "AccessType",
     "MemoryBudget",
-    "BudgetArbiter",
     "HashPartitioner",
     "RangePartitioner",
     "ShardRouter",

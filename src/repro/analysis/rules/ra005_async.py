@@ -88,7 +88,7 @@ ROUTER_METHODS = frozenset(
 #: (dynamic dispatch) but which do index builds, WAL opens, and fsyncs.
 #: Registered explicitly, like the RA002 hot roots.
 HEAVY_BUILDERS = frozenset(
-    {"TenantDirectory", "ShardRouter", "ReplicatedShard", "DurableLog", "WriteAheadLog"}
+    {"TenantDirectory", "ShardRouter", "DurableLog", "WriteAheadLog"}
 )
 
 

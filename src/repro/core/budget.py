@@ -204,114 +204,6 @@ class _TenantState:
         self.overloaded = 0
 
 
-class ResourceArbiter:
-    """The :class:`BudgetArbiter` generalized across tenants.
-
-    One arbiter per served process, arbitrating two resources:
-
-    * **memory** — the inherited behaviour: ``memory`` is the one
-      :class:`BudgetArbiter` of the process.  Each tenant's shard
-      router is handed it and registers its own shards as the
-      ``<tenant>/shard-<n>`` group (re-registering that group, and only
-      it, after every split/merge), and :meth:`rebalance` carves the
-      global :class:`MemoryBudget` into per-member budgets installed
-      into the adaptation managers.
-    * **admission** — per-tenant ops/sec token buckets plus a bounded
-      inflight count (:class:`TenantQuota`).  :meth:`admit` is the
-      single entry point the network front end calls per request; a
-      non-``ok`` decision becomes a backpressure *response*, never an
-      unbounded queue entry.
-
-    Thread/task safety: admission state is touched from one asyncio
-    event loop in practice; counters are plain ints, and memory
-    rebalance is as idempotent as the PR-4 arbiter it wraps.
-    """
-
-    def __init__(
-        self,
-        budget: Optional[MemoryBudget] = None,
-        default_quota: Optional[TenantQuota] = None,
-        floor_bytes: int = 64 * 1024,
-    ) -> None:
-        self.memory = BudgetArbiter(budget or MemoryBudget.unbounded(), floor_bytes)
-        self.default_quota = default_quota or TenantQuota.unlimited()
-        self._tenants: Dict[str, _TenantState] = {}
-
-    # ------------------------------------------------------------------
-    # Tenant membership
-    # ------------------------------------------------------------------
-    def register_tenant(self, name: str, quota: Optional[TenantQuota] = None) -> None:
-        """Add (or re-quota) one tenant."""
-        self._tenants[name] = _TenantState(quota or self.default_quota)
-
-    def unregister_tenant(self, name: str) -> None:
-        """Drop one tenant and its memory members."""
-        self._tenants.pop(name, None)
-        self.memory.replace_group(f"{name}/", {})
-
-    def tenants(self) -> List[str]:
-        """Registered tenant names, sorted."""
-        return sorted(self._tenants)
-
-    def rebalance(self) -> Dict[str, MemoryBudget]:
-        """Re-carve the global memory budget across every member."""
-        return self.memory.rebalance()
-
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-    def admit(self, tenant: str, ops: float = 1.0, now: float = 0.0) -> str:
-        """Admit or shed one request costing ``ops`` operations.
-
-        Returns :data:`ADMIT_OK`, :data:`SHED_THROTTLED` (rate), or
-        :data:`SHED_OVERLOADED` (inflight bound).  An admitted request
-        holds one inflight slot until :meth:`release`.  Unknown tenants
-        raise ``KeyError`` — the front end maps that to its own
-        unknown-tenant response.
-        """
-        state = self._tenants[tenant]
-        quota = state.quota
-        if quota.max_inflight is not None and state.inflight >= quota.max_inflight:
-            state.overloaded += 1
-            return SHED_OVERLOADED
-        if state.bucket is not None and not state.bucket.try_take(ops, now):
-            state.throttled += 1
-            return SHED_THROTTLED
-        state.inflight += 1
-        state.admitted += 1
-        return ADMIT_OK
-
-    def release(self, tenant: str) -> None:
-        """Return the inflight slot held by one admitted request."""
-        state = self._tenants.get(tenant)
-        if state is not None and state.inflight > 0:
-            state.inflight -= 1
-
-    def inflight(self, tenant: str) -> int:
-        """Currently admitted, unreleased requests for ``tenant``."""
-        return self._tenants[tenant].inflight
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def describe(self) -> Dict[str, Any]:
-        """One JSON-safe summary of quotas, sheds, and the memory carve."""
-        return {
-            "memory": self.memory.describe(),
-            "tenants": {
-                name: {
-                    "ops_per_sec": state.quota.ops_per_sec,
-                    "max_inflight": state.quota.max_inflight,
-                    "inflight": state.inflight,
-                    "admitted": state.admitted,
-                    "throttled": state.throttled,
-                    "overloaded": state.overloaded,
-                }
-                for name, state in sorted(self._tenants.items())
-            },
-        }
-
-
 def _member_keys(index: Any) -> int:
     """Key count of one arbiter member (``num_keys`` or ``len``)."""
     keys = getattr(index, "num_keys", None)
@@ -328,44 +220,49 @@ def _member_bytes(index: Any) -> int:
     return int(index.size_bytes())
 
 
-class BudgetArbiter:
-    """Divides one global memory budget across many index structures.
+class ResourceArbiter:
+    """The one arbiter of a served process, over two resources.
 
-    The paper's adaptation manager runs *per structure* with a local
-    budget; a sharded service therefore needs an arbiter that carves one
-    service-wide :class:`MemoryBudget` into per-shard budgets and
-    installs them into each shard's manager:
+    * **memory** — the adaptation manager runs *per structure*, so one
+      service-wide :class:`MemoryBudget` is carved into per-member
+      budgets installed into the members' managers.  Owners register
+      their members as a named group (a shard router its
+      ``<prefix>shard-<n>``, again after every split/merge) through
+      :meth:`replace_group`.  An unbounded or relative (bits per key)
+      budget is handed to every member as is — a relative bound
+      composes exactly; an absolute one gives each member a floor plus
+      a key-proportional share of the rest, so hot large shards get
+      headroom and empty ones cannot starve the others.
+    * **admission** — per-tenant ops/sec token buckets plus a bounded
+      inflight count (:class:`TenantQuota`).  :meth:`admit` is the one
+      entry point the network front end calls per request; a non-``ok``
+      decision becomes a backpressure *response*, never a queue entry.
 
-    * **unbounded** — every member stays unbounded;
-    * **relative** (bits per key) — the same bits-per-key bound is
-      handed to every member: the global bound is the key-weighted sum
-      of the members', so it composes exactly;
-    * **absolute** (bytes) — each member receives a floor allocation
-      plus a share of the remainder proportional to its key count, so
-      hot large shards get headroom to expand and empty shards cannot
-      starve the rest.
-
-    :meth:`rebalance` is cheap and idempotent; the service re-runs it
-    after every shard split/merge.
+    Admission state lives on one asyncio event loop in practice (plain
+    int counters); membership changes serialize on a lock, and
+    :meth:`rebalance` is cheap and idempotent.
     """
 
-    def __init__(self, budget: MemoryBudget, floor_bytes: int = 64 * 1024) -> None:
+    def __init__(
+        self,
+        budget: Optional[MemoryBudget] = None,
+        default_quota: Optional[TenantQuota] = None,
+        floor_bytes: int = 64 * 1024,
+    ) -> None:
         if floor_bytes < 0:
             raise ValueError(f"floor_bytes must be >= 0, got {floor_bytes}")
-        self.budget = budget
+        self.budget = budget or MemoryBudget.unbounded()
         self.floor_bytes = floor_bytes
+        self.default_quota = default_quota or TenantQuota.unlimited()
         self._members: Dict[str, Any] = {}
         #: Serializes membership changes: routers of different tenants
         #: share one arbiter and split/merge under their own admin locks.
         self._members_lock = threading.Lock()
+        self._tenants: Dict[str, _TenantState] = {}
 
     # ------------------------------------------------------------------
-    # Membership
+    # Memory
     # ------------------------------------------------------------------
-    def register(self, name: str, index: Any) -> None:
-        """Add (or replace) one member structure under ``name``."""
-        self._members[name] = index
-
     def replace_group(
         self, prefix: str, members: Mapping[str, Any]
     ) -> Dict[str, MemoryBudget]:
@@ -385,14 +282,6 @@ class BudgetArbiter:
             self._members = {**kept, **members}
             return self.rebalance()
 
-    @property
-    def num_members(self) -> int:
-        """Number of registered member structures."""
-        return len(self._members)
-
-    # ------------------------------------------------------------------
-    # Arbitration
-    # ------------------------------------------------------------------
     def rebalance(self) -> Dict[str, MemoryBudget]:
         """Compute per-member budgets and install them into managers.
 
@@ -429,31 +318,78 @@ class BudgetArbiter:
         return allocations
 
     # ------------------------------------------------------------------
-    # Accounting
+    # Tenants and admission
     # ------------------------------------------------------------------
-    def used_bytes(self) -> int:
-        """Total modeled bytes across every member."""
-        return sum(_member_bytes(index) for index in self._members.values())
+    def register_tenant(self, name: str, quota: Optional[TenantQuota] = None) -> None:
+        """Add (or re-quota) one tenant."""
+        self._tenants[name] = _TenantState(quota or self.default_quota)
 
-    def num_keys(self) -> int:
-        """Total keys across every member."""
-        return sum(_member_keys(index) for index in self._members.values())
+    def unregister_tenant(self, name: str) -> None:
+        """Drop one tenant and its memory members."""
+        self._tenants.pop(name, None)
+        self.replace_group(f"{name}/", {})
 
-    def utilization(self) -> float:
-        """Global ``used / limit``; 0.0 when unbounded."""
-        return self.budget.utilization(self.used_bytes(), self.num_keys())
+    def tenants(self) -> List[str]:
+        """Registered tenant names, sorted."""
+        return sorted(self._tenants)
 
-    def exceeded(self) -> bool:
-        """True when the members jointly violate the global budget."""
-        return self.budget.exceeded(self.used_bytes(), self.num_keys())
+    def admit(self, tenant: str, ops: float = 1.0, now: float = 0.0) -> str:
+        """Admit or shed one request costing ``ops`` operations.
 
+        Returns :data:`ADMIT_OK`, :data:`SHED_THROTTLED` (rate), or
+        :data:`SHED_OVERLOADED` (inflight bound).  An admitted request
+        holds one inflight slot until :meth:`release`.  Unknown tenants
+        raise ``KeyError`` — the front end maps that to its own
+        unknown-tenant response.
+        """
+        state = self._tenants[tenant]
+        quota = state.quota
+        if quota.max_inflight is not None and state.inflight >= quota.max_inflight:
+            state.overloaded += 1
+            return SHED_OVERLOADED
+        if state.bucket is not None and not state.bucket.try_take(ops, now):
+            state.throttled += 1
+            return SHED_THROTTLED
+        state.inflight += 1
+        state.admitted += 1
+        return ADMIT_OK
+
+    def release(self, tenant: str) -> None:
+        """Return the inflight slot held by one admitted request."""
+        state = self._tenants.get(tenant)
+        if state is not None and state.inflight > 0:
+            state.inflight -= 1
+
+    def inflight(self, tenant: str) -> int:
+        """Currently admitted, unreleased requests for ``tenant``."""
+        return self._tenants[tenant].inflight
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:
-        """One JSON-safe summary of the arbitration state."""
+        """One JSON-safe summary of the memory carve, quotas and sheds."""
+        members = self._members
+        used = sum(_member_bytes(index) for index in members.values())
+        keys = sum(_member_keys(index) for index in members.values())
         return {
-            "bounded": self.budget.bounded,
-            "absolute_bytes": self.budget.absolute_bytes,
-            "bits_per_key": self.budget.bits_per_key,
-            "members": self.num_members,
-            "used_bytes": self.used_bytes(),
-            "utilization": round(self.utilization(), 4),
+            "memory": {
+                "bounded": self.budget.bounded,
+                "absolute_bytes": self.budget.absolute_bytes,
+                "bits_per_key": self.budget.bits_per_key,
+                "members": len(members),
+                "used_bytes": used,
+                "utilization": round(self.budget.utilization(used, keys), 4),
+            },
+            "tenants": {
+                name: {
+                    "ops_per_sec": state.quota.ops_per_sec,
+                    "max_inflight": state.quota.max_inflight,
+                    "inflight": state.inflight,
+                    "admitted": state.admitted,
+                    "throttled": state.throttled,
+                    "overloaded": state.overloaded,
+                }
+                for name, state in sorted(self._tenants.items())
+            },
         }

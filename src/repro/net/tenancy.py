@@ -11,7 +11,7 @@ actually observes) carried through to multi-tenant serving.
 
 The directory also owns the service-wide
 :class:`~repro.core.budget.ResourceArbiter`: every group's router is
-handed its memory arbiter and keeps its own shards registered there as
+handed that one arbiter and keeps its own shards registered there as
 ``<tenant>/shard-<n>`` members, across splits and merges (one global
 :class:`~repro.core.budget.MemoryBudget` carved across all tenants,
 key-count proportional), and each tenant's admission quota (ops/sec
@@ -92,7 +92,7 @@ class TenantDirectory:
                 durability=durability,
                 replication_factor=spec.replication_factor,
                 replica_profiles=spec.replica_profiles,
-                arbiter=self.arbiter.memory,
+                arbiter=self.arbiter,
                 member_prefix=f"{spec.name}/",
             )
             self._groups[spec.name] = router

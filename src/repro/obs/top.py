@@ -91,7 +91,8 @@ def _shard_row(
 
     For replica rows ``family`` carries the divergence profile and
     ``info`` is the per-replica stats dict, so the console shows each
-    copy's own encoding mix, ops, and WAL lag instead of an aggregate.
+    copy's own encoding mix, routed reads, and WAL lag instead of an
+    aggregate.
     """
     mix = (
         " ".join(
@@ -104,7 +105,7 @@ def _shard_row(
     return (
         f"  {label:<16} "
         f"{family:<16} "
-        f"{info.get('num_keys', 0):>9} {info.get('ops', 0):>9} "
+        f"{info.get('num_keys', 0):>9} {info.get('ops', info.get('reads_routed', 0)):>9} "
         f"{info.get('migrations', 0):>5} "
         f"{'-' if lag is None else lag:>8}  {mix}"
     )
@@ -166,8 +167,8 @@ def render_snapshot(
         for tenant, shard_list in sorted(shards.items()):
             for shard in shard_list:
                 shard_label = tenant + "/" + str(shard.get("shard_id", "?"))
-                replicas = shard.get("replicas")
-                if replicas:
+                replicas = shard.get("replicas") or []
+                if len(replicas) > 1:
                     # A replicated shard renders one row per replica —
                     # the whole point of divergence is that the copies
                     # differ, so an aggregate row would hide the signal.

@@ -1,15 +1,12 @@
-"""Divergent per-replica adaptation: replica sets and cost-based routing.
+"""Divergent per-replica adaptation: profiles and cost-based routing.
 
-Where :mod:`repro.service` keeps exactly one copy of each shard, this
-package keeps **N read replicas per shard** and — the point — lets each
-replica's :class:`~repro.core.manager.AdaptationManager` diverge under a
-named :class:`~repro.replication.profiles.ReplicaProfile` (point-tuned,
-scan-tuned, memory-squeezed).  Reads are steered by a
-:class:`~repro.replication.routing.ReplicaRouter` that scores every
-replica from its measured modeled cost, its encoding census, and its
-staleness; writes fan out to every live replica through the existing
-``write_gate`` discipline and per-replica WALs, so durability semantics
-are unchanged.
+A :class:`~repro.service.shard.Shard` is a replica set of N >= 1 copies
+with one write path; this package makes N > 1 worth it.  Each copy's
+:class:`~repro.core.manager.AdaptationManager` diverges under a named
+:class:`~repro.replication.profiles.ReplicaProfile` (point-tuned,
+scan-tuned, memory-squeezed), and a
+:class:`~repro.replication.routing.ReplicaRouter` steers reads by each
+copy's measured modeled cost, encoding census and staleness.
 
 This is the "divergent index design" idea (per-replica index selection
 for replicated databases) transplanted onto the paper's adaptive
@@ -24,12 +21,7 @@ from repro.replication.profiles import (
     ReplicaProfile,
     resolve_profiles,
 )
-from repro.replication.replica_set import (
-    Replica,
-    ReplicaSetUnavailableError,
-    ReplicatedShard,
-    build_replicated_shard,
-)
+from repro.replication.replica_set import Replica, ReplicaSetUnavailableError
 from repro.replication.routing import ReplicaRouter
 
 __all__ = [
@@ -38,7 +30,5 @@ __all__ = [
     "ReplicaProfile",
     "ReplicaRouter",
     "ReplicaSetUnavailableError",
-    "ReplicatedShard",
-    "build_replicated_shard",
     "resolve_profiles",
 ]

@@ -32,13 +32,11 @@ RA002-clean.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.runtime import active_registry
+from repro.service.shard import Replica, ReplicaSetUnavailableError, Shard
 from repro.sim.costmodel import CostModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.replication.replica_set import Replica, ReplicatedShard
 
 #: The read classes the router scores separately.
 READ_CLASSES = ("point", "scan")
@@ -48,8 +46,6 @@ _COUNTERS = {
     "point": "replication.reads.point",
     "scan": "replication.reads.scan",
     "explorations": "replication.explorations",
-    "fallbacks": "replication.fallbacks",
-    "downs": "replication.replicas_marked_down",
 }
 _REPLICAS_UP_GAUGE = "replication.replicas_up"
 
@@ -111,7 +107,7 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def score(self, replica: "Replica", kind: str) -> float:
+    def score(self, replica: Replica, kind: str) -> float:
         """Modeled ns/op this replica is expected to charge ``kind``.
 
         The affinity discount applies to the *measured* cost too, not
@@ -122,13 +118,13 @@ class ReplicaRouter:
         """
         measured = replica.cost_ewma.get(kind)
         base = measured if measured is not None else self._census_prior(replica, kind)
-        if replica.profile.affinity == kind:
+        if getattr(replica.profile, "affinity", None) == kind:
             base *= _AFFINITY_DISCOUNT
         return base + self.lag_penalty_ns * replica.behind
 
-    def _census_prior(self, replica: "Replica", kind: str) -> float:
+    def _census_prior(self, replica: Replica, kind: str) -> float:
         """Expected leaf cost from the replica's encoding mix alone."""
-        census = replica.shard.encoding_census()
+        census = replica.encoding_census()
         total = 0
         weighted = 0.0
         for encoding, entry in census.items():
@@ -149,17 +145,15 @@ class ReplicaRouter:
     # Picking
     # ------------------------------------------------------------------
     def pick(
-        self, shard: "ReplicatedShard", kind: str, exclude: Sequence["Replica"] = ()
-    ) -> "Replica":
+        self, shard: Shard, kind: str, exclude: Sequence[Replica] = ()
+    ) -> Replica:
         """The replica that should serve the next ``kind`` batch.
 
         ``exclude`` names live replicas that already failed this batch
         (the caller retries on the rest).  Raises
-        :class:`~repro.replication.replica_set
-        .ReplicaSetUnavailableError` when every replica is down.
+        :class:`~repro.service.shard.ReplicaSetUnavailableError` when
+        every replica is down.
         """
-        from repro.replication.replica_set import ReplicaSetUnavailableError
-
         alive = [
             replica
             for replica in shard.replicas
@@ -186,7 +180,7 @@ class ReplicaRouter:
         self._publish_pick_metrics(kind, len(alive), explored)
         return choice
 
-    def should_measure(self, replica: "Replica", kind: str) -> bool:
+    def should_measure(self, replica: Replica, kind: str) -> bool:
         """Skip-sampled measurement: price the first batch, then every
         ``measure_every``-th batch routed to this replica and class."""
         return replica.routed_batches.get(kind, 0) % self.measure_every == 1
@@ -196,7 +190,7 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     def observe(
         self,
-        replica: "Replica",
+        replica: Replica,
         kind: str,
         events: Mapping[str, int],
         operations: int,
@@ -220,12 +214,12 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     # Introspection and metrics
     # ------------------------------------------------------------------
-    def describe(self, shard: "ReplicatedShard") -> List[Dict[str, object]]:
+    def describe(self, shard: Shard) -> List[Dict[str, object]]:
         """Per-replica score table (for stats and the ops console)."""
         return [
             {
                 "replica": replica.replica_id,
-                "profile": replica.profile.name,
+                "profile": getattr(replica.profile, "name", None),
                 "down": replica.down,
                 "scores_ns": {
                     kind: round(self.score(replica, kind), 1)

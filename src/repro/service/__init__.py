@@ -5,16 +5,17 @@ with bounded memory, which composes naturally across partitions: each
 shard of a :class:`~repro.service.router.ShardRouter` wraps one index
 family instance (AdaptiveBPlusTree, OlcBPlusTree, DualStageIndex,
 HybridTrie, ...) with its own manager, while one
-:class:`~repro.core.budget.BudgetArbiter` divides a single global
+:class:`~repro.core.budget.ResourceArbiter` divides a single global
 memory budget across all shards.
 
 Components:
 
 * :mod:`repro.service.partition` — hash and range key-space
   partitioners (range partitions support online split/merge);
-* :mod:`repro.service.shard` — one partition: an index instance plus
-  its access discipline (per-shard lock for non-thread-safe families,
-  lock-free reads for the OLC B+-tree);
+* :mod:`repro.service.shard` — one partition: a replica set of N >= 1
+  copies with one write path, each copy with its own access discipline
+  (an operation lock for non-thread-safe families, lock-free reads for
+  the OLC B+-tree);
 * :mod:`repro.service.router` — the batched front end
   (``get_many`` / ``put_many`` / ``scan``) executing per-shard
   sub-batches on the caller's thread (a pool only overlaps the WAL

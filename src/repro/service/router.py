@@ -14,7 +14,7 @@ The one exception is a durable ``put_many``, whose per-shard WAL
 
 Online **shard split/merge** reuses the PR-1 build-aside+swap
 discipline: the affected shards are write-frozen (reads keep flowing on
-OLC shards), their contents are snapshotted and rebuilt into
+every copy), their contents are snapshotted and rebuilt into
 replacement shards *aside*, and one atomic routing-table swap publishes
 the new layout.  Every step crosses a :func:`~repro.faults.injector
 .fault_point` (``service.split.*`` / ``service.merge.*``), and a fault
@@ -26,15 +26,15 @@ their route once the gate is acquired: the table may have been swapped
 while they waited, and writing into the now-orphaned shard would lose
 the pair, so re-routed pairs are retried against the fresh table.
 
-One :class:`~repro.core.budget.BudgetArbiter` — the router's own, or
-the tenant directory's it is handed — divides the service-wide memory
-budget across the per-shard adaptation managers and is rebalanced after
-every split/merge.
+One :class:`~repro.core.budget.ResourceArbiter` — the router's own,
+or the tenant directory's it is handed — divides the service-wide
+memory budget across the per-shard adaptation managers and is
+rebalanced after every split/merge.
 
-A shard is provisioned, recovered, split, merged and retired through
-one path whatever its number of copies: a :class:`ShardTemplate` turns
-(position, pairs, logs) into a plain shard or an N-replica set, and
-nothing else here knows which.
+A shard is a replica set of N >= 1 copies with one write path, and it
+is provisioned, recovered, split, merged and retired through one path
+whatever N is: a :class:`ShardTemplate` turns (position, pairs, logs)
+into a shard with one index builder per copy.
 
 With a :class:`~repro.durability.manager.DurabilityManager` attached,
 the router is **crash-durable**: every shard carries a per-shard WAL
@@ -73,7 +73,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.budget import BudgetArbiter, MemoryBudget
+from repro.core.budget import MemoryBudget, ResourceArbiter
 from repro.durability.log import DurableLog
 from repro.durability.manager import DurabilityManager, build_partitioner, manifest_for
 from repro.faults.injector import fault_point
@@ -86,9 +86,11 @@ from repro.service.partition import (
     PartitionError,
     RangePartitioner,
 )
-from repro.service.shard import Pair, Shard, span_if_traced
+from repro.service.shard import IndexFactory, Pair, Replica, Shard, span_if_traced
 
-IndexFactory = Callable[[List[Pair]], Any]
+# After the shard import: repro.replication builds on repro.service.shard.
+from repro.replication.profiles import ReplicaProfile, resolve_profiles
+from repro.replication.routing import ReplicaRouter
 
 _DEFAULT_MAX_WORKERS = 8
 
@@ -158,17 +160,25 @@ _OPS_COUNTERS = {
 
 @dataclass(frozen=True)
 class ShardTemplate:
-    """What every shard of one router is made of: one ``index_factory``
-    instance, or — when ``replication`` is set — one adaptive copy per
-    divergence profile behind a replica read router.  Build, recovery,
-    split and merge all make shards here; nothing else tells the two
-    shapes apart."""
+    """What every shard of one router is made of: one index builder per
+    copy — the family factory, or one ``profile.build_index`` per
+    divergence profile — read through a replica router of ``policy``.
+    Build, recovery, split and merge all make shards here."""
 
-    index_factory: IndexFactory
+    builders: Tuple[IndexFactory, ...]
     thread_safe: bool = False
-    #: The manifest's ``replicas`` block minus its log ids — ``factor``,
-    #: ``profiles`` (names), ``policy`` — or None for single-copy shards.
-    replication: Optional[Dict[str, Any]] = None
+    #: Each copy's divergence profile (None: the family factory builds it).
+    profiles: Tuple[Optional[ReplicaProfile], ...] = (None,)
+    policy: str = "cost"
+
+    @property
+    def replication(self) -> Optional[Dict[str, Any]]:
+        """The manifest's ``replicas`` block minus its log ids, or None
+        for single-copy shards."""
+        if self.profiles[0] is None:
+            return None
+        names = [getattr(profile, "name", None) for profile in self.profiles]
+        return {"factor": len(names), "profiles": names, "policy": self.policy}
 
     @classmethod
     def resolve(
@@ -190,47 +200,32 @@ class ShardTemplate:
             index_factory = FAMILY_FACTORIES[family]
         thread_safe = family in THREAD_SAFE_FAMILIES
         if factor == 1 and profiles is None:
-            return cls(index_factory, thread_safe)
+            return cls((index_factory,), thread_safe)
         if family != "adaptive":
             raise ValueError(
                 "replication requires the 'adaptive' family — divergence "
                 f"profiles tune its adaptation manager (got {family!r})"
             )
-        from repro.replication.profiles import resolve_profiles
-        from repro.replication.routing import ReplicaRouter
-
         if factor == 1 and profiles is not None:
             factor = len(profiles)
-        names = [profile.name for profile in resolve_profiles(factor, profiles)]
+        resolved = tuple(resolve_profiles(factor, profiles))
         ReplicaRouter(policy=policy)  # rejects an unknown policy
         return cls(
-            index_factory,
-            thread_safe,
-            {"factor": factor, "profiles": names, "policy": policy},
+            tuple(profile.build_index for profile in resolved), thread_safe, resolved, policy
         )
 
     def make(
         self, position: int, pairs: List[Pair], logs: Optional[Sequence[DurableLog]]
     ) -> Shard:
         """One shard over ``pairs``; copy ``i`` logs to ``logs[i]`` if durable."""
-        if self.replication is None:
-            return Shard(
-                position,
-                self.index_factory(pairs),
-                thread_safe=self.thread_safe,
-                durable_log=logs[0] if logs else None,
-            )
-        from repro.replication.profiles import resolve_profiles
-        from repro.replication.replica_set import build_replicated_shard
-        from repro.replication.routing import ReplicaRouter
-
-        block = self.replication
-        return build_replicated_shard(
+        copies = zip(self.builders, self.profiles, logs or itertools.repeat(None))
+        return Shard(
             position,
-            pairs,
-            resolve_profiles(block["factor"], block["profiles"]),
-            logs,
-            ReplicaRouter(policy=block["policy"]),
+            [
+                Replica(copy, build, pairs, self.thread_safe, log, profile)
+                for copy, (build, profile, log) in enumerate(copies)
+            ],
+            ReplicaRouter(policy=self.policy),
         )
 
     def provision(
@@ -267,7 +262,7 @@ class ShardRouter:
         budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         epoch: int = 0,
-        arbiter: Optional[BudgetArbiter] = None,
+        arbiter: Optional[ResourceArbiter] = None,
         member_prefix: str = "",
     ) -> None:
         if partitioner.num_shards != len(shards):
@@ -277,7 +272,7 @@ class ShardRouter:
             )
         if durability is not None:
             for shard in shards:
-                if shard.durable_log is None:
+                if len(shard.logs()) != len(shard.replicas):
                     raise ValueError(
                         "a durable router requires every shard to carry a DurableLog"
                     )
@@ -305,7 +300,7 @@ class ShardRouter:
         self.last_recovery: Optional[Dict[str, Any]] = None
         #: The one arbiter setting these shards' manager budgets; in a
         #: shared one the router owns the ``<member_prefix>shard-<n>`` names.
-        self.arbiter = arbiter or BudgetArbiter(budget or MemoryBudget.unbounded())
+        self.arbiter = arbiter or ResourceArbiter(budget)
         self._member_prefix = member_prefix
         self._register_shards()
 
@@ -326,7 +321,7 @@ class ShardRouter:
         replication_factor: int = 1,
         replica_profiles: Optional[Sequence[str]] = None,
         replica_routing: str = "cost",
-        arbiter: Optional[BudgetArbiter] = None,
+        arbiter: Optional[ResourceArbiter] = None,
         member_prefix: str = "",
     ) -> "ShardRouter":
         """Bulk-load a router from sorted unique pairs.
@@ -341,13 +336,12 @@ class ShardRouter:
         (re-bootstrap from the same pairs) or a complete one.
 
         With ``replication_factor > 1`` (or explicit
-        ``replica_profiles``) every shard becomes a
-        :class:`~repro.replication.replica_set.ReplicatedShard`: N
-        copies built under divergent adaptation profiles, reads routed
-        by modeled cost (``replica_routing="cost"``, or
-        ``"round_robin"`` for the identical-replica baseline), writes
-        fanned out to per-replica WALs.  Replication requires the
-        ``"adaptive"`` family — the profiles exist to tune its manager.
+        ``replica_profiles``) every shard keeps N copies built under
+        divergent adaptation profiles, reads routed by modeled cost
+        (``replica_routing="cost"``, or ``"round_robin"`` for the
+        identical-replica baseline), writes fanned out to per-copy WALs.
+        Replication requires the ``"adaptive"`` family — the profiles
+        exist to tune its manager.
 
         ``arbiter`` wires the router into a shared budget arbiter (a
         tenant directory's) instead of a private one over ``budget``;
@@ -723,7 +717,7 @@ class ShardRouter:
         if not shard.supports_writes:
             raise ReadOnlyShardError(
                 f"shard wraps a read-only family "
-                f"({type(shard.index).__name__})"
+                f"({type(shard.replicas[0].index).__name__})"
             )
 
     # ------------------------------------------------------------------
@@ -733,20 +727,18 @@ class ShardRouter:
         """Split one range shard in two at ``at_key`` (default: median).
 
         Writes to the shard are frozen for the duration; reads keep
-        flowing (OLC shards lock-free, locked families briefly
-        serialized, replica sets on their replicas).  A failure at any
-        ``service.split.*`` fault point aborts with the old routing
-        table still serving — no key is ever lost.  Both successors are
-        built whole: on a replica set every copy of each is bulk-loaded
-        under its own profile from the authoritative copy, so a replica
-        that was down comes back healed.  Returns the split key
-        actually used.
+        flowing on every copy (each takes only its own operation lock).
+        A failure at any ``service.split.*`` fault point aborts with the
+        old routing table still serving — no key is ever lost.  Both
+        successors are built whole: every copy of each is bulk-loaded by
+        its own builder from the authoritative copy, so a copy that was
+        down comes back healed.  Returns the split key actually used.
         """
         with self._admin_lock:
             table = self._table
             self._check_shard_id(table, shard_id)
             shard = table.shards[shard_id]
-            with shard.write_gate, shard._guard():
+            with shard.write_gate:
                 fault_point("service.split.collect")
                 pairs = shard.items()
                 split_key = at_key if at_key is not None else self._median_key(pairs)
@@ -779,11 +771,9 @@ class ShardRouter:
             # Validates adjacency and raises on hash partitions.
             new_partitioner = table.partitioner.merge(left_id)
             left, right = table.shards[left_id], table.shards[left_id + 1]
-            # Gates before op locks on both shards: write_gate ranks above
-            # op_lock in the lock hierarchy, and writers acquire gate then
-            # op lock per shard, so interleaving gate/op across shards here
-            # inverts the order (RA001).
-            with left.write_gate, right.write_gate, left._guard(), right._guard():
+            # Both gates before any copy's op lock (items() takes those):
+            # gates rank above op locks in the hierarchy (RA006).
+            with left.write_gate, right.write_gate:
                 fault_point("service.merge.collect")
                 pairs = left.items() + right.items()
                 fault_point("service.merge.build")
@@ -856,8 +846,6 @@ class ShardRouter:
         with self._admin_lock:
             table = self._table
             for position, shard in enumerate(table.shards):
-                if shard.durable_log is None:
-                    continue
                 with shard.write_gate:
                     entries = shard.checkpoint_logs()
                 for entry in entries:
@@ -945,7 +933,7 @@ class ShardRouter:
             "epoch": self._epoch,
             "checkpoints": self.checkpoints,
             "queue_depth": self.queue_depth,
-            "budget": self.arbiter.describe(),
+            "budget": self.arbiter.describe()["memory"],
             "shards": [
                 {**shard.stats(), "shard_id": position}
                 for position, shard in enumerate(table.shards)

@@ -1,59 +1,71 @@
-"""One service shard: an index family instance plus its access discipline.
+"""One service shard: a replica set of N >= 1 copies of one key range.
 
-A :class:`Shard` wraps any existing family behind a uniform
-get/put/scan surface and enforces the right synchronization for it:
+A plain shard is the set of one (the family's index); a replicated one
+keeps an adaptive copy per divergence profile.  Either way a
+:class:`Shard` has one read surface and one write path over its
+:class:`Replica` copies.
 
-* the OLC B+-tree synchronizes itself (versioned locks, validated
-  reads), so its shard carries **no operation lock** — concurrent
-  callers' reads interleave freely and only the router-level
-  ``write_gate`` orders writers against online split/merge;
-* every other family is single-threaded by construction (adaptive
-  lookups may migrate encodings!), so both reads and writes serialize
-  on the shard's re-entrant operation lock.
+**Locking.**  The OLC B+-tree synchronizes itself, so its copy has no
+operation lock; every other family is single-threaded by construction
+(adaptive lookups may migrate encodings!), so each copy serializes on
+its own re-entrant lock — a read routed to one copy never waits behind
+another copy's WAL ``fsync``.  The router holds the shard's
+``write_gate`` around every write batch, which also keeps the copies'
+WALs in one append order, and split/merge holds it for a whole
+build-aside+swap.
 
-The ``write_gate`` exists on every shard, thread-safe or not: the
-router acquires it around each write batch, and split/merge holds it
-(plus the operation lock, when present) for the duration of a
-build-aside+swap — which is how a rebalance can promise zero lost keys
-without stopping reads on OLC shards.
+**Writes** fan out to every live copy in copy order.  A durable copy
+appends (and, under ``sync="batch"``, fsyncs) its record *before* its
+index is touched, so an acknowledgment survives a crash; the
+``durability.wal.apply`` fault point sits between the two (a crash
+there leaves an unacknowledged record that replay applies harmlessly).
+A copy that fails while another accepts is fenced (marked down) and
+counts what it misses (``behind``); a write every live copy refuses is
+the request's fault and raises with every copy up — at N = 1, exactly
+what the index itself would do.
 
-A shard may also carry a :class:`~repro.durability.log.DurableLog`.
-Writes then follow write-ahead order: the record is appended (and,
-under the ``"batch"`` sync policy, fsynced) *before* the in-memory
-index is touched, so an acknowledgment implies the write survives a
-crash.  The ``durability.wal.apply`` fault point sits between the
-durable append and the in-memory apply — a crash there leaves an
-unacknowledged record on disk, which recovery replays (harmless: the
-caller never saw an ack, and replay is idempotent).
+**Reads** of a single copy go straight to it; several copies are read
+through a :class:`~repro.replication.routing.ReplicaRouter`, and a copy
+that fails a read is marked down while a survivor answers.
+
+Invariant: every *acknowledged* write is applied (and logged) on every
+copy up at acknowledgment time, so any live copy serves the full acked
+history and recovery reconciles stragglers from the highest WAL LSN.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     ContextManager,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro.faults.injector import fault_point
 from repro.obs.introspect import census_stats
-from repro.obs.runtime import active_tracer
+from repro.obs.runtime import active_registry, active_tracer
 from repro.obs.tracing import Tracer
 from repro.service.partition import Key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.durability.log import DurableLog
+    from repro.replication.profiles import ReplicaProfile
+    from repro.replication.routing import ReplicaRouter
 
 Pair = Tuple[Key, int]
+IndexFactory = Callable[[List[Pair]], Any]
+T = TypeVar("T")
 
 #: Smallest conceivable integer key, used to seed full-content scans on
 #: families without an ``items()`` iterator (the dual-stage baseline).
@@ -62,6 +74,13 @@ _INT_KEY_FLOOR = -(2**63)
 #: RA004: span-name literals for the per-shard service layer.
 _SHARD_OP_SPAN = "service.shard_op"
 _WAL_APPEND_SPAN = "durability.wal.append"
+
+#: RA004: literal instrument names for the copies' health.
+_COUNTERS = {
+    "downs": "replication.replicas_marked_down",
+    "fallbacks": "replication.fallbacks",
+}
+_REPLICAS_UP_GAUGE = "replication.replicas_up"
 
 
 #: The one context every untraced span site and unlocked guard shares:
@@ -109,189 +128,84 @@ def span_if_traced(name: str, **attributes: object) -> ContextManager[None]:
     return _TracedSpan(tracer, name, attributes)
 
 
-class Shard:
-    """One partition of the key space served by one index instance."""
+class ReplicaSetUnavailableError(RuntimeError):
+    """Every copy of a shard is down; the operation cannot proceed."""
+
+
+def _lookup_sorted(index: Any, keys: Sequence[Key]) -> List[Optional[int]]:
+    """Values aligned with ``keys``: the batch sorted once through the
+    family's ``lookup_many`` fast path (per-key lookups without one)."""
+    lookup_many = getattr(index, "lookup_many", None)
+    if lookup_many is None:
+        return list(map(index.lookup, keys))
+    order = sorted(range(len(keys)), key=lambda position: keys[position])
+    sorted_values = lookup_many([keys[position] for position in order])
+    values: List[Optional[int]] = [None] * len(keys)
+    for rank, position in enumerate(order):
+        values[position] = sorted_values[rank]
+    return values
+
+
+def _insert_all(index: Any, pairs: Sequence[Pair]) -> None:
+    """Upsert ``pairs``, through the family's ``insert_many`` if any."""
+    insert_many = getattr(index, "insert_many", None)
+    if insert_many is not None:
+        insert_many(list(pairs))
+        return
+    for key, value in pairs:
+        index.insert(key, value)
+
+
+class Replica:
+    """One copy of a shard: its index, its optional WAL, its own operation
+    lock, and its health (``down``/``behind``/``cost_ewma``)."""
 
     def __init__(
         self,
-        shard_id: int,
-        index: Any,
+        replica_id: int,
+        build: IndexFactory,
+        pairs: List[Pair],
         thread_safe: bool = False,
         durable_log: Optional["DurableLog"] = None,
+        profile: Optional["ReplicaProfile"] = None,
     ) -> None:
-        #: The position this shard was built for.  Purely informational:
-        #: the router derives routing positions from the table index, so
-        #: a shard's constructed id may go stale after splits/merges.
-        self.shard_id = shard_id
-        self.index = index
+        self.replica_id = replica_id
+        #: Bulk-loads this copy's index: at construction and on revive.
+        self.build = build
+        self.index = build(pairs)
         self.thread_safe = thread_safe
-        #: When set, every write is appended here *before* it touches
-        #: the index — the write-ahead discipline that makes an ack
-        #: crash-durable.
+        #: When set, every write is appended here *before* it touches the
+        #: index — the write-ahead discipline behind a crash-durable ack.
         self.durable_log = durable_log
+        #: The divergence profile tuning this copy's manager (None: the
+        #: family factory built it).  A profiled copy's budget is its
+        #: profile's, so it stays out of the service-wide arbiter.
+        self.profile = profile
         #: Serializes every operation on non-thread-safe families.
         self.op_lock: Optional[threading.RLock] = (
             None if thread_safe else threading.RLock()
         )
-        #: Orders write batches against online split/merge (all families).
-        self.write_gate = threading.RLock()
-        self.ops = 0
-        #: Guards ``ops``: thread-safe shards serve reads with no other
-        #: lock held, so unsynchronized increments would lose counts.
-        self._ops_lock = threading.Lock()
+        self.down = False
+        self.down_reason: Optional[str] = None
+        #: Writes fanned out while this copy was down (staleness).
+        self.behind = 0
+        self.reads_routed = 0
+        #: Router state: measured modeled ns/op per read class, and how
+        #: many batches of each class were routed here (sampling cadence).
+        self.cost_ewma: Dict[str, float] = {}
+        self.routed_batches: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # Locking helpers
-    # ------------------------------------------------------------------
+    # Read by benchmarks/e2e/server_main.py as ``replica.shard.{index,
+    # durable_log}``; ROADMAP item 2(b) deletes this alias.
+    @property
+    def shard(self) -> "Replica":
+        return self
+
     def _guard(self) -> ContextManager[Any]:
         return self.op_lock if self.op_lock is not None else _NOOP
 
-    def _note_ops(self, amount: int) -> None:
-        with self._ops_lock:
-            self.ops += amount
-
-    def _refuse_unorderable(self, keys: Iterable[Key]) -> None:
-        """Reject keys the index cannot order before they reach the WAL.
-
-        The index raises the same ``TypeError`` by itself — but only once
-        the record is durable, and a log holding one wrong-typed key
-        fails every later recovery, which sorts the replayed keys.  An
-        index that declares no ``key_type`` keeps that risk.
-        """
-        expected = getattr(self.index, "key_type", None)
-        if expected is None:
-            return
-        for key in keys:
-            if not isinstance(key, expected):
-                raise TypeError(
-                    f"shard {self.shard_id} orders {expected.__name__} keys; "
-                    f"refusing to log {type(key).__name__} key {key!r}"
-                )
-
-    # ------------------------------------------------------------------
-    # Point and batched reads
-    # ------------------------------------------------------------------
-    def get(self, key: Key) -> Optional[int]:
-        """The value under ``key``, or None."""
-        with span_if_traced(_SHARD_OP_SPAN, op="get", shard_id=self.shard_id):
-            with self._guard():
-                self._note_ops(1)
-                return self.index.lookup(key)
-
-    def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
-        """Values aligned with ``keys`` (None for misses).
-
-        Thread-safe shards answer through per-key OLC-validated lookups
-        (safe against concurrent writers); locked shards sort the batch
-        once and take the family's ``lookup_many`` fast path.
-        """
-        if not keys:
-            return []
-        with span_if_traced(
-            _SHARD_OP_SPAN, op="get_many", shard_id=self.shard_id, count=len(keys)
-        ):
-            if self.thread_safe:
-                lookup = self.index.lookup
-                self._note_ops(len(keys))
-                return [lookup(key) for key in keys]
-            with self._guard():
-                self._note_ops(len(keys))
-                lookup_many = getattr(self.index, "lookup_many", None)
-                if lookup_many is None:
-                    lookup = self.index.lookup
-                    return [lookup(key) for key in keys]
-                order = sorted(range(len(keys)), key=lambda position: keys[position])
-                sorted_values = lookup_many([keys[position] for position in order])
-                values: List[Optional[int]] = [None] * len(keys)
-                for rank, position in enumerate(order):
-                    values[position] = sorted_values[rank]
-                return values
-
-    def scan(self, start_key: Key, count: int) -> List[Pair]:
-        """Up to ``count`` ordered pairs starting at ``start_key``."""
-        with span_if_traced(
-            _SHARD_OP_SPAN, op="scan", shard_id=self.shard_id, count=count
-        ):
-            with self._guard():
-                self._note_ops(1)
-                return list(self.index.scan(start_key, count))
-
-    # ------------------------------------------------------------------
-    # Writes (caller holds ``write_gate``)
-    # ------------------------------------------------------------------
-    @property
-    def supports_writes(self) -> bool:
-        """False for build-once families (the HybridTrie has no insert)."""
-        return hasattr(self.index, "insert")
-
-    def put(self, key: Key, value: int) -> None:
-        """Upsert one pair (write-ahead logged when the shard is durable)."""
-        with span_if_traced(_SHARD_OP_SPAN, op="put", shard_id=self.shard_id):
-            with self._guard():
-                self._note_ops(1)
-                if self.durable_log is not None:
-                    self._refuse_unorderable((key,))
-                    with span_if_traced(
-                        _WAL_APPEND_SPAN, shard_id=self.shard_id, records=1
-                    ):
-                        self.durable_log.append_put(key, value)
-                    fault_point("durability.wal.apply")
-                self.index.insert(key, value)
-
-    def put_many(self, pairs: Sequence[Pair]) -> None:
-        """Upsert a batch, through the family's ``insert_many`` if any.
-
-        On a durable shard the whole batch lands in the WAL as one
-        group commit (one write, one fsync) before any pair touches the
-        index — the ``put_many`` path is exactly where group commit
-        amortizes the durability cost.
-        """
-        if not pairs:
-            return
-        with span_if_traced(
-            _SHARD_OP_SPAN, op="put_many", shard_id=self.shard_id, count=len(pairs)
-        ):
-            with self._guard():
-                self._note_ops(len(pairs))
-                if self.durable_log is not None:
-                    self._refuse_unorderable(key for key, _ in pairs)
-                    with span_if_traced(
-                        _WAL_APPEND_SPAN, shard_id=self.shard_id, records=len(pairs)
-                    ):
-                        self.durable_log.append_put_many(pairs)
-                    fault_point("durability.wal.apply")
-                insert_many = getattr(self.index, "insert_many", None)
-                if insert_many is not None:
-                    insert_many(list(pairs))
-                    return
-                insert = self.index.insert
-                for key, value in pairs:
-                    insert(key, value)
-
-    def delete(self, key: Key) -> bool:
-        """Remove ``key``; False when it was absent."""
-        with span_if_traced(_SHARD_OP_SPAN, op="delete", shard_id=self.shard_id):
-            with self._guard():
-                self._note_ops(1)
-                if self.durable_log is not None:
-                    self._refuse_unorderable((key,))
-                    with span_if_traced(
-                        _WAL_APPEND_SPAN, shard_id=self.shard_id, records=1
-                    ):
-                        self.durable_log.append_delete(key)
-                    fault_point("durability.wal.apply")
-                return bool(self.index.delete(key))
-
-    # ------------------------------------------------------------------
-    # Snapshots and introspection
-    # ------------------------------------------------------------------
     def items(self) -> List[Pair]:
-        """All pairs currently in the shard, sorted by key.
-
-        Used by split/merge to build replacement shards aside; callers
-        must hold ``write_gate`` (and the operation lock is taken here)
-        so the snapshot is consistent.
-        """
+        """Every pair of this copy, sorted by key."""
         with self._guard():
             items_iter = getattr(self.index, "items", None)
             if items_iter is not None:
@@ -300,59 +214,375 @@ class Shard:
 
     @property
     def num_keys(self) -> int:
-        """Number of keys currently in the shard."""
         keys = getattr(self.index, "num_keys", None)
         if keys is not None:
             return int(keys)
         return len(self.index)
 
-    def size_bytes(self) -> int:
-        """Modeled bytes of the shard's index."""
-        return int(self.index.size_bytes())
-
-    def counter_snapshot(self) -> Dict[str, int]:
-        """The index's structural counter events (for the cost model)."""
-        return dict(self.index.counters.snapshot())
-
     def encoding_census(self) -> Dict[str, Any]:
-        """The index's node/leaf encoding mix, whatever the family calls it.
-
-        Empty for families without heterogeneous encodings (plain
-        hashmap, OLC tree) — the ops console renders that as a single
-        implicit encoding.
-        """
+        """The index's node/leaf encoding mix, whatever the family calls it
+        (empty for single-encoding families such as the OLC tree)."""
         for probe in ("leaf_encoding_census", "encoding_census", "node_census"):
             census = getattr(self.index, probe, None)
             if census is not None:
                 return dict(census_stats(census()))
         return {}
 
-    def checkpoint_logs(self) -> List[Dict[str, Any]]:
-        """Snapshot every log this shard carries and truncate its WAL.
-
-        The caller holds ``write_gate``; the operation lock is taken
-        here so the collected pairs are consistent with the WAL's LSN.
-        A plain shard carries at most one log; a replicated shard
-        overrides this to checkpoint every replica's log.
-        """
+    def stats(self) -> Dict[str, Any]:
+        """One JSON-safe row: this copy's health and index state; ``wal_lag``
+        is what a crash right now would replay."""
+        manager = getattr(self.index, "manager", None)
+        counters = manager.counters if manager is not None else None
         log = self.durable_log
-        if log is None:
+        return {
+            "replica": self.replica_id,
+            "profile": getattr(self.profile, "name", None),
+            "down": self.down,
+            "down_reason": self.down_reason,
+            "behind": self.behind,
+            "reads_routed": self.reads_routed,
+            "cost_ewma_ns": {kind: round(cost, 1) for kind, cost in self.cost_ewma.items()},
+            "family": getattr(self.index, "stats_family", type(self.index).__name__),
+            "num_keys": self.num_keys,
+            "size_bytes": int(self.index.size_bytes()),
+            "encoding_census": self.encoding_census(),
+            "wal_lag": (
+                None
+                if log is None
+                else max(0, log.wal.last_lsn - max(log.snapshots.list_lsns(), default=0))
+            ),
+            "adaptation_phases": counters.adaptation_phases if counters is not None else 0,
+            "migrations": (
+                counters.expansions + counters.compactions if counters is not None else 0
+            ),
+        }
+
+
+class Shard:
+    """One partition of the key space served by N >= 1 copies."""
+
+    def __init__(
+        self, shard_id: int, replicas: Sequence[Replica], router: "ReplicaRouter"
+    ) -> None:
+        if not replicas:
+            raise ValueError("a shard needs at least one copy")
+        #: The position this shard was built for.  Purely informational:
+        #: the router derives routing positions from the table index, so
+        #: a shard's constructed id may go stale after splits/merges.
+        self.shard_id = shard_id
+        self.replicas: List[Replica] = list(replicas)
+        #: Steers read batches across copies (unused with one copy).
+        self.router = router
+        #: Orders write batches against online split/merge and keeps
+        #: every copy's WAL in the same append order.
+        self.write_gate = threading.RLock()
+        self.ops = 0
+        #: Guards ``ops``: thread-safe copies serve reads with no other
+        #: lock held, so unsynchronized increments would lose counts.
+        self._ops_lock = threading.Lock()
+
+    def _note_ops(self, amount: int) -> None:
+        with self._ops_lock:
+            self.ops += amount
+
+    # ------------------------------------------------------------------
+    # Copy health
+    # ------------------------------------------------------------------
+    def _alive(self) -> List[Replica]:
+        return [copy for copy in self.replicas if not copy.down]
+
+    def _authoritative(self) -> Replica:
+        """The first live copy: holds the complete acked history."""
+        alive = self._alive()
+        if not alive:
+            raise ReplicaSetUnavailableError(
+                f"all {len(self.replicas)} replicas of shard "
+                f"{self.shard_id} are down"
+            )
+        return alive[0]
+
+    def mark_down(self, replica: Replica, reason: str) -> None:
+        """Fence ``replica`` out of routing and write fan-out."""
+        if replica.down:
+            return
+        replica.down = True
+        replica.down_reason = reason
+        registry = active_registry()
+        if registry is not None:
+            registry.counter(_COUNTERS["downs"]).inc()
+            registry.gauge(_REPLICAS_UP_GAUGE).set(len(self._alive()))
+
+    def revive(self, replica_id: int) -> Replica:
+        """Rebuild a down copy from a live one and re-admit it.
+
+        The copy's *own* builder (its divergence profile survives the
+        outage) bulk-loads the authoritative content, and a fresh
+        snapshot heals its log.  A poisoned WAL only returns through
+        :meth:`~repro.service.router.ShardRouter.recover`.
+        """
+        replica = self.replicas[replica_id]
+        if not replica.down:
+            return replica
+        log = replica.durable_log
+        if log is not None and log.wal.poisoned is not None:
+            raise RuntimeError(
+                f"replica {replica_id} of shard {self.shard_id} has a "
+                "poisoned WAL; it can only return through recovery"
+            )
+        with self.write_gate, replica._guard():
+            pairs = self._authoritative().items()
+            replica.index = replica.build(pairs)
+            if log is not None:
+                log.checkpoint(pairs)
+            replica.down = False
+            replica.down_reason = None
+            replica.behind = 0
+            replica.cost_ewma = {}
+        registry = active_registry()
+        if registry is not None:
+            registry.gauge(_REPLICAS_UP_GAUGE).set(len(self._alive()))
+        return replica
+
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
+    def get(self, key: Key) -> Optional[int]:
+        """The value under ``key``, or None."""
+        with span_if_traced(_SHARD_OP_SPAN, op="get", shard_id=self.shard_id):
+            return self._read("point", "get", 1, lambda index: index.lookup(key))
+
+    def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
+        """Values aligned with ``keys``; the whole batch rides one copy.
+
+        Thread-safe copies answer through per-key OLC-validated lookups;
+        locked copies take the sorted ``lookup_many`` fast path.
+        """
+        if not keys:
             return []
-        with self._guard():
-            pairs = self.items()
-            lsn = log.checkpoint(pairs)
-        return [
-            {
-                "log_id": log.log_id,
-                "lsn": lsn,
-                "num_keys": len(pairs),
-                "wal_bytes": log.wal_size_bytes(),
-            }
-        ]
+        with span_if_traced(
+            _SHARD_OP_SPAN, op="get_many", shard_id=self.shard_id, count=len(keys)
+        ):
+            if self.replicas[0].thread_safe:
+                return self._read(
+                    "point", "get_many", len(keys), lambda index: list(map(index.lookup, keys))
+                )
+            return self._read(
+                "point", "get_many", len(keys), lambda index: _lookup_sorted(index, keys)
+            )
+
+    def scan(self, start_key: Key, count: int) -> List[Pair]:
+        """Up to ``count`` ordered pairs starting at ``start_key``."""
+        with span_if_traced(
+            _SHARD_OP_SPAN, op="scan", shard_id=self.shard_id, count=count
+        ):
+            return self._read(
+                "scan", "scan", 1, lambda index: list(index.scan(start_key, count))
+            )
+
+    def _read(
+        self, kind: str, op: str, operations: int, request: Callable[[Any], T]
+    ) -> T:
+        """Run ``request`` on one copy's index, under that copy's lock.
+
+        A single copy is read directly.  With several, the router picks
+        the cheapest live copy and a copy that raises is skipped for the
+        next-best, then marked down once a survivor answers; a batch
+        every live copy fails is the request's fault (a wrong-typed key,
+        say) and raises with every copy up.  On skip-sampled batches the
+        copy's counter delta is priced into its EWMA.
+        """
+        self._note_ops(operations)
+        replicas = self.replicas
+        if len(replicas) == 1:
+            only = replicas[0]
+            if only.op_lock is None:
+                return request(only.index)
+            with only.op_lock:
+                return request(only.index)
+        router = self.router
+        failed: List[Tuple[Replica, Exception]] = []
+        while True:
+            replica = router.pick(self, kind, exclude=[loser for loser, _ in failed])
+            counters = replica.index.counters
+            before = counters.snapshot() if router.should_measure(replica, kind) else None
+            try:
+                with replica._guard():
+                    result = request(replica.index)
+            except Exception as error:
+                failed.append((replica, error))
+                if len(failed) == len(self._alive()):
+                    raise
+                registry = active_registry()
+                if registry is not None:
+                    registry.counter(_COUNTERS["fallbacks"]).inc()
+                continue
+            for loser, error in failed:
+                self.mark_down(loser, f"{op} failed: {error!r}")
+            replica.reads_routed += operations
+            if before is not None:
+                router.observe(replica, kind, counters.diff(before), operations)
+            return result
+
+    # ------------------------------------------------------------------
+    # Writes (caller holds ``write_gate``)
+    # ------------------------------------------------------------------
+    @property
+    def supports_writes(self) -> bool:
+        """False for build-once families (the HybridTrie has no insert)."""
+        return hasattr(self.replicas[0].index, "insert")
+
+    def put(self, key: Key, value: int) -> None:
+        """Upsert one pair on every live copy."""
+        with span_if_traced(_SHARD_OP_SPAN, op="put", shard_id=self.shard_id):
+            self._fanout_write(
+                "put",
+                ((key, value),),
+                lambda log: log.append_put(key, value),
+                lambda index: index.insert(key, value),
+            )
+
+    def put_many(self, pairs: Sequence[Pair]) -> None:
+        """Upsert a batch on every live copy: a durable copy logs it as one
+        group commit (one write, one fsync) before any pair touches its
+        index — where group commit amortizes the durability cost."""
+        if not pairs:
+            return
+        with span_if_traced(
+            _SHARD_OP_SPAN, op="put_many", shard_id=self.shard_id, count=len(pairs)
+        ):
+            self._fanout_write(
+                "put_many",
+                pairs,
+                lambda log: log.append_put_many(pairs),
+                lambda index: _insert_all(index, pairs),
+            )
+
+    def delete(self, key: Key) -> bool:
+        """Remove ``key`` everywhere; False when it was absent."""
+        with span_if_traced(_SHARD_OP_SPAN, op="delete", shard_id=self.shard_id):
+            return self._fanout_write(
+                "delete",
+                ((key, None),),
+                lambda log: log.append_delete(key),
+                lambda index: index.delete(key),
+            )
+
+    def _fanout_write(
+        self,
+        op: str,
+        pairs: Sequence[Tuple[Key, Any]],
+        append: Callable[["DurableLog"], object],
+        apply: Callable[[Any], object],
+    ) -> bool:
+        """The one write path: log, then apply, on every live copy in order.
+
+        ``pairs`` are the write's records (value None for a delete).  A
+        key the index cannot order is refused once, before any copy
+        logs: the index would raise the same ``TypeError`` itself, but
+        only after the record is durable, and a log holding it fails
+        every later recovery (which sorts the replayed keys).  Each live
+        copy, under its own lock, ``append``s to its WAL when durable,
+        crosses ``durability.wal.apply``, then ``apply``s to its index.
+        A copy that raises while another accepts is marked down; if none
+        accepts, the first error surfaces and every copy stays up.
+        Returns whether any copy's ``apply`` returned true (for a delete:
+        whether the key was there).
+        """
+        first = self.replicas[0]
+        expected = getattr(first.index, "key_type", None)
+        if first.durable_log is not None and expected is not None:
+            for key, _ in pairs:
+                if not isinstance(key, expected):
+                    raise TypeError(
+                        f"shard {self.shard_id} orders {expected.__name__} keys; "
+                        f"refusing to log {type(key).__name__} key {key!r}"
+                    )
+        records = len(pairs)
+        self._note_ops(records)
+        accepted, hit = 0, False
+        failed: List[Tuple[Replica, Exception]] = []
+        for replica in self.replicas:
+            if replica.down:
+                replica.behind += records
+                continue
+            try:
+                with replica._guard():
+                    if replica.durable_log is not None:
+                        with span_if_traced(
+                            _WAL_APPEND_SPAN, shard_id=self.shard_id, records=records
+                        ):
+                            append(replica.durable_log)
+                        fault_point("durability.wal.apply")
+                    if apply(replica.index):
+                        hit = True
+                accepted += 1
+            except Exception as error:
+                failed.append((replica, error))
+        if not accepted:
+            if failed:
+                raise failed[0][1]
+            raise ReplicaSetUnavailableError(
+                f"no replica of shard {self.shard_id} accepted the {op}"
+            )
+        for replica, error in failed:
+            self.mark_down(replica, f"{op} failed: {error!r}")
+            replica.behind += records
+        return hit
+
+    # ------------------------------------------------------------------
+    # Snapshots and introspection
+    # ------------------------------------------------------------------
+    def items(self) -> List[Pair]:
+        """The authoritative copy's content, sorted (split/merge hold
+        ``write_gate`` so it is consistent)."""
+        return self._authoritative().items()
+
+    @property
+    def num_keys(self) -> int:
+        """Key count of the authoritative copy (copy 0 when all are down)."""
+        alive = self._alive()
+        return (alive[0] if alive else self.replicas[0]).num_keys
+
+    def size_bytes(self) -> int:
+        """Modeled bytes across *all* copies — replication is honest
+        about its memory cost."""
+        return sum(int(copy.index.size_bytes()) for copy in self.replicas)
+
+    def counter_snapshot(self) -> Dict[str, int]:
+        """Structural counter events (for the cost model), summed across copies."""
+        merged: Counter[str] = Counter()
+        for copy in self.replicas:
+            merged.update(copy.index.counters.snapshot())
+        return dict(merged)
+
+    def checkpoint_logs(self) -> List[Dict[str, Any]]:
+        """Snapshot every live copy's log (under its lock, so the pairs
+        match its LSN) and truncate its WAL; the caller holds
+        ``write_gate``.  Down copies keep their pre-outage logs, which
+        recovery rebuilds from the copy with the highest LSN.
+        """
+        entries: List[Dict[str, Any]] = []
+        for copy in self._alive():
+            log = copy.durable_log
+            if log is None:
+                continue
+            with copy._guard():
+                pairs = copy.items()
+                lsn = log.checkpoint(pairs)
+            entries.append(
+                {
+                    "replica": copy.replica_id,
+                    "log_id": log.log_id,
+                    "lsn": lsn,
+                    "num_keys": len(pairs),
+                    "wal_bytes": log.wal_size_bytes(),
+                }
+            )
+        return entries
 
     def logs(self) -> List["DurableLog"]:
-        """Every log this shard carries, in copy order (empty when not durable)."""
-        return [] if self.durable_log is None else [self.durable_log]
+        """Every copy's log, in copy order (empty when not durable)."""
+        return [copy.durable_log for copy in self.replicas if copy.durable_log is not None]
 
     def close_logs(self) -> None:
         """Release every log handle this shard carries (idempotent)."""
@@ -360,47 +590,54 @@ class Shard:
             log.close()
 
     def budget_members(self) -> List[Any]:
-        """The indexes whose manager budget a service-wide arbiter may set."""
-        return [self.index]
-
-    def wal_lag(self) -> Optional[int]:
-        """Records appended since the last snapshot (None when not durable).
-
-        The ops console's per-shard durability lag: how much WAL replay
-        a crash right now would cost this shard — the worst of its logs.
-        """
-        lags = [
-            max(0, log.wal.last_lsn - max(log.snapshots.list_lsns(), default=0))
-            for log in self.logs()
-        ]
-        return max(lags, default=None)
+        """The indexes a service-wide arbiter may budget: not profiled
+        copies, whose budget is divergence policy a global rebalance
+        would erase."""
+        return [copy.index for copy in self.replicas if copy.profile is None]
 
     def stats(self) -> Dict[str, Any]:
-        """One JSON-safe summary of this shard."""
-        manager = getattr(self.index, "manager", None)
+        """One JSON-safe summary: the aggregate (``wal_lag`` the worst
+        copy's) plus one row per copy."""
+        rows = [copy.stats() for copy in self.replicas]
+        lags = [row["wal_lag"] for row in rows if row["wal_lag"] is not None]
+        census: Counter[str] = Counter()
+        for row in rows:
+            census.update({name: entry["count"] for name, entry in row["encoding_census"].items()})
+        first = self.replicas[0]
         return {
             "shard_id": self.shard_id,
-            "family": getattr(self.index, "stats_family", type(self.index).__name__),
-            "thread_safe": self.thread_safe,
-            "durable": self.durable_log.stats() if self.durable_log is not None else None,
-            "wal_lag": self.wal_lag(),
+            "family": rows[0]["family"],
+            "thread_safe": first.thread_safe,
+            "durable": None if first.durable_log is None else first.durable_log.stats(),
+            "wal_lag": max(lags, default=None),
             "num_keys": self.num_keys,
-            "size_bytes": self.size_bytes(),
+            "size_bytes": sum(row["size_bytes"] for row in rows),
             "ops": self.ops,
-            "encoding_census": self.encoding_census(),
-            "adaptation_phases": (
-                manager.counters.adaptation_phases if manager is not None else 0
-            ),
-            "migrations": (
-                manager.counters.expansions + manager.counters.compactions
-                if manager is not None
-                else 0
-            ),
+            "encoding_census": {name: {"count": count} for name, count in census.items()},
+            "adaptation_phases": sum(row["adaptation_phases"] for row in rows),
+            "migrations": sum(row["migrations"] for row in rows),
+            "replication_factor": len(rows),
+            "replicas_up": len(self._alive()),
+            "replicas": rows,
+            "routing": self.router.describe(self),
         }
 
     def verify(self) -> None:
-        """Run the family's structural self-verification, if it has one."""
-        verify = getattr(self.index, "verify", None)
-        if verify is not None:
-            with self._guard():
-                verify()
+        """Run every live copy's structural checks, and check that they
+        agree on content — the acked-write invariant made checkable."""
+        alive = self._alive()
+        for copy in alive:
+            verify = getattr(copy.index, "verify", None)
+            if verify is not None:
+                with copy._guard():
+                    verify()
+        for copy in alive[1:]:
+            if copy.items() != alive[0].items():
+                from repro.core.invariants import InvariantViolation
+
+                raise InvariantViolation(
+                    [
+                        f"replica {copy.replica_id} of shard {self.shard_id} "
+                        f"diverged in content from replica {alive[0].replica_id}"
+                    ]
+                )

@@ -24,7 +24,6 @@ from tests.analysis.helpers import REPO_ROOT
 
 SHARD = REPO_ROOT / "src" / "repro" / "service" / "shard.py"
 WAL = REPO_ROOT / "src" / "repro" / "durability" / "wal.py"
-REPLICA_SET = REPO_ROOT / "src" / "repro" / "replication" / "replica_set.py"
 NET_SERVER = REPO_ROOT / "src" / "repro" / "net" / "server.py"
 COALESCER = REPO_ROOT / "src" / "repro" / "net" / "coalescer.py"
 
@@ -41,21 +40,22 @@ def _mutate(tmp_path, source_path, transform):
 
 # -- RA008: apply-before-append in Shard.put ----------------------------
 def _ack_before_append(source: str) -> str:
-    """Move ``self.index.insert`` above the WAL append in ``Shard.put``."""
+    """Hand ``Shard.put``'s fan-out the index apply before the WAL append."""
     tree = ast.parse(source)
     mutated = False
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "put":
-            for inner in ast.walk(node):
+            for call in ast.walk(node):
                 if (
-                    isinstance(inner, ast.With)
-                    and ast.unparse(inner.items[0].context_expr) == "self._guard()"
-                    and "self.index.insert" in ast.unparse(inner.body[-1])
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "self._fanout_write"
+                    and "append_put" in ast.unparse(call.args[-2])
+                    and "index.insert" in ast.unparse(call.args[-1])
                 ):
-                    inner.body = [inner.body[0], inner.body[-1], *inner.body[1:-1]]
+                    call.args[-2:] = reversed(call.args[-2:])
                     mutated = True
     if not mutated:
-        raise AssertionError("Shard.put guard body not found")
+        raise AssertionError("Shard.put fan-out call not found")
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
@@ -119,13 +119,13 @@ class TestHandleLifecycleMutation:
 
 # -- RA006: inverted gate/guard nesting in revive -----------------------
 def _invert_revive_nesting(source: str) -> str:
-    """Acquire the shard guard before the write gate in ``revive``."""
+    """Acquire the copy's guard before the shard's write gate in ``revive``."""
     tree = ast.parse(source)
     mutated = False
     for node in ast.walk(tree):
         if isinstance(node, ast.With) and len(node.items) == 2:
             first, second = (ast.unparse(item.context_expr) for item in node.items)
-            if first == "self.write_gate" and second == "self._guard()":
+            if first == "self.write_gate" and second == "replica._guard()":
                 node.items.reverse()
                 mutated = True
     if not mutated:
@@ -135,7 +135,7 @@ def _invert_revive_nesting(source: str) -> str:
 
 class TestLockGraphMutation:
     def test_inverted_nesting_makes_ra006_fire(self, tmp_path):
-        mutated = _mutate(tmp_path, REPLICA_SET, _invert_revive_nesting)
+        mutated = _mutate(tmp_path, SHARD, _invert_revive_nesting)
         findings = _findings(LockOrderGraphRule(modules=("*",)), mutated)
         assert findings, "RA006 no longer detects inverted gate/guard nesting"
         (cycle,) = findings
@@ -146,7 +146,8 @@ class TestLockGraphMutation:
         assert "_guard -> write_gate" in cycle.message
 
     def test_pristine_replica_set_is_clean(self):
-        assert _findings(LockOrderGraphRule(modules=("*",)), REPLICA_SET) == []
+        # The replica set is the shard: revive lives in service/shard.py.
+        assert _findings(LockOrderGraphRule(modules=("*",)), SHARD) == []
 
 
 # -- RA005: the sync request path under data_received / call_soon -------

@@ -1,4 +1,4 @@
-"""TokenBucket / TenantQuota / ResourceArbiter (the PR-7 generalization)."""
+"""TokenBucket / TenantQuota / ResourceArbiter: admission and the memory carve."""
 
 import pytest
 
@@ -147,8 +147,8 @@ class TestResourceArbiterMemory:
         arbiter = ResourceArbiter(budget=MemoryBudget.absolute(1_000_000))
         arbiter.register_tenant("a")
         arbiter.register_tenant("b")
-        arbiter.memory.register("a/shard-0", FakeIndex(keys=900, size=10))
-        arbiter.memory.register("b/shard-0", FakeIndex(keys=100, size=10))
+        arbiter.replace_group("a/", {"a/shard-0": FakeIndex(keys=900, size=10)})
+        arbiter.replace_group("b/", {"b/shard-0": FakeIndex(keys=100, size=10)})
         allocations = arbiter.rebalance()
         assert set(allocations) == {"a/shard-0", "b/shard-0"}
         assert (
@@ -159,10 +159,15 @@ class TestResourceArbiterMemory:
     def test_unregister_tenant_drops_memory_members(self):
         arbiter = ResourceArbiter(budget=MemoryBudget.absolute(1_000_000))
         arbiter.register_tenant("a")
-        arbiter.memory.register("a/shard-0", FakeIndex(10, 10))
-        arbiter.memory.register("a/shard-1", FakeIndex(10, 10))
-        arbiter.memory.register("ab/shard-0", FakeIndex(10, 10))
-        assert arbiter.memory.num_members == 3
+        arbiter.replace_group(
+            "",
+            {
+                "a/shard-0": FakeIndex(10, 10),
+                "a/shard-1": FakeIndex(10, 10),
+                "ab/shard-0": FakeIndex(10, 10),
+            },
+        )
+        assert arbiter.describe()["memory"]["members"] == 3
         arbiter.unregister_tenant("a")
-        assert arbiter.memory.num_members == 1
+        assert arbiter.describe()["memory"]["members"] == 1
         assert arbiter.tenants() == []

@@ -76,12 +76,12 @@ class TestTenantDirectory:
         budget = MemoryBudget.absolute(4_000_000)
         with TenantDirectory([spec, other], budget=budget) as directory:
             router = directory.router_for("t")
-            assert router.arbiter is directory.arbiter.memory
+            assert router.arbiter is directory.arbiter
 
             def check(members):
                 assert set(directory.arbiter.rebalance()) == members
                 managers = [
-                    shard.index.manager
+                    shard.replicas[0].index.manager
                     for tenant in ("t", "u")
                     for shard in directory.router_for(tenant).table.shards
                 ]

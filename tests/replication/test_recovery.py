@@ -126,7 +126,7 @@ class TestManifestCompatibility:
         )
         recovered = ShardRouter.recover(durability)
         try:
-            assert not hasattr(recovered.table.shards[0], "replicas")
+            assert len(recovered.table.shards[0].replicas) == 1
             assert recovered.scan(-1, 10**6) == sorted([*pairs, (1, 100)])
             info = recovered.last_recovery
             assert info["frames_replayed"] == 1

@@ -1,25 +1,33 @@
-"""Replicated shards: fan-out, fencing, fallback, revive, verify."""
+"""Replica sets: fan-out, fencing, fallback, revive, verify.
+
+A shard is a replica set of N >= 1 copies with one write path, so the
+fencing and fallback tests run at factor 1 too: a single copy must
+behave exactly like a plain index (the error surfaces, the copy stays
+up, a torn append poisons its log).
+"""
+
+import contextlib
+import threading
 
 import pytest
 
 from repro.core.invariants import InvariantViolation
+from repro.durability import WalPoisonedError
 from repro.durability.manager import DurabilityManager
-from repro.faults.injector import FaultInjector
-from repro.replication import (
-    REPLICA_PROFILES,
-    ReplicaSetUnavailableError,
-    build_replicated_shard,
-)
-
-PROFILES = [REPLICA_PROFILES[name] for name in ("point", "scan", "squeezed")]
+from repro.faults.injector import FaultInjector, InjectedFault
+from repro.replication import ReplicaSetUnavailableError
+from repro.service.router import ShardTemplate
 
 
-def make_shard(num_keys=500, durability=None):
+def make_shard(num_keys=500, durability=None, factor=3):
+    """An adaptive shard: plain at factor 1, else the default profile
+    line-up (point, scan, squeezed)."""
     pairs = [(key, key + 1) for key in range(0, num_keys * 2, 2)]
+    template = ShardTemplate.resolve("adaptive", factor=factor)
     logs = None
     if durability is not None:
-        logs = durability.create_logs(0, 0, pairs, {"factor": len(PROFILES)})
-    return build_replicated_shard(0, pairs, PROFILES, logs)
+        logs = durability.create_logs(0, 0, pairs, template.replication)
+    return template.make(0, pairs, logs)
 
 
 class TestBasics:
@@ -39,7 +47,7 @@ class TestBasics:
     def test_every_replica_sees_every_write(self):
         shard = make_shard(num_keys=50)
         shard.put_many([(odd, odd * 2) for odd in range(1, 41, 2)])
-        contents = [replica.shard.items() for replica in shard.replicas]
+        contents = [replica.items() for replica in shard.replicas]
         assert contents[0] == contents[1] == contents[2]
 
     def test_stats_exposes_per_replica_rows(self):
@@ -53,20 +61,28 @@ class TestBasics:
 
     def test_size_counts_every_replica(self):
         shard = make_shard()
-        single = shard.replicas[0].shard.size_bytes()
+        single = shard.replicas[0].index.size_bytes()
         assert shard.size_bytes() > single
 
 
 class TestReadFailover:
-    def test_failed_read_reroutes_without_raising(self):
-        shard = make_shard()
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_failed_read_reroutes_without_raising(self, factor):
+        shard = make_shard(factor=factor)
         target = shard.router.pick(shard, "point")
         shard.router._picks["point"] = 0  # rewind so the next pick repeats
 
         def explode(keys):
             raise RuntimeError("replica storage failure")
 
-        target.shard.get_many = explode
+        target.index.lookup_many = explode
+        if factor == 1:
+            # No survivor: the error surfaces as the index raised it and
+            # the copy stays up.
+            with pytest.raises(RuntimeError, match="storage failure"):
+                shard.get_many([10, 12])
+            assert not target.down
+            return
         # The batch must succeed on a survivor; the caller never sees it.
         assert shard.get_many([10, 12]) == [11, 13]
         assert target.down
@@ -88,22 +104,31 @@ class TestReadFailover:
 
 
 class TestWriteFencing:
-    def test_poisoned_wal_fences_only_that_replica(self, tmp_path):
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_poisoned_wal_fences_only_that_replica(self, tmp_path, factor):
         durability = DurabilityManager(tmp_path)
-        shard = make_shard(num_keys=100, durability=durability)
+        shard = make_shard(num_keys=100, durability=durability, factor=factor)
+        poisoned = shard.replicas[-1].durable_log
+        refused = pytest.raises(InjectedFault) if factor == 1 else contextlib.nullcontext()
         try:
-            # Fail the second replica's append of one fan-out: appends
-            # run in replica order, so fail_at=2 poisons exactly r1.
+            # Tear the last copy's append of one fan-out: appends run in
+            # copy order, so fail_at=factor poisons exactly that copy.
             with FaultInjector(
-                site="durability.wal.append", fail_at=2, max_failures=1
-            ) as injector:
+                site="durability.wal.append", fail_at=factor, max_failures=1
+            ) as injector, refused:
                 shard.put_many([(1, 10), (3, 30)])
             assert injector.failures_injected == 1
-            downs = [replica.down for replica in shard.replicas]
-            assert downs == [False, True, False]
-            poisoned = shard.replicas[1].shard.durable_log
-            assert poisoned is not None and poisoned.wal.poisoned is not None
-            # The write acked on the survivors.
+            assert poisoned.wal.poisoned is not None
+            if factor == 1:
+                # No copy accepted: the fault surfaced, nothing applied,
+                # the copy stays up, and its log refuses every later ack.
+                assert not shard.replicas[0].down
+                with pytest.raises(WalPoisonedError):
+                    shard.put_many([(5, 50)])
+                assert shard.get_many([1, 3, 5]) == [None, None, None]
+                return
+            assert [replica.down for replica in shard.replicas] == [False, True]
+            # The write acked on the survivor.
             assert shard.get_many([1, 3]) == [10, 30]
             # Behind counts the failed batch's 2 records plus every
             # later write the fenced replica misses.
@@ -144,7 +169,7 @@ class TestRevive:
         assert not revived.down
         assert revived.behind == 0
         assert revived.profile.name == "squeezed"
-        assert revived.shard.items() == shard.replicas[0].shard.items()
+        assert revived.items() == shard.replicas[0].items()
         shard.verify()
 
     def test_revive_is_idempotent_on_live_replica(self):
@@ -156,12 +181,49 @@ class TestVerify:
     def test_verify_detects_content_divergence(self):
         shard = make_shard(num_keys=50)
         # Corrupt one live replica behind the fan-out's back.
-        shard.replicas[1].shard.index.insert(999, 999)
+        shard.replicas[1].index.insert(999, 999)
         with pytest.raises(InvariantViolation, match="diverged"):
             shard.verify()
 
     def test_verify_skips_down_replicas(self):
         shard = make_shard(num_keys=50)
-        shard.replicas[1].shard.index.insert(999, 999)
+        shard.replicas[1].index.insert(999, 999)
         shard.mark_down(shard.replicas[1], "known bad")
         shard.verify()
+
+
+class TestPerCopyLocking:
+    def test_read_on_one_copy_never_waits_on_another_copys_append(self, tmp_path):
+        """Each copy has its own operation lock: while copy 0 sits in its
+        WAL append (an ``fsync``, in production), a read routed to copy 1
+        completes.  One lock shared by the copies would block it."""
+        shard = make_shard(
+            num_keys=100, durability=DurabilityManager(tmp_path, sync="none"), factor=2
+        )
+        appending, release = threading.Event(), threading.Event()
+        log = shard.replicas[0].durable_log
+        append = log.append_put_many
+
+        def stalled_append(pairs):
+            appending.set()
+            release.wait(10)
+            return append(pairs)
+
+        log.append_put_many = stalled_append
+        shard.router.pick = lambda owner, kind, exclude=(): owner.replicas[1]
+        writer = threading.Thread(target=shard.put_many, args=([(1, 10)],))
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(shard.get_many([10, 12])))
+        writer.start()
+        try:
+            assert appending.wait(10)
+            reader.start()
+            reader.join(5)
+            assert not reader.is_alive(), "the read on copy 1 waited on copy 0's append"
+            assert answers == [[11, 13]]
+        finally:
+            release.set()
+            writer.join(10)
+            reader.join(10)
+            shard.close_logs()
+        assert [replica.index.lookup(1) for replica in shard.replicas] == [10, 10]

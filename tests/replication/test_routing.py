@@ -2,22 +2,16 @@
 
 import pytest
 
-from repro.replication import (
-    REPLICA_PROFILES,
-    ReplicaRouter,
-    ReplicaSetUnavailableError,
-    build_replicated_shard,
-)
+from repro.replication import ReplicaRouter, ReplicaSetUnavailableError
+from repro.service.router import ShardTemplate
+from repro.service.shard import Shard
 
 
 def make_shard(profiles=("point", "scan", "squeezed"), num_keys=400, router=None):
     pairs = [(key, key + 1) for key in range(0, num_keys * 2, 2)]
-    return build_replicated_shard(
-        0,
-        pairs,
-        [REPLICA_PROFILES[name] for name in profiles],
-        router=router,
-    )
+    template = ShardTemplate.resolve("adaptive", factor=len(profiles), profiles=profiles)
+    shard = template.make(0, pairs, None)
+    return Shard(0, shard.replicas, router or shard.router)
 
 
 class TestConstruction:

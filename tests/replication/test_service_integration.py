@@ -176,7 +176,7 @@ class TestReplicatedReshape:
             router.split_shard(0)
             for successor in router.table.shards[:2]:
                 healed, other = successor.replicas
-                assert healed.shard.items() == other.shard.items()
+                assert healed.items() == other.items()
                 assert not healed.down and not other.down
             assert router.get(1) == 100
             router.verify()

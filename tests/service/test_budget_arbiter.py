@@ -1,9 +1,9 @@
-"""The global-budget arbiter dividing one budget across shards."""
+"""The arbiter's memory half: one global budget divided across shards."""
 
 import pytest
 
 from repro.bptree.hybrid import AdaptiveBPlusTree
-from repro.core.budget import BudgetArbiter, MemoryBudget
+from repro.core.budget import MemoryBudget, ResourceArbiter
 
 
 def adaptive(num_keys):
@@ -14,25 +14,22 @@ def adaptive(num_keys):
 
 class TestAllocation:
     def test_unbounded_budget_passes_through(self):
-        arbiter = BudgetArbiter(MemoryBudget.unbounded())
-        arbiter.register("a", adaptive(100))
-        arbiter.register("b", adaptive(100))
+        arbiter = ResourceArbiter(MemoryBudget.unbounded())
+        arbiter.replace_group("", {"a": adaptive(100), "b": adaptive(100)})
         allocations = arbiter.rebalance()
         assert set(allocations) == {"a", "b"}
         assert all(not budget.bounded for budget in allocations.values())
 
     def test_relative_budget_composes_per_shard(self):
-        arbiter = BudgetArbiter(MemoryBudget.relative(16.0))
-        arbiter.register("a", adaptive(100))
-        arbiter.register("b", adaptive(300))
+        arbiter = ResourceArbiter(MemoryBudget.relative(16.0))
+        arbiter.replace_group("", {"a": adaptive(100), "b": adaptive(300)})
         allocations = arbiter.rebalance()
         assert all(budget.bits_per_key == 16.0 for budget in allocations.values())
 
     def test_absolute_budget_splits_proportionally(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(1_000_000), floor_bytes=1000)
+        arbiter = ResourceArbiter(MemoryBudget.absolute(1_000_000), floor_bytes=1000)
         small, large = adaptive(100), adaptive(900)
-        arbiter.register("small", small)
-        arbiter.register("large", large)
+        arbiter.replace_group("", {"small": small, "large": large})
         allocations = arbiter.rebalance()
         total = sum(budget.absolute_bytes for budget in allocations.values())
         assert total <= 1_000_000
@@ -44,52 +41,47 @@ class TestAllocation:
         assert ratio == pytest.approx(9.0, rel=0.05)
 
     def test_allocations_install_into_managers(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(500_000))
+        arbiter = ResourceArbiter(MemoryBudget.absolute(500_000))
         index = adaptive(200)
-        arbiter.register("only", index)
+        arbiter.replace_group("", {"only": index})
         allocations = arbiter.rebalance()
         assert index.manager.config.budget is allocations["only"]
         assert index.manager.config.budget.bounded
 
     def test_floor_protects_empty_members(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(1_000_000), floor_bytes=4096)
-        arbiter.register("empty", adaptive(0))
-        arbiter.register("full", adaptive(1000))
+        arbiter = ResourceArbiter(MemoryBudget.absolute(1_000_000), floor_bytes=4096)
+        arbiter.replace_group("", {"empty": adaptive(0), "full": adaptive(1000)})
         allocations = arbiter.rebalance()
         assert allocations["empty"].absolute_bytes >= 4096
 
     def test_tiny_budget_never_allocates_zero(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(3), floor_bytes=4096)
-        arbiter.register("a", adaptive(10))
-        arbiter.register("b", adaptive(10))
+        arbiter = ResourceArbiter(MemoryBudget.absolute(3), floor_bytes=4096)
+        arbiter.replace_group("", {"a": adaptive(10), "b": adaptive(10)})
         allocations = arbiter.rebalance()
         assert all(budget.absolute_bytes >= 1 for budget in allocations.values())
 
     def test_no_members_is_a_noop(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(1000))
+        arbiter = ResourceArbiter(MemoryBudget.absolute(1000))
         assert arbiter.rebalance() == {}
 
 
 class TestAccounting:
     def test_membership_and_totals(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(10_000_000))
-        arbiter.register("a", adaptive(100))
-        arbiter.register("b", adaptive(200))
-        assert arbiter.num_members == 2
-        assert arbiter.num_keys() == 300
-        assert arbiter.used_bytes() > 0
-        assert 0.0 < arbiter.utilization() < 1.0
-        assert not arbiter.exceeded()
+        arbiter = ResourceArbiter(MemoryBudget.absolute(10_000_000))
+        arbiter.replace_group("", {"a": adaptive(100), "b": adaptive(200)})
+        memory = arbiter.describe()["memory"]
+        assert memory["members"] == 2
+        assert memory["used_bytes"] > 0
+        assert 0.0 < memory["utilization"] < 1.0
         arbiter.replace_group("a", {})
-        assert arbiter.num_members == 1
+        assert arbiter.describe()["memory"]["members"] == 1
         arbiter.replace_group("", {})
-        assert arbiter.num_members == 0
+        assert arbiter.describe()["memory"]["members"] == 0
 
     def test_replace_group_swaps_one_owners_members_and_rebalances(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(4_000_000))
+        arbiter = ResourceArbiter(MemoryBudget.absolute(4_000_000))
         other = adaptive(100)
-        arbiter.register("t1/shard-0", other)
-        arbiter.register("t2/shard-0", adaptive(100))
+        arbiter.replace_group("", {"t1/shard-0": other, "t2/shard-0": adaptive(100)})
         left, right = adaptive(50), adaptive(50)
         allocations = arbiter.replace_group(
             "t2/shard-", {"t2/shard-0": left, "t2/shard-1": right}
@@ -99,21 +91,20 @@ class TestAccounting:
             assert index.manager.config.budget.bounded
 
     def test_exceeded_on_starved_budget(self):
-        arbiter = BudgetArbiter(MemoryBudget.absolute(16))
-        arbiter.register("a", adaptive(500))
-        assert arbiter.exceeded()
-        assert arbiter.utilization() > 1.0
+        arbiter = ResourceArbiter(MemoryBudget.absolute(16))
+        arbiter.replace_group("", {"a": adaptive(500)})
+        assert arbiter.describe()["memory"]["utilization"] > 1.0
 
     def test_describe_is_json_safe(self):
         import json
 
-        arbiter = BudgetArbiter(MemoryBudget.relative(12.0))
-        arbiter.register("a", adaptive(50))
+        arbiter = ResourceArbiter(MemoryBudget.relative(12.0))
+        arbiter.replace_group("", {"a": adaptive(50)})
         summary = arbiter.describe()
         json.dumps(summary)
-        assert summary["members"] == 1
-        assert summary["bits_per_key"] == 12.0
+        assert summary["memory"]["members"] == 1
+        assert summary["memory"]["bits_per_key"] == 12.0
 
     def test_rejects_negative_floor(self):
         with pytest.raises(ValueError):
-            BudgetArbiter(MemoryBudget.unbounded(), floor_bytes=-1)
+            ResourceArbiter(MemoryBudget.unbounded(), floor_bytes=-1)

@@ -74,7 +74,7 @@ class TestDurableWritesOverlapOnThePool:
             batch = [(boundary - 1, 7), (boundary, 8)]
             assert len({id(durable.shard_for(key)) for key, _ in batch}) == 2
             for shard in durable.table.shards:
-                log = shard.durable_log
+                log = shard.replicas[0].durable_log
                 original = log.append_put_many
 
                 def waiting_append(pairs, original=original):
@@ -96,7 +96,7 @@ class TestDurableWritesOverlapOnThePool:
             def failing_append(pairs):
                 raise OSError("disk gone")
 
-            durable.table.shards[1].durable_log.append_put_many = failing_append
+            durable.table.shards[1].replicas[0].durable_log.append_put_many = failing_append
             with pytest.raises(OSError, match="disk gone"):
                 durable.put_many([(key, 1) for key in KEYS])
             assert durable.queue_depth == 0

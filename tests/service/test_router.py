@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.bptree.olc import _lock_of
-from repro.core.budget import BudgetArbiter, MemoryBudget
+from repro.core.budget import MemoryBudget, ResourceArbiter
 from repro.obs import MetricsRegistry, Telemetry
 from repro.service.partition import HashPartitioner, PartitionError, Partitioner
 from repro.service.router import (
@@ -46,12 +46,15 @@ class TestBuild:
             ShardRouter.build(int_pairs(10), partitioning="modulo")
 
     def test_shard_count_must_match_partitioner(self):
-        from repro.service.shard import Shard
+        from repro.replication import ReplicaRouter
+        from repro.service.shard import Replica, Shard
 
         factory = FAMILY_FACTORIES["olc"]
         with pytest.raises(PartitionError):
             ShardRouter(
-                [Shard(0, factory([]))], HashPartitioner(2), ShardTemplate(factory)
+                [Shard(0, [Replica(0, factory, [])], ReplicaRouter())],
+                HashPartitioner(2),
+                ShardTemplate((factory,)),
             )
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -131,7 +134,7 @@ class TestOlcWritesKeepTheVersionProtocol:
 
     def test_put_and_put_many_advance_the_leaf_version(self):
         with ShardRouter.build(int_pairs(200), family="olc", num_shards=1) as router:
-            tree = router.table.shards[0].index
+            tree = router.table.shards[0].replicas[0].index
             leaf, _ = tree.find_leaf(1)
             router.put(1, 1)
             assert _lock_of(leaf).version == 2
@@ -276,12 +279,13 @@ class TestBudgetIntegration:
             budget=MemoryBudget.absolute(8_000_000),
         ) as router:
             budgets = [
-                shard.index.manager.config.budget for shard in router.table.shards
+                shard.replicas[0].index.manager.config.budget
+                for shard in router.table.shards
             ]
             assert all(budget.bounded for budget in budgets)
             total = sum(budget.absolute_bytes for budget in budgets)
             assert total <= 8_000_000
-            assert router.arbiter.num_members == 4
+            assert router.arbiter.describe()["memory"]["members"] == 4
 
     def test_router_takes_a_budget_or_an_arbiter_never_both(self):
         with pytest.raises(ValueError, match="arbiter"):
@@ -289,7 +293,7 @@ class TestBudgetIntegration:
                 [(1, 1)],
                 num_shards=1,
                 budget=MemoryBudget.absolute(1 << 20),
-                arbiter=BudgetArbiter(MemoryBudget.unbounded()),
+                arbiter=ResourceArbiter(MemoryBudget.unbounded()),
             )
 
     def test_rebalance_follows_split(self):
@@ -302,9 +306,10 @@ class TestBudgetIntegration:
             budget=MemoryBudget.absolute(4_000_000),
         ) as router:
             router.split_shard(0)
-            assert router.arbiter.num_members == 3
+            assert router.arbiter.describe()["memory"]["members"] == 3
             budgets = [
-                shard.index.manager.config.budget for shard in router.table.shards
+                shard.replicas[0].index.manager.config.budget
+                for shard in router.table.shards
             ]
             assert all(budget.bounded for budget in budgets)
 

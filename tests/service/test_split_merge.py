@@ -133,7 +133,7 @@ class TestMerge:
             left, right = router.table.shards
             for label, shard in (("left", left), ("right", right)):
                 shard.write_gate = _RecordingLock(f"{label}.gate", log)
-                shard.op_lock = _RecordingLock(f"{label}.op", log)
+                shard.replicas[0].op_lock = _RecordingLock(f"{label}.op", log)
             router.merge_shards(0)
             gate_positions = [i for i, name in enumerate(log) if name.endswith(".gate")]
             op_positions = [i for i, name in enumerate(log) if name.endswith(".op")]
