@@ -94,5 +94,5 @@ def test_olc_vs_coarse_locking(benchmark):
     # Restarts stay rare relative to the operation count.
     assert olc.restarts < total_ops * 0.05
     # Both trees remain structurally sound.
-    olc.check_invariants()
-    coarse._tree.check_invariants()
+    olc.verify()
+    coarse._tree.verify()

@@ -24,11 +24,14 @@ chosen at run-time from sampled access statistics.  This package provides:
 
 Quickstart::
 
-    from repro import AdaptiveBPlusTree, MemoryBudget
+    from repro import AdaptiveBPlusTree, ManagerConfig, MemoryBudget
+    from repro.bptree.hybrid import BTREE_ENCODING_ORDER
 
+    config = ManagerConfig(
+        encoding_order=BTREE_ENCODING_ORDER, budget=MemoryBudget.absolute(2_000_000)
+    )
     tree = AdaptiveBPlusTree.bulk_load_adaptive(
-        [(key, key * 2) for key in range(100_000)],
-        budget=MemoryBudget.absolute(2_000_000),
+        [(key, key * 2) for key in range(100_000)], manager_config=config
     )
     tree.lookup(42)            # accesses are sampled transparently
     tree.manager.events        # adaptation phases, migrations, sizes

@@ -28,8 +28,6 @@ from repro.bptree.leaves import DEFAULT_LEAF_CAPACITY, LeafEncoding, LeafNode
 from repro.bptree.migrate import migrate_leaf
 from repro.bptree.tree import DEFAULT_INNER_FANOUT, BPlusTree
 from repro.core.access import AccessType
-from repro.core.budget import MemoryBudget
-from repro.core.heuristics import Heuristic
 from repro.core.manager import AdaptationManager, ManagerConfig
 
 # Encodings ordered compact -> fast, as the manager expects.
@@ -50,19 +48,13 @@ class AdaptiveBPlusTree(BPlusTree):
         leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         inner_fanout: int = DEFAULT_INNER_FANOUT,
         cold_encoding: LeafEncoding = LeafEncoding.SUCCINCT,
-        budget: Optional[MemoryBudget] = None,
-        heuristic: Optional[Heuristic] = None,
         manager_config: Optional[ManagerConfig] = None,
         eager_insert_expansion: bool = True,
     ) -> None:
         super().__init__(cold_encoding, leaf_capacity, inner_fanout)
         self.eager_insert_expansion = eager_insert_expansion
         if manager_config is None:
-            manager_config = ManagerConfig(
-                encoding_order=BTREE_ENCODING_ORDER,
-                budget=budget or MemoryBudget.unbounded(),
-                heuristic=heuristic,
-            )
+            manager_config = ManagerConfig(encoding_order=BTREE_ENCODING_ORDER)
         self.manager = AdaptationManager(self, manager_config)
 
     @classmethod
@@ -73,8 +65,6 @@ class AdaptiveBPlusTree(BPlusTree):
         inner_fanout: int = DEFAULT_INNER_FANOUT,
         fill_factor: float = 0.70,
         cold_encoding: LeafEncoding = LeafEncoding.SUCCINCT,
-        budget: Optional[MemoryBudget] = None,
-        heuristic: Optional[Heuristic] = None,
         manager_config: Optional[ManagerConfig] = None,
         eager_insert_expansion: bool = True,
     ) -> "AdaptiveBPlusTree":
@@ -83,8 +73,6 @@ class AdaptiveBPlusTree(BPlusTree):
             leaf_capacity=leaf_capacity,
             inner_fanout=inner_fanout,
             cold_encoding=cold_encoding,
-            budget=budget,
-            heuristic=heuristic,
             manager_config=manager_config,
             eager_insert_expansion=eager_insert_expansion,
         )

@@ -614,35 +614,3 @@ class BPlusTree:
         from repro.core.invariants import validate
 
         validate(self)
-
-    def check_invariants(self) -> None:
-        """Validate structural invariants (tests and debugging)."""
-        leaves_via_chain = list(self.leaves())
-        leaves_via_tree: List[LeafNode] = []
-
-        def visit(node: Child, lo: Optional[int], hi: Optional[int]) -> None:
-            if isinstance(node, InnerNode):
-                assert node.keys == sorted(node.keys), "inner keys out of order"
-                assert len(node.children) == len(node.keys) + 1
-                bounds = [lo, *node.keys, hi]
-                for index, child in enumerate(node.children):
-                    visit(child, bounds[index], bounds[index + 1])
-            else:
-                leaves_via_tree.append(node)
-                pairs = node.to_pairs()
-                keys = [key for key, _ in pairs]
-                assert keys == sorted(set(keys)), "leaf keys out of order"
-                for key in keys:
-                    if lo is not None:
-                        assert key >= lo, f"key {key} below separator {lo}"
-                    if hi is not None:
-                        assert key < hi, f"key {key} not below separator {hi}"
-
-        visit(self._root, None, None)
-        assert leaves_via_tree == leaves_via_chain, "leaf chain disagrees with tree"
-        assert sum(leaf.num_entries() for leaf in leaves_via_chain) == self._num_keys
-        assert len(leaves_via_chain) == self._num_leaves
-        actual_leaf_bytes = sum(leaf.size_bytes() for leaf in leaves_via_chain)
-        assert actual_leaf_bytes == self._leaf_bytes, (
-            f"incremental leaf bytes {self._leaf_bytes} != actual {actual_leaf_bytes}"
-        )

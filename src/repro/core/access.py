@@ -70,9 +70,9 @@ class AccessStats:
         else:
             self.reads += 1
 
-    def frequency(self, read_weight: float = 1.0, write_weight: float = 1.0) -> float:
-        """Classification priority: weighted sum of reads and writes."""
-        return read_weight * self.reads + write_weight * self.writes
+    def frequency(self) -> int:
+        """Classification priority: reads and writes count alike."""
+        return self.reads + self.writes
 
     def push_classification(self, classification: Classification) -> None:
         """Shift ``classification`` into the history bitset."""

@@ -204,6 +204,11 @@ class _TenantState:
         self.overloaded = 0
 
 
+#: Bytes every member of an absolute budget gets before the
+#: key-proportional split, so an empty member cannot be starved.
+MEMBER_FLOOR_BYTES = 64 * 1024
+
+
 def _member_keys(index: Any) -> int:
     """Key count of one arbiter member (``num_keys`` or ``len``)."""
     keys = getattr(index, "num_keys", None)
@@ -243,17 +248,8 @@ class ResourceArbiter:
     :meth:`rebalance` is cheap and idempotent.
     """
 
-    def __init__(
-        self,
-        budget: Optional[MemoryBudget] = None,
-        default_quota: Optional[TenantQuota] = None,
-        floor_bytes: int = 64 * 1024,
-    ) -> None:
-        if floor_bytes < 0:
-            raise ValueError(f"floor_bytes must be >= 0, got {floor_bytes}")
+    def __init__(self, budget: Optional[MemoryBudget] = None) -> None:
         self.budget = budget or MemoryBudget.unbounded()
-        self.floor_bytes = floor_bytes
-        self.default_quota = default_quota or TenantQuota.unlimited()
         self._members: Dict[str, Any] = {}
         #: Serializes membership changes: routers of different tenants
         #: share one arbiter and split/merge under their own admin locks.
@@ -304,7 +300,7 @@ class ResourceArbiter:
             # Unbounded and relative budgets compose without arithmetic.
             return {name: self.budget for name in members}
         total_bytes = self.budget.absolute_bytes
-        floor = min(self.floor_bytes, total_bytes // len(members))
+        floor = min(MEMBER_FLOOR_BYTES, total_bytes // len(members))
         distributable = total_bytes - floor * len(members)
         keys_by_name = {name: _member_keys(index) for name, index in members.items()}
         total_keys = sum(keys_by_name.values())
@@ -321,8 +317,8 @@ class ResourceArbiter:
     # Tenants and admission
     # ------------------------------------------------------------------
     def register_tenant(self, name: str, quota: Optional[TenantQuota] = None) -> None:
-        """Add (or re-quota) one tenant."""
-        self._tenants[name] = _TenantState(quota or self.default_quota)
+        """Add (or re-quota) one tenant; no quota admits everything."""
+        self._tenants[name] = _TenantState(quota or TenantQuota.unlimited())
 
     def unregister_tenant(self, name: str) -> None:
         """Drop one tenant and its memory members."""

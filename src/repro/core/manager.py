@@ -18,14 +18,7 @@ The index side of the contract is the :class:`AdaptiveIndex` protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Protocol, Sequence, Union
-
-if TYPE_CHECKING:
-    from repro.hashmap.hopscotch import HopscotchMap
-
-#: The per-phase aggregate store (Section 3.1.3): a plain dict or the
-#: paper's hopscotch map.
-SampleMap = Union[Dict[Hashable, int], "HopscotchMap"]
+from typing import Dict, Hashable, Optional, Protocol, Sequence
 
 from repro.core.access import AccessStats, AccessType, Classification
 from repro.core.bloom import BloomFilter
@@ -49,6 +42,19 @@ from repro.core.sampling import (
 from repro.core.topk import TopKClassifier
 from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry
 from repro.obs.runtime import active_registry, active_tracer
+
+#: Without a bounded budget there is no k estimate: k is this share of
+#: the population, but at least :data:`FALLBACK_K_MIN` units.
+FALLBACK_HOT_FRACTION = 0.01
+FALLBACK_K_MIN = 64
+
+#: Degradation when migrations *raise* (allocation failure, injected
+#: fault): a failed unit waits ``RETRY_BACKOFF_BASE * 2**(streak - 1)``
+#: phases, at most ``RETRY_BACKOFF_CAP``, before its retry, and is
+#: quarantined after ``MAX_MIGRATION_RETRIES`` consecutive failures.
+MAX_MIGRATION_RETRIES = 3
+RETRY_BACKOFF_BASE = 1
+RETRY_BACKOFF_CAP = 8
 
 
 def _encoding_name(encoding: object) -> str:
@@ -92,11 +98,8 @@ class ManagerConfig:
     determines both the default CSHF (compact end vs fast end) and whether
     a migration counts as an expansion or a compaction.
 
-    The ``max_migration_retries`` / ``retry_backoff_*`` /
-    ``disable_after_failures`` knobs govern degradation when migrations
-    *raise* (allocation failure, injected fault): a failed unit is
-    retried with capped exponential backoff measured in adaptation
-    phases, quarantined after repeated consecutive failures, and once
+    Failed migrations back off and are quarantined as the module's
+    ``MAX_MIGRATION_RETRIES`` / ``RETRY_BACKOFF_*`` constants say; once
     the total failure count crosses ``disable_after_failures`` the
     manager disables adaptation entirely — the index keeps serving
     traffic on its current (static) layout.
@@ -111,19 +114,9 @@ class ManagerConfig:
     skip_min: int = SKIP_MIN
     skip_max: int = SKIP_MAX
     adaptive_skip: bool = True
-    skip_jitter: float = 0.0  # randomize the stride (Section 3.1.4)
     use_bloom_filter: bool = True
-    bloom_bits_per_item: int = 10
-    read_weight: float = 1.0
-    write_weight: float = 1.0
-    fallback_hot_fraction: float = 0.01
-    fallback_k_min: int = 64
     initial_sample_size: Optional[int] = None
     max_sample_size: int = 200_000
-    sample_map: str = "dict"  # or "hopscotch": the paper's structure
-    max_migration_retries: int = 3     # consecutive failures before quarantine
-    retry_backoff_base: int = 1        # phases to wait after the first failure
-    retry_backoff_cap: int = 8         # ceiling on the per-unit backoff
     disable_after_failures: int = 25   # total failures before adaptation stops
 
     def __post_init__(self) -> None:
@@ -142,27 +135,8 @@ class ManagerConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0.0 <= self.skip_jitter <= 1.0:
-            raise ValueError(f"skip_jitter must be in [0, 1], got {self.skip_jitter}")
-        if self.bloom_bits_per_item < 1:
-            raise ValueError(
-                f"bloom_bits_per_item must be >= 1, got {self.bloom_bits_per_item}"
-            )
         if self.max_sample_size < 1:
             raise ValueError(f"max_sample_size must be >= 1, got {self.max_sample_size}")
-        if self.max_migration_retries < 1:
-            raise ValueError(
-                f"max_migration_retries must be >= 1, got {self.max_migration_retries}"
-            )
-        if self.retry_backoff_base < 1:
-            raise ValueError(
-                f"retry_backoff_base must be >= 1, got {self.retry_backoff_base}"
-            )
-        if self.retry_backoff_cap < self.retry_backoff_base:
-            raise ValueError(
-                f"retry_backoff_cap {self.retry_backoff_cap} below "
-                f"retry_backoff_base {self.retry_backoff_base}"
-            )
         if self.disable_after_failures < 1:
             raise ValueError(
                 f"disable_after_failures must be >= 1, got {self.disable_after_failures}"
@@ -220,8 +194,8 @@ class AdaptationManager:
             fast_encoding=config.fast_encoding,
             compact_encoding=config.compact_encoding,
         )
-        self._sampler = SkipSampler(config.initial_skip_length, jitter=config.skip_jitter)
-        self._samples = self._new_sample_map(config.sample_map)
+        self._sampler = SkipSampler(config.initial_skip_length)
+        self._samples: Dict[Hashable, AccessStats] = {}
         self._epoch = 1
         self._sampled_this_phase = 0
         self._enabled = True
@@ -497,10 +471,7 @@ class AdaptationManager:
         for identifier, stats in self._samples.items():
             if stats.last_epoch != self._epoch:
                 continue  # not seen this phase: cold without a heap visit
-            classifier.offer(
-                identifier,
-                stats.frequency(self.config.read_weight, self.config.write_weight),
-            )
+            classifier.offer(identifier, stats.frequency())
         self.counters.heap_operations += classifier.heap_operations
         return classifier.hot_items()
 
@@ -586,16 +557,13 @@ class AdaptationManager:
         self._total_migration_failures += 1
         streak = self._failure_streaks.get(identifier, 0) + 1
         self._failure_streaks[identifier] = streak
-        if streak >= self.config.max_migration_retries:
+        if streak >= MAX_MIGRATION_RETRIES:
             self._quarantined.add(identifier)
             self._retry_at.pop(identifier, None)
             outcome.quarantined += 1
             self.counters.quarantined_units += 1
             return
-        backoff = min(
-            self.config.retry_backoff_cap,
-            self.config.retry_backoff_base * (2 ** (streak - 1)),
-        )
+        backoff = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * (2 ** (streak - 1)))
         self._retry_at[identifier] = self._epoch + backoff
 
     def _is_expansion(self, source: object, target: object) -> bool:
@@ -630,8 +598,8 @@ class AdaptationManager:
                 expanded_avg_bytes=expanded_avg,
             )
             return max(1, k)
-        fallback = int(population * self.config.fallback_hot_fraction)
-        return max(self.config.fallback_k_min, min(population, fallback))
+        fallback = int(population * FALLBACK_HOT_FRACTION)
+        return max(FALLBACK_K_MIN, min(population, fallback))
 
     def _initial_sample_size(self) -> int:
         if self.config.initial_sample_size is not None:
@@ -648,18 +616,6 @@ class AdaptationManager:
         )
         return min(self.config.max_sample_size, size)
 
-    @staticmethod
-    def _new_sample_map(kind: str) -> SampleMap:
-        """The aggregate store: a dict (fastest in CPython) or the
-        paper's hopscotch map (Section 3.1.3)."""
-        if kind == "dict":
-            return {}
-        if kind == "hopscotch":
-            from repro.hashmap.hopscotch import HopscotchMap
-
-            return HopscotchMap()
-        raise ValueError(f"unknown sample_map {kind!r}; expected 'dict' or 'hopscotch'")
-
     def _new_filter(self) -> BloomFilter:
         capacity = max(8, self._sample_size // 2)
-        return BloomFilter(capacity, self.config.bloom_bits_per_item)
+        return BloomFilter(capacity)

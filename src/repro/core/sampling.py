@@ -71,44 +71,19 @@ class SkipSampler:
     adjusts :attr:`skip_length` between phases; the new value takes effect
     when the current countdown expires, matching the thread-local reload
     from the global skip in Listing 1.
-
-    With ``jitter > 0`` each reload draws the countdown uniformly from
-    ``skip_length * [1 - jitter, 1 + jitter]`` — the randomization the
-    paper suggests (Section 3.1.4) so periodic query patterns cannot
-    alias with the sampling stride.  The expected sampling rate is
-    unchanged.
     """
 
     skip_length: int = SKIP_MIN
-    jitter: float = 0.0
-    seed: int = 0x5EED
 
     def __post_init__(self) -> None:
         if self.skip_length < 0:
             raise ValueError(f"skip length must be >= 0, got {self.skip_length}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        self._state = self.seed & 0xFFFFFFFFFFFFFFFF or 1
-        self._countdown = self._next_skip()
-
-    def _next_skip(self) -> int:
-        if self.jitter == 0.0 or self.skip_length == 0:
-            return self.skip_length
-        # xorshift64: a tiny deterministic PRNG keeps the hot path cheap
-        # and runs reproducible.
-        state = self._state
-        state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-        state ^= state >> 7
-        state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-        self._state = state
-        low = int(self.skip_length * (1.0 - self.jitter))
-        high = int(self.skip_length * (1.0 + self.jitter))
-        return low + state % (high - low + 1)
+        self._countdown = self.skip_length
 
     def is_sample(self) -> bool:
         """Return True when the current access should be sampled."""
         if self._countdown == 0:
-            self._countdown = self._next_skip()
+            self._countdown = self.skip_length
             return True
         self._countdown -= 1
         return False
@@ -135,7 +110,7 @@ class SkipSampler:
         while position < count:
             if self._countdown == 0:
                 offsets.append(position)
-                self._countdown = self._next_skip()
+                self._countdown = self.skip_length
                 position += 1
                 continue
             step = self._countdown

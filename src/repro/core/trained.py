@@ -17,16 +17,12 @@ from repro.core.budget import MemoryBudget
 from repro.core.manager import AdaptiveIndex
 
 
-def rank_units(
-    trace: Iterable[Tuple[Hashable, AccessType]],
-    read_weight: float = 1.0,
-    write_weight: float = 1.0,
-) -> list:
-    """Rank unit identifiers by weighted access frequency, hottest first."""
-    frequencies: Counter = Counter()
-    for identifier, access_type in trace:
-        weight = write_weight if access_type.is_write else read_weight
-        frequencies[identifier] += weight
+def rank_units(trace: Iterable[Tuple[Hashable, AccessType]]) -> list:
+    """Rank unit identifiers by access frequency, hottest first.
+
+    Reads and writes count alike, as in the run-time classification.
+    """
+    frequencies = Counter(identifier for identifier, _ in trace)
     return [identifier for identifier, _ in frequencies.most_common()]
 
 
@@ -35,8 +31,6 @@ def train_offline(
     trace: Iterable[Tuple[Hashable, AccessType]],
     fast_encoding: object,
     budget: MemoryBudget | None = None,
-    read_weight: float = 1.0,
-    write_weight: float = 1.0,
 ) -> int:
     """Expand the hottest trace units until the budget is reached.
 
@@ -46,7 +40,7 @@ def train_offline(
     """
     budget = budget or MemoryBudget.unbounded()
     migrated = 0
-    for identifier in rank_units(trace, read_weight, write_weight):
+    for identifier in rank_units(trace):
         if budget.exceeded(index.used_memory(), index.num_keys):
             break
         current = index.encoding_of(identifier)

@@ -201,18 +201,16 @@ class DualStageIndex:
         self,
         static_encoding: StaticEncoding = StaticEncoding.SUCCINCT,
         merge_ratio: float = 0.05,
-        bloom_bits_per_key: int = 10,
     ) -> None:
         if not 0 < merge_ratio < 1:
             raise ValueError(f"merge ratio must be in (0, 1), got {merge_ratio}")
         self.static_encoding = static_encoding
         self.merge_ratio = merge_ratio
-        self.bloom_bits_per_key = bloom_bits_per_key
         self.counters = OpCounters()
         self._dynamic = BPlusTree(LeafEncoding.GAPPED)
         self._dynamic.counters = self.counters  # one event stream
         self._static = CompactSortedArray([], static_encoding, self.counters)
-        self._bloom = BloomFilter(capacity=1024, bits_per_item=bloom_bits_per_key)
+        self._bloom = BloomFilter(capacity=1024)
         self._tombstones: set = set()
         self.merges = 0
 
@@ -433,10 +431,7 @@ class DualStageIndex:
         new_static = CompactSortedArray(merged, self.static_encoding, self.counters)
         new_dynamic = BPlusTree(LeafEncoding.GAPPED)
         new_dynamic.counters = self.counters
-        new_bloom = BloomFilter(
-            capacity=max(1024, len(merged) // 16),
-            bits_per_item=self.bloom_bits_per_key,
-        )
+        new_bloom = BloomFilter(capacity=max(1024, len(merged) // 16))
         fault_point("dualstage.merge.swap")
         self._static = new_static
         self._dynamic = new_dynamic

@@ -12,10 +12,10 @@ scratch:
   with BFS kickout paths and striped locks for concurrent readers and
   writers.
 
-Python dicts are faster in CPython, so the adaptation manager uses them
-by default; ``ManagerConfig(sample_map="hopscotch")`` switches to the
-paper's structure (same semantics, real implementation), and the GS
-concurrency strategy accepts a :class:`CuckooMap` store.
+Python dicts are faster in CPython, so the adaptation manager's sample
+store is a dict; ``benchmarks/bench_hashmaps.py`` measures both maps
+against it, and the cuckoo-backed GS concurrency strategy keeps its
+samples in a :class:`CuckooMap`.
 """
 
 from repro.hashmap.cuckoo import CuckooMap

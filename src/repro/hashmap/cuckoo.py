@@ -21,6 +21,7 @@ from typing import Hashable, Iterator, List, Tuple
 
 _SLOTS_PER_BUCKET = 4
 _MAX_BFS_DEPTH = 5
+_LOCK_STRIPES = 16
 _EMPTY = object()
 
 
@@ -56,11 +57,11 @@ class _Bucket:
 class CuckooMap:
     """A thread-safe dict-like map with two-choice cuckoo hashing."""
 
-    def __init__(self, initial_buckets: int = 64, lock_stripes: int = 16) -> None:
+    def __init__(self, initial_buckets: int = 64) -> None:
         buckets = max(8, initial_buckets)
         self._num_buckets = 1 << (buckets - 1).bit_length()
         self._buckets: List[_Bucket] = [_Bucket() for _ in range(self._num_buckets)]
-        self._stripes = [threading.Lock() for _ in range(lock_stripes)]
+        self._stripes = [threading.Lock() for _ in range(_LOCK_STRIPES)]
         self._resize_lock = threading.Lock()
         self._size_lock = threading.Lock()  # += is not atomic across stripes
         self._size = 0

@@ -25,7 +25,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.art.nodes import ARTNode, art_node_for_fanout
 from repro.core.access import AccessType
 from repro.core.budget import MemoryBudget
-from repro.core.heuristics import Heuristic
 from repro.core.manager import AdaptationManager, ManagerConfig
 from repro.core.trained import rank_units
 from repro.faults.injector import fault_point
@@ -59,8 +58,6 @@ class HybridTrie:
         art_levels: int = DEFAULT_ART_LEVELS,
         dense_levels: Optional[int] = None,
         adaptive: bool = True,
-        budget: Optional[MemoryBudget] = None,
-        heuristic: Optional[Heuristic] = None,
         manager_config: Optional[ManagerConfig] = None,
     ) -> None:
         self.counters = OpCounters()
@@ -71,11 +68,7 @@ class HybridTrie:
         self._root = self._build_upper(0, 0) if self._num_keys else None
         self.adaptive = adaptive
         if manager_config is None:
-            manager_config = ManagerConfig(
-                encoding_order=TRIE_ENCODING_ORDER,
-                budget=budget or MemoryBudget.unbounded(),
-                heuristic=heuristic,
-            )
+            manager_config = ManagerConfig(encoding_order=TRIE_ENCODING_ORDER)
         self.manager = AdaptationManager(self, manager_config)
         if not adaptive:
             self.manager.disable()

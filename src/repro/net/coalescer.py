@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Span
 from repro.service.router import ShardRouter
 from repro.service.shard import Pair
 from repro.service.partition import Key
@@ -62,18 +62,6 @@ Completion = Callable[[Any, Optional[BaseException]], None]
 #: One queued request: payload, its completion, and (when the request is
 #: part of a sampled distributed trace) the server span to link/nest under.
 _Entry = Tuple[Any, Completion, Optional[Span]]
-
-
-def _adopting(
-    tracer: Tracer, span: Span, call: Callable[[], Any]
-) -> Callable[[], Any]:
-    """Wrap ``call`` so it runs with ``span`` adopted on its thread."""
-
-    def run() -> Any:
-        with tracer.adopt(span):
-            return call()
-
-    return run
 
 
 class _Queue:
@@ -170,7 +158,7 @@ class Coalescer:
         """
         tracer = active_tracer()
         if span is not None and tracer is not None:
-            call = _adopting(tracer, span, call)
+            call = tracer.adopting(span, call)
         self._run(router, call, done)
 
     def _enqueue(
@@ -248,7 +236,7 @@ class Coalescer:
                         link_span_ids=[s.span_id for s in spans[1:]],
                         link_trace_ids=[s.trace_id for s in spans[1:]],
                     )
-                call = _adopting(tracer, batch_span, call)
+                call = tracer.adopting(batch_span, call)
         started = loop.time()
 
         def resolve(values: Any, error: Optional[BaseException]) -> None:

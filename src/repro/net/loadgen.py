@@ -67,7 +67,6 @@ class LoadgenConfig:
     get_fraction: float = 0.9
     connections: int = 4
     seed: int = 7
-    poisson: bool = True              # exponential vs uniform inter-arrivals
     drain_timeout: float = 10.0       # wait for stragglers after last send
     trace_sample_every: int = 0       # distributed-trace sampling per client
 
@@ -165,11 +164,7 @@ async def run_loadgen(
     """Drive one open-loop run against a running server."""
     n_ops = max(1, int(config.rate * config.duration))
     rng = np.random.default_rng(config.seed)
-    arrivals = (
-        np.cumsum(rng.exponential(1.0 / config.rate, n_ops))
-        if config.poisson
-        else (np.arange(n_ops, dtype=np.float64) + 1.0) / config.rate
-    )
+    arrivals = np.cumsum(rng.exponential(1.0 / config.rate, n_ops))
     tenant_ranks = zipf_indices(
         len(config.tenants), n_ops, alpha=config.tenant_alpha, rng=rng
     )

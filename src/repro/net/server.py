@@ -95,6 +95,9 @@ _ADMISSION_EVENT = "net.admission"
 #: is priced by the rows it may return, amortized to its batch shape.
 _SCAN_OP_WEIGHT = 0.05
 
+#: Loop-time seconds between two ticks of the SLO monitor.
+SLO_INTERVAL_S = 1.0
+
 
 def _count(key: str) -> None:
     registry = active_registry()
@@ -113,17 +116,13 @@ class NetServer:
         max_batch: int = 128,
         admission: bool = True,
         slo: Optional[SloMonitor] = None,
-        slo_interval: float = 1.0,
     ) -> None:
-        if slo_interval <= 0:
-            raise ValueError(f"slo_interval must be positive, got {slo_interval}")
         self.directory = directory
         self.host = host
         self.port = port
         self.admission = admission
         self.coalescer = Coalescer(max_batch=max_batch)
         self.slo = slo
-        self.slo_interval = slo_interval
         self._server: Optional[asyncio.AbstractServer] = None
         self._live: "Set[_Connection]" = set()
         self._slo_task: "Optional[asyncio.Task[None]]" = None
@@ -168,7 +167,7 @@ class NetServer:
         assert self.slo is not None
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.slo_interval)
+            await asyncio.sleep(SLO_INTERVAL_S)
             registry = active_registry()
             if registry is not None:
                 self.slo.observe(registry, now=loop.time())

@@ -31,6 +31,10 @@ from repro.durability.manager import DurabilityManager
 from repro.service.router import ShardRouter
 from repro.service.shard import Pair
 
+#: Executor threads per tenant group: they overlap the per-shard WAL
+#: ``fsync`` waits of a durable ``put_many``.
+_MAX_WORKERS_PER_GROUP = 2
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -65,8 +69,6 @@ class TenantDirectory:
         self,
         specs: Sequence[TenantSpec],
         budget: Optional[MemoryBudget] = None,
-        default_quota: Optional[TenantQuota] = None,
-        max_workers_per_group: int = 2,
         durability_root: Optional[Union[str, Path]] = None,
     ) -> None:
         if not specs:
@@ -74,7 +76,7 @@ class TenantDirectory:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
-        self.arbiter = ResourceArbiter(budget=budget, default_quota=default_quota)
+        self.arbiter = ResourceArbiter(budget=budget)
         self._groups: Dict[str, ShardRouter] = {}
         self._specs: Dict[str, TenantSpec] = {}
         for spec in specs:
@@ -88,7 +90,7 @@ class TenantDirectory:
                 family=spec.family,
                 num_shards=spec.num_shards,
                 partitioning=spec.partitioning,
-                max_workers=max_workers_per_group,
+                max_workers=_MAX_WORKERS_PER_GROUP,
                 durability=durability,
                 replication_factor=spec.replication_factor,
                 replica_profiles=spec.replica_profiles,

@@ -10,7 +10,7 @@ decision cost) across every index family:
 * :mod:`repro.obs.tracing` — nestable spans (``lookup`` ->
   ``leaf_probe:succinct``, ``adaptation_phase`` ->
   ``migration:gapped->succinct``) over pluggable sinks;
-* :mod:`repro.obs.sinks` — JSONL, in-memory, and tee sinks;
+* :mod:`repro.obs.sinks` — JSONL and in-memory sinks;
 * :mod:`repro.obs.runtime` — the process-global install point; the
   default is *no* telemetry, and every probe in the hot paths is a
   single global read + branch (see ``benchmarks/bench_obs_overhead.py``);
@@ -75,12 +75,7 @@ from repro.obs.slo import (
     parse_check,
     ratio_objective,
 )
-from repro.obs.sinks import (
-    InMemoryTraceSink,
-    JsonlTraceSink,
-    TeeTraceSink,
-    read_jsonl_trace,
-)
+from repro.obs.sinks import InMemoryTraceSink, JsonlTraceSink, read_jsonl_trace
 from repro.obs.tracing import Span, Tracer, TraceSink
 
 __all__ = [
@@ -101,7 +96,6 @@ __all__ = [
     "SloMonitor",
     "Span",
     "Telemetry",
-    "TeeTraceSink",
     "TraceContext",
     "TraceSchemaError",
     "TraceSink",

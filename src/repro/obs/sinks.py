@@ -13,7 +13,10 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.obs.jsonable import to_jsonable
-from repro.obs.tracing import TraceSink
+
+#: Spans buffered per write, so tracing a harness run does not pay one
+#: syscall per span.
+_FLUSH_EVERY = 256
 
 
 class InMemoryTraceSink:
@@ -36,24 +39,19 @@ class InMemoryTraceSink:
 
 
 class JsonlTraceSink:
-    """Appends one JSON document per span to a file.
+    """Appends one JSON document per span to a file, in batches."""
 
-    Lines are buffered and flushed in batches so tracing a harness run
-    does not pay one syscall per span.
-    """
-
-    def __init__(self, path: Union[str, Path], flush_every: int = 256) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._handle = self.path.open("w")
         self._buffer: List[str] = []
-        self._flush_every = max(1, flush_every)
         self.emitted = 0
 
     def emit(self, record: Dict) -> None:
         record["attributes"] = to_jsonable(record["attributes"])
         self._buffer.append(json.dumps(record, sort_keys=True))
         self.emitted += 1
-        if len(self._buffer) >= self._flush_every:
+        if len(self._buffer) >= _FLUSH_EVERY:
             self._flush()
 
     def _flush(self) -> None:
@@ -64,21 +62,6 @@ class JsonlTraceSink:
     def close(self) -> None:
         self._flush()
         self._handle.close()
-
-
-class TeeTraceSink:
-    """Fans every span out to several sinks."""
-
-    def __init__(self, *sinks: TraceSink) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, record: Dict) -> None:
-        for sink in self.sinks:
-            sink.emit(dict(record))
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 def read_jsonl_trace(path: Union[str, Path]) -> List[Dict]:

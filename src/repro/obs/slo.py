@@ -22,10 +22,13 @@ uses its oldest sample as the baseline, so short loadgen runs still
 page under sustained overload.  States:
 
 =========  ===================================================
-``ok``     burn below ``warn_burn`` on either window
-``warn``   both windows at or above ``warn_burn``
-``page``   both windows at or above ``page_burn``
+``ok``     burn below ``WARN_BURN`` on either window
+``warn``   both windows at or above ``WARN_BURN``
+``page``   both windows at or above ``PAGE_BURN``
 =========  ===================================================
+
+The windows are :data:`FAST_WINDOW_S` and :data:`SLOW_WINDOW_S` of the
+caller's clock: every ``observe`` passes ``now``.
 
 Every tick publishes labeled gauges — ``slo.burn_fast`` /
 ``slo.burn_slow`` / ``slo.state`` with an ``objective`` label — so the
@@ -54,6 +57,13 @@ _STATE_GAUGE = "slo.state"
 
 STATES: Tuple[str, ...] = ("ok", "warn", "page")
 _STATE_VALUES = {state: value for value, state in enumerate(STATES)}
+
+#: The multi-window alerting shape: burn rates over the last minute and
+#: the last ten, warning at budget pace and paging at six times it.
+FAST_WINDOW_S = 60.0
+SLOW_WINDOW_S = 600.0
+WARN_BURN = 1.0
+PAGE_BURN = 6.0
 
 _OBJECTIVE_NAME = re.compile(r"^[a-z0-9_]+$")
 
@@ -179,28 +189,13 @@ class _Sample:
 class SloMonitor:
     """Evaluates objectives over sliding windows; publishes burn gauges."""
 
-    def __init__(
-        self,
-        objectives: Sequence[Objective],
-        fast_window: float = 60.0,
-        slow_window: float = 600.0,
-        warn_burn: float = 1.0,
-        page_burn: float = 6.0,
-    ) -> None:
+    def __init__(self, objectives: Sequence[Objective]) -> None:
         if not objectives:
             raise ValueError("SloMonitor needs at least one objective")
         names = [objective.name for objective in objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
-        if not 0 < fast_window <= slow_window:
-            raise ValueError("need 0 < fast_window <= slow_window")
-        if not 0 < warn_burn <= page_burn:
-            raise ValueError("need 0 < warn_burn <= page_burn")
         self.objectives = list(objectives)
-        self.fast_window = fast_window
-        self.slow_window = slow_window
-        self.warn_burn = warn_burn
-        self.page_burn = page_burn
         self._samples: Dict[str, Deque[_Sample]] = {name: deque() for name in names}
         self._status: Dict[str, Dict[str, object]] = {}
 
@@ -212,15 +207,15 @@ class SloMonitor:
             samples = self._samples[objective.name]
             bad, total = objective.cumulative(registry)
             samples.append(_Sample(now, bad, total))
-            horizon = now - self.slow_window
+            horizon = now - SLOW_WINDOW_S
             while len(samples) > 2 and samples[1].at <= horizon:
                 samples.popleft()
-            burn_fast = self._burn(samples, now, self.fast_window, objective.target)
-            burn_slow = self._burn(samples, now, self.slow_window, objective.target)
+            burn_fast = self._burn(samples, now, FAST_WINDOW_S, objective.target)
+            burn_slow = self._burn(samples, now, SLOW_WINDOW_S, objective.target)
             effective = min(burn_fast, burn_slow)
-            if effective >= self.page_burn:
+            if effective >= PAGE_BURN:
                 state = "page"
-            elif effective >= self.warn_burn:
+            elif effective >= WARN_BURN:
                 state = "warn"
             else:
                 state = "ok"
@@ -282,10 +277,10 @@ class SloMonitor:
         """JSON-safe view of objectives, burn rates, and states."""
         return {
             "windows": {
-                "fast_s": self.fast_window,
-                "slow_s": self.slow_window,
-                "warn_burn": self.warn_burn,
-                "page_burn": self.page_burn,
+                "fast_s": FAST_WINDOW_S,
+                "slow_s": SLOW_WINDOW_S,
+                "warn_burn": WARN_BURN,
+                "page_burn": PAGE_BURN,
             },
             "worst": self.worst_state(),
             "objectives": {name: dict(status) for name, status in self._status.items()},

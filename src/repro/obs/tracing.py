@@ -48,7 +48,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Protocol
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, TypeVar
+
+_T = TypeVar("_T")
 
 
 class TraceSink(Protocol):
@@ -295,6 +297,16 @@ class Tracer:
                 if top is span:
                     break
                 self._emit(top)
+
+    def adopting(self, span: Span, call: Callable[[], _T]) -> Callable[[], _T]:
+        """``call`` wrapped to run under :meth:`adopt` of ``span`` on
+        whichever thread runs it (the executor side of a hop)."""
+
+        def run() -> _T:
+            with self.adopt(span):
+                return call()
+
+        return run
 
     def _emit(self, span: Span) -> None:
         if span.seq_end is None:

@@ -56,9 +56,6 @@ class ReplicaProfile:
     #: Consecutive cold phases before the CSHF compacts / evicts a leaf.
     cold_phases_to_compact: int = 2
     cold_phases_to_forget: int = 8
-    #: Hotness classification weights for reads vs writes.
-    read_weight: float = 1.0
-    write_weight: float = 1.0
     #: Whether inserts eagerly expand the written leaf.
     eager_insert_expansion: bool = True
     #: Replica-scale sampling cadence.  A replica sees only the slice of
@@ -86,8 +83,6 @@ class ReplicaProfile:
                 cold_phases_to_compact=self.cold_phases_to_compact,
                 cold_phases_to_forget=self.cold_phases_to_forget,
             ),
-            read_weight=self.read_weight,
-            write_weight=self.write_weight,
             initial_sample_size=self.phase_sample_size,
             initial_skip_length=self.skip_length,
             skip_min=self.skip_length,

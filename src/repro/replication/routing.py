@@ -10,7 +10,7 @@ replica is, in modeled nanoseconds per operation:
   this read class, observed by pricing the replica's own structural
   counter deltas through the calibrated
   :class:`~repro.sim.costmodel.CostModel` on a skip-sampled subset of
-  routed batches (every ``measure_every``-th).  This is the live
+  routed batches (every ``MEASURE_EVERY``-th).  This is the live
   ``repro.obs`` counter signal: the same events the metrics layer
   exports are what the router prices.
 * **census_prior** — before any measurement exists, the replica's leaf
@@ -23,7 +23,7 @@ replica is, in modeled nanoseconds per operation:
   it has proven itself cheap again.
 
 Down replicas are never candidates; a deterministic exploration rotation
-(every ``explore_every``-th pick) keeps the EWMAs of non-best replicas
+(every ``EXPLORE_EVERY``-th pick) keeps the EWMAs of non-best replicas
 fresh so the router can notice when divergence shifts the ranking.
 No wall-clock enters any decision — scores are pure functions of
 counters and census state, which keeps routing deterministic and
@@ -32,7 +32,7 @@ RA002-clean.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.obs.runtime import active_registry
 from repro.service.shard import Replica, ReplicaSetUnavailableError, Shard
@@ -76,30 +76,30 @@ _PRIOR_INNER_LEVELS = 2
 #: profile declares an affinity for the scored class.
 _AFFINITY_DISCOUNT = 0.5
 
+#: Weight of the newest measured batch in a replica's cost EWMA.
+_EWMA_ALPHA = 0.25
+
+#: Price the first batch routed to a replica and class, then every
+#: ``MEASURE_EVERY``-th one.
+MEASURE_EVERY = 8
+
+#: Every ``EXPLORE_EVERY``-th pick of a class rotates over the live
+#: replicas instead of taking the cheapest.
+EXPLORE_EVERY = 32
+
+#: Modeled ns/op added to a replica's score per write it missed while down.
+_LAG_PENALTY_NS = 5.0
+
 
 class ReplicaRouter:
     """Scores and picks the cheapest live replica for each read class."""
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        ewma_alpha: float = 0.25,
-        measure_every: int = 8,
-        explore_every: int = 32,
-        lag_penalty_ns: float = 5.0,
-        policy: str = "cost",
-    ) -> None:
+    def __init__(self, policy: str = "cost") -> None:
         if policy not in ("cost", "round_robin"):
             raise ValueError(
                 f"unknown routing policy {policy!r}; expected 'cost' or 'round_robin'"
             )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.cost_model = cost_model or CostModel()
-        self.ewma_alpha = ewma_alpha
-        self.measure_every = max(1, measure_every)
-        self.explore_every = explore_every
-        self.lag_penalty_ns = lag_penalty_ns
+        self._cost_model = CostModel()
         self.policy = policy
         #: Per-class pick counters (exploration cadence + round-robin).
         self._picks: Dict[str, int] = {cls: 0 for cls in READ_CLASSES}
@@ -120,7 +120,7 @@ class ReplicaRouter:
         base = measured if measured is not None else self._census_prior(replica, kind)
         if getattr(replica.profile, "affinity", None) == kind:
             base *= _AFFINITY_DISCOUNT
-        return base + self.lag_penalty_ns * replica.behind
+        return base + _LAG_PENALTY_NS * replica.behind
 
     def _census_prior(self, replica: Replica, kind: str) -> float:
         """Expected leaf cost from the replica's encoding mix alone."""
@@ -133,12 +133,12 @@ class ReplicaRouter:
                 continue
             count = int(entry.get("count", 0)) if isinstance(entry, Mapping) else 0
             total += count
-            weighted += count * self.cost_model.costs_ns.get(event, 0.0)
+            weighted += count * self._cost_model.costs_ns.get(event, 0.0)
         if total > 0:
             leaf_ns = weighted / total
         else:
-            leaf_ns = self.cost_model.costs_ns[_LEAF_VISIT_EVENTS["succinct"]]
-        inner_ns = _PRIOR_INNER_LEVELS * self.cost_model.costs_ns.get("inner_visit", 0.0)
+            leaf_ns = self._cost_model.costs_ns[_LEAF_VISIT_EVENTS["succinct"]]
+        inner_ns = _PRIOR_INNER_LEVELS * self._cost_model.costs_ns.get("inner_visit", 0.0)
         return inner_ns + leaf_ns
 
     # ------------------------------------------------------------------
@@ -169,10 +169,10 @@ class ReplicaRouter:
         explored = False
         if self.policy == "round_robin" or len(alive) == 1:
             choice = alive[picks % len(alive)]
-        elif self.explore_every > 0 and picks % self.explore_every == 0:
+        elif picks % EXPLORE_EVERY == 0:
             # Deterministic rotation over the non-best replicas keeps
             # their EWMAs fresh without a wall-clock or RNG.
-            choice = alive[(picks // self.explore_every) % len(alive)]
+            choice = alive[(picks // EXPLORE_EVERY) % len(alive)]
             explored = True
         else:
             choice = min(alive, key=lambda replica: self.score(replica, kind))
@@ -182,8 +182,8 @@ class ReplicaRouter:
 
     def should_measure(self, replica: Replica, kind: str) -> bool:
         """Skip-sampled measurement: price the first batch, then every
-        ``measure_every``-th batch routed to this replica and class."""
-        return replica.routed_batches.get(kind, 0) % self.measure_every == 1
+        ``MEASURE_EVERY``-th batch routed to this replica and class."""
+        return replica.routed_batches.get(kind, 0) % MEASURE_EVERY == 1
 
     # ------------------------------------------------------------------
     # Observation
@@ -204,12 +204,12 @@ class ReplicaRouter:
         if operations <= 0:
             return
         service = {name: events[name] for name in _READ_COST_EVENTS if name in events}
-        cost = self.cost_model.price_per_op(service, operations)
+        cost = self._cost_model.price_per_op(service, operations)
         previous = replica.cost_ewma.get(kind)
         if previous is None:
             replica.cost_ewma[kind] = cost
         else:
-            replica.cost_ewma[kind] = previous + self.ewma_alpha * (cost - previous)
+            replica.cost_ewma[kind] = previous + _EWMA_ALPHA * (cost - previous)
 
     # ------------------------------------------------------------------
     # Introspection and metrics

@@ -78,7 +78,6 @@ from repro.durability.log import DurableLog
 from repro.durability.manager import DurabilityManager, build_partitioner, manifest_for
 from repro.faults.injector import fault_point
 from repro.obs.runtime import active_registry, active_tracer
-from repro.obs.tracing import Span, Tracer
 from repro.service.partition import (
     HashPartitioner,
     Key,
@@ -96,18 +95,6 @@ _DEFAULT_MAX_WORKERS = 8
 
 #: RA004: span-name literal for the fan-out layer.
 _ROUTE_SPAN = "service.route"
-
-
-def _adopted(
-    tracer: Tracer, span: Span, task: Callable[[], None]
-) -> Callable[[], None]:
-    """Carry ``span`` across the executor hop so shard spans nest under it."""
-
-    def run() -> None:
-        with tracer.adopt(span):
-            task()
-
-    return run
 
 
 class ReadOnlyShardError(RuntimeError):
@@ -520,7 +507,7 @@ class ShardRouter:
         if tracer is not None:
             parent = tracer.current()
             if parent is not None:
-                tasks = [_adopted(tracer, parent, task) for task in tasks]
+                tasks = [tracer.adopting(parent, task) for task in tasks]
         with self._inflight_lock:
             self._inflight += len(tasks)
         registry = active_registry()

@@ -55,7 +55,7 @@ class TestAdaptation:
         assert counts.get(LeafEncoding.GAPPED, 0) >= 1
         # Cold majority stays succinct.
         assert counts.get(LeafEncoding.SUCCINCT, 0) > counts.get(LeafEncoding.GAPPED, 0)
-        tree.check_invariants()
+        tree.verify()
 
     def test_shifted_workload_compacts_old_hot_set(self):
         pairs = sorted_pairs(3000)
@@ -84,7 +84,7 @@ class TestAdaptation:
         for _ in range(3000):
             key = keys[min(int(rng.exponential(40)), len(keys) - 1)]
             assert tree.lookup(key) == reference[key]
-        tree.check_invariants()
+        tree.verify()
 
 
 class TestEagerInsertExpansion:
@@ -94,7 +94,7 @@ class TestEagerInsertExpansion:
         tree.insert(key, 42)
         assert tree.counters.get("eager_expansion:succinct") == 1
         assert tree.lookup(key) == 42
-        tree.check_invariants()
+        tree.verify()
 
     def test_eagerly_expanded_leaf_registered_for_compaction(self):
         tree = AdaptiveBPlusTree.bulk_load_adaptive(
@@ -183,7 +183,7 @@ class TestProtocol:
         tree = AdaptiveBPlusTree.bulk_load_adaptive(sorted_pairs(600), leaf_capacity=32)
         for leaf in list(tree.leaves())[:5]:
             tree.migrate(leaf, LeafEncoding.GAPPED, None)
-        tree.check_invariants()
+        tree.verify()
 
 
 class TestDeleteForgetting:

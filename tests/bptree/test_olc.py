@@ -64,12 +64,12 @@ class TestSingleThreadedSemantics:
         data = rng.sample(range(10**6), 1200)
         for key in data:
             assert tree.insert(key, key + 1)
-        tree.check_invariants()
+        tree.verify()
         for key in data:
             assert tree.lookup(key) == key + 1
         for key in data[:600]:
             assert tree.delete(key)
-        tree.check_invariants()
+        tree.verify()
         assert len(tree) == 600
 
     def test_update(self):
@@ -93,7 +93,7 @@ class TestSingleThreadedSemantics:
         assert tree.lookup(123) == 123
         tree.insert(10_000, 1)
         assert tree.lookup(10_000) == 1
-        tree.check_invariants()
+        tree.verify()
 
     def test_all_leaf_encodings(self):
         for encoding in LeafEncoding:
@@ -101,7 +101,7 @@ class TestSingleThreadedSemantics:
             for key in range(150):
                 tree.insert(key, key * 2)
             assert tree.lookup(77) == 154
-            tree.check_invariants()
+            tree.verify()
 
 
 class _CountingLock:
@@ -167,7 +167,7 @@ class TestEveryWritePathTakesTheVersionLock:
         assert [_lock_of(node).version for node in batched.leaves()] == [
             _lock_of(node).version for node in looped.leaves()
         ]
-        batched.check_invariants()
+        batched.verify()
 
     def test_lookup_many_reads_through_validated_lookups(self):
         tree = self.build()
@@ -244,7 +244,7 @@ class TestConcurrent:
         for thread in readers:
             thread.join()
         assert not errors
-        tree.check_invariants()
+        tree.verify()
         for key in range(4000):
             assert tree.lookup(key) == key
 
@@ -266,7 +266,7 @@ class TestConcurrent:
             thread.join()
         assert not errors
         assert len(tree) == 3200
-        tree.check_invariants()
+        tree.verify()
 
     def test_scans_during_writes_return_consistent_prefixes(self):
         tree = OlcBPlusTree(LeafEncoding.GAPPED, leaf_capacity=16)
@@ -357,7 +357,7 @@ class TestSplitsLockEveryLeafTheyWrite:
         assert len(written) == (2 if tree.find_leaf(key)[0] not in before else 1)
         assert not any(_lock_of(node).locked for node in tree.inner_nodes())
         assert not any(_lock_of(leaf).locked for leaf in tree.leaves())
-        tree.check_invariants()
+        tree.verify()
 
     @pytest.mark.parametrize("key", [50, 5])
     def test_root_leaf_split(self, key):
@@ -406,7 +406,7 @@ class TestSplitsLockEveryLeafTheyWrite:
             stop.set()
             repairer.join(timeout=30)
         assert tree.restarts > 0
-        tree.check_invariants()
+        tree.verify()
 
 
 @pytest.mark.parametrize("encoding", list(LeafEncoding), ids=str)
@@ -419,7 +419,7 @@ def test_modeled_counters_equal_the_parent_commit(tree_class, encoding):
     pairs = stream_pairs()
     tree = tree_class.bulk_load(pairs, encoding, leaf_capacity=64)
     seeded_stream(tree, pairs, seed=11)
-    tree.check_invariants()
+    tree.verify()
     expected = {
         # The OLC descent counts no inner visits; only its split path does.
         "inner_visit": 10030 if tree_class is BPlusTree else 60,

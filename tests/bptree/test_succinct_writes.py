@@ -285,7 +285,7 @@ def test_modeled_counters_equal_the_parent_commit(scenario, bits_per_key):
     pairs = stream_pairs()
     tree = adaptive_tree(pairs, bits_per_key)
     seeded_stream(tree, pairs, seed=11)
-    tree.check_invariants()
+    tree.verify()
     snapshot, size_bytes = PINNED[scenario]
     assert tree.counters.snapshot() == snapshot
     assert tree.size_bytes() == size_bytes
@@ -384,6 +384,6 @@ def test_olc_readers_see_no_torn_succinct_leaf():
     assert not any(thread.is_alive() for thread in threads)
     if errors:
         raise errors[0]
-    tree.check_invariants()
+    tree.verify()
     for key in loaded:
         assert tree.lookup(key) % stride == key

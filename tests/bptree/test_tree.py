@@ -25,7 +25,7 @@ class TestBulkLoad:
     def test_lookup_all(self, encoding):
         pairs = sorted_pairs(2000)
         tree = BPlusTree.bulk_load(pairs, encoding, leaf_capacity=32)
-        tree.check_invariants()
+        tree.verify()
         for key, value in pairs[::37]:
             assert tree.lookup(key) == value
 
@@ -76,7 +76,7 @@ class TestInserts:
         data = rng.sample(range(10**6), 1500)
         for key in data:
             assert tree.insert(key, key + 7)
-        tree.check_invariants()
+        tree.verify()
         assert len(tree) == 1500
         for key in data:
             assert tree.lookup(key) == key + 7
@@ -92,14 +92,14 @@ class TestInserts:
         tree = BPlusTree(encoding, leaf_capacity=8)
         for key in range(300):
             tree.insert(key, key)
-        tree.check_invariants()
+        tree.verify()
         assert tree.height > 1
 
     def test_descending_inserts(self, encoding):
         tree = BPlusTree(encoding, leaf_capacity=8)
         for key in reversed(range(300)):
             tree.insert(key, key)
-        tree.check_invariants()
+        tree.verify()
         assert list(tree.items()) == [(key, key) for key in range(300)]
 
 
@@ -117,7 +117,7 @@ class TestUpdatesAndDeletes:
         tree = BPlusTree.bulk_load(pairs, encoding, leaf_capacity=16)
         for key, _ in pairs[:150]:
             assert tree.delete(key)
-        tree.check_invariants()
+        tree.verify()
         assert len(tree) == 150
         for key, _ in pairs[:150]:
             assert tree.lookup(key) is None
@@ -183,7 +183,7 @@ class TestCountersAndSizes:
             tree.insert(key, key)
         for key in rng.sample(range(10**5), 200):
             tree.delete(key)
-        tree.check_invariants()  # includes leaf-byte reconciliation
+        tree.verify()  # includes leaf-byte reconciliation
 
     def test_census(self):
         tree = BPlusTree.bulk_load(sorted_pairs(500), LeafEncoding.SUCCINCT, leaf_capacity=16)
@@ -216,5 +216,5 @@ def test_tree_matches_dict(operations, encoding):
             reference.pop(key, None)
         else:
             assert tree.lookup(key) == reference.get(key)
-    tree.check_invariants()
+    tree.verify()
     assert list(tree.items()) == sorted(reference.items())

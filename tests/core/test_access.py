@@ -38,8 +38,7 @@ class TestRecord:
         stats = AccessStats()
         stats.record(AccessType.READ, epoch=1)
         stats.record(AccessType.INSERT, epoch=1)
-        assert stats.frequency() == 2.0
-        assert stats.frequency(read_weight=1.0, write_weight=3.0) == 4.0
+        assert stats.frequency() == 2
 
 
 class TestHistory:

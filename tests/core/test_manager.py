@@ -5,7 +5,12 @@ import pytest
 from repro.core.access import AccessType
 from repro.core.budget import MemoryBudget
 from repro.core.heuristics import HeuristicDecision
-from repro.core.manager import AdaptationManager, ManagerConfig
+from repro.core.manager import (
+    FALLBACK_HOT_FRACTION,
+    FALLBACK_K_MIN,
+    AdaptationManager,
+    ManagerConfig,
+)
 
 COMPACT = "compact"
 FAST = "fast"
@@ -147,22 +152,23 @@ class TestAdaptation:
         assert manager.epoch == 2
 
     def test_hot_units_expanded(self):
-        index = FakeIndex(range(20))
-        manager = make_manager(index, initial_sample_size=100, fallback_k_min=2)
-        for _ in range(50):
-            manager.track(0, AccessType.READ)
-        for _ in range(49):
-            manager.track(1, AccessType.READ)
-        manager.track(2, AccessType.READ)  # triggers the phase
-        assert index.encodings[0] == FAST
-        assert index.encodings[1] == FAST
-        assert index.encodings[2] == COMPACT
+        # Unbounded: k is FALLBACK_K_MIN, so exactly that many units are hot.
+        index = FakeIndex(range(100))
+        hot = range(FALLBACK_K_MIN)
+        cold = range(FALLBACK_K_MIN, FALLBACK_K_MIN + 10)
+        manager = make_manager(index, initial_sample_size=2 * len(hot) + len(cold))
+        for unit in hot:
+            manager.track(unit, AccessType.READ)
+            manager.track(unit, AccessType.READ)
+        for unit in cold:
+            manager.track(unit, AccessType.READ)  # the last one triggers the phase
+        assert manager.counters.adaptation_phases == 1
+        assert all(index.encodings[unit] == FAST for unit in hot)
+        assert all(index.encodings[unit] == COMPACT for unit in cold)
 
     def test_cold_units_compacted_after_two_phases(self):
         index = FakeIndex(range(20))
-        manager = make_manager(
-            index, initial_sample_size=100, fallback_k_min=1, max_sample_size=100
-        )
+        manager = make_manager(index, initial_sample_size=100, max_sample_size=100)
         # Phase 1: unit 0 is hot.
         for _ in range(100):
             manager.track(0, AccessType.READ)
@@ -234,8 +240,12 @@ class TestBudgetK:
 
     def test_unbounded_uses_fallback(self):
         index = FakeIndex(range(1000))
-        manager = make_manager(index, fallback_k_min=64, initial_sample_size=10)
-        assert manager._choose_k() == 64
+        manager = make_manager(index, initial_sample_size=10)
+        assert manager._choose_k() == FALLBACK_K_MIN
+        # Past FALLBACK_K_MIN / FALLBACK_HOT_FRACTION units the share wins.
+        index = FakeIndex(range(20_000))
+        manager = make_manager(index, initial_sample_size=10)
+        assert manager._choose_k() == int(20_000 * FALLBACK_HOT_FRACTION) == 200
 
     def test_sample_size_respects_cap(self):
         index = FakeIndex(range(10**6))
@@ -253,54 +263,22 @@ class TestSizeAccounting:
 
 
 class TestClassificationWeights:
-    def test_write_weight_prioritizes_writers(self):
-        index = FakeIndex(range(10))
-        manager = make_manager(
-            index,
-            initial_sample_size=30,
-            max_sample_size=30,
-            fallback_k_min=1,
-            write_weight=10.0,
-        )
-        # Unit 0: many reads; unit 1: fewer but heavily-weighted writes.
-        for _ in range(20):
-            manager.track(0, AccessType.READ)
-        for _ in range(9):
-            manager.track(1, AccessType.INSERT)
-        manager.track(2, AccessType.READ)  # trigger
-        assert index.encodings[1] == FAST
-        assert index.encodings[0] == COMPACT
-
     def test_default_weights_by_raw_frequency(self):
-        index = FakeIndex(range(10))
-        manager = make_manager(
-            index, initial_sample_size=30, max_sample_size=30, fallback_k_min=1
-        )
-        for _ in range(20):
-            manager.track(0, AccessType.READ)
-        for _ in range(9):
-            manager.track(1, AccessType.INSERT)
-        manager.track(2, AccessType.READ)
-        assert index.encodings[0] == FAST
-
-
-class TestSampleMapChoice:
-    def test_hopscotch_map_backs_the_sample_store(self):
-        from repro.hashmap.hopscotch import HopscotchMap
-
-        index = FakeIndex(range(20))
-        manager = make_manager(
-            index, sample_map="hopscotch", initial_sample_size=20, max_sample_size=20
-        )
-        assert isinstance(manager._samples, HopscotchMap)
-        for _ in range(20):
-            manager.track(0, AccessType.READ)
-        assert manager.counters.adaptation_phases == 1
-        assert index.encodings[0] == FAST
-
-    def test_unknown_sample_map_rejected(self):
-        index = FakeIndex(range(5))
-        import pytest
-
-        with pytest.raises(ValueError):
-            make_manager(index, sample_map="btree")
+        # A write counts exactly like a read: the top FALLBACK_K_MIN units
+        # are the twice-accessed ones, whichever kind of access they saw.
+        index = FakeIndex(range(100))
+        half = FALLBACK_K_MIN // 2
+        readers = range(half)
+        writers = range(half, FALLBACK_K_MIN)
+        once = range(FALLBACK_K_MIN, FALLBACK_K_MIN + 10)
+        manager = make_manager(index, initial_sample_size=2 * FALLBACK_K_MIN + len(once))
+        for unit in readers:
+            manager.track(unit, AccessType.READ)
+            manager.track(unit, AccessType.SCAN)
+        for unit in writers:
+            manager.track(unit, AccessType.INSERT)
+            manager.track(unit, AccessType.UPDATE)
+        for unit in once:
+            manager.track(unit, AccessType.DELETE)  # the last one triggers the phase
+        assert all(index.encodings[unit] == FAST for unit in (*readers, *writers))
+        assert all(index.encodings[unit] == COMPACT for unit in once)

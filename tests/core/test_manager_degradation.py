@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core import manager as manager_module
 from repro.core.access import AccessType
-from repro.core.manager import AdaptationManager, ManagerConfig
+from repro.core.manager import (
+    MAX_MIGRATION_RETRIES,
+    RETRY_BACKOFF_CAP,
+    AdaptationManager,
+    ManagerConfig,
+)
 
 COMPACT = "compact"
 FAST = "fast"
@@ -58,7 +64,6 @@ def make_manager(index, **overrides):
         skip_max=10,
         initial_sample_size=1_000_000,  # phases are forced manually
         use_bloom_filter=False,
-        fallback_k_min=4,
     )
     defaults.update(overrides)
     return AdaptationManager(index, ManagerConfig(**defaults))
@@ -95,7 +100,7 @@ class TestFailureAccounting:
 class TestBackoff:
     def test_failed_unit_backs_off_before_retry(self):
         index = FlakyIndex(range(5), failing={0})
-        manager = make_manager(index, retry_backoff_base=1, max_migration_retries=5)
+        manager = make_manager(index)
         heat_and_adapt(manager, 0)  # failure #1, backoff = 1 phase
         heat_and_adapt(manager, 0)  # still backing off: no attempt
         assert index.attempts == [0]
@@ -104,29 +109,28 @@ class TestBackoff:
         assert event.retries == 1
         assert manager.counters.migration_retries == 1
 
-    def test_backoff_grows_exponentially_and_caps(self):
+    def test_backoff_grows_exponentially_and_caps(self, monkeypatch):
+        # Quarantine comes first at the shipped retry count; lift it so
+        # the streak runs long enough to reach the cap.
+        monkeypatch.setattr(manager_module, "MAX_MIGRATION_RETRIES", 100)
         index = FlakyIndex(range(5), failing={0})
-        manager = make_manager(
-            index,
-            retry_backoff_base=1,
-            retry_backoff_cap=2,
-            max_migration_retries=100,
-        )
+        manager = make_manager(index)
         attempt_epochs = []
-        for _ in range(12):
+        for _ in range(40):
             before = len(index.attempts)
             epoch = manager.epoch
             heat_and_adapt(manager, 0)
             if len(index.attempts) > before:
                 attempt_epochs.append(epoch)
         gaps = [b - a for a, b in zip(attempt_epochs, attempt_epochs[1:])]
-        # backoff 1 after the first failure, then capped at 2 phases.
-        assert gaps[0] == 2  # skipped exactly the one backoff phase
-        assert all(gap == 3 for gap in gaps[1:])  # cap: 2 skipped phases
+        # Backoffs of 1, 2 and 4 skipped phases, then capped.
+        assert gaps[:3] == [2, 3, 5]
+        assert len(gaps) > 4
+        assert all(gap == RETRY_BACKOFF_CAP + 1 for gap in gaps[3:])
 
     def test_retry_after_transient_failure_succeeds(self):
         index = FlakyIndex(range(5), failing={0})
-        manager = make_manager(index, retry_backoff_base=1)
+        manager = make_manager(index)
         heat_and_adapt(manager, 0)
         index.failing.clear()  # the fault was transient
         heat_and_adapt(manager, 0)  # backing off
@@ -138,13 +142,13 @@ class TestBackoff:
 
 
 class TestQuarantine:
-    def make_quarantined(self, index, **overrides):
-        manager = make_manager(
-            index, retry_backoff_base=1, max_migration_retries=2, **overrides
-        )
-        heat_and_adapt(manager, 0)  # failure #1
-        heat_and_adapt(manager, 0)  # backoff
-        event = heat_and_adapt(manager, 0)  # failure #2 -> quarantine
+    def make_quarantined(self, index):
+        """Fail unit 0 until its MAX_MIGRATION_RETRIES-th attempt."""
+        manager = make_manager(index)
+        event = heat_and_adapt(manager, 0)
+        while len(index.attempts) < MAX_MIGRATION_RETRIES:
+            assert not manager.is_quarantined(0)
+            event = heat_and_adapt(manager, 0)  # a backoff phase or a retry
         return manager, event
 
     def test_repeated_failures_quarantine_the_unit(self):
@@ -180,12 +184,7 @@ class TestQuarantine:
 class TestDisable:
     def test_adaptation_disables_after_total_failures(self):
         index = FlakyIndex(range(10), failing=set(range(10)))
-        manager = make_manager(
-            index,
-            disable_after_failures=3,
-            max_migration_retries=100,
-            retry_backoff_base=1,
-        )
+        manager = make_manager(index, disable_after_failures=3)
         assert not manager.adaptation_degraded
         events = []
         for unit in range(3):
@@ -198,9 +197,7 @@ class TestDisable:
 
     def test_event_log_surfaces_the_degradation(self):
         index = FlakyIndex(range(10), failing=set(range(10)))
-        manager = make_manager(
-            index, disable_after_failures=2, max_migration_retries=100
-        )
+        manager = make_manager(index, disable_after_failures=2)
         heat_and_adapt(manager, 0)
         heat_and_adapt(manager, 1)
         assert manager.events.total_migration_failures == 2
@@ -216,15 +213,9 @@ class TestConfigValidation:
             {"delta": -0.1},
             {"delta": 1.5},
             {"skip_min": -1},
-            {"skip_jitter": -0.01},
-            {"skip_jitter": 1.01},
-            {"bloom_bits_per_item": 0},
             {"max_sample_size": 0},
             {"initial_skip_length": 11},  # above skip_max=10
             {"initial_skip_length": 1, "skip_min": 2},  # below skip_min
-            {"max_migration_retries": 0},
-            {"retry_backoff_base": 0},
-            {"retry_backoff_base": 4, "retry_backoff_cap": 2},
             {"disable_after_failures": 0},
         ],
     )
@@ -239,13 +230,8 @@ class TestConfigValidation:
             encoding_order=(COMPACT, FAST),
             epsilon=0.99,
             delta=0.01,
-            skip_jitter=1.0,
-            bloom_bits_per_item=1,
             skip_min=0,
             skip_max=0,
             initial_skip_length=0,
-            max_migration_retries=1,
-            retry_backoff_base=1,
-            retry_backoff_cap=1,
             disable_after_failures=1,
         )

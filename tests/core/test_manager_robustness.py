@@ -45,9 +45,7 @@ class TestDeclinedMigrations:
 
     def test_flaky_index_partial_migrations(self):
         index = FlakyIndex(range(10))
-        manager = make_manager(
-            index, initial_sample_size=40, max_sample_size=40, fallback_k_min=5
-        )
+        manager = make_manager(index, initial_sample_size=40, max_sample_size=40)
         for step in range(40):
             manager.track(step % 5, AccessType.READ)
         migrated = sum(1 for enc in index.encodings.values() if enc == FAST)

@@ -86,18 +86,16 @@ class TestResourceArbiterAdmission:
         assert all(arbiter.admit("t", now=0.0) == ADMIT_OK for _ in range(1000))
 
     def test_rate_quota_throttles_then_refills(self):
-        arbiter = ResourceArbiter(
-            default_quota=TenantQuota(ops_per_sec=10.0, burst_ops=5.0)
-        )
-        arbiter.register_tenant("t")
+        arbiter = ResourceArbiter()
+        arbiter.register_tenant("t", TenantQuota(ops_per_sec=10.0, burst_ops=5.0))
         decisions = [arbiter.admit("t", now=0.0) for _ in range(6)]
         assert decisions[:5] == [ADMIT_OK] * 5
         assert decisions[5] == SHED_THROTTLED
         assert arbiter.admit("t", now=0.5) == ADMIT_OK
 
     def test_inflight_bound_sheds_overloaded_until_release(self):
-        arbiter = ResourceArbiter(default_quota=TenantQuota(max_inflight=2))
-        arbiter.register_tenant("t")
+        arbiter = ResourceArbiter()
+        arbiter.register_tenant("t", TenantQuota(max_inflight=2))
         assert arbiter.admit("t") == ADMIT_OK
         assert arbiter.admit("t") == ADMIT_OK
         assert arbiter.admit("t") == SHED_OVERLOADED
@@ -106,10 +104,10 @@ class TestResourceArbiterAdmission:
         assert arbiter.admit("t") == ADMIT_OK
 
     def test_overload_shed_consumes_no_tokens(self):
-        arbiter = ResourceArbiter(
-            default_quota=TenantQuota(ops_per_sec=10.0, burst_ops=2.0, max_inflight=1)
+        arbiter = ResourceArbiter()
+        arbiter.register_tenant(
+            "t", TenantQuota(ops_per_sec=10.0, burst_ops=2.0, max_inflight=1)
         )
-        arbiter.register_tenant("t")
         assert arbiter.admit("t", now=0.0) == ADMIT_OK
         # Queue full: shed before the bucket is touched.
         for _ in range(10):
@@ -118,20 +116,19 @@ class TestResourceArbiterAdmission:
         assert arbiter.admit("t", now=0.0) == ADMIT_OK
 
     def test_tenants_are_isolated(self):
-        arbiter = ResourceArbiter(
-            default_quota=TenantQuota(ops_per_sec=10.0, burst_ops=1.0)
-        )
-        arbiter.register_tenant("a")
-        arbiter.register_tenant("b")
+        arbiter = ResourceArbiter()
+        quota = TenantQuota(ops_per_sec=10.0, burst_ops=1.0)
+        arbiter.register_tenant("a", quota)
+        arbiter.register_tenant("b", quota)
         assert arbiter.admit("a", now=0.0) == ADMIT_OK
         assert arbiter.admit("a", now=0.0) == SHED_THROTTLED
         assert arbiter.admit("b", now=0.0) == ADMIT_OK
 
     def test_describe_counts_sheds(self):
-        arbiter = ResourceArbiter(
-            default_quota=TenantQuota(ops_per_sec=10.0, burst_ops=1.0, max_inflight=1)
+        arbiter = ResourceArbiter()
+        arbiter.register_tenant(
+            "t", TenantQuota(ops_per_sec=10.0, burst_ops=1.0, max_inflight=1)
         )
-        arbiter.register_tenant("t")
         arbiter.admit("t", now=0.0)
         arbiter.admit("t", now=0.0)  # overloaded (inflight full)
         arbiter.release("t")

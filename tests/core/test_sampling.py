@@ -115,52 +115,3 @@ def test_skip_sampler_exact_rate(skip, rounds):
     total = rounds * (skip + 1)
     assert sum(sampler.is_sample() for _ in range(total)) == rounds
 
-
-class TestSkipJitter:
-    def test_jitter_zero_is_deterministic_stride(self):
-        sampler = SkipSampler(5, jitter=0.0)
-        outcomes = [sampler.is_sample() for _ in range(18)]
-        assert outcomes == ([False] * 5 + [True]) * 3
-
-    def test_jitter_preserves_average_rate(self):
-        sampler = SkipSampler(10, jitter=0.5, seed=7)
-        total = 110_000
-        samples = sum(sampler.is_sample() for _ in range(total))
-        expected = total / 11
-        assert abs(samples - expected) < expected * 0.1
-
-    def test_jitter_varies_strides(self):
-        sampler = SkipSampler(20, jitter=0.5, seed=3)
-        strides = []
-        gap = 0
-        for _ in range(2000):
-            if sampler.is_sample():
-                strides.append(gap)
-                gap = 0
-            else:
-                gap += 1
-        assert len(set(strides[1:])) > 3  # strides actually vary
-
-    def test_jitter_bounds(self):
-        sampler = SkipSampler(20, jitter=0.25, seed=9)
-        gap = 0
-        gaps = []
-        for _ in range(5000):
-            if sampler.is_sample():
-                gaps.append(gap)
-                gap = 0
-            else:
-                gap += 1
-        for observed in gaps[1:]:
-            assert 15 <= observed <= 25
-
-    def test_invalid_jitter(self):
-        with pytest.raises(ValueError):
-            SkipSampler(5, jitter=1.5)
-
-    def test_reproducible_with_seed(self):
-        a = SkipSampler(10, jitter=0.5, seed=42)
-        b = SkipSampler(10, jitter=0.5, seed=42)
-        assert [a.is_sample() for _ in range(200)] == [
-            b.is_sample() for _ in range(200)
-        ]

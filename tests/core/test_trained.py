@@ -13,8 +13,11 @@ class TestRankUnits:
         assert rank_units(trace) == ["b", "a"]
 
     def test_write_weight(self):
+        # A write counts like a read: three reads outrank two inserts,
+        # and four inserts outrank three reads.
         trace = [("a", AccessType.READ)] * 3 + [("b", AccessType.INSERT)] * 2
-        assert rank_units(trace, read_weight=1.0, write_weight=2.0) == ["b", "a"]
+        assert rank_units(trace) == ["a", "b"]
+        assert rank_units(trace + [("b", AccessType.INSERT)] * 2) == ["b", "a"]
 
     def test_empty_trace(self):
         assert rank_units([]) == []

@@ -70,7 +70,6 @@ def sampler_state(tree):
         manager.counters.accesses,
         manager.counters.sampled,
         manager._sampler._countdown,
-        manager._sampler._state,
         manager.tracked_units,
     )
 

@@ -39,7 +39,7 @@ class TestAdaptiveBTreeUnderRealWorkload:
         result = run_operations(adapter, operations, interval_ops=5000)
         assert tree.manager.counters.adaptation_phases >= 1
         assert tree.manager.counters.expansions >= 1
-        tree.check_invariants()
+        tree.verify()
         # Latency improves as hot leaves expand.
         series = result.series("modeled_ns_per_op")
         assert series[-1] < series[0]
@@ -59,7 +59,7 @@ class TestAdaptiveBTreeUnderRealWorkload:
             run_operations(adapter, operations, interval_ops=5000)
         assert tree.counters.get("eager_expansion:succinct") > 0
         assert tree.manager.counters.compactions >= 1
-        tree.check_invariants()
+        tree.verify()
 
     def test_tight_budget_compacts_everything_compactable(self):
         # Inserts grow the dataset, so a tight absolute budget can end up
@@ -81,7 +81,7 @@ class TestAdaptiveBTreeUnderRealWorkload:
         assert counts.get(LeafEncoding.GAPPED, 0) == 0
         assert counts.get(LeafEncoding.PACKED, 0) == 0
         assert tree.manager.counters.compactions >= 1
-        tree.check_invariants()
+        tree.verify()
 
     def test_generous_budget_stays_within_limit(self):
         keys = osm_like_keys(6000, rng=2)
@@ -97,7 +97,7 @@ class TestAdaptiveBTreeUnderRealWorkload:
         adapter = IntKeyIndexAdapter(tree)
         run_operations(adapter, operations, interval_ops=5000)
         assert tree.size_bytes() <= budget.absolute_bytes * 1.1
-        tree.check_invariants()
+        tree.verify()
 
 
 class TestTrieAdaptationLoop:
@@ -171,4 +171,4 @@ class TestRelativeBudget:
         limit = budget.limit_bytes(tree.num_keys)
         assert tree.size_bytes() <= limit * 1.15
         assert tree.num_keys > len(pairs)  # inserts really landed
-        tree.check_invariants()
+        tree.verify()

@@ -82,7 +82,7 @@ class AdaptiveBTreeMachine(RuleBasedStateMachine):
         assert len(self.tree) == len(self.model)
 
     def teardown(self):
-        self.tree.check_invariants()
+        self.tree.verify()
         assert list(self.tree.items()) == sorted(self.model.items())
 
 

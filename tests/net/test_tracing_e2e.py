@@ -10,6 +10,7 @@ server, and assert on the emitted span graph and the stitched tree.
 import asyncio
 
 from repro.net import NetClient, NetServer, demo_directory
+from repro.net import server as server_module
 from repro.net.protocol import (
     OP_GET,
     OP_TRACE_FLAG,
@@ -141,7 +142,9 @@ class TestPropagation:
 
 
 class TestStatsConsole:
-    def test_stats_snapshot_is_structured_and_complete(self):
+    def test_stats_snapshot_is_structured_and_complete(self, monkeypatch):
+        monkeypatch.setattr(server_module, "SLO_INTERVAL_S", 0.01)
+
         async def scenario():
             directory = demo_directory(["acme", "zeta"], 200, family="adaptive")
             objectives = [
@@ -149,9 +152,7 @@ class TestStatsConsole:
                     "shed_rate", bad=("net.shed.throttled",), total="net.requests", target=0.05
                 )
             ]
-            server = NetServer(
-                directory, port=0, slo=SloMonitor(objectives), slo_interval=0.01
-            )
+            server = NetServer(directory, port=0, slo=SloMonitor(objectives))
             await server.start()
             try:
                 client = await NetClient.connect("127.0.0.1", server.port)

@@ -33,7 +33,6 @@ def _sampler_state(index):
         manager.counters.sampled,
         manager.counters.adaptation_phases,
         manager._sampler._countdown,
-        manager._sampler._state,
         manager.tracked_units,
     )
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.bptree.leaves import LeafEncoding
-from repro.obs.sinks import (
-    InMemoryTraceSink,
-    JsonlTraceSink,
-    TeeTraceSink,
-    read_jsonl_trace,
-)
+from repro.obs.sinks import InMemoryTraceSink, JsonlTraceSink, read_jsonl_trace
 from repro.obs.tracing import Tracer
 
 
@@ -126,19 +121,10 @@ class TestSinks:
 
     def test_jsonl_sink_roundtrips(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        tracer = Tracer(JsonlTraceSink(path, flush_every=2))
+        tracer = Tracer(JsonlTraceSink(path))
         for _ in range(3):
             tracer.end(tracer.start("lookup"))
         tracer.close()
         records = read_jsonl_trace(path)
         assert len(records) == 3
         assert all(record["name"] == "lookup" for record in records)
-
-    def test_tee_sink_fans_out_independent_dicts(self):
-        left, right = InMemoryTraceSink(), InMemoryTraceSink()
-        tracer = Tracer(TeeTraceSink(left, right))
-        tracer.end(tracer.start("lookup"))
-        tracer.close()
-        assert len(left.records) == len(right.records) == 1
-        assert left.records[0] is not right.records[0]
-        assert left.closed and right.closed

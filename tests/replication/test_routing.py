@@ -3,6 +3,7 @@
 import pytest
 
 from repro.replication import ReplicaRouter, ReplicaSetUnavailableError
+from repro.replication.routing import EXPLORE_EVERY, MEASURE_EVERY
 from repro.service.router import ShardTemplate
 from repro.service.shard import Shard
 
@@ -18,10 +19,6 @@ class TestConstruction:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             ReplicaRouter(policy="random")
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            ReplicaRouter(ewma_alpha=0.0)
 
 
 class TestScoring:
@@ -94,25 +91,26 @@ class TestPicking:
         assert seen == {0, 1, 2}
 
     def test_cost_policy_steers_class_to_affine_replica(self):
-        shard = make_shard(router=ReplicaRouter(explore_every=0))
-        picks = [shard.router.pick(shard, "scan").profile.name for _ in range(8)]
+        shard = make_shard()
+        picks = [shard.router.pick(shard, "scan").profile.name for _ in range(EXPLORE_EVERY - 1)]
         assert set(picks) == {"scan"}
 
     def test_exploration_rotation_touches_other_replicas(self):
-        shard = make_shard(router=ReplicaRouter(explore_every=4))
-        picked = {
-            shard.router.pick(shard, "point").replica_id for _ in range(32)
-        }
-        assert len(picked) > 1
+        shard = make_shard()
+        picked = [shard.router.pick(shard, "point").replica_id for _ in range(2 * EXPLORE_EVERY)]
+        # Every EXPLORE_EVERY-th pick rotates off the cheapest replica.
+        explored = {index + 1 for index, replica in enumerate(picked) if replica != picked[0]}
+        assert explored == {EXPLORE_EVERY, 2 * EXPLORE_EVERY}
 
     def test_should_measure_is_skip_sampled(self):
-        shard = make_shard(router=ReplicaRouter(measure_every=4))
+        shard = make_shard()
         replica = shard.replicas[0]
         decisions = []
-        for batch in range(8):
+        for batch in range(2 * MEASURE_EVERY):
             replica.routed_batches["point"] = batch + 1
             decisions.append(shard.router.should_measure(replica, "point"))
-        assert decisions == [True, False, False, False, True, False, False, False]
+        measured = [batch + 1 for batch, measure in enumerate(decisions) if measure]
+        assert measured == [1, MEASURE_EVERY + 1]
 
 
 class TestDescribe:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bptree.hybrid import AdaptiveBPlusTree
-from repro.core.budget import MemoryBudget, ResourceArbiter
+from repro.core.budget import MEMBER_FLOOR_BYTES, MemoryBudget, ResourceArbiter
 
 
 def adaptive(num_keys):
@@ -27,7 +27,7 @@ class TestAllocation:
         assert all(budget.bits_per_key == 16.0 for budget in allocations.values())
 
     def test_absolute_budget_splits_proportionally(self):
-        arbiter = ResourceArbiter(MemoryBudget.absolute(1_000_000), floor_bytes=1000)
+        arbiter = ResourceArbiter(MemoryBudget.absolute(1_000_000))
         small, large = adaptive(100), adaptive(900)
         arbiter.replace_group("", {"small": small, "large": large})
         allocations = arbiter.rebalance()
@@ -35,8 +35,8 @@ class TestAllocation:
         assert total <= 1_000_000
         assert allocations["large"].absolute_bytes > allocations["small"].absolute_bytes
         # ~9x the keys -> roughly 9x the headroom above the floor.
-        ratio = (allocations["large"].absolute_bytes - 1000) / (
-            allocations["small"].absolute_bytes - 1000
+        ratio = (allocations["large"].absolute_bytes - MEMBER_FLOOR_BYTES) / (
+            allocations["small"].absolute_bytes - MEMBER_FLOOR_BYTES
         )
         assert ratio == pytest.approx(9.0, rel=0.05)
 
@@ -49,13 +49,13 @@ class TestAllocation:
         assert index.manager.config.budget.bounded
 
     def test_floor_protects_empty_members(self):
-        arbiter = ResourceArbiter(MemoryBudget.absolute(1_000_000), floor_bytes=4096)
+        arbiter = ResourceArbiter(MemoryBudget.absolute(1_000_000))
         arbiter.replace_group("", {"empty": adaptive(0), "full": adaptive(1000)})
         allocations = arbiter.rebalance()
-        assert allocations["empty"].absolute_bytes >= 4096
+        assert allocations["empty"].absolute_bytes == MEMBER_FLOOR_BYTES
 
     def test_tiny_budget_never_allocates_zero(self):
-        arbiter = ResourceArbiter(MemoryBudget.absolute(3), floor_bytes=4096)
+        arbiter = ResourceArbiter(MemoryBudget.absolute(3))
         arbiter.replace_group("", {"a": adaptive(10), "b": adaptive(10)})
         allocations = arbiter.rebalance()
         assert all(budget.absolute_bytes >= 1 for budget in allocations.values())
@@ -104,7 +104,3 @@ class TestAccounting:
         json.dumps(summary)
         assert summary["memory"]["members"] == 1
         assert summary["memory"]["bits_per_key"] == 12.0
-
-    def test_rejects_negative_floor(self):
-        with pytest.raises(ValueError):
-            ResourceArbiter(MemoryBudget.unbounded(), floor_bytes=-1)

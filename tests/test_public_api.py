@@ -1,6 +1,8 @@
 """Guardrails for the top-level public API."""
 
+import dataclasses
 import importlib
+import inspect
 
 import repro
 
@@ -43,11 +45,58 @@ class TestSubpackageExports:
                 assert getattr(module, name, None) is not None, (module_name, name)
 
     def test_quickstart_docstring_example_works(self):
-        from repro import AdaptiveBPlusTree, MemoryBudget
+        from repro import AdaptiveBPlusTree, ManagerConfig, MemoryBudget
+        from repro.bptree.hybrid import BTREE_ENCODING_ORDER
 
+        config = ManagerConfig(
+            encoding_order=BTREE_ENCODING_ORDER, budget=MemoryBudget.absolute(2_000_000)
+        )
         tree = AdaptiveBPlusTree.bulk_load_adaptive(
-            [(key, key * 2) for key in range(2_000)],
-            budget=MemoryBudget.absolute(2_000_000),
+            [(key, key * 2) for key in range(2_000)], manager_config=config
         )
         assert tree.lookup(42) == 84
         assert tree.manager.events is not None
+
+
+class TestSettableValues:
+    def test_knobs_are_pinned(self):
+        """The settable values of the manager and the serving surfaces,
+        pinned: a new one shows up as an edit to this list."""
+        from repro.core.budget import ResourceArbiter
+        from repro.net.server import NetServer
+        from repro.net.tenancy import TenantDirectory
+        from repro.obs.slo import SloMonitor
+        from repro.replication.routing import ReplicaRouter
+
+        def parameters(callable_):
+            return [
+                name for name in inspect.signature(callable_).parameters if name != "self"
+            ]
+
+        assert [field.name for field in dataclasses.fields(repro.ManagerConfig)] == [
+            "encoding_order",
+            "budget",
+            "heuristic",
+            "epsilon",
+            "delta",
+            "initial_skip_length",
+            "skip_min",
+            "skip_max",
+            "adaptive_skip",
+            "use_bloom_filter",
+            "initial_sample_size",
+            "max_sample_size",
+            "disable_after_failures",
+        ]
+        assert parameters(ReplicaRouter) == ["policy"]
+        assert parameters(SloMonitor) == ["objectives"]
+        assert parameters(NetServer) == [
+            "directory",
+            "host",
+            "port",
+            "max_batch",
+            "admission",
+            "slo",
+        ]
+        assert parameters(TenantDirectory) == ["specs", "budget", "durability_root"]
+        assert parameters(ResourceArbiter) == ["budget"]
