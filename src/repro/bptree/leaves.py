@@ -206,20 +206,29 @@ def _decode_blocks(blocks: Sequence[ForBlock]) -> List[int]:
 
 
 def _blocks_bytes(blocks: Sequence[ForBlock]) -> int:
-    return sum(block.size_bytes() for block in blocks)
+    """:meth:`ForBlock.size_bytes` summed, read straight off each block's
+    length and width."""
+    total = 8 * len(blocks)
+    for block in blocks:
+        deltas = block.deltas
+        total += (deltas._length * deltas._width + 7) >> 3
+    return total
 
 
 # ----------------------------------------------------------------------
-# The write kernel: a block edited in its packed buffer
+# The write kernel: fields spliced into and cut out of a packed buffer
 # ----------------------------------------------------------------------
 # A block of ``n`` ``w``-bit fields is one int, field ``i`` at bit
-# ``i * w``.  An insert moves every later entry one slot right, so each
-# later block takes the previous block's last entry in front and — when
-# full — hands its own last entry on; a delete is the mirror image.
-# Such a shift is a few big-int operations as long as the block's frame
-# of reference and width stay what a fresh encode would pick; otherwise
-# the block is decoded and re-encoded (the fallback), so every block is
-# always equal to ``for_encode`` of its entries.
+# ``i * w``.  An insert splices one field into the touched block and
+# moves every later entry one slot right: each later block takes the
+# previous block's last entry in front (a splice at offset 0) and — when
+# full — hands its own last entry on.  A delete cuts one field out and
+# is the mirror image.  Each edit is a few big-int operations while the
+# block keeps the width a fresh encode would pick; a new minimum moves
+# the frame of reference, and every other field is rebased inside the
+# buffer.  Only a block whose width changes, or whose base field leaves,
+# is decoded and re-encoded (the fallback), so every block always equals
+# ``for_encode`` of its entries.
 
 #: Memo of :func:`_ones`, a pure function (the division costs up to 1 µs
 #: at width 61); it holds one entry per width seen and block length.
@@ -235,9 +244,76 @@ def _ones(width: int, fields: int) -> int:
     return ones
 
 
+#: Memo of :func:`_lanes`, a pure function like :func:`_ones`.
+_LANES: Dict[Tuple[int, int], Tuple[int, int, int, int, int]] = {}
+
+
+def _lanes(width: int, fields: int) -> Tuple[int, int, int, int, int]:
+    """What :func:`_rebased` reads ``fields`` ``width``-bit fields with:
+    each field alone in a 2w-bit lane, the even fields in one set of
+    lanes and the odd ones in another.  Returns R(2w) over the even
+    lanes and over the odd ones, then per lane the mask of its field, of
+    the carry bits above the field and of the field's top bit."""
+    lanes = _LANES.get((width, fields))
+    if lanes is None:
+        even = _ones(2 * width, (fields + 1) // 2)
+        field = even * ((1 << width) - 1)
+        lanes = (
+            even,
+            _ones(2 * width, fields // 2),
+            field,
+            field << width,
+            even << width - 1,
+        )
+        _LANES[width, fields] = lanes
+    return lanes
+
+
+def _rebased(buffer: int, fields: int, width: int, shift: int) -> Optional[int]:
+    """``buffer`` with ``shift`` (> 0) added to each of its ``fields``
+    fields — a value block whose base moves ``shift`` down — or None when
+    a fresh encode would then pick another width: a field overflows
+    ``width`` bits or, above width 1, no field keeps the top bit.
+
+    Added in place, one field's carry would run into the next.  So the
+    even and the odd fields are summed apart, each in a lane twice its
+    width whose upper half catches the carry, and one AND per check
+    reads every lane at once.
+    """
+    if shift >> width:  # every field would overflow
+        return None
+    ones_even, ones_odd, field, carry, top = _lanes(width, fields)
+    even = (buffer & field) + shift * ones_even
+    odd = ((buffer >> width) & field) + shift * ones_odd
+    either = even | odd
+    if either & carry or (width > 1 and not either & top):
+        return None
+    return even | odd << width
+
+
+def _splice(buffer: int, bits: int, width: int, field: int) -> int:
+    """``buffer`` with ``field`` spliced in at bit ``bits``; the fields
+    from there on move one slot up."""
+    low = buffer & ((1 << bits) - 1)
+    return low | (buffer ^ low) << width | field << bits
+
+
+def _cut(buffer: int, bits: int, width: int) -> Tuple[int, int]:
+    """``buffer`` without its field at bit ``bits`` (the fields after it
+    move one slot down), and that field."""
+    low = buffer & ((1 << bits) - 1)
+    high = buffer >> bits
+    return low | (high >> width) << bits, high & ((1 << width) - 1)
+
+
+def _block(base: int, buffer: int, length: int, width: int) -> ForBlock:
+    """The block an edit built in ``buffer``."""
+    return ForBlock(base, PackedIntArray._from_buffer(buffer, length, width))
+
+
 def _single(value: int) -> ForBlock:
     """The block ``for_encode([value])`` builds."""
-    return ForBlock(value, PackedIntArray._from_buffer(0, 1, 1))
+    return _block(value, 0, 1, 1)
 
 
 def _frame_holds(width: int, gone: int, kept: int, fields: int, delta: int) -> bool:
@@ -258,60 +334,82 @@ def _frame_holds(width: int, gone: int, kept: int, fields: int, delta: int) -> b
     )
 
 
-def _push_key(block: ForBlock, key: int) -> Tuple[ForBlock, Optional[int]]:
-    """``block`` with ``key`` (below its first key) in front, and the key
-    that drops off its end when it was full (else None)."""
+def _insert_key(
+    block: ForBlock, offset: int, key: int
+) -> Tuple[ForBlock, Optional[int]]:
+    """``block`` with ``key`` spliced in at ``offset``, and the key that
+    drops off its end when it was full (else None).  At offset 0 the key
+    is the new base, so every field grows by the old base's distance."""
     deltas = block.deltas
     width, length, buffer = deltas._width, deltas._length, deltas._buffer
     base = block.base
     out = None
     if length == _FOR_BLOCK_ENTRIES:
         length -= 1
-        kept_bits = length * width
-        out = base + (buffer >> kept_bits)
-        buffer &= (1 << kept_bits) - 1
-    shift = base - key
-    # Keys are sorted, so the last kept field is the largest delta.
-    if (buffer >> (length - 1) * width) + shift >> width - 1 == 1:
-        buffer = (buffer + shift * _ones(width, length)) << width
-        return ForBlock(key, PackedIntArray._from_buffer(buffer, length + 1, width)), out
-    return for_encode([key] + block.to_list()[:length]), out
+        kept = length * width
+        out = base + (buffer >> kept)
+        buffer &= (1 << kept) - 1
+    # Keys are sorted, so the last field is the largest delta: the width
+    # holds while it keeps the top bit.
+    if offset:
+        delta = key - base
+        last = delta if offset == length else buffer >> (length - 1) * width
+        if last >> width - 1 == 1:
+            buffer = _splice(buffer, offset * width, width, delta)
+            return _block(base, buffer, length + 1, width), out
+    else:
+        shift = base - key
+        if (buffer >> (length - 1) * width) + shift >> width - 1 == 1:
+            buffer = (buffer + shift * _ones(width, length)) << width
+            return _block(key, buffer, length + 1, width), out
+    keys = block.to_list()[:length]
+    keys.insert(offset, key)
+    return for_encode(keys), out
 
 
-def _push_value(block: ForBlock, value: int) -> Tuple[ForBlock, Optional[int]]:
-    """:func:`_push_key` for a value block (unsorted; base is the minimum)."""
+def _insert_value(
+    block: ForBlock, offset: int, value: int
+) -> Tuple[ForBlock, Optional[int]]:
+    """:func:`_insert_key` for a value block (unsorted; base is the
+    minimum).  A value below the base becomes the base, the other fields
+    rebased in the buffer by :func:`_rebased`."""
     deltas = block.deltas
     width, length, buffer = deltas._width, deltas._length, deltas._buffer
     base = block.base
+    out = gone = None
+    if length == _FOR_BLOCK_ENTRIES:
+        length -= 1
+        kept = length * width
+        gone = buffer >> kept
+        buffer &= (1 << kept) - 1
+        out = base + gone
     delta = value - base
-    fits = not delta >> width  # a negative delta shifts to -1: no fit
-    if length < _FOR_BLOCK_ENTRIES:
-        if fits:
-            buffer = (buffer << width) | delta
-            return ForBlock(base, PackedIntArray._from_buffer(buffer, length + 1, width)), None
-        return for_encode([value] + block.to_list()), None
-    length -= 1
-    kept_bits = length * width
-    gone = buffer >> kept_bits
-    buffer &= (1 << kept_bits) - 1
-    if fits and _frame_holds(width, gone, buffer, length, delta):
-        buffer = (buffer << width) | delta
-        new = ForBlock(base, PackedIntArray._from_buffer(buffer, length + 1, width))
-    else:
-        new = for_encode([value] + block.to_list()[:length])
-    return new, base + gone
+    if delta < 0:
+        rebased = _rebased(buffer, length, width, -delta)
+        if rebased is not None:
+            buffer = _splice(rebased, offset * width, width, 0)
+            return _block(value, buffer, length + 1, width), out
+    elif not delta >> width and (
+        gone is None or _frame_holds(width, gone, buffer, length, delta)
+    ):
+        buffer = _splice(buffer, offset * width, width, delta)
+        return _block(base, buffer, length + 1, width), out
+    values = block.to_list()[:length]
+    values.insert(offset, value)
+    return for_encode(values), out
 
 
-def _pull_key(block: ForBlock, key: Optional[int]) -> Optional[ForBlock]:
-    """``block`` without its first key and with ``key`` (above its last
-    key; None: nothing) at the end; None when nothing is left."""
+def _remove_key(block: ForBlock, offset: int, key: Optional[int]) -> Optional[ForBlock]:
+    """``block`` without its key at ``offset`` and with ``key`` (above its
+    last key; None: nothing) at the end; None when nothing is left.  At
+    offset 0 the second key is the new base: every field shrinks by it."""
     deltas = block.deltas
     width, length, buffer = deltas._width, deltas._length, deltas._buffer
     length -= 1
-    if not length and key is None:
-        return None
-    rest = buffer >> width
-    shift = rest & ((1 << width) - 1)  # the new first key's delta
+    if not length:
+        return None if key is None else _single(key)
+    rest, _ = _cut(buffer, offset * width, width)
+    shift = 0 if offset else rest & ((1 << width) - 1)
     base = block.base + shift
     if key is None:
         top = (rest >> (length - 1) * width) - shift
@@ -322,31 +420,37 @@ def _pull_key(block: ForBlock, key: Optional[int]) -> Optional[ForBlock]:
         if key is not None:
             rest |= top << length * width
             length += 1
-        return ForBlock(base, PackedIntArray._from_buffer(rest, length, width))
-    keys = block.to_list()[1:]
+        return _block(base, rest, length, width)
+    keys = block.to_list()
+    del keys[offset]
     if key is not None:
         keys.append(key)
     return for_encode(keys)
 
 
-def _pull_value(block: ForBlock, value: Optional[int]) -> ForBlock:
-    """:func:`_pull_key` for a value block that keeps an entry."""
+def _remove_value(block: ForBlock, offset: int, value: Optional[int]) -> ForBlock:
+    """:func:`_remove_key` for a value block that keeps an entry; a value
+    below the base rebases the others as in :func:`_insert_value`."""
     deltas = block.deltas
     width, length, buffer = deltas._width, deltas._length, deltas._buffer
     length -= 1
     base = block.base
-    gone = buffer & ((1 << width) - 1)
-    rest = buffer >> width
+    rest, gone = _cut(buffer, offset * width, width)
     if value is None:
         if _frame_holds(width, gone, rest, length, 1):
-            return ForBlock(base, PackedIntArray._from_buffer(rest, length, width))
-        return for_encode(block.to_list()[1:])
-    delta = value - base
-    if not delta >> width and _frame_holds(width, gone, rest, length, delta):
-        rest |= delta << length * width
-        return ForBlock(base, PackedIntArray._from_buffer(rest, length + 1, width))
-    values = block.to_list()[1:]
-    values.append(value)
+            return _block(base, rest, length, width)
+    else:
+        delta = value - base
+        if delta < 0:
+            rebased = _rebased(rest, length, width, -delta)
+            if rebased is not None:  # the new last field is the 0
+                return _block(value, rebased, length + 1, width)
+        elif not delta >> width and _frame_holds(width, gone, rest, length, delta):
+            return _block(base, rest | delta << length * width, length + 1, width)
+    values = block.to_list()
+    del values[offset]
+    if value is not None:
+        values.append(value)
     return for_encode(values)
 
 
@@ -358,14 +462,15 @@ class SuccinctStorage:
     outlier key cannot inflate the whole leaf's width — the behaviour of
     production FOR codecs and what yields the paper's ~73% savings.
 
-    A write touches only the blocks whose contents change.  An overwrite
-    replaces one packed field; an insert or delete decodes and re-encodes
-    the touched block, and every later block — its entries move one slot,
-    chunk boundaries stay at multiples of 32 — takes one entry in and
-    hands one on with a few big-int operations on its packed buffer.  A
-    block whose frame of reference or width would change is re-encoded
-    instead, so the blocks always equal, one for one, a from-scratch
-    encode of the same pairs.
+    A write touches only the blocks whose contents change, and edits
+    each in its packed buffer with a few big-int operations.  An
+    overwrite replaces one field; an insert or delete splices one field
+    into or cuts one out of the touched block, and every later block —
+    its entries move one slot, chunk boundaries stay at multiples of 32
+    — takes one entry in and hands one on.  A value below a block's base
+    rebases the block's other fields in place.  A block whose width
+    would change is re-encoded instead, so the blocks always equal, one
+    for one, a from-scratch encode of the same pairs.
     """
 
     encoding = LeafEncoding.SUCCINCT
@@ -483,21 +588,29 @@ class SuccinctStorage:
 
     def _overwrite(self, index: int, value: int) -> None:
         """Replace the value in slot ``index``: one field of its packed
-        block, or one block re-encoded when the block's frame moves."""
+        block.  A value below the block's base is the new base, so its
+        field is cut, the others rebased and a 0 spliced back.  When the
+        block's width or base field moves, the block is re-encoded."""
         block_index, offset = divmod(index, _FOR_BLOCK_ENTRIES)
         old = self._value_blocks[block_index]
         deltas = old.deltas
         width, length, buffer = deltas._width, deltas._length, deltas._buffer
-        shift = offset * width
-        gone = (buffer >> shift) & ((1 << width) - 1)
-        others = buffer ^ (gone << shift)
+        bits = offset * width
         delta = value - old.base
-        if not delta >> width and _frame_holds(width, gone, others, length, delta):
-            buffer = others | (delta << shift)
-            self._value_blocks[block_index] = ForBlock(
-                old.base, PackedIntArray._from_buffer(buffer, length, width)
-            )
-            return
+        if delta < 0:
+            rest, _ = _cut(buffer, bits, width)
+            rebased = _rebased(rest, length - 1, width, -delta)
+            if rebased is not None:
+                buffer = _splice(rebased, bits, width, 0)
+                self._value_blocks[block_index] = _block(value, buffer, length, width)
+                return
+        else:
+            gone = (buffer >> bits) & ((1 << width) - 1)
+            others = buffer ^ (gone << bits)
+            if not delta >> width and _frame_holds(width, gone, others, length, delta):
+                buffer = others | delta << bits
+                self._value_blocks[block_index] = _block(old.base, buffer, length, width)
+                return
         values = old.to_list()
         values[offset] = value
         new = for_encode(values)
@@ -529,10 +642,10 @@ class SuccinctStorage:
         (nothing changed, caller splits), :data:`INSERTED` or
         :data:`OVERWROTE`.
 
-        The touched block is decoded, edited and re-encoded; every later
-        block (all of them full but the last) takes the entry the block
-        before it hands on in front and hands on its own last one, by
-        :func:`_push_key` / :func:`_push_value`.
+        The pair is spliced into the touched block at its offset; every
+        later block (all of them full but the last) takes the entry the
+        block before it hands on in front and hands on its own last one.
+        :func:`_insert_key` / :func:`_insert_value` do both.
         """
         index = self._find(key)
         if index < self._num_entries and self._key_at(index) == key:
@@ -546,24 +659,18 @@ class SuccinctStorage:
         key_tail: List[ForBlock] = []
         value_tail: List[ForBlock] = []
         carry: Optional[int] = key
-        if first < len(key_blocks):
-            keys = key_blocks[first].to_list()
-            values = value_blocks[first].to_list()
-            keys.insert(offset, key)
-            values.insert(offset, value)
-            carry = None
-            if len(keys) > _FOR_BLOCK_ENTRIES:
-                carry, value = keys.pop(), values.pop()
-            key_tail.append(for_encode(keys))
-            value_tail.append(for_encode(values))
-            for block_index in range(first + 1, len(key_blocks)):
-                key_block, carry = _push_key(key_blocks[block_index], carry)
-                value_block, value = _push_value(value_blocks[block_index], value)
-                key_tail.append(key_block)
-                value_tail.append(value_block)
+        carried: Optional[int] = value
+        for block_index in range(first, len(key_blocks)):
+            key_block, carry = _insert_key(key_blocks[block_index], offset, carry)
+            value_block, carried = _insert_value(
+                value_blocks[block_index], offset, carried
+            )
+            key_tail.append(key_block)
+            value_tail.append(value_block)
+            offset = 0
         if carry is not None:  # a full last block spills a 1-entry block
             key_tail.append(_single(carry))
-            value_tail.append(_single(value))
+            value_tail.append(_single(carried))
         self._publish(first, key_tail, value_tail)
         self._num_entries += 1
         return INSERTED
@@ -579,9 +686,9 @@ class SuccinctStorage:
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns False when it was absent.
 
-        The mirror of :meth:`insert`: each later block hands its first
-        entry to the block before it and takes the next block's first, by
-        :func:`_pull_key` / :func:`_pull_value`.
+        The mirror of :meth:`insert`: the pair is cut out of the touched
+        block, and each block takes the next block's first entry at its
+        end, by :func:`_remove_key` / :func:`_remove_value`.
         """
         index = self._find(key)
         if index >= self._num_entries or self._key_at(index) != key:
@@ -590,24 +697,20 @@ class SuccinctStorage:
         key_blocks = self._key_blocks
         value_blocks = self._value_blocks
         last = len(key_blocks) - 1
-        keys = key_blocks[first].to_list()
-        values = value_blocks[first].to_list()
-        del keys[offset]
-        del values[offset]
-        if first < last:
-            keys.append(key_blocks[first + 1].base)
-            values.append(value_blocks[first + 1][0])
-        key_tail = [for_encode(keys)] if keys else []
-        value_tail = [for_encode(values)] if values else []
-        for block_index in range(first + 1, last + 1):
+        key_tail: List[ForBlock] = []
+        value_tail: List[ForBlock] = []
+        for block_index in range(first, last + 1):
             next_key = next_value = None
             if block_index < last:
                 next_key = key_blocks[block_index + 1].base
                 next_value = value_blocks[block_index + 1][0]
-            key_block = _pull_key(key_blocks[block_index], next_key)
-            if key_block is not None:  # None: the last block's only entry moved
+            key_block = _remove_key(key_blocks[block_index], offset, next_key)
+            if key_block is not None:  # None: the last block's only entry went
                 key_tail.append(key_block)
-                value_tail.append(_pull_value(value_blocks[block_index], next_value))
+                value_tail.append(
+                    _remove_value(value_blocks[block_index], offset, next_value)
+                )
+            offset = 0
         self._publish(first, key_tail, value_tail)
         self._num_entries -= 1
         return True

@@ -9,15 +9,18 @@ cut FIFO into chunks of at most ``max_batch`` (``max_batch=1`` is
 per-request dispatch, the bench's baseline mode).  An idle server adds
 one loop iteration to a request, a busy one batches whatever arrived.
 
-Where a flush runs depends on one property of the router, never on a
-size: without a WAL (``router.durable`` false) the work is bounded
-pure-Python index work that another thread could only run under the
-same interpreter lock, so it runs right here on the loop thread; with a
-WAL, ``Shard.op_lock`` is held across append + ``fsync``, so reads and
-writes alike go to the executor and the loop never parks behind a disk.
-A durable queue keeps **at most one flush in flight**: entries that
-arrive meanwhile go out together when it returns — group commit sized
-by the ``fsync``.  SCAN/DELETE follow the same rule one call at a time.
+Where a flush runs depends on what it does, never on a size: only a
+write to a router with a WAL (``router.durable``) can wait on an
+``fsync``, so exactly those calls go to the executor and the loop never
+parks behind a disk.  Everything else — every GET and SCAN, and writes
+without a WAL — is bounded pure-Python index work that another thread
+could only run under the same interpreter lock, so it runs right here
+on the loop thread.  A read never waits on a writer's ``fsync``: a
+shard copy's lock is held for the index work alone, and the WAL append
+and ``fsync`` happen outside it (``repro.service.shard``).  A durable
+PUT queue keeps **at most one flush in flight**: entries that arrive
+meanwhile go out together when it returns — group commit sized by the
+``fsync``.  SCAN/DELETE follow the same rule one call at a time.
 
 Each queued request carries a completion callback ``done(result,
 error)``; a failed flush fails exactly its own batch, never silently
@@ -149,8 +152,11 @@ class Coalescer:
         call: Callable[[], Any],
         done: Completion,
         span: Optional[Span] = None,
+        *,
+        writes: bool,
     ) -> None:
-        """Run one uncoalesced call (scan/delete; stats with no router).
+        """Run one uncoalesced call (scan; delete, which ``writes``; stats
+        with no router).
 
         When the request carries a sampled trace, ``span`` (the server
         span) is adopted on the running thread so the router/shard/index
@@ -159,7 +165,7 @@ class Coalescer:
         tracer = active_tracer()
         if span is not None and tracer is not None:
             call = tracer.adopting(span, call)
-        self._run(router, call, done)
+        self._run(router, call, done, writes)
 
     def _enqueue(
         self,
@@ -247,15 +253,20 @@ class Coalescer:
             for (_, done, _), value in zip(entries, values):
                 done(value, error)
 
-        return self._run(router, call, resolve)
+        return self._run(router, call, resolve, writes=kind == _PUT)
 
     def _run(
-        self, router: Optional[ShardRouter], call: Callable[[], Any], done: Completion
+        self,
+        router: Optional[ShardRouter],
+        call: Callable[[], Any],
+        done: Completion,
+        writes: bool,
     ) -> "Optional[asyncio.Future[None]]":
         """Run ``call`` where it cannot park the loop; ``done`` gets the outcome.
 
-        Inline when ``router`` has no WAL (returns None, ``done`` already
-        called), else on the executor (returns the future in flight).
+        On the executor (returns the future in flight) when ``call``
+        ``writes`` to a router with a WAL, or has no router (stats);
+        else inline (returns None, ``done`` already called).
         """
         outcome: List[Any] = [None, RuntimeError("call did not run")]
 
@@ -265,8 +276,8 @@ class Coalescer:
             except Exception as error:  # noqa: BLE001 - delivered to ``done``
                 outcome[1] = error
 
-        if router is not None and not router.durable:
-            # repro: ignore[RA005] -- non-durable router: no WAL, no op_lock wait; ≤ max_batch keys ≈ 0.9 ms, docs/networking.md
+        if router is not None and (not writes or not router.durable):
+            # repro: ignore[RA005] -- a read, or a write with no WAL: no fsync and no lock held across one; ≤ max_batch keys ≈ 0.9 ms, docs/networking.md
             work()
             done(*outcome)
             return None

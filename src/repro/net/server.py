@@ -423,7 +423,9 @@ class _Connection(asyncio.Protocol):
         """Hand one admitted request to its tenant's shard group."""
         coalescer, op, key = self._server.coalescer, request.op, request.key
         if op == OP_STATS:
-            coalescer.run_single(None, self._server._stats_payload, complete, span)
+            coalescer.run_single(
+                None, self._server._stats_payload, complete, span, writes=False
+            )
             return
         router = self._server.directory.router_for(request.tenant)
         assert key is not None
@@ -433,10 +435,11 @@ class _Connection(asyncio.Protocol):
             assert request.value is not None
             coalescer.put(router, (key, request.value), complete, span)
         elif op == OP_DELETE:
-            coalescer.run_single(router, partial(router.delete, key), complete, span)
+            delete = partial(router.delete, key)
+            coalescer.run_single(router, delete, complete, span, writes=True)
         else:
             scan = partial(router.scan, key, request.count)
-            coalescer.run_single(router, scan, complete, span)
+            coalescer.run_single(router, scan, complete, span, writes=False)
 
     def _observe(
         self,

@@ -8,11 +8,13 @@ keeps an adaptive copy per divergence profile.  Either way a
 **Locking.**  The OLC B+-tree synchronizes itself, so its copy has no
 operation lock; every other family is single-threaded by construction
 (adaptive lookups may migrate encodings!), so each copy serializes on
-its own re-entrant lock — a read routed to one copy never waits behind
-another copy's WAL ``fsync``.  The router holds the shard's
-``write_gate`` around every write batch, which also keeps the copies'
-WALs in one append order, and split/merge holds it for a whole
-build-aside+swap.
+its own re-entrant lock.  That lock guards the copy's index and nothing
+else: a write holds it only to apply, and a checkpoint only to read the
+pairs, so a read never waits on a WAL append, an ``fsync`` or a
+snapshot — on any copy.  The router holds the shard's ``write_gate``
+around every write batch, which orders the copies' WAL appends (one
+append order on every copy) and fixes their LSNs for a checkpoint, and
+split/merge holds it for a whole build-aside+swap.
 
 **Writes** fan out to every live copy in copy order.  A durable copy
 appends (and, under ``sync="batch"``, fsyncs) its record *before* its
@@ -481,8 +483,9 @@ class Shard:
         logs: the index would raise the same ``TypeError`` itself, but
         only after the record is durable, and a log holding it fails
         every later recovery (which sorts the replayed keys).  Each live
-        copy, under its own lock, ``append``s to its WAL when durable,
-        crosses ``durability.wal.apply``, then ``apply``s to its index.
+        copy ``append``s to its WAL when durable, crosses
+        ``durability.wal.apply``, then ``apply``s to its index under its
+        own lock.
         A copy that raises while another accepts is marked down; if none
         accepts, the first error surfaces and every copy stays up.
         Returns whether any copy's ``apply`` returned true (for a delete:
@@ -506,13 +509,15 @@ class Shard:
                 replica.behind += records
                 continue
             try:
+                # The caller's write_gate orders the appends; the copy's
+                # lock is held for the apply alone, never across an fsync.
+                if replica.durable_log is not None:
+                    with span_if_traced(
+                        _WAL_APPEND_SPAN, shard_id=self.shard_id, records=records
+                    ):
+                        append(replica.durable_log)
+                    fault_point("durability.wal.apply")
                 with replica._guard():
-                    if replica.durable_log is not None:
-                        with span_if_traced(
-                            _WAL_APPEND_SPAN, shard_id=self.shard_id, records=records
-                        ):
-                            append(replica.durable_log)
-                        fault_point("durability.wal.apply")
                     if apply(replica.index):
                         hit = True
                 accepted += 1
@@ -556,19 +561,21 @@ class Shard:
         return dict(merged)
 
     def checkpoint_logs(self) -> List[Dict[str, Any]]:
-        """Snapshot every live copy's log (under its lock, so the pairs
-        match its LSN) and truncate its WAL; the caller holds
-        ``write_gate``.  Down copies keep their pre-outage logs, which
-        recovery rebuilds from the copy with the highest LSN.
+        """Snapshot every live copy's log and truncate its WAL; the caller
+        holds ``write_gate``, so no write moves a copy's LSN meanwhile.
+        A copy's pairs are read under its lock and the snapshot is
+        written (and fsynced) after the lock is released, so a read of
+        the copy never waits on the disk.  Down copies keep their
+        pre-outage logs, which recovery rebuilds from the copy with the
+        highest LSN.
         """
         entries: List[Dict[str, Any]] = []
         for copy in self._alive():
             log = copy.durable_log
             if log is None:
                 continue
-            with copy._guard():
-                pairs = copy.items()
-                lsn = log.checkpoint(pairs)
+            pairs = copy.items()
+            lsn = log.checkpoint(pairs)
             entries.append(
                 {
                     "replica": copy.replica_id,

@@ -9,22 +9,36 @@ binary-searchable without decompressing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.succinct.bitpack import PackedIntArray
 
 
-@dataclass(frozen=True)
 class ForBlock:
     """A FOR-encoded integer sequence.
 
     ``base`` is the frame of reference (the minimum of the input), and
     ``deltas`` holds ``value - base`` for every element in input order.
+    A block is never changed once built: a writer builds a new one and
+    swaps it in.  Two blocks are equal when base and deltas are.
     """
 
-    base: int
-    deltas: PackedIntArray
+    # A plain slotted class, not a frozen dataclass: the Succinct leaf
+    # builds one per block it writes, and the frozen dataclass's
+    # ``object.__setattr__`` construction costs over twice as much.
+    __slots__ = ("base", "deltas")
+
+    def __init__(self, base: int, deltas: PackedIntArray) -> None:
+        self.base = base
+        self.deltas = deltas
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ForBlock):
+            return NotImplemented
+        return self.base == other.base and self.deltas == other.deltas
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"ForBlock(base={self.base}, deltas={self.deltas!r})"
 
     def __len__(self) -> int:
         return len(self.deltas)

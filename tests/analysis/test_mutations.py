@@ -217,10 +217,11 @@ class TestAsyncPurityMutation:
         assert any("not router.durable" in guard for guard in guards), guards
 
     def test_deleting_the_durable_test_strands_the_suppression(self, tmp_path, capsys):
-        # Always-inline: ``work`` is no longer executor-bound, the sanctioned
-        # finding disappears and its suppression is reported stale.
+        # Always-inline (durable writes too): ``work`` is no longer
+        # executor-bound, the sanctioned finding disappears and its
+        # suppression is reported stale.
         source = COALESCER.read_text()
-        guard = "if router is not None and not router.durable:"
+        guard = "if router is not None and (not writes or not router.durable):"
         assert source.count(guard) == 1
         package = tmp_path / "repro" / "net"
         package.mkdir(parents=True)

@@ -1,5 +1,5 @@
 """Block-local Succinct leaf writes: layout identity (including every
-boundary of the in-buffer shift kernel), modeled-counter parity with the
+branch of the in-buffer field kernels), modeled-counter parity with the
 whole-leaf re-encode they replaced, per-tree leaf ids, and optimistic
 readers under a concurrent writer."""
 
@@ -96,6 +96,11 @@ def insert_update_delete(new_key, value, updated, deleted):
     ]
 
 
+def op(action, key, value=0):
+    """One operation on ``key`` itself (not an index into the live keys)."""
+    return (action, -key - 1, value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.dictionaries(KEYS, VALUES, max_size=CAPACITY),
@@ -149,6 +154,35 @@ def insert_update_delete(new_key, value, updated, deleted):
 @example(evens(96, lambda key: 7), insert_update_delete(1, 7, 64, 0))
 @example(evens(96, lambda key: 7), insert_update_delete(1, 8, 64, 0))
 @example(evens(96, lambda key: key // 2 % 2), insert_update_delete(1, 1, 64, 0))
+# ...and a value 5 below their base: a shift wider than the lanes' carry bits.
+@example(evens(96, lambda key: 7), insert_update_delete(1, 2, 64, 0))
+# The field kernels, one example per branch.  A field spliced in mid-block
+# (then one cut out mid-block), at the end of a short last block, and at
+# offset 31 of a full block, where the new key is the block's last.
+@example(
+    evens(80, lambda key: key // 2 % 3 + 1), [op("insert", 33, 2), op("delete", 40)]
+)
+@example(evens(70, lambda key: key // 2 % 3 + 1), [op("insert", 139, 3)])
+@example(evens(64, lambda key: key // 2 % 3 + 1), [op("insert", 61, 2)])
+# A key width that grows at the end: a far key appended to the short last block.
+@example(evens(40, lambda key: key // 2 % 3 + 1), [op("insert", 200, 1)])
+# A value below a block's base rebases the block's fields (values 1000-1005,
+# width 3): by 1 it fits; by 10 a field overflows and the width grows.
+@example(evens(40, lambda key: 1000 + key // 2 % 6), [op("insert", 1, 999)])
+@example(evens(40, lambda key: 1000 + key // 2 % 6), [op("insert", 1, 990)])
+# A rebase whose block pushes out its only top-bit field (1500): the width
+# shrinks from 9 to 3.
+@example(
+    evens(40, lambda key: 1500 if key == 62 else 1000 + key // 2 % 4),
+    [op("insert", 1, 999)],
+)
+# An overwrite below base in the 1-entry last block: rebased in the buffer
+# by 1, then by far more, where the block keeps width 1.
+@example(
+    evens(65, lambda key: 1000 + key), [op("update", 128, 1127), op("update", 128, 5)]
+)
+# A delete pulls block 1's first value (99) below block 0's base (100).
+@example(evens(96, lambda key: 99 if key == 64 else 100 + key // 2 % 6), [op("delete", 0)])
 # The wire benchmark's mix: 61-bit preloads, 40-bit writes.
 @example(
     evens(200, lambda key: (key * 2654435761) % 2**61 + 1),
@@ -171,20 +205,50 @@ def test_any_write_sequence_equals_a_fresh_encode(preload, operations):
         assert_equals_fresh_encode(storage)
 
 
-def test_a_new_key_in_block_0_re_encodes_block_0_alone(monkeypatch):
-    """Eight full blocks of evenly spaced keys: the seven later blocks (and
-    the 1-entry block the last spills) are shifted in their packed
-    buffers, so only the touched key and value blocks are encoded."""
-    storage = SuccinctStorage([(key * 4, key % 4) for key in range(256)], 300)
+def count_encodes(monkeypatch):
+    """Record every ``for_encode`` a leaf write falls back to."""
     encoded = []
     encode = leaves.for_encode
     monkeypatch.setattr(
         leaves, "for_encode", lambda values: encoded.append(values) or encode(values)
     )
+    return encoded
+
+
+def test_a_new_key_in_block_0_re_encodes_block_0_alone(monkeypatch):
+    """Eight full blocks of evenly spaced keys: the new pair is spliced
+    into block 0's packed buffers and the seven later blocks (and the
+    1-entry block the last spills) are shifted in theirs, so nothing is
+    encoded at all."""
+    storage = SuccinctStorage([(key * 4, key % 4) for key in range(256)], 300)
+    encoded = count_encodes(monkeypatch)
     assert storage.insert(1, 3) == INSERTED
-    assert len(encoded) <= 2
+    assert encoded == []
     monkeypatch.undo()
     assert_equals_fresh_encode(storage)
+
+
+def test_the_wire_mix_re_encodes_nothing(monkeypatch):
+    """61-bit preloaded values meet 40-bit writes, as on the wire
+    benchmark.  Each block's first value is its 41-bit minimum and the
+    rest sit above 2**60, so every value block has width 61.  A 40-bit
+    insert lands below block 0's base and a 40-bit overwrite below the
+    new one: both rebase in the buffer, and the carried 61-bit values
+    keep every later block's frame, so no block is encoded."""
+    pairs = [
+        (4 * index, 2**40 + index if index % 32 == 0 else 2**60 + index * 2**40)
+        for index in range(256)
+    ]
+    storage = SuccinctStorage(pairs, 300)
+    assert {block.deltas.width for block in storage._value_blocks} == {61}
+    encoded = count_encodes(monkeypatch)
+    assert storage.insert(1, 2**39) == INSERTED
+    assert storage.insert(8, 2**38) == OVERWROTE
+    assert storage.insert(12, 2**39 + 5) == OVERWROTE
+    assert encoded == []
+    monkeypatch.undo()
+    assert_equals_fresh_encode(storage)
+    assert storage.lookup(1) == 2**39 and storage.lookup(8) == 2**38
 
 
 def test_scan_entries_match_pairs_from_every_start():

@@ -354,14 +354,17 @@ class SpyExecutor(ThreadPoolExecutor):
 
 
 def track_concurrency(router, names):
-    """Wrap ``router``'s methods; returns ``{name: most calls running at once}``."""
+    """Wrap ``router``'s methods; returns ``{name: most calls running at
+    once}`` and ``{name: [thread id of each call]}``."""
     lock, active, peak = threading.Lock(), dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+    threads = {name: [] for name in names}
 
     def tracked(name, call):
         def run_tracked(*args):
             with lock:
                 active[name] += 1
                 peak[name] = max(peak[name], active[name])
+                threads[name].append(threading.get_ident())
             try:
                 return call(*args)
             finally:
@@ -372,7 +375,7 @@ def track_concurrency(router, names):
 
     for name in names:
         setattr(router, name, tracked(name, getattr(router, name)))
-    return peak
+    return peak, threads
 
 
 async def mixed_ops(client):
@@ -431,13 +434,15 @@ class TestNoTaskNoHop:
         assert run(scenario()) == (0, 1)
 
     def test_durable_directory_hops_with_one_flush_in_flight_per_kind(self, tmp_path):
+        # Only a write to a durable router can wait on an fsync: its PUT
+        # flushes and the DELETE hop, its GETs and the SCAN stay inline.
         spy = SpyExecutor()
 
         async def scenario():
             directory = demo_directory(
                 ["alpha"], keys_per_tenant=400, family="adaptive", durability_root=tmp_path
             )
-            peak = track_concurrency(
+            peak, threads = track_concurrency(
                 directory.router_for("alpha"), ["get_many", "put_many"]
             )
             try:
@@ -448,14 +453,17 @@ class TestNoTaskNoHop:
                     await NetClient.connect("127.0.0.1", server.port) as client,
                 ):
                     await mixed_ops(client)
-                    return spy.submits, peak, server.coalescer.batches_flushed
+                    return spy.submits, peak, threads, server.coalescer.batches_flushed
             finally:
                 directory.close()
                 spy.shutdown()
 
-        submits, peak, batches = run(scenario())
-        assert submits == batches + 2  # every flush, the scan and the delete
-        assert batches >= 7 + 19  # at most 16 per chunk
+        submits, peak, threads, batches = run(scenario())
+        put_flushes = len(threads["put_many"])
+        assert submits == put_flushes + 1  # every PUT flush and the delete
+        assert put_flushes >= 7 and batches >= 7 + 19  # at most 16 per chunk
+        assert set(threads["get_many"]) == {threading.get_ident()}  # the loop's
+        assert threading.get_ident() not in threads["put_many"]
         assert peak == {"get_many": 1, "put_many": 1}
 
 
