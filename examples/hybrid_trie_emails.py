@@ -31,7 +31,7 @@ def measure(name, index, byte_keys, query_ranks, cost_model):
     for rank in query_ranks:
         index.lookup(byte_keys[rank])
     events = index.counters.diff(before)
-    if hasattr(index, "manager"):
+    if index.manager is not None:
         events["heap_op"] = index.manager.counters.heap_operations
         events["sample_track"] = index.manager.counters.map_updates
     modeled_ns = cost_model.price(events) / len(query_ranks)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.art.nodes import Node4, Node16, Node48, Node256
+from repro.obs.introspect import IndexFamily
 from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 
@@ -59,11 +60,10 @@ def _common_prefix_length(a: bytes, b: bytes) -> int:
     return limit
 
 
-class ART:
+class ART(IndexFamily):
     """Adaptive Radix Tree with inserts, deletes, lookups, and scans."""
 
     stats_family = "art"
-    #: The one key type this family can order; the service refuses others.
     key_type = bytes
 
     def __init__(self, counters: Optional[OpCounters] = None) -> None:
@@ -330,9 +330,6 @@ class ART:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._num_keys
-
     @property
     def num_keys(self) -> int:
         """Number of indexed keys."""
@@ -354,7 +351,7 @@ class ART:
                 stack.extend(child for _, child in node.children_items())
         return total
 
-    def node_census(self) -> dict:
+    def encoding_census(self) -> dict:
         """Node counts by type name (for size breakdowns and tests)."""
         census: dict = {}
         stack = [self._root] if self._root is not None else []
@@ -367,24 +364,10 @@ class ART:
         return census
 
     def stats(self) -> dict:
-        """Uniform JSON-safe stats dict (see :mod:`repro.obs.introspect`)."""
-        from repro.obs.introspect import base_stats
-
-        stats = base_stats(
-            self.stats_family,
-            num_keys=self._num_keys,
-            size_bytes=self.size_bytes(),
-            census=self.node_census(),
-            counters_snapshot=self.counters.snapshot(),
-        )
+        """The uniform stats dict plus the tree height."""
+        stats = super().stats()
         stats["height"] = self.height()
         return stats
-
-    def describe(self) -> str:
-        """Human-readable rendering of :meth:`stats`."""
-        from repro.obs.introspect import format_stats
-
-        return format_stats(self.stats())
 
     def height(self) -> int:
         """Maximum node depth (leaves included)."""

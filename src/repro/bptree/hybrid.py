@@ -15,7 +15,7 @@ scan and batched operation is the inherited one:
 * leaf splits propagate the changed context to the manager, and an
   emptied leaf is forgotten;
 * the manager calls back into :meth:`migrate` / :meth:`encoding_census` /
-  :meth:`used_memory` to drive encoding migrations under the configured
+  :meth:`size_bytes` to drive encoding migrations under the configured
   memory budget.
 """
 
@@ -147,10 +147,6 @@ class AdaptiveBPlusTree(BPlusTree):
         """Number of trackable units (n in Equation 1)."""
         return self.num_leaves
 
-    def used_memory(self) -> int:
-        """Modeled index size in bytes (AdaptiveIndex protocol)."""
-        return self.size_bytes()
-
     def encoding_of(self, identifier: Hashable) -> Optional[LeafEncoding]:
         """Current encoding of a tracked unit (AdaptiveIndex protocol)."""
         if isinstance(identifier, LeafNode):
@@ -174,20 +170,9 @@ class AdaptiveBPlusTree(BPlusTree):
             self.note_leaf_resized(identifier.size_bytes() - before)
         return migrated
 
-    def encoding_census(self) -> Dict[LeafEncoding, Tuple[int, float]]:
-        """Encoding -> (count, avg bytes) map (AdaptiveIndex protocol)."""
-        return self.leaf_encoding_census()
-
-    # num_keys property is inherited from BPlusTree and satisfies the
-    # AdaptiveIndex protocol.
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def total_size_bytes(self) -> int:
-        """Index plus the sampling framework's own footprint."""
-        return self.size_bytes() + self.manager.size_bytes()
-
     def encoding_counts(self) -> Dict[LeafEncoding, int]:
         """Encoding -> leaf count for the current layout."""
         counts: Dict[LeafEncoding, int] = {}
@@ -196,19 +181,9 @@ class AdaptiveBPlusTree(BPlusTree):
         return counts
 
     def stats(self) -> dict:
-        """Uniform stats dict including the adaptation block."""
-        from repro.obs.introspect import base_stats
-
-        stats = base_stats(
-            self.stats_family,
-            num_keys=self._num_keys,
-            size_bytes=self.size_bytes(),
-            census=self.leaf_encoding_census(),
-            counters_snapshot=self.counters.snapshot(),
-            manager=self.manager,
-        )
-        stats["height"] = self._height
-        stats["num_leaves"] = self._num_leaves
-        stats["total_size_bytes"] = self.total_size_bytes()
+        """The tree's stats plus the sampling framework's own bytes (an
+        adaptive tree's leaves have no one encoding)."""
+        stats = super().stats()
+        del stats["leaf_encoding"]
+        stats["total_size_bytes"] = stats["size_bytes"] + self.manager.size_bytes()
         return stats
-

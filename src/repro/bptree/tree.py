@@ -17,7 +17,7 @@ cost model can price traversals (see :mod:`repro.sim`).
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import Child, InnerNode
 from repro.bptree.leaves import (
@@ -28,6 +28,7 @@ from repro.bptree.leaves import (
     LeafNode,
 )
 from repro.core.access import AccessType
+from repro.obs.introspect import IndexFamily
 from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 
@@ -35,11 +36,10 @@ DEFAULT_INNER_FANOUT = 64
 DEFAULT_FILL_FACTOR = 0.70
 
 
-class BPlusTree:
+class BPlusTree(IndexFamily):
     """B+-tree with one leaf encoding for all leaves."""
 
     stats_family = "bptree"
-    #: The one key type this family can order; the service refuses others.
     key_type = int
 
     def __init__(
@@ -517,9 +517,6 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._num_keys
-
     @property
     def num_keys(self) -> int:
         """Number of indexed keys."""
@@ -573,9 +570,9 @@ class BPlusTree:
         """Subclasses report out-of-band leaf size changes (migrations)."""
         self._leaf_bytes += delta_bytes
 
-    def leaf_encoding_census(self):
+    def encoding_census(self) -> Dict[LeafEncoding, Tuple[int, float]]:
         """Mapping encoding -> (leaf count, average modeled bytes)."""
-        totals = {}
+        totals: Dict[LeafEncoding, Tuple[int, int]] = {}
         for leaf in self.leaves():
             count, total_bytes = totals.get(leaf.encoding, (0, 0))
             totals[leaf.encoding] = (count + 1, total_bytes + leaf.size_bytes())
@@ -585,32 +582,9 @@ class BPlusTree:
         }
 
     def stats(self) -> dict:
-        """Uniform JSON-safe stats dict (see :mod:`repro.obs.introspect`)."""
-        from repro.obs.introspect import base_stats
-
-        stats = base_stats(
-            self.stats_family,
-            num_keys=self._num_keys,
-            size_bytes=self.size_bytes(),
-            census=self.leaf_encoding_census(),
-            counters_snapshot=self.counters.snapshot(),
-        )
+        """The uniform stats dict plus the tree's shape."""
+        stats = super().stats()
         stats["height"] = self._height
         stats["num_leaves"] = self._num_leaves
         stats["leaf_encoding"] = str(self.leaf_encoding)
         return stats
-
-    def describe(self) -> str:
-        """Human-readable rendering of :meth:`stats`."""
-        from repro.obs.introspect import format_stats
-
-        return format_stats(self.stats())
-
-    def verify(self) -> None:
-        """Prove structural integrity; raises
-        :class:`~repro.core.invariants.InvariantViolation` with every
-        violated invariant (key order, leaf links, occupancy, byte
-        accounting, census-vs-reality) when the tree is corrupt."""
-        from repro.core.invariants import validate
-
-        validate(self)

@@ -17,6 +17,7 @@ from repro.obs.metrics import RATIO_BUCKETS, SIZE_BUCKETS
 from repro.obs.runtime import active_registry
 
 BITS_PER_ITEM = 10
+NUM_HASHES = max(1, round(math.log(2) * BITS_PER_ITEM))
 
 
 def _mix(value: int, seed: int) -> int:
@@ -33,17 +34,13 @@ class BloomFilter:
     """A standard Bloom filter over hashable identifiers.
 
     ``capacity`` is the expected number of distinct insertions; the number
-    of bits is ``capacity * bits_per_item`` and the number of hash
-    functions is the optimum ``ln 2 * bits_per_item`` (rounded).
+    of bits is ``capacity * BITS_PER_ITEM`` and the number of hash
+    functions is the optimum ``ln 2 * BITS_PER_ITEM`` (rounded).
     """
 
-    def __init__(self, capacity: int, bits_per_item: int = BITS_PER_ITEM) -> None:
-        if capacity < 1:
-            capacity = 1
-        if bits_per_item < 1:
-            raise ValueError(f"bits_per_item must be >= 1, got {bits_per_item}")
-        self._num_bits = max(8, capacity * bits_per_item)
-        self._num_hashes = max(1, round(math.log(2) * bits_per_item))
+    def __init__(self, capacity: int) -> None:
+        self._num_bits = max(8, max(1, capacity) * BITS_PER_ITEM)
+        self._num_hashes = NUM_HASHES
         self._bits = 0
         self._count = 0
 

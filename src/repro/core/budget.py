@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.introspect import IndexFamily
 
 
 def estimate_expandable_k(
@@ -209,22 +212,6 @@ class _TenantState:
 MEMBER_FLOOR_BYTES = 64 * 1024
 
 
-def _member_keys(index: Any) -> int:
-    """Key count of one arbiter member (``num_keys`` or ``len``)."""
-    keys = getattr(index, "num_keys", None)
-    if keys is not None:
-        return int(keys)
-    return len(index)
-
-
-def _member_bytes(index: Any) -> int:
-    """Modeled bytes of one member (``used_memory`` or ``size_bytes``)."""
-    used = getattr(index, "used_memory", None)
-    if used is not None:
-        return int(used())
-    return int(index.size_bytes())
-
-
 class ResourceArbiter:
     """The one arbiter of a served process, over two resources.
 
@@ -250,7 +237,7 @@ class ResourceArbiter:
 
     def __init__(self, budget: Optional[MemoryBudget] = None) -> None:
         self.budget = budget or MemoryBudget.unbounded()
-        self._members: Dict[str, Any] = {}
+        self._members: Dict[str, "IndexFamily"] = {}
         #: Serializes membership changes: routers of different tenants
         #: share one arbiter and split/merge under their own admin locks.
         self._members_lock = threading.Lock()
@@ -260,7 +247,7 @@ class ResourceArbiter:
     # Memory
     # ------------------------------------------------------------------
     def replace_group(
-        self, prefix: str, members: Mapping[str, Any]
+        self, prefix: str, members: Mapping[str, "IndexFamily"]
     ) -> Dict[str, MemoryBudget]:
         """Swap every member named ``prefix…`` for ``members``, then rebalance.
 
@@ -281,19 +268,19 @@ class ResourceArbiter:
     def rebalance(self) -> Dict[str, MemoryBudget]:
         """Compute per-member budgets and install them into managers.
 
-        Members exposing a ``manager`` with a ``config.budget`` slot
-        (the adaptive families) receive their allocation in place; the
-        full allocation map is returned either way.
+        Members with a manager (the adaptive families) receive their
+        allocation in place; the full allocation map is returned either
+        way.
         """
         members = self._members
         allocations = self._allocate(members)
         for name, allocation in allocations.items():
-            manager = getattr(members[name], "manager", None)
+            manager = members[name].manager
             if manager is not None:
                 manager.config.budget = allocation
         return allocations
 
-    def _allocate(self, members: Mapping[str, Any]) -> Dict[str, MemoryBudget]:
+    def _allocate(self, members: Mapping[str, "IndexFamily"]) -> Dict[str, MemoryBudget]:
         if not members:
             return {}
         if self.budget.absolute_bytes is None:
@@ -302,7 +289,7 @@ class ResourceArbiter:
         total_bytes = self.budget.absolute_bytes
         floor = min(MEMBER_FLOOR_BYTES, total_bytes // len(members))
         distributable = total_bytes - floor * len(members)
-        keys_by_name = {name: _member_keys(index) for name, index in members.items()}
+        keys_by_name = {name: index.num_keys for name, index in members.items()}
         total_keys = sum(keys_by_name.values())
         allocations: Dict[str, MemoryBudget] = {}
         for name in members:
@@ -366,8 +353,8 @@ class ResourceArbiter:
     def describe(self) -> Dict[str, Any]:
         """One JSON-safe summary of the memory carve, quotas and sheds."""
         members = self._members
-        used = sum(_member_bytes(index) for index in members.values())
-        keys = sum(_member_keys(index) for index in members.values())
+        used = sum(index.size_bytes() for index in members.values())
+        keys = sum(index.num_keys for index in members.values())
         return {
             "memory": {
                 "bounded": self.budget.bounded,

@@ -9,15 +9,17 @@ structure itself and reports every disagreement:
 * **B+-tree** — separator bounds, per-leaf key order, the leaf chain
   versus the tree walk, occupancy, incremental byte accounting, and the
   encoding census versus a fresh recount;
-* **Hybrid Trie** — live-branch accounting, no reachable detached
-  wrappers, the census versus a walk, and a full key-set diff against
-  the underlying (static, complete) FST;
+* **Hybrid Trie** — live-branch and ART-byte accounting, no reachable
+  detached wrappers, the census versus a walk, and a full key-set diff
+  against the underlying (static, complete) FST;
 * **FST** — LOUDS consistency: bitmap lengths versus node counts,
   has-child ⊆ labels, one incoming child edge per non-root node,
   terminal counts versus the value array, rank-directory integrity,
   and per-node label order;
 * **Dual-Stage** — static-run order, block directory, tombstone
-  discipline, and the dynamic stage's B+-tree invariants.
+  discipline, the live key count, and the dynamic stage's B+-tree
+  invariants;
+* **ART** — key order and the key count.
 
 Checkers return a list of human-readable violation strings (empty means
 healthy); :func:`validate` raises :class:`InvariantViolation` instead.
@@ -55,6 +57,7 @@ def validate(index: object) -> None:
 
 def violations_of(index: object) -> List[str]:
     """Dispatch to the family-specific checker by index type."""
+    from repro.art.tree import ART
     from repro.bptree.tree import BPlusTree
     from repro.dualstage.index import DualStageIndex
     from repro.fst.trie import FST
@@ -68,6 +71,8 @@ def violations_of(index: object) -> List[str]:
         return check_fst(index)
     if isinstance(index, DualStageIndex):
         return check_dualstage(index)
+    if isinstance(index, ART):
+        return check_art(index)
     raise TypeError(f"no invariant checker for {type(index).__name__}")
 
 
@@ -156,7 +161,7 @@ def check_bptree(tree: Any) -> List[str]:
     for leaf in leaves_in_order:
         count, total = recount.get(leaf.encoding, (0, 0))
         recount[leaf.encoding] = (count + 1, total + leaf.size_bytes())
-    census = tree.leaf_encoding_census()
+    census = tree.encoding_census()
     if set(census) != set(recount):
         violations.append(
             f"census encodings {sorted(map(str, census))} != walk "
@@ -182,9 +187,10 @@ def check_trie(trie: Any) -> List[str]:
     violations: List[str] = []
     compact_count = 0
     expanded_count = 0
+    art_bytes = 0
 
     def walk(current: Any) -> None:
-        nonlocal compact_count, expanded_count
+        nonlocal compact_count, expanded_count, art_bytes
         if isinstance(current, TrieBranch):
             if current.detached:
                 violations.append(
@@ -198,12 +204,17 @@ def check_trie(trie: Any) -> List[str]:
             else:
                 compact_count += 1
             return
+        art_bytes += current.size_bytes()
         for _, child in current.children_items():
             if not isinstance(child, int):
                 walk(child)
 
     if trie._root is not None:
         walk(trie._root)
+    if art_bytes != trie._art_bytes:
+        violations.append(
+            f"incremental ART bytes {trie._art_bytes} != recomputed {art_bytes}"
+        )
 
     live = compact_count + expanded_count
     if live != trie.num_branches:
@@ -430,7 +441,25 @@ def check_dualstage(index: DualStageIndex) -> List[str]:
             violations.append(f"tombstoned key {key} still lives in the dynamic stage")
             break
 
+    live = sum(1 for _ in index.items())
+    if live != index.num_keys:
+        violations.append(f"stages hold {live} live keys but num_keys is {index.num_keys}")
+
     violations.extend(
         f"dynamic stage: {violation}" for violation in check_bptree(index._dynamic)
     )
+    return violations
+
+
+# ----------------------------------------------------------------------
+# ART
+# ----------------------------------------------------------------------
+def check_art(tree: Any) -> List[str]:
+    """All violations of an ART's invariants: key order and key count."""
+    violations: List[str] = []
+    keys = [key for key, _ in tree.items()]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        violations.append("ART iterates its keys out of order")
+    if len(keys) != tree.num_keys:
+        violations.append(f"ART iterates {len(keys)} keys but num_keys is {tree.num_keys}")
     return violations

@@ -68,12 +68,15 @@ def _migration_span_name(source: object, target: object) -> str:
 
 
 class AdaptiveIndex(Protocol):
-    """Callback interface a hybrid index implements for its manager."""
+    """Callback interface a hybrid index implements for its manager:
+    three adaptive-only callbacks plus ``size_bytes``/``num_keys``/
+    ``encoding_census`` from the index contract
+    (:class:`~repro.obs.introspect.IndexFamily`)."""
 
     def tracked_population(self) -> int:
         """Number of trackable basic units (n in Equation 1)."""
 
-    def used_memory(self) -> int:
+    def size_bytes(self) -> int:
         """Modeled index size in bytes."""
 
     @property
@@ -350,7 +353,7 @@ class AdaptationManager:
             skip_length_before=skip_before,
             skip_length_after=self._sampler.skip_length,
             sample_size_after=self._sample_size,
-            index_bytes=self._index.used_memory(),
+            index_bytes=self._index.size_bytes(),
             migration_failures=outcome.failures,
             retries=outcome.retries,
             quarantined=outcome.quarantined,
@@ -478,7 +481,7 @@ class AdaptationManager:
     def _apply_heuristic(self, hot_items: set) -> _PhaseOutcome:
         tracer = active_tracer()  # once per phase; spans per migration below
         budget = self.config.budget
-        utilization = budget.utilization(self._index.used_memory(), self._index.num_keys)
+        utilization = budget.utilization(self._index.size_bytes(), self._index.num_keys)
         outcome = _PhaseOutcome()
         to_evict = []
         # Iterate over a snapshot: migrations may mutate index internals.
@@ -541,7 +544,7 @@ class AdaptationManager:
                 else:
                     outcome.compactions += 1
                 utilization = budget.utilization(
-                    self._index.used_memory(), self._index.num_keys
+                    self._index.size_bytes(), self._index.num_keys
                 )
         for identifier in to_evict:
             self._samples.pop(identifier, None)

@@ -41,7 +41,7 @@ def train_offline(
     budget = budget or MemoryBudget.unbounded()
     migrated = 0
     for identifier in rank_units(trace):
-        if budget.exceeded(index.used_memory(), index.num_keys):
+        if budget.exceeded(index.size_bytes(), index.num_keys):
             break
         current = index.encoding_of(identifier)
         if current is None or current == fast_encoding:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
 from repro.core.bloom import BloomFilter
 from repro.faults.injector import fault_point
+from repro.obs.introspect import IndexFamily
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
 from repro.sim.counters import OpCounters
@@ -190,11 +192,10 @@ class CompactSortedArray:
         return total
 
 
-class DualStageIndex:
+class DualStageIndex(IndexFamily):
     """Dynamic stage + static stage + Bloom filter, with ratio merges."""
 
     stats_family = "dualstage"
-    #: The one key type this family can order; the service refuses others.
     key_type = int
 
     def __init__(
@@ -212,6 +213,7 @@ class DualStageIndex:
         self._static = CompactSortedArray([], static_encoding, self.counters)
         self._bloom = BloomFilter(capacity=1024)
         self._tombstones: set = set()
+        self._num_keys = 0
         self.merges = 0
 
     @classmethod
@@ -224,6 +226,7 @@ class DualStageIndex:
         """Load sorted pairs directly into the static stage."""
         index = cls(static_encoding, merge_ratio)
         index._static = CompactSortedArray(list(pairs), static_encoding, index.counters)
+        index._num_keys = len(index._static)
         return index
 
     # ------------------------------------------------------------------
@@ -295,13 +298,15 @@ class DualStageIndex:
                 results[position] = value
         return results
 
-    def insert(self, key: int, value: int) -> None:
+    def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed."""
-        self._dynamic.insert(key, value)
+        new = self._dynamic.insert(key, value) and not self._in_static(key)
+        self._num_keys += new
         self._bloom.add(key)
         self._tombstones.discard(key)
         if self._should_merge():
             self.merge()
+        return new
 
     def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Batched inserts.
@@ -316,19 +321,19 @@ class DualStageIndex:
         pairs = list(pairs)
         if not pairs:
             return
-        self._dynamic.insert_many(pairs)
+        fresh = self._dynamic.insert_many(pairs)
         keys = [key for key, _ in pairs]
+        self._num_keys += sum(
+            1 for key, new in zip(keys, fresh) if new and not self._in_static(key)
+        )
         self._bloom.add_many(keys)
         self._tombstones.difference_update(keys)
         if self._should_merge():
             self.merge()
 
-    def update(self, key: int, value: int) -> bool:
-        """Overwrite the value of an existing ``key``; False if absent."""
-        if self.lookup(key) is None:
-            return False
-        self.insert(key, value)  # newest version shadows the static stage
-        return True
+    def _in_static(self, key: int) -> bool:
+        """True when ``key`` lives in the static stage (not deleted)."""
+        return key not in self._tombstones and self._static.lookup(key) is not None
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns False when it was absent."""
@@ -338,31 +343,43 @@ class DualStageIndex:
         self._dynamic.delete(key)
         self._tombstones.add(key)
         self._bloom.add(key)  # tombstones must be found before the static stage
+        self._num_keys -= 1
         return True
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:
         """Merge-scan both stages in key order."""
         if count <= 0:
             return []
-        result: List[Tuple[int, int]] = []
-        dynamic_iter = iter(self._dynamic.scan(start_key, count + len(self._tombstones)))
-        static_iter = self._static.items_from(start_key)
-        dynamic_pair = next(dynamic_iter, None)
-        static_pair = next(static_iter, None)
-        while len(result) < count and (dynamic_pair or static_pair):
+        dynamic = self._dynamic.scan(start_key, count + len(self._tombstones))
+        merged = self._merged(iter(dynamic), self._static.items_from(start_key))
+        return list(itertools.islice(merged, count))
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        """All live pairs in key order."""
+        return self._merged(self._dynamic.items(), self._static.items())
+
+    def _merged(
+        self, dynamic: Iterator[Tuple[int, int]], static: Iterator[Tuple[int, int]]
+    ) -> Iterator[Tuple[int, int]]:
+        """Merge two key-ordered stage runs: a dynamic pair shadows the
+        static one under its key, and tombstoned static pairs are dropped.
+        Each stage is advanced before its pair is yielded, so a caller
+        that stops after ``count`` pairs has pulled the same entries a
+        full merge would have at that point."""
+        dynamic_pair = next(dynamic, None)
+        static_pair = next(static, None)
+        while dynamic_pair is not None or static_pair is not None:
             if static_pair is None or (
                 dynamic_pair is not None and dynamic_pair[0] <= static_pair[0]
             ):
                 if static_pair is not None and dynamic_pair[0] == static_pair[0]:
-                    static_pair = next(static_iter, None)  # shadowed version
-                result.append(dynamic_pair)
-                dynamic_pair = next(dynamic_iter, None)
+                    static_pair = next(static, None)  # shadowed version
+                pair, dynamic_pair = dynamic_pair, next(dynamic, None)
+                yield pair
             else:
-                key = static_pair[0]
-                if key not in self._tombstones:
-                    result.append(static_pair)
-                static_pair = next(static_iter, None)
-        return result
+                pair, static_pair = static_pair, next(static, None)
+                if pair[0] not in self._tombstones:
+                    yield pair
 
     # ------------------------------------------------------------------
     # Merge
@@ -411,22 +428,8 @@ class DualStageIndex:
 
     def _merge_impl(self) -> None:
         fault_point("dualstage.merge.collect")
-        merged: List[Tuple[int, int]] = []
-        dynamic_items = list(self._dynamic.items())
-        static_items = self._static.items()
-        self.counters.add("merge_entry", len(dynamic_items) + len(self._static))
-        dynamic_index = 0
-        for key, value in static_items:
-            while dynamic_index < len(dynamic_items) and dynamic_items[dynamic_index][0] < key:
-                merged.append(dynamic_items[dynamic_index])
-                dynamic_index += 1
-            if dynamic_index < len(dynamic_items) and dynamic_items[dynamic_index][0] == key:
-                merged.append(dynamic_items[dynamic_index])  # newer version wins
-                dynamic_index += 1
-                continue
-            if key not in self._tombstones:
-                merged.append((key, value))
-        merged.extend(dynamic_items[dynamic_index:])
+        self.counters.add("merge_entry", len(self._dynamic) + len(self._static))
+        merged = list(self.items())
         fault_point("dualstage.merge.build")
         new_static = CompactSortedArray(merged, self.static_encoding, self.counters)
         new_dynamic = BPlusTree(LeafEncoding.GAPPED)
@@ -440,25 +443,12 @@ class DualStageIndex:
         self.merges += 1
 
     # ------------------------------------------------------------------
-    # Self-verification
-    # ------------------------------------------------------------------
-    def verify(self) -> None:
-        """Prove structural integrity; raises
-        :class:`~repro.core.invariants.InvariantViolation` when the
-        static run, the block directory, the tombstone discipline, or
-        the dynamic stage is inconsistent."""
-        from repro.core.invariants import validate
-
-        validate(self)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        seen_in_dynamic = sum(
-            1 for key, _ in self._dynamic.items() if self._static.lookup(key) is not None
-        )
-        return len(self._dynamic) + len(self._static) - seen_in_dynamic
+    @property
+    def num_keys(self) -> int:
+        """Number of live keys across both stages."""
+        return self._num_keys
 
     @property
     def dynamic_size(self) -> int:
@@ -479,7 +469,7 @@ class DualStageIndex:
         """Stage -> (count, avg bytes): dynamic leaves plus the static run."""
         census = {
             f"dynamic:{encoding}": entry
-            for encoding, entry in self._dynamic.leaf_encoding_census().items()
+            for encoding, entry in self._dynamic.encoding_census().items()
         }
         census[f"static:{self.static_encoding.value}"] = (
             1,
@@ -488,25 +478,11 @@ class DualStageIndex:
         return census
 
     def stats(self) -> dict:
-        """Uniform JSON-safe stats dict (see :mod:`repro.obs.introspect`)."""
-        from repro.obs.introspect import base_stats
-
-        stats = base_stats(
-            self.stats_family,
-            num_keys=len(self),
-            size_bytes=self.size_bytes(),
-            census=self.encoding_census(),
-            counters_snapshot=self.counters.snapshot(),
-        )
+        """The uniform stats dict plus the stages' state."""
+        stats = super().stats()
         stats["merges"] = self.merges
         stats["dynamic_size"] = self.dynamic_size
         stats["static_size"] = self.static_size
         stats["tombstones"] = len(self._tombstones)
         stats["bloom_saturation"] = round(self._bloom.saturation(), 4)
         return stats
-
-    def describe(self) -> str:
-        """Human-readable rendering of :meth:`stats`."""
-        from repro.obs.introspect import format_stats
-
-        return format_stats(self.stats())

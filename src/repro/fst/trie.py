@@ -24,6 +24,7 @@ from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
+from repro.obs.introspect import IndexFamily
 from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 from repro.succinct.bitvector import BitVector
@@ -53,12 +54,12 @@ def choose_dense_cutoff(levels: TrieLevels, threshold: float = DENSE_FANOUT_THRE
     return cutoff
 
 
-class FST:
+class FST(IndexFamily):
     """A static succinct trie over prefix-free byte-string keys."""
 
     stats_family = "fst"
-    #: The one key type this family can order; the service refuses others.
     key_type = bytes
+    read_only = True
 
     def __init__(
         self,
@@ -542,17 +543,6 @@ class FST:
         return fst_from_bytes(blob)
 
     # ------------------------------------------------------------------
-    # Self-verification
-    # ------------------------------------------------------------------
-    def verify(self) -> None:
-        """Prove structural integrity; raises
-        :class:`~repro.core.invariants.InvariantViolation` on any LOUDS,
-        value-array, or reachability inconsistency."""
-        from repro.core.invariants import validate
-
-        validate(self)
-
-    # ------------------------------------------------------------------
     # Size accounting
     # ------------------------------------------------------------------
     def dense_size_bytes(self) -> int:
@@ -578,7 +568,7 @@ class FST:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def node_census(self) -> dict:
+    def encoding_census(self) -> dict:
         """Region -> (node count, avg modeled bytes) for dense/sparse."""
         census: dict = {}
         num_sparse = self._num_nodes - self._num_dense_nodes
@@ -592,22 +582,8 @@ class FST:
         return census
 
     def stats(self) -> dict:
-        """Uniform JSON-safe stats dict (see :mod:`repro.obs.introspect`)."""
-        from repro.obs.introspect import base_stats
-
-        stats = base_stats(
-            self.stats_family,
-            num_keys=self._num_keys,
-            size_bytes=self.size_bytes(),
-            census=self.node_census(),
-            counters_snapshot=self.counters.snapshot(),
-        )
+        """The uniform stats dict plus the trie's shape."""
+        stats = super().stats()
         stats["height"] = self._height
         stats["dense_levels"] = self.dense_levels
         return stats
-
-    def describe(self) -> str:
-        """Human-readable rendering of :meth:`stats`."""
-        from repro.obs.introspect import format_stats
-
-        return format_stats(self.stats())

@@ -86,7 +86,7 @@ class _BaseAdapter:
 
     def __init__(self, index) -> None:
         self.index = index
-        self._manager: Optional[AdaptationManager] = getattr(index, "manager", None)
+        self._manager: Optional[AdaptationManager] = index.manager
 
     # -- counters -------------------------------------------------------
     def counter_snapshot(self) -> Dict[str, int]:

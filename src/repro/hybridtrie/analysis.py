@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.hybridtrie.tagged import TrieBranch
 from repro.hybridtrie.tree import HybridTrie
 
 # Modeled fixed cost of one stand-alone FST instance: object header,
@@ -79,23 +78,12 @@ def multi_fst_overhead(
     """
     payload = 0
     count = 0
-
-    def walk(current) -> None:
-        nonlocal payload, count
-        if isinstance(current, TrieBranch):
-            if current.expanded:
-                walk(current.art_node)
-                return
-            if max_branches is None or count < max_branches:
-                payload += _subtree_payload_bytes(trie, current.fst_node)
-            count += 1
-            return
-        for _, child in current.children_items():
-            if not isinstance(child, int):
-                walk(child)
-
-    if trie._root is not None:
-        walk(trie._root)
+    for branch in trie.branches():
+        if branch.expanded:
+            continue
+        if max_branches is None or count < max_branches:
+            payload += _subtree_payload_bytes(trie, branch.fst_node)
+        count += 1
     return MultiFstEstimate(
         branch_count=count,
         single_fst_bytes=trie.fst.size_bytes(),

@@ -20,9 +20,9 @@ FST is static); lookups and range scans are.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.art.nodes import ARTNode, art_node_for_fanout
+from repro.art.nodes import art_node_for_fanout
 from repro.core.access import AccessType
 from repro.core.budget import MemoryBudget
 from repro.core.manager import AdaptationManager, ManagerConfig
@@ -30,8 +30,8 @@ from repro.core.trained import rank_units
 from repro.faults.injector import fault_point
 from repro.fst.trie import FST
 from repro.hybridtrie.tagged import BRANCH_POINTER_BYTES, TrieBranch, TrieEncoding
+from repro.obs.introspect import IndexFamily
 from repro.obs.runtime import active_tracer
-from repro.sim.counters import OpCounters
 
 TRIE_ENCODING_ORDER: Tuple[TrieEncoding, ...] = (TrieEncoding.FST, TrieEncoding.ART)
 DEFAULT_ART_LEVELS = 2
@@ -45,12 +45,26 @@ _PROBE_EVENTS = {
 }
 
 
-class HybridTrie:
+def _branches_under(current) -> Iterator[TrieBranch]:
+    """Every branch at or below ``current`` (an ART node or a branch), in
+    key order.  A branch is yielded before its ART node is entered, so a
+    caller may expand it and the walk continues into the new node."""
+    if isinstance(current, TrieBranch):
+        yield current
+        if current.expanded:
+            yield from _branches_under(current.art_node)
+        return
+    for _, child in current.children_items():
+        if not isinstance(child, int):
+            yield from _branches_under(child)
+
+
+class HybridTrie(IndexFamily):
     """Level-wise ART + FST with adaptive branch-wise refinement."""
 
     stats_family = "hybridtrie"
-    #: The one key type this family can order; the service refuses others.
     key_type = bytes
+    read_only = True
 
     def __init__(
         self,
@@ -60,22 +74,35 @@ class HybridTrie:
         adaptive: bool = True,
         manager_config: Optional[ManagerConfig] = None,
     ) -> None:
-        self.counters = OpCounters()
-        self._fst = FST(pairs, dense_levels=dense_levels, counters=self.counters)
-        self._num_keys = self._fst.num_keys
-        self.art_levels = max(0, min(art_levels, self._fst.height))
-        self._num_branches = 0
-        self._root = self._build_upper(0, 0) if self._num_keys else None
-        self.adaptive = adaptive
-        if manager_config is None:
-            manager_config = ManagerConfig(encoding_order=TRIE_ENCODING_ORDER)
-        self.manager = AdaptationManager(self, manager_config)
-        if not adaptive:
-            self.manager.disable()
+        self._attach(
+            FST(pairs, dense_levels=dense_levels),
+            art_levels,
+            adaptive,
+            manager_config or ManagerConfig(encoding_order=TRIE_ENCODING_ORDER),
+        )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _attach(
+        self, fst: FST, art_levels: int, adaptive: bool, manager_config: ManagerConfig
+    ) -> None:
+        """Build the ART region over ``fst`` (whose counters become the
+        trie's) and the adaptation manager."""
+        self.counters = fst.counters
+        self._fst = fst
+        self._num_keys = fst.num_keys
+        self.art_levels = max(0, min(art_levels, fst.height))
+        self._num_branches = 0
+        #: Modeled bytes of every materialized ART node, kept at each
+        #: build, expansion and compaction.
+        self._art_bytes = 0
+        self._root = self._build_upper(0, 0) if self._num_keys else None
+        self.adaptive = adaptive
+        self.manager = AdaptationManager(self, manager_config)
+        if not adaptive:
+            self.manager.disable()
+
     def _build_upper(self, fst_node: int, level: int):
         """Materialize the permanent ART region down to ``art_levels``."""
         if level >= self.art_levels:
@@ -89,7 +116,14 @@ class HybridTrie:
                 node.set_child(label, value)
             else:
                 node.set_child(label, self._build_upper(child, level + 1))
+        self._art_bytes += node.size_bytes()
         return node
+
+    def branches(self) -> Iterator[TrieBranch]:
+        """Every live branch, in key order (expanded ones before the
+        branches their ART node holds)."""
+        if self._root is not None:
+            yield from _branches_under(self._root)
 
     # ------------------------------------------------------------------
     # Lookups (Listing 2)
@@ -264,6 +298,7 @@ class HybridTrie:
                 new_branches += 1
         fault_point("trie.expand.swap")
         branch.art_node = node
+        self._art_bytes += node.size_bytes()
         self._num_branches += new_branches
         self.counters.add("migration:fst->art")
         self.counters.add("migration_label:fst->art", len(entries))
@@ -282,9 +317,11 @@ class HybridTrie:
         if not branch.expanded or branch.detached:
             return False
         fault_point("trie.compact.collect")
-        descendants: List[TrieBranch] = []
-        self._collect_branches(branch.art_node, descendants)
+        descendants = list(_branches_under(branch.art_node))
         fault_point("trie.compact.swap")
+        self._art_bytes -= branch.art_node.size_bytes() + sum(
+            child.art_node.size_bytes() for child in descendants if child.expanded
+        )
         branch.art_node = None
         for child in descendants:
             child.detached = True
@@ -292,13 +329,6 @@ class HybridTrie:
             self.manager.forget(child)
         self.counters.add("migration:art->fst")
         return True
-
-    def _collect_branches(self, node: ARTNode, found: List[TrieBranch]) -> None:
-        for _, child in node.children_items():
-            if isinstance(child, TrieBranch):
-                found.append(child)
-                if child.expanded:
-                    self._collect_branches(child.art_node, found)
 
     # ------------------------------------------------------------------
     # Offline training (Section 3.2)
@@ -331,7 +361,7 @@ class HybridTrie:
                     break
                 progressed = False
                 for branch in rank_units(trace):
-                    if budget.exceeded(self.used_memory(), self.num_keys):
+                    if budget.exceeded(self.size_bytes(), self.num_keys):
                         return migrated
                     if branch.expanded or branch.detached:
                         continue
@@ -367,21 +397,7 @@ class HybridTrie:
     # ------------------------------------------------------------------
     def expanded_fst_nodes(self) -> List[int]:
         """FST node numbers of all currently expanded branches."""
-        numbers: List[int] = []
-
-        def walk(current) -> None:
-            if isinstance(current, TrieBranch):
-                if current.expanded:
-                    numbers.append(current.fst_node)
-                    walk(current.art_node)
-                return
-            for _, child in current.children_items():
-                if not isinstance(child, int):
-                    walk(child)
-
-        if self._root is not None:
-            walk(self._root)
-        return sorted(numbers)
+        return sorted(branch.fst_node for branch in self.branches() if branch.expanded)
 
     def to_bytes(self) -> bytes:
         """Serialize the trie: the FST plus the expansion layout.
@@ -437,39 +453,15 @@ class HybridTrie:
                 "expansion list names FST nodes beyond the node count"
             )
         trie = cls.__new__(cls)
-        trie.counters = OpCounters()
-        trie._fst = fst
-        fst.counters = trie.counters
-        trie._num_keys = fst.num_keys
-        trie.art_levels = max(0, min(art_levels, fst.height))
-        trie._num_branches = 0
-        trie._root = trie._build_upper(0, 0) if trie._num_keys else None
-        trie.adaptive = adaptive
-        trie.manager = AdaptationManager(
-            trie, ManagerConfig(encoding_order=TRIE_ENCODING_ORDER)
+        trie._attach(
+            fst, art_levels, adaptive, ManagerConfig(encoding_order=TRIE_ENCODING_ORDER)
         )
-        if not adaptive:
-            trie.manager.disable()
-        # Re-expand outer-to-inner: expanding a branch reveals its children
-        # as new compact branches, so iterate until no listed node remains
-        # compact.
-        progressed = True
-        while expanded and progressed:
-            progressed = False
-            stack = [trie._root] if trie._root is not None else []
-            while stack:
-                current = stack.pop()
-                if isinstance(current, TrieBranch):
-                    if current.fst_node in expanded and not current.expanded:
-                        trie.expand_branch(current)
-                        expanded.discard(current.fst_node)
-                        progressed = True
-                    if current.expanded:
-                        stack.append(current.art_node)
-                    continue
-                for _, child in current.children_items():
-                    if not isinstance(child, int):
-                        stack.append(child)
+        # Re-expand outer-to-inner: the walk enters a branch's ART node
+        # after the branch is yielded, so the children an expansion
+        # reveals are visited in the same pass.
+        for branch in trie.branches():
+            if branch.fst_node in expanded:
+                trie.expand_branch(branch)
         return trie
 
     # ------------------------------------------------------------------
@@ -478,10 +470,6 @@ class HybridTrie:
     def tracked_population(self) -> int:
         """Number of trackable units (n in Equation 1)."""
         return max(1, self._num_branches)
-
-    def used_memory(self) -> int:
-        """Modeled index size in bytes (AdaptiveIndex protocol)."""
-        return self.size_bytes()
 
     @property
     def num_keys(self) -> int:
@@ -511,22 +499,11 @@ class HybridTrie:
         """Encoding -> (count, avg bytes) map (AdaptiveIndex protocol)."""
         expanded_sizes: List[int] = []
         compact_count = 0
-
-        def walk(current) -> None:
-            nonlocal compact_count
-            if isinstance(current, TrieBranch):
-                if current.expanded:
-                    expanded_sizes.append(current.art_node.size_bytes())
-                    walk(current.art_node)
-                else:
-                    compact_count += 1
-                return
-            for _, child in current.children_items():
-                if not isinstance(child, int):
-                    walk(child)
-
-        if self._root is not None:
-            walk(self._root)
+        for branch in self.branches():
+            if branch.expanded:
+                expanded_sizes.append(branch.art_node.size_bytes())
+            else:
+                compact_count += 1
         census: Dict[TrieEncoding, Tuple[int, float]] = {}
         census[TrieEncoding.FST] = (compact_count, float(BRANCH_POINTER_BYTES))
         if expanded_sizes:
@@ -535,18 +512,6 @@ class HybridTrie:
                 sum(expanded_sizes) / len(expanded_sizes),
             )
         return census
-
-    # ------------------------------------------------------------------
-    # Self-verification
-    # ------------------------------------------------------------------
-    def verify(self) -> None:
-        """Prove structural integrity; raises
-        :class:`~repro.core.invariants.InvariantViolation` when branch
-        accounting, the encoding census, the key set, or the underlying
-        FST's LOUDS structure is inconsistent."""
-        from repro.core.invariants import validate
-
-        validate(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -563,56 +528,23 @@ class HybridTrie:
 
     def expanded_branch_count(self) -> int:
         """Number of branches currently expanded to ART."""
-        census = self.encoding_census()
-        count, _ = census.get(TrieEncoding.ART, (0, 0.0))
-        return count
+        return sum(1 for branch in self.branches() if branch.expanded)
 
     def size_bytes(self) -> int:
         """Modeled footprint: the (complete, static) FST plus every
         materialized ART node plus per-branch pointer bookkeeping."""
-        total = self._fst.size_bytes()
-        total += self._num_branches * BRANCH_POINTER_BYTES
-
-        def walk(current) -> int:
-            if isinstance(current, TrieBranch):
-                return walk(current.art_node) if current.expanded else 0
-            size = current.size_bytes()
-            for _, child in current.children_items():
-                if not isinstance(child, int):
-                    size += walk(child)
-            return size
-
-        if self._root is not None:
-            total += walk(self._root)
-        return total
-
-    def total_size_bytes(self) -> int:
-        """Index plus the sampling framework's own footprint."""
-        return self.size_bytes() + self.manager.size_bytes()
+        return (
+            self._fst.size_bytes()
+            + self._num_branches * BRANCH_POINTER_BYTES
+            + self._art_bytes
+        )
 
     def stats(self) -> dict:
-        """Uniform stats dict including the adaptation block."""
-        from repro.obs.introspect import base_stats
-
-        stats = base_stats(
-            self.stats_family,
-            num_keys=self._num_keys,
-            size_bytes=self.size_bytes(),
-            census=self.encoding_census(),
-            counters_snapshot=self.counters.snapshot(),
-            manager=self.manager,
-        )
+        """The uniform stats dict plus the trie's shape and the sampling
+        framework's own bytes."""
+        stats = super().stats()
         stats["art_levels"] = self.art_levels
         stats["num_branches"] = self._num_branches
         stats["expanded_branches"] = self.expanded_branch_count()
-        stats["total_size_bytes"] = self.total_size_bytes()
+        stats["total_size_bytes"] = stats["size_bytes"] + self.manager.size_bytes()
         return stats
-
-    def describe(self) -> str:
-        """Human-readable rendering of :meth:`stats`."""
-        from repro.obs.introspect import format_stats
-
-        return format_stats(self.stats())
-
-    def __len__(self) -> int:
-        return self._num_keys

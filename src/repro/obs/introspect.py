@@ -1,11 +1,29 @@
-"""The uniform ``.stats()`` / ``.describe()`` introspection contract.
+"""The index contract: how every layer above an index talks to it.
 
-Every index family exposes::
+Every index family (B+-tree, OLC and adaptive B+-tree, Dual-Stage,
+ART, FST, Hybrid Trie) subclasses :class:`IndexFamily` and is called
+the same way by the service shards, the memory arbiter, the
+adaptation manager and the harness — no caller probes for a method.
 
-    index.stats()     # one JSON-safe dict, uniform top-level shape
-    index.describe()  # the same data as a human-readable report
-
-The shared shape (all families)::
+* **Class facts:** ``stats_family`` (the name in stats and spans),
+  ``key_type`` (the one key type the family orders; the service refuses
+  others before logging) and ``read_only`` (build-once families: the
+  FST and the Hybrid Trie refuse ``insert``/``update``/``delete``).
+* **State:** ``counters`` (the :class:`~repro.sim.counters.OpCounters`
+  the cost model prices), ``manager`` (the
+  :class:`~repro.core.manager.AdaptationManager`; None on static
+  families), ``num_keys``, ``size_bytes()`` (modeled bytes) and
+  ``encoding_census()`` (encoding -> ``(count, avg bytes)`` or a plain
+  count).
+* **Reads:** ``lookup``, ``lookup_many`` (one value per key; a family
+  with a batched path overrides the per-key default), ``scan`` and
+  ``items()`` (every pair, in key order).
+* **Writes:** ``insert``, ``insert_many``, ``update``, ``delete``.
+* **Checks and reports**, written once here: ``verify()`` raises
+  :class:`~repro.core.invariants.InvariantViolation` on a corrupt
+  structure, ``stats()`` returns one JSON-safe dict of the shape below
+  (families append their own keys through ``super().stats()``) and
+  ``describe()`` renders it as text::
 
     {
       "family":          "bptree_adaptive",
@@ -13,27 +31,118 @@ The shared shape (all families)::
       "size_bytes":      1048576,
       "encoding_census": {"succinct": {"count": 10, "avg_bytes": 400.0}, ...},
       "counters":        {...},             # OpCounters snapshot
-      "adaptation":      {...} | None,      # adaptive families only
+      "adaptation":      {...} | None,      # families with a manager
     }
 
 ``adaptation`` carries the decision trail the paper's Section 3
 machinery produces: sampler state, migration history (from the
 :class:`~repro.core.events.EventLog`), and quarantine/degradation
-status.  Helpers here build those blocks so the six families stay
-byte-for-byte consistent; family modules add extra keys after the
-shared ones (e.g. dual-stage merge counts).
+status.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs.jsonable import to_jsonable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.manager import AdaptationManager
+    from repro.sim.counters import OpCounters
 
 RECENT_EVENTS_KEPT = 8
 
 
-def census_stats(census: Dict) -> Dict[str, Dict]:
+class IndexFamily:
+    """The contract every index family implements (see the module doc).
+
+    The family-specific members raise here; the checks and reports are
+    the shared implementation.
+    """
+
+    stats_family: ClassVar[str] = "index"
+    key_type: ClassVar[type] = object
+    read_only: ClassVar[bool] = False
+    manager: Optional["AdaptationManager"] = None
+    counters: "OpCounters"
+
+    @property
+    def num_keys(self) -> int:
+        raise NotImplementedError
+
+    def size_bytes(self) -> int:
+        raise NotImplementedError
+
+    def encoding_census(self) -> Mapping[Any, Any]:
+        raise NotImplementedError
+
+    def items(self) -> Iterable[Tuple[Any, int]]:
+        raise NotImplementedError
+
+    def lookup(self, key: Any) -> Optional[int]:
+        raise NotImplementedError
+
+    def lookup_many(self, keys: Sequence[Any]) -> List[Optional[int]]:
+        return [self.lookup(key) for key in keys]
+
+    def scan(self, start_key: Any, count: int) -> List[Tuple[Any, int]]:
+        raise NotImplementedError
+
+    def insert(self, key: Any, value: int) -> object:
+        raise TypeError(f"{self.stats_family} is read-only")
+
+    def insert_many(self, pairs: Sequence[Tuple[Any, int]]) -> object:
+        return [self.insert(key, value) for key, value in pairs]
+
+    def update(self, key: Any, value: int) -> bool:
+        """Overwrite the value of an existing ``key``; False if absent."""
+        if self.lookup(key) is None:
+            return False
+        self.insert(key, value)
+        return True
+
+    def delete(self, key: Any) -> bool:
+        raise TypeError(f"{self.stats_family} is read-only")
+
+    def __len__(self) -> int:
+        return self.num_keys
+
+    def verify(self) -> None:
+        """Prove structural integrity; raises
+        :class:`~repro.core.invariants.InvariantViolation` listing every
+        violated invariant (see :mod:`repro.core.invariants`)."""
+        from repro.core.invariants import validate
+
+        validate(self)
+
+    def stats(self) -> Dict[str, Any]:
+        """The uniform JSON-safe stats dict."""
+        return base_stats(
+            self.stats_family,
+            num_keys=self.num_keys,
+            size_bytes=self.size_bytes(),
+            census=self.encoding_census(),
+            counters_snapshot=self.counters.snapshot(),
+            manager=self.manager,
+        )
+
+    def describe(self) -> str:
+        """Human-readable rendering of :meth:`stats`."""
+        return format_stats(self.stats())
+
+
+def census_stats(census: Mapping[Any, Any]) -> Dict[str, Dict]:
     """Normalize an ``encoding_census()`` mapping into the stats shape."""
     normalized: Dict[str, Dict] = {}
     for encoding, entry in census.items():
@@ -77,7 +186,7 @@ def base_stats(
     family: str,
     num_keys: int,
     size_bytes: int,
-    census: Dict,
+    census: Mapping[Any, Any],
     counters_snapshot: Dict[str, int],
     manager: Optional[Any] = None,
 ) -> Dict:

@@ -55,7 +55,7 @@ from typing import (
 )
 
 from repro.faults.injector import fault_point
-from repro.obs.introspect import census_stats
+from repro.obs.introspect import IndexFamily, census_stats
 from repro.obs.runtime import active_registry, active_tracer
 from repro.obs.tracing import Tracer
 from repro.service.partition import Key
@@ -66,12 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.replication.routing import ReplicaRouter
 
 Pair = Tuple[Key, int]
-IndexFactory = Callable[[List[Pair]], Any]
+IndexFactory = Callable[[List[Pair]], IndexFamily]
 T = TypeVar("T")
-
-#: Smallest conceivable integer key, used to seed full-content scans on
-#: families without an ``items()`` iterator (the dual-stage baseline).
-_INT_KEY_FLOOR = -(2**63)
 
 #: RA004: span-name literals for the per-shard service layer.
 _SHARD_OP_SPAN = "service.shard_op"
@@ -134,28 +130,15 @@ class ReplicaSetUnavailableError(RuntimeError):
     """Every copy of a shard is down; the operation cannot proceed."""
 
 
-def _lookup_sorted(index: Any, keys: Sequence[Key]) -> List[Optional[int]]:
+def _lookup_sorted(index: IndexFamily, keys: Sequence[Key]) -> List[Optional[int]]:
     """Values aligned with ``keys``: the batch sorted once through the
-    family's ``lookup_many`` fast path (per-key lookups without one)."""
-    lookup_many = getattr(index, "lookup_many", None)
-    if lookup_many is None:
-        return list(map(index.lookup, keys))
+    family's ``lookup_many``."""
     order = sorted(range(len(keys)), key=lambda position: keys[position])
-    sorted_values = lookup_many([keys[position] for position in order])
+    sorted_values = index.lookup_many([keys[position] for position in order])
     values: List[Optional[int]] = [None] * len(keys)
     for rank, position in enumerate(order):
         values[position] = sorted_values[rank]
     return values
-
-
-def _insert_all(index: Any, pairs: Sequence[Pair]) -> None:
-    """Upsert ``pairs``, through the family's ``insert_many`` if any."""
-    insert_many = getattr(index, "insert_many", None)
-    if insert_many is not None:
-        insert_many(list(pairs))
-        return
-    for key, value in pairs:
-        index.insert(key, value)
 
 
 class Replica:
@@ -174,7 +157,7 @@ class Replica:
         self.replica_id = replica_id
         #: Bulk-loads this copy's index: at construction and on revive.
         self.build = build
-        self.index = build(pairs)
+        self.index: IndexFamily = build(pairs)
         self.thread_safe = thread_safe
         #: When set, every write is appended here *before* it touches the
         #: index — the write-ahead discipline behind a crash-durable ack.
@@ -207,34 +190,19 @@ class Replica:
         return self.op_lock if self.op_lock is not None else _NOOP
 
     def items(self) -> List[Pair]:
-        """Every pair of this copy, sorted by key."""
+        """Every pair of this copy, in key order."""
         with self._guard():
-            items_iter = getattr(self.index, "items", None)
-            if items_iter is not None:
-                return sorted(items_iter())
-            return sorted(self.index.scan(_INT_KEY_FLOOR, self.num_keys))
-
-    @property
-    def num_keys(self) -> int:
-        keys = getattr(self.index, "num_keys", None)
-        if keys is not None:
-            return int(keys)
-        return len(self.index)
+            return list(self.index.items())
 
     def encoding_census(self) -> Dict[str, Any]:
-        """The index's node/leaf encoding mix, whatever the family calls it
-        (empty for single-encoding families such as the OLC tree)."""
-        for probe in ("leaf_encoding_census", "encoding_census", "node_census"):
-            census = getattr(self.index, probe, None)
-            if census is not None:
-                return dict(census_stats(census()))
-        return {}
+        """The index's node/leaf encoding mix, in the stats shape."""
+        return census_stats(self.index.encoding_census())
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe row: this copy's health and index state; ``wal_lag``
         is what a crash right now would replay."""
-        manager = getattr(self.index, "manager", None)
-        counters = manager.counters if manager is not None else None
+        index = self.index
+        counters = index.manager.counters if index.manager is not None else None
         log = self.durable_log
         return {
             "replica": self.replica_id,
@@ -244,9 +212,9 @@ class Replica:
             "behind": self.behind,
             "reads_routed": self.reads_routed,
             "cost_ewma_ns": {kind: round(cost, 1) for kind, cost in self.cost_ewma.items()},
-            "family": getattr(self.index, "stats_family", type(self.index).__name__),
-            "num_keys": self.num_keys,
-            "size_bytes": int(self.index.size_bytes()),
+            "family": index.stats_family,
+            "num_keys": index.num_keys,
+            "size_bytes": index.size_bytes(),
             "encoding_census": self.encoding_census(),
             "wal_lag": (
                 None
@@ -382,7 +350,7 @@ class Shard:
             )
 
     def _read(
-        self, kind: str, op: str, operations: int, request: Callable[[Any], T]
+        self, kind: str, op: str, operations: int, request: Callable[[IndexFamily], T]
     ) -> T:
         """Run ``request`` on one copy's index, under that copy's lock.
 
@@ -430,8 +398,8 @@ class Shard:
     # ------------------------------------------------------------------
     @property
     def supports_writes(self) -> bool:
-        """False for build-once families (the HybridTrie has no insert)."""
-        return hasattr(self.replicas[0].index, "insert")
+        """False for build-once (``read_only``) families."""
+        return not self.replicas[0].index.read_only
 
     def put(self, key: Key, value: int) -> None:
         """Upsert one pair on every live copy."""
@@ -456,7 +424,7 @@ class Shard:
                 "put_many",
                 pairs,
                 lambda log: log.append_put_many(pairs),
-                lambda index: _insert_all(index, pairs),
+                lambda index: index.insert_many(pairs),
             )
 
     def delete(self, key: Key) -> bool:
@@ -474,7 +442,7 @@ class Shard:
         op: str,
         pairs: Sequence[Tuple[Key, Any]],
         append: Callable[["DurableLog"], object],
-        apply: Callable[[Any], object],
+        apply: Callable[[IndexFamily], object],
     ) -> bool:
         """The one write path: log, then apply, on every live copy in order.
 
@@ -492,8 +460,8 @@ class Shard:
         whether the key was there).
         """
         first = self.replicas[0]
-        expected = getattr(first.index, "key_type", None)
-        if first.durable_log is not None and expected is not None:
+        if first.durable_log is not None:
+            expected = first.index.key_type
             for key, _ in pairs:
                 if not isinstance(key, expected):
                     raise TypeError(
@@ -546,12 +514,12 @@ class Shard:
     def num_keys(self) -> int:
         """Key count of the authoritative copy (copy 0 when all are down)."""
         alive = self._alive()
-        return (alive[0] if alive else self.replicas[0]).num_keys
+        return (alive[0] if alive else self.replicas[0]).index.num_keys
 
     def size_bytes(self) -> int:
         """Modeled bytes across *all* copies — replication is honest
         about its memory cost."""
-        return sum(int(copy.index.size_bytes()) for copy in self.replicas)
+        return sum(copy.index.size_bytes() for copy in self.replicas)
 
     def counter_snapshot(self) -> Dict[str, int]:
         """Structural counter events (for the cost model), summed across copies."""
@@ -596,7 +564,7 @@ class Shard:
         for log in self.logs():
             log.close()
 
-    def budget_members(self) -> List[Any]:
+    def budget_members(self) -> List[IndexFamily]:
         """The indexes a service-wide arbiter may budget: not profiled
         copies, whose budget is divergence policy a global rebalance
         would erase."""
@@ -634,10 +602,8 @@ class Shard:
         agree on content — the acked-write invariant made checkable."""
         alive = self._alive()
         for copy in alive:
-            verify = getattr(copy.index, "verify", None)
-            if verify is not None:
-                with copy._guard():
-                    verify()
+            with copy._guard():
+                copy.index.verify()
         for copy in alive[1:]:
             if copy.items() != alive[0].items():
                 from repro.core.invariants import InvariantViolation

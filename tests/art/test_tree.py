@@ -71,7 +71,7 @@ class TestInsert:
         for label in range(256):
             art.insert(bytes([label]) + b"pad", label)
         assert len(art) == 256
-        census = art.node_census()
+        census = art.encoding_census()
         assert census.get("Node256", 0) >= 1
         for label in range(256):
             assert art.lookup(bytes([label]) + b"pad") == label
@@ -100,7 +100,7 @@ class TestDelete:
         art.delete(b"abc2")
         # The remaining single key collapses back toward a leaf.
         assert art.lookup(b"abc1") == 1
-        census = art.node_census()
+        census = art.encoding_census()
         assert census == {"ARTLeaf": 1}
 
     def test_delete_everything(self):
@@ -142,7 +142,7 @@ class TestAccounting:
 
     def test_size_and_census(self):
         art = ART.from_sorted(int_pairs(2000))
-        census = art.node_census()
+        census = art.encoding_census()
         assert census["ARTLeaf"] == 2000
         assert art.size_bytes() > 2000 * 16
 

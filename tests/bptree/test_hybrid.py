@@ -162,7 +162,6 @@ class TestProtocol:
     def test_adaptive_index_callbacks(self):
         tree = AdaptiveBPlusTree.bulk_load_adaptive(sorted_pairs(300), leaf_capacity=32)
         assert tree.tracked_population() == tree.num_leaves
-        assert tree.used_memory() == tree.size_bytes()
         leaf = next(tree.leaves())
         assert tree.encoding_of(leaf) is LeafEncoding.SUCCINCT
         assert tree.migrate(leaf, LeafEncoding.GAPPED, None)
@@ -177,7 +176,8 @@ class TestProtocol:
 
     def test_total_size_includes_manager(self):
         tree = AdaptiveBPlusTree.bulk_load_adaptive(sorted_pairs(100))
-        assert tree.total_size_bytes() >= tree.size_bytes()
+        total = tree.stats()["total_size_bytes"]
+        assert total == tree.size_bytes() + tree.manager.size_bytes()
 
     def test_migration_updates_incremental_size(self):
         tree = AdaptiveBPlusTree.bulk_load_adaptive(sorted_pairs(600), leaf_capacity=32)

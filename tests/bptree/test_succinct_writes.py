@@ -378,7 +378,7 @@ def test_second_tree_in_a_process_decides_like_the_first():
                 counters.adaptation_phases,
                 counters.expansions,
                 counters.compactions,
-                tree.leaf_encoding_census(),
+                tree.encoding_census(),
             )
         )
     assert outcomes[0] == outcomes[1]

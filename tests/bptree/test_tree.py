@@ -187,7 +187,7 @@ class TestCountersAndSizes:
 
     def test_census(self):
         tree = BPlusTree.bulk_load(sorted_pairs(500), LeafEncoding.SUCCINCT, leaf_capacity=16)
-        census = tree.leaf_encoding_census()
+        census = tree.encoding_census()
         count, avg = census[LeafEncoding.SUCCINCT]
         assert count == tree.num_leaves
         assert avg > 0

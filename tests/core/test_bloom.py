@@ -1,6 +1,5 @@
 """Tests for the Bloom filter."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,16 +45,12 @@ class TestBloomFilter:
         bloom.add("x")
         assert "x" in bloom
 
-    def test_invalid_bits_per_item(self):
-        with pytest.raises(ValueError):
-            BloomFilter(capacity=10, bits_per_item=0)
-
     def test_size_bytes(self):
-        bloom = BloomFilter(capacity=100, bits_per_item=10)
+        bloom = BloomFilter(capacity=100)
         assert bloom.size_bytes() == 125
 
     def test_num_hashes_near_optimal(self):
-        bloom = BloomFilter(capacity=10, bits_per_item=10)
+        bloom = BloomFilter(capacity=10)
         assert bloom.num_hashes == 7  # round(ln2 * 10)
 
     def test_works_with_int_identifiers(self):

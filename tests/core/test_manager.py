@@ -28,7 +28,7 @@ class FakeIndex:
     def tracked_population(self):
         return len(self.encodings)
 
-    def used_memory(self):
+    def size_bytes(self):
         return sum(
             self.fast_bytes if encoding == FAST else self.compact_bytes
             for encoding in self.encodings.values()
@@ -198,7 +198,7 @@ class TestAdaptation:
         event = manager.events[0]
         assert event.epoch == 1
         assert event.sampled == 10
-        assert event.index_bytes == index.used_memory()
+        assert event.index_bytes == index.size_bytes()
 
     def test_custom_heuristic_used(self):
         decisions = []

@@ -27,7 +27,7 @@ class FlakyIndex:
     def tracked_population(self):
         return len(self.encodings)
 
-    def used_memory(self):
+    def size_bytes(self):
         return len(self.encodings) * 100
 
     @property

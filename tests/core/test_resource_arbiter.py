@@ -14,6 +14,8 @@ from repro.core.budget import (
 
 
 class FakeIndex:
+    manager = None
+
     def __init__(self, keys, size):
         self.num_keys = keys
         self._size = size

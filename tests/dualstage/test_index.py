@@ -188,6 +188,15 @@ class TestAccounting:
         index.insert(3 * 10**9, 2)     # new
         assert len(index) == 101
 
+    def test_len_drops_deleted_static_keys(self, encoding):
+        pairs = sorted_pairs(100)
+        index = DualStageIndex.bulk_load(pairs, encoding)
+        for key, _ in pairs[:2]:
+            assert index.delete(key)
+        assert len(index) == index.num_keys == len(index.scan(0, 1000)) == 98
+        assert list(index.items()) == pairs[2:]
+        index.verify()
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -215,3 +224,5 @@ def test_dualstage_matches_dict(operations, encoding):
             assert index.lookup(key) == reference.get(key)
     for key in range(81):
         assert index.lookup(key) == reference.get(key)
+    assert len(index) == len(reference)
+    assert list(index.items()) == sorted(reference.items())

@@ -76,7 +76,7 @@ class TestTracedLookups:
             assert any(child["name"].startswith(probe_prefix) for child in children)
         # One access path: tracing moves no counter and no sampler state.
         assert index.counters.snapshot() == untraced.counters.snapshot()
-        if hasattr(index, "manager"):
+        if index.manager is not None:
             assert _sampler_state(index) == _sampler_state(untraced)
 
     @pytest.mark.parametrize(

@@ -268,6 +268,15 @@ class TestReadOnlyFamilies:
                 router.delete(pairs[0][0])
 
 
+class TestDualStageKeyCount:
+    def test_deletes_leave_the_count_exact(self):
+        pairs = int_pairs(100)
+        with ShardRouter.build(pairs, family="dualstage", num_shards=2) as router:
+            for key, _ in pairs[:2]:
+                assert router.delete(key)
+            assert len(router) == len(router.scan(pairs[0][0], 1000)) == 98
+
+
 class TestBudgetIntegration:
     def test_global_budget_reaches_shard_managers(self):
         pairs = int_pairs(2000)

@@ -62,6 +62,7 @@ class TestSettableValues:
     def test_knobs_are_pinned(self):
         """The settable values of the manager and the serving surfaces,
         pinned: a new one shows up as an edit to this list."""
+        from repro.core.bloom import BloomFilter
         from repro.core.budget import ResourceArbiter
         from repro.net.server import NetServer
         from repro.net.tenancy import TenantDirectory
@@ -100,3 +101,61 @@ class TestSettableValues:
         ]
         assert parameters(TenantDirectory) == ["specs", "budget", "durability_root"]
         assert parameters(ResourceArbiter) == ["budget"]
+        assert parameters(BloomFilter) == ["capacity"]
+
+
+class TestIndexContract:
+    def test_contract_surface_is_pinned(self):
+        """What every layer above an index may call on it: a new member
+        shows up as an edit to this list."""
+        from repro.obs.introspect import IndexFamily
+
+        public = sorted(name for name in vars(IndexFamily) if not name.startswith("_"))
+        assert public == [
+            "delete",
+            "describe",
+            "encoding_census",
+            "insert",
+            "insert_many",
+            "items",
+            "key_type",
+            "lookup",
+            "lookup_many",
+            "manager",
+            "num_keys",
+            "read_only",
+            "scan",
+            "size_bytes",
+            "stats",
+            "stats_family",
+            "update",
+            "verify",
+        ]
+        assert sorted(IndexFamily.__annotations__) == [
+            "counters",
+            "key_type",
+            "manager",
+            "read_only",
+            "stats_family",
+        ]
+
+    def test_every_family_subclasses_the_contract(self):
+        from repro import (
+            ART,
+            FST,
+            AdaptiveBPlusTree,
+            BPlusTree,
+            DualStageIndex,
+            HybridTrie,
+            OlcBPlusTree,
+        )
+        from repro.obs.introspect import IndexFamily
+
+        families = (
+            ART, FST, AdaptiveBPlusTree, BPlusTree, DualStageIndex, HybridTrie, OlcBPlusTree
+        )
+        assert all(issubclass(family, IndexFamily) for family in families)
+        assert sorted(family.__name__ for family in families if family.read_only) == [
+            "FST",
+            "HybridTrie",
+        ]
