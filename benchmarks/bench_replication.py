@@ -1,26 +1,27 @@
-"""Divergent-replica bench and kill-one-replica fault leg (PR 9).
+"""Kill-one-replica fault leg and the divergent-replica ratio (PR 9).
 
-Two claims, one machine-readable ``BENCH_PR9.json`` at the repo root:
+One machine-readable ``BENCH_PR9.json`` at the repo root:
 
-* **Divergence pays.**  On a mixed point/scan workload served through
-  the routed read path, a replica set of divergently tuned copies
-  (point-tuned, scan-tuned, memory-squeezed) beats the same number of
-  identically tuned copies by at least 1.3x in modeled ns/read.  The
-  figure prices each leg's structural counter deltas through the
-  calibrated cost model — the same modeled-cost idiom every other bench
-  here gates on; wall clock is reported but not gated.
+* **Losing a replica loses no acked write** — the suite's gate.  A
+  durable replicated group takes writes while a fault is injected into
+  one replica's WAL append (the replica is poisoned and fenced
+  mid-stream), keeps accepting acked writes on the survivors, then
+  crashes and recovers.  Every acknowledged write must be readable
+  afterwards, the divergence profiles must survive recovery, and the
+  fenced replica must have been rebuilt from the authoritative copy.
 
-* **Losing a replica loses no acked write.**  A durable replicated
-  group takes writes while a fault is injected into one replica's WAL
-  append (the replica is poisoned and fenced mid-stream), keeps
-  accepting acked writes on the survivors, then crashes and recovers.
-  Every acknowledged write must be readable afterwards, the divergence
-  profiles must survive recovery, and the fenced replica must have been
-  rebuilt from the authoritative copy.
+* **Divergent versus identical copies** — informational, paper context.
+  On a mixed point/scan workload served through the routed read path,
+  a replica set of divergently tuned copies (point-tuned, scan-tuned,
+  memory-squeezed) behind cost routing is compared with the same number
+  of ``balanced`` copies behind round-robin.  The ratio is *modeled*:
+  each leg's structural counter deltas priced through the calibrated
+  cost model.  The same run's wall-clock reads/s ratio is printed beside
+  it so the two orderings can be compared; neither is gated
+  (docs/replication.md splits the modeled ratio into its parts).
 
-Every run checks both claims and the modeled speedup ratio (identical /
-divergent, machine-independent) against the committed file
-(``benchkit``); ``--write`` rewrites it::
+Every run checks the fault leg; ``--write`` rewrites the committed
+file::
 
     PYTHONPATH=src python benchmarks/bench_replication.py --keys 8000
     PYTHONPATH=src python benchmarks/bench_replication.py --write
@@ -44,7 +45,6 @@ from repro.service.router import ShardRouter
 
 DEFAULT_KEYS = 16_000
 REPLICATION_FACTOR = 3
-HEADLINE_SPEEDUP_REQUIRED = 1.3
 RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR9.json"
 
 
@@ -79,7 +79,11 @@ def run_replication_bench(num_keys=DEFAULT_KEYS, factor=REPLICATION_FACTOR, seed
         },
         "headline": {
             "divergent_speedup": comparison["divergent_speedup"],
-            "required": HEADLINE_SPEEDUP_REQUIRED,
+            "wall_speedup": round(
+                comparison["divergent"]["wall_reads_per_s"]
+                / comparison["identical"]["wall_reads_per_s"],
+                3,
+            ),
         },
     }
 
@@ -125,9 +129,9 @@ def run_fault_leg(
                 for _ in range(batch_size)
             ]
             if index == kill_at:
-                # Fan-out appends run in replica order under the shard op
-                # lock; failing the second matching append poisons exactly
-                # one replica's WAL while the others acknowledge.
+                # Fan-out appends run in replica order under the shard's
+                # write gate; failing the second matching append poisons
+                # exactly one replica's WAL while the others acknowledge.
                 with FaultInjector(
                     site="durability.wal.append", fail_at=2, max_failures=1
                 ) as injector:
@@ -181,8 +185,8 @@ def format_report(payload):
             f"size {leg['size_bytes'] / (1024 * 1024):.2f} MiB"
         )
     lines.append(
-        f"divergent speedup {payload['summary']['divergent_speedup']:.2f}x "
-        f"(required >= {HEADLINE_SPEEDUP_REQUIRED}x)"
+        f"divergent over identical: {payload['summary']['divergent_speedup']:.2f}x "
+        f"modeled (paper context), {payload['summary']['wall_speedup']:.2f}x wall"
     )
     if "fault_leg" in payload:
         fault = payload["fault_leg"]
@@ -196,15 +200,10 @@ def format_report(payload):
 
 
 def headline(payload):
-    """Divergent replicas >= 1.3x identical ones; the kill loses no acked write."""
+    """The kill loses no acked write; the modeled and wall ratios are context."""
     rows = [
-        benchkit.row(
-            "replication.divergent_speedup",
-            payload["summary"]["divergent_speedup"],
-            ">=",
-            HEADLINE_SPEEDUP_REQUIRED,
-            drift=True,
-        )
+        benchkit.row("replication.divergent_speedup", payload["summary"]["divergent_speedup"]),
+        benchkit.row("replication.wall_speedup", payload["summary"]["wall_speedup"]),
     ]
     if "fault_leg" in payload:
         rows.append(

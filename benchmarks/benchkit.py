@@ -4,8 +4,8 @@ Every gated suite commits a ``BENCH_PR<N>.json`` at the repo root (the
 paper's figures, ``bench_paper.py``, commit ``BENCH_PAPER.json``).  Next
 to its detail sections the file carries ``headline``, a list of rows::
 
-    {"metric": "modeled_speedup@4shards", "value": 3.94,
-     "op": ">=", "bound": 2.0, "drift": true}
+    {"metric": "group_commit_retention", "value": 0.7556,
+     "op": ">=", "bound": 0.5, "drift": true}
 
 ``op``/``bound`` state the suite's absolute claim (both ``null`` on a row
 printed for context only).  ``drift`` marks a same-run ratio, which a

@@ -47,7 +47,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "faults": exp.experiment_fault_campaign,
     "net-bench": exp.experiment_net_bench,
     "replication-bench": exp.experiment_replication_bench,
-    "service-bench": exp.experiment_service_bench,
     "tab1": exp.experiment_table1,
     "tab2": exp.experiment_table2,
     "tab4": exp.experiment_table4,

@@ -32,7 +32,6 @@ from repro.harness.experiments_micro import (
 )
 from repro.harness.experiments_net import experiment_net_bench
 from repro.harness.experiments_replication import experiment_replication_bench
-from repro.harness.experiments_service import experiment_service_bench
 from repro.harness.experiments_trie import (
     build_trie_variants,
     experiment_fig19,
@@ -65,7 +64,6 @@ __all__ = [
     "experiment_fig20",
     "experiment_net_bench",
     "experiment_replication_bench",
-    "experiment_service_bench",
     "experiment_table1",
     "experiment_table2",
     "experiment_table4",

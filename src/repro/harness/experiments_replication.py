@@ -18,9 +18,11 @@ each too large for one budget to cover both — the pressure that makes
 divergence pay.  After warmup passes (adaptation converges, the router's
 EWMAs fill in), one measured pass prices each leg's summed replica
 counter deltas through the calibrated
-:class:`~repro.sim.costmodel.CostModel`; the headline is the ratio of
-modeled ns/read, identical over divergent.  Wall-clock figures ride
-along but are not gated (same policy as every other bench here).
+:class:`~repro.sim.costmodel.CostModel` and times the same pass on the
+wall clock.  The ratio of modeled ns/read, identical over divergent, is
+paper context, not a service claim: ``benchmarks/bench_replication.py``
+prints it beside the wall-clock reads/s ratio and gates neither, and
+docs/replication.md splits it into routing and encoding divergence.
 """
 
 from __future__ import annotations
@@ -93,8 +95,7 @@ def _priced_total_ns(
     """Price every shard's counter delta; return the summed ns.
 
     Replication is a *cost-efficiency* comparison (same parallelism on
-    both legs), so the figure is total work, not the max-shard parallel
-    idiom the scalability bench uses.
+    both legs), so the figure is total work.
     """
     total = 0.0
     for shard_id, events in after.items():

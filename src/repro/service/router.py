@@ -19,8 +19,9 @@ replacement shards *aside*, and one atomic routing-table swap publishes
 the new layout.  Every step crosses a :func:`~repro.faults.injector
 .fault_point` (``service.split.*`` / ``service.merge.*``), and a fault
 anywhere before the swap leaves the old table serving — zero lost keys
-by construction, which the fault campaign in
-``benchmarks/bench_service.py`` replays at scale.  Writers that block
+by construction, which the randomized campaign in
+``tests/service/test_split_merge.py`` replays (at scale in the ``slow``
+lane).  Writers that block
 on a shard's ``write_gate`` while a split/merge holds it revalidate
 their route once the gate is acquired: the table may have been swapped
 while they waited, and writing into the now-orphaned shard would lose

@@ -112,7 +112,6 @@ class TestRegistryHygiene:
     def test_hot_roots_reach_the_hash_maps_and_the_succinct_kernel(self, tree):
         reached = tree.reachable_from(hot_root_qualnames(tree))
         for qualname in (
-            "repro.hashmap.hopscotch.HopscotchMap.get",
             "repro.hashmap.cuckoo.CuckooMap.get",
             "repro.succinct.bitvector.BitVector.next1",
             "repro.succinct.bitvector.BitVector.word_slice",

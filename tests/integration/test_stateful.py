@@ -17,7 +17,6 @@ from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.core.manager import ManagerConfig
 from repro.hashmap.cuckoo import CuckooMap
-from repro.hashmap.hopscotch import HopscotchMap
 
 KEYS = st.integers(min_value=0, max_value=400)
 VALUES = st.integers(min_value=-(2**40), max_value=2**40)
@@ -86,38 +85,6 @@ class AdaptiveBTreeMachine(RuleBasedStateMachine):
         assert list(self.tree.items()) == sorted(self.model.items())
 
 
-class HopscotchMachine(RuleBasedStateMachine):
-    """The hopscotch map must match a dict and keep its hop invariant."""
-
-    def __init__(self):
-        super().__init__()
-        self.table = HopscotchMap(initial_capacity=64)
-        self.model = {}
-
-    @rule(key=KEYS, value=VALUES)
-    def put(self, key, value):
-        self.table[key] = value
-        self.model[key] = value
-
-    @rule(key=KEYS)
-    def remove(self, key):
-        if key in self.model:
-            del self.table[key]
-            del self.model[key]
-
-    @rule(key=KEYS)
-    def get(self, key):
-        assert self.table.get(key) == self.model.get(key)
-
-    @invariant()
-    def size_matches(self):
-        assert len(self.table) == len(self.model)
-
-    def teardown(self):
-        self.table.check_invariants()
-        assert dict(self.table.items()) == self.model
-
-
 class CuckooMachine(RuleBasedStateMachine):
     """The cuckoo map must match a dict and keep its two-choice invariant."""
 
@@ -154,10 +121,6 @@ class CuckooMachine(RuleBasedStateMachine):
 TestAdaptiveBTreeMachine = AdaptiveBTreeMachine.TestCase
 TestAdaptiveBTreeMachine.settings = settings(
     max_examples=20, stateful_step_count=60, deadline=None
-)
-TestHopscotchMachine = HopscotchMachine.TestCase
-TestHopscotchMachine.settings = settings(
-    max_examples=25, stateful_step_count=80, deadline=None
 )
 TestCuckooMachine = CuckooMachine.TestCase
 TestCuckooMachine.settings = settings(

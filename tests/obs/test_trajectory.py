@@ -12,10 +12,8 @@ benchkit = load_bench("benchkit")
 SUITES = {
     "BENCH_PR2.json": ("bench_perf_suite", "headline"),
     "BENCH_PR3.json": ("bench_obs_overhead", "headline"),
-    "BENCH_PR4.json": ("bench_service", "headline"),
     "BENCH_PR6.json": ("bench_durability", "headline"),
     "BENCH_PR7.json": ("bench_net", "headline"),
-    "BENCH_PR8.json": ("bench_obs_overhead", "net_headline"),
     "BENCH_PR9.json": ("bench_replication", "headline"),
     "BENCH_PAPER.json": ("bench_paper", "headline"),
 }
@@ -115,26 +113,21 @@ class TestFinish:
         assert code == 1
         assert "REGRESSION: campaign lost keys" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["BENCH_PR3.json", "BENCH_PR8.json"])
+    @pytest.mark.parametrize("name", ["BENCH_PR3.json"])
     def test_a_faster_system_does_not_fail_an_overhead_share(self, tmp_path, name):
         """Halve the denominator: every share doubles, all still under 5%.
 
         The parent's per-bench drift rule (25% / 75% over the committed
         share) failed exactly this — a PR that made lookups faster.
         """
-        module_name, function = SUITES[name]
-        module = load_bench(module_name)
-        headline = getattr(module, function)
-        report = module.format_report if function == "headline" else module.format_net_report
+        module = load_bench(SUITES[name][0])
+        headline, report = module.headline, module.format_report
 
         def with_shares(scale):
             payload = json.loads((REPO_ROOT / name).read_text())
-            for stats in payload.get("families", {}).values():
+            for stats in payload["families"].values():
                 stats["gate_share"] = 0.01 * scale
                 stats["off_ns_per_op"] /= scale
-            if "request_ns" in payload:
-                payload["request_ns"] /= scale
-                payload["summary"] = {key: 0.012 * scale for key in payload["summary"]}
             return benchkit.stamp(payload, headline)
 
         result_file = tmp_path / name
@@ -145,16 +138,16 @@ class TestFinish:
 
 class TestCollect:
     def test_known_suite_rows_carry_their_own_bounds(self, tmp_path):
-        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        write(tmp_path, "BENCH_PR12.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
         rows, errors = benchkit.collect(tmp_path)
         assert errors == []
         (entry,) = rows
         assert entry["ok"] is True
-        assert entry["file"] == "BENCH_PR4.json"
+        assert entry["file"] == "BENCH_PR12.json"
         assert (entry["metric"], entry["op"], entry["bound"]) == ("speedup", ">=", 2.0)
 
     def test_violated_bound_is_flagged_not_raised(self, tmp_path):
-        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 1.1, ">=", 2.0)))
+        write(tmp_path, "BENCH_PR12.json", suite(benchkit.row("speedup", 1.1, ">=", 2.0)))
         rows, errors = benchkit.collect(tmp_path)
         assert errors == []
         assert rows[0]["ok"] is False
@@ -183,18 +176,18 @@ class TestCollect:
 
     def test_the_paper_file_is_collected_after_the_numbered_ones(self, tmp_path):
         write(tmp_path, "BENCH_PAPER.json", suite(benchkit.row("fig15.inversions", 0, "==", 0)))
-        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        write(tmp_path, "BENCH_PR12.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
         write(tmp_path, "BENCH_OTHER.json", suite(benchkit.row("ignored", 1, ">=", 2)))
         rows, errors = benchkit.collect(tmp_path)
         assert errors == []
-        assert [entry["file"] for entry in rows] == ["BENCH_PR4.json", "BENCH_PAPER.json"]
+        assert [entry["file"] for entry in rows] == ["BENCH_PR12.json", "BENCH_PAPER.json"]
         assert rows[1]["ok"] is True
 
     def test_a_malformed_paper_file_is_reported_not_raised(self, tmp_path, capsys):
-        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        write(tmp_path, "BENCH_PR12.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
         (tmp_path / "BENCH_PAPER.json").write_text('{"suite": "paper", "headline": [{"metric"')
         rows, errors = benchkit.collect(tmp_path)
-        assert [entry["file"] for entry in rows] == ["BENCH_PR4.json"]
+        assert [entry["file"] for entry in rows] == ["BENCH_PR12.json"]
         assert len(errors) == 1 and errors[0].startswith("BENCH_PAPER.json: unreadable")
         assert benchkit.main(tmp_path) == 1
         assert "ERROR: BENCH_PAPER.json: unreadable" in capsys.readouterr().out
@@ -208,7 +201,7 @@ class TestCommittedArtifacts:
         assert {entry["file"] for entry in rows} == set(SUITES)
         checked = [entry for entry in rows if entry["ok"] is not None]
         assert [entry for entry in checked if not entry["ok"]] == []
-        assert len(checked) == 129  # 20 over the numbered suites, 109 paper rows
+        assert len(checked) == 125  # 16 over the numbered suites, 109 paper rows
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_bench_headline_reproduces_its_committed_rows(self, name):
@@ -221,18 +214,12 @@ class TestCommittedArtifacts:
     def test_only_same_run_ratios_are_drift_checked(self):
         rows, _errors = benchkit.collect(REPO_ROOT)
         drifting = {entry["file"] for entry in rows if entry.get("drift")}
-        assert drifting == {
-            "BENCH_PR2.json",
-            "BENCH_PR4.json",
-            "BENCH_PR6.json",
-            "BENCH_PR9.json",
-            "BENCH_PAPER.json",
-        }
+        assert drifting == {"BENCH_PR2.json", "BENCH_PR6.json", "BENCH_PAPER.json"}
 
 
 class TestCli:
     def test_check_passes_on_clean_root(self, tmp_path, capsys):
-        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
+        write(tmp_path, "BENCH_PR12.json", suite(benchkit.row("speedup", 3.5, ">=", 2.0)))
         write(tmp_path, "BENCH_PAPER.json", suite(benchkit.row("tab1.ratio", 0.3, "<=", 0.45)))
         assert benchkit.main(tmp_path) == 0
         out = capsys.readouterr().out
@@ -240,10 +227,10 @@ class TestCli:
         assert "2 bound(s) checked, 0 failed, 0 file error(s)" in out
 
     def test_check_fails_on_violation_and_malformed(self, tmp_path, capsys):
-        write(tmp_path, "BENCH_PR4.json", suite(benchkit.row("speedup", 1.0, ">=", 2.0)))
+        write(tmp_path, "BENCH_PR12.json", suite(benchkit.row("speedup", 1.0, ">=", 2.0)))
         assert benchkit.main(tmp_path) == 1
         out = capsys.readouterr().out
         assert "FAIL (requires >= 2)" in out and "1 failed" in out
-        (tmp_path / "BENCH_PR4.json").write_text("{broken")
+        (tmp_path / "BENCH_PR12.json").write_text("{broken")
         assert benchkit.main(tmp_path) == 1
-        assert "ERROR: BENCH_PR4.json: unreadable" in capsys.readouterr().out
+        assert "ERROR: BENCH_PR12.json: unreadable" in capsys.readouterr().out
