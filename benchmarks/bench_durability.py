@@ -78,7 +78,6 @@ def _timed_put_many(sync, num_writes, batch_size, family="olc"):
             num_shards=4,
             partitioning="range",
             durability=durability,
-            max_workers=0,
         )
         base = len(initial)
         batches = [
@@ -122,7 +121,6 @@ def run_recovery_bench(tail_lengths=(0, 4_000, 16_000), batch_size=BATCH_SIZE):
                 num_shards=4,
                 partitioning="range",
                 durability=durability,
-                max_workers=0,
             )
             router.checkpoint()  # the tail below is exactly what replay must cover
             base = len(initial)

@@ -7,7 +7,7 @@ locks are lexically held at this point of the function?*  The answers
 live here once.
 
 A lock *kind* is the attribute name that acquires it (``write_gate``,
-``op_lock``, ``_guard``, ``_inflight_lock``, ...).  The service's named
+``op_lock``, ``_guard``, ``_ops_lock``, ...).  The service's named
 kinds are listed explicitly; anything else ending in ``_lock`` or
 ``_gate`` is classified generically, which is how replica, WAL, and
 connection locks added by later PRs enter the RA006 graph without a
@@ -31,8 +31,6 @@ SERVICE_LOCK_RANKS: Dict[str, int] = {
     "write_gate": 1,
     "op_lock": 2,
     "_guard": 2,
-    "_executor_lock": 3,
-    "_inflight_lock": 3,
     "_ops_lock": 3,
 }
 

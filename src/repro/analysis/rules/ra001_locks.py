@@ -4,9 +4,8 @@
 down in ``docs/service.md`` and enforced here mechanically:
 
 1. **No blocking while holding a lock** — submitting to or waiting on
-   the executor (``submit``/``wait``/``result``/``shutdown``/``sleep``,
-   or the router helpers ``_pool``/``_run_per_shard``) under any
-   service lock stalls every writer behind the holder.
+   an executor (``submit``/``wait``/``result``/``shutdown``/``sleep``)
+   under any service lock stalls every writer behind the holder.
 2. **Snapshot reads** — code that routes (indexes ``.shards[...]`` or
    calls ``.partitioner.shard_of``) must do so on a *captured* routing
    table (``table = self._table``), never inline on ``self._table``:
@@ -37,7 +36,6 @@ from repro.analysis.project import FunctionInfo, Project, attribute_chain, in_sc
 #: Callables that block (or enqueue work) and must not run under a lock.
 BLOCKING_ATTRS = frozenset({"submit", "shutdown", "result", "map"})
 BLOCKING_NAMES = frozenset({"wait", "sleep"})
-BLOCKING_HELPERS = frozenset({"_pool", "_run_per_shard"})
 
 #: Shard write methods that require in-gate route revalidation.
 SHARD_WRITE_METHODS = frozenset({"put", "put_many", "delete", "insert", "insert_many"})
@@ -92,9 +90,9 @@ class LockDisciplineRule(Rule):
         func = call.func
         name: Optional[str] = None
         if isinstance(func, ast.Attribute):
-            if func.attr in BLOCKING_ATTRS | BLOCKING_HELPERS | BLOCKING_NAMES:
+            if func.attr in BLOCKING_ATTRS | BLOCKING_NAMES:
                 name = func.attr
-        elif isinstance(func, ast.Name) and func.id in BLOCKING_NAMES | BLOCKING_HELPERS:
+        elif isinstance(func, ast.Name) and func.id in BLOCKING_NAMES:
             name = func.id
         if name is None:
             return

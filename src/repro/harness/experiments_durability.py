@@ -257,7 +257,6 @@ def experiment_crash_campaign(
             num_shards=2,
             partitioning="range",
             durability=durability,
-            max_workers=4,
         )
         model: Dict[Any, int] = dict(initial)
         uncertain: Dict[Any, Set[Any]] = {}

@@ -31,10 +31,6 @@ from repro.durability.manager import DurabilityManager
 from repro.service.router import ShardRouter
 from repro.service.shard import Pair
 
-#: Executor threads per tenant group: they overlap the per-shard WAL
-#: ``fsync`` waits of a durable ``put_many``.
-_MAX_WORKERS_PER_GROUP = 2
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -90,7 +86,6 @@ class TenantDirectory:
                 family=spec.family,
                 num_shards=spec.num_shards,
                 partitioning=spec.partitioning,
-                max_workers=_MAX_WORKERS_PER_GROUP,
                 durability=durability,
                 replication_factor=spec.replication_factor,
                 replica_profiles=spec.replica_profiles,

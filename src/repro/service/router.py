@@ -5,12 +5,11 @@ a :class:`~repro.service.partition.Partitioner`, and exposes the familiar
 index surface in batched form: ``get_many`` / ``put_many`` split each
 request into per-shard sub-batches, ``scan`` merges ordered results
 across shards (concatenation under range partitioning, a k-way heap
-merge under hash partitioning).  Sub-batches run **on the calling
-thread**: index work is pure Python under one interpreter lock, so a
-thread hand-off buys it no parallelism and costs more than the work.
-The one exception is a durable ``put_many``, whose per-shard WAL
-``fsync`` waits leave the interpreter lock and are overlapped on a
-``ThreadPoolExecutor``.
+merge under hash partitioning).  Every sub-batch runs **on the calling
+thread**, durable or not: index work is pure Python under one
+interpreter lock, so a thread hand-off buys it no parallelism and costs
+more than the work, and overlapping several shards' WAL ``fsync`` waits
+did not pay for its hop end to end.
 
 Online **shard split/merge** reuses the PR-1 build-aside+swap
 discipline: the affected shards are write-frozen (reads keep flowing on
@@ -58,14 +57,11 @@ import itertools
 import threading
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -78,7 +74,7 @@ from repro.core.budget import MemoryBudget, ResourceArbiter
 from repro.durability.log import DurableLog
 from repro.durability.manager import DurabilityManager, build_partitioner, manifest_for
 from repro.faults.injector import fault_point
-from repro.obs.runtime import active_registry, active_tracer
+from repro.obs.runtime import active_registry
 from repro.service.partition import (
     HashPartitioner,
     Key,
@@ -91,8 +87,6 @@ from repro.service.shard import IndexFactory, Pair, Replica, Shard, span_if_trac
 # After the shard import: repro.replication builds on repro.service.shard.
 from repro.replication.profiles import ReplicaProfile, resolve_profiles
 from repro.replication.routing import ReplicaRouter
-
-_DEFAULT_MAX_WORKERS = 8
 
 #: RA004: span-name literal for the fan-out layer.
 _ROUTE_SPAN = "service.route"
@@ -246,7 +240,6 @@ class ShardRouter:
         shards: Sequence[Shard],
         partitioner: Partitioner,
         template: ShardTemplate,
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         epoch: int = 0,
@@ -271,12 +264,7 @@ class ShardRouter:
             )
         self._table = _RoutingTable(partitioner, tuple(shards))
         self._template = template
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         self._admin_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self.splits = 0
         self.merges = 0
         self.checkpoints = 0
@@ -302,7 +290,6 @@ class ShardRouter:
         family: str = "olc",
         num_shards: int = 4,
         partitioning: str = "hash",
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         index_factory: Optional[IndexFactory] = None,
         durability: Optional[DurabilityManager] = None,
@@ -365,7 +352,6 @@ class ShardRouter:
             shards,
             partitioner,
             template,
-            max_workers=max_workers,
             budget=budget,
             durability=durability,
             epoch=0,
@@ -378,7 +364,6 @@ class ShardRouter:
         cls,
         durability: DurabilityManager,
         family: str = "olc",
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         index_factory: Optional[IndexFactory] = None,
     ) -> "ShardRouter":
@@ -415,7 +400,6 @@ class ShardRouter:
             shards,
             build_partitioner(manifest.partitioner),
             template,
-            max_workers=max_workers,
             budget=budget,
             durability=durability,
             epoch=manifest.epoch,
@@ -433,13 +417,8 @@ class ShardRouter:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the executor and release log handles (idempotent)."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        table = self._table
-        for shard in table.shards:
+        """Release log handles (idempotent)."""
+        for shard in self._table.shards:
             shard.close_logs()
 
     def __enter__(self) -> "ShardRouter":
@@ -466,66 +445,10 @@ class ShardRouter:
         """True when writes go through a WAL (an op may wait on an ``fsync``)."""
         return self._durability is not None
 
-    @property
-    def queue_depth(self) -> int:
-        """Durable-write sub-batches currently in flight on the executor.
-
-        Reads, scans and non-durable writes run on the caller's thread
-        and never count here; a non-zero depth means ``put_many`` calls
-        are waiting on per-shard WAL appends.
-        """
-        return self._inflight
-
     def shard_for(self, key: Key) -> Shard:
         """The shard currently serving ``key``."""
         table = self._table
         return table.shards[table.partitioner.shard_of(key)]
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-service",
-                )
-            return self._executor
-
-    def _run_per_shard(self, tasks: Sequence[Callable[[], None]]) -> None:
-        """Execute per-shard write thunks, pooled only on a durable router.
-
-        A durable sub-batch spends most of its time in the WAL ``fsync``,
-        outside the interpreter lock, so several shards' waits overlap
-        on the pool.  Without a WAL the work is pure Python and runs
-        faster inline on this thread.
-        """
-        if self._durability is None or self._max_workers <= 0 or len(tasks) <= 1:
-            for task in tasks:
-                task()
-            return
-        # A traced request's span lives on *this* thread's stack; re-adopt
-        # it on each pool thread so shard spans keep their parent.
-        tracer = active_tracer()
-        if tracer is not None:
-            parent = tracer.current()
-            if parent is not None:
-                tasks = [tracer.adopting(parent, task) for task in tasks]
-        with self._inflight_lock:
-            self._inflight += len(tasks)
-        registry = active_registry()
-        if registry is not None:
-            registry.gauge("service.queue_depth").set(self._inflight)
-        try:
-            futures: List[Future[None]] = [
-                self._pool().submit(task) for task in tasks
-            ]
-            wait(futures)
-            for future in futures:
-                exception = future.exception()
-                if exception is not None:
-                    raise exception
-        finally:
-            with self._inflight_lock:
-                self._inflight -= len(tasks)
 
     # ------------------------------------------------------------------
     # Reads
@@ -609,7 +532,13 @@ class ShardRouter:
         self._count_ops("write", 1)
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
-        """Upsert a batch; sub-batches run per shard in input order."""
+        """Upsert a batch, one shard group after another on this thread.
+
+        A group that fails raises at once: the groups before it stay
+        written, the ones after it are never tried.  The network
+        coalescer fails the whole batch on that error, so none of its
+        writes is acknowledged.
+        """
         pairs = list(pairs)
         if not pairs:
             return
@@ -625,17 +554,12 @@ class ShardRouter:
             with span_if_traced(
                 _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups)
             ):
-                self._run_per_shard(
-                    [
-                        partial(
-                            self._write_group,
-                            shards[shard_id],
-                            [pairs[position] for position in positions],
-                            table,
-                        )
-                        for shard_id, positions in groups.items()
-                    ]
-                )
+                for shard_id, positions in groups.items():
+                    self._write_group(
+                        shards[shard_id],
+                        [pairs[position] for position in positions],
+                        table,
+                    )
         self._count_ops("write", len(pairs))
 
     def _write_group(
@@ -920,7 +844,6 @@ class ShardRouter:
             "durable": self._durability is not None,
             "epoch": self._epoch,
             "checkpoints": self.checkpoints,
-            "queue_depth": self.queue_depth,
             "budget": self.arbiter.describe()["memory"],
             "shards": [
                 {**shard.stats(), "shard_id": position}

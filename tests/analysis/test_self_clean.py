@@ -75,7 +75,6 @@ class TestRealTree:
 
 #: Rule registries of bare class/function names the rules match calls against.
 NAME_REGISTRIES = {
-    "BLOCKING_HELPERS": ra001_locks.BLOCKING_HELPERS,
     "SHARD_WRITE_METHODS": ra001_locks.SHARD_WRITE_METHODS,
     "HEAVY_BUILDERS": ra005_async.HEAVY_BUILDERS,
     "ROUTER_METHODS": ra005_async.ROUTER_METHODS,

@@ -1,6 +1,5 @@
-"""Where the router runs per-shard work: the caller's thread for reads
-and non-durable writes, the ``repro-service`` pool only for the WAL
-waits of a durable ``put_many``."""
+"""Where the router runs per-shard work: every call, durable or not,
+runs each shard's WAL append and index apply on the caller's thread."""
 
 import threading
 
@@ -16,8 +15,8 @@ KEYS = [key for key, _ in PAIRS]
 
 
 def build_router(tmp_path=None, partitioning="hash"):
-    """A 4-shard OLC router with the default ``max_workers``; durable
-    (one WAL per shard) when ``tmp_path`` is given."""
+    """A 4-shard OLC router; durable (one WAL per shard) when
+    ``tmp_path`` is given."""
     durability = None
     if tmp_path is not None:
         durability = DurabilityManager(tmp_path / "store", sync="none")
@@ -30,68 +29,83 @@ def build_router(tmp_path=None, partitioning="hash"):
     )
 
 
-def service_threads():
-    """Live router pool threads (a set, so a test can subtract the ones
-    another test's unclosed router left behind)."""
-    return {
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith("repro-service")
-    }
-
-
 @pytest.fixture(params=("plain", "durable"))
 def router(request, tmp_path):
     with build_router(tmp_path if request.param == "durable" else None) as built:
         yield built
 
 
-class TestReadsStayOnTheCallersThread:
-    def test_get_many_and_scan_start_no_pool_thread(self, router):
-        before = service_threads()
-        assert router.get_many(KEYS) == [value for _, value in PAIRS]
-        assert router.scan(KEYS[10], 100) == PAIRS[10:110]
-        assert not service_threads() - before
-        assert router.queue_depth == 0
+class _RecordingIndex:
+    """An index whose data methods note ``(shard, thread)`` per call."""
 
-    def test_non_durable_put_many_starts_no_pool_thread(self):
-        before = service_threads()
-        with build_router() as plain:
-            plain.put_many([(key, 1) for key in KEYS])
-            assert not service_threads() - before
-            assert plain.get_many(KEYS[:50]) == [1] * 50
+    METHODS = frozenset({"lookup", "scan", "insert", "insert_many", "delete"})
+
+    def __init__(self, index, shard_id, records):
+        self._index = index
+        self._shard_id = shard_id
+        self._records = records
+
+    def __getattr__(self, name):
+        attribute = getattr(self._index, name)
+        if name not in self.METHODS:
+            return attribute
+
+        def recorded(*args, **kwargs):
+            self._records.append((self._shard_id, threading.get_ident()))
+            return attribute(*args, **kwargs)
+
+        return recorded
 
 
-class TestDurableWritesOverlapOnThePool:
-    def test_two_shards_append_at_once(self, tmp_path):
-        """Each stubbed append waits for another shard's: a serial fan-out
-        would break the barrier and fail the ``put_many``."""
-        barrier = threading.Barrier(2, timeout=10)
-        depths = []
-        before = service_threads()
-        with build_router(tmp_path, partitioning="range") as durable:
-            boundary = durable.table.partitioner.boundaries[0]
-            batch = [(boundary - 1, 7), (boundary, 8)]
-            assert len({id(durable.shard_for(key)) for key, _ in batch}) == 2
-            for shard in durable.table.shards:
-                log = shard.replicas[0].durable_log
-                original = log.append_put_many
+def record_shard_work(router):
+    """Stub every shard's WAL appends and index applies to record the
+    thread they run on; returns the (wal, index) record lists."""
+    wal, applied = [], []
+    for shard_id, shard in enumerate(router.table.shards):
+        replica = shard.replicas[0]
+        replica.index = _RecordingIndex(replica.index, shard_id, applied)
+        log = replica.durable_log
+        if log is None:
+            continue
+        for name in ("append_put_many", "append_delete"):
 
-                def waiting_append(pairs, original=original):
-                    depths.append(durable.queue_depth)
-                    barrier.wait()
-                    return original(pairs)
+            def append(*args, original=getattr(log, name), shard_id=shard_id):
+                wal.append((shard_id, threading.get_ident()))
+                return original(*args)
 
-                log.append_put_many = waiting_append
-            durable.put_many(batch)
-            assert not barrier.broken
-            assert depths == [2, 2]
-            assert durable.queue_depth == 0
-            assert durable.get_many([key for key, _ in batch]) == [7, 8]
-            assert len(service_threads() - before) >= 2
+            setattr(log, name, append)
+    return wal, applied
+
+
+CALLS = {
+    "get_many": lambda router: router.get_many(KEYS),
+    "scan": lambda router: router.scan(KEYS[10], 100),
+    "put_many": lambda router: router.put_many([(key, 1) for key in KEYS]),
+    "delete": lambda router: router.delete(KEYS[5]),
+}
+FANOUT = {"get_many": NUM_SHARDS, "scan": NUM_SHARDS, "put_many": NUM_SHARDS, "delete": 1}
+
+
+class TestOnTheCallersThread:
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_shard_work_stays_on_it(self, router, call):
+        wal, applied = record_shard_work(router)
+        before = set(threading.enumerate())
+        CALLS[call](router)
+        assert not set(threading.enumerate()) - before
+        caller = threading.get_ident()
+        assert {thread for _, thread in wal + applied} == {caller}
+        assert len({shard for shard, _ in applied}) == FANOUT[call]
+        if router.durable and call in ("put_many", "delete"):
+            assert {shard for shard, _ in wal} == {shard for shard, _ in applied}
+        else:
+            assert wal == []
 
     def test_shard_failure_reaches_the_caller(self, tmp_path):
-        with build_router(tmp_path) as durable:
+        """A failed group stops the ``put_many``: the groups before it
+        stay written and the ones after it are never tried."""
+        with build_router(tmp_path, partitioning="range") as durable:
+            wal, _ = record_shard_work(durable)
 
             def failing_append(pairs):
                 raise OSError("disk gone")
@@ -99,13 +113,17 @@ class TestDurableWritesOverlapOnThePool:
             durable.table.shards[1].replicas[0].durable_log.append_put_many = failing_append
             with pytest.raises(OSError, match="disk gone"):
                 durable.put_many([(key, 1) for key in KEYS])
-            assert durable.queue_depth == 0
+            assert wal == [(0, threading.get_ident())]
+            by_shard = [shard.items() for shard in durable.table.shards]
+            assert {value for _, value in by_shard[0]} == {1}
+            for untouched in by_shard[1:]:
+                assert all(value == key * 10 for key, value in untouched)
 
 
 class TestSpansNestUnderTheRoute:
-    """``service.shard_op`` is a child of ``service.route`` whether the
-    shard ran inline or on a pool thread, with the attributes the trace
-    consumers (``repro.obs.stitch``, ``docs/observability.md``) read."""
+    """``service.shard_op`` is a child of ``service.route`` on every
+    path, with the attributes the trace consumers (``repro.obs.stitch``,
+    ``docs/observability.md``) read."""
 
     @staticmethod
     def traced(router, call):
@@ -146,21 +164,17 @@ class TestSpansNestUnderTheRoute:
         return shard_ops
 
     def test_inline_read_path(self, router):
-        before = service_threads()
         request, records = self.traced(router, lambda r: r.get_many(KEYS))
         shard_ops = self.check_nesting(request, records, "get_many", len(KEYS))
         assert sum(op["attributes"]["count"] for op in shard_ops) == len(KEYS)
 
         request, records = self.traced(router, lambda r: r.scan(0, 25))
         self.check_nesting(request, records, "scan", 25)
-        assert not service_threads() - before
 
-    def test_pooled_durable_write_path(self, tmp_path):
+    def test_durable_write_path(self, tmp_path):
         batch = [(key, 3) for key in KEYS]
-        before = service_threads()
         with build_router(tmp_path) as durable:
             request, records = self.traced(durable, lambda r: r.put_many(batch))
-            assert service_threads() - before
         shard_ops = self.check_nesting(request, records, "put_many", len(batch))
         appends = self.by_name(records, "durability.wal.append")
         assert {append["parent_id"] for append in appends} == {

@@ -129,7 +129,6 @@ def test_manifest_and_log_names_are_pinned(tmp_path, factor, partitioning):
         partitioning=partitioning,
         durability=DurabilityManager(tmp_path, sync="none"),
         replication_factor=factor,
-        max_workers=0,
     )
     router.put_many([(1, 11), (3, 33), (79, 99)])
     router.checkpoint()

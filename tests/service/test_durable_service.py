@@ -24,7 +24,6 @@ def make_router(tmp_path, num_keys=200, num_shards=2, **kwargs):
         family="olc",
         num_shards=num_shards,
         partitioning="range",
-        max_workers=0,
         durability=make_durability(tmp_path),
         **kwargs,
     )
@@ -60,7 +59,7 @@ class TestBuildAndRecover:
         pairs = [(key, key * 10) for key in range(200)]
         durability = make_durability(tmp_path)
         router = ShardRouter.build(
-            pairs, num_shards=2, max_workers=0, durability=durability, **shape
+            pairs, num_shards=2, durability=durability, **shape
         )
         router.put(500, 5)
         logs = [log for shard in router.table.shards for log in shard.logs()]
@@ -89,7 +88,6 @@ class TestBuildAndRecover:
         router = ShardRouter.build(
             [(1, 1), (2, 2)],
             num_shards=1,
-            max_workers=0,
             durability=durability,
         )
         manifest = durability.read_manifest()
@@ -98,7 +96,7 @@ class TestBuildAndRecover:
         router.close()
 
     def test_durable_router_requires_logs_on_every_shard(self, tmp_path):
-        plain = ShardRouter.build([(1, 1)], num_shards=1, max_workers=0)
+        plain = ShardRouter.build([(1, 1)], num_shards=1)
         with pytest.raises(ValueError):
             ShardRouter(
                 plain.table.shards,
@@ -109,7 +107,7 @@ class TestBuildAndRecover:
         plain.close()
 
     def test_checkpoint_requires_durability(self):
-        router = ShardRouter.build([(1, 1)], num_shards=1, max_workers=0)
+        router = ShardRouter.build([(1, 1)], num_shards=1)
         with pytest.raises(RuntimeError):
             router.checkpoint()
         router.close()
@@ -177,7 +175,6 @@ class TestEpochReKeying:
             [(key, key) for key in range(100)],
             num_shards=1,
             partitioning="range",
-            max_workers=0,
             durability=durability,
         )
         router.split_shard(0)
@@ -192,7 +189,6 @@ class TestEpochReKeying:
             [(key, key) for key in range(100)],
             num_shards=1,
             partitioning="range",
-            max_workers=0,
             durability=durability,
         )
         with FaultInjector(site="service.split.swap", fail_at=1):
@@ -220,7 +216,6 @@ class TestEpochReKeying:
             family="olc",
             num_shards=2,
             partitioning="range",
-            max_workers=0,
             durability=durability,
         )
         with FaultInjector(site="durability.manifest.swap", fail_at=1):
@@ -250,7 +245,6 @@ class TestConcurrentDurability:
             family="olc",
             num_shards=2,
             partitioning="range",
-            max_workers=4,
             durability=make_durability(tmp_path),
         )
         errors = []

@@ -113,20 +113,6 @@ class TestPointAndBatchedOps:
             assert router.get(-77) is None
             assert router.delete(-77) is False
 
-    @pytest.mark.parametrize("max_workers", (0, 8))
-    def test_reads_never_queue_on_the_executor(self, max_workers):
-        """``queue_depth`` counts pooled durable-write sub-batches only
-        (``tests/service/test_dispatch.py`` sees it non-zero mid-write):
-        reads leave it at zero whatever the pool width."""
-        with ShardRouter.build(
-            int_pairs(200), num_shards=4, partitioning="hash", max_workers=max_workers
-        ) as router:
-            keys = [key for key, _ in int_pairs(200)]
-            assert router.get_many(keys) == [value for _, value in int_pairs(200)]
-            assert router.queue_depth == 0
-            assert router.stats()["queue_depth"] == 0
-            assert router._executor is None
-
 
 class TestOlcWritesKeepTheVersionProtocol:
     """The service-default family carries no shard operation lock: its
@@ -151,7 +137,7 @@ class TestOlcWritesKeepTheVersionProtocol:
         keys = [position * gap for position in range(span)]
         expected = list(range(span))
         router = ShardRouter.build(
-            list(zip(keys, expected)), family="olc", num_shards=1, max_workers=0
+            list(zip(keys, expected)), family="olc", num_shards=1
         )
         stop = threading.Event()
         misreads = []

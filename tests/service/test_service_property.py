@@ -38,7 +38,6 @@ class RouterAgreesWithModel(RuleBasedStateMachine):
             family=family,
             num_shards=num_shards,
             partitioning="range",
-            max_workers=0,
             replication_factor=factor,
         )
 

@@ -228,8 +228,7 @@ class TestConcurrentReadersDuringSplit:
         failures = []
 
         def reader(seed):
-            # Reads and scans run on this thread (default ``max_workers``:
-            # the pool is for durable writes only), racing the table swaps.
+            # Reads and scans run on this thread, racing the table swaps.
             rng = random.Random(seed)
             while not stop.is_set():
                 keys = [rng.randrange(0, 1200) * 2 for _ in range(64)]
