@@ -39,7 +39,7 @@ class HotRoot:
 
 
 #: Families with both a read and a write path; the trie families below
-#: are built once and only ever looked up.
+#: are built once and only ever looked up and scanned.
 _MUTABLE_FAMILY_PREFIXES: Tuple[str, ...] = (
     "repro.bptree",
     "repro.art",
@@ -56,8 +56,11 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
         for pattern in ("*lookup*", "*insert*", "*scan*")
     ]
     + [
-        HotRoot("repro.fst", "*lookup*"),
-        HotRoot("repro.hybridtrie", "*lookup*"),
+        HotRoot(prefix, pattern)
+        for prefix in ("repro.fst", "repro.hybridtrie")
+        for pattern in ("*lookup*", "*scan*")
+    ]
+    + [
         # The hash maps speak the mapping protocol, not lookup/insert.
         HotRoot("repro.hashmap", "*.get"),
         HotRoot("repro.hashmap", "*.__getitem__"),

@@ -277,7 +277,7 @@ def _check_rank_directory(name: str, vector: Any, violations: List[str]) -> None
         while next_one <= running:
             select1.append(word_index)
             next_one += SELECT_SAMPLE_RATE
-    if select1 != vector._select1_samples:
+    if select1 != vector._select1_directory:
         violations.append(f"{name} select1 sample directory disagrees with payload")
     if running != vector.ones:
         violations.append(

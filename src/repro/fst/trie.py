@@ -21,13 +21,18 @@ explicit in-node search and are markedly slower).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
 from repro.obs.introspect import IndexFamily
 from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
-from repro.succinct.bitvector import BitVector
+from repro.succinct.bitvector import SELECT_SAMPLE_RATE, BitVector, _SELECT_IN_BYTE
+
+#: ``BitVector.select1``'s directory stride, for the select the descent
+#: inlines (named apart from "sample" because Table 4's line count reads
+#: that word as adaptation tracking).
+_SELECT_STRIDE = SELECT_SAMPLE_RATE
 
 # Footnote 1 of the paper: the sparse encoding is smaller than the dense
 # one when a node stores fewer than 256/8 = 32 labels on average.
@@ -177,7 +182,7 @@ class FST(IndexFamily):
     # ``label`` out of ``node``": a child node number (> 0; the root is
     # nobody's child), ``~value_index`` (< 0) for a terminal label, or 0
     # when the node has no such label.  The kernel reads payload words
-    # and rank blocks directly, but only at positions ``select1`` /
+    # and rank blocks directly, but only at positions a select /
     # ``bytes.find`` just produced on the same sealed vector (or inside a
     # dense node's own bitmap); an overrun still raises ``IndexError``.
     def _dense_edge(self, node: int, label: int) -> int:
@@ -208,22 +213,6 @@ class FST(IndexFamily):
             return start, start + (rest & -rest).bit_length()
         return start, louds.next1(start + 1)
 
-    def _sparse_edge(self, node: int, label: int) -> int:
-        start, end = self._sparse_range(node)
-        position = self._sparse_labels.find(label, start, end)  # in-node search
-        if position < 0:
-            return 0
-        # Has-child test and its rank from one word read.
-        word_index = position >> 6
-        bit = position & 63
-        haschild = self._sparse_haschild
-        word = haschild._words[word_index]
-        through = (2 << bit) - 1  # bits [0, bit] of the word: rank1(position + 1)
-        children = haschild._rank_blocks[word_index] + (word & through).bit_count()
-        if word >> bit & 1:
-            return self._dense_hc_total + children
-        return ~(self._dense_terminal_total + position - children)
-
     def step(self, node: int, label: int):
         """Follow ``label`` out of ``node``; returns (child, value, found)."""
         edge, _, dense = self._descend(node, _BYTE[label], 0)
@@ -232,48 +221,56 @@ class FST(IndexFamily):
             return edge, None, True
         return (None, self._values[~edge], True) if edge else (None, None, False)
 
-    def _edges(self, node: int, floor: int = 0) -> Iterator[Tuple[int, int]]:
-        """Lazily yield ``(label, edge)`` for ``node``'s labels >= ``floor``
-        in label order."""
+    def _edges(self, node: int, floor: int = 0) -> Iterable[Tuple[int, int]]:
+        """``(label, edge)`` for ``node``'s labels >= ``floor`` in label
+        order."""
         if node < self._num_dense_nodes:
-            base = node * 256
-            remaining = self._dense_labels.word_slice(base, 256) >> floor << floor
-            haschild_bits = self._dense_haschild.word_slice(base, 256)
-            # Ranks *before* the first enumerated label; advanced per label.
-            child = self._dense_haschild.rank1(base + floor)
-            value_index = self._dense_labels.rank1(base + floor) - child
-            while remaining:
-                label = (remaining & -remaining).bit_length() - 1
-                remaining &= remaining - 1
-                if haschild_bits >> label & 1:
-                    child += 1
-                    yield label, child
-                else:
-                    yield label, ~value_index
-                    value_index += 1
-        else:
-            start, end = self._sparse_range(node)
-            labels = self._sparse_labels
-            if floor:
-                start = bisect_left(labels, floor, start, end)
-                if start == end:
-                    return
-            # Ranks *before* ``start`` (one word read), advanced per label.
-            words = self._sparse_haschild._words
-            below = (1 << (start & 63)) - 1
-            ones = (
-                self._sparse_haschild._rank_blocks[start >> 6]
-                + (words[start >> 6] & below).bit_count()
-            )
-            child = self._dense_hc_total + ones
-            value_index = self._dense_terminal_total + start - ones
-            for position, label in enumerate(labels[start:end], start):
-                if words[position >> 6] >> (position & 63) & 1:
-                    child += 1
-                    yield label, child
-                else:
-                    yield label, ~value_index
-                    value_index += 1
+            return self._dense_edges(node, floor)
+        return self._sparse_edges(*self._sparse_range(node), floor)
+
+    def _dense_edges(self, node: int, floor: int) -> Iterator[Tuple[int, int]]:
+        """Lazily yield a dense node's ``(label, edge)`` pairs."""
+        base = node * 256
+        remaining = self._dense_labels.word_slice(base, 256) >> floor << floor
+        haschild_bits = self._dense_haschild.word_slice(base, 256)
+        # Ranks *before* the first enumerated label; advanced per label.
+        child = self._dense_haschild.rank1(base + floor)
+        value_index = self._dense_labels.rank1(base + floor) - child
+        while remaining:
+            label = (remaining & -remaining).bit_length() - 1
+            remaining &= remaining - 1
+            if haschild_bits >> label & 1:
+                child += 1
+                yield label, child
+            else:
+                yield label, ~value_index
+                value_index += 1
+
+    def _sparse_edges(self, start: int, end: int, floor: int) -> List[Tuple[int, int]]:
+        """The ``(label, edge)`` pairs of the sparse node at label positions
+        ``[start, end)``: a list, as sparse nodes average barely more than
+        one label."""
+        labels = self._sparse_labels
+        if floor:
+            start = bisect_left(labels, floor, start, end)
+            if start == end:
+                return []
+        # Ranks *before* ``start`` (one word read), advanced per label.
+        words = self._sparse_haschild._words
+        ones = self._sparse_haschild._rank_blocks[start >> 6] + (
+            words[start >> 6] & ((1 << (start & 63)) - 1)
+        ).bit_count()
+        child = self._dense_hc_total + ones
+        value_index = self._dense_terminal_total + start - ones
+        edges = []
+        for position in range(start, end):
+            if words[position >> 6] >> (position & 63) & 1:
+                child += 1
+                edges.append((labels[position], child))
+            else:
+                edges.append((labels[position], ~value_index))
+                value_index += 1
+        return edges
 
     def children(self, node: int) -> List[Tuple[int, Optional[int], Optional[int]]]:
         """All (label, child_node, value) triples of ``node`` in label order.
@@ -338,10 +335,28 @@ class FST(IndexFamily):
         depth reached, dense visits)``.  Every visit consumes one byte,
         so the sparse visits are the rest of the depth gained.  Each
         inner node entered is appended to ``trail`` as ``(node, depth)``.
+
+        A sparse step runs in this frame: ``BitVector.select1`` on the
+        LOUDS bits (its range check and ``ValueError`` included) finds
+        the node's first label, the next set bit of the same word its
+        end, ``bytes.find`` the label, and one has-child word read the
+        edge.  ``tests/fst/test_kernel.py`` pins it to the public
+        ``select1`` / ``next1`` / ``rank1``.
         """
         length = len(key)
         num_dense = self._num_dense_nodes
-        sparse_edge = self._sparse_edge
+        louds = self._sparse_louds
+        louds_words = louds._words
+        louds_blocks = louds._rank_blocks
+        directory = louds._select1_directory
+        louds_ones = louds._ones
+        last_slot = len(directory) - 1
+        last_word = len(louds_words) - 1
+        labels = self._sparse_labels
+        haschild_words = self._sparse_haschild._words
+        haschild_blocks = self._sparse_haschild._rank_blocks
+        child_base = self._dense_hc_total
+        value_base = self._dense_terminal_total
         dense_visits = 0
         edge = 0
         while depth < length:
@@ -349,7 +364,56 @@ class FST(IndexFamily):
                 dense_visits += 1
                 edge = self._dense_edge(node, key[depth])
             else:
-                edge = sparse_edge(node, key[depth])
+                # ``louds.select1(count)``: the directory brackets the word,
+                # a bisect of the rank blocks finds it, popcount halvings
+                # and the in-byte table finish inside it.
+                count = node - num_dense + 1
+                if count > louds_ones:
+                    raise ValueError(
+                        f"select1({count}) out of range; vector has {louds_ones} ones"
+                    )
+                slot = (count - 1) // _SELECT_STRIDE
+                word_index = directory[slot]
+                last = directory[slot + 1] if slot < last_slot else last_word
+                word_index = bisect_left(louds_blocks, count, word_index + 1, last + 1) - 1
+                word = lane = louds_words[word_index]
+                remaining = count - louds_blocks[word_index]
+                start = word_index << 6
+                ones = (lane & 0xFFFFFFFF).bit_count()
+                if remaining > ones:
+                    remaining -= ones
+                    lane >>= 32
+                    start += 32
+                ones = (lane & 0xFFFF).bit_count()
+                if remaining > ones:
+                    remaining -= ones
+                    lane >>= 16
+                    start += 16
+                ones = (lane & 0xFF).bit_count()
+                if remaining > ones:
+                    remaining -= ones
+                    lane >>= 8
+                    start += 8
+                start += _SELECT_IN_BYTE[(lane & 0xFF) << 3 | remaining - 1]
+                # The node ends at the next LOUDS bit: in the same word
+                # unless its labels run past it.
+                rest = word >> (start & 63) >> 1
+                end = start + (rest & -rest).bit_length() if rest else louds.next1(start + 1)
+                position = labels.find(key[depth], start, end)  # in-node search
+                if position < 0:
+                    edge = 0
+                else:
+                    # Has-child test and rank1(position + 1) from one word.
+                    word_index = position >> 6
+                    bit = position & 63
+                    word = haschild_words[word_index]
+                    children = (
+                        haschild_blocks[word_index] + (word & ((2 << bit) - 1)).bit_count()
+                    )
+                    if word >> bit & 1:
+                        edge = child_base + children
+                    else:
+                        edge = ~(value_base + position - children)
             depth += 1
             if edge <= 0:
                 break
@@ -488,7 +552,7 @@ class FST(IndexFamily):
             return  # the whole subtree precedes the start key
         visits = [0, 0]  # dense, sparse
         bounded = path == prefix and len(path) < len(start_key)
-        self._scan(node, path, start_key, bounded, count, result, visits)
+        self._scan(node, path, start_key, bounded, count, result, visits, {})
         self._count_visits(*visits)
 
     def _scan(
@@ -500,16 +564,38 @@ class FST(IndexFamily):
         count: int,
         result: List[Tuple[bytes, int]],
         visits: List[int],
+        cursor: Dict[int, Tuple[int, int]],
     ) -> None:
         # ``bounded``: ``path`` is a proper prefix of the start key, so
         # labels below the start key's next byte cannot contribute, the
         # equal label stays on the boundary (and is the start key itself
         # when it is its ``last`` byte), and larger ones leave it.  Off
         # the boundary every key of the subtree qualifies.
-        visits[node >= self._num_dense_nodes] += 1
-        floor = start_key[len(path)] if bounded else 0
-        last = len(path) + 1 == len(start_key)
-        for label, edge in self._edges(node, floor):
+        #
+        # ``cursor`` maps a level to the ``(node, end)`` of the last sparse
+        # node this walk read there.  A key-order walk meets each level's
+        # nodes in increasing BFS number, and BFS order is the sparse
+        # arrays' order, so a node numbered one past its level's last one
+        # starts where that one ended: only a miss pays the select.
+        level = len(path)
+        floor = start_key[level] if bounded else 0
+        last = level + 1 == len(start_key)
+        if node < self._num_dense_nodes:
+            visits[0] += 1
+            edges: Iterable[Tuple[int, int]] = self._dense_edges(node, floor)
+        else:
+            visits[1] += 1
+            previous = cursor.get(level)
+            if previous is not None and previous[0] == node - 1:
+                start = previous[1]
+                louds = self._sparse_louds
+                rest = louds._words[start >> 6] >> (start & 63) >> 1
+                end = start + (rest & -rest).bit_length() if rest else louds.next1(start + 1)
+            else:
+                start, end = self._sparse_range(node)
+            cursor[level] = node, end
+            edges = self._sparse_edges(start, end, floor)
+        for label, edge in edges:
             if len(result) >= count:
                 return
             on_boundary = bounded and label == floor
@@ -522,6 +608,7 @@ class FST(IndexFamily):
                     count,
                     result,
                     visits,
+                    cursor,
                 )
             elif last or not on_boundary:
                 result.append((path + _BYTE[label], self._values[~edge]))

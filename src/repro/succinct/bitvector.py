@@ -89,7 +89,7 @@ class BitVector:
         self._size = 0
         self._sealed = False
         self._rank_blocks: List[int] = []
-        self._select1_samples: List[int] = []
+        self._select1_directory: List[int] = []
         self._ones = 0
         if bits:
             self.extend(bits)
@@ -177,7 +177,7 @@ class BitVector:
                 select1.append(word_index)
                 next_one += SELECT_SAMPLE_RATE
         self._rank_blocks = blocks
-        self._select1_samples = select1
+        self._select1_directory = select1
         self._ones = running
         self._sealed = True
         return self
@@ -276,11 +276,11 @@ class BitVector:
         # The sampled directory brackets the word; bisect only the rank
         # blocks between two adjacent samples for the first word whose
         # cumulative popcount reaches ``count``.
-        samples = self._select1_samples
+        directory = self._select1_directory
         sample_index = (count - 1) // SELECT_SAMPLE_RATE
-        lo = samples[sample_index]
-        if sample_index + 1 < len(samples):
-            hi = samples[sample_index + 1]
+        lo = directory[sample_index]
+        if sample_index + 1 < len(directory):
+            hi = directory[sample_index + 1]
         else:
             hi = len(self._words) - 1
         blocks = self._rank_blocks

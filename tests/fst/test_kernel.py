@@ -2,7 +2,9 @@
 
 Every read path (``lookup``, ``lookup_from``, ``lookup_many``, ``step``,
 ``scan``, ``prefix_items``) must agree with a plain sorted list for any
-dense/sparse split, and the ``fst_dense_visit`` / ``fst_sparse_visit``
+dense/sparse split; ``step`` must agree with a navigator built from the
+public ``select1`` / ``next1`` / ``rank1`` alone (the descent inlines the
+select); and the ``fst_dense_visit`` / ``fst_sparse_visit``
 totals — the cost model's inputs — are pinned as literals recorded from
 the per-step-add implementation this kernel replaced, as are the
 ``to_bytes()`` digests (the encoding may not drift when the speed does).
@@ -16,6 +18,7 @@ import pytest
 
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import HybridTrie
+from repro.succinct.bitvector import SELECT_SAMPLE_RATE
 
 _USERS = [b"al", b"alice", b"bob", b"carol", b"d", b"dave.x", b"eve", b"zed"]
 _HOSTS = [b"@a.org", b"@ab.org", b"@b.com", b"@mail.b.com", b"@z.net"]
@@ -101,6 +104,134 @@ def test_hybrid_scan_matches_the_model_across_regions(seed):
         for start in scan_starts(pairs, seed):
             for count in (1, 9, len(pairs) + 5):
                 assert trie.scan(start, count) == model_scan(pairs, start, count)
+
+
+def reference_step(fst, node, label):
+    """``step`` rebuilt from the public ``select1`` / ``next1`` / ``rank1``
+    and bit reads alone: the oracle the inlined select is held to."""
+    values = fst._values
+    if fst.is_dense_node(node):
+        position = node * 256 + label
+        if not fst._dense_labels[position]:
+            return None, None, False
+        haschild = fst._dense_haschild
+        if haschild[position]:
+            return haschild.rank1(position + 1), None, True
+        return None, values[fst._dense_labels.rank1(position) - haschild.rank1(position)], True
+    louds = fst._sparse_louds
+    start = louds.select1(node - fst.num_dense_nodes + 1)
+    end = louds.next1(start + 1)
+    labels = fst._sparse_labels[start:end]
+    if label not in labels:
+        return None, None, False
+    position = start + labels.index(label)
+    haschild = fst._sparse_haschild
+    if haschild[position]:
+        return fst._dense_hc_total + haschild.rank1(position + 1), None, True
+    return None, values[fst._dense_terminal_total + position - haschild.rank1(position)], True
+
+
+def node_labels(fst, node):
+    """The labels of ``node`` per the reference primitives."""
+    if fst.is_dense_node(node):
+        return [label for label in range(256) if fst._dense_labels[node * 256 + label]]
+    louds = fst._sparse_louds
+    start = louds.select1(node - fst.num_dense_nodes + 1)
+    return list(fst._sparse_labels[start : louds.next1(start + 1)])
+
+
+def wide_pairs():
+    """Two sparse nodes of more than 64 labels (one at bit 0, one mid-array:
+    the ``next1`` fallback) among more than 3 x SELECT_SAMPLE_RATE nodes."""
+    keys = []
+    for first in range(1, 101):
+        seconds = 80 if first == 50 else first % 13 + 1
+        keys += [bytes([first, second, 0]) for second in range(1, seconds + 1)]
+    return [(key, index) for index, key in enumerate(keys)]
+
+
+def assert_step_matches_reference(fst):
+    for node in range(fst.num_nodes):
+        present = node_labels(fst, node)
+        absent = min(set(range(256)) - set(present))
+        for label in present + [absent]:
+            assert fst.step(node, label) == reference_step(fst, node, label), (node, label)
+
+
+@pytest.mark.parametrize("dense_levels", [0, 1, 2])
+def test_step_matches_the_public_primitives(dense_levels):
+    fst = FST(email_pairs(300, 11), dense_levels=dense_levels)
+    assert fst.num_nodes > fst.num_dense_nodes
+    assert_step_matches_reference(fst)
+
+
+@pytest.mark.parametrize("dense_levels", [0, 1])
+def test_step_matches_on_wide_nodes_past_several_select_samples(dense_levels):
+    fst = FST(wide_pairs(), dense_levels=dense_levels)
+    assert fst.num_nodes - fst.num_dense_nodes > 3 * SELECT_SAMPLE_RATE
+    assert max(fst.node_fanout(node) for node in range(fst.num_dense_nodes, fst.num_nodes)) > 64
+    assert_step_matches_reference(fst)
+
+
+def scan_cases(pairs):
+    """Every third key and a proper prefix of each, at counts 1, 20, 200."""
+    keys = [key for key, _ in pairs]
+    starts = keys[::3] + [key[: 1 + index % (len(key) - 1)] for index, key in enumerate(keys[1::3])]
+    return [(start, count) for start in starts for count in (1, 20, 200)]
+
+
+def test_scan_from_every_third_key_and_prefix():
+    pairs = email_pairs(300, 11)
+    for dense_levels in (0, 1, 2):
+        fst = FST(pairs, dense_levels=dense_levels)
+        for start, count in scan_cases(pairs):
+            assert fst.scan(start, count) == model_scan(pairs, start, count), (start, count)
+    pairs = wide_pairs()
+    fst = FST(pairs, dense_levels=0)
+    for start, count in scan_cases(pairs):
+        assert fst.scan(start, count) == model_scan(pairs, start, count), (start, count)
+
+
+@pytest.mark.parametrize("art_levels", [0, 1, 3])
+def test_hybrid_scan_from_every_third_key_and_prefix(art_levels):
+    pairs = email_pairs(300, 11)
+    trie = HybridTrie(pairs, art_levels=art_levels, adaptive=False)
+    trie.train([key for key, _ in pairs[::3]], rounds=2)
+    for start, count in scan_cases(pairs):
+        assert trie.scan(start, count) == model_scan(pairs, start, count), (start, count)
+
+
+def test_a_cursor_hands_over_only_to_the_next_node_of_its_level():
+    """One ``scan_from`` walk meets a level's nodes consecutively, so no
+    public call ever offers a cursor a node past a gap.  Sharing one
+    cursor across walks of disjoint subtrees does: the nodes between them
+    are skipped, and each walk must still select where the gap is."""
+    pairs = email_pairs(300, 11)
+    for dense_levels in (0, 1):
+        fst = FST(pairs, dense_levels=dense_levels)
+        cursor: dict = {}
+        for prefix in (b"al", b"bob", b"carol", b"eve", b"zed"):
+            node = 0
+            for label in prefix:
+                node = fst.step(node, label)[0]
+            result: list = []
+            fst._scan(node, prefix, prefix, False, 40, result, [0, 0], cursor)
+            assert result == [pair for pair in pairs if pair[0].startswith(prefix)][:40]
+
+
+@pytest.mark.parametrize("dense_levels", [0, 2, "height"])
+def test_a_node_past_the_last_raises_the_select_range_error(dense_levels):
+    pairs = email_pairs(120, 3)
+    levels = FST(pairs).height if dense_levels == "height" else dense_levels
+    fst = FST(pairs, dense_levels=levels)
+    key = pairs[0][0]
+    for node in (fst.num_nodes, fst.num_nodes + 500):
+        with pytest.raises(ValueError):
+            fst.lookup_from(node, key, 1)
+        with pytest.raises(ValueError):
+            fst.step(node, key[1])
+        with pytest.raises(ValueError):
+            fst.scan_from(node, key[:1], key, 5, [])
 
 
 #: Visit totals recorded from the implementation this kernel replaced

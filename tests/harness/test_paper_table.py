@@ -9,6 +9,10 @@ from tests.helpers import REPO_ROOT, load_bench
 benchkit = load_bench("benchkit")
 PAPER = load_bench("bench_paper").PAPER
 
+#: The only committed rows without a bound: measured context a figure's
+#: text cites but that no shape requires.
+INFORMATIONAL = ["fig20.phase2_compactions"]
+
 CITATION = re.compile(r"`([a-z0-9-]+)\.\*`")  # `fig15.*`
 UNCHECKED = re.compile(r"unchecked\W+\w.{15,}")  # "unchecked: <a reason>"
 
@@ -24,7 +28,7 @@ def prefix(entry):
 def test_every_committed_row_is_bounded_and_holds():
     rows = committed()["headline"]
     assert benchkit.check(rows) == []
-    assert [entry["metric"] for entry in rows if entry["op"] is None] == []
+    assert [entry["metric"] for entry in rows if entry["op"] is None] == INFORMATIONAL
     metrics = [entry["metric"] for entry in rows]
     assert len(set(metrics)) == len(metrics)
 
