@@ -21,6 +21,7 @@ explicit in-node search and are markedly slower).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
@@ -47,12 +48,12 @@ _BYTE = [bytes([label]) for label in range(256)]
 _PROBE_EVENTS = {"sparse": "leaf_probe:sparse", "dense": "leaf_probe:dense"}
 
 
-def choose_dense_cutoff(levels: TrieLevels, threshold: float = DENSE_FANOUT_THRESHOLD) -> int:
+def choose_dense_cutoff(levels: TrieLevels) -> int:
     """Default dense/sparse split: keep a level dense while its average
     fanout makes the dense encoding the smaller one (paper footnote 1)."""
     cutoff = 0
     for level in range(levels.height):
-        if levels.average_fanout(level) >= threshold:
+        if levels.average_fanout(level) >= DENSE_FANOUT_THRESHOLD:
             cutoff = level + 1
         else:
             break
@@ -85,60 +86,42 @@ class FST(IndexFamily):
     # Construction
     # ------------------------------------------------------------------
     def _build(self, levels: TrieLevels) -> None:
+        dense_rows = levels.levels[: self.dense_levels]
+        sparse_rows = levels.levels[self.dense_levels :]
+        node_counts = [row.nodes for row in levels.levels]
+        self._level_first_node = list(accumulate(node_counts, initial=0))[:-1]
+        # The dense levels are few and wide: each node's two 256-bit
+        # bitmaps are built as ints and appended through the word path.
         dense_labels = BitVector()
         dense_haschild = BitVector()
-        sparse_labels = bytearray()
-        haschild_bits = bytearray()
-        louds_bits = bytearray()
-        dense_values: List[int] = []
-        sparse_values: List[int] = []
-        dense_node_count = 0
-        self._level_first_node: List[int] = []
-        node_number = 0
-        for level_index, level_nodes in enumerate(levels.levels):
-            self._level_first_node.append(node_number)
-            for node in level_nodes:
-                if level_index < self.dense_levels:
-                    # Build the 256-bit bitmaps directly as ints and append
-                    # them through the bulk word path — no per-bit work.
-                    bitmap_labels = 0
-                    bitmap_haschild = 0
-                    for label, has_child, value in zip(
-                        node.labels, node.has_child, node.values
-                    ):
-                        bitmap_labels |= 1 << label
-                        if has_child:
-                            bitmap_haschild |= 1 << label
-                        else:
-                            dense_values.append(value)
+        for row in dense_rows:
+            bitmap_labels = bitmap_haschild = 0
+            for label, has_child, starts in zip(row.labels, row.has_child, row.louds):
+                if starts and bitmap_labels:
                     dense_labels.extend_from_word(bitmap_labels, 256)
                     dense_haschild.extend_from_word(bitmap_haschild, 256)
-                    dense_node_count += 1
-                else:
-                    # One byte per bit here, one bulk ``BitVector.extend``
-                    # per vector at the end: sparse nodes average barely
-                    # more than one label, too few to pay a call each.
-                    sparse_labels.extend(node.labels)
-                    haschild_bits.extend(node.has_child)
-                    louds_bits += b"\x01" + bytes(len(node.labels) - 1)
-                    for has_child, value in zip(node.has_child, node.values):
-                        if not has_child:
-                            sparse_values.append(value)
-                node_number += 1
+                    bitmap_labels = bitmap_haschild = 0
+                bitmap_labels |= 1 << label
+                bitmap_haschild |= has_child << label
+            if bitmap_labels:
+                dense_labels.extend_from_word(bitmap_labels, 256)
+                dense_haschild.extend_from_word(bitmap_haschild, 256)
         self._dense_labels = dense_labels.seal()
         self._dense_haschild = dense_haschild.seal()
-        self._sparse_labels = bytes(sparse_labels)
-        self._sparse_haschild = BitVector(haschild_bits).seal()
-        self._sparse_louds = BitVector(louds_bits).seal()
-        self._values = dense_values + sparse_values
-        self._num_dense_nodes = dense_node_count
+        # The sparse region is the sparse levels' columns back to back.
+        self._sparse_labels = b"".join(row.labels for row in sparse_rows)
+        self._sparse_haschild = BitVector(b"".join(row.has_child for row in sparse_rows)).seal()
+        self._sparse_louds = BitVector(b"".join(row.louds for row in sparse_rows)).seal()
+        # Dense terminals come first, then sparse: level order.
+        self._values = [value for row in levels.levels for value in row.values]
+        self._num_dense_nodes = sum(node_counts[: self.dense_levels])
         self._dense_hc_total = self._dense_haschild.ones if len(self._dense_haschild) else 0
         self._dense_terminal_total = (
             (self._dense_labels.ones - self._dense_haschild.ones)
             if len(self._dense_labels)
             else 0
         )
-        self._num_nodes = node_number
+        self._num_nodes = sum(node_counts)
 
     # ------------------------------------------------------------------
     # Navigation primitives

@@ -40,6 +40,10 @@ SELECT_SAMPLE_RATE = 256
 _NATIVE_LITTLE_ENDIAN = sys.byteorder == "little"
 _UNSEALED = "BitVector must be sealed before querying; call seal()"
 
+#: ``bytes.translate`` table of :meth:`BitVector.extend`: byte 0 is the
+#: digit ``0``, every other byte the digit ``1``.
+_BINARY_DIGIT = b"0" + b"1" * 255
+
 
 #: ``_SELECT_IN_BYTE[byte << 3 | k]`` is the offset of the ``k``-th
 #: (0-based) set bit of ``byte``; slots past the popcount are never read.
@@ -109,33 +113,26 @@ class BitVector:
         self._size += 1
 
     def extend(self, bits: Iterable[int]) -> None:
-        """Append each bit of ``bits`` in order.
+        """Append each bit of ``bits`` in order (any truthy value counts
+        as 1).
 
-        Bits are accumulated into 64-bit words locally and flushed through
-        :meth:`extend_from_word`, avoiding the per-bit divmod/indexing of
-        :meth:`append`.
+        The bits become one 0/1 byte each, then one ``bytes.translate``
+        spells them as binary digits (last bit first) and ``int(..., 2)``
+        reads them as the word :meth:`extend_from_word` appends — no
+        per-bit Python work beyond that normalisation.
         """
         if self._sealed:
             raise ValueError("cannot append to a sealed BitVector")
-        word = 0
-        pending = 0
-        for bit in bits:
-            if bit:
-                word |= 1 << pending
-            pending += 1
-            if pending == _WORD_BITS:
-                self.extend_from_word(word, _WORD_BITS)
-                word = 0
-                pending = 0
-        if pending:
-            self.extend_from_word(word, pending)
+        flags = bits if isinstance(bits, (bytes, bytearray)) else bytes(map(bool, bits))
+        if flags:
+            self.extend_from_word(int(flags[::-1].translate(_BINARY_DIGIT), 2), len(flags))
 
     def extend_from_word(self, word: int, length: int) -> None:
         """Append the low ``length`` bits of ``word`` (bit 0 first).
 
-        ``length`` may exceed 64; the payload is consumed in 64-bit
-        chunks.  This is the bulk construction path the LOUDS builders
-        use for whole node bitmaps.
+        ``length`` may exceed 64; past the partial last word the payload
+        is appended as one little-endian byte run.  This is the bulk
+        construction path the LOUDS builders use for whole node bitmaps.
         """
         if self._sealed:
             raise ValueError("cannot append to a sealed BitVector")
@@ -152,10 +149,12 @@ class BitVector:
             room = _WORD_BITS - bit_index
             word >>= room
             remaining -= room
-        while remaining > 0:
-            words.append(word & _WORD_MASK)
-            word >>= _WORD_BITS
-            remaining -= _WORD_BITS
+        if remaining > 0:
+            byte_count = (remaining + _WORD_BITS - 1) // _WORD_BITS * 8
+            run = array("Q", word.to_bytes(byte_count, "little"))
+            if not _NATIVE_LITTLE_ENDIAN:  # pragma: no cover - big-endian fallback
+                run.byteswap()
+            words.extend(run)
         self._size += length
 
     def seal(self) -> "BitVector":

@@ -67,29 +67,27 @@ class TestStructure:
     def test_node_numbering_counts(self, dense_levels):
         pairs = int_pairs(300)
         fst = FST(pairs, dense_levels=dense_levels)
-        levels = build_trie_levels(pairs)
-        assert fst.num_nodes == levels.node_count()
-        expected_dense = sum(
-            len(level) for level in levels.levels[: min(dense_levels, levels.height)]
-        )
-        assert fst.num_dense_nodes == expected_dense
+        counts = build_trie_levels(pairs).level_node_counts()
+        assert fst.num_nodes == sum(counts)
+        assert fst.num_dense_nodes == sum(counts[:dense_levels])
 
     def test_children_match_builder(self, dense_levels):
         pairs = int_pairs(120)
         fst = FST(pairs, dense_levels=dense_levels)
-        levels = build_trie_levels(pairs)
-        # Walk BFS: node numbers are assigned in BFS order, so children()
-        # must report the same labels the builder produced.
-        for node_number, spec in enumerate(levels.nodes_in_bfs_order()):
-            entries = fst.children(node_number)
-            assert [label for label, _, _ in entries] == spec.labels
-            for (label, child, value), has_child, spec_value in zip(
-                entries, spec.has_child, spec.values
-            ):
-                if has_child:
-                    assert child is not None and value is None
-                else:
-                    assert child is None and value == spec_value
+        # Node numbers are BFS order, which is the rows' order: node ``n``
+        # owns the labels from its LOUDS bit up to the next one, and the
+        # terminal labels take their row's values in turn.
+        expected = []
+        for row in build_trie_levels(pairs).levels:
+            values = iter(row.values)
+            for label, has_child, starts in zip(row.labels, row.has_child, row.louds):
+                if starts:
+                    expected.append([])
+                expected[-1].append((label, bool(has_child), None if has_child else next(values)))
+        assert len(expected) == fst.num_nodes
+        for node_number, entries in enumerate(expected):
+            found = fst.children(node_number)
+            assert [(label, child is not None, value) for label, child, value in found] == entries
 
     def test_level_of_node(self):
         pairs = int_pairs(100)

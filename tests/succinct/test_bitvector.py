@@ -60,6 +60,60 @@ class TestConstruction:
         assert list(bv) == [1, 0, 0, 1]
 
 
+def appended(prefix, bits):
+    """The vector ``extend`` must equal: ``prefix`` then ``bits``, one
+    ``append`` each."""
+    vector = BitVector()
+    for bit in list(prefix) + list(bits):
+        vector.append(bit)
+    return vector
+
+
+def pattern(length):
+    return [(index * 7 + index // 3) % 5 % 2 for index in range(length)]
+
+
+class TestExtendEqualsAppend:
+    """``extend`` packs through one translate and one ``int(..., 2)``; it
+    must give exactly the words, size and ranks of per-bit ``append``."""
+
+    @staticmethod
+    def check(prefix, bits, shapes=(list, bytes, iter)):
+        expected = appended(prefix, bits).seal()
+        for shape in shapes:
+            vector = BitVector()
+            for bit in prefix:
+                vector.append(bit)
+            vector.extend(shape(bits))
+            vector.seal()
+            assert len(vector) == len(expected)
+            assert vector._words == expected._words
+            assert vector._rank_blocks == expected._rank_blocks
+            assert list(vector) == list(expected)
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 1000])
+    def test_lengths(self, length):
+        self.check([], pattern(length))
+
+    @pytest.mark.parametrize("length", [0, 1, 59, 60, 64, 1000])
+    def test_after_a_partial_word(self, length):
+        self.check([1, 0, 1, 1, 0], pattern(length))
+
+    def test_truthy_elements(self):
+        bits = [2, b"\x02", "x", 0, "", b"", None, 1] * 20
+        expected = [bool(bit) for bit in bits]
+        self.check([1, 1, 0], bits, shapes=(list, iter))
+        assert list(make(bits)) == expected
+        self.check([], bytes([0, 2, 255, 0, 1] * 30), shapes=(bytes, bytearray, list))
+
+    def test_extend_after_seal_raises(self):
+        vector = make([1, 0])
+        for bits in ([], b"", [1], b"\x01", iter([1])):
+            with pytest.raises(ValueError, match="sealed"):
+                vector.extend(bits)
+        assert len(vector) == 2
+
+
 class TestRank:
     def test_rank1_exclusive(self):
         bv = make([1, 0, 1, 1])
