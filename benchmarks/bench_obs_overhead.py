@@ -39,7 +39,7 @@ from repro.art.tree import ART
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import HybridTrie
 from repro.obs import MetricsRegistry, Telemetry, active, active_tracer
@@ -80,7 +80,7 @@ def _build_lookup_loops(num_keys):
 
     tree = BPlusTree.bulk_load(pairs, LeafEncoding.SUCCINCT)
     adaptive = AdaptiveBPlusTree.bulk_load_adaptive(pairs)
-    dual = DualStageIndex.bulk_load(pairs, StaticEncoding.SUCCINCT)
+    dual = DualStageIndex.bulk_load(pairs, LeafEncoding.SUCCINCT)
     art = ART.from_sorted(byte_pairs)
     fst = FST(byte_pairs)
     trie = HybridTrie(byte_pairs)

@@ -32,7 +32,7 @@ from benchkit import best_of as _best_of
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 
 DEFAULT_KEYS = 20_000
@@ -125,7 +125,7 @@ def run_suite(num_keys=DEFAULT_KEYS):
         len(probes),
     )
 
-    dual = DualStageIndex.bulk_load(pairs, StaticEncoding.SUCCINCT)
+    dual = DualStageIndex.bulk_load(pairs, LeafEncoding.SUCCINCT)
     families["dualstage"] = _measure(
         lambda: [dual.lookup(key) for key in probes],
         lambda: dual.lookup_many(probes),
@@ -158,12 +158,12 @@ def run_suite(num_keys=DEFAULT_KEYS):
     )
 
     def single_insert_dual():
-        target = DualStageIndex(StaticEncoding.SUCCINCT)
+        target = DualStageIndex(LeafEncoding.SUCCINCT)
         for key, value in fresh_pairs:
             target.insert(key, value)
 
     def batched_insert_dual():
-        target = DualStageIndex(StaticEncoding.SUCCINCT)
+        target = DualStageIndex(LeafEncoding.SUCCINCT)
         target.insert_many(fresh_pairs)
 
     inserts["dualstage"] = _measure(

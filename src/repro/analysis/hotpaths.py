@@ -71,6 +71,11 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
         # (invisible to the call graph; the leaf probes are `*lookup*`).
         HotRoot("repro.bptree.leaves", "*.entries_from"),
         HotRoot("repro.bptree.leaves", "*.pairs_from"),
+        # The FOR-blocked run's read path, which the Succinct leaf and
+        # the Dual-Stage static stage inherit or dispatch to.
+        HotRoot("repro.succinct", "*lookup*"),
+        HotRoot("repro.succinct", "*.entries_from"),
+        HotRoot("repro.succinct", "*.pairs_from"),
         # Succinct primitives backing compressed probes and the FST
         # navigation kernel (reached by attribute dispatch).
         HotRoot("repro.succinct", "*.__getitem__"),

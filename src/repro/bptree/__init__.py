@@ -12,7 +12,6 @@ the Succinct one at run-time.
 """
 
 from repro.bptree.hybrid import AdaptiveBPlusTree
-from repro.bptree.iterator import TreeIterator
 from repro.bptree.leaves import LeafEncoding, LeafNode
 from repro.bptree.olc import OlcBPlusTree
 from repro.bptree.tree import BPlusTree
@@ -23,5 +22,4 @@ __all__ = [
     "LeafEncoding",
     "LeafNode",
     "OlcBPlusTree",
-    "TreeIterator",
 ]

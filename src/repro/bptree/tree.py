@@ -454,13 +454,6 @@ class BPlusTree(IndexFamily):
             result.extend(taken)
         return result
 
-    def iterator(self, start_key: Optional[int] = None):
-        """A stateful :class:`~repro.bptree.iterator.TreeIterator`
-        positioned at ``start_key`` (or the smallest entry)."""
-        from repro.bptree.iterator import TreeIterator
-
-        return TreeIterator(self, start_key)
-
     def items(self) -> Iterator[Tuple[int, int]]:
         """All pairs in key order."""
         node: Child = self._root

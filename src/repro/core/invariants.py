@@ -415,23 +415,26 @@ def check_fst(fst: FST) -> List[str]:
 # ----------------------------------------------------------------------
 def check_dualstage(index: DualStageIndex) -> List[str]:
     """All violations of a Dual-Stage index's invariants."""
+    from repro.succinct.for_codec import ForRun
+
     violations: List[str] = []
 
-    static_items = list(index._static.items())
+    static = index._static
+    static_items = static.to_pairs()
     keys = [key for key, _ in static_items]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         violations.append("static stage keys are not strictly sorted")
-    if len(static_items) != len(index._static):
+    if len(static_items) != static.num_entries():
         violations.append(
             f"static stage iterates {len(static_items)} entries but claims "
-            f"{len(index._static)}"
+            f"{static.num_entries()}"
         )
-    if index._static._block_mins:
-        for block_index, block in enumerate(index._static._blocks):
-            if len(block) and block[0] != index._static._block_mins[block_index]:
+    if isinstance(static, ForRun):
+        for block_index, block in enumerate(static._key_blocks):
+            if len(block) and block[0] != static._block_min_keys[block_index]:
                 violations.append(
                     f"static block {block_index} directory min "
-                    f"{index._static._block_mins[block_index]} != first key "
+                    f"{static._block_min_keys[block_index]} != first key "
                     f"{block[0]}"
                 )
                 break

@@ -7,6 +7,6 @@ merged keys skip the first probe.  A background-style merge folds the
 dynamic stage into the static one whenever it exceeds a size ratio.
 """
 
-from repro.dualstage.index import CompactSortedArray, DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 
-__all__ = ["CompactSortedArray", "DualStageIndex", "StaticEncoding"]
+__all__ = ["DualStageIndex"]

@@ -1,22 +1,23 @@
 """Dual-Stage hybrid index: dynamic B+-tree + compact static stage.
 
-The static stage is a :class:`CompactSortedArray`: all merged pairs in
-one sorted run, physically laid out either *packed* (plain dense arrays)
-or *succinct* (frame-of-reference blocks, mirroring Compact-X of the
-original paper).  Lookups binary-search a block directory and then the
-block.  The structure is immutable; inserts land in the dynamic stage and
-periodic merges rebuild the run — the "expensive merge process" the
-Adaptive-Hybrid-Indexes paper contrasts itself against.
+The static stage holds all merged pairs in one sorted run, laid out
+either *packed* (a :class:`~repro.bptree.leaves.PackedStorage` over every
+pair) or *succinct* (a :class:`~repro.succinct.for_codec.ForRun` of
+256-entry frame-of-reference blocks, mirroring Compact-X of the original
+paper — the run the Succinct leaf uses, at a longer block).  Lookups
+search the run's block directory and then the one block it names.  The
+run is immutable; inserts land in the dynamic stage and periodic merges
+rebuild it — the "expensive merge process" the Adaptive-Hybrid-Indexes
+paper contrasts itself against.
 """
 
 from __future__ import annotations
 
-import bisect
-import enum
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import length_hint
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.bptree.leaves import LeafEncoding
+from repro.bptree.leaves import LeafEncoding, PackedStorage
 from repro.bptree.tree import BPlusTree
 from repro.core.bloom import BloomFilter
 from repro.faults.injector import fault_point
@@ -24,9 +25,10 @@ from repro.obs.introspect import IndexFamily
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
 from repro.sim.counters import OpCounters
-from repro.succinct.for_codec import ForBlock, for_encode
+from repro.succinct.for_codec import ForRun
 
-_BLOCK_SIZE = 256
+#: Entries per FOR block of the succinct static stage.
+_STATIC_BLOCK_ENTRIES = 256
 
 #: Precomputed ``leaf_probe:<stage>`` span names (RA004: telemetry
 #: names are literal tables, never formatted on the hot path).
@@ -35,161 +37,15 @@ _PROBE_EVENTS = {
     "dynamic": "leaf_probe:dynamic",
     "tombstone": "leaf_probe:tombstone",
 }
-_HEADER_BYTES = 16
-_SLOT_BYTES = 16
 
 
-class StaticEncoding(enum.Enum):
-    """Physical layout of the static stage."""
-
-    PACKED = "packed"
-    SUCCINCT = "succinct"
-
-
-class CompactSortedArray:
-    """An immutable sorted run with a block directory."""
-
-    def __init__(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        encoding: StaticEncoding = StaticEncoding.SUCCINCT,
-        counters: Optional[OpCounters] = None,
-    ) -> None:
-        self.counters = counters if counters is not None else OpCounters()
-        keys = [key for key, _ in pairs]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("static stage requires strictly sorted unique keys")
-        self.encoding = encoding
-        self._num_entries = len(pairs)
-        self._block_mins: List[int] = []
-        if encoding is StaticEncoding.PACKED:
-            self._keys = keys
-            self._values = [value for _, value in pairs]
-            self._blocks: List[ForBlock] = []
-            self._value_blocks: List[ForBlock] = []
-        else:
-            self._keys = []
-            self._values = []
-            self._blocks = []
-            self._value_blocks = []
-            for start in range(0, len(pairs), _BLOCK_SIZE):
-                chunk = pairs[start : start + _BLOCK_SIZE]
-                self._blocks.append(for_encode([key for key, _ in chunk]))
-                self._value_blocks.append(for_encode([value for _, value in chunk]))
-                self._block_mins.append(chunk[0][0])
-
-    def __len__(self) -> int:
-        return self._num_entries
-
-    def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        if self._num_entries == 0:
-            return None
-        if self.encoding is StaticEncoding.PACKED:
-            index = bisect.bisect_left(self._keys, key)
-            if index < len(self._keys) and self._keys[index] == key:
-                return self._values[index]
-            return None
-        block_index = bisect.bisect_right(self._block_mins, key) - 1
-        if block_index < 0:
-            return None
-        block = self._blocks[block_index]
-        lo, hi = 0, len(block)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if block[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(block) and block[lo] == key:
-            return self._value_blocks[block_index][lo]
-        return None
-
-    def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
-        """Batched lookups; one value (or None) per key.
-
-        Equivalent to per-key :meth:`lookup` calls but hoists the
-        directory/array references out of the loop; succinct runs reuse
-        the previously located block while consecutive keys stay inside
-        it (the common case for sorted probe batches).
-        """
-        if self._num_entries == 0:
-            return [None for _ in keys]
-        results: List[Optional[int]] = []
-        if self.encoding is StaticEncoding.PACKED:
-            packed_keys = self._keys
-            packed_values = self._values
-            limit = len(packed_keys)
-            for key in keys:
-                index = bisect.bisect_left(packed_keys, key)
-                if index < limit and packed_keys[index] == key:
-                    results.append(packed_values[index])
-                else:
-                    results.append(None)
-            return results
-        append = results.append
-        mins = self._block_mins
-        blocks = self._blocks
-        value_blocks = self._value_blocks
-        cached_index = -1
-        cached_keys: List[int] = []
-        cached_values: Optional[List[int]] = None
-        for key in keys:
-            block_index = bisect.bisect_right(mins, key) - 1
-            if block_index < 0:
-                append(None)
-                continue
-            if block_index != cached_index:
-                # One bulk decode per touched block; probe batches that
-                # stay inside a block then bisect a plain list instead of
-                # paying packed-array probes per binary-search step.
-                cached_index = block_index
-                cached_keys = blocks[block_index].to_list()
-                cached_values = None
-            position = bisect.bisect_left(cached_keys, key)
-            if position < len(cached_keys) and cached_keys[position] == key:
-                if cached_values is None:
-                    cached_values = value_blocks[block_index].to_list()
-                append(cached_values[position])
-            else:
-                append(None)
-        return results
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Yield all ``(key, value)`` pairs in key order."""
-        if self.encoding is StaticEncoding.PACKED:
-            yield from zip(self._keys, self._values)
-            return
-        for block, values in zip(self._blocks, self._value_blocks):
-            yield from zip(block.to_list(), values.to_list())
-
-    def items_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
-        """Pairs with key >= start_key, starting at the right block."""
-        if self._num_entries == 0:
-            return
-        if self.encoding is StaticEncoding.PACKED:
-            index = bisect.bisect_left(self._keys, start_key)
-            for position in range(index, len(self._keys)):
-                self.counters.add("static_scan_item")
-                yield self._keys[position], self._values[position]
-            return
-        block_index = max(0, bisect.bisect_right(self._block_mins, start_key) - 1)
-        for current in range(block_index, len(self._blocks)):
-            keys = self._blocks[current].to_list()
-            values = self._value_blocks[current].to_list()
-            for key, value in zip(keys, values):
-                if key >= start_key:
-                    self.counters.add("static_scan_item")
-                    yield key, value
-
-    def size_bytes(self) -> int:
-        """Return the modeled C++ footprint in bytes."""
-        if self.encoding is StaticEncoding.PACKED:
-            return _HEADER_BYTES + self._num_entries * _SLOT_BYTES
-        total = _HEADER_BYTES + 8 * len(self._block_mins)
-        total += sum(block.size_bytes() for block in self._blocks)
-        total += sum(block.size_bytes() for block in self._value_blocks)
-        return total
+def _static_stage(
+    pairs: Sequence[Tuple[int, int]], encoding: LeafEncoding
+) -> Union[PackedStorage, ForRun]:
+    """The static stage over strictly sorted ``pairs`` in ``encoding``."""
+    if encoding is LeafEncoding.PACKED:
+        return PackedStorage(pairs, len(pairs))
+    return ForRun(pairs, _STATIC_BLOCK_ENTRIES)
 
 
 class DualStageIndex(IndexFamily):
@@ -200,17 +56,19 @@ class DualStageIndex(IndexFamily):
 
     def __init__(
         self,
-        static_encoding: StaticEncoding = StaticEncoding.SUCCINCT,
+        static_encoding: LeafEncoding = LeafEncoding.SUCCINCT,
         merge_ratio: float = 0.05,
     ) -> None:
         if not 0 < merge_ratio < 1:
             raise ValueError(f"merge ratio must be in (0, 1), got {merge_ratio}")
+        if static_encoding is LeafEncoding.GAPPED:
+            raise ValueError("the static stage is packed or succinct, not gapped")
         self.static_encoding = static_encoding
         self.merge_ratio = merge_ratio
         self.counters = OpCounters()
         self._dynamic = BPlusTree(LeafEncoding.GAPPED)
         self._dynamic.counters = self.counters  # one event stream
-        self._static = CompactSortedArray([], static_encoding, self.counters)
+        self._static = _static_stage([], static_encoding)
         self._bloom = BloomFilter(capacity=1024)
         self._tombstones: set = set()
         self._num_keys = 0
@@ -220,13 +78,13 @@ class DualStageIndex(IndexFamily):
     def bulk_load(
         cls,
         pairs: Sequence[Tuple[int, int]],
-        static_encoding: StaticEncoding = StaticEncoding.SUCCINCT,
+        static_encoding: LeafEncoding = LeafEncoding.SUCCINCT,
         merge_ratio: float = 0.05,
     ) -> "DualStageIndex":
         """Load sorted pairs directly into the static stage."""
         index = cls(static_encoding, merge_ratio)
-        index._static = CompactSortedArray(list(pairs), static_encoding, index.counters)
-        index._num_keys = len(index._static)
+        index._static = _static_stage(list(pairs), static_encoding)
+        index._num_keys = index._static.num_entries()
         return index
 
     # ------------------------------------------------------------------
@@ -270,7 +128,8 @@ class DualStageIndex(IndexFamily):
         One ``contains_many`` drains the Bloom filter for the whole
         batch, Bloom-positive keys probe the dynamic stage in one
         ``lookup_many``, and only the keys neither stage resolved reach
-        the static run (again as one batch).  Per-key results and the
+        the static run (again as one batch, in key order).  Per-key
+        results and the
         per-stage probe counters are identical to looping
         :meth:`lookup`.
         """
@@ -291,9 +150,9 @@ class DualStageIndex(IndexFamily):
                 elif keys[position] not in self._tombstones:
                     static_positions.append(position)
         if static_positions:
-            static_positions.sort()
+            static_positions.sort(key=keys.__getitem__)  # lookup_run: ascending
             self.counters.add("static_stage_probe", len(static_positions))
-            found = self._static.lookup_many([keys[i] for i in static_positions])
+            found = self._static.lookup_run([keys[i] for i in static_positions])
             for position, value in zip(static_positions, found):
                 results[position] = value
         return results
@@ -347,16 +206,26 @@ class DualStageIndex(IndexFamily):
         return True
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:
-        """Merge-scan both stages in key order."""
+        """Merge-scan both stages in key order; ``static_scan_item``
+        counts each pair the merge takes from the static stage."""
         if count <= 0:
             return []
-        dynamic = self._dynamic.scan(start_key, count + len(self._tombstones))
-        merged = self._merged(iter(dynamic), self._static.items_from(start_key))
-        return list(itertools.islice(merged, count))
+        window = count + len(self._tombstones)
+        dynamic = self._dynamic.scan(start_key, window)
+        # Each static pair the merge consumes is returned, shadowed by a
+        # returned dynamic pair or tombstoned, and it reads one pair
+        # ahead: ``window + 1`` pairs are all it can take.
+        window_pairs = self._static.pairs_from(start_key, window + 1)
+        static = iter(window_pairs)
+        result = list(itertools.islice(self._merged(iter(dynamic), static), count))
+        taken = len(window_pairs) - length_hint(static)
+        if taken:
+            self.counters.add("static_scan_item", taken)
+        return result
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """All live pairs in key order."""
-        return self._merged(self._dynamic.items(), self._static.items())
+        return self._merged(self._dynamic.items(), iter(self._static.to_pairs()))
 
     def _merged(
         self, dynamic: Iterator[Tuple[int, int]], static: Iterator[Tuple[int, int]]
@@ -385,7 +254,7 @@ class DualStageIndex(IndexFamily):
     # Merge
     # ------------------------------------------------------------------
     def _should_merge(self) -> bool:
-        total = len(self._dynamic) + len(self._static)
+        total = len(self._dynamic) + self._static.num_entries()
         if total == 0:
             return False
         return len(self._dynamic) / total > self.merge_ratio
@@ -409,7 +278,7 @@ class DualStageIndex(IndexFamily):
             span = tracer.start(
                 "merge",
                 dynamic_entries=len(self._dynamic),
-                static_entries=len(self._static),
+                static_entries=self._static.num_entries(),
             )
         try:
             self._merge_impl()
@@ -418,20 +287,24 @@ class DualStageIndex(IndexFamily):
                 tracer.end(span, outcome="failed")
             raise
         if span is not None:
-            tracer.end(span, outcome="merged", merged_entries=len(self._static))
+            tracer.end(
+                span, outcome="merged", merged_entries=self._static.num_entries()
+            )
         registry = active_registry()
         if registry is not None:
             registry.counter("dualstage.merges").inc()
             registry.histogram("dualstage.merge_entries", SIZE_BUCKETS).record(
-                len(self._static)
+                self._static.num_entries()
             )
 
     def _merge_impl(self) -> None:
         fault_point("dualstage.merge.collect")
-        self.counters.add("merge_entry", len(self._dynamic) + len(self._static))
+        self.counters.add(
+            "merge_entry", len(self._dynamic) + self._static.num_entries()
+        )
         merged = list(self.items())
         fault_point("dualstage.merge.build")
-        new_static = CompactSortedArray(merged, self.static_encoding, self.counters)
+        new_static = _static_stage(merged, self.static_encoding)
         new_dynamic = BPlusTree(LeafEncoding.GAPPED)
         new_dynamic.counters = self.counters
         new_bloom = BloomFilter(capacity=max(1024, len(merged) // 16))
@@ -458,12 +331,20 @@ class DualStageIndex(IndexFamily):
     @property
     def static_size(self) -> int:
         """Number of keys in the static stage."""
-        return len(self._static)
+        return self._static.num_entries()
 
     def size_bytes(self) -> int:
         """Return the modeled C++ footprint in bytes."""
         bloom_bytes = self._bloom.size_bytes()
-        return self._dynamic.size_bytes() + self._static.size_bytes() + bloom_bytes
+        return self._dynamic.size_bytes() + self._static_bytes() + bloom_bytes
+
+    def _static_bytes(self) -> int:
+        """The static stage's modeled bytes; a FOR run also pays 8 B per
+        block for its directory of block minimums."""
+        static = self._static
+        if isinstance(static, ForRun):
+            return static.size_bytes() + 8 * static.num_blocks()
+        return static.size_bytes()
 
     def encoding_census(self) -> dict:
         """Stage -> (count, avg bytes): dynamic leaves plus the static run."""
@@ -473,7 +354,7 @@ class DualStageIndex(IndexFamily):
         }
         census[f"static:{self.static_encoding.value}"] = (
             1,
-            float(self._static.size_bytes()),
+            float(self._static_bytes()),
         )
         return census
 

@@ -19,7 +19,7 @@ from repro.bptree.tree import BPlusTree
 from repro.core.access import AccessType
 from repro.core.budget import MemoryBudget
 from repro.core.trained import train_offline
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.harness.runner import IntKeyIndexAdapter, RunResult, run_operations
 from repro.sim.costmodel import CostModel
 from repro.workloads.datasets import consecutive_keys, osm_like_keys
@@ -133,9 +133,7 @@ def build_btree_variants(
             variants[name] = tree
         elif name in ("dualstage-succinct", "dualstage-packed"):
             encoding = (
-                StaticEncoding.SUCCINCT
-                if name == "dualstage-succinct"
-                else StaticEncoding.PACKED
+                LeafEncoding.SUCCINCT if name == "dualstage-succinct" else LeafEncoding.PACKED
             )
             # The paper's Figure 17 setup: the dynamic stage holds the
             # latest-inserted 5% of all data; merges trigger above that.

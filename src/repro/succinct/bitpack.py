@@ -10,7 +10,7 @@ binary-searchable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 
 def bits_required(value: int) -> int:
@@ -110,7 +110,3 @@ class PackedIntArray:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PackedIntArray(len={self._length}, width={self._width})"
 
-
-def pack(values: Iterable[int]) -> PackedIntArray:
-    """Pack ``values`` with the minimal common width."""
-    return PackedIntArray(list(values))

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
+from repro.bptree.tree import BPlusTree
 from repro.core.budget import MemoryBudget
 from repro.core.manager import ManagerConfig
 
@@ -156,6 +157,30 @@ class TestScanTracking:
         result = tree.scan(pairs[10][0], 25)
         assert result == pairs[10:35]
         assert tree.manager.counters.sampled > 0
+
+    def test_full_range_scan_samples_every_leaf(self):
+        config = ManagerConfig(
+            encoding_order=BTREE_ENCODING_ORDER,
+            initial_skip_length=0,
+            skip_min=0,
+            skip_max=5,
+            initial_sample_size=10_000,
+            use_bloom_filter=False,
+        )
+        pairs = [(key, key) for key in range(200)]
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs, leaf_capacity=8, manager_config=config
+        )
+        before = tree.manager.counters.sampled
+        assert tree.scan(0, len(pairs)) == pairs
+        # Skip 0 -> every leaf the scan visited was sampled and tracked.
+        assert tree.manager.counters.sampled - before >= tree.num_leaves
+
+    def test_plain_tree_scan_does_not_track(self):
+        pairs = [(key * 2, key) for key in range(100)]
+        tree = BPlusTree.bulk_load(pairs, LeafEncoding.GAPPED, leaf_capacity=8)
+        assert tree.scan(0, len(pairs)) == pairs  # no manager: nothing to sample
+        assert tree.manager is None
 
 
 class TestProtocol:

@@ -1,5 +1,6 @@
 """Block-local Succinct leaf writes: layout identity (including every
-branch of the in-buffer field kernels), modeled-counter parity with the
+branch of the in-buffer field kernels in ``repro.succinct.for_codec``,
+which the leaf is the only writer of), modeled-counter parity with the
 whole-leaf re-encode they replaced, per-tree leaf ids, and optimistic
 readers under a concurrent writer."""
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bptree import leaves
 from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import (
     INSERTED,
@@ -23,6 +23,7 @@ from repro.bptree.leaves import (
 from repro.bptree.olc import OlcBPlusTree
 from repro.core.budget import MemoryBudget
 from repro.core.manager import ManagerConfig
+from repro.succinct import for_codec
 
 CAPACITY = 256
 KEYS = st.integers(0, 2**40)
@@ -208,9 +209,9 @@ def test_any_write_sequence_equals_a_fresh_encode(preload, operations):
 def count_encodes(monkeypatch):
     """Record every ``for_encode`` a leaf write falls back to."""
     encoded = []
-    encode = leaves.for_encode
+    encode = for_codec.for_encode
     monkeypatch.setattr(
-        leaves, "for_encode", lambda values: encoded.append(values) or encode(values)
+        for_codec, "for_encode", lambda values: encoded.append(values) or encode(values)
     )
     return encoded
 

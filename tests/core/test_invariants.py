@@ -154,5 +154,5 @@ class TestDualStage:
 
     def test_detects_corrupt_block_directory(self):
         index = DualStageIndex.bulk_load([(key, key) for key in range(2000)])
-        index._static._block_mins[1] += 1
+        index._static._block_min_keys[1] += 1
         assert any("directory" in violation for violation in violations_of(index))

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dualstage.index import CompactSortedArray, DualStageIndex, StaticEncoding
+from repro.bptree.leaves import LeafEncoding
+from repro.dualstage.index import DualStageIndex
+
+STATIC_ENCODINGS = [LeafEncoding.PACKED, LeafEncoding.SUCCINCT]
 
 
 def sorted_pairs(n, seed=0):
@@ -15,44 +18,84 @@ def sorted_pairs(n, seed=0):
     return [(key, key * 2) for key in keys]
 
 
-@pytest.fixture(params=list(StaticEncoding), ids=lambda e: e.value)
+@pytest.fixture(params=STATIC_ENCODINGS, ids=lambda e: e.value)
 def encoding(request):
     return request.param
 
 
-class TestCompactSortedArray:
+def static_stage(pairs, encoding):
+    """The static stage a bulk load builds over ``pairs``."""
+    return DualStageIndex.bulk_load(pairs, encoding)._static
+
+
+class TestStaticStage:
     def test_lookup(self, encoding):
         pairs = sorted_pairs(1000)
-        array = CompactSortedArray(pairs, encoding)
+        stage = static_stage(pairs, encoding)
         for key, value in pairs[::37]:
-            assert array.lookup(key) == value
-        assert array.lookup(-1) is None
-        assert array.lookup(pairs[-1][0] + 1) is None
+            assert stage.lookup(key) == value
+        assert stage.lookup(-1) is None
+        assert stage.lookup(pairs[-1][0] + 1) is None
 
     def test_empty(self, encoding):
-        array = CompactSortedArray([], encoding)
-        assert array.lookup(5) is None
-        assert len(array) == 0
+        index = DualStageIndex(encoding)
+        assert index._static.lookup(5) is None
+        assert index._static.num_entries() == 0
+        assert index.scan(0, 10) == []
 
     def test_items_sorted(self, encoding):
         pairs = sorted_pairs(600)
-        array = CompactSortedArray(pairs, encoding)
-        assert list(array.items()) == pairs
+        assert static_stage(pairs, encoding).to_pairs() == pairs
 
     def test_items_from(self, encoding):
         pairs = sorted_pairs(600)
-        array = CompactSortedArray(pairs, encoding)
-        assert list(array.items_from(pairs[300][0]))[:5] == pairs[300:305]
+        stage = static_stage(pairs, encoding)
+        assert list(stage.entries_from(pairs[300][0]))[:5] == pairs[300:305]
+        assert stage.pairs_from(pairs[300][0] - 1, 5) == pairs[300:305]
 
     def test_unsorted_rejected(self, encoding):
         with pytest.raises(ValueError):
-            CompactSortedArray([(2, 0), (1, 0)], encoding)
+            DualStageIndex.bulk_load([(2, 0), (1, 0)], encoding)
+
+    def test_gapped_static_stage_rejected(self):
+        with pytest.raises(ValueError, match="packed or succinct"):
+            DualStageIndex(LeafEncoding.GAPPED)
 
     def test_succinct_smaller_than_packed(self):
         pairs = [(10**6 + index, index) for index in range(2000)]
-        succinct = CompactSortedArray(pairs, StaticEncoding.SUCCINCT)
-        packed = CompactSortedArray(pairs, StaticEncoding.PACKED)
-        assert succinct.size_bytes() < packed.size_bytes() / 2
+        succinct = DualStageIndex.bulk_load(pairs, LeafEncoding.SUCCINCT)
+        packed = DualStageIndex.bulk_load(pairs, LeafEncoding.PACKED)
+        assert succinct._static_bytes() < packed._static_bytes() / 2
+
+
+#: ``size_bytes()`` and ``encoding_census()`` of one fixed build, before
+#: and after a merge, as literals: the paper's Figure 17 compares these
+#: modeled bytes, so a layout change must leave every one of them put.
+PINNED_BYTES = {
+    LeafEncoding.PACKED: (
+        (21392, {"dynamic:gapped": (1, 4096.0), "static:packed": (1, 16016.0)}),
+        (22192, {"dynamic:gapped": (1, 4096.0), "static:packed": (1, 16816.0)}),
+    ),
+    LeafEncoding.SUCCINCT: (
+        (12677, {"dynamic:gapped": (1, 4096.0), "static:succinct": (1, 7301.0)}),
+        (12906, {"dynamic:gapped": (1, 4096.0), "static:succinct": (1, 7530.0)}),
+    ),
+}
+
+
+def test_size_bytes_and_census_are_pinned(encoding):
+    pairs = sorted_pairs(1000, seed=3)
+    index = DualStageIndex.bulk_load(pairs, encoding)
+    for step in range(30):
+        index.insert(2 * step + 1, step)
+    for key, _ in pairs[::50]:
+        index.delete(key)
+    before, after = PINNED_BYTES[encoding]
+    assert index.merges == 0
+    assert (index.size_bytes(), index.encoding_census()) == before
+    index.insert_many([(10**9 + step, step) for step in range(40)])
+    assert index.merges == 1
+    assert (index.size_bytes(), index.encoding_census()) == after
 
 
 class TestDualStageOperations:
@@ -207,7 +250,7 @@ class TestAccounting:
         ),
         max_size=60,
     ),
-    st.sampled_from(list(StaticEncoding)),
+    st.sampled_from(STATIC_ENCODINGS),
 )
 def test_dualstage_matches_dict(operations, encoding):
     base = [(key, key) for key in range(0, 40, 2)]

@@ -27,7 +27,7 @@ from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree, _lock_of
 from repro.bptree.tree import BPlusTree
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 
 
@@ -181,7 +181,7 @@ class TestFSTParity:
 
 class TestDualStageParity:
     @pytest.mark.parametrize(
-        "encoding", [StaticEncoding.PACKED, StaticEncoding.SUCCINCT]
+        "encoding", [LeafEncoding.PACKED, LeafEncoding.SUCCINCT]
     )
     def test_mixed_batches_match_loop_and_verify(self, encoding):
         pairs, probe_keys = int_workload(14, loaded=3000, probes=2000)
@@ -197,25 +197,24 @@ class TestDualStageParity:
             looped.insert(key, value)
         for key in deletions:
             assert batched.delete(key) == looped.delete(key)
-        sorted_probes = sorted(probe_keys)
         # insert_many merges once per batch, so only the probes' own
-        # events are comparable between the twins.
-        before_batched = batched.counters.snapshot()
-        before_looped = looped.counters.snapshot()
-        assert batched.lookup_many(sorted_probes) == [
-            looped.lookup(key) for key in sorted_probes
-        ]
-        probe_events = batched.counters.diff(before_batched)
-        loop_events = looped.counters.diff(before_looped)
-        for events in (probe_events, loop_events):
-            events.pop("inner_visit", None)
-        assert probe_events == loop_events
+        # events are comparable between the twins.  Unsorted probes reach
+        # the static stage's ascending-run lookup sorted by key.
+        for keys in (sorted(probe_keys), probe_keys):
+            before_batched = batched.counters.snapshot()
+            before_looped = looped.counters.snapshot()
+            assert batched.lookup_many(keys) == [looped.lookup(key) for key in keys]
+            probe_events = batched.counters.diff(before_batched)
+            loop_events = looped.counters.diff(before_looped)
+            for events in (probe_events, loop_events):
+                events.pop("inner_visit", None)
+            assert probe_events == loop_events
         batched.verify()
         looped.verify()
 
     def test_lookup_many_hits_tombstones_and_static(self):
         pairs, _ = int_workload(15, loaded=1000, probes=0)
-        index = DualStageIndex.bulk_load(pairs, StaticEncoding.SUCCINCT)
+        index = DualStageIndex.bulk_load(pairs, LeafEncoding.SUCCINCT)
         present = [key for key, _ in pairs[:50]]
         index.insert_many([(key, 999) for key in present[:10]])
         for key in present[10:20]:

@@ -15,7 +15,7 @@ from repro.art.tree import ART, terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import HybridTrie
 
@@ -38,7 +38,7 @@ class TestIntKeyIndexesAgree:
             "packed": BPlusTree.bulk_load(dataset, LeafEncoding.PACKED),
             "succinct": BPlusTree.bulk_load(dataset, LeafEncoding.SUCCINCT),
             "adaptive": AdaptiveBPlusTree.bulk_load_adaptive(dataset),
-            "dualstage": DualStageIndex.bulk_load(dataset, StaticEncoding.SUCCINCT),
+            "dualstage": DualStageIndex.bulk_load(dataset, LeafEncoding.SUCCINCT),
         }
 
     def test_lookups_agree(self, dataset, indexes):

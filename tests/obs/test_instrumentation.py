@@ -14,7 +14,7 @@ from repro.bptree.olc import OlcBPlusTree
 from repro.bptree.tree import BPlusTree
 from repro.core.bloom import BloomFilter
 from repro.core.sampling import SkipSampler
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.faults import FaultInjector, InjectedFault, fault_point
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import HybridTrie
@@ -49,7 +49,7 @@ class TestTracedLookups:
              42, "leaf_probe:"),
             (lambda: OlcBPlusTree.bulk_load(INT_PAIRS),
              42, "leaf_probe:gapped"),
-            (lambda: DualStageIndex.bulk_load(INT_PAIRS, StaticEncoding.SUCCINCT),
+            (lambda: DualStageIndex.bulk_load(INT_PAIRS, LeafEncoding.SUCCINCT),
              42, "leaf_probe:static"),
             (lambda: ART.from_sorted(BYTE_PAIRS),
              BYTE_PAIRS[0][0], "leaf_probe:"),
@@ -171,7 +171,7 @@ class TestCorePublishers:
 
 class TestDualStageMerge:
     def test_merge_emits_span_and_metrics(self):
-        index = DualStageIndex.bulk_load(INT_PAIRS, StaticEncoding.SUCCINCT)
+        index = DualStageIndex.bulk_load(INT_PAIRS, LeafEncoding.SUCCINCT)
         with Telemetry.with_memory_trace() as telemetry:
             index.insert(10_001, 1)
             index.merge()

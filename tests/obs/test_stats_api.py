@@ -8,7 +8,7 @@ from repro.art.tree import ART, terminated
 from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
-from repro.dualstage.index import DualStageIndex, StaticEncoding
+from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import HybridTrie
 
@@ -25,7 +25,7 @@ def build_families():
     return {
         "bptree": BPlusTree.bulk_load(INT_PAIRS, LeafEncoding.GAPPED),
         "bptree_adaptive": AdaptiveBPlusTree.bulk_load_adaptive(INT_PAIRS),
-        "dualstage": DualStageIndex.bulk_load(INT_PAIRS, StaticEncoding.SUCCINCT),
+        "dualstage": DualStageIndex.bulk_load(INT_PAIRS, LeafEncoding.SUCCINCT),
         "art": ART.from_sorted(BYTE_PAIRS),
         "fst": FST(BYTE_PAIRS),
         "hybridtrie": HybridTrie(BYTE_PAIRS),

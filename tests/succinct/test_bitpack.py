@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.succinct.bitpack import PackedIntArray, bits_required, pack
+from repro.succinct.bitpack import PackedIntArray, bits_required
 
 
 class TestBitsRequired:
@@ -84,9 +84,6 @@ class TestPackedIntArray:
         values = list(range(1000))
         packed = PackedIntArray(values)
         assert packed.size_bytes() < 8 * len(values)
-
-    def test_pack_helper(self):
-        assert pack(v for v in [3, 1, 2]).to_list() == [3, 1, 2]
 
 
 @settings(max_examples=80)

@@ -1,21 +1,21 @@
-"""Tests for frame-of-reference encoding."""
+"""Tests for frame-of-reference encoding and the FOR-blocked run."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.succinct.for_codec import for_decode, for_encode
+from repro.succinct.for_codec import HEADER_BYTES, ForRun, for_encode
 
 
 class TestForEncode:
     def test_roundtrip_sorted(self):
         values = [100, 105, 110, 250]
         block = for_encode(values)
-        assert for_decode(block) == values
+        assert block.to_list() == values
 
     def test_roundtrip_unsorted(self):
         values = [50, 10, 99, 10]
         block = for_encode(values)
-        assert for_decode(block) == values
+        assert block.to_list() == values
 
     def test_base_is_minimum(self):
         block = for_encode([7, 3, 9])
@@ -38,7 +38,7 @@ class TestForEncode:
 
     def test_negative_values(self):
         values = [-100, -50, -75]
-        assert for_decode(for_encode(values)) == values
+        assert for_encode(values).to_list() == values
 
     def test_size_benefits_from_clustering(self):
         clustered = for_encode(list(range(10**12, 10**12 + 256)))
@@ -54,6 +54,36 @@ class TestForEncode:
 @given(st.lists(st.integers(min_value=-(2**60), max_value=2**60), max_size=150))
 def test_roundtrip_property(values):
     block = for_encode(values)
-    assert for_decode(block) == values
+    assert block.to_list() == values
     for index, value in enumerate(values):
         assert block[index] == value
+
+
+RUN_PAIRS = st.dictionaries(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=0, max_value=2**61),
+    max_size=300,
+).map(lambda mapping: sorted(mapping.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RUN_PAIRS, st.sampled_from([1, 5, 32, 256]), st.lists(st.integers(-(2**41), 2**41)))
+def test_run_read_path_matches_its_pairs(pairs, block_entries, probes):
+    """Every read of a :class:`ForRun` agrees with the plain pairs, at the
+    leaf's and the static stage's block lengths and at odd ones."""
+    run = ForRun(pairs, block_entries)
+    mapping = dict(pairs)
+    keys = [key for key, _ in pairs]
+    assert run.to_pairs() == pairs
+    assert run.num_entries() == len(pairs)
+    assert run.num_blocks() == -(-len(pairs) // block_entries)
+    assert (run.min_key(), run.max_key()) == ((keys[0], keys[-1]) if keys else (None, None))
+    probes = sorted(probes + keys[::7])
+    assert run.lookup_run(probes) == [mapping.get(key) for key in probes]
+    for key in probes[:20]:
+        assert run.lookup(key) == mapping.get(key)
+        tail = [pair for pair in pairs if pair[0] >= key]
+        assert list(run.entries_from(key)) == tail
+        assert run.pairs_from(key, 9) == tail[:9]
+    blocks = run._key_blocks + run._value_blocks
+    assert run.size_bytes() == HEADER_BYTES + sum(block.size_bytes() for block in blocks)
