@@ -269,8 +269,8 @@ class SuccinctStorage(ForRun):
         block before it hands on in front and hands on its own last one.
         ``_insert_key`` / ``_insert_value`` do both.
         """
-        index = self._find(key)
-        if index < self._num_entries and self._key_at(index) == key:
+        index, found = self._find(key)
+        if found:
             self._overwrite(index, value)
             return OVERWROTE
         if self._num_entries >= self.capacity:
@@ -301,8 +301,8 @@ class SuccinctStorage(ForRun):
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
-        index = self._find(key)
-        if index >= self._num_entries or self._key_at(index) != key:
+        index, found = self._find(key)
+        if not found:
             return False
         self._overwrite(index, value)
         return True
@@ -314,8 +314,8 @@ class SuccinctStorage(ForRun):
         block, and each block takes the next block's first entry at its
         end, by ``_remove_key`` / ``_remove_value``.
         """
-        index = self._find(key)
-        if index >= self._num_entries or self._key_at(index) != key:
+        index, found = self._find(key)
+        if not found:
             return False
         first, offset = divmod(index, _FOR_BLOCK_ENTRIES)
         key_blocks = self._key_blocks

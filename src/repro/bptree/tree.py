@@ -17,6 +17,7 @@ cost model can price traversals (see :mod:`repro.sim`).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import Child, InnerNode
@@ -156,10 +157,11 @@ class BPlusTree(IndexFamily):
         path: List[Tuple[InnerNode, int]] = []
         node: Child = self._root
         while isinstance(node, InnerNode):
-            self.counters.add("inner_visit")
-            index = node.child_index(key)
+            index = bisect_right(node.keys, key)
             path.append((node, index))
             node = node.children[index]
+        if path:
+            self.counters.add("inner_visit", len(path))
         return node, path
 
     def _descend_bounded(
@@ -242,7 +244,9 @@ class BPlusTree(IndexFamily):
         leaf, path = self._descend(key)
         self.counters.add(leaf.storage.visit_event)
         self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.READ)
-        value = leaf.lookup(key)
+        # Read after the hook: an adaptation phase it runs may re-encode
+        # the leaf, swapping its storage.
+        value = leaf.storage.lookup(key)
         if span is not None:
             self._end_lookup_span(tracer, span, leaf, value)
         return value

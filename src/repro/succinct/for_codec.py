@@ -161,10 +161,6 @@ class ForRun:
         block, offset = divmod(index, self._block_entries)
         return self._key_blocks[block][offset]
 
-    def _value_at(self, index: int) -> int:
-        block, offset = divmod(index, self._block_entries)
-        return self._value_blocks[block][offset]
-
     def min_key(self) -> Optional[int]:
         """The smallest stored key, or None when empty."""
         return self._key_at(0) if self._num_entries else None
@@ -173,32 +169,54 @@ class ForRun:
         """The largest stored key, or None when empty."""
         return self._key_at(self._num_entries - 1) if self._num_entries else None
 
-    def _find(self, key: int) -> int:
-        """Binary search over the blocked FOR layout (no decompression).
+    def _find(self, key: int) -> Tuple[int, bool]:
+        """Where ``key`` is, or would be inserted, and whether it is there:
+        a binary search over the blocked FOR layout (no decompression).
 
         First bisects the uncompressed per-block minimum keys to pick the
-        one candidate block, then binary-searches inside it; only O(log
-        block size) packed-array probes are paid instead of O(log n).
+        one candidate block, then binary-searches that block's packed
+        buffer in this frame: field ``i`` is ``buffer >> i * width`` masked
+        to ``width`` bits, compared against ``key - base``.  Only O(log
+        block size) fields are read instead of O(log n).
         """
         block_index = bisect.bisect_right(self._block_min_keys, key) - 1
         if block_index < 0:
-            return 0
+            return 0, False
         block = self._key_blocks[block_index]
-        lo, hi = 0, len(block)
+        deltas = block.deltas
+        width, length, buffer = deltas._width, deltas._length, deltas._buffer
+        mask = (1 << width) - 1
+        target = key - block.base
+        lo, hi = 0, length
         while lo < hi:
-            mid = (lo + hi) // 2
-            if block[mid] < key:
+            mid = (lo + hi) >> 1
+            if (buffer >> mid * width) & mask < target:
                 lo = mid + 1
             else:
                 hi = mid
-        return block_index * self._block_entries + lo
+        found = lo < length and (buffer >> lo * width) & mask == target
+        return block_index * self._block_entries + lo, found
 
     def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
-        index = self._find(key)
-        if index < self._num_entries and self._key_at(index) == key:
-            return self._value_at(index)
-        return None
+        """Return the value stored under ``key``, or None.
+
+        The key block is read before the value block at the same index,
+        both from the lists a writer publishes into (see
+        ``SuccinctStorage._publish``): an offset past the value block's
+        end raises ``IndexError``, which an optimistic reader restarts on.
+        """
+        index, found = self._find(key)
+        if not found:
+            return None
+        block_index, offset = divmod(index, self._block_entries)
+        block = self._value_blocks[block_index]
+        deltas = block.deltas
+        if offset >= deltas._length:
+            raise IndexError(
+                f"offset {offset} out of range for a {deltas._length}-entry value block"
+            )
+        width = deltas._width
+        return block.base + ((deltas._buffer >> offset * width) & ((1 << width) - 1))
 
     def lookup_run(self, run: Sequence[int]) -> List[Optional[int]]:
         """Batched lookup of an ascending key run.
@@ -246,7 +264,7 @@ class ForRun:
 
         Each touched block is decoded once, as :meth:`lookup_run` does.
         """
-        first, offset = divmod(self._find(start_key), self._block_entries)
+        first, offset = divmod(self._find(start_key)[0], self._block_entries)
         for block_index in range(first, len(self._key_blocks)):
             keys = self._key_blocks[block_index].to_list()
             values = self._value_blocks[block_index].to_list()
@@ -256,7 +274,7 @@ class ForRun:
     def pairs_from(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
         """Up to ``limit`` pairs with key >= ``start_key``, decoding only
         the blocks they come from."""
-        first, offset = divmod(self._find(start_key), self._block_entries)
+        first, offset = divmod(self._find(start_key)[0], self._block_entries)
         pairs: List[Tuple[int, int]] = []
         for block_index in range(first, len(self._key_blocks)):
             end = offset + limit - len(pairs)

@@ -7,6 +7,7 @@ readers under a concurrent writer."""
 import random
 import sys
 import threading
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +45,17 @@ def assert_equals_fresh_encode(storage):
         block.size_bytes() for block in storage._key_blocks + storage._value_blocks
     )
     assert storage.size_bytes() == recomputed
+
+
+def assert_reads_match(storage, reference, edited):
+    """Every live key, its neighbours and the ``edited`` key read as
+    ``reference`` says: ``lookup`` gives the value, ``_find`` the
+    insertion point and whether the key is there."""
+    keys = sorted(reference)
+    probes = {key + step for key in keys + [edited] for step in (-1, 0, 1)}
+    for key in probes:
+        assert storage.lookup(key) == reference.get(key)
+        assert storage._find(key) == (bisect_left(keys, key), key in reference)
 
 
 def apply(storage, reference, action, key, value):
@@ -204,6 +216,7 @@ def test_any_write_sequence_equals_a_fresh_encode(preload, operations):
         apply(storage, reference, action, key, value)
         assert storage.to_pairs() == sorted(reference.items())
         assert_equals_fresh_encode(storage)
+        assert_reads_match(storage, reference, key)
 
 
 def count_encodes(monkeypatch):
@@ -258,6 +271,30 @@ def test_scan_entries_match_pairs_from_every_start():
     for start in (0, 1, 93, 96, 97, 297, 298):
         expected = [pair for pair in pairs if pair[0] >= start]
         assert list(storage.entries_from(start)) == expected
+
+
+def test_a_read_between_publish_assignments_raises_index_error():
+    """``_publish`` replaces the key blocks, then the value blocks.  A
+    reader between the two finds a new key at an offset past the end of
+    the old value block; ``lookup`` must raise ``IndexError`` (what
+    ``OlcBPlusTree.lookup`` restarts on), not decode an empty field as
+    the block's base."""
+    pairs = [(2 * key, 100 + key) for key in range(40)]  # blocks of 32 and 8
+    storage = SuccinctStorage(pairs, CAPACITY)
+    torn = []
+
+    class PausedBeforeValues(list):
+        def __setitem__(self, index, blocks):
+            torn.append((len(storage._key_blocks[1]), len(self[1])))
+            assert storage.lookup(78) == 139  # an offset both blocks hold
+            with pytest.raises(IndexError):
+                storage.lookup(80)
+            super().__setitem__(index, blocks)
+
+    storage._value_blocks = PausedBeforeValues(storage._value_blocks)
+    assert storage.insert(80, 7) == INSERTED
+    assert torn == [(9, 8)]
+    assert storage.lookup(80) == 7
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for frame-of-reference encoding and the FOR-blocked run."""
 
+from bisect import bisect_left
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,10 +80,15 @@ def test_run_read_path_matches_its_pairs(pairs, block_entries, probes):
     assert run.num_entries() == len(pairs)
     assert run.num_blocks() == -(-len(pairs) // block_entries)
     assert (run.min_key(), run.max_key()) == ((keys[0], keys[-1]) if keys else (None, None))
-    probes = sorted(probes + keys[::7])
+    # Each block's first and last key, and their neighbours: the edges of
+    # the directory bisect and of the in-block search.
+    edges = keys[::block_entries] + keys[block_entries - 1 :: block_entries] + keys[-1:]
+    probes = sorted(probes + keys[::7] + [key + step for key in edges for step in (-1, 0, 1)])
     assert run.lookup_run(probes) == [mapping.get(key) for key in probes]
-    for key in probes[:20]:
+    for key in probes:
         assert run.lookup(key) == mapping.get(key)
+        assert run._find(key) == (bisect_left(keys, key), key in mapping)
+    for key in probes[:20]:
         tail = [pair for pair in pairs if pair[0] >= key]
         assert list(run.entries_from(key)) == tail
         assert run.pairs_from(key, 9) == tail[:9]
