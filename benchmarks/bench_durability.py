@@ -25,13 +25,11 @@ Every run checks that gate and the group-commit *retention ratio*
 (stable across machines; absolute ops/sec are reported alongside)
 against the committed file (``benchkit``); ``--write`` rewrites it.
 
-``--crash-campaign N`` additionally runs the ISSUE-6 crash-recovery
-fault campaign at N injected crashes (see
-``repro.harness.experiments_durability``) and fails on any lost
-acknowledged write::
+Crash recovery itself — zero lost acknowledged writes through ≥ 1 000
+injected crashes, torn tails and crashes during replay — is checked
+through the wire by ``tests/integration/test_wire_oracle.py``.  Run::
 
-    PYTHONPATH=src python benchmarks/bench_durability.py --keys 8000 --crash-campaign 120
-    PYTHONPATH=src python benchmarks/bench_durability.py --crash-campaign 1000 --write
+    PYTHONPATH=src python benchmarks/bench_durability.py --keys 8000
 
 or through pytest (reduced scale)::
 
@@ -47,8 +45,6 @@ import benchkit
 import pytest
 
 from repro.durability import DurabilityManager
-from repro.harness.experiments_durability import experiment_crash_campaign
-from repro.obs.slo import evaluate_checks, parse_check
 from repro.service.router import ShardRouter
 
 DEFAULT_KEYS = 40_000
@@ -186,23 +182,12 @@ def format_report(payload):
             f"{row['recovery_seconds']:.3f}s "
             f"({row['replay_frames_per_sec']:,.0f} frames/s replayed)"
         )
-    if "crash_campaign" in payload:
-        summary = payload["crash_campaign"]
-        lines.append(
-            f"crash campaign: {summary['crashes']} crashes over "
-            f"{summary['rounds']} rounds "
-            f"({summary['concurrent_crashes']} in concurrent rounds, "
-            f"{summary['recovery_crashes']} during recovery itself), "
-            f"{summary['torn_tails_recovered']} torn tails recovered, "
-            f"{summary['frames_replayed']} frames replayed, "
-            f"{summary['lost_writes']} lost acknowledged writes"
-        )
     return "\n".join(lines)
 
 
 def headline(payload):
-    """Group commit keeps >= 50% of no-WAL writes; a campaign loses nothing."""
-    rows = [
+    """Group commit keeps >= 50% of no-WAL writes."""
+    return [
         benchkit.row(
             "group_commit_retention",
             payload["summary"]["group_commit_retention"],
@@ -211,16 +196,6 @@ def headline(payload):
             drift=True,
         )
     ]
-    campaign = payload.get("crash_campaign")
-    if campaign is not None:
-        rows.append(benchkit.row("crash_campaign.crashes", campaign["crashes"]))
-        rows.append(
-            benchkit.row("crash_campaign.lost_writes", campaign["lost_writes"], "==", 0)
-        )
-        rows.append(
-            benchkit.row("crash_campaign.phantom_writes", campaign["phantom_writes"], "==", 0)
-        )
-    return rows
 
 
 @pytest.mark.perf
@@ -229,54 +204,13 @@ def test_durability_bench_headline():
     assert benchkit.finish(payload, headline, format_report, RESULT_FILE) == 0
 
 
-@pytest.mark.faults
-def test_crash_campaign_smoke():
-    summary = experiment_crash_campaign(
-        num_crashes=25, num_keys=600, assert_coverage=False, seed=0xC4A5
-    )
-    assert summary["crashes"] >= 25
-    assert summary["lost_writes"] == 0
-    assert summary["phantom_writes"] == 0
-
-
 def main(argv=None) -> int:
     parser = benchkit.parser("Durability bench (PR 6).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--batch-size", type=int, default=BATCH_SIZE)
-    parser.add_argument(
-        "--crash-campaign",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the crash-recovery fault campaign with N injected crashes",
-    )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="objective over the crash-campaign summary, e.g. "
-        "'lost_writes==0' or 'frames_replayed>0' (repeatable; fails the "
-        "run on violation)",
-    )
     args = parser.parse_args(argv)
-    slo_checks = [parse_check(expression) for expression in args.slo]
-    if slo_checks and args.crash_campaign <= 0:
-        parser.error("--slo requires --crash-campaign N")
     payload = run_durability_bench(num_keys=args.keys, batch_size=args.batch_size)
-    failures = []
-    if args.crash_campaign > 0:
-        summary = experiment_crash_campaign(num_crashes=args.crash_campaign)
-        payload["crash_campaign"] = summary
-        values = {
-            key: float(value)
-            for key, value in summary.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-        failures = evaluate_checks(values, slo_checks)
-    return benchkit.finish(
-        payload, headline, format_report, RESULT_FILE, args.write, failures
-    )
+    return benchkit.finish(payload, headline, format_report, RESULT_FILE, args.write)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ acknowledged writes:
   the CRC-wrapped routing manifest that is the store's commit point.
 
 Every irreversible disk transition sits behind a named
-:func:`repro.faults.fault_point` (see :data:`FAULT_SITES`), which is
-what the ≥1000-crash recovery campaign in
-``repro.harness.experiments_durability`` drives.
+:func:`repro.faults.fault_point` (see :data:`FAULT_SITES`); the wire
+oracle (``tests/integration/test_wire_oracle.py``) crashes the served
+store at each of them and recovers it from disk.
 """
 
 from repro.durability.codec import Key, decode_key, decode_value, encode_key, encode_value
@@ -43,8 +43,8 @@ from repro.durability.wal import (
 )
 
 #: Every named crash site on the durable write/admin path, in the order
-#: a write normally meets them.  The crash-recovery campaign arms each
-#: of these (plus the service split/merge sites) and proves zero lost
+#: a write normally meets them.  The wire oracle arms each of these
+#: (plus the service split/merge sites) and checks zero lost
 #: acknowledged writes.
 FAULT_SITES = (
     "durability.wal.append",

@@ -46,6 +46,7 @@ from repro.durability.wal import (
     read_frames,
 )
 from repro.faults.injector import fault_point
+from repro.fst.serialize import CorruptSerializationError
 
 Pair = Tuple[Key, int]
 
@@ -112,7 +113,9 @@ class DurableLog:
         Loads the newest valid snapshot, replays every intact WAL frame
         past its LSN (each behind the ``durability.wal.apply`` fault
         point, so campaigns can kill recovery itself), and cuts a torn
-        final record off the file before reopening it for appends.
+        final record off the file before reopening it for appends.  A
+        fallback older than an :meth:`adopt` cannot replay across the
+        LSNs it skipped, so it raises rather than serve a stale history.
         """
         snapshots = SnapshotStore(snap_dir, log_id, retain=retain)
         pairs, snapshot_lsn, skipped = snapshots.load_newest()
@@ -123,6 +126,11 @@ class DurableLog:
         for frame in frames:
             if frame.lsn <= snapshot_lsn:
                 continue
+            if frame.lsn != snapshot_lsn + replayed + 1:
+                raise CorruptSerializationError(
+                    f"log {log_id}: snapshot at LSN {snapshot_lsn} cannot reach "
+                    f"WAL frame {frame.lsn} (it adopted a sibling's LSN since)"
+                )
             fault_point("durability.wal.apply")
             if frame.op == OP_PUT:
                 assert frame.value is not None  # encode_frame enforces this
@@ -181,6 +189,13 @@ class DurableLog:
         if cutoff is not None and cutoff > 0:
             self.wal.truncate_upto(cutoff)
         return lsn
+
+    def adopt(self, pairs: Sequence[Pair], lsn: int) -> int:
+        """Checkpoint ``pairs`` copied from a sibling log that is at ``lsn``,
+        taking its LSN too: copies that took the same writes keep equal
+        LSNs, so recovery's highest-LSN vote never goes to a stale copy."""
+        self.wal.skip_to(lsn)
+        return self.checkpoint(pairs)
 
     # ------------------------------------------------------------------
     # Retirement and introspection

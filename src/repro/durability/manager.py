@@ -307,8 +307,8 @@ class DurabilityManager:
         in copy order, so a higher LSN implies a superset of acked
         writes — and its pairs are the shard's content.  A straggler (a
         copy that was down or fenced when the crash hit) is consistent
-        but behind; checkpointing it at that content makes its log whole
-        again.  With one log there is nothing to reconcile.
+        but behind; checkpointing it at that content and LSN makes its
+        log whole again.  With one log there is nothing to reconcile.
         """
         recovered = [self.recover_log(log_id) for log_id in log_ids]
         logs = [log for log, _ in recovered]
@@ -317,7 +317,7 @@ class DurabilityManager:
         pairs = sorted(authoritative.state.items())
         stragglers = [log for log in logs if log.last_lsn < authoritative.last_lsn]
         for log in stragglers:
-            log.checkpoint(pairs)
+            log.adopt(pairs, authoritative.last_lsn)
         return logs, pairs, {
             "frames_replayed": sum(result.frames_replayed for result in results),
             "snapshots_skipped": sum(result.snapshots_skipped for result in results),

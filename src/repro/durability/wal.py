@@ -354,6 +354,11 @@ class WriteAheadLog:
                 "re-open it via recovery before appending"
             )
 
+    def skip_to(self, lsn: int) -> None:
+        """Number the next append after ``lsn`` (no-op when already past it)."""
+        with self._lock:
+            self._next_lsn = max(self._next_lsn, lsn + 1)
+
     # ------------------------------------------------------------------
     # Truncation (checkpoint support)
     # ------------------------------------------------------------------

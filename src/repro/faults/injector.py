@@ -12,8 +12,8 @@ modes:
   (1-indexed), reproducing one exact crash point;
 * **fail-by-site** — ``site="trie.expand.swap"`` restricts any mode to
   one site (or a prefix with a trailing ``*``); a sequence of patterns
-  arms every site matching *any* of them, which is how the durability
-  crash campaign targets a whole write path
+  arms every site matching *any* of them, which is how one injector
+  targets a whole write path
   (``site=("durability.wal.append", "service.split.*")``);
 * **failure-rate** — ``rate=p`` fails each matching call with
   probability ``p`` from a seeded PRNG, for randomized campaigns.

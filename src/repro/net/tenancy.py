@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.budget import MemoryBudget, ResourceArbiter, TenantQuota
 from repro.durability.manager import DurabilityManager
@@ -67,6 +67,49 @@ class TenantDirectory:
         budget: Optional[MemoryBudget] = None,
         durability_root: Optional[Union[str, Path]] = None,
     ) -> None:
+        def build(spec: TenantSpec, durability: Optional[DurabilityManager]) -> ShardRouter:
+            return ShardRouter.build(
+                list(spec.pairs),
+                family=spec.family,
+                num_shards=spec.num_shards,
+                partitioning=spec.partitioning,
+                durability=durability,
+                replication_factor=spec.replication_factor,
+                replica_profiles=spec.replica_profiles,
+                arbiter=self.arbiter,
+                member_prefix=f"{spec.name}/",
+            )
+
+        self._open(specs, budget, durability_root, build)
+
+    @classmethod
+    def recover(
+        cls,
+        specs: Sequence[TenantSpec],
+        durability_root: Union[str, Path],
+        budget: Optional[MemoryBudget] = None,
+    ) -> "TenantDirectory":
+        """Reopen every tenant's group from its tree under ``durability_root``
+        after a crash (:meth:`ShardRouter.recover`: the manifest's layout,
+        not the spec's), rejoined to a fresh arbiter under the spec's quota."""
+        directory = cls.__new__(cls)
+
+        def reopen(spec: TenantSpec, durability: Optional[DurabilityManager]) -> ShardRouter:
+            assert durability is not None  # durability_root is required here
+            return ShardRouter.recover(
+                durability, spec.family, arbiter=directory.arbiter, member_prefix=f"{spec.name}/"
+            )
+
+        directory._open(specs, budget, durability_root, reopen)
+        return directory
+
+    def _open(
+        self,
+        specs: Sequence[TenantSpec],
+        budget: Optional[MemoryBudget],
+        durability_root: Optional[Union[str, Path]],
+        make_router: Callable[[TenantSpec, Optional[DurabilityManager]], ShardRouter],
+    ) -> None:
         if not specs:
             raise ValueError("a tenant directory needs at least one tenant")
         names = [spec.name for spec in specs]
@@ -81,17 +124,11 @@ class TenantDirectory:
                 # One WAL/snapshot tree per tenant: groups recover
                 # independently and a tenant's logs never interleave.
                 durability = DurabilityManager(Path(durability_root) / spec.name)
-            router = ShardRouter.build(
-                list(spec.pairs),
-                family=spec.family,
-                num_shards=spec.num_shards,
-                partitioning=spec.partitioning,
-                durability=durability,
-                replication_factor=spec.replication_factor,
-                replica_profiles=spec.replica_profiles,
-                arbiter=self.arbiter,
-                member_prefix=f"{spec.name}/",
-            )
+            try:
+                router = make_router(spec, durability)
+            except BaseException:
+                self.close()  # the groups already opened
+                raise
             self._groups[spec.name] = router
             self._specs[spec.name] = spec
             self.arbiter.register_tenant(spec.name, spec.quota)

@@ -35,7 +35,7 @@ Every tick publishes labeled gauges — ``slo.burn_fast`` /
 alert state rides the Prometheus export and the STATS snapshot for free.
 
 :func:`parse_check` / :func:`evaluate_checks` implement the ``--slo``
-flags the loadgen and crash-campaign harnesses expose: simple
+flag the loadgen exposes: simple
 ``metric<bound`` expressions evaluated against a flat summary dict,
 returning human-readable violations.
 """
@@ -288,7 +288,7 @@ class SloMonitor:
 
 
 # ----------------------------------------------------------------------
-# --slo expression checks (loadgen / crash-campaign harnesses)
+# --slo expression checks (the loadgen)
 # ----------------------------------------------------------------------
 _CHECK_EXPR = re.compile(
     r"^\s*(?P<metric>[A-Za-z0-9_.]+)\s*"

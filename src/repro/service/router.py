@@ -18,13 +18,13 @@ replacement shards *aside*, and one atomic routing-table swap publishes
 the new layout.  Every step crosses a :func:`~repro.faults.injector
 .fault_point` (``service.split.*`` / ``service.merge.*``), and a fault
 anywhere before the swap leaves the old table serving — zero lost keys
-by construction, which the randomized campaign in
-``tests/service/test_split_merge.py`` replays (at scale in the ``slow``
-lane).  Writers that block
-on a shard's ``write_gate`` while a split/merge holds it revalidate
-their route once the gate is acquired: the table may have been swapped
-while they waited, and writing into the now-orphaned shard would lose
-the pair, so re-routed pairs are retried against the fresh table.
+by construction, which the wire oracle
+(``tests/integration/test_wire_oracle.py``) checks with splits and
+merges racing client writes.  Writers that block on a shard's
+``write_gate`` while a split/merge holds it revalidate their route
+once the gate is acquired: the table may have been swapped while they
+waited, and writing into the now-orphaned shard would lose the pair,
+so re-routed pairs are retried against the fresh table.
 
 One :class:`~repro.core.budget.ResourceArbiter` — the router's own,
 or the tenant directory's it is handed — divides the service-wide
@@ -366,6 +366,8 @@ class ShardRouter:
         family: str = "olc",
         budget: Optional[MemoryBudget] = None,
         index_factory: Optional[IndexFactory] = None,
+        arbiter: Optional[ResourceArbiter] = None,
+        member_prefix: str = "",
     ) -> "ShardRouter":
         """Rebuild a durable router from its on-disk state after a crash.
 
@@ -377,8 +379,8 @@ class ShardRouter:
         shard from its recovered pair set as :meth:`build` would.
         ``family`` must fit the manifest: a replicated store is
         ``"adaptive"`` and comes back under the profiles and routing
-        policy it recorded.  ``last_recovery`` on the returned router
-        summarizes what was replayed, skipped, swept and rebuilt.
+        policy it recorded; ``arbiter``/``member_prefix`` as in :meth:`build`.
+        ``last_recovery`` summarizes what was replayed, skipped, swept and rebuilt.
         """
         manifest = durability.read_manifest()
         orphans_removed = durability.cleanup_orphans(manifest)
@@ -403,6 +405,8 @@ class ShardRouter:
             budget=budget,
             durability=durability,
             epoch=manifest.epoch,
+            arbiter=arbiter,
+            member_prefix=member_prefix,
         )
         router.last_recovery = {
             "epoch": manifest.epoch,

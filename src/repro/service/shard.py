@@ -287,8 +287,8 @@ class Shard:
 
         The copy's *own* builder (its divergence profile survives the
         outage) bulk-loads the authoritative content, and a fresh
-        snapshot heals its log.  A poisoned WAL only returns through
-        :meth:`~repro.service.router.ShardRouter.recover`.
+        snapshot at the authoritative copy's LSN heals its log.  A poisoned
+        WAL only returns through :meth:`~repro.service.router.ShardRouter.recover`.
         """
         replica = self.replicas[replica_id]
         if not replica.down:
@@ -300,10 +300,11 @@ class Shard:
                 "poisoned WAL; it can only return through recovery"
             )
         with self.write_gate, replica._guard():
-            pairs = self._authoritative().items()
+            source = self._authoritative()
+            pairs = source.items()
             replica.index = replica.build(pairs)
-            if log is not None:
-                log.checkpoint(pairs)
+            if log is not None and source.durable_log is not None:
+                log.adopt(pairs, source.durable_log.last_lsn)
             replica.down = False
             replica.down_reason = None
             replica.behind = 0

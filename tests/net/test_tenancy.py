@@ -1,4 +1,4 @@
-"""Tenant directory: shard groups, arbiter wiring, memory carve."""
+"""Tenant directory: shard groups, arbiter wiring, memory carve, restart."""
 
 import pytest
 
@@ -115,6 +115,33 @@ class TestTenantDirectory:
         with demo_directory(["a"], keys_per_tenant=25) as directory:
             blob = json.dumps(directory.stats())
             assert "arbiter" in blob
+
+
+class TestRecover:
+    def test_reopened_directory_serves_what_the_killed_one_did(self, tmp_path):
+        pairs = [(key * 2, key) for key in range(300)]
+        specs = [
+            TenantSpec("a", num_shards=2, partitioning="range", pairs=pairs),
+            TenantSpec("b", family="adaptive", replication_factor=2, pairs=pairs),
+            TenantSpec("c", family="dualstage"),
+        ]
+
+        def num_keys(directory):  # what STATS reports per tenant
+            return {name: row["num_keys"] for name, row in directory.stats()["tenants"].items()}
+
+        budget = MemoryBudget.absolute(4_000_000)
+        directory = TenantDirectory(specs, budget, durability_root=tmp_path)
+        directory.router_for("a").split_shard(1)
+        directory.router_for("b").delete(0)
+        directory.router_for("c").put(7, 7)
+        before, members = num_keys(directory), set(directory.arbiter.rebalance())
+        directory.close()  # the kill: nothing survives but the files
+
+        with TenantDirectory.recover(specs, tmp_path, budget) as reopened:
+            assert reopened.arbiter.budget is budget
+            assert num_keys(reopened) == before == {"a": 300, "b": 299, "c": 1}
+            assert set(reopened.arbiter.rebalance()) == members
+            assert members == {"a/shard-0", "a/shard-1", "a/shard-2", "c/shard-0", "c/shard-1"}
 
 
 class TestDemoDirectory:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.durability.manager import DurabilityManager, Manifest
 from repro.faults.injector import FaultInjector
+from repro.fst.serialize import CorruptSerializationError
 from repro.service.router import ShardRouter
 
 
@@ -216,6 +217,32 @@ class TestRecovery:
             recovered.verify()  # live replicas agree on content again
         finally:
             recovered.close()
+
+    @pytest.mark.parametrize("rebuild", ("revive", "recover"))
+    def test_rebuilt_copy_takes_the_authoritative_lsn(self, tmp_path, rebuild):
+        """Else the other copy, down later and stale, wins recovery's LSN vote."""
+        durability, router, expected = build_router(tmp_path, num_shards=1, factor=2)
+        router.table.shards[0].mark_down(router.table.shards[0].replicas[0], "test")
+        router.put_many([(1, 10), (3, 30)])  # only the second copy's LSN moves
+        if rebuild == "revive":
+            router.table.shards[0].revive(0)
+        else:
+            router.close()
+            router = ShardRouter.recover(durability, family="adaptive")
+        rebuilt, other = router.table.shards[0].replicas
+        assert rebuilt.durable_log.last_lsn == other.durable_log.last_lsn
+        router.table.shards[0].mark_down(other, "test")
+        router.put(5, 50)  # acked by the rebuilt copy alone
+        router.close()
+        expected.update({1: 10, 3: 30, 5: 50})
+        recovered = ShardRouter.recover(durability, family="adaptive")
+        assert recovered.scan(-1, len(expected) + 10) == sorted(expected.items())
+        recovered.close()
+        # Its pre-rebuild generation would tie the other copy's LSN without the adopted writes.
+        log_id = rebuilt.durable_log.log_id
+        max(durability.snap_dir.glob(f"{log_id}.*.snap")).write_bytes(b"junk")
+        with pytest.raises(CorruptSerializationError, match="cannot reach"):
+            ShardRouter.recover(durability, family="adaptive")
 
     def test_recovered_router_keeps_serving_and_adapting(self, tmp_path):
         durability, router, expected = build_router(tmp_path, num_keys=200)

@@ -1,6 +1,5 @@
 """Online shard split/merge: build-aside+swap, faults, concurrency."""
 
-import contextlib
 import random
 import sys
 import threading
@@ -13,8 +12,6 @@ from repro.service.router import ShardRouter
 
 SPLIT_SITES = ("service.split.collect", "service.split.build", "service.split.swap")
 MERGE_SITES = ("service.merge.collect", "service.merge.build", "service.merge.swap")
-CAMPAIGN_SHAPES = ({"family": "olc"}, {"family": "adaptive", "replication_factor": 2})
-CAMPAIGN_IDS = ("plain", "replicated")
 
 
 def int_pairs(count=1500):
@@ -178,42 +175,6 @@ class TestFaultInjectedSplitMerge:
             assert router.merges == 0
             assert contents(router) == pairs
             router.verify()
-
-    @staticmethod
-    def run_campaign(shape, num_keys, rounds, rate, seed):
-        """Random splits and merges with every ``service.*`` site armed.
-
-        After each round 50 random keys (hits and misses) are read back;
-        the router must verify and hold exactly its keys at the end.
-        Returns the number of faults injected.
-        """
-        rng = random.Random(0xC0FFEE)
-        pairs = int_pairs(num_keys)
-        expected = dict(pairs)
-        with ShardRouter.build(
-            pairs, num_shards=2, partitioning="range", **shape
-        ) as router:
-            with FaultInjector(site="service.*", rate=rate, seed=seed) as injector:
-                for _ in range(rounds):
-                    with contextlib.suppress(InjectedFault, PartitionError):
-                        if rng.random() < 0.5 and router.num_shards > 1:
-                            router.merge_shards(rng.randrange(router.num_shards - 1))
-                        else:
-                            router.split_shard(rng.randrange(router.num_shards))
-                    keys = rng.sample(range(num_keys * 2), 50)
-                    assert router.get_many(keys) == [expected.get(key) for key in keys]
-                router.verify()
-            assert contents(router) == pairs
-        return injector.failures_injected
-
-    @pytest.mark.parametrize("shape", CAMPAIGN_SHAPES, ids=CAMPAIGN_IDS)
-    def test_randomized_campaign_zero_lost_keys(self, shape):
-        assert self.run_campaign(shape, 500, 30, rate=0.4, seed=99) > 0
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("shape", CAMPAIGN_SHAPES, ids=CAMPAIGN_IDS)
-    def test_randomized_campaign_at_scale_zero_lost_keys(self, shape):
-        assert self.run_campaign(shape, 5_000, 60, rate=0.35, seed=0xFA11) > 0
 
 
 class TestConcurrentReadersDuringSplit:
