@@ -14,6 +14,11 @@ histograms and ``Histogram.quantile``:
   the accepted work's p999 bounded, instead of the unbounded queueing
   collapse the no-admission leg shows.
 
+The capacity probe and each leg's open-loop generator run in a child
+process beside the in-process durable server, so the generator's own
+send lag is not counted as server latency (each leg reports the send
+rate it achieved).
+
 Every run checks the two *ratios* (collapse vs controlled) and the
 admitted p999 against their absolute bars only: a queueing collapse
 grows with drain budget and machine speed, so a run must beat the bar,
@@ -63,6 +68,7 @@ def run_net_bench(
         entry = legs[name]
         return {
             "offered": entry["offered"],
+            "achieved_send_rate": entry["achieved_send_rate"],
             "ok": entry["ok"],
             "shed_throttled": entry["shed_throttled"],
             "shed_overloaded": entry["shed_overloaded"],
@@ -115,7 +121,8 @@ def format_report(payload):
     for mode in ("off", "on"):
         entry = coalescing[mode]
         lines.append(
-            f"  {mode:>3s}  p50 {entry['p50_s'] * 1e3:8.2f}ms  "
+            f"  {mode:>3s}  sent {entry['achieved_send_rate']:>8.0f}/s  "
+            f"p50 {entry['p50_s'] * 1e3:8.2f}ms  "
             f"p99 {entry['p99_s'] * 1e3:8.2f}ms  p999 {entry['p999_s'] * 1e3:8.2f}ms  "
             f"mean batch {entry['mean_batch']:.1f}"
         )
@@ -124,7 +131,8 @@ def format_report(payload):
     for mode, label in (("off", "no-admission"), ("on", "admission")):
         entry = admission[mode]
         lines.append(
-            f"  {label:>12s}  p999 {entry['p999_s'] * 1e3:8.2f}ms  ok {entry['ok']:>6d}  "
+            f"  {label:>12s}  sent {entry['achieved_send_rate']:>8.0f}/s  "
+            f"p999 {entry['p999_s'] * 1e3:8.2f}ms  ok {entry['ok']:>6d}  "
             f"shed {entry['shed_throttled'] + entry['shed_overloaded']:>6d}  "
             f"unanswered {entry['unanswered']}"
         )

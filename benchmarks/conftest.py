@@ -1,7 +1,6 @@
 """Shared helpers for the pytest-benchmark targets that are not gated
-suites: ``bench_olc.py``, ``bench_serialization.py`` and
-``bench_fault_campaign.py`` print a table, assert a property and report
-one timed run.  (The paper's figures are rows in ``bench_paper.py``.)
+suites: ``bench_olc.py`` and ``bench_serialization.py`` print a table,
+assert a property and report one timed run.  (The paper's figures are rows in ``bench_paper.py``.)
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every structural migration since PR 1 (leaf re-encode, trie
 expand/compact, dual-stage merge, service split/merge) follows one
 shape: read the live structure, **build the replacement off to the
 side**, and publish it with a single swap — with ``fault_point(...)``
-injection sites threaded through so the fault campaigns can prove that
+injection sites threaded through so the fault tests can prove that
 a failure anywhere before the swap changes nothing.
 
 This rule finds migration functions *by that marker*: any function
@@ -18,7 +18,7 @@ a build-aside migration, and inside it:
   instrumentation is exempt: chains through a ``counters`` attribute
   are never rollback state;
 * every ``fault_point`` label must be a string literal (the fault
-  campaigns enumerate sites by grepping literals);
+  tests enumerate sites by grepping literals);
 * no ``fault_point`` may appear **after the publish** (the first
   ``self``/parameter assignment following the swap point) — past the
   publish there is nothing left to roll back, so a fault site there is
@@ -99,7 +99,7 @@ class MigrationDisciplineRule(Rule):
                             info.module,
                             node,
                             "fault_point label must be a string literal (fault "
-                            "campaigns enumerate sites lexically)",
+                            "tests enumerate sites lexically)",
                             symbol=info.qualname,
                         )
                     faults.append((node, literal))

@@ -308,16 +308,25 @@ class DurabilityManager:
         writes — and its pairs are the shard's content.  A straggler (a
         copy that was down or fenced when the crash hit) is consistent
         but behind; checkpointing it at that content and LSN makes its
-        log whole again.  With one log there is nothing to reconcile.
+        log whole again.  With one log there is nothing to reconcile.  A
+        step that raises closes the logs already reopened.
         """
-        recovered = [self.recover_log(log_id) for log_id in log_ids]
-        logs = [log for log, _ in recovered]
-        results = [result for _, result in recovered]
-        authoritative = max(results, key=lambda result: result.last_lsn)
-        pairs = sorted(authoritative.state.items())
-        stragglers = [log for log in logs if log.last_lsn < authoritative.last_lsn]
-        for log in stragglers:
-            log.adopt(pairs, authoritative.last_lsn)
+        logs: List[DurableLog] = []
+        results: List[RecoveryResult] = []
+        try:
+            for log_id in log_ids:
+                log, result = self.recover_log(log_id)
+                logs.append(log)
+                results.append(result)
+            authoritative = max(results, key=lambda result: result.last_lsn)
+            pairs = sorted(authoritative.state.items())
+            stragglers = [log for log in logs if log.last_lsn < authoritative.last_lsn]
+            for log in stragglers:
+                log.adopt(pairs, authoritative.last_lsn)
+        except BaseException:
+            for log in logs:
+                log.close()
+            raise
         return logs, pairs, {
             "frames_replayed": sum(result.frames_replayed for result in results),
             "snapshots_skipped": sum(result.snapshots_skipped for result in results),

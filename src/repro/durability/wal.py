@@ -36,11 +36,11 @@ log: every later :meth:`~WriteAheadLog.append_batch` (and checkpoint
 truncation) raises :class:`WalPoisonedError` until recovery re-opens
 the file, which drops the torn tail first.
 
-For fault campaigns, a log built with a ``tear_rng`` simulates the
-mid-write crash honestly: when the ``durability.wal.append`` point
-fires, a random *prefix* of the encoded batch is written before the
-fault propagates, exactly what a real kill during the write syscall
-leaves behind.
+For fault tests (the wire oracle), a log built with a ``tear_rng``
+simulates the mid-write crash honestly: when the
+``durability.wal.append`` point fires, a random *prefix* of the encoded
+batch is written before the fault propagates, exactly what a real kill
+during the write syscall leaves behind.
 """
 
 from __future__ import annotations

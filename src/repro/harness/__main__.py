@@ -44,7 +44,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "fig18": exp.experiment_fig18,
     "fig19": exp.experiment_fig19,
     "fig20": exp.experiment_fig20,
-    "faults": exp.experiment_fault_campaign,
     "net-bench": exp.experiment_net_bench,
     "replication-bench": exp.experiment_replication_bench,
     "tab1": exp.experiment_table1,
@@ -88,12 +87,6 @@ def render(name: str, result: Dict) -> None:
     for extra in ("expansions", "compactions", "skip_lengths"):
         if extra in result:
             print(f"{extra} (cumulative per interval): {result[extra]}")
-    for extra in (
-        "total_faults", "total_violations", "total_lost_keys",
-        "quarantine_events", "disable_events",
-    ):
-        if extra in result:
-            print(f"{extra}: {result[extra]}")
     if "compression_ratio" in result:
         print(f"compression ratio: {result['compression_ratio']:.1%}")
 

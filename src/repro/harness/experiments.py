@@ -16,7 +16,6 @@ from repro.harness.experiments_btree import (
     scaled_manager_config,
 )
 from repro.harness.experiments_concurrency import experiment_fig18
-from repro.harness.experiments_faults import experiment_fault_campaign
 from repro.harness.experiments_micro import (
     experiment_appendix_fig2_distributions,
     experiment_appendix_fig5_workloads,
@@ -45,7 +44,6 @@ __all__ = [
     "scaled_trie_manager_config",
     "experiment_appendix_fig2_distributions",
     "experiment_appendix_fig5_workloads",
-    "experiment_fault_campaign",
     "experiment_fig2",
     "experiment_fig3",
     "experiment_fig5",

@@ -29,72 +29,97 @@ accepted work's p999 stays bounded by the inflight cap).
 Latency is measured from each request's *scheduled arrival* and
 unanswered requests are censored at the drain deadline — an overloaded
 server cannot flatter its tail by throttling the generator or by not
-answering.  Quantiles come from ``Histogram.quantile``.
+answering.  The capacity probe and every leg's generator run in a
+spawned child process, so their own send lag is never counted as the
+server's (the server keeps its event loop to itself); a script calling
+:func:`experiment_net_bench` needs the usual ``__main__`` guard.
+Quantiles come from ``Histogram.quantile``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import tempfile
+from concurrent.futures import Executor, ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.budget import TenantQuota
-from repro.net.loadgen import LoadgenConfig, LoadgenResult, measure_capacity, run_loadgen
+from repro.net.loadgen import LoadgenConfig, measure_capacity, run_loadgen
 from repro.net.server import NetServer
 from repro.net.tenancy import TenantDirectory, demo_directory
 
+NUM_SHARDS = 2
+PROBE_CONCURRENCY = 64
+#: Coalesced legs merge up to this many in-flight requests per batch.
+MAX_BATCH = 128
+#: Offered load of the coalescing and the admission phase, as a
+#: multiple of the probed per-request capacity.
+COALESCE_OVERLOAD = 1.35
+ADMISSION_OVERLOAD = 2.0
+#: The admission leg's per-tenant quota, as shares of that capacity.
+QUOTA_FRACTION = 0.5
+BURST_FRACTION = 0.125
+MAX_INFLIGHT = 64
+GET_FRACTION = 0.9
 
-def _leg_summary(result: LoadgenResult, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    summary = result.summary()
-    summary["p50_s"] = summary["latency"]["p50"]
-    summary["p99_s"] = summary["latency"]["p99"]
-    summary["p999_s"] = summary["latency"]["p999"]
-    if extra:
-        summary.update(extra)
-    return summary
+
+def _loadgen_child(port: int, config: LoadgenConfig) -> Dict[str, Any]:
+    """One open-loop run, in a child process; returns its summary."""
+    return asyncio.run(run_loadgen("127.0.0.1", port, config)).summary()
+
+
+def _capacity_child(
+    port: int, tenants: Sequence[str], key_space: int, duration: float, seed: int
+) -> float:
+    """The closed-loop capacity probe, in a child process."""
+    return asyncio.run(
+        measure_capacity(
+            "127.0.0.1",
+            port,
+            tenants,
+            key_space,
+            concurrency=PROBE_CONCURRENCY,
+            duration=duration,
+            seed=seed,
+        )
+    )
 
 
 async def _run_leg(
+    pool: Executor,
     directory: TenantDirectory,
     config: LoadgenConfig,
     max_batch: int,
     admission: bool,
 ) -> Dict[str, Any]:
+    loop = asyncio.get_running_loop()
     try:
-        async with NetServer(
-            directory, max_batch=max_batch, admission=admission
-        ) as server:
-            result = await run_loadgen("127.0.0.1", server.port, config)
+        async with NetServer(directory, max_batch=max_batch, admission=admission) as server:
+            summary = await loop.run_in_executor(pool, _loadgen_child, server.port, config)
             coalescer = server.coalescer
             batches = coalescer.batches_flushed
             merged = coalescer.requests_coalesced
     finally:
         directory.close()
-    return _leg_summary(
-        result,
-        {
-            "batches": batches,
-            "mean_batch": round(merged / batches, 2) if batches else 0.0,
-        },
+    latency = summary["latency"]
+    summary.update(
+        p50_s=latency["p50"],
+        p99_s=latency["p99"],
+        p999_s=latency["p999"],
+        batches=batches,
+        mean_batch=round(merged / batches, 2) if batches else 0.0,
     )
+    return summary
 
 
 def experiment_net_bench(
     keys_per_tenant: int = 5_000,
     num_tenants: int = 4,
-    num_shards: int = 2,
     duration: float = 1.5,
     drain_timeout: float = 8.0,
     probe_duration: float = 0.8,
-    probe_concurrency: int = 64,
-    max_batch: int = 128,
-    coalesce_overload: float = 1.35,
-    admission_overload: float = 2.0,
-    quota_fraction: float = 0.5,
-    burst_fraction: float = 0.125,
-    max_inflight: int = 64,
-    get_fraction: float = 0.9,
     seed: int = 7,
 ) -> Dict:
     """Tail latency of the network front end: coalescing on/off at the
@@ -107,7 +132,7 @@ def experiment_net_bench(
         return demo_directory(
             tenants,
             keys_per_tenant=keys_per_tenant,
-            num_shards=num_shards,
+            num_shards=NUM_SHARDS,
             family="adaptive",
             quota=quota,
             durability_root=wal_root / leg,
@@ -119,57 +144,55 @@ def experiment_net_bench(
             duration=duration,
             tenants=tenants,
             key_space=keys_per_tenant,
-            get_fraction=get_fraction,
+            get_fraction=GET_FRACTION,
             seed=seed,
             drain_timeout=drain_timeout,
         )
 
-    async def bench() -> Dict[str, Any]:
+    async def bench(pool: Executor) -> Dict[str, Any]:
         # Capacity probe: closed-loop per-request throughput anchors
         # every offered rate to this machine's actual speed.
         directory = fresh_directory("probe")
+        loop = asyncio.get_running_loop()
         try:
             async with NetServer(directory, max_batch=1) as server:
-                capacity = await measure_capacity(
-                    "127.0.0.1",
+                capacity = await loop.run_in_executor(
+                    pool,
+                    _capacity_child,
                     server.port,
                     tenants,
                     keys_per_tenant,
-                    concurrency=probe_concurrency,
-                    duration=probe_duration,
-                    seed=seed + 1,
+                    probe_duration,
+                    seed + 1,
                 )
         finally:
             directory.close()
 
-        rate_a = coalesce_overload * capacity
-        legs: Dict[str, Dict[str, Any]] = {}
-        legs["coalesce_off"] = await _run_leg(
-            fresh_directory("coalesce_off"), config(rate_a), max_batch=1, admission=False
-        )
-        legs["coalesce_on"] = await _run_leg(
-            fresh_directory("coalesce_on"), config(rate_a), max_batch=max_batch,
-            admission=False,
-        )
-
-        rate_b = admission_overload * capacity
+        rate_a = COALESCE_OVERLOAD * capacity
+        rate_b = ADMISSION_OVERLOAD * capacity
         quota = TenantQuota(
-            ops_per_sec=quota_fraction * capacity / num_tenants,
-            burst_ops=max(1.0, burst_fraction * capacity / num_tenants),
-            max_inflight=max_inflight,
+            ops_per_sec=QUOTA_FRACTION * capacity / num_tenants,
+            burst_ops=max(1.0, BURST_FRACTION * capacity / num_tenants),
+            max_inflight=MAX_INFLIGHT,
         )
-        legs["overload_no_admission"] = await _run_leg(
-            fresh_directory("overload_no_admission"), config(rate_b), max_batch=1,
-            admission=False,
-        )
-        legs["overload_admission"] = await _run_leg(
-            fresh_directory("overload_admission", quota), config(rate_b), max_batch=1,
-            admission=True,
-        )
+        plan = {  # leg -> (offered rate, max_batch, admission, quota)
+            "coalesce_off": (rate_a, 1, False, None),
+            "coalesce_on": (rate_a, MAX_BATCH, False, None),
+            "overload_no_admission": (rate_b, 1, False, None),
+            "overload_admission": (rate_b, 1, True, quota),
+        }
+        legs: Dict[str, Dict[str, Any]] = {}
+        for leg, (rate, max_batch, admission, leg_quota) in plan.items():
+            directory = fresh_directory(leg, leg_quota)
+            legs[leg] = await _run_leg(pool, directory, config(rate), max_batch, admission)
         return {"capacity_rps": capacity, "rate_a": rate_a, "rate_b": rate_b, "legs": legs}
 
+    # One spawned child for the probe and all four legs: a fork would
+    # copy this process's loop and writer threads mid-flight.
+    context = multiprocessing.get_context("spawn")
     try:
-        outcome = asyncio.run(bench())
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            outcome = asyncio.run(bench(pool))
     finally:
         scratch.cleanup()
     legs = outcome["legs"]

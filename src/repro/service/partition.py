@@ -14,7 +14,7 @@ Two carve-ups of the key space are provided:
 
 Both hashes are deterministic across processes (no reliance on
 ``PYTHONHASHSEED``), so a router rebuilt from the same keys routes the
-same way — a requirement for the replayable fault campaigns.
+same way — a requirement for the wire oracle's replayable seeds.
 """
 
 from __future__ import annotations

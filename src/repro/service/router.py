@@ -393,11 +393,18 @@ class ShardRouter:
             block.get("policy", "cost"),
         )
         shards = []
+        opened: List[DurableLog] = []  # closed again if a later shard raises
         tally: Counter[str] = Counter()
-        for position, log_ids in enumerate(manifest.shard_log_ids()):
-            logs, pairs, replayed = durability.recover_shard(log_ids)
-            shards.append(template.make(position, pairs, logs))
-            tally.update(replayed)
+        try:
+            for position, log_ids in enumerate(manifest.shard_log_ids()):
+                logs, pairs, replayed = durability.recover_shard(log_ids)
+                opened.extend(logs)
+                shards.append(template.make(position, pairs, logs))
+                tally.update(replayed)
+        except BaseException:
+            for log in opened:
+                log.close()
+            raise
         router = cls(
             shards,
             build_partitioner(manifest.partitioner),

@@ -62,9 +62,13 @@ class OpCounters:
         return dict(self._counts)
 
     def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        """Events since ``earlier`` (a previous :meth:`snapshot`)."""
+        """Events since ``earlier`` (a previous :meth:`snapshot`).
+
+        Walks a snapshot: a replica's reader diffs outside the copy's
+        lock while a writer may add a first-seen event under it.
+        """
         result = {}
-        for event, count in self._counts.items():
+        for event, count in self.snapshot().items():
             delta = count - earlier.get(event, 0)
             if delta:
                 result[event] = delta

@@ -7,16 +7,33 @@ a full key-set diff against a dict oracle — that the tree is exactly as
 it was before the attempt.
 """
 
+import random
+
 import pytest
 
-from repro.bptree.hybrid import AdaptiveBPlusTree
+from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.migrate import migrate_leaf
 from repro.bptree.tree import BPlusTree
 from repro.core.invariants import violations_of
+from repro.core.manager import ManagerConfig
 from repro.faults import FaultInjector, InjectedFault
 
 PAIRS = [(key, key * 11 + 5) for key in range(400)]
+
+
+def eager_config(disable_after_failures):
+    """Sampling aggressive enough that a phase (and its migrations) runs
+    every few dozen operations."""
+    return ManagerConfig(
+        encoding_order=BTREE_ENCODING_ORDER,
+        initial_skip_length=0,
+        skip_min=0,
+        skip_max=4,
+        initial_sample_size=96,
+        max_sample_size=96,
+        disable_after_failures=disable_after_failures,
+    )
 
 
 def make_tree(encoding=LeafEncoding.SUCCINCT):
@@ -93,4 +110,60 @@ class TestAdaptiveTreeUnderFaults:
             with FaultInjector(fail_at=fail_at), pytest.raises(InjectedFault):
                 migrate_leaf(leaf, LeafEncoding.GAPPED)
         # _leaf_bytes is checked against a recount inside violations_of.
+        assert violations_of(tree) == []
+
+    def run_mixed(self, tree, oracle, hot, batches, rng, until):
+        """Hot lookups, appends and deletes under faults: the tree must
+        absorb every fault (nothing raises to the caller)."""
+        next_key = max(oracle) + 1
+        for _ in range(batches):
+            for _ in range(200):
+                tree.lookup(rng.choice(hot))
+            for _ in range(100):
+                assert tree.insert(next_key, next_key)
+                oracle[next_key] = next_key
+                next_key += 2
+            for _ in range(20):
+                victim = next_key - 2 * rng.randrange(1, 40)
+                if tree.delete(victim):
+                    del oracle[victim]
+            if until():
+                return
+
+    def test_failing_swaps_quarantine_then_disable_adaptation(self):
+        """Every swap fails on a small hot set: its leaves quarantine
+        before the total-failure count shuts adaptation off."""
+        pairs = [(key, key * 7 + 1) for key in range(0, 4000, 2)]
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs, leaf_capacity=64, manager_config=eager_config(40)
+        )
+        oracle, rng = dict(pairs), random.Random(1)
+        hot = rng.sample(sorted(oracle), 8)
+        manager = tree.manager
+        with FaultInjector(site="bptree.migrate.swap", rate=1.0) as injector:
+            self.run_mixed(tree, oracle, hot, 200, rng, lambda: manager.adaptation_degraded)
+        assert injector.failures_injected >= 40
+        assert manager.adaptation_degraded and manager.quarantined_units > 0
+        events = list(manager.events)
+        first_quarantine = next(i for i, e in enumerate(events) if e.quarantined)
+        first_disable = next(i for i, e in enumerate(events) if e.adaptation_disabled)
+        assert first_quarantine < first_disable
+        assert dict(tree.items()) == oracle
+        assert violations_of(tree) == []
+
+    def test_flaky_migrations_are_retried_and_adaptation_continues(self):
+        pairs = [(key, key * 7 + 1) for key in range(0, 4000, 2)]
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs, leaf_capacity=64, manager_config=eager_config(100_000)
+        )
+        oracle, rng = dict(pairs), random.Random(2)
+        hot = rng.sample(sorted(oracle), 100)
+        manager = tree.manager
+        with FaultInjector(site="bptree.*", rate=0.15, seed=2) as injector:
+            self.run_mixed(
+                tree, oracle, hot, 200, rng, lambda: manager.counters.migration_retries >= 5
+            )
+        assert injector.failures_injected > 0 and manager.counters.migration_retries > 0
+        assert not manager.adaptation_degraded
+        assert dict(tree.items()) == oracle
         assert violations_of(tree) == []

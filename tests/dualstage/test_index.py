@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.bptree.leaves import LeafEncoding
 from repro.dualstage.index import DualStageIndex
+from repro.faults import FaultInjector, InjectedFault
 
 STATIC_ENCODINGS = [LeafEncoding.PACKED, LeafEncoding.SUCCINCT]
 
@@ -192,6 +193,58 @@ class TestMerge:
     def test_invalid_merge_ratio(self):
         with pytest.raises(ValueError):
             DualStageIndex(merge_ratio=0.0)
+
+
+def merge_ready(encoding):
+    """An index whose next fresh insert triggers a merge."""
+    index = DualStageIndex.bulk_load(sorted_pairs(100), encoding, merge_ratio=0.05)
+    for step in range(5):
+        index.insert(10**9 + step, step)
+    assert index.merges == 0
+    return index
+
+
+def enumerate_merge_sites():
+    """Observer mode: which injection points does one merge cross?"""
+    index = merge_ready(LeafEncoding.SUCCINCT)
+    with FaultInjector() as observer:
+        index.insert(10**9 + 5, 5)
+    assert index.merges == 1
+    return observer.sites_seen()
+
+
+MERGE_SITES = enumerate_merge_sites()
+
+
+def test_merge_crosses_the_expected_sites():
+    assert MERGE_SITES == {
+        "dualstage.merge.collect": 1,
+        "dualstage.merge.build": 1,
+        "dualstage.merge.swap": 1,
+    }
+
+
+@pytest.mark.parametrize("site", sorted(MERGE_SITES))
+def test_faulted_merge_keeps_the_insert_and_retries(site, encoding):
+    """The insert lands before its merge runs; a fault at any merge site
+    surfaces to the caller, leaves both stages serving the pre-merge
+    state, and the next insert merges."""
+    index = merge_ready(encoding)
+    expected = dict(index.items())
+    with FaultInjector(site=site, fail_at=1) as injector, pytest.raises(InjectedFault):
+        index.insert(10**9 + 5, 5)
+    assert injector.failures_injected == 1
+    expected[10**9 + 5] = 5
+    assert index.lookup(10**9 + 5) == 5
+    assert index.merges == 0
+    assert (index.static_size, index.dynamic_size) == (100, 6)  # neither stage swapped
+    index.verify()
+    assert dict(index.items()) == expected and index.num_keys == len(expected)
+    index.insert(10**9 + 6, 6)
+    expected[10**9 + 6] = 6
+    assert index.merges == 1 and index.dynamic_size == 0
+    index.verify()
+    assert dict(index.items()) == expected
 
 
 class TestAccounting:

@@ -7,12 +7,15 @@ the underlying FST (the oracle — it is static and complete) that the
 trie is exactly as it was before the attempt.
 """
 
+import random
+
 import pytest
 
 from repro.core.invariants import violations_of
+from repro.core.manager import ManagerConfig
 from repro.faults import FaultInjector, InjectedFault
 from repro.hybridtrie.tagged import TrieBranch
-from repro.hybridtrie.tree import HybridTrie
+from repro.hybridtrie.tree import TRIE_ENCODING_ORDER, HybridTrie
 
 PAIRS = [(key.to_bytes(4, "big"), key) for key in range(0, 2000, 7)]
 
@@ -142,3 +145,33 @@ class TestCompactFaults:
         assert inner.detached
         assert violations_of(trie) == []
         assert trie.items() == PAIRS
+
+
+def test_flaky_faults_under_a_rotating_hot_range_are_retried():
+    """Branches heat up, expand, cool down and compact under flaky
+    faults at every ``trie.*`` site; the manager retries and the trie
+    keeps its contents exactly."""
+    rng = random.Random(3)
+    keys = sorted(key.to_bytes(4, "big") for key in rng.sample(range(1 << 28), 4000))
+    pairs = [(key, position) for position, key in enumerate(keys)]
+    config = ManagerConfig(
+        encoding_order=TRIE_ENCODING_ORDER,
+        initial_skip_length=0,
+        skip_min=0,
+        skip_max=4,
+        initial_sample_size=96,
+        max_sample_size=96,
+        disable_after_failures=100_000,
+    )
+    trie = HybridTrie(pairs, art_levels=1, manager_config=config)
+    manager = trie.manager
+    with FaultInjector(site="trie.*", rate=0.15, seed=3) as injector:
+        for batch in range(400):
+            hot = keys[(batch * 97) % (len(keys) - 256) :][:256]
+            for _ in range(300):
+                assert trie.lookup(rng.choice(hot)) is not None
+            if manager.counters.migration_retries >= 5:
+                break
+    assert injector.failures_injected > 0 and manager.counters.migration_retries > 0
+    assert trie.items() == pairs
+    assert violations_of(trie) == []

@@ -12,12 +12,17 @@ STATS ``num_keys`` and every router's ``verify()`` must agree with it.
 Underneath: a one-shot crash per round (cycling :data:`CAMPAIGN_SITES`),
 torn final frames, checkpoints, split/merge and replica
 ``mark_down``/``revive`` racing client writes, and a client hanging up
-mid-frame.  A fault is a kill: the server stops and every tenant is
+mid-frame.  A crash is a kill: the server stops and every tenant is
 recovered from disk (every :data:`RECOVERY_CRASH_EVERY`-th recovery
-crashes mid-replay first).  Concurrent rounds run two writers on
-disjoint key stripes and two readers under ``setswitchinterval(1e-6)``.
-A failure names its seed and round: the op sequence repeats, thread
-interleavings do not.
+crashes mid-replay first).  Beside it each round arms one absorbed
+site (:data:`ABSORBED_SITES`): a leaf migration of the ``adaptive``
+tenant's copies or a Dual-Stage merge.  The live server must survive
+that fault with no restart: a migration fault fails no request and
+fences no copy, a merge fault fails only the writes whose batch
+triggered the merge.  Concurrent rounds run two writers on disjoint key
+stripes and two readers under ``setswitchinterval(1e-6)``.  A failure
+names its seed and round: the op sequence repeats, thread interleavings
+do not.
 """
 
 import asyncio
@@ -62,8 +67,31 @@ TENANTS = tuple(spec.name for spec in SPECS)
 #: single-site arm cannot (a fault on the second checkpoint).
 CAMPAIGN_SITES = FAULT_SITES + ("service.split.*", "service.merge.*", "durability.*")
 REQUIRED_CRASH_SITES = FAULT_SITES[:4]  # wal.append, wal.apply, snapshot.swap, wal.truncate
+FAULT_RATE = 0.35
+#: Armed beside the crash site with no cap, alternating every crash-site
+#: cycle so each meets every crash site and concurrent rounds.  Firing
+#: one does not kill: the live server must absorb it.
+ABSORBED_SITES = ("bptree.migrate.*", "dualstage.merge.*")
+#: Load opening a round so that its absorbed site is crossed at all: a
+#: Dual-Stage shard merges once its dynamic stage passes 5 % of its keys
+#: (writes alone rarely get there between two kills), and a replica's
+#: manager runs its first phase, and so migrates, after ~2 600 routed
+#: reads.
+MERGE_BURST = 24
+MIGRATION_BURST = 3_000
+HOT_WINDOW = 64
+#: The reason the adversary's own ``mark_down`` gives.
+FENCE_REASON = "wire oracle"
 CONCURRENT_EVERY = 4
 RECOVERY_CRASH_EVERY = 7
+#: Sites no oracle arm reaches (a branch expansion needs a trie tenant,
+#: FST serialization a file), and the test file that arms each.
+UNIT_ARMED = {
+    "fst.serialize.encode": "tests/fst/test_serialize.py",
+    "fst.serialize.decode": "tests/fst/test_serialize.py",
+    "fst.serialize.swap": "tests/fst/test_serialize_file.py",
+    "trie.": "tests/hybridtrie/test_migration_faults.py",
+}
 
 
 class _ServerThread:
@@ -90,6 +118,19 @@ class _ServerThread:
         self.loop.close()
 
 
+class _RoundArms(FaultInjector):
+    """One round's two arms: every crossing is counted here, then offered
+    to the absorbed arm when it matches, else to the one-shot crash arm."""
+
+    def __init__(self, crash, absorbed):
+        super().__init__()  # an observer: it never fails a call itself
+        self.crash, self.absorbed = crash, absorbed
+
+    def check(self, site):
+        super().check(site)
+        (self.absorbed if self.absorbed.matches(site) else self.crash).check(site)
+
+
 class WireOracle:
     """The model, the adversary and the seeded workload of one run."""
 
@@ -100,7 +141,8 @@ class WireOracle:
         self.origin = {}  # written value -> (tenant, key)
         self.model = {tenant: dict(INITIAL) for tenant in TENANTS}
         self.uncertain = {tenant: {} for tenant in TENANTS}  # key -> {value | None}
-        self.tally, self.hits, self.crashes = Counter(), Counter(), Counter()
+        self.tally, self.hits = Counter(), Counter()
+        self.crashes, self.absorbed = Counter(), Counter()  # per site
         self.round_number = 0
         self.directory = TenantDirectory(SPECS, durability_root=root)
         self.server = _ServerThread(self.directory)
@@ -111,18 +153,43 @@ class WireOracle:
             concurrent = self.round_number % CONCURRENT_EVERY == 0
             self.write_failed = None  # the first write error of the round
             site = CAMPAIGN_SITES[self.round_number % len(CAMPAIGN_SITES)]
-            with self.armed(site, rate=0.35, counted=True) as injector:
+            cycle = self.round_number // len(CAMPAIGN_SITES)
+            absorbed = ABSORBED_SITES[cycle % len(ABSORBED_SITES)]
+            with self.armed(site, absorbed) as arms:
+                rng = random.Random(self.rng.randrange(1 << 30))
+                await self.open_round(absorbed, rng)
                 phase = self.concurrent_phase if concurrent else self.sequential_phase
-                admin_crashed, events = await phase(random.Random(self.rng.randrange(1 << 30)))
+                admin_crashed, events = await phase(rng)
             self.tally["events"] += events
-            fired = injector.failures_injected > 0
+            crashed = arms.crash.failures_injected > 0
+            fired = arms.absorbed.failures_by_site
+            merge_failed = any(name.startswith("dualstage.") for name in fired)
             failure = self.write_failed or admin_crashed and "an admin op"
-            assert fired or not failure, f"failed with no fault injected: {failure}"
-            if fired:
+            assert crashed or merge_failed or not failure, (
+                f"failed with no crash and no merge fault injected "
+                f"(absorbed {fired}): {failure}"
+            )
+            await self.check_fences(crashed)
+            if crashed:
                 self.tally.update(crashes=1, events=1, concurrent_crashes=concurrent)
                 await self.kill_and_recover()
+            else:  # the live server absorbed it: checked with no restart
+                self.absorbed.update(fired)
             await self.quiescent_check()
         await self.disconnect()
+
+    async def open_round(self, absorbed, rng):
+        """Pipelined PUTs of fresh Dual-Stage keys on every merge round; on
+        each concurrent migration round, pipelined reads of a
+        ``HOT_WINDOW`` of the ``adaptive`` tenant."""
+        client = self.clients[0]
+        if absorbed.startswith("dualstage."):
+            keys = rng.sample(range(KEY_SPACE), MERGE_BURST)  # distinct: acks may reorder
+            await asyncio.gather(*(self.put(client, "dualstage", key) for key in keys))
+        elif self.round_number % CONCURRENT_EVERY == 0:
+            start = rng.randrange(KEY_SPACE - HOT_WINDOW)
+            keys = [start + rng.randrange(HOT_WINDOW) for _ in range(MIGRATION_BURST)]
+            await asyncio.gather(*(self.get(client, "adaptive", key) for key in keys))
 
     async def sequential_phase(self, rng):
         client = self.clients[0]
@@ -272,15 +339,32 @@ class WireOracle:
         stats = (await client.stats())["tenants"]
         assert all(stats[t]["num_keys"] == len(self.model[t]) for t in TENANTS), stats
 
+    async def check_fences(self, crashed):
+        """Only the adversary fences a copy, or a crash site; an absorbed
+        site never.  A replicated shard answers from a survivor, so STATS
+        is the one place a copy that took an absorbed fault shows."""
+        stats = await self.clients[0].stats()
+        fenced = [
+            copy["down_reason"]
+            for shards in stats["shards"].values()
+            for shard in shards
+            for copy in shard.get("replicas", ())
+            if copy["down"] and copy["down_reason"] != FENCE_REASON
+        ]
+        escaped = [r for r in fenced if any(p.rstrip("*") in r for p in ABSORBED_SITES)]
+        assert not escaped and (crashed or not fenced), f"copies fenced: {fenced}"
+
     # -- the adversary -----------------------------------------------------
     @contextlib.contextmanager
-    def armed(self, site, rate, counted):
+    def armed(self, site, absorbed):
+        """The round's crash arm on ``site`` beside its absorbed arm."""
         seed = self.rng.randrange(1 << 30)
-        with FaultInjector(site=site, rate=rate, seed=seed, max_failures=1) as injector:
-            yield injector
-        self.hits.update(injector.calls_by_site)
-        if counted:
-            self.crashes.update(injector.failures_by_site)
+        crash = FaultInjector(site=site, rate=FAULT_RATE, seed=seed, max_failures=1)
+        absorbing = FaultInjector(site=absorbed, rate=FAULT_RATE, seed=seed + 1)
+        with _RoundArms(crash, absorbing) as arms:
+            yield arms
+        self.hits.update(arms.calls_by_site)
+        self.crashes.update(crash.failures_by_site)
 
     def admin(self, rng):
         """Checkpoints, split/merge and a replica toggle, beside client
@@ -303,7 +387,7 @@ class WireOracle:
             shard = rng.choice(self.directory.router_for("adaptive").table.shards)
             down = [copy for copy in shard.replicas if copy.down]
             if not down:
-                shard.mark_down(rng.choice(shard.replicas), "wire oracle")
+                shard.mark_down(rng.choice(shard.replicas), FENCE_REASON)
                 events += 1
             elif down[0].durable_log.wal.poisoned is None:  # else only recovery heals it
                 shard.revive(down[0].replica_id)
@@ -318,14 +402,16 @@ class WireOracle:
         self.directory.close()
         directory = None
         if self.tally["crashes"] % RECOVERY_CRASH_EVERY == 0:
-            with self.armed("durability.wal.apply", rate=0.5, counted=False):
+            seed = self.rng.randrange(1 << 30)
+            with FaultInjector(site="durability.wal.apply", rate=0.5, seed=seed, max_failures=1):
                 try:
                     directory = TenantDirectory.recover(SPECS, self.root)
                 except InjectedFault:
                     self.tally.update(recovery_crashes=1, events=1)
         self.directory = directory or TenantDirectory.recover(SPECS, self.root)
-        torn = [self.directory.router_for(t).last_recovery.get("torn_bytes", 0) for t in TENANTS]
-        self.tally["torn_tails"] += sum(nbytes > 0 for nbytes in torn)
+        for info in (self.directory.router_for(tenant).last_recovery for tenant in TENANTS):
+            self.tally["torn_tails"] += info.get("torn_bytes", 0) > 0
+            self.tally["replicas_rebuilt"] += info.get("replicas_rebuilt", 0)
         self.server = _ServerThread(self.directory)
         await self.connect()
 
@@ -345,7 +431,7 @@ def run_oracle(root, monkeypatch, seed, rounds):
     oracle = WireOracle(root / f"seed-{seed}", seed)
     try:
         asyncio.run(oracle.drive(rounds))
-    except AssertionError as error:
+    except (AssertionError, RequestError) as error:  # a read has no excuse to fail
         where = f"seed={seed} round={oracle.round_number} after {oracle.tally['ops']} ops"
         raise AssertionError(f"wire oracle {where}: {error}") from error
     finally:
@@ -354,9 +440,18 @@ def run_oracle(root, monkeypatch, seed, rounds):
     return oracle
 
 
+def absorbed_faults(absorbed):
+    """Absorbed faults per site family (``bptree.migrate``, ``dualstage.merge``)."""
+    families = Counter()
+    for site, count in absorbed.items():
+        families[site.rsplit(".", 1)[0]] += count
+    return families
+
+
 def test_wire_oracle_short_run(tmp_path, monkeypatch):
     oracle = run_oracle(tmp_path, monkeypatch, seed=0, rounds=48)
     assert oracle.tally["crashes"] >= 10 and oracle.tally["concurrent_crashes"] >= 1
+    assert absorbed_faults(oracle.absorbed)["bptree.migrate"] >= 1, oracle.absorbed
 
 
 def test_only_an_uncertain_delete_excuses_a_missing_acked_key():
@@ -368,9 +463,9 @@ def test_only_an_uncertain_delete_excuses_a_missing_acked_key():
     oracle.check_scan("olc", 0, 10, [])
 
 
-#: Shrunk ``(seed, rounds)`` of a bug the oracle found: a revived (12, 12) or recovery-healed
-#: (25, 8) replica kept its own lower LSN, so a stale copy won recovery's highest-LSN vote.
-REGRESSION_SEEDS = ((12, 12), (25, 8))
+#: Shrunk ``(seed, rounds)`` of a bug the oracle found: a replica healed by recovery kept its
+#: own lower LSN, so a stale copy won a later recovery's highest-LSN vote.
+REGRESSION_SEEDS = ((28, 7), (35, 7))
 
 
 @pytest.mark.parametrize("seed, rounds", REGRESSION_SEEDS)
@@ -378,22 +473,39 @@ def test_wire_oracle_regression_seed(tmp_path, monkeypatch, seed, rounds):
     run_oracle(tmp_path, monkeypatch, seed=seed, rounds=rounds)
 
 
+def armed_by(site):
+    """The oracle arm or the test file that arms ``site`` (None: unarmed)."""
+    if site.startswith(("durability.", "service.")):
+        return "oracle: crash"
+    if FaultInjector(site=ABSORBED_SITES).matches(site):
+        return "oracle: absorbed"
+    return next((path for prefix, path in UNIT_ARMED.items() if site.startswith(prefix)), None)
+
+
 @pytest.mark.slow
 def test_wire_oracle_ten_seeds_meet_the_coverage_bars(tmp_path, monkeypatch):
-    tally, hits, crashes = Counter(), Counter(), Counter()
+    tally, hits, crashes, absorbed = Counter(), Counter(), Counter(), Counter()
     for seed in range(10):
         oracle = run_oracle(tmp_path, monkeypatch, seed=seed, rounds=160)
         assert oracle.tally["ops"] >= 10_000 and oracle.tally["events"] >= 200, oracle.tally
-        tally, hits, crashes = tally + oracle.tally, hits + oracle.hits, crashes + oracle.crashes
-    source = Path(__file__).resolve().parents[2] / "src" / "repro"
+        tally, hits = tally + oracle.tally, hits + oracle.hits
+        crashes, absorbed = crashes + oracle.crashes, absorbed + oracle.absorbed
+    repo = Path(__file__).resolve().parents[2]
     pattern = re.compile(r'fault_point\("([^"]+)"\)')
-    sites = {name for path in source.rglob("*.py") for name in pattern.findall(path.read_text())}
-    print(f"\nwire oracle, seeds 0-9: {dict(tally)}\n{'fault site':<28}{'hits':>8}{'crashes':>9}")
+    sources = (repo / "src" / "repro").rglob("*.py")
+    sites = {name for path in sources for name in pattern.findall(path.read_text())}
+    arms, families = {site: armed_by(site) for site in sites}, absorbed_faults(absorbed)
+    print(f"\nwire oracle, seeds 0-9: {dict(tally)}\nabsorbed_faults: {dict(families)}")
+    print(f"{'fault site':<28}{'hits':>8}{'crashes':>9}{'absorbed':>10}  armed by")
     for site in sorted(sites):
-        print(f"{site:<28}{hits[site]:>8}{crashes[site]:>9}")
+        print(f"{site:<28}{hits[site]:>8}{crashes[site]:>9}{absorbed[site]:>10}  {arms[site]}")
+    assert None not in arms.values(), arms
+    unit_armed = {site: arm for site, arm in arms.items() if not arm.startswith("oracle")}
+    assert all(site in (repo / path).read_text() for site, path in unit_armed.items())
     assert tally["crashes"] >= 1_000
-    armed = [site for site in sites if site.startswith(("durability.", "service."))]
-    assert all(crashes[site] >= 1 for site in armed), crashes
+    assert all(crashes[site] >= 1 for site, arm in arms.items() if arm == "oracle: crash")
+    assert all(absorbed[site] >= 1 for site, arm in arms.items() if arm == "oracle: absorbed")
     assert all(crashes[site] >= 20 for site in REQUIRED_CRASH_SITES), crashes
+    assert families["bptree.migrate"] >= 20 and families["dualstage.merge"] >= 5, families
     bars = ("recovery_crashes", "concurrent_crashes", "torn_tails")
-    assert all(tally[name] >= 1 for name in bars), tally
+    assert all(tally[name] >= 1 for name in bars) and tally["replicas_rebuilt"] >= 10, tally

@@ -1,12 +1,14 @@
 """Durable replicated groups: manifest, recovery, and reconciliation."""
 
+import gc
 import json
+import warnings
 import zlib
 
 import pytest
 
 from repro.durability.manager import DurabilityManager, Manifest
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, InjectedFault
 from repro.fst.serialize import CorruptSerializationError
 from repro.service.router import ShardRouter
 
@@ -257,3 +259,29 @@ class TestRecovery:
             assert stats["replication_factor"] == 3
         finally:
             recovered.close()
+
+
+#: Frames each copy of shard 1 replays in the test below.
+SHARD_1_FRAMES = 5
+
+
+@pytest.mark.parametrize("fail_at", [1, SHARD_1_FRAMES + 1], ids=["copy-0", "copy-1"])
+def test_recovery_that_raises_on_its_second_shard_closes_every_log(tmp_path, fail_at):
+    """Shard 0 is fully reopened (and, at ``copy-1``, so is shard 1's
+    first copy) when replay crashes: each reopened log is closed before
+    the fault propagates, so none is left to the garbage collector."""
+    durability, router, _ = build_router(tmp_path, factor=2)
+    router.checkpoint()
+    keys = [key for key in range(1, 800, 2) if router.shard_for(key) is router.table.shards[1]]
+    router.put_many([(key, key) for key in keys[:SHARD_1_FRAMES]])
+    router.close()
+    gc.collect()  # earlier tests' garbage warns before this test starts
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with FaultInjector(site="durability.wal.apply", fail_at=fail_at) as injector:
+            with pytest.raises(InjectedFault):
+                ShardRouter.recover(durability, family="adaptive")
+        gc.collect()
+    assert injector.calls_by_site["durability.wal.apply"] == fail_at
+    leaked = [w for w in caught if str(tmp_path) in str(w.message)]
+    assert leaked == []

@@ -1,5 +1,8 @@
 """Tests for the operation counters."""
 
+import sys
+import threading
+
 from repro.sim.counters import OpCounters
 
 
@@ -88,3 +91,31 @@ class TestOpCounters:
         counters = OpCounters()
         counters.add("a", 2)
         assert dict(counters) == {"a": 2}
+
+
+def test_diff_survives_an_event_added_by_another_thread():
+    """A replica's reader diffs its copy's counters outside the copy lock
+    while a writer adds first-seen events under it."""
+    counters = OpCounters()
+    counters.add_many({f"event{i}": 1 for i in range(64)})
+    before = counters.snapshot()
+    stop = threading.Event()
+
+    def writer():
+        for i in range(20_000):
+            if stop.is_set():
+                return
+            counters.add(f"new{i}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        for _ in range(200):
+            counters.diff(before)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
