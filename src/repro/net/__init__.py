@@ -7,8 +7,9 @@ coalesces concurrently in-flight requests into the shard routers'
 batch paths (:mod:`repro.net.coalescer`), maps tenants onto dedicated
 shard groups (:mod:`repro.net.tenancy`), and sheds overload through
 the :class:`~repro.core.budget.ResourceArbiter` as backpressure
-responses.  :mod:`repro.net.loadgen` is the open-loop Zipf load
-generator the tail-latency bench drives it with.
+responses.  ``python -m repro.net`` serves a demo directory from the
+command line; :mod:`repro.net.loadgen` is the open-loop Zipf load
+generator (a client only) the tail-latency bench drives it with.
 """
 
 from repro.net.client import (

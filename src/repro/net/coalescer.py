@@ -102,7 +102,11 @@ class Coalescer:
 
     @property
     def max_delay(self) -> float:
-        """Timer share of a request's wait: none, the window is one loop pass."""
+        """Timer share of a request's wait: none, the window is one loop pass.
+
+        Kept (read-only) only because ``benchmarks/e2e/server_main.py``
+        reads it for the coalescing window it reports.
+        """
         return 0.0
 
     def _pool(self) -> ThreadPoolExecutor:

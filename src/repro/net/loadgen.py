@@ -1,14 +1,15 @@
 """Open-loop load generator: Zipf tenants, Zipf keys, honest queueing.
 
-``python -m repro.net.loadgen`` drives a :class:`~repro.net.server
-.NetServer` the way a population of millions of independent users
-would: arrivals follow a Poisson process at a configured *offered*
-rate, each operation is stamped with its scheduled arrival time, and
-**the generator never waits for a response before sending the next
-request** (open loop).  Latency is measured from the scheduled arrival
-to the response — so when the server falls behind, queueing delay
-shows up in the tail instead of silently throttling the generator,
-the classic closed-loop lie.  Requests still unanswered when the
+``python -m repro.net.loadgen --port PORT`` drives a running
+:class:`~repro.net.server.NetServer` (``python -m repro.net``) the way
+a population of millions of independent users would: arrivals follow
+a Poisson process at a configured *offered* rate, each operation is
+stamped with its scheduled arrival time, and **the generator never
+waits for a response before sending the next request** (open loop).
+Latency is measured from the scheduled arrival to the response — so
+when the server falls behind, queueing delay shows up in the tail
+instead of silently throttling the generator, the classic closed-loop
+lie.  Requests still unanswered when the
 drain window closes are *censored at the drain deadline* and included
 in the latency distribution: an overloaded server cannot look fast by
 just not answering.
@@ -25,9 +26,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import functools
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -43,7 +42,6 @@ from repro.net.protocol import (
 )
 from repro.obs.metrics import LATENCY_BUCKETS, Histogram
 from repro.obs.runtime import Telemetry
-from repro.obs.slo import evaluate_checks, parse_check
 from repro.workloads.distributions import zipf_indices
 
 _STATUS_PENDING = 0
@@ -136,25 +134,6 @@ class LoadgenResult:
             "unanswered": self.unanswered,
             "latency": self.latency.summary(),
             "shed_latency": self.shed_latency.summary(),
-        }
-
-    def slo_values(self) -> Dict[str, float]:
-        """The flat metric map ``--slo`` expressions evaluate against.
-
-        Latency metrics are the accepted-work distribution, in seconds.
-        """
-        latency = self.latency.summary()
-        offered = float(self.offered) if self.offered else 1.0
-        return {
-            "mean": latency["mean"],
-            "p50": latency["p50"],
-            "p90": latency["p90"],
-            "p99": latency["p99"],
-            "p999": latency["p999"],
-            "shed_fraction": self.shed_fraction,
-            "error_fraction": self.errors / offered,
-            "unanswered_fraction": self.unanswered / offered,
-            "ok_fraction": self.ok / offered,
         }
 
 
@@ -313,7 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Open-loop Zipf load generator for the repro.net server.",
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
+    parser.add_argument(
+        "--port", type=int, required=True, help="a running server (python -m repro.net)"
+    )
     parser.add_argument("--rate", type=float, default=2000.0, help="offered ops/sec")
     parser.add_argument("--duration", type=float, default=5.0, help="seconds of arrivals")
     parser.add_argument("--tenants", type=int, default=4, help="number of tenants (t0..tN-1)")
@@ -324,29 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--connections", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--self-serve",
-        action="store_true",
-        help="start an in-process demo server (ignores --port 0 = pick free)",
-    )
-    parser.add_argument("--shards", type=int, default=2, help="shards per tenant group")
-    parser.add_argument(
-        "--family",
-        default="olc",
-        help="index family for --self-serve tenant groups (olc, adaptive, ...)",
-    )
-    parser.add_argument(
-        "--durable",
-        default=None,
-        metavar="DIR",
-        help="per-tenant WAL root for --self-serve (writes become durable "
-        "and traced requests include durability.wal.append spans)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
-        help="write a JSONL trace here (self-serve: client+server spans "
-        "share the file, so stitch sees complete chains)",
+        help="write the client's JSONL trace here (stitch it with the "
+        "server's own --trace file)",
     )
     parser.add_argument(
         "--trace-sample",
@@ -356,46 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="originate a distributed trace on every N-th request "
         "(0 = never; only effective with --trace)",
     )
-    parser.add_argument(
-        "--trace-ops",
-        type=int,
-        default=0,
-        metavar="N",
-        help="index-level op span sampling under --trace (0 = off)",
-    )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="fail the run (exit 1) on violation, e.g. 'p99<0.01' or "
-        "'shed_fraction<=0.05' (repeatable; see repro.obs.slo)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=128, help="coalescing batch ceiling"
-    )
-    parser.add_argument(
-        "--quota-ops",
-        type=float,
-        default=None,
-        help="per-tenant ops/sec admission quota (default: unlimited)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        help="per-tenant inflight bound (default: unlimited)",
-    )
     parser.add_argument("--json", action="store_true", help="print the summary as JSON")
     return parser
 
 
-async def _amain(args: argparse.Namespace) -> LoadgenResult:
-    tenants = [f"t{i}" for i in range(args.tenants)]
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point."""
+    args = _build_parser().parse_args(argv)
     config = LoadgenConfig(
         rate=args.rate,
         duration=args.duration,
-        tenants=tenants,
+        tenants=[f"t{i}" for i in range(args.tenants)],
         key_space=args.keys,
         tenant_alpha=args.tenant_alpha,
         key_alpha=args.key_alpha,
@@ -404,60 +338,11 @@ async def _amain(args: argparse.Namespace) -> LoadgenResult:
         seed=args.seed,
         trace_sample_every=args.trace_sample if args.trace else 0,
     )
-    if args.self_serve:
-        from repro.core.budget import TenantQuota
-        from repro.net.server import NetServer
-        from repro.net.tenancy import demo_directory
-
-        quota: Optional[TenantQuota] = None
-        if args.quota_ops is not None or args.max_inflight is not None:
-            quota = TenantQuota(
-                ops_per_sec=args.quota_ops, max_inflight=args.max_inflight
-            )
-        # Build the preloaded directory off-loop: with --self-serve the
-        # loadgen's own coroutines share this loop, and an inline index
-        # build (plus WAL creation under --durable) would stall them
-        # before the run starts (RA005).
-        directory = await asyncio.get_running_loop().run_in_executor(
-            None,
-            functools.partial(
-                demo_directory,
-                tenants,
-                keys_per_tenant=args.keys,
-                num_shards=args.shards,
-                family=args.family,
-                quota=quota,
-                durability_root=args.durable,
-            ),
-        )
-        try:
-            async with NetServer(
-                directory,
-                host=args.host,
-                port=args.port,
-                max_batch=args.max_batch,
-            ) as server:
-                result = await run_loadgen(args.host, server.port, config)
-        finally:
-            directory.close()
-    else:
-        if args.port <= 0:
-            raise SystemExit("--port is required without --self-serve")
-        result = await run_loadgen(args.host, args.port, config)
-    return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
-    args = _build_parser().parse_args(argv)
-    checks = [parse_check(expression) for expression in args.slo]
     telemetry: Optional[Telemetry] = None
     if args.trace is not None:
-        telemetry = Telemetry.with_jsonl_trace(
-            args.trace, op_sample_every=args.trace_ops
-        ).install()
+        telemetry = Telemetry.with_jsonl_trace(args.trace).install()
     try:
-        result = asyncio.run(_amain(args))
+        result = asyncio.run(run_loadgen(args.host, args.port, config))
     finally:
         if telemetry is not None:
             telemetry.uninstall()
@@ -479,13 +364,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"p99 {latency['p99'] * 1000:.2f}ms  "
             f"p999 {latency['p999'] * 1000:.2f}ms"
         )
-    if checks:
-        violations = evaluate_checks(result.slo_values(), checks)
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        if violations:
-            return 1
-        print(f"slo ok: {len(checks)} check(s) passed", file=sys.stderr)
     return 0
 
 

@@ -13,7 +13,9 @@ The request path, in order:
 1. **decode** — a framing or body error (:class:`ProtocolError`, EOF
    mid-frame included) closes the connection without resynchronising;
    every length is bounds-checked and every body CRC-checked before any
-   field is trusted.
+   field is trusted.  An unknown tenant, or a key the tenant's index
+   family cannot order, is answered alone (:data:`STATUS_UNKNOWN_TENANT`
+   / :data:`STATUS_BAD_REQUEST`) and goes no further.
 2. **admission** — the arbiter answers ``ok`` / ``throttled`` /
    ``overloaded`` from the tenant's token bucket and bounded inflight
    count.  Sheds become *responses* (:data:`STATUS_THROTTLED` /
@@ -50,6 +52,7 @@ from repro.net.protocol import (
     OP_PUT,
     OP_SCAN,
     OP_STATS,
+    STATUS_BAD_REQUEST,
     STATUS_OK,
     STATUS_OVERLOADED,
     STATUS_SERVER_ERROR,
@@ -203,7 +206,6 @@ class NetServer:
         snapshot["coalescer"] = {
             "enabled": self.coalescer.enabled,
             "max_batch": self.coalescer.max_batch,
-            "max_delay": self.coalescer.max_delay,
             "batches_flushed": self.coalescer.batches_flushed,
             "requests_coalesced": self.coalescer.requests_coalesced,
         }
@@ -359,6 +361,17 @@ class _Connection(asyncio.Protocol):
                         message=f"unknown tenant {request.tenant!r}",
                     )
                 )
+                return
+            # A key the tenant's family cannot order is this request's
+            # fault alone: refused here, it never joins a coalesced batch
+            # that the index would fail as a whole.
+            key_type = server.directory.key_type(request.tenant)
+            if request.key is not None and not isinstance(request.key, key_type):
+                message = (
+                    f"tenant {request.tenant!r} orders {key_type.__name__} keys, "
+                    f"got {type(request.key).__name__}"
+                )
+                reply(Response(request.req_id, STATUS_BAD_REQUEST, message=message))
                 return
             if server.admission:
                 cost = 1.0

@@ -118,6 +118,7 @@ class TenantDirectory:
         self.arbiter = ResourceArbiter(budget=budget)
         self._groups: Dict[str, ShardRouter] = {}
         self._specs: Dict[str, TenantSpec] = {}
+        self._key_types: Dict[str, type] = {}
         for spec in specs:
             durability = None
             if durability_root is not None:
@@ -131,6 +132,7 @@ class TenantDirectory:
                 raise
             self._groups[spec.name] = router
             self._specs[spec.name] = spec
+            self._key_types[spec.name] = router.table.shards[0].replicas[0].index.key_type
             self.arbiter.register_tenant(spec.name, spec.quota)
 
     # ------------------------------------------------------------------
@@ -139,6 +141,11 @@ class TenantDirectory:
     def router_for(self, tenant: str) -> ShardRouter:
         """The shard group serving ``tenant`` (KeyError when unknown)."""
         return self._groups[tenant]
+
+    def key_type(self, tenant: str) -> type:
+        """The one key type ``tenant``'s index family orders
+        (:attr:`~repro.obs.introspect.IndexFamily.key_type`)."""
+        return self._key_types[tenant]
 
     def __contains__(self, tenant: str) -> bool:
         return tenant in self._groups
@@ -199,7 +206,7 @@ def demo_directory(
 
     Keys are ``0, 2, 4, ...`` so loadgen misses (odd keys) and hits
     (even keys) are both reachable; values are ``key + 1``.  Used by
-    the bench, the loadgen's ``--self-serve`` mode, and the tests.
+    the bench, the ``python -m repro.net`` server, and the tests.
     With ``durability_root``, every tenant group writes a per-shard WAL
     under it (the traced e2e chain exercises this path).
     """

@@ -26,7 +26,7 @@ decision cost) across every index family:
 * :mod:`repro.obs.stitch` — joins per-process JSONL traces into
   per-request causal trees (``python -m repro.obs.stitch``);
 * :mod:`repro.obs.slo` — declarative objectives with multi-window
-  burn-rate alerting, plus one-shot SLO checks for harness CLIs;
+  burn-rate alerting;
 * :mod:`repro.obs.top` — the live ops console over the STATS opcode
   (``python -m repro.obs.top``).
 
@@ -67,12 +67,9 @@ from repro.obs.runtime import Telemetry, active, active_registry, active_tracer
 from repro.obs.schema import TraceSchemaError, validate_trace, validate_trace_file
 from repro.obs.slo import (
     Objective,
-    SloCheck,
     SloMonitor,
     default_net_objectives,
-    evaluate_checks,
     latency_objective,
-    parse_check,
     ratio_objective,
 )
 from repro.obs.sinks import InMemoryTraceSink, JsonlTraceSink, read_jsonl_trace
@@ -92,7 +89,6 @@ __all__ = [
     "RATIO_BUCKETS",
     "SIZE_BUCKETS",
     "SPAN_LAYERS",
-    "SloCheck",
     "SloMonitor",
     "Span",
     "Telemetry",
@@ -104,12 +100,10 @@ __all__ = [
     "active_registry",
     "active_tracer",
     "default_net_objectives",
-    "evaluate_checks",
     "jsonable_key",
     "latency_objective",
     "layer_of",
     "new_trace_id",
-    "parse_check",
     "parse_prometheus",
     "ratio_objective",
     "read_jsonl_trace",

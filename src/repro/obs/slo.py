@@ -33,11 +33,6 @@ caller's clock: every ``observe`` passes ``now``.
 Every tick publishes labeled gauges — ``slo.burn_fast`` /
 ``slo.burn_slow`` / ``slo.state`` with an ``objective`` label — so the
 alert state rides the Prometheus export and the STATS snapshot for free.
-
-:func:`parse_check` / :func:`evaluate_checks` implement the ``--slo``
-flag the loadgen exposes: simple
-``metric<bound`` expressions evaluated against a flat summary dict,
-returning human-readable violations.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import re
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -285,72 +280,3 @@ class SloMonitor:
             "worst": self.worst_state(),
             "objectives": {name: dict(status) for name, status in self._status.items()},
         }
-
-
-# ----------------------------------------------------------------------
-# --slo expression checks (the loadgen)
-# ----------------------------------------------------------------------
-_CHECK_EXPR = re.compile(
-    r"^\s*(?P<metric>[A-Za-z0-9_.]+)\s*"
-    r"(?P<op><=|>=|==|=|<|>)\s*"
-    r"(?P<bound>[-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*$"
-)
-
-_OPS = {
-    "<": lambda value, bound: value < bound,
-    "<=": lambda value, bound: value <= bound,
-    ">": lambda value, bound: value > bound,
-    ">=": lambda value, bound: value >= bound,
-    "==": lambda value, bound: value == bound,
-}
-
-
-@dataclass(frozen=True)
-class SloCheck:
-    """One parsed ``--slo`` expression, e.g. ``p99<0.01``."""
-
-    metric: str
-    op: str
-    bound: float
-    source: str
-
-    def ok(self, value: float) -> bool:
-        """True when ``value`` satisfies the expression."""
-        return _OPS[self.op](value, self.bound)
-
-
-def parse_check(expression: str) -> SloCheck:
-    """Parse ``metric<bound`` (ops: ``< <= > >= = ==``)."""
-    match = _CHECK_EXPR.match(expression)
-    if match is None:
-        raise ValueError(
-            f"bad --slo expression {expression!r} (want e.g. 'p99<0.01', 'shed_fraction<=0.05')"
-        )
-    op = match.group("op")
-    return SloCheck(
-        metric=match.group("metric"),
-        op="==" if op == "=" else op,
-        bound=float(match.group("bound")),
-        source=expression.strip(),
-    )
-
-
-def evaluate_checks(
-    values: Mapping[str, float], checks: Sequence[SloCheck]
-) -> List[str]:
-    """Violation messages for every failed (or unresolvable) check."""
-    violations: List[str] = []
-    for check in checks:
-        value: Optional[float] = values.get(check.metric)
-        if value is None:
-            known = ", ".join(sorted(values))
-            violations.append(
-                f"slo {check.source!r}: metric {check.metric!r} not found (have: {known})"
-            )
-            continue
-        if not check.ok(value):
-            violations.append(
-                f"slo {check.source!r} violated: {check.metric}={value:g} "
-                f"(bound {check.op} {check.bound:g})"
-            )
-    return violations

@@ -518,7 +518,8 @@ class TestTheKnobIsGone:
     @pytest.mark.parametrize("parser", [net_main._build_parser, loadgen._build_parser])
     def test_max_delay_flag_is_rejected(self, parser, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            parser().parse_args(["--max-delay", "0.001"])
+            # --port is given because the loadgen requires it.
+            parser().parse_args(["--port", "1", "--max-delay", "0.001"])
         assert exit_info.value.code == 2
         assert "--max-delay" in capsys.readouterr().err
 

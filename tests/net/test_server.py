@@ -16,6 +16,8 @@ from repro.net import (
     NetClient,
     NetServer,
     OP_GET,
+    OP_PUT,
+    STATUS_BAD_REQUEST,
     STATUS_OK,
     STATUS_OVERLOADED,
     STATUS_THROTTLED,
@@ -124,6 +126,55 @@ class TestOps:
                 directory.close()
 
         run(scenario())
+
+
+class TestWrongTypedKeys:
+    @pytest.mark.parametrize("family", ["olc", "adaptive", "dualstage"])
+    def test_a_wrong_typed_key_fails_only_its_own_request(self, family):
+        """Two connections' requests land in one loop pass, so they share
+        a coalesced batch; the bytes key is refused alone and its batch
+        mates are served."""
+
+        async def exchange(port, one, other):
+            (reader_a, writer_a), (reader_b, writer_b) = [
+                await asyncio.open_connection("127.0.0.1", port) for _ in range(2)
+            ]
+            # No await between the writes: the server reads both in one pass.
+            writer_a.write(b"".join(encode_frame(encode_request(r)) for r in one))
+            writer_b.write(encode_frame(encode_request(other)))
+            replies = [decode_response(await read_frame(reader_a), r.op) for r in one]
+            replies.append(decode_response(await read_frame(reader_b), other.op))
+            for writer in (writer_a, writer_b):
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        async def scenario():
+            directory = demo_directory(["alpha"], keys_per_tenant=100, family=family)
+            try:
+                async with NetServer(directory) as server:
+                    gets = await exchange(
+                        server.port,
+                        [Request(n + 1, OP_GET, "alpha", key=2 * n) for n in range(8)],
+                        Request(1, OP_GET, "alpha", key=b"x"),
+                    )
+                    puts = await exchange(
+                        server.port,
+                        [Request(1, OP_PUT, "alpha", key=7, value=70)],
+                        Request(1, OP_PUT, "alpha", key=b"y", value=1),
+                    )
+                    async with await NetClient.connect("127.0.0.1", server.port) as client:
+                        readback = await client.get("alpha", 7)
+                    return gets, puts, readback
+            finally:
+                directory.close()
+
+        gets, puts, readback = run(scenario())
+        assert [(r.status, r.value) for r in gets[:8]] == [(STATUS_OK, 2 * n + 1) for n in range(8)]
+        assert gets[8].status == STATUS_BAD_REQUEST
+        assert "int keys" in gets[8].message
+        assert [r.status for r in puts] == [STATUS_OK, STATUS_BAD_REQUEST]
+        assert readback == 70
 
 
 class TestCoalescing:

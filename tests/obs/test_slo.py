@@ -1,4 +1,4 @@
-"""SLO objectives, multi-window burn-rate states, and --slo checks."""
+"""SLO objectives and multi-window burn-rate states."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.obs.slo import (
     Objective,
     SloMonitor,
     default_net_objectives,
-    evaluate_checks,
     latency_objective,
-    parse_check,
     ratio_objective,
 )
 
@@ -154,34 +152,3 @@ class TestBurnRateStates:
             SloMonitor([])
         with pytest.raises(ValueError):
             SloMonitor([objective, objective])
-
-
-class TestSloChecks:
-    def test_parse_all_operators(self):
-        for expression, op in (
-            ("p99<0.1", "<"),
-            ("p99<=0.1", "<="),
-            ("ok_fraction>0.9", ">"),
-            ("ok_fraction>=0.9", ">="),
-            ("lost_writes==0", "=="),
-            ("lost_writes=0", "=="),
-        ):
-            check = parse_check(expression)
-            assert check.op == op
-            assert check.source == expression
-
-    def test_parse_rejects_garbage(self):
-        for expression in ("", "p99", "p99 !! 3", "<0.5"):
-            with pytest.raises(ValueError):
-                parse_check(expression)
-
-    def test_evaluate_reports_violations_and_unknown_metrics(self):
-        checks = [parse_check("p99<0.1"), parse_check("sheds==0"), parse_check("nope<1")]
-        violations = evaluate_checks({"p99": 0.5, "sheds": 0.0}, checks)
-        assert len(violations) == 2
-        assert any("p99=0.5" in violation for violation in violations)
-        assert any("not found" in violation for violation in violations)
-
-    def test_evaluate_passes_clean_runs(self):
-        checks = [parse_check("p99<0.1"), parse_check("sheds==0")]
-        assert evaluate_checks({"p99": 0.01, "sheds": 0.0}, checks) == []

@@ -62,8 +62,10 @@ class TestSettableValues:
     def test_knobs_are_pinned(self):
         """The settable values of the manager and the serving surfaces,
         pinned: a new one shows up as an edit to this list."""
+        import repro.net.__main__ as net_main
         from repro.core.bloom import BloomFilter
         from repro.core.budget import ResourceArbiter
+        from repro.net import loadgen
         from repro.net.server import NetServer
         from repro.net.tenancy import TenantDirectory
         from repro.obs.slo import SloMonitor
@@ -73,6 +75,9 @@ class TestSettableValues:
             return [
                 name for name in inspect.signature(callable_).parameters if name != "self"
             ]
+
+        def flags(parser):
+            return [action.dest for action in parser._actions if action.dest != "help"]
 
         assert [field.name for field in dataclasses.fields(repro.ManagerConfig)] == [
             "encoding_order",
@@ -98,6 +103,38 @@ class TestSettableValues:
             "max_batch",
             "admission",
             "slo",
+        ]
+        # The two wire CLIs: the server owns what builds and traces it,
+        # the loadgen what shapes the load it sends and its own trace.
+        assert flags(net_main._build_parser()) == [
+            "host",
+            "port",
+            "tenants",
+            "keys",
+            "shards",
+            "family",
+            "durable",
+            "trace",
+            "trace_ops",
+            "max_batch",
+            "quota_ops",
+            "max_inflight",
+        ]
+        assert flags(loadgen._build_parser()) == [
+            "host",
+            "port",
+            "rate",
+            "duration",
+            "tenants",
+            "keys",
+            "tenant_alpha",
+            "key_alpha",
+            "get_fraction",
+            "connections",
+            "seed",
+            "trace",
+            "trace_sample",
+            "json",
         ]
         assert parameters(TenantDirectory) == ["specs", "budget", "durability_root"]
         assert parameters(ResourceArbiter) == ["budget"]
