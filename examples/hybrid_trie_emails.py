@@ -17,6 +17,7 @@ from repro.art.tree import terminated
 from repro.core.budget import MemoryBudget
 from repro.harness.experiments import scaled_trie_manager_config
 from repro.harness.report import format_table, human_bytes
+from repro.harness.runner import cost_events
 from repro.sim.costmodel import CostModel
 from repro.workloads.datasets import email_keys
 from repro.workloads.distributions import zipf_indices
@@ -27,13 +28,10 @@ ART_LEVELS = 8  # the paper stores the upper 9 levels in ART
 
 
 def measure(name, index, byte_keys, query_ranks, cost_model):
-    before = index.counters.snapshot()
+    before = cost_events(index)
     for rank in query_ranks:
         index.lookup(byte_keys[rank])
-    events = index.counters.diff(before)
-    if index.manager is not None:
-        events["heap_op"] = index.manager.counters.heap_operations
-        events["sample_track"] = index.manager.counters.map_updates
+    events = {event: count - before.get(event, 0) for event, count in cost_events(index).items()}
     modeled_ns = cost_model.price(events) / len(query_ranks)
     return (name, round(modeled_ns, 1), human_bytes(index.size_bytes()))
 

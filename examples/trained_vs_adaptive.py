@@ -20,6 +20,7 @@ from repro.core.trained import train_offline
 from repro.bptree.leaves import LeafEncoding
 from repro.harness.experiments import scaled_manager_config
 from repro.harness.report import format_table
+from repro.harness.runner import cost_events
 from repro.sim.costmodel import CostModel
 
 NUM_KEYS = 30_000
@@ -29,18 +30,10 @@ HOT = 400
 
 def drive(tree, hot_keys, rng, cost_model):
     """Run one phase of skewed lookups; return modeled ns/op."""
-    adapter_events_before = tree.counters.snapshot()
-    manager_before = (
-        tree.manager.counters.heap_operations,
-        tree.manager.counters.map_updates,
-        tree.manager.counters.classified_items,
-    )
+    before = cost_events(tree)
     for _ in range(OPS_PER_PHASE):
         tree.lookup(hot_keys[rng.integers(0, len(hot_keys))])
-    events = tree.counters.diff(adapter_events_before)
-    events["heap_op"] = tree.manager.counters.heap_operations - manager_before[0]
-    events["sample_track"] = tree.manager.counters.map_updates - manager_before[1]
-    events["classify_item"] = tree.manager.counters.classified_items - manager_before[2]
+    events = {event: count - before.get(event, 0) for event, count in cost_events(tree).items()}
     return cost_model.price(events) / OPS_PER_PHASE
 
 

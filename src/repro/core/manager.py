@@ -55,6 +55,8 @@ FALLBACK_K_MIN = 64
 MAX_MIGRATION_RETRIES = 3
 RETRY_BACKOFF_BASE = 1
 RETRY_BACKOFF_CAP = 8
+#: Lifetime migration failures after which the manager stops adapting.
+DISABLE_AFTER_FAILURES = 25
 
 
 def _encoding_name(encoding: object) -> str:
@@ -103,7 +105,7 @@ class ManagerConfig:
 
     Failed migrations back off and are quarantined as the module's
     ``MAX_MIGRATION_RETRIES`` / ``RETRY_BACKOFF_*`` constants say; once
-    the total failure count crosses ``disable_after_failures`` the
+    the total failure count reaches ``DISABLE_AFTER_FAILURES`` the
     manager disables adaptation entirely — the index keeps serving
     traffic on its current (static) layout.
     """
@@ -120,7 +122,6 @@ class ManagerConfig:
     use_bloom_filter: bool = True
     initial_sample_size: Optional[int] = None
     max_sample_size: int = 200_000
-    disable_after_failures: int = 25   # total failures before adaptation stops
 
     def __post_init__(self) -> None:
         if len(self.encoding_order) < 2:
@@ -140,10 +141,6 @@ class ManagerConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.max_sample_size < 1:
             raise ValueError(f"max_sample_size must be >= 1, got {self.max_sample_size}")
-        if self.disable_after_failures < 1:
-            raise ValueError(
-                f"disable_after_failures must be >= 1, got {self.disable_after_failures}"
-            )
 
     @property
     def compact_encoding(self) -> object:
@@ -322,7 +319,7 @@ class AdaptationManager:
 
         if (
             not self._degraded
-            and self._total_migration_failures >= self.config.disable_after_failures
+            and self._total_migration_failures >= DISABLE_AFTER_FAILURES
         ):
             # Too many failed migrations overall: stop adapting and keep
             # serving the workload on the current (now static) layout.

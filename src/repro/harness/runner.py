@@ -81,6 +81,23 @@ class RunResult:
         return [getattr(stats, attribute) for stats in self.intervals]
 
 
+def cost_events(index) -> Dict[str, int]:
+    """Every event the cost model prices for ``index``: its own counters
+    plus, when it adapts, the manager's bookkeeping (heap operations,
+    classified items, sample tracking, and a Bloom check per sample
+    while the filter is on)."""
+    events = index.counters.snapshot()
+    manager: Optional[AdaptationManager] = index.manager
+    if manager is not None:
+        managed = manager.counters
+        events["heap_op"] = events.get("heap_op", 0) + managed.heap_operations
+        events["classify_item"] = events.get("classify_item", 0) + managed.classified_items
+        events["sample_track"] = events.get("sample_track", 0) + managed.map_updates
+        if manager.config.use_bloom_filter:
+            events["bloom_check"] = events.get("bloom_check", 0) + managed.sampled
+    return events
+
+
 class _BaseAdapter:
     """Counter plumbing shared by the adapters."""
 
@@ -91,17 +108,7 @@ class _BaseAdapter:
     # -- counters -------------------------------------------------------
     def counter_snapshot(self) -> Dict[str, int]:
         """All counter events as a dict (tree + manager)."""
-        events = self.index.counters.snapshot()
-        if self._manager is not None:
-            managed = self._manager.counters
-            events["heap_op"] = events.get("heap_op", 0) + managed.heap_operations
-            events["classify_item"] = (
-                events.get("classify_item", 0) + managed.classified_items
-            )
-            events["sample_track"] = events.get("sample_track", 0) + managed.map_updates
-            if self._manager.config.use_bloom_filter:
-                events["bloom_check"] = events.get("bloom_check", 0) + managed.sampled
-        return events
+        return cost_events(self.index)
 
     # -- sizes and migrations --------------------------------------------
     def index_bytes(self) -> int:

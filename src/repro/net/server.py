@@ -37,7 +37,6 @@ Every counter/gauge name is a literal in a module table (RA004).
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 from functools import partial
 from typing import Any, List, Optional, Set
@@ -70,7 +69,6 @@ from repro.net.tenancy import TenantDirectory
 from repro.obs.jsonable import to_jsonable
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
-from repro.obs.slo import SloMonitor
 from repro.obs.tracing import Span
 
 #: RA004: literal instrument names for the serving path.
@@ -98,9 +96,6 @@ _ADMISSION_EVENT = "net.admission"
 #: is priced by the rows it may return, amortized to its batch shape.
 _SCAN_OP_WEIGHT = 0.05
 
-#: Loop-time seconds between two ticks of the SLO monitor.
-SLO_INTERVAL_S = 1.0
-
 
 def _count(key: str) -> None:
     registry = active_registry()
@@ -118,17 +113,14 @@ class NetServer:
         port: int = 0,
         max_batch: int = 128,
         admission: bool = True,
-        slo: Optional[SloMonitor] = None,
     ) -> None:
         self.directory = directory
         self.host = host
         self.port = port
         self.admission = admission
         self.coalescer = Coalescer(max_batch=max_batch)
-        self.slo = slo
         self._server: Optional[asyncio.AbstractServer] = None
         self._live: "Set[_Connection]" = set()
-        self._slo_task: "Optional[asyncio.Task[None]]" = None
         self.connections = 0
         self.requests = 0
         self.responses = 0
@@ -146,16 +138,9 @@ class NetServer:
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
-        if self.slo is not None:
-            self._slo_task = asyncio.create_task(self._slo_loop())
 
     async def stop(self) -> None:
         """Stop accepting, drop live connections, release pools."""
-        if self._slo_task is not None:
-            self._slo_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._slo_task
-            self._slo_task = None
         if self._server is not None:
             self._server.close()
             # Before wait_closed(): from 3.12 it waits for live transports.
@@ -164,16 +149,6 @@ class NetServer:
             await self._server.wait_closed()
             self._server = None
         self.coalescer.close()
-
-    async def _slo_loop(self) -> None:
-        """Tick the SLO monitor on loop time while the server runs."""
-        assert self.slo is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(SLO_INTERVAL_S)
-            registry = active_registry()
-            if registry is not None:
-                self.slo.observe(registry, now=loop.time())
 
     async def __aenter__(self) -> "NetServer":
         await self.start()
@@ -191,8 +166,8 @@ class NetServer:
         Keeps the original top-level ``tenants`` / ``arbiter`` keys (the
         pre-console payload) and layers the ops-console sections on top:
         server/coalescer counters, per-shard encoding mix + migrations +
-        WAL lag, latency histogram summaries, and the SLO states.  Runs
-        on the coalescer executor — never on the event loop.
+        WAL lag, and latency histogram summaries.  Runs on the coalescer
+        executor — never on the event loop.
         """
         snapshot = self.directory.stats()
         snapshot["server"] = {
@@ -222,8 +197,6 @@ class NetServer:
                 for name, value in counters.items()
                 if name.startswith("net.")
             }
-        if self.slo is not None:
-            snapshot["slo"] = self.slo.snapshot()
         return dict(to_jsonable(snapshot))
 
     def _stats_payload(self) -> bytes:

@@ -197,10 +197,7 @@ def demo_directory(
     num_shards: int = 2,
     family: str = "olc",
     quota: Optional[TenantQuota] = None,
-    budget: Optional[MemoryBudget] = None,
     durability_root: Optional[Union[str, Path]] = None,
-    replication_factor: int = 1,
-    replica_profiles: Optional[Sequence[str]] = None,
 ) -> TenantDirectory:
     """A synthetic directory: each tenant preloaded with even int keys.
 
@@ -217,9 +214,7 @@ def demo_directory(
             family=family,
             quota=quota,
             pairs=[(key * 2, key * 2 + 1) for key in range(keys_per_tenant)],
-            replication_factor=replication_factor,
-            replica_profiles=replica_profiles,
         )
         for name in tenants
     ]
-    return TenantDirectory(specs, budget=budget, durability_root=durability_root)
+    return TenantDirectory(specs, durability_root=durability_root)

@@ -25,8 +25,6 @@ decision cost) across every index family:
   (trace ids, the span-name -> layer map the stitcher attributes by);
 * :mod:`repro.obs.stitch` — joins per-process JSONL traces into
   per-request causal trees (``python -m repro.obs.stitch``);
-* :mod:`repro.obs.slo` — declarative objectives with multi-window
-  burn-rate alerting;
 * :mod:`repro.obs.top` — the live ops console over the STATS opcode
   (``python -m repro.obs.top``).
 
@@ -65,13 +63,6 @@ from repro.obs.metrics import (
 from repro.obs.report import render_metrics, render_telemetry, render_trace_summary
 from repro.obs.runtime import Telemetry, active, active_registry, active_tracer
 from repro.obs.schema import TraceSchemaError, validate_trace, validate_trace_file
-from repro.obs.slo import (
-    Objective,
-    SloMonitor,
-    default_net_objectives,
-    latency_objective,
-    ratio_objective,
-)
 from repro.obs.sinks import InMemoryTraceSink, JsonlTraceSink, read_jsonl_trace
 from repro.obs.tracing import Span, Tracer, TraceSink
 
@@ -85,11 +76,9 @@ __all__ = [
     "InMemoryTraceSink",
     "JsonlTraceSink",
     "MetricsRegistry",
-    "Objective",
     "RATIO_BUCKETS",
     "SIZE_BUCKETS",
     "SPAN_LAYERS",
-    "SloMonitor",
     "Span",
     "Telemetry",
     "TraceContext",
@@ -99,13 +88,10 @@ __all__ = [
     "active",
     "active_registry",
     "active_tracer",
-    "default_net_objectives",
     "jsonable_key",
-    "latency_objective",
     "layer_of",
     "new_trace_id",
     "parse_prometheus",
-    "ratio_objective",
     "read_jsonl_trace",
     "render_metrics",
     "render_telemetry",

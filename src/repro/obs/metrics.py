@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 # Shared fixed boundaries.  Powers of two suit batch sizes and entry
 # counts; the cost buckets span the modeled-ns range the cost model
@@ -76,25 +76,14 @@ class Counter:
 
 
 class Gauge:
-    """A named value that may go up and down.
+    """A named value that may go up and down."""
 
-    A gauge may carry a fixed label set (e.g. ``objective="net_get_p99"``
-    on the SLO burn-rate gauges); labeled siblings share the metric name
-    and render as separate samples in the Prometheus exposition.
-    """
+    __slots__ = ("name", "help", "value")
 
-    __slots__ = ("name", "help", "value", "labels")
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self.value = 0.0
-        self.labels = labels
 
     def set(self, value: float) -> None:
         """Install the current value."""
@@ -205,10 +194,8 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create home of every named instrument.
 
-    Gauges may carry labels; the gauge map is keyed by the rendered
-    sample key (``name{label="value"}``, escaped) so labeled siblings
-    coexist under one metric name.  Counters and histograms stay
-    label-free — every current producer is a plain cumulative stream.
+    Every instrument is label-free and keyed by its name; only histogram
+    buckets carry a label (``le``) in the Prometheus exposition.
     """
 
     def __init__(self) -> None:
@@ -226,19 +213,12 @@ class MetricsRegistry:
             instrument = self._counters[name] = Counter(name, help)
         return instrument
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> Gauge:
-        """The gauge named ``name`` (+ label set), created on first use."""
-        label_items = tuple(sorted(labels.items())) if labels else ()
-        key = sample_key(name, label_items)
-        instrument = self._gauges.get(key)
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        """The gauge named ``name`` (created on first use)."""
+        instrument = self._gauges.get(name)
         if instrument is None:
             self._check_fresh(name, "gauge")
-            instrument = self._gauges[key] = Gauge(name, help, label_items)
+            instrument = self._gauges[name] = Gauge(name, help)
         return instrument
 
     def histogram(
@@ -261,21 +241,6 @@ class MetricsRegistry:
         self._kinds[name] = kind
 
     # -- read-only peeks (no instrument creation) ------------------------
-    def get_counter(self, name: str) -> Optional[Counter]:
-        """The counter named ``name`` if it already exists, else None."""
-        return self._counters.get(name)
-
-    def get_gauge(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> Optional[Gauge]:
-        """The gauge named ``name`` (+ label set) if it exists, else None."""
-        label_items = tuple(sorted(labels.items())) if labels else ()
-        return self._gauges.get(sample_key(name, label_items))
-
-    def get_histogram(self, name: str) -> Optional[Histogram]:
-        """The histogram named ``name`` if it already exists, else None."""
-        return self._histograms.get(name)
-
     def histogram_summaries(self, prefix: str = "") -> Dict[str, Dict[str, float]]:
         """``{name: summary}`` for every histogram under ``prefix``."""
         return {
@@ -328,22 +293,12 @@ class MetricsRegistry:
             if counter.help:
                 lines.append(f"# HELP {metric} {counter.help}")
             lines.append(f"{metric} {_prom_value(counter.value)}")
-        previous_metric = None
-        for key, gauge in sorted(self._gauges.items(), key=lambda kv: (kv[1].name, kv[0])):
-            metric = _prom_name(namespace, gauge.name)
-            if metric != previous_metric:
-                lines.append(f"# TYPE {metric} gauge")
-                if gauge.help:
-                    lines.append(f"# HELP {metric} {gauge.help}")
-                previous_metric = metric
-            if gauge.labels:
-                rendered = ",".join(
-                    f'{label}="{escape_label_value(value)}"'
-                    for label, value in gauge.labels
-                )
-                lines.append(f"{metric}{{{rendered}}} {_prom_value(gauge.value)}")
-            else:
-                lines.append(f"{metric} {_prom_value(gauge.value)}")
+        for name, gauge in sorted(self._gauges.items()):
+            metric = _prom_name(namespace, name)
+            lines.append(f"# TYPE {metric} gauge")
+            if gauge.help:
+                lines.append(f"# HELP {metric} {gauge.help}")
+            lines.append(f"{metric} {_prom_value(gauge.value)}")
         for name, histogram in sorted(self._histograms.items()):
             metric = _prom_name(namespace, name)
             lines.append(f"# TYPE {metric} histogram")

@@ -4,8 +4,8 @@
 :class:`~repro.net.server.NetServer`: it polls the structured STATS
 snapshot over a plain :class:`~repro.net.client.NetClient` connection
 and renders per-tenant admission/shed rates, the coalescer's batching,
-per-shard encoding mix / migrations / WAL lag, latency histogram
-summaries, and the SLO burn states::
+per-shard encoding mix / migrations / WAL lag, and latency histogram
+summaries::
 
     python -m repro.obs.top --host 127.0.0.1 --port 9344          # refresh loop
     python -m repro.obs.top --port 9344 --once                    # one frame
@@ -211,18 +211,6 @@ def render_snapshot(
                 f"  {name:<28} {int(summary.get('count', 0)):>9} "
                 f"{fmt(summary.get('mean')):>9} {fmt(summary.get('p50')):>9} "
                 f"{fmt(summary.get('p99')):>9} {fmt(summary.get('p999')):>9}"
-            )
-
-    slo = stats.get("slo")
-    if slo:
-        lines.append("")
-        lines.append(f"slo: worst={slo.get('worst', 'ok')}")
-        for name, status in sorted(slo.get("objectives", {}).items()):
-            lines.append(
-                f"  {name:<20} state={status.get('state', '-'):<5} "
-                f"burn_fast={status.get('burn_fast', 0.0):.2f} "
-                f"burn_slow={status.get('burn_slow', 0.0):.2f} "
-                f"bad={status.get('bad', 0):.0f}/{status.get('total', 0):.0f}"
             )
     return "\n".join(lines)
 

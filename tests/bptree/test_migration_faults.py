@@ -16,13 +16,14 @@ from repro.bptree.leaves import LeafEncoding
 from repro.bptree.migrate import migrate_leaf
 from repro.bptree.tree import BPlusTree
 from repro.core.invariants import violations_of
+from repro.core import manager as manager_module
 from repro.core.manager import ManagerConfig
 from repro.faults import FaultInjector, InjectedFault
 
 PAIRS = [(key, key * 11 + 5) for key in range(400)]
 
 
-def eager_config(disable_after_failures):
+def eager_config():
     """Sampling aggressive enough that a phase (and its migrations) runs
     every few dozen operations."""
     return ManagerConfig(
@@ -32,7 +33,6 @@ def eager_config(disable_after_failures):
         skip_max=4,
         initial_sample_size=96,
         max_sample_size=96,
-        disable_after_failures=disable_after_failures,
     )
 
 
@@ -130,12 +130,13 @@ class TestAdaptiveTreeUnderFaults:
             if until():
                 return
 
-    def test_failing_swaps_quarantine_then_disable_adaptation(self):
+    def test_failing_swaps_quarantine_then_disable_adaptation(self, monkeypatch):
         """Every swap fails on a small hot set: its leaves quarantine
         before the total-failure count shuts adaptation off."""
+        monkeypatch.setattr(manager_module, "DISABLE_AFTER_FAILURES", 40)
         pairs = [(key, key * 7 + 1) for key in range(0, 4000, 2)]
         tree = AdaptiveBPlusTree.bulk_load_adaptive(
-            pairs, leaf_capacity=64, manager_config=eager_config(40)
+            pairs, leaf_capacity=64, manager_config=eager_config()
         )
         oracle, rng = dict(pairs), random.Random(1)
         hot = rng.sample(sorted(oracle), 8)
@@ -151,10 +152,11 @@ class TestAdaptiveTreeUnderFaults:
         assert dict(tree.items()) == oracle
         assert violations_of(tree) == []
 
-    def test_flaky_migrations_are_retried_and_adaptation_continues(self):
+    def test_flaky_migrations_are_retried_and_adaptation_continues(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "DISABLE_AFTER_FAILURES", 100_000)
         pairs = [(key, key * 7 + 1) for key in range(0, 4000, 2)]
         tree = AdaptiveBPlusTree.bulk_load_adaptive(
-            pairs, leaf_capacity=64, manager_config=eager_config(100_000)
+            pairs, leaf_capacity=64, manager_config=eager_config()
         )
         oracle, rng = dict(pairs), random.Random(2)
         hot = rng.sample(sorted(oracle), 100)

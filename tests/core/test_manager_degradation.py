@@ -182,9 +182,10 @@ class TestQuarantine:
 
 
 class TestDisable:
-    def test_adaptation_disables_after_total_failures(self):
+    def test_adaptation_disables_after_total_failures(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "DISABLE_AFTER_FAILURES", 3)
         index = FlakyIndex(range(10), failing=set(range(10)))
-        manager = make_manager(index, disable_after_failures=3)
+        manager = make_manager(index)
         assert not manager.adaptation_degraded
         events = []
         for unit in range(3):
@@ -195,9 +196,10 @@ class TestDisable:
         # Disabled manager stops sampling: the index keeps its layout.
         assert not any(manager.is_sample() for _ in range(20))
 
-    def test_event_log_surfaces_the_degradation(self):
+    def test_event_log_surfaces_the_degradation(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "DISABLE_AFTER_FAILURES", 2)
         index = FlakyIndex(range(10), failing=set(range(10)))
-        manager = make_manager(index, disable_after_failures=2)
+        manager = make_manager(index)
         heat_and_adapt(manager, 0)
         heat_and_adapt(manager, 1)
         assert manager.events.total_migration_failures == 2
@@ -216,7 +218,6 @@ class TestConfigValidation:
             {"max_sample_size": 0},
             {"initial_skip_length": 11},  # above skip_max=10
             {"initial_skip_length": 1, "skip_min": 2},  # below skip_min
-            {"disable_after_failures": 0},
         ],
     )
     def test_bad_config_rejected(self, overrides):
@@ -233,5 +234,4 @@ class TestConfigValidation:
             skip_min=0,
             skip_max=0,
             initial_skip_length=0,
-            disable_after_failures=1,
         )

@@ -1,14 +1,17 @@
 """Tests for the workload runner and adapters."""
 
+import pytest
 
-from repro.bptree.hybrid import AdaptiveBPlusTree
+from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.tree import BPlusTree
+from repro.core.manager import ManagerConfig
 from repro.fst.trie import FST
 from repro.harness.runner import (
     ByteKeyIndexAdapter,
     IntKeyIndexAdapter,
     RunResult,
+    cost_events,
     run_operations,
 )
 from repro.sim.costmodel import CostModel
@@ -58,6 +61,37 @@ class TestIntKeyAdapter:
         assert adapter.skip_length() == tree.manager.skip_length
 
 
+class TestCostEvents:
+    @pytest.mark.parametrize("use_bloom_filter", [True, False])
+    def test_adapter_prices_the_manager_bookkeeping(self, use_bloom_filter):
+        config = ManagerConfig(
+            encoding_order=BTREE_ENCODING_ORDER,
+            initial_skip_length=0,
+            skip_min=0,
+            skip_max=4,
+            initial_sample_size=96,
+            max_sample_size=96,
+            use_bloom_filter=use_bloom_filter,
+        )
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            [(key, key) for key in range(2_000)], manager_config=config
+        )
+        adapter = IntKeyIndexAdapter(tree)
+        for key in range(0, 400, 2):
+            adapter.execute(Operation(OpKind.READ, key))
+        managed = tree.manager.counters
+        assert managed.adaptation_phases >= 1
+        events = cost_events(tree)
+        assert events == adapter.counter_snapshot()
+        own = tree.counters.snapshot()
+        assert events["heap_op"] - own.get("heap_op", 0) == managed.heap_operations > 0
+        assert events["classify_item"] - own.get("classify_item", 0) == managed.classified_items
+        assert events["sample_track"] - own.get("sample_track", 0) == managed.map_updates
+        bloom_checks = events.get("bloom_check", 0) - own.get("bloom_check", 0)
+        assert bloom_checks == (managed.sampled if use_bloom_filter else 0)
+        assert managed.sampled > 0
+
+
 class TestByteKeyAdapter:
     def test_rank_mapping(self):
         pairs = [(bytes([0, label]), label) for label in range(64)]
@@ -71,8 +105,6 @@ class TestByteKeyAdapter:
         pairs = [(bytes([0, label]), label) for label in range(8)]
         fst = FST(pairs)
         adapter = ByteKeyIndexAdapter(fst, [key for key, _ in pairs])
-        import pytest
-
         with pytest.raises(ValueError):
             adapter.execute(Operation(OpKind.INSERT, 0, value=1))
 

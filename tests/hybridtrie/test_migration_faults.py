@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.core.invariants import violations_of
+from repro.core import manager as manager_module
 from repro.core.manager import ManagerConfig
 from repro.faults import FaultInjector, InjectedFault
 from repro.hybridtrie.tagged import TrieBranch
@@ -147,10 +148,11 @@ class TestCompactFaults:
         assert trie.items() == PAIRS
 
 
-def test_flaky_faults_under_a_rotating_hot_range_are_retried():
+def test_flaky_faults_under_a_rotating_hot_range_are_retried(monkeypatch):
     """Branches heat up, expand, cool down and compact under flaky
     faults at every ``trie.*`` site; the manager retries and the trie
     keeps its contents exactly."""
+    monkeypatch.setattr(manager_module, "DISABLE_AFTER_FAILURES", 100_000)
     rng = random.Random(3)
     keys = sorted(key.to_bytes(4, "big") for key in rng.sample(range(1 << 28), 4000))
     pairs = [(key, position) for position, key in enumerate(keys)]
@@ -161,7 +163,6 @@ def test_flaky_faults_under_a_rotating_hot_range_are_retried():
         skip_max=4,
         initial_sample_size=96,
         max_sample_size=96,
-        disable_after_failures=100_000,
     )
     trie = HybridTrie(pairs, art_levels=1, manager_config=config)
     manager = trie.manager

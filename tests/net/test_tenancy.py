@@ -53,9 +53,9 @@ class TestTenantDirectory:
 
     def test_memory_budget_carves_across_tenants(self):
         budget = MemoryBudget.absolute(1 << 20)
-        with demo_directory(
-            ["a", "b"], keys_per_tenant=100, budget=budget
-        ) as directory:
+        pairs = [(key * 2, key * 2 + 1) for key in range(100)]
+        specs = [TenantSpec(name, pairs=pairs) for name in ("a", "b")]
+        with TenantDirectory(specs, budget=budget) as directory:
             carve = directory.arbiter.describe()["memory"]
             assert carve["absolute_bytes"] == 1 << 20
             allocations = directory.arbiter.rebalance()

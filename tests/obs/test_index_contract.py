@@ -26,7 +26,7 @@ from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import TRIE_ENCODING_ORDER, HybridTrie
 from repro.net.server import NetServer
-from repro.net.tenancy import demo_directory
+from repro.net.tenancy import TenantDirectory, TenantSpec
 from repro.obs.introspect import IndexFamily
 from repro.service.router import FAMILY_FACTORIES
 
@@ -105,8 +105,12 @@ def _build(name):
 
 def _wire_stats(family, factor):
     """The STATS payload sections an index feeds, after a few batches."""
-    directory = demo_directory(
-        ["a", "b"], 300, num_shards=2, family=family, replication_factor=factor
+    pairs = [(key * 2, key * 2 + 1) for key in range(300)]
+    directory = TenantDirectory(
+        [
+            TenantSpec(name, family=family, pairs=pairs, replication_factor=factor)
+            for name in ("a", "b")
+        ]
     )
     try:
         router = directory.router_for("a")

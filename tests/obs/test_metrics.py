@@ -170,27 +170,6 @@ class TestLabelEscaping:
             assert name == "slo_state"
             assert labels == {"objective": value}, value
 
-    def test_export_roundtrip_with_hostile_label_values(self):
-        registry = MetricsRegistry()
-        for index, value in enumerate(self.HOSTILE_VALUES):
-            registry.gauge("slo.state", labels={"objective": value}).set(float(index))
-        samples = parse_prometheus(registry.to_prometheus())
-        recovered = {}
-        for key, sample_value in samples.items():
-            name, labels = split_sample_key(key)
-            if name == "repro_slo_state":
-                recovered[labels["objective"]] = sample_value
-        assert recovered == {
-            value: float(index) for index, value in enumerate(self.HOSTILE_VALUES)
-        }
-
-    def test_escaped_text_stays_single_line(self):
-        registry = MetricsRegistry()
-        registry.gauge("g", labels={"objective": "two\nlines"}).set(1.0)
-        body = registry.to_prometheus()
-        sample_lines = [line for line in body.splitlines() if line.startswith("repro_g")]
-        assert sample_lines == ['repro_g{objective="two\\nlines"} 1']
-
     def test_bad_escape_sequences_are_rejected(self):
         with pytest.raises(ValueError, match="bad escape"):
             parse_prometheus('repro_g{objective="oops\\t"} 1\n')

@@ -61,18 +61,6 @@ def snapshot(**overrides):
                 "p999": 16.0,
             },
         },
-        "slo": {
-            "worst": "warn",
-            "objectives": {
-                "net_request_p99": {
-                    "state": "warn",
-                    "burn_fast": 1.5,
-                    "burn_slow": 1.2,
-                    "bad": 12.0,
-                    "total": 990.0,
-                }
-            },
-        },
     }
     base.update(overrides)
     return base
@@ -89,8 +77,6 @@ class TestRenderSnapshot:
             "alpha/0",
             "gapped:4 succinct:2",
             "latency:",
-            "slo: worst=warn",
-            "burn_fast=1.50",
         ):
             assert expected in frame, expected
 
@@ -170,7 +156,6 @@ class TestRenderSnapshot:
     def test_missing_sections_degrade_gracefully(self):
         frame = render_snapshot({"server": {}, "coalescer": {}, "tenants": {}})
         assert "server:" in frame
-        assert "slo:" not in frame
         assert "shards:" not in frame
         assert "latency:" not in frame
 

@@ -15,7 +15,8 @@ import threading
 
 from repro.durability import wal
 from repro.durability.manager import DurabilityManager
-from repro.net import NetClient, NetServer, demo_directory
+from repro.net import NetClient, NetServer
+from repro.net.tenancy import TenantDirectory, TenantSpec
 from repro.service.router import ShardRouter
 
 KEYS = 200
@@ -143,14 +144,14 @@ def test_a_wire_get_is_answered_while_a_put_to_its_tenant_is_parked(
     tmp_path, monkeypatch
 ):
     async def scenario():
-        directory = demo_directory(
-            ["alpha"],
-            keys_per_tenant=KEYS,
+        spec = TenantSpec(
+            "alpha",
             num_shards=1,
             family="adaptive",
-            durability_root=tmp_path,
+            pairs=[(key * 2, key * 2 + 1) for key in range(KEYS)],
             replication_factor=2,
         )
+        directory = TenantDirectory([spec], durability_root=tmp_path)
         try:
             async with NetServer(directory) as server, await NetClient.connect(
                 "127.0.0.1", server.port

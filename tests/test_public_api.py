@@ -67,8 +67,7 @@ class TestSettableValues:
         from repro.core.budget import ResourceArbiter
         from repro.net import loadgen
         from repro.net.server import NetServer
-        from repro.net.tenancy import TenantDirectory
-        from repro.obs.slo import SloMonitor
+        from repro.net.tenancy import TenantDirectory, demo_directory
         from repro.replication.routing import ReplicaRouter
 
         def parameters(callable_):
@@ -92,17 +91,14 @@ class TestSettableValues:
             "use_bloom_filter",
             "initial_sample_size",
             "max_sample_size",
-            "disable_after_failures",
         ]
         assert parameters(ReplicaRouter) == ["policy"]
-        assert parameters(SloMonitor) == ["objectives"]
         assert parameters(NetServer) == [
             "directory",
             "host",
             "port",
             "max_batch",
             "admission",
-            "slo",
         ]
         # The two wire CLIs: the server owns what builds and traces it,
         # the loadgen what shapes the load it sends and its own trace.
@@ -137,6 +133,14 @@ class TestSettableValues:
             "json",
         ]
         assert parameters(TenantDirectory) == ["specs", "budget", "durability_root"]
+        assert parameters(demo_directory) == [
+            "tenants",
+            "keys_per_tenant",
+            "num_shards",
+            "family",
+            "quota",
+            "durability_root",
+        ]
         assert parameters(ResourceArbiter) == ["budget"]
         assert parameters(BloomFilter) == ["capacity"]
 
