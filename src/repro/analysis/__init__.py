@@ -2,21 +2,24 @@
 
 An AST-based framework (loader, whole-program :class:`~repro.analysis
 .project.Project` with a lightweight call graph, rule registry,
-suppressions, text/JSON reporters) plus eight codebase-specific
+suppressions, text/JSON reporters) plus six codebase-specific
 checkers:
 
 * **RA001** service lock discipline (no blocking under locks, snapshot
-  reads, gated-write revalidation),
+  reads),
 * **RA002** hot-path purity (no wall-clock/log/print/broad-except
   reachable from the registered hot roots),
-* **RA003** build-aside+swap migration discipline,
 * **RA004** telemetry naming hygiene (schema pattern, no f-string
   names),
 * **RA005** async purity (no blocking call reachable from a
   ``repro.net`` coroutine),
 * **RA006** derived lock-order graph (no cycles, documented hierarchy),
-* **RA007** handle lifecycle (acquired handles reach ``close()``),
-* **RA008** WAL-fence discipline (fence on failure, never ack first).
+* **RA007** handle lifecycle (acquired handles reach ``close()``).
+
+The ids RA003 and RA008 are retired, not reused: build-aside+swap and
+the WAL fence are checked by the wire oracle
+(``tests/integration/test_wire_oracle.py``), which sees them through
+behaviour rather than source shape.
 
 Run it as ``python -m repro.analysis [paths]``; the rule catalogue and
 suppression syntax live in ``docs/static_analysis.md``.

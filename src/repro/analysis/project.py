@@ -70,11 +70,6 @@ def call_name(call: ast.Call) -> Optional[str]:
     return func.id if isinstance(func, ast.Name) else None
 
 
-def node_position(node: ast.AST) -> Tuple[int, int]:
-    """``(line, column)`` of ``node``, for lexical before/after comparisons."""
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-
-
 def in_scope(module_name: str, patterns: Iterable[str]) -> bool:
     """True when a pattern names ``module_name`` or a package containing it.
 

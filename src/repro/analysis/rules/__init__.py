@@ -2,20 +2,16 @@
 
 from repro.analysis.rules.ra001_locks import LockDisciplineRule
 from repro.analysis.rules.ra002_hotpath import HotPathPurityRule
-from repro.analysis.rules.ra003_migration import MigrationDisciplineRule
 from repro.analysis.rules.ra004_telemetry import TelemetryHygieneRule
 from repro.analysis.rules.ra005_async import AsyncPurityRule
 from repro.analysis.rules.ra006_lockgraph import LockOrderGraphRule
 from repro.analysis.rules.ra007_handles import HandleLifecycleRule
-from repro.analysis.rules.ra008_walfence import WalFenceRule
 
 __all__ = [
     "LockDisciplineRule",
     "HotPathPurityRule",
-    "MigrationDisciplineRule",
     "TelemetryHygieneRule",
     "AsyncPurityRule",
     "LockOrderGraphRule",
     "HandleLifecycleRule",
-    "WalFenceRule",
 ]

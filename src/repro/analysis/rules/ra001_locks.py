@@ -1,7 +1,8 @@
 """RA001 — service lock discipline.
 
 ``repro.service`` has exactly one sanctioned locking protocol, written
-down in ``docs/service.md`` and enforced here mechanically:
+down in ``docs/service.md``; two of its rules are checked here
+lexically:
 
 1. **No blocking while holding a lock** — submitting to or waiting on
    an executor (``submit``/``wait``/``result``/``shutdown``/``sleep``)
@@ -11,17 +12,11 @@ down in ``docs/service.md`` and enforced here mechanically:
    table (``table = self._table``), never inline on ``self._table``:
    two inline reads can interleave with a concurrent split/merge swap
    and tear the snapshot.
-3. **Gated-write revalidation** — a write forwarded to a shard under
-   its ``write_gate`` must re-read ``self._table`` inside the gated
-   block and confirm the route.  The PR-4 lost-write race happened
-   because a writer woke up after a table swap and wrote into an
-   orphaned shard; the revalidation block is what closes it, so its
-   absence is reported.
 
-The *acquisition-order* check that used to live here moved to RA006,
-which derives the lock-order graph from observed nesting sites instead
-of a hand-written rank (see
-:mod:`repro.analysis.rules.ra006_lockgraph`).
+Lock *order* is RA006's (a graph derived from observed nesting sites).
+A gated writer's route revalidation is checked by the wire oracle
+(``tests/integration/test_wire_oracle.py``) and a per-site test: without
+it a write lands in a shard a split/merge just retired.
 """
 
 from __future__ import annotations
@@ -37,19 +32,7 @@ from repro.analysis.project import FunctionInfo, Project, attribute_chain, in_sc
 BLOCKING_ATTRS = frozenset({"submit", "shutdown", "result", "map"})
 BLOCKING_NAMES = frozenset({"wait", "sleep"})
 
-#: Shard write methods that require in-gate route revalidation.
-SHARD_WRITE_METHODS = frozenset({"put", "put_many", "delete", "insert", "insert_many"})
-
 DEFAULT_SCOPE: Tuple[str, ...] = ("repro.service", "repro.service.*")
-
-
-def _reads_routing_table(node: ast.AST) -> bool:
-    """True when ``node`` contains a ``self._table`` read."""
-    for child in ast.walk(node):
-        chain = attribute_chain(child)
-        if chain is not None and chain[:2] == ["self", "_table"]:
-            return True
-    return False
 
 
 @register
@@ -59,9 +42,9 @@ class LockDisciplineRule(Rule):
     id = "RA001"
     title = "service lock discipline"
     rationale = (
-        "Lock order, no blocking under locks, snapshot reads, and gated-write "
-        "revalidation are the invariants behind the PR-4 lost-write fix; "
-        "eyeball review already missed one of them once."
+        "No blocking under a service lock (it stalls every writer behind the "
+        "holder) and routing only through a captured table snapshot (two "
+        "inline reads can straddle a split/merge swap)."
     )
 
     def __init__(self, modules: Sequence[str] = DEFAULT_SCOPE) -> None:
@@ -74,12 +57,10 @@ class LockDisciplineRule(Rule):
             yield from self._check_function(info)
             yield from self._check_snapshot_reads(info)
 
-    # -- checks 1 and 3: a lexical walk tracking held locks -------------
+    # -- check 1: a lexical walk tracking held locks ---------------------
     def _check_function(self, info: FunctionInfo) -> Iterator[Finding]:
-        for node, held, acquired in walk_held(info.node):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                yield from self._check_gated_writes(info, node, [lock for _, lock in acquired])
-            elif isinstance(node, ast.Call):
+        for node, held, _acquired in walk_held(info.node):
+            if isinstance(node, ast.Call):
                 service = [lock for lock in held if is_service_lock(lock)]
                 if service:
                     yield from self._check_blocking(info, node, service)
@@ -105,34 +86,6 @@ class LockDisciplineRule(Rule):
             "service locks",
             symbol=info.qualname,
         )
-
-    def _check_gated_writes(
-        self, info: FunctionInfo, node: ast.With | ast.AsyncWith, acquired: Sequence[LockUse]
-    ) -> Iterator[Finding]:
-        gates = [lock for lock in acquired if lock.kind == "write_gate" and lock.receiver != "self"]
-        if not gates:
-            return
-        body = ast.Module(body=list(node.body), type_ignores=[])
-        revalidates = _reads_routing_table(body)
-        for child in ast.walk(body):
-            if not isinstance(child, ast.Call):
-                continue
-            chain = attribute_chain(child.func)
-            if chain is None or len(chain) < 2 or chain[-1] not in SHARD_WRITE_METHODS:
-                continue
-            receiver = ".".join(chain[:-1])
-            if receiver not in {gate.receiver for gate in gates}:
-                continue
-            if not revalidates:
-                yield self.finding(
-                    info.module,
-                    child,
-                    f"write {chain[-1]}() on {receiver!r} under its write_gate "
-                    "without re-reading self._table inside the gated block; a "
-                    "concurrent split/merge may have swapped the table while "
-                    "this writer waited (lost-write race)",
-                    symbol=info.qualname,
-                )
 
     # -- check 2: snapshot reads ----------------------------------------
     def _check_snapshot_reads(self, info: FunctionInfo) -> Iterator[Finding]:

@@ -7,7 +7,6 @@ CPython, so the adaptation manager's single-threaded sample store is a
 dict; the cuckoo-backed GS concurrency strategy keeps its samples in a
 :class:`~repro.hashmap.cuckoo.CuckooMap` — two-choice cuckoo hashing with
 BFS kickout paths and striped locks for concurrent readers and writers.
-``benchmarks/bench_hashmaps.py`` measures it against a dict.
 """
 
 from repro.hashmap.cuckoo import CuckooMap

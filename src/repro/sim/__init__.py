@@ -6,8 +6,9 @@ it performs (node visits per encoding, migrations, sampling events) in an
 :class:`~repro.sim.counters.OpCounters`, and the
 :class:`~repro.sim.costmodel.CostModel` converts those counters into
 modeled nanoseconds using per-event costs calibrated against the paper's
-own measurements (Tables 1-2, Figures 3, 5, 6, 9).  Wall-clock Python
-timings are reported separately by pytest-benchmark.
+own measurements (Tables 1-2, Figures 3, 5, 6, 9).  Wall-clock timings
+are measured separately (``benchmarks/e2e/run.py``,
+``benchmarks/bench_perf_suite.py``).
 """
 
 from repro.sim.costmodel import CostModel, StorageDevice, storage_access_latency_us

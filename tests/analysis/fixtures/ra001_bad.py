@@ -17,7 +17,3 @@ class BadRouter:
 
     def uncaptured_routing(self, key):
         return self._table.partitioner.shard_of(key)
-
-    def unrevalidated_write(self, shard, key, value):
-        with shard.write_gate:
-            shard.put(key, value)

@@ -19,11 +19,3 @@ class GoodRouter:
         table = self._table
         shard = table.shards[table.partitioner.shard_of(key)]
         return shard.get(key)
-
-    def revalidated_write(self, shard, shard_id, key, value):
-        with shard.write_gate:
-            table = self._table
-            if table.partitioner.shard_of(key) != shard_id:
-                return False
-            shard.put(key, value)
-            return True

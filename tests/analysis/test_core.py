@@ -17,17 +17,8 @@ from tests.analysis.helpers import FIXTURES
 
 
 class TestRegistry:
-    def test_all_eight_rules_register(self):
-        assert all_rule_ids() == [
-            "RA001",
-            "RA002",
-            "RA003",
-            "RA004",
-            "RA005",
-            "RA006",
-            "RA007",
-            "RA008",
-        ]
+    def test_all_six_rules_register(self):
+        assert all_rule_ids() == ["RA001", "RA002", "RA004", "RA005", "RA006", "RA007"]
 
     def test_build_rules_selects(self):
         rules = build_rules(["RA004"])

@@ -64,8 +64,8 @@ class TestSuppressions:
         assert module.is_suppressed("RA004", 1)
 
     def test_multiple_rules_in_one_comment(self):
-        (supp,) = parse_suppressions(["g()  # repro: ignore[RA001, RA003] -- why"])
-        assert supp.rules == frozenset({"RA001", "RA003"})
+        (supp,) = parse_suppressions(["g()  # repro: ignore[RA001, RA006] -- why"])
+        assert supp.rules == frozenset({"RA001", "RA006"})
 
     def test_unjustified_suppression_is_flagged(self):
         (supp,) = parse_suppressions(["g()  # repro: ignore[RA004]"])

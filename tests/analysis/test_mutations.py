@@ -18,7 +18,6 @@ from repro.analysis.rules.ra006_lockgraph import (
     LockOrderGraphRule,
 )
 from repro.analysis.rules.ra007_handles import HandleLifecycleRule
-from repro.analysis.rules.ra008_walfence import WalFenceRule
 
 from tests.analysis.helpers import REPO_ROOT
 
@@ -36,42 +35,6 @@ def _mutate(tmp_path, source_path, transform):
     mutated = tmp_path / f"{source_path.stem}_mutated.py"
     mutated.write_text(transform(source_path.read_text()))
     return mutated
-
-
-# -- RA008: apply-before-append in Shard.put ----------------------------
-def _ack_before_append(source: str) -> str:
-    """Hand ``Shard.put``'s fan-out the index apply before the WAL append."""
-    tree = ast.parse(source)
-    mutated = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "put":
-            for call in ast.walk(node):
-                if (
-                    isinstance(call, ast.Call)
-                    and ast.unparse(call.func) == "self._fanout_write"
-                    and "append_put" in ast.unparse(call.args[-2])
-                    and "index.insert" in ast.unparse(call.args[-1])
-                ):
-                    call.args[-2:] = reversed(call.args[-2:])
-                    mutated = True
-    if not mutated:
-        raise AssertionError("Shard.put fan-out call not found")
-    return ast.unparse(ast.fix_missing_locations(tree))
-
-
-class TestWalFenceMutation:
-    def test_ack_first_put_makes_ra008_fire(self, tmp_path):
-        mutated = _mutate(tmp_path, SHARD, _ack_before_append)
-        findings = [
-            f
-            for f in _findings(WalFenceRule(modules=("*",)), mutated)
-            if "before the durable WAL append" in f.message
-        ]
-        assert findings, "RA008 no longer detects apply-before-append"
-        assert any(f.symbol.endswith("Shard.put") for f in findings)
-
-    def test_pristine_shard_is_clean(self):
-        assert _findings(WalFenceRule(modules=("*",)), SHARD) == []
 
 
 # -- RA007: the truncate_upto abort-path fd leak ------------------------

@@ -1,4 +1,4 @@
-"""RA001 lock discipline: fixtures, scoping, and the three checks.
+"""RA001 lock discipline: fixtures, scoping, and the two checks.
 
 The acquisition-order check that used to live here is now RA006's
 derived lock-order graph (tests/analysis/test_ra006.py); the
@@ -28,7 +28,6 @@ class TestFiringFixture:
             for f in by_symbol["uncaptured_subscript"]
         )
         assert any("uncaptured table read" in f.message for f in by_symbol["uncaptured_routing"])
-        assert any("lost-write race" in f.message for f in by_symbol["unrevalidated_write"])
 
     def test_findings_carry_locations(self):
         findings = _run("ra001_bad.py")

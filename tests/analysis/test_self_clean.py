@@ -1,15 +1,12 @@
 """The suite on its own tree: clean today, and still sharp.
 
-Three guarantees:
+Two guarantees:
 
 * the real ``src/repro`` tree analyzes clean (anything true the rules
   surface gets fixed or justified at the PR that introduces it);
 * the rule registries name live code — a hot root or method name that
   matches nothing silently un-checks whatever it was meant to cover,
-  the same way a stale suppression silently swallows a future finding;
-* the rules have not gone blunt — deleting the PR-4 writer-revalidation
-  block from a copy of the router makes RA001 report the lost-write
-  race again.
+  the same way a stale suppression silently swallows a future finding.
 """
 
 import ast
@@ -18,15 +15,13 @@ import pytest
 
 from repro.analysis import analyze_paths
 from repro.analysis.hotpaths import DEFAULT_HOT_ROOTS, hot_root_qualnames
-from repro.analysis.loader import load_module, load_paths
+from repro.analysis.loader import load_paths
 from repro.analysis.project import Project
-from repro.analysis.rules import ra001_locks, ra005_async, ra008_walfence
-from repro.analysis.rules.ra001_locks import LockDisciplineRule
+from repro.analysis.rules import ra005_async
 from repro.analysis.rules.ra004_telemetry import TelemetryHygieneRule
 
 from tests.analysis.helpers import REPO_ROOT
 
-ROUTER = REPO_ROOT / "src" / "repro" / "service" / "router.py"
 TRACE_SCHEMA = REPO_ROOT / "docs" / "trace_schema.json"
 
 
@@ -75,11 +70,8 @@ class TestRealTree:
 
 #: Rule registries of bare class/function names the rules match calls against.
 NAME_REGISTRIES = {
-    "SHARD_WRITE_METHODS": ra001_locks.SHARD_WRITE_METHODS,
     "HEAVY_BUILDERS": ra005_async.HEAVY_BUILDERS,
     "ROUTER_METHODS": ra005_async.ROUTER_METHODS,
-    "APPEND_METHODS": ra008_walfence.APPEND_METHODS,
-    "FENCE_METHODS": ra008_walfence.FENCE_METHODS,
 }
 
 
@@ -116,38 +108,3 @@ class TestRegistryHygiene:
             "repro.succinct.bitvector.BitVector.word_slice",
         ):
             assert qualname in reached
-
-
-def _strip_revalidation(source: str) -> str:
-    """Rewrite ``_write_group`` to write under the gate without re-reading
-    ``self._table`` — exactly the pre-PR-4 lost-write shape."""
-    tree = ast.parse(source)
-    mutated = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_write_group":
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.With):
-                    rendered = ast.unparse(inner.items[0].context_expr)
-                    if rendered == "shard.write_gate":
-                        inner.body = ast.parse("shard.put_many(group)").body
-                        mutated = True
-    if not mutated:
-        raise AssertionError("router._write_group gate block not found")
-    return ast.unparse(ast.fix_missing_locations(tree))
-
-
-class TestMutationRegression:
-    def test_deleting_revalidation_makes_ra001_fire(self, tmp_path):
-        mutated = tmp_path / "router_mutated.py"
-        mutated.write_text(_strip_revalidation(ROUTER.read_text()))
-        project = Project([load_module(mutated)])
-        rule = LockDisciplineRule(modules=("*",))
-        findings = [f for f in rule.run(project) if "lost-write race" in f.message]
-        assert findings, "RA001 no longer detects the PR-4 lost-write shape"
-        assert any(f.symbol.endswith("ShardRouter._write_group") for f in findings)
-
-    def test_pristine_router_has_no_lost_write_finding(self):
-        project = Project([load_module(ROUTER)])
-        rule = LockDisciplineRule(modules=("*",))
-        findings = [f for f in rule.run(project) if "lost-write race" in f.message]
-        assert findings == []

@@ -236,13 +236,28 @@ class TestSealAndFaults:
         frames, tail = read_frames(wal_path)
         assert frames[-1].key == 99 and not tail.torn
 
-    def test_poisoning_without_tear_rng_still_fences(self, wal_path):
+    def test_poisoning_without_tear_rng_still_fences(self, wal_path, monkeypatch):
         # Production shape: a failed write() cannot prove how much of
         # the batch landed, so even a faulted-before-write append fences.
         wal = WriteAheadLog(wal_path, sync="none", create=True)
         with FaultInjector(site="durability.wal.append", fail_at=1):
             with pytest.raises(InjectedFault):
                 wal.append_batch([(OP_PUT, 1, 1)])
+        with pytest.raises(WalPoisonedError):
+            wal.append_batch([(OP_PUT, 2, 2)])
+        wal.close()
+        # A real write/fsync error fences too: re-raising alone would let
+        # the next append be acknowledged after whatever half landed.
+        wal = WriteAheadLog(wal_path.with_name("synced.wal"), sync="batch", create=True)
+
+        def failing_fsync(fd):
+            raise OSError("device error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.durability.wal.os.fsync", failing_fsync)
+            with pytest.raises(OSError, match="device error"):
+                wal.append_batch([(OP_PUT, 1, 1)])
+        assert wal.poisoned is not None
         with pytest.raises(WalPoisonedError):
             wal.append_batch([(OP_PUT, 2, 2)])
         wal.close()

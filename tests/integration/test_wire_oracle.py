@@ -25,13 +25,13 @@ names its seed and round: the op sequence repeats, thread interleavings
 do not.
 """
 
+import ast
 import asyncio
 import contextlib
 import functools
 import itertools
 import math
 import random
-import re
 import sys
 import threading
 from collections import Counter
@@ -39,6 +39,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.project import call_name
 from repro.durability import FAULT_SITES, DurabilityManager, WalPoisonedError
 from repro.faults.injector import FaultInjector, InjectedFault
 from repro.net import OP_PUT, ConnectionClosedError, NetClient, NetServer, Request
@@ -473,6 +474,21 @@ def test_wire_oracle_regression_seed(tmp_path, monkeypatch, seed, rounds):
     run_oracle(tmp_path, monkeypatch, seed=seed, rounds=rounds)
 
 
+REPO = Path(__file__).resolve().parents[2]
+
+
+def fault_point_calls():
+    """``(where, label)`` for every ``fault_point(...)`` call under
+    ``src/repro``; ``label`` is None unless it is a string literal."""
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call) or call_name(node) != "fault_point":
+                continue
+            label = node.args[0] if node.args else None
+            literal = isinstance(label, ast.Constant) and isinstance(label.value, str)
+            yield f"{path.relative_to(REPO)}:{node.lineno}", label.value if literal else None
+
+
 def armed_by(site):
     """The oracle arm or the test file that arms ``site`` (None: unarmed)."""
     if site.startswith(("durability.", "service.")):
@@ -480,6 +496,18 @@ def armed_by(site):
     if FaultInjector(site=ABSORBED_SITES).matches(site):
         return "oracle: absorbed"
     return next((path for prefix, path in UNIT_ARMED.items() if site.startswith(prefix)), None)
+
+
+def test_every_fault_site_is_literal_and_armed():
+    """Sites are enumerated by their labels, so a computed label would
+    drop out of every coverage bar unseen, and a new site needs an arm."""
+    calls = list(fault_point_calls())
+    assert calls
+    assert [where for where, label in calls if label is None] == [], "non-literal labels"
+    arms = {label: armed_by(label) for _, label in calls}
+    assert [site for site, arm in arms.items() if arm is None] == [], "unarmed sites"
+    unit_armed = {site: arm for site, arm in arms.items() if not arm.startswith("oracle")}
+    assert [s for s, path in unit_armed.items() if s not in (REPO / path).read_text()] == []
 
 
 @pytest.mark.slow
@@ -490,18 +518,12 @@ def test_wire_oracle_ten_seeds_meet_the_coverage_bars(tmp_path, monkeypatch):
         assert oracle.tally["ops"] >= 10_000 and oracle.tally["events"] >= 200, oracle.tally
         tally, hits = tally + oracle.tally, hits + oracle.hits
         crashes, absorbed = crashes + oracle.crashes, absorbed + oracle.absorbed
-    repo = Path(__file__).resolve().parents[2]
-    pattern = re.compile(r'fault_point\("([^"]+)"\)')
-    sources = (repo / "src" / "repro").rglob("*.py")
-    sites = {name for path in sources for name in pattern.findall(path.read_text())}
-    arms, families = {site: armed_by(site) for site in sites}, absorbed_faults(absorbed)
+    arms = {label: armed_by(label) for _, label in fault_point_calls()}
+    families = absorbed_faults(absorbed)
     print(f"\nwire oracle, seeds 0-9: {dict(tally)}\nabsorbed_faults: {dict(families)}")
     print(f"{'fault site':<28}{'hits':>8}{'crashes':>9}{'absorbed':>10}  armed by")
-    for site in sorted(sites):
+    for site in sorted(arms):
         print(f"{site:<28}{hits[site]:>8}{crashes[site]:>9}{absorbed[site]:>10}  {arms[site]}")
-    assert None not in arms.values(), arms
-    unit_armed = {site: arm for site, arm in arms.items() if not arm.startswith("oracle")}
-    assert all(site in (repo / path).read_text() for site, path in unit_armed.items())
     assert tally["crashes"] >= 1_000
     assert all(crashes[site] >= 1 for site, arm in arms.items() if arm == "oracle: crash")
     assert all(absorbed[site] >= 1 for site, arm in arms.items() if arm == "oracle: absorbed")

@@ -242,6 +242,12 @@ class TestConcurrentReadersDuringSplit:
             router._write_group(stale_shard, [(key, 42)], stale_table)
             assert router.get(key) == 42
             assert stale_shard.get(key) is None
+            # A delete that routed to stale_shard before the swap is
+            # revalidated the same way.
+            routes, shard_for = [stale_shard], router.shard_for
+            router.shard_for = lambda k: routes.pop() if routes else shard_for(k)
+            assert router.delete(key) is True
+            assert router.get(key) is None
             router.verify()
 
     def test_stale_batch_scattered_across_new_shards(self):
