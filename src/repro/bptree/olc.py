@@ -143,6 +143,8 @@ class OlcBPlusTree(BPlusTree):
         (a writer holds the node) or a root swapped by a concurrent split
         restarts; so does an ``IndexError``, which a route racing
         ``InnerNode.insert_child`` (keys grown, children not yet) raises.
+        Writers and :meth:`scan` descend here; :meth:`lookup` runs the
+        same steps inline.
         """
         node = self._root
         lock = node.lock or _lock_of(node)
@@ -191,7 +193,11 @@ class OlcBPlusTree(BPlusTree):
     # Operations
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored under ``key``, or None."""
+        """Return the value stored under ``key``, or None.
+
+        The descent is :meth:`_descend_locked`'s, with the same double
+        validation and restart causes, inlined so that the per-key read
+        a shard batch makes costs one frame."""
         tracer = active_tracer()
         span = (
             tracer.op_start("lookup", family=self.stats_family)
@@ -201,17 +207,30 @@ class OlcBPlusTree(BPlusTree):
         attempt = 0
         while True:
             try:
-                leaf, lock, version = self._descend_locked(key)
-                storage = leaf.storage
+                node = self._root
+                lock = node.lock or _lock_of(node)
+                version = lock.version
+                if version & 1 or node is not self._root:
+                    raise OlcRestart()
+                while isinstance(node, InnerNode):
+                    child = node.children[bisect_right(node.keys, key)]
+                    if lock.version != version:
+                        raise OlcRestart()
+                    child_lock = child.lock or _lock_of(child)
+                    child_version = child_lock.version
+                    if child_version & 1 or lock.version != version:
+                        raise OlcRestart()
+                    node, lock, version = child, child_lock, child_version
+                storage = node.storage
                 self.counters.add(storage.visit_event)
                 value = storage.lookup(key)
                 if lock.version == version:
                     break
             except (OlcRestart, IndexError):
-                pass  # IndexError: a writer shifted the storage under the read
+                pass  # IndexError: a route or a leaf shifted under the read
             attempt = self._restarted(attempt)
         if span is not None:
-            self._end_lookup_span(tracer, span, leaf, value)
+            self._end_lookup_span(tracer, span, node, value)
         return value
 
     def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:

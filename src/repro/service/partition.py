@@ -24,6 +24,8 @@ import hashlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 Key = Any  # int for the B+-tree families, bytes for the tries
+#: One shard's share of a batch: its keys, and their positions in the batch.
+Group = Tuple[List[Key], List[int]]
 
 _MIX_CONSTANT = 0x9E3779B97F4A7C15  # 2^64 / golden ratio
 _MASK_64 = (1 << 64) - 1
@@ -66,13 +68,19 @@ class Partitioner:
         """The shard id serving ``key``."""
         raise NotImplementedError
 
-    def group(self, keys: Sequence[Key]) -> Dict[int, List[int]]:
-        """Positions in ``keys`` grouped by the shard id serving each key,
-        in one routing pass (shards in first-seen order)."""
+    def group(self, keys: Sequence[Key]) -> Dict[int, Group]:
+        """``keys`` grouped by the shard id serving each key, in one
+        routing pass: ``{shard: (its keys, their positions in keys)}``,
+        shards in first-seen order."""
         shard_of = self.shard_of
-        groups: Dict[int, List[int]] = {}
+        groups: Dict[int, Group] = {}
         for position, key in enumerate(keys):
-            groups.setdefault(shard_of(key), []).append(position)
+            shard = shard_of(key)
+            group = groups.get(shard)
+            if group is None:
+                group = groups[shard] = ([], [])
+            group[0].append(key)
+            group[1].append(position)
         return groups
 
     def split(self, shard_id: int, at_key: Key) -> "Partitioner":
@@ -112,13 +120,18 @@ class HashPartitioner(Partitioner):
         """The shard id serving ``key``."""
         return stable_hash(key) % self._num_shards
 
-    def group(self, keys: Sequence[Key]) -> Dict[int, List[int]]:
+    def group(self, keys: Sequence[Key]) -> Dict[int, Group]:
         """As :meth:`Partitioner.group`, hashing each key with no
         :meth:`shard_of` call around it."""
         num_shards = self._num_shards
-        groups: Dict[int, List[int]] = {}
+        groups: Dict[int, Group] = {}
         for position, key in enumerate(keys):
-            groups.setdefault(stable_hash(key) % num_shards, []).append(position)
+            shard = stable_hash(key) % num_shards
+            group = groups.get(shard)
+            if group is None:
+                group = groups[shard] = ([], [])
+            group[0].append(key)
+            group[1].append(position)
         return groups
 
 

@@ -74,7 +74,7 @@ from repro.core.budget import MemoryBudget, ResourceArbiter
 from repro.durability.log import DurableLog
 from repro.durability.manager import DurabilityManager, build_partitioner, manifest_for
 from repro.faults.injector import fault_point
-from repro.obs.runtime import active_registry
+from repro.obs.runtime import active_registry, active_tracer
 from repro.service.partition import (
     HashPartitioner,
     Key,
@@ -82,7 +82,7 @@ from repro.service.partition import (
     PartitionError,
     RangePartitioner,
 )
-from repro.service.shard import IndexFactory, Pair, Replica, Shard, span_if_traced
+from repro.service.shard import IndexFactory, Pair, Replica, Shard, open_span
 
 # After the shard import: repro.replication builds on repro.service.shard.
 from repro.replication.profiles import ReplicaProfile, resolve_profiles
@@ -466,8 +466,15 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def get(self, key: Key) -> Optional[int]:
         """The value under ``key``, or None."""
-        with span_if_traced(_ROUTE_SPAN, op="get", fanout=1):
-            return self.shard_for(key).get(key)
+        tracer = active_tracer()
+        span = tracer and open_span(tracer, _ROUTE_SPAN, op="get", fanout=1)
+        try:
+            value = self.shard_for(key).get(key)
+        finally:
+            if span is not None:
+                span.close()
+        self._count_ops("read", 1)
+        return value
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
         """Values aligned with ``keys``; one sub-batch per shard, inline."""
@@ -476,23 +483,25 @@ class ShardRouter:
             return []
         table = self._table
         shards = table.shards
-        if len(shards) == 1:
-            with span_if_traced(_ROUTE_SPAN, op="get_many", count=len(keys), fanout=1):
+        # Grouped by the snapshot's own partitioner, so the shard ids
+        # index ``table.shards`` even if a split/merge swaps the table.
+        groups = None if len(shards) == 1 else table.partitioner.group(keys)
+        tracer = active_tracer()
+        span = tracer and open_span(
+            tracer, _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups or shards)
+        )
+        try:
+            if groups is None:
                 results = shards[0].get_many(keys)
-        else:
-            # Grouped by the snapshot's own partitioner, so the positions
-            # index ``table.shards`` even if a split/merge swaps the table.
-            groups = table.partitioner.group(keys)
-            results = [None] * len(keys)
-            with span_if_traced(
-                _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups)
-            ):
-                for shard_id, positions in groups.items():
-                    values = shards[shard_id].get_many(
-                        [keys[position] for position in positions]
-                    )
+            else:
+                results = [None] * len(keys)
+                for shard_id, (group, positions) in groups.items():
+                    values = shards[shard_id].get_many(group)
                     for position, value in zip(positions, values):
                         results[position] = value
+        finally:
+            if span is not None:
+                span.close()
         self._count_ops("read", len(keys))
         return results
 
@@ -506,27 +515,27 @@ class ShardRouter:
             return []
         table = self._table
         shards = table.shards
-        if len(shards) == 1:
-            with span_if_traced(_ROUTE_SPAN, op="scan", count=count, fanout=1):
-                result = shards[0].scan(start_key, count)
-        elif table.partitioner.ordered:
-            result = []
-            first = table.partitioner.shard_of(start_key)
-            with span_if_traced(
-                _ROUTE_SPAN, op="scan", count=count, fanout=len(shards) - first
-            ):
+        merge = len(shards) > 1 and not table.partitioner.ordered
+        first = 0 if merge or len(shards) == 1 else table.partitioner.shard_of(start_key)
+        tracer = active_tracer()
+        span = tracer and open_span(
+            tracer, _ROUTE_SPAN, op="scan", count=count, fanout=len(shards) - first
+        )
+        try:
+            if merge:
+                per_shard = [shard.scan(start_key, count) for shard in shards]
+                merged = heapq.merge(*per_shard, key=itemgetter(0))
+                result = list(itertools.islice(merged, count))
+            else:
+                result = []
                 for shard in shards[first:]:
                     need = count - len(result)
                     if need <= 0:
                         break
                     result.extend(shard.scan(start_key, need))
-        else:
-            with span_if_traced(
-                _ROUTE_SPAN, op="scan", count=count, fanout=len(shards)
-            ):
-                per_shard = [shard.scan(start_key, count) for shard in shards]
-            merged = heapq.merge(*per_shard, key=itemgetter(0))
-            result = list(itertools.islice(merged, count))
+        finally:
+            if span is not None:
+                span.close()
         self._count_ops("scan", 1)
         return result
 
@@ -536,10 +545,15 @@ class ShardRouter:
     def put(self, key: Key, value: int) -> None:
         """Upsert one pair."""
         table = self._table
-        with span_if_traced(_ROUTE_SPAN, op="put", fanout=1):
+        tracer = active_tracer()
+        span = tracer and open_span(tracer, _ROUTE_SPAN, op="put", fanout=1)
+        try:
             self._write_group(
                 table.shards[table.partitioner.shard_of(key)], [(key, value)], table
             )
+        finally:
+            if span is not None:
+                span.close()
         self._count_ops("write", 1)
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
@@ -555,22 +569,24 @@ class ShardRouter:
             return
         table = self._table
         shards = table.shards
-        if len(shards) == 1:
-            with span_if_traced(
-                _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=1
-            ):
+        groups = None if len(shards) == 1 else table.partitioner.group([key for key, _ in pairs])
+        tracer = active_tracer()
+        span = tracer and open_span(
+            tracer, _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups or shards)
+        )
+        try:
+            if groups is None:
                 self._write_group(shards[0], pairs, table)
-        else:
-            groups = table.partitioner.group([key for key, _ in pairs])
-            with span_if_traced(
-                _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups)
-            ):
-                for shard_id, positions in groups.items():
+            else:
+                for shard_id, (_, positions) in groups.items():
                     self._write_group(
                         shards[shard_id],
                         [pairs[position] for position in positions],
                         table,
                     )
+        finally:
+            if span is not None:
+                span.close()
         self._count_ops("write", len(pairs))
 
     def _write_group(
@@ -614,14 +630,16 @@ class ShardRouter:
                 # serially on this thread.
                 table = self._table
                 regrouped = table.partitioner.group([key for key, _ in moved])
-                for position, indexes in regrouped.items():
+                for shard_id, (_, positions) in regrouped.items():
                     worklist.append(
-                        (table.shards[position], [moved[i] for i in indexes], table)
+                        (table.shards[shard_id], [moved[i] for i in positions], table)
                     )
 
     def delete(self, key: Key) -> bool:
         """Remove ``key``; False when it was absent."""
-        with span_if_traced(_ROUTE_SPAN, op="delete", fanout=1):
+        tracer = active_tracer()
+        span = tracer and open_span(tracer, _ROUTE_SPAN, op="delete", fanout=1)
+        try:
             while True:
                 shard = self.shard_for(key)
                 self._check_writable(shard)
@@ -632,6 +650,9 @@ class ShardRouter:
                     if current.shards[current.partitioner.shard_of(key)] is shard:
                         removed = shard.delete(key)
                         break
+        finally:
+            if span is not None:
+                span.close()
         self._count_ops("write", 1)
         return removed
 

@@ -57,7 +57,7 @@ from typing import (
 from repro.faults.injector import fault_point
 from repro.obs.introspect import IndexFamily, census_stats
 from repro.obs.runtime import active_registry, active_tracer
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Span, Tracer
 from repro.service.partition import Key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -68,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 Pair = Tuple[Key, int]
 IndexFactory = Callable[[List[Pair]], IndexFamily]
 T = TypeVar("T")
+A = TypeVar("A")
 
 #: RA004: span-name literals for the per-shard service layer.
 _SHARD_OP_SPAN = "service.shard_op"
@@ -81,53 +82,58 @@ _COUNTERS = {
 _REPLICAS_UP_GAUGE = "replication.replicas_up"
 
 
-#: The one context every untraced span site and unlocked guard shares:
-#: ``nullcontext`` holds no per-use state, so a single instance is safe
-#: to enter from any number of threads at once.
+#: The guard of a lock-free copy: ``nullcontext`` holds no per-use
+#: state, so one instance is safe to enter from any number of threads.
 _NOOP: ContextManager[None] = nullcontext()
 
 
-class _TracedSpan:
-    """A stack span around one service-layer operation of a traced request."""
+class ServiceSpan:
+    """An open stack span around one service-layer operation of a traced
+    request; :meth:`close` attaches its measured ``elapsed_s``."""
 
-    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_started")
+    __slots__ = ("_tracer", "_span", "_started")
 
-    def __init__(
-        self, tracer: Tracer, name: str, attributes: Dict[str, object]
-    ) -> None:
+    def __init__(self, tracer: Tracer, span: Span) -> None:
         self._tracer = tracer
-        self._name = name
-        self._attributes = attributes
-
-    def __enter__(self) -> None:
+        self._span = span
         self._started = time.perf_counter()
-        self._span = self._tracer.start(self._name, **self._attributes)
 
-    def __exit__(self, *exc_info: object) -> None:
+    def close(self) -> None:
+        """End the span on this thread's stack."""
         self._tracer.end(self._span, elapsed_s=time.perf_counter() - self._started)
 
 
-def span_if_traced(name: str, **attributes: object) -> ContextManager[None]:
-    """Open a stack span only when this thread sits under a traced request.
+def open_span(tracer: Tracer, name: str, **attributes: object) -> Optional[ServiceSpan]:
+    """A span for this operation when this thread sits under a traced
+    request, else None.
 
     The distributed-trace propagation rule for the service layer: a
     request span is :meth:`~repro.obs.tracing.Tracer.adopt`-ed onto the
     thread that runs the operation, so ``tracer.current()`` is non-None
-    exactly when this operation belongs to a traced request.  Untraced
-    operations pay one global read and one branch and get the shared
-    no-op context back; direct (non-request) callers never emit service
-    spans.  Measured ``elapsed_s`` is attached on close — this is the
-    service/durability layer, outside the RA002 wall-clock fence that
-    guards the index hot paths.
+    exactly when this operation belongs to a traced request; direct
+    (non-request) callers never emit service spans.  Each router and
+    shard site reads ``active_tracer()`` once, calls this only when a
+    tracer is installed (``span = tracer and open_span(tracer, ...)``)
+    and closes a returned span in ``finally``, so with tracing off a
+    site enters no frame.  Measured ``elapsed_s`` is attached on close —
+    this is the service/durability layer, outside the RA002 wall-clock
+    fence that guards the index hot paths.
     """
-    tracer = active_tracer()
-    if tracer is None or tracer.current() is None:
-        return _NOOP
-    return _TracedSpan(tracer, name, attributes)
+    if tracer.current() is None:
+        return None
+    return ServiceSpan(tracer, tracer.start(name, **attributes))
 
 
 class ReplicaSetUnavailableError(RuntimeError):
     """Every copy of a shard is down; the operation cannot proceed."""
+
+
+def _lookup_one(index: IndexFamily, key: Key) -> Optional[int]:
+    return index.lookup(key)
+
+
+def _scan(index: IndexFamily, bounds: Tuple[Key, int]) -> List[Pair]:
+    return list(index.scan(*bounds))
 
 
 def _lookup_sorted(index: IndexFamily, keys: Sequence[Key]) -> List[Optional[int]]:
@@ -251,10 +257,6 @@ class Shard:
         #: lock held, so unsynchronized increments would lose counts.
         self._ops_lock = threading.Lock()
 
-    def _note_ops(self, amount: int) -> None:
-        with self._ops_lock:
-            self.ops += amount
-
     # ------------------------------------------------------------------
     # Copy health
     # ------------------------------------------------------------------
@@ -319,41 +321,59 @@ class Shard:
     # ------------------------------------------------------------------
     def get(self, key: Key) -> Optional[int]:
         """The value under ``key``, or None."""
-        with span_if_traced(_SHARD_OP_SPAN, op="get", shard_id=self.shard_id):
-            return self._read("point", "get", 1, lambda index: index.lookup(key))
+        tracer = active_tracer()
+        span = tracer and open_span(tracer, _SHARD_OP_SPAN, op="get", shard_id=self.shard_id)
+        try:
+            return self._read("point", "get", 1, _lookup_one, key)
+        finally:
+            if span is not None:
+                span.close()
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
         """Values aligned with ``keys``; the whole batch rides one copy.
 
-        Thread-safe copies answer through per-key OLC-validated lookups;
-        locked copies take the sorted ``lookup_many`` fast path.
+        A single copy is read right here: a thread-safe one through
+        per-key OLC-validated lookups, a locked one through the sorted
+        ``lookup_many`` fast path.  Several are read through :meth:`_read`.
         """
         if not keys:
             return []
-        with span_if_traced(
-            _SHARD_OP_SPAN, op="get_many", shard_id=self.shard_id, count=len(keys)
-        ):
-            if self.replicas[0].thread_safe:
-                return self._read(
-                    "point", "get_many", len(keys), lambda index: list(map(index.lookup, keys))
-                )
-            return self._read(
-                "point", "get_many", len(keys), lambda index: _lookup_sorted(index, keys)
-            )
+        tracer = active_tracer()
+        span = tracer and open_span(
+            tracer, _SHARD_OP_SPAN, op="get_many", shard_id=self.shard_id, count=len(keys)
+        )
+        try:
+            replicas = self.replicas
+            if len(replicas) > 1:
+                return self._read("point", "get_many", len(keys), _lookup_sorted, keys)
+            with self._ops_lock:
+                self.ops += len(keys)
+            only = replicas[0]
+            if only.op_lock is None:
+                return list(map(only.index.lookup, keys))
+            with only.op_lock:
+                return _lookup_sorted(only.index, keys)
+        finally:
+            if span is not None:
+                span.close()
 
     def scan(self, start_key: Key, count: int) -> List[Pair]:
         """Up to ``count`` ordered pairs starting at ``start_key``."""
-        with span_if_traced(
-            _SHARD_OP_SPAN, op="scan", shard_id=self.shard_id, count=count
-        ):
-            return self._read(
-                "scan", "scan", 1, lambda index: list(index.scan(start_key, count))
-            )
+        tracer = active_tracer()
+        span = tracer and open_span(
+            tracer, _SHARD_OP_SPAN, op="scan", shard_id=self.shard_id, count=count
+        )
+        try:
+            return self._read("scan", "scan", 1, _scan, (start_key, count))
+        finally:
+            if span is not None:
+                span.close()
 
     def _read(
-        self, kind: str, op: str, operations: int, request: Callable[[IndexFamily], T]
+        self, kind: str, op: str, operations: int, request: Callable[[IndexFamily, A], T], arg: A
     ) -> T:
-        """Run ``request`` on one copy's index, under that copy's lock.
+        """Run ``request(index, arg)`` on one copy's index, under that
+        copy's lock.
 
         A single copy is read directly.  With several, the router picks
         the cheapest live copy and a copy that raises is skipped for the
@@ -362,14 +382,15 @@ class Shard:
         say) and raises with every copy up.  On skip-sampled batches the
         copy's counter delta is priced into its EWMA.
         """
-        self._note_ops(operations)
+        with self._ops_lock:
+            self.ops += operations
         replicas = self.replicas
         if len(replicas) == 1:
             only = replicas[0]
             if only.op_lock is None:
-                return request(only.index)
+                return request(only.index, arg)
             with only.op_lock:
-                return request(only.index)
+                return request(only.index, arg)
         router = self.router
         failed: List[Tuple[Replica, Exception]] = []
         while True:
@@ -378,7 +399,7 @@ class Shard:
             before = counters.snapshot() if router.should_measure(replica, kind) else None
             try:
                 with replica._guard():
-                    result = request(replica.index)
+                    result = request(replica.index, arg)
             except Exception as error:
                 failed.append((replica, error))
                 if len(failed) == len(self._alive()):
@@ -404,13 +425,12 @@ class Shard:
 
     def put(self, key: Key, value: int) -> None:
         """Upsert one pair on every live copy."""
-        with span_if_traced(_SHARD_OP_SPAN, op="put", shard_id=self.shard_id):
-            self._fanout_write(
-                "put",
-                ((key, value),),
-                lambda log: log.append_put(key, value),
-                lambda index: index.insert(key, value),
-            )
+        self._fanout_write(
+            "put",
+            ((key, value),),
+            lambda log: log.append_put(key, value),
+            lambda index: index.insert(key, value),
+        )
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
         """Upsert a batch on every live copy: a durable copy logs it as one
@@ -418,25 +438,22 @@ class Shard:
         index — where group commit amortizes the durability cost."""
         if not pairs:
             return
-        with span_if_traced(
-            _SHARD_OP_SPAN, op="put_many", shard_id=self.shard_id, count=len(pairs)
-        ):
-            self._fanout_write(
-                "put_many",
-                pairs,
-                lambda log: log.append_put_many(pairs),
-                lambda index: index.insert_many(pairs),
-            )
+        self._fanout_write(
+            "put_many",
+            pairs,
+            lambda log: log.append_put_many(pairs),
+            lambda index: index.insert_many(pairs),
+            count=len(pairs),
+        )
 
     def delete(self, key: Key) -> bool:
         """Remove ``key`` everywhere; False when it was absent."""
-        with span_if_traced(_SHARD_OP_SPAN, op="delete", shard_id=self.shard_id):
-            return self._fanout_write(
-                "delete",
-                ((key, None),),
-                lambda log: log.append_delete(key),
-                lambda index: index.delete(key),
-            )
+        return self._fanout_write(
+            "delete",
+            ((key, None),),
+            lambda log: log.append_delete(key),
+            lambda index: index.delete(key),
+        )
 
     def _fanout_write(
         self,
@@ -444,6 +461,7 @@ class Shard:
         pairs: Sequence[Tuple[Key, Any]],
         append: Callable[["DurableLog"], object],
         apply: Callable[[IndexFamily], object],
+        **span_attributes: object,
     ) -> bool:
         """The one write path: log, then apply, on every live copy in order.
 
@@ -458,50 +476,64 @@ class Shard:
         A copy that raises while another accepts is marked down; if none
         accepts, the first error surfaces and every copy stays up.
         Returns whether any copy's ``apply`` returned true (for a delete:
-        whether the key was there).
+        whether the key was there).  Under a traced request the write's
+        ``service.shard_op`` span also carries ``span_attributes``.
         """
-        first = self.replicas[0]
-        if first.durable_log is not None:
-            expected = first.index.key_type
-            for key, _ in pairs:
-                if not isinstance(key, expected):
-                    raise TypeError(
-                        f"shard {self.shard_id} orders {expected.__name__} keys; "
-                        f"refusing to log {type(key).__name__} key {key!r}"
-                    )
-        records = len(pairs)
-        self._note_ops(records)
-        accepted, hit = 0, False
-        failed: List[Tuple[Replica, Exception]] = []
-        for replica in self.replicas:
-            if replica.down:
+        tracer = active_tracer()
+        span = tracer and open_span(
+            tracer, _SHARD_OP_SPAN, op=op, shard_id=self.shard_id, **span_attributes
+        )
+        try:
+            first = self.replicas[0]
+            if first.durable_log is not None:
+                expected = first.index.key_type
+                for key, _ in pairs:
+                    if not isinstance(key, expected):
+                        raise TypeError(
+                            f"shard {self.shard_id} orders {expected.__name__} keys; "
+                            f"refusing to log {type(key).__name__} key {key!r}"
+                        )
+            records = len(pairs)
+            with self._ops_lock:
+                self.ops += records
+            accepted, hit = 0, False
+            failed: List[Tuple[Replica, Exception]] = []
+            for replica in self.replicas:
+                if replica.down:
+                    replica.behind += records
+                    continue
+                try:
+                    # The caller's write_gate orders the appends; the copy's
+                    # lock is held for the apply alone, never across an fsync.
+                    if replica.durable_log is not None:
+                        appending = tracer and open_span(
+                            tracer, _WAL_APPEND_SPAN, shard_id=self.shard_id, records=records
+                        )
+                        try:
+                            append(replica.durable_log)
+                        finally:
+                            if appending is not None:
+                                appending.close()
+                        fault_point("durability.wal.apply")
+                    with replica._guard():
+                        if apply(replica.index):
+                            hit = True
+                    accepted += 1
+                except Exception as error:
+                    failed.append((replica, error))
+            if not accepted:
+                if failed:
+                    raise failed[0][1]
+                raise ReplicaSetUnavailableError(
+                    f"no replica of shard {self.shard_id} accepted the {op}"
+                )
+            for replica, error in failed:
+                self.mark_down(replica, f"{op} failed: {error!r}")
                 replica.behind += records
-                continue
-            try:
-                # The caller's write_gate orders the appends; the copy's
-                # lock is held for the apply alone, never across an fsync.
-                if replica.durable_log is not None:
-                    with span_if_traced(
-                        _WAL_APPEND_SPAN, shard_id=self.shard_id, records=records
-                    ):
-                        append(replica.durable_log)
-                    fault_point("durability.wal.apply")
-                with replica._guard():
-                    if apply(replica.index):
-                        hit = True
-                accepted += 1
-            except Exception as error:
-                failed.append((replica, error))
-        if not accepted:
-            if failed:
-                raise failed[0][1]
-            raise ReplicaSetUnavailableError(
-                f"no replica of shard {self.shard_id} accepted the {op}"
-            )
-        for replica, error in failed:
-            self.mark_down(replica, f"{op} failed: {error!r}")
-            replica.behind += records
-        return hit
+            return hit
+        finally:
+            if span is not None:
+                span.close()
 
     # ------------------------------------------------------------------
     # Snapshots and introspection

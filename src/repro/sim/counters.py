@@ -50,7 +50,7 @@ class OpCounters:
         self._counts.update(events)
 
     def get(self, event: str) -> int:
-        """Return the value for ``key``, or ``default`` when absent."""
+        """The count of ``event``; 0 when it never happened."""
         return self._counts.get(event, 0)
 
     def merge(self, other: "OpCounters") -> None:

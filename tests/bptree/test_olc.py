@@ -312,20 +312,43 @@ class TestConcurrent:
             tree = OlcBPlusTree.bulk_load(
                 [(key, key) for key in range(0, 400, 2)], leaf_capacity=16
             )
-            descend = tree._descend_locked
-            descents = []
+            attempts = []
 
-            def contended(key):
-                leaf, lock, version = descend(key)
-                if not descents:
+            def interfere(lock):
+                if not attempts:
                     lock.write_lock()  # the interfering writer
                     lock.write_unlock()
-                descents.append(key)
-                return leaf, lock, version
+                attempts.append(lock)
 
-            tree._descend_locked = contended
+            if name == "lookup":
+                # lookup descends inline: interfere inside its leaf read.
+                leaf = tree.find_leaf(10)[0]
+                leaf.storage = _InterferedStorage(leaf.storage, lambda: interfere(leaf.lock))
+            else:
+                descend = tree._descend_locked
+
+                def contended(key):
+                    leaf, lock, version = descend(key)
+                    interfere(lock)
+                    return leaf, lock, version
+
+                tree._descend_locked = contended
             assert operation(tree) == expected, name
-            assert (tree.restarts, len(descents)) == (1, 2), name
+            assert (tree.restarts, len(attempts)) == (1, 2), name
+
+
+class _InterferedStorage:
+    """A leaf storage whose ``lookup`` runs ``interfere`` after reading."""
+
+    def __init__(self, storage, interfere):
+        self._storage = storage
+        self._interfere = interfere
+        self.visit_event = storage.visit_event
+
+    def lookup(self, key):
+        value = self._storage.lookup(key)
+        self._interfere()
+        return value
 
 
 def leaf_states(tree):

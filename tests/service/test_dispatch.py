@@ -1,7 +1,9 @@
 """Where the router runs per-shard work: every call, durable or not,
 runs each shard's WAL append and index apply on the caller's thread."""
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -188,3 +190,65 @@ class TestSpansNestUnderTheRoute:
             router.get_many(KEYS)
             router.scan(0, 10)
             assert telemetry.tracer.sink.records == []
+
+
+class TestShardOpsAreExact:
+    """``Shard.ops`` (what ``top`` shows per shard) moves by exactly the
+    keys the partitioner routed to the shard — one per scanned shard —
+    on the inline single-copy path and on the replicated ``_read`` path."""
+
+    #: Each data call and the keys it routes (None: a scan, which under
+    #: hash partitioning reads every shard once).
+    CALLS = {
+        "get": (lambda router: router.get(KEYS[7]), [KEYS[7]]),
+        "get_many": (lambda router: router.get_many(KEYS[:50]), KEYS[:50]),
+        "put": (lambda router: router.put(10_000, 1), [10_000]),
+        "put_many": (lambda router: router.put_many([(k, 2) for k in KEYS[:60]]), KEYS[:60]),
+        "delete": (lambda router: router.delete(KEYS[3]), [KEYS[3]]),
+        "scan": (lambda router: router.scan(KEYS[10], 30), None),
+    }
+
+    @pytest.mark.parametrize(
+        "family, copies", [("olc", 1), ("adaptive", 2)], ids=["olc-inline", "adaptive-2-copies"]
+    )
+    def test_every_data_call(self, family, copies):
+        with ShardRouter.build(
+            PAIRS, family=family, num_shards=NUM_SHARDS, replication_factor=copies
+        ) as router:
+            shards = router.table.shards
+            assert all(len(shard.replicas) == copies for shard in shards)
+            shard_of = router.table.partitioner.shard_of
+            for name, (call, routed) in self.CALLS.items():
+                before = [shard.stats()["ops"] for shard in shards]
+                call(router)
+                if routed is None:
+                    expected = dict.fromkeys(range(NUM_SHARDS), 1)
+                else:
+                    expected = Counter(shard_of(key) for key in routed)
+                moved = [shard.stats()["ops"] - was for shard, was in zip(shards, before)]
+                assert moved == [expected.get(shard, 0) for shard in range(NUM_SHARDS)], name
+
+
+def test_untraced_get_many_call_budget():
+    """An untraced ``get_many`` of 8 keys over 4 OLC shards makes at most
+    60 Python-level calls (53 today): per key a hash, an OLC lookup, its
+    tracer read, counter event and leaf read; per shard one ``get_many``
+    and its tracer read; and no frame that does no work.  It counts calls,
+    not time, so a regrown read path fails on any host."""
+    with build_router() as router:
+        keys = KEYS[::50]
+        assert len(keys) == 8
+        router.get_many(keys)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            values = router.get_many(keys)
+        finally:
+            sys.setprofile(None)
+        assert values == [key * 10 for key in keys]
+        assert len(calls) <= 60, Counter(calls).most_common()

@@ -71,7 +71,9 @@ GROUPING_CASES = {
 def test_group_routes_every_key_like_shard_of(partitioner, keys):
     expected = {}
     for position, key in enumerate(keys):
-        expected.setdefault(partitioner.shard_of(key), []).append(position)
+        shard_keys, positions = expected.setdefault(partitioner.shard_of(key), ([], []))
+        shard_keys.append(key)
+        positions.append(position)
     grouped = partitioner.group(keys)
     assert grouped == expected
     assert list(grouped) == list(expected)  # shards in first-seen order

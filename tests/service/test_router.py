@@ -329,12 +329,13 @@ class TestStatsAndMetrics:
         with ShardRouter.build(pairs, num_shards=3, partitioning="range") as router:
             with Telemetry(registry=MetricsRegistry()) as telemetry:
                 router.get_many([key for key, _ in pairs[:200]])
+                router.get(pairs[0][0])
                 router.put_many([(10**8 + key, key) for key in range(50)])
                 router.scan(0, 30)
                 router.split_shard(0)
                 router.merge_shards(0)
             snapshot = telemetry.registry.snapshot()
-            assert snapshot["counters"]["service.ops.read"] == 200
+            assert snapshot["counters"]["service.ops.read"] == 201
             assert snapshot["counters"]["service.ops.write"] == 50
             assert snapshot["counters"]["service.ops.scan"] == 1
             assert snapshot["counters"]["service.splits"] == 1
