@@ -14,7 +14,9 @@ locks, validation, restart loops, write upgrades) and its correctness
 under concurrent readers/writers is what the tests exercise.  A read
 costs what the protocol says it should: one validated descent is a
 single frame of plain attribute reads and ``bisect`` calls, and an
-operation that does not restart builds no closure.
+operation that does not restart builds no closure.  So does a write: an
+insert is that descent, one lock upgrade and one leaf write, and a
+batch flushes its counter events and size deltas once.
 
 Structure-modifying operations (splits) are serialized by a tree-level
 lock while still version-bumping every node they touch, a simplification
@@ -26,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import InnerNode
 from repro.bptree.leaves import (
@@ -143,8 +145,8 @@ class OlcBPlusTree(BPlusTree):
         (a writer holds the node) or a root swapped by a concurrent split
         restarts; so does an ``IndexError``, which a route racing
         ``InnerNode.insert_child`` (keys grown, children not yet) raises.
-        Writers and :meth:`scan` descend here; :meth:`lookup` runs the
-        same steps inline.
+        :meth:`update`, :meth:`delete` and :meth:`scan` descend here;
+        :meth:`lookup` and :meth:`insert_many` run the same steps inline.
         """
         node = self._root
         lock = node.lock or _lock_of(node)
@@ -240,27 +242,70 @@ class OlcBPlusTree(BPlusTree):
 
     def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed."""
-        leaf, lock = self._write_locked_leaf(key)
-        try:
-            storage = leaf.storage
-            if storage.num_entries() < storage.capacity or storage.lookup(key) is not None:
-                self.counters.add(storage.visit_event)
-                self._count_leaf_write(leaf)
-                before = storage.size_bytes()
-                outcome = storage.insert(key, value)
-                assert outcome, "leaf had room but refused the insert"
-                new = outcome == INSERTED
-                self._adjust_meta(int(new), storage.size_bytes() - before)
-                return new
-        finally:
-            lock.write_unlock()
-        # Leaf full: fall back to the serialized split path.
-        return self._insert_with_split(key, value)
+        return self.insert_many(((key, value),))[0]
 
     def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
-        """One version-locked :meth:`insert` per pair: the base tree's
-        sorted-batch path would write and split leaves with no lock held."""
-        return [self.insert(key, value) for key, value in pairs]
+        """Insert each pair; True where its key was new.
+
+        Per pair: :meth:`lookup`'s validated descent, in this frame, one
+        leaf lock upgrade and one storage ``insert``, which refuses a full
+        leaf without writing (that pair takes the serialized split path).
+        Counter events and size deltas are flushed once, in ``finally``,
+        so a batch that raises part-way accounts for what it wrote."""
+        results: List[bool] = []
+        events: Dict[str, int] = {}
+        new_keys = grown = 0
+        try:
+            for key, value in pairs:
+                attempt = 0
+                while True:
+                    try:
+                        node = self._root
+                        lock = node.lock or _lock_of(node)
+                        version = lock.version
+                        if version & 1 or node is not self._root:
+                            raise OlcRestart()
+                        while isinstance(node, InnerNode):
+                            child = node.children[bisect_right(node.keys, key)]
+                            if lock.version != version:
+                                raise OlcRestart()
+                            child_lock = child.lock or _lock_of(child)
+                            child_version = child_lock.version
+                            if child_version & 1 or lock.version != version:
+                                raise OlcRestart()
+                            node, lock, version = child, child_lock, child_version
+                        lock.upgrade(version)
+                        break
+                    except (OlcRestart, IndexError):
+                        pass  # IndexError: a route shifted under the descent
+                    attempt = self._restarted(attempt)
+                try:
+                    storage = node.storage
+                    succinct = storage.encoding is LeafEncoding.SUCCINCT
+                    entries = storage.num_entries() if succinct else 0
+                    before = storage.size_bytes()
+                    outcome = storage.insert(key, value)
+                    if outcome:
+                        grown += storage.size_bytes() - before
+                finally:
+                    lock.write_unlock()
+                if not outcome:  # leaf full, nothing written
+                    results.append(self._insert_with_split(key, value))
+                    continue
+                # As _count_leaf_write prices it (entries held before the write).
+                visit, write = storage.visit_event, storage.write_event
+                events[visit] = events.get(visit, 0) + 1
+                events[write] = events.get(write, 0) + 1
+                if succinct:
+                    events["leaf_rebuild_entry"] = events.get("leaf_rebuild_entry", 0) + entries
+                new = outcome == INSERTED
+                new_keys += new
+                results.append(new)
+        finally:
+            self.counters.add_many(events)
+            if new_keys or grown:
+                self._adjust_meta(new_keys, grown)
+        return results
 
     def _insert_with_split(self, key: int, value: int) -> bool:
         """Insert under the structure lock, write-locking the path, the

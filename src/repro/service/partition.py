@@ -4,9 +4,9 @@ Two carve-ups of the key space are provided:
 
 * :class:`HashPartitioner` — a stable multiplicative/content hash maps
   every key to one of N shards.  Placement is uniform regardless of key
-  skew, but shards cover interleaved key ranges, so ordered scans must
-  k-way-merge all shards and the shard count is fixed for the router's
-  lifetime.
+  skew, but shards cover interleaved key ranges, so an ordered scan
+  reads every shard and sorts their results together, and the shard
+  count is fixed for the router's lifetime.
 * :class:`RangePartitioner` — N-1 sorted boundary keys carve the key
   space into contiguous ranges (shard ``i`` serves ``[b[i-1], b[i])``).
   Shards are ordered, so cross-shard scans concatenate, and ranges can
@@ -126,7 +126,11 @@ class HashPartitioner(Partitioner):
         num_shards = self._num_shards
         groups: Dict[int, Group] = {}
         for position, key in enumerate(keys):
-            shard = stable_hash(key) % num_shards
+            if isinstance(key, int):  # stable_hash's int branch, inline
+                mixed = (key * _MIX_CONSTANT) & _MASK_64
+                shard = (mixed ^ (mixed >> 32)) % num_shards
+            else:
+                shard = stable_hash(key) % num_shards
             group = groups.get(shard)
             if group is None:
                 group = groups[shard] = ([], [])

@@ -4,12 +4,12 @@ A :class:`ShardRouter` owns N :class:`~repro.service.shard.Shard`\\ s and
 a :class:`~repro.service.partition.Partitioner`, and exposes the familiar
 index surface in batched form: ``get_many`` / ``put_many`` split each
 request into per-shard sub-batches, ``scan`` merges ordered results
-across shards (concatenation under range partitioning, a k-way heap
-merge under hash partitioning).  Every sub-batch runs **on the calling
-thread**, durable or not: index work is pure Python under one
-interpreter lock, so a thread hand-off buys it no parallelism and costs
-more than the work, and overlapping several shards' WAL ``fsync`` waits
-did not pay for its hop end to end.
+across shards (concatenation under range partitioning, one stable sort
+of the concatenation under hash partitioning).  Every sub-batch runs
+**on the calling thread**, durable or not: index work is pure Python
+under one interpreter lock, so a thread hand-off buys it no parallelism
+and costs more than the work, and overlapping several shards' WAL
+``fsync`` waits did not pay for its hop end to end.
 
 Online **shard split/merge** reuses the PR-1 build-aside+swap
 discipline: the affected shards are write-frozen (reads keep flowing on
@@ -52,7 +52,6 @@ acknowledgment.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 from bisect import bisect_left
@@ -94,6 +93,10 @@ _ROUTE_SPAN = "service.route"
 
 class ReadOnlyShardError(RuntimeError):
     """A write was routed to a shard whose family has no insert path."""
+
+    def __init__(self, shard: Shard) -> None:
+        family = type(shard.replicas[0].index).__name__
+        super().__init__(f"shard wraps a read-only family ({family})")
 
 
 def _olc_factory(pairs: List[Pair]) -> Any:
@@ -508,8 +511,9 @@ class ShardRouter:
     def scan(self, start_key: Key, count: int) -> List[Pair]:
         """Up to ``count`` pairs in key order starting at ``start_key``.
 
-        Range partitions concatenate shard results in shard order; hash
-        partitions scan every shard and k-way merge.
+        Range partitions concatenate shard results in shard order up to
+        ``count``; hash partitions scan every shard and sort the
+        concatenation once.  The span's ``fanout`` counts shards scanned.
         """
         if count <= 0:
             return []
@@ -517,25 +521,27 @@ class ShardRouter:
         shards = table.shards
         merge = len(shards) > 1 and not table.partitioner.ordered
         first = 0 if merge or len(shards) == 1 else table.partitioner.shard_of(start_key)
+        scanned = len(shards) - first
         tracer = active_tracer()
-        span = tracer and open_span(
-            tracer, _ROUTE_SPAN, op="scan", count=count, fanout=len(shards) - first
-        )
+        span = tracer and open_span(tracer, _ROUTE_SPAN, op="scan", count=count, fanout=scanned)
         try:
+            result: List[Pair] = []
             if merge:
-                per_shard = [shard.scan(start_key, count) for shard in shards]
-                merged = heapq.merge(*per_shard, key=itemgetter(0))
-                result = list(itertools.islice(merged, count))
+                for shard in shards:
+                    result.extend(shard.scan(start_key, count))
+                result.sort(key=itemgetter(0))
+                del result[count:]
             else:
-                result = []
+                scanned = 0
                 for shard in shards[first:]:
                     need = count - len(result)
                     if need <= 0:
                         break
                     result.extend(shard.scan(start_key, need))
+                    scanned += 1
         finally:
             if span is not None:
-                span.close()
+                span.close(fanout=scanned)
         self._count_ops("scan", 1)
         return result
 
@@ -609,7 +615,8 @@ class ShardRouter:
         worklist: List[Tuple[Shard, List[Pair], _RoutingTable]] = [(shard, group, table)]
         while worklist:
             shard, group, table = worklist.pop()
-            self._check_writable(shard)
+            if shard.replicas[0].index.read_only:
+                raise ReadOnlyShardError(shard)
             moved: List[Pair] = []
             with shard.write_gate:
                 current = self._table
@@ -642,7 +649,8 @@ class ShardRouter:
         try:
             while True:
                 shard = self.shard_for(key)
-                self._check_writable(shard)
+                if shard.replicas[0].index.read_only:
+                    raise ReadOnlyShardError(shard)
                 with shard.write_gate:
                     # Same revalidation as _write_group: a split/merge may
                     # have swapped the table while we waited on the gate.
@@ -655,14 +663,6 @@ class ShardRouter:
                 span.close()
         self._count_ops("write", 1)
         return removed
-
-    @staticmethod
-    def _check_writable(shard: Shard) -> None:
-        if not shard.supports_writes:
-            raise ReadOnlyShardError(
-                f"shard wraps a read-only family "
-                f"({type(shard.replicas[0].index).__name__})"
-            )
 
     # ------------------------------------------------------------------
     # Online split / merge (build-aside + swap)

@@ -82,6 +82,14 @@ _COUNTERS = {
 _REPLICAS_UP_GAUGE = "replication.replicas_up"
 
 
+#: Per write op, the WAL append method and index method it calls.
+_WRITE_METHODS = {
+    "put": ("append_put", "insert"),
+    "put_many": ("append_put_many", "insert_many"),
+    "delete": ("append_delete", "delete"),
+}
+
+
 #: The guard of a lock-free copy: ``nullcontext`` holds no per-use
 #: state, so one instance is safe to enter from any number of threads.
 _NOOP: ContextManager[None] = nullcontext()
@@ -98,9 +106,11 @@ class ServiceSpan:
         self._span = span
         self._started = time.perf_counter()
 
-    def close(self) -> None:
-        """End the span on this thread's stack."""
-        self._tracer.end(self._span, elapsed_s=time.perf_counter() - self._started)
+    def close(self, **attributes: object) -> None:
+        """End the span on this thread's stack, adding ``attributes``."""
+        self._tracer.end(
+            self._span, elapsed_s=time.perf_counter() - self._started, **attributes
+        )
 
 
 def open_span(tracer: Tracer, name: str, **attributes: object) -> Optional[ServiceSpan]:
@@ -324,7 +334,16 @@ class Shard:
         tracer = active_tracer()
         span = tracer and open_span(tracer, _SHARD_OP_SPAN, op="get", shard_id=self.shard_id)
         try:
-            return self._read("point", "get", 1, _lookup_one, key)
+            replicas = self.replicas
+            if len(replicas) > 1:
+                return self._read("point", "get", 1, _lookup_one, key)
+            with self._ops_lock:
+                self.ops += 1
+            only = replicas[0]
+            if only.op_lock is None:
+                return only.index.lookup(key)
+            with only.op_lock:
+                return only.index.lookup(key)
         finally:
             if span is not None:
                 span.close()
@@ -364,7 +383,16 @@ class Shard:
             tracer, _SHARD_OP_SPAN, op="scan", shard_id=self.shard_id, count=count
         )
         try:
-            return self._read("scan", "scan", 1, _scan, (start_key, count))
+            replicas = self.replicas
+            if len(replicas) > 1:
+                return self._read("scan", "scan", 1, _scan, (start_key, count))
+            with self._ops_lock:
+                self.ops += 1
+            only = replicas[0]
+            if only.op_lock is None:
+                return list(only.index.scan(start_key, count))
+            with only.op_lock:
+                return list(only.index.scan(start_key, count))
         finally:
             if span is not None:
                 span.close()
@@ -372,25 +400,18 @@ class Shard:
     def _read(
         self, kind: str, op: str, operations: int, request: Callable[[IndexFamily, A], T], arg: A
     ) -> T:
-        """Run ``request(index, arg)`` on one copy's index, under that
-        copy's lock.
+        """Run ``request(index, arg)`` on one of several copies' indexes,
+        under that copy's lock (a single copy is read by the caller).
 
-        A single copy is read directly.  With several, the router picks
-        the cheapest live copy and a copy that raises is skipped for the
-        next-best, then marked down once a survivor answers; a batch
-        every live copy fails is the request's fault (a wrong-typed key,
-        say) and raises with every copy up.  On skip-sampled batches the
-        copy's counter delta is priced into its EWMA.
+        The router picks the cheapest live copy and a copy that raises is
+        skipped for the next-best, then marked down once a survivor
+        answers; a batch every live copy fails is the request's fault (a
+        wrong-typed key, say) and raises with every copy up.  On
+        skip-sampled batches the copy's counter delta is priced into its
+        EWMA.
         """
         with self._ops_lock:
             self.ops += operations
-        replicas = self.replicas
-        if len(replicas) == 1:
-            only = replicas[0]
-            if only.op_lock is None:
-                return request(only.index, arg)
-            with only.op_lock:
-                return request(only.index, arg)
         router = self.router
         failed: List[Tuple[Replica, Exception]] = []
         while True:
@@ -418,19 +439,9 @@ class Shard:
     # ------------------------------------------------------------------
     # Writes (caller holds ``write_gate``)
     # ------------------------------------------------------------------
-    @property
-    def supports_writes(self) -> bool:
-        """False for build-once (``read_only``) families."""
-        return not self.replicas[0].index.read_only
-
     def put(self, key: Key, value: int) -> None:
         """Upsert one pair on every live copy."""
-        self._fanout_write(
-            "put",
-            ((key, value),),
-            lambda log: log.append_put(key, value),
-            lambda index: index.insert(key, value),
-        )
+        self._fanout_write("put", ((key, value),), (key, value))
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
         """Upsert a batch on every live copy: a durable copy logs it as one
@@ -438,86 +449,81 @@ class Shard:
         index — where group commit amortizes the durability cost."""
         if not pairs:
             return
-        self._fanout_write(
-            "put_many",
-            pairs,
-            lambda log: log.append_put_many(pairs),
-            lambda index: index.insert_many(pairs),
-            count=len(pairs),
-        )
+        self._fanout_write("put_many", pairs, (pairs,), count=len(pairs))
 
     def delete(self, key: Key) -> bool:
         """Remove ``key`` everywhere; False when it was absent."""
-        return self._fanout_write(
-            "delete",
-            ((key, None),),
-            lambda log: log.append_delete(key),
-            lambda index: index.delete(key),
-        )
+        return self._fanout_write("delete", ((key, None),), (key,))
 
     def _fanout_write(
         self,
         op: str,
-        pairs: Sequence[Tuple[Key, Any]],
-        append: Callable[["DurableLog"], object],
-        apply: Callable[[IndexFamily], object],
+        records: Sequence[Tuple[Key, Any]],
+        args: Tuple[Any, ...],
         **span_attributes: object,
     ) -> bool:
         """The one write path: log, then apply, on every live copy in order.
 
-        ``pairs`` are the write's records (value None for a delete).  A
+        ``records`` are the write's pairs (value None for a delete).  A
         key the index cannot order is refused once, before any copy
         logs: the index would raise the same ``TypeError`` itself, but
         only after the record is durable, and a log holding it fails
         every later recovery (which sorts the replayed keys).  Each live
-        copy ``append``s to its WAL when durable, crosses
-        ``durability.wal.apply``, then ``apply``s to its index under its
-        own lock.
+        copy calls its WAL's append method for ``op`` (see
+        :data:`_WRITE_METHODS`) with ``args`` when durable, crosses
+        ``durability.wal.apply``, then its index's method with ``args``
+        under its own lock (none on a lock-free copy).
         A copy that raises while another accepts is marked down; if none
         accepts, the first error surfaces and every copy stays up.
-        Returns whether any copy's ``apply`` returned true (for a delete:
-        whether the key was there).  Under a traced request the write's
-        ``service.shard_op`` span also carries ``span_attributes``.
+        Returns whether any copy's index method returned true (for a
+        delete: whether the key was there).  Under a traced request the
+        write's ``service.shard_op`` span also carries ``span_attributes``.
         """
         tracer = active_tracer()
         span = tracer and open_span(
             tracer, _SHARD_OP_SPAN, op=op, shard_id=self.shard_id, **span_attributes
         )
         try:
+            append, apply = _WRITE_METHODS[op]
             first = self.replicas[0]
             if first.durable_log is not None:
                 expected = first.index.key_type
-                for key, _ in pairs:
+                for key, _ in records:
                     if not isinstance(key, expected):
                         raise TypeError(
                             f"shard {self.shard_id} orders {expected.__name__} keys; "
                             f"refusing to log {type(key).__name__} key {key!r}"
                         )
-            records = len(pairs)
+            written = len(records)
             with self._ops_lock:
-                self.ops += records
+                self.ops += written
             accepted, hit = 0, False
             failed: List[Tuple[Replica, Exception]] = []
             for replica in self.replicas:
                 if replica.down:
-                    replica.behind += records
+                    replica.behind += written
                     continue
                 try:
                     # The caller's write_gate orders the appends; the copy's
                     # lock is held for the apply alone, never across an fsync.
                     if replica.durable_log is not None:
                         appending = tracer and open_span(
-                            tracer, _WAL_APPEND_SPAN, shard_id=self.shard_id, records=records
+                            tracer, _WAL_APPEND_SPAN, shard_id=self.shard_id, records=written
                         )
                         try:
-                            append(replica.durable_log)
+                            getattr(replica.durable_log, append)(*args)
                         finally:
                             if appending is not None:
                                 appending.close()
                         fault_point("durability.wal.apply")
-                    with replica._guard():
-                        if apply(replica.index):
-                            hit = True
+                    op_lock = replica.op_lock
+                    if op_lock is None:
+                        applied = getattr(replica.index, apply)(*args)
+                    else:
+                        with op_lock:
+                            applied = getattr(replica.index, apply)(*args)
+                    if applied:
+                        hit = True
                     accepted += 1
                 except Exception as error:
                     failed.append((replica, error))
@@ -529,7 +535,7 @@ class Shard:
                 )
             for replica, error in failed:
                 self.mark_down(replica, f"{op} failed: {error!r}")
-                replica.behind += records
+                replica.behind += written
             return hit
         finally:
             if span is not None:

@@ -324,6 +324,9 @@ class TestConcurrent:
                 # lookup descends inline: interfere inside its leaf read.
                 leaf = tree.find_leaf(10)[0]
                 leaf.storage = _InterferedStorage(leaf.storage, lambda: interfere(leaf.lock))
+            elif name == "insert":
+                # insert descends inline too: interfere in its leaf upgrade.
+                tree.find_leaf(11)[0].lock = _InterferedLock(interfere)
             else:
                 descend = tree._descend_locked
 
@@ -335,6 +338,18 @@ class TestConcurrent:
                 tree._descend_locked = contended
             assert operation(tree) == expected, name
             assert (tree.restarts, len(attempts)) == (1, 2), name
+
+
+class _InterferedLock(VersionedLock):
+    """A versioned lock whose ``upgrade`` runs ``interfere`` first."""
+
+    def __init__(self, interfere):
+        super().__init__()
+        self._interfere = interfere
+
+    def upgrade(self, version):
+        self._interfere(self)
+        super().upgrade(version)
 
 
 class _InterferedStorage:
@@ -459,3 +474,28 @@ def test_modeled_counters_equal_the_parent_commit(tree_class, encoding):
         LeafEncoding.SUCCINCT: 24540,
     }
     assert (tree.size_bytes(), len(tree)) == (sizes[encoding], 2805)
+
+
+@pytest.mark.parametrize("encoding", list(LeafEncoding), ids=str)
+def test_a_batch_that_raises_part_way_keeps_exact_accounting(encoding):
+    """``insert_many`` gathers its counter events and size deltas and
+    flushes them in ``finally``: a batch whose fifth key the tree cannot
+    order raises after writing four pairs (the last of them splits its
+    leaf), and the tree accounts for exactly those four."""
+    pairs = [(key, key) for key in range(0, 1200, 2)]
+    tree = OlcBPlusTree.bulk_load(pairs, encoding, leaf_capacity=8)
+    twin = OlcBPlusTree.bulk_load(pairs, encoding, leaf_capacity=8)
+    leaves_before = len(list(tree.leaves()))
+    written = [(1, 10), (3, 30), (5, 50), (7, 70)]
+    with pytest.raises(TypeError):
+        tree.insert_many(written + [("9", 90), (11, 110)])
+    for key, value in written:
+        twin.insert(key, value)
+    assert tree.counters.snapshot() == twin.counters.snapshot()
+    assert len(tree) == len(twin) == 604
+    assert tree.size_bytes() == twin.size_bytes()
+    assert len(list(tree.leaves())) == leaves_before + 1
+    assert [tree.lookup(key) for key, _ in written] == [10, 30, 50, 70]
+    assert tree.lookup(11) is None
+    assert all(leaf.lock is None or leaf.lock.version % 2 == 0 for leaf in tree.leaves())
+    tree.verify()

@@ -185,6 +185,18 @@ class TestSpansNestUnderTheRoute:
         for append in appends:
             assert set(append["attributes"]) == {"shard_id", "records", "elapsed_s"}
 
+    def test_range_scan_reports_the_shards_it_read(self):
+        """A range scan that its first shard fills reads that shard alone,
+        and its route span's ``fanout`` says one."""
+        with build_router(partitioning="range") as ranged:
+            request, records = self.traced(ranged, lambda r: r.scan(0, 5))
+        (route,) = self.by_name(records, "service.route")
+        shard_ops = self.by_name(records, "service.shard_op")
+        assert route["parent_id"] == request.span_id
+        assert route["attributes"]["fanout"] == len(shard_ops) == 1
+        assert shard_ops[0]["parent_id"] == route["span_id"]
+        assert shard_ops[0]["attributes"]["shard_id"] == 0
+
     def test_untraced_calls_emit_no_service_spans(self, router):
         with Telemetry.with_memory_trace() as telemetry:
             router.get_many(KEYS)
@@ -229,26 +241,58 @@ class TestShardOpsAreExact:
                 assert moved == [expected.get(shard, 0) for shard in range(NUM_SHARDS)], name
 
 
+def count_calls(call):
+    """``call()``'s result and the name of every Python function it
+    enters (``sys.setprofile`` ``call`` events), after one warm-up call.
+    A budget counts calls, not time, so a regrown path fails on any host."""
+    call()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
 def test_untraced_get_many_call_budget():
     """An untraced ``get_many`` of 8 keys over 4 OLC shards makes at most
-    60 Python-level calls (53 today): per key a hash, an OLC lookup, its
+    50 Python-level calls (46 today): per key a hash, an OLC lookup, its
     tracer read, counter event and leaf read; per shard one ``get_many``
-    and its tracer read; and no frame that does no work.  It counts calls,
-    not time, so a regrown read path fails on any host."""
+    and its tracer read; and no frame that does no work."""
     with build_router() as router:
         keys = KEYS[::50]
         assert len(keys) == 8
-        router.get_many(keys)
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call":
-                calls.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            values = router.get_many(keys)
-        finally:
-            sys.setprofile(None)
+        values, calls = count_calls(lambda: router.get_many(keys))
         assert values == [key * 10 for key in keys]
-        assert len(calls) <= 60, Counter(calls).most_common()
+        assert len(calls) <= 50, Counter(calls).most_common()
+
+
+def test_untraced_put_many_call_budget():
+    """An untraced ``put_many`` of 8 pairs over 4 OLC shards makes at most
+    100 Python-level calls (76 today): per key a lock upgrade, a leaf
+    write, its two size reads and the unlock; per shard one gated write,
+    ``put_many``, ``_fanout_write`` and ``insert_many`` with its one
+    counter flush; and no frame that does no work."""
+    with build_router() as router:
+        batch = [(key, key * 10 + 1) for key in KEYS[::50]]
+        assert len(batch) == 8
+        _, calls = count_calls(lambda: router.put_many(batch))
+        assert router.get_many([key for key, _ in batch]) == [value for _, value in batch]
+        assert len(calls) <= 100, Counter(calls).most_common()
+
+
+def test_untraced_scan_call_budget():
+    """An untraced hash ``scan`` of 50 over 4 OLC shards makes at most 40
+    Python-level calls (29 today): per shard a ``scan``, its tracer read,
+    an OLC descent and one slice per visited leaf, then one sort, with no
+    frame per merged pair."""
+    with build_router() as router:
+        result, calls = count_calls(lambda: router.scan(KEYS[10], 50))
+        assert result == PAIRS[10:60]
+        assert len(calls) <= 40, Counter(calls).most_common()
