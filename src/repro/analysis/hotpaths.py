@@ -61,12 +61,6 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
         for pattern in ("*lookup*", "*scan*")
     ]
     + [
-        # The hash maps speak the mapping protocol, not lookup/insert.
-        HotRoot("repro.hashmap", "*.get"),
-        HotRoot("repro.hashmap", "*.__getitem__"),
-        HotRoot("repro.hashmap", "*.__contains__"),
-        HotRoot("repro.hashmap", "*.__setitem__"),
-        HotRoot("repro.hashmap", "_Bucket.find"),
         # Leaf scan layer: reads that families dispatch to dynamically
         # (invisible to the call graph; the leaf probes are `*lookup*`).
         HotRoot("repro.bptree.leaves", "*.entries_from"),

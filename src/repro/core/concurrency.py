@@ -3,9 +3,9 @@
 The paper compares two ways of collecting samples from many worker
 threads:
 
-* **GS (global sampling)** — all workers write into one shared map that is
-  optimized for concurrent access; the adaptation phase locks the whole
-  map.
+* **GS (global sampling)** — all workers write into one shared map; the
+  adaptation phase locks the whole map.  The paper's map is built for
+  concurrent access; here it is a dict under one lock.
 * **TLS (thread-local sampling)** — each worker aggregates into a private
   map; when the combined sample size is reached the maps are merged and
   one worker runs the adaptation while the rest keep sampling.
@@ -101,53 +101,6 @@ class GlobalSampling(SamplingStrategy):
         return len(self._map) * per_entry
 
 
-class CuckooGlobalSampling(SamplingStrategy):
-    """GS backed by the concurrent cuckoo map (the paper's actual GS).
-
-    Recording needs no strategy-global lock: the cuckoo map's striped
-    locks let disjoint buckets proceed concurrently.  Only the phase
-    drain locks the whole structure, exactly the behaviour the paper
-    describes ("the map gets locked globally to process each sample").
-    """
-
-    def __init__(self) -> None:
-        from repro.hashmap.cuckoo import CuckooMap
-
-        self._map = CuckooMap()
-        self._drain_lock = threading.Lock()
-        self._count = 0
-        self.counters = ContentionCounters()
-
-    def record(self, identifier: Hashable, access_type: AccessType, epoch: int) -> None:
-        """Register one sampled access."""
-        stats = self._map.get(identifier)
-        if stats is None:
-            stats = AccessStats()
-            self._map[identifier] = stats
-        stats.record(access_type, epoch)
-        self._count += 1
-        self.counters.lock_acquisitions = self._map.lock_acquisitions
-        self.counters.blocked_acquisitions = self._map.blocked_acquisitions
-
-    def drain(self) -> Dict[Hashable, AccessStats]:
-        """Return and clear the aggregated samples."""
-        with self._drain_lock:
-            self.counters.global_phase_locks += 1
-            snapshot = dict(self._map.items())
-            self._map.clear()
-            self._count = 0
-            return snapshot
-
-    def sampled_count(self) -> int:
-        """Sampled accesses recorded since the last drain."""
-        return self._count
-
-    def memory_bytes(self) -> int:
-        """Modeled bytes of the sampling store."""
-        per_entry = 8 + 8 + AccessStats().size_bytes()
-        return len(self._map) * per_entry
-
-
 class _ThreadStore:
     """One worker thread's private sample map."""
 
@@ -163,7 +116,9 @@ class ThreadLocalSampling(SamplingStrategy):
 
     Recording is lock-free on the hot path (each thread writes only its
     own store); the strategy lock is taken once per thread to register the
-    store and once per phase to merge.
+    store and once per phase to merge.  Registration publishes a new store
+    dict rather than growing the old one, so a reader iterating the dict it
+    read never sees it change size.
     """
 
     def __init__(self) -> None:
@@ -178,7 +133,7 @@ class ThreadLocalSampling(SamplingStrategy):
             store = _ThreadStore()
             with self._lock:
                 self.counters.lock_acquisitions += 1
-                self._stores[thread_id] = store
+                self._stores = {**self._stores, thread_id: store}
         return store
 
     def record(self, identifier: Hashable, access_type: AccessType, epoch: int) -> None:

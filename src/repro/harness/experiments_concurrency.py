@@ -1,12 +1,12 @@
 """Figure 18: concurrent workload adaptation — GS vs TLS.
 
 Worker threads execute a Zipf workload against a shared Hybrid B+-tree
-while sampling into either a **global** map (GS: one lock, taken on every
-record and for the whole adaptation phase) or **thread-local** maps (TLS:
-lock-free recording, one merge per phase).  Tree mutations are guarded by
-a single tree lock in both arms (identical cost), so the measured
-difference isolates the sampling strategy — the contrast the paper's
-Figure 18 draws.
+while sampling with one of two strategies: a **global** map (GS: a dict
+under one lock, taken on every record and for the whole adaptation phase)
+or **thread-local** maps (TLS: lock-free recording, one merge per phase).
+Tree mutations are guarded by a single tree lock in both arms (identical
+cost), so the measured difference isolates the sampling strategy — the
+contrast the paper's Figure 18 draws.
 
 Python's GIL caps real parallel speedup; both the wall-clock throughput
 (honest) and a modeled throughput including priced contention events are
@@ -27,7 +27,6 @@ from repro.bptree.tree import BPlusTree
 from repro.core.access import AccessType
 from repro.core.concurrency import (
     ConcurrentSampler,
-    CuckooGlobalSampling,
     GlobalSampling,
     SamplingStrategy,
     ThreadLocalSampling,
@@ -114,9 +113,15 @@ class ConcurrentAdaptiveRun:
             self.adaptation_lock.release()
 
     def run(self, per_thread_ops: List[List[Operation]]) -> float:
-        """Execute; returns wall seconds."""
+        """Execute; returns wall seconds.
+
+        A worker that raises does not finish its operations, so its
+        exception is re-raised here once every thread has joined rather
+        than priced as completed work.
+        """
+        errors: List[BaseException] = []
         threads = [
-            threading.Thread(target=self._worker, args=(operations,), daemon=True)
+            threading.Thread(target=self._worker, args=(operations, errors), daemon=True)
             for operations in per_thread_ops
         ]
         start = time.perf_counter()
@@ -124,11 +129,17 @@ class ConcurrentAdaptiveRun:
             thread.start()
         for thread in threads:
             thread.join()
-        return time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        if errors:
+            raise errors[0]
+        return elapsed
 
-    def _worker(self, operations: List[Operation]) -> None:
-        for op in operations:
-            self._execute(op)
+    def _worker(self, operations: List[Operation], errors: List[BaseException]) -> None:
+        try:
+            for op in operations:
+                self._execute(op)
+        except BaseException as error:  # noqa: BLE001 - re-raised by run()
+            errors.append(error)
 
 
 def experiment_fig18(
@@ -147,7 +158,7 @@ def experiment_fig18(
     rows = []
     for workload_label, write_fraction in (("W5.1 writes", write_fraction_w51), ("W5.2 reads", 0.0)):
         for threads in thread_counts:
-            for strategy_name in ("GS", "GS-cuckoo", "TLS"):
+            for strategy_name in ("GS", "TLS"):
                 per_thread_ops = []
                 for thread_index in range(threads):
                     thread_rng = np.random.default_rng(seed + 13 * thread_index + 1)
@@ -166,8 +177,6 @@ def experiment_fig18(
                 tree = BPlusTree.bulk_load(pairs, LeafEncoding.SUCCINCT, leaf_capacity=64)
                 if strategy_name == "GS":
                     strategy = GlobalSampling()
-                elif strategy_name == "GS-cuckoo":
-                    strategy = CuckooGlobalSampling()
                 else:
                     strategy = ThreadLocalSampling()
                 run = ConcurrentAdaptiveRun(tree, strategy)
@@ -180,12 +189,10 @@ def experiment_fig18(
                 events["lock_acquire"] = counters.lock_acquisitions
                 events["lock_blocked"] = counters.blocked_acquisitions
                 # Contention scales with how many *other* threads hammer
-                # the same lock; the cuckoo map's 16 stripes divide it,
-                # and TLS takes its lock ~once per thread so the term is
-                # negligible there by construction.
-                stripes = 16 if strategy_name == "GS-cuckoo" else 1
+                # the same lock; TLS takes its lock ~once per thread so the
+                # term is negligible there by construction.
                 events["lock_contention_pair"] = (
-                    counters.lock_acquisitions * max(0, threads - 1) // stripes
+                    counters.lock_acquisitions * max(0, threads - 1)
                 )
                 events["map_merge_entry"] = counters.merges * run.sample_size
                 modeled_ns = cost_model.price(events) / total_ops

@@ -100,10 +100,9 @@ class TestRegistryHygiene:
     def test_every_registered_name_is_defined_in_the_tree(self, defined_names, registry):
         assert sorted(NAME_REGISTRIES[registry] - defined_names) == []
 
-    def test_hot_roots_reach_the_hash_maps_and_the_succinct_kernel(self, tree):
+    def test_hot_roots_reach_the_succinct_kernel(self, tree):
         reached = tree.reachable_from(hot_root_qualnames(tree))
         for qualname in (
-            "repro.hashmap.cuckoo.CuckooMap.get",
             "repro.succinct.bitvector.BitVector.next1",
             "repro.succinct.bitvector.BitVector.word_slice",
         ):

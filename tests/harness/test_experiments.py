@@ -18,6 +18,13 @@ import math
 
 import pytest
 
+from repro.bptree.leaves import LeafEncoding
+from repro.bptree.tree import BPlusTree
+from repro.core.concurrency import GlobalSampling
+from repro.harness.experiments_concurrency import ConcurrentAdaptiveRun
+from repro.workloads.spec import OpKind
+from repro.workloads.stream import Operation
+from tests.harness.test_paper_table import INFORMATIONAL
 from tests.helpers import load_bench
 
 benchkit = load_bench("benchkit")
@@ -27,16 +34,19 @@ PAPER = bench_paper.PAPER
 
 def judged(name, **sizes):
     """Run table entry ``name`` at tiny ``sizes`` (its other arguments as
-    judged), check the form of its rows, return the result."""
+    judged), check the form of its rows, return the result.  Only the
+    paper table's ``INFORMATIONAL`` rows carry no op and no bound."""
     figure = PAPER[name]
     result = figure.experiment(**{**figure.kwargs, **sizes})
     rows = bench_paper.rows_of(name, result)
     metrics = [entry["metric"] for entry in rows]
     assert rows and len(set(metrics)) == len(metrics)
     for entry in rows:
-        assert benchkit.ROW_KEYS <= entry.keys() and entry["op"] in benchkit.OPS
+        assert benchkit.ROW_KEYS <= entry.keys()
         assert entry["metric"].startswith(f"{name}.")
-        assert math.isfinite(entry["value"]) and math.isfinite(entry["bound"])
+        assert math.isfinite(entry["value"])
+        if entry["metric"] not in INFORMATIONAL:
+            assert entry["op"] in benchkit.OPS and math.isfinite(entry["bound"])
     events = result.get("adaptation_events", [])
     assert json.loads(json.dumps(events)) == events  # JSON-safe as produced
     return result
@@ -176,6 +186,19 @@ class TestConcurrencyExperiment:
             tls = by_key[(workload, "TLS")]
             # Modeled throughput: TLS avoids the per-record lock.
             assert tls[4] >= gs[4] * 0.95
+
+    def test_a_worker_that_raises_fails_the_run(self):
+        class FailingSampling(GlobalSampling):
+            def record(self, identifier, access_type, epoch):
+                raise RuntimeError("record failed")
+
+        tree = BPlusTree.bulk_load(
+            [(key, key) for key in range(200)], LeafEncoding.SUCCINCT, leaf_capacity=64
+        )
+        run = ConcurrentAdaptiveRun(tree, FailingSampling(), skip_length=0)
+        # Its ops were never executed, so no wall time may price them.
+        with pytest.raises(RuntimeError, match="record failed"):
+            run.run([[Operation(OpKind.READ, 7)], [Operation(OpKind.READ, 9)]])
 
 
 class TestAppendixExperiments:

@@ -16,7 +16,6 @@ from hypothesis.stateful import (
 from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.core.manager import ManagerConfig
-from repro.hashmap.cuckoo import CuckooMap
 
 KEYS = st.integers(min_value=0, max_value=400)
 VALUES = st.integers(min_value=-(2**40), max_value=2**40)
@@ -85,46 +84,9 @@ class AdaptiveBTreeMachine(RuleBasedStateMachine):
         assert list(self.tree.items()) == sorted(self.model.items())
 
 
-class CuckooMachine(RuleBasedStateMachine):
-    """The cuckoo map must match a dict and keep its two-choice invariant."""
-
-    def __init__(self):
-        super().__init__()
-        self.table = CuckooMap(initial_buckets=8)
-        self.model = {}
-
-    @rule(key=KEYS, value=VALUES)
-    def put(self, key, value):
-        self.table[key] = value
-        self.model[key] = value
-
-    @rule(key=KEYS)
-    def remove(self, key):
-        if key in self.model:
-            del self.table[key]
-            del self.model[key]
-
-    @rule(key=KEYS)
-    def get(self, key):
-        assert self.table.get(key) == self.model.get(key)
-
-    @rule()
-    def clear(self):
-        self.table.clear()
-        self.model.clear()
-
-    def teardown(self):
-        self.table.check_invariants()
-        assert dict(self.table.items()) == self.model
-
-
 TestAdaptiveBTreeMachine = AdaptiveBTreeMachine.TestCase
 TestAdaptiveBTreeMachine.settings = settings(
     max_examples=20, stateful_step_count=60, deadline=None
-)
-TestCuckooMachine = CuckooMachine.TestCase
-TestCuckooMachine.settings = settings(
-    max_examples=25, stateful_step_count=80, deadline=None
 )
 
 

@@ -36,7 +36,6 @@ class TestSubpackageExports:
             "repro.workloads",
             "repro.sim",
             "repro.harness",
-            "repro.hashmap",
             "repro.obs",
             "repro.service",
         ):
