@@ -2,8 +2,8 @@
 
 One machine-readable ``BENCH_PR9.json`` at the repo root.  On a mixed
 point/scan workload served through the routed read path, a replica set
-of divergently tuned copies (point-tuned, scan-tuned, memory-squeezed)
-behind cost routing is compared with the same number of ``balanced``
+of divergently tuned copies (point-tuned, scan-tuned, balanced) behind
+cost routing is compared with the same number of ``balanced``
 copies behind round-robin.  The ratio is *modeled*: each leg's
 structural counter deltas priced through the calibrated cost model.  The
 same run's wall-clock reads/s ratio is printed beside it so the two

@@ -3,8 +3,8 @@
 One key space, two replicated shard groups with the same replication
 factor, the same data, and the same mixed point/scan workload:
 
-* **divergent** — the default specialist line-up (point-tuned,
-  scan-tuned, memory-squeezed) behind the cost-scoring
+* **divergent** — the default line-up (point-tuned, scan-tuned, then
+  balanced) behind the cost-scoring
   :class:`~repro.replication.routing.ReplicaRouter`.  Routing feeds each
   replica mostly one read class, so each copy's
   :class:`~repro.core.manager.AdaptationManager` spends its budget on

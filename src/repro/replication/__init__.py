@@ -4,7 +4,7 @@ A :class:`~repro.service.shard.Shard` is a replica set of N >= 1 copies
 with one write path; this package makes N > 1 worth it.  Each copy's
 :class:`~repro.core.manager.AdaptationManager` diverges under a named
 :class:`~repro.replication.profiles.ReplicaProfile` (point-tuned,
-scan-tuned, memory-squeezed), and a
+scan-tuned, balanced), and a
 :class:`~repro.replication.routing.ReplicaRouter` steers reads by each
 copy's measured modeled cost, encoding census and staleness.
 

@@ -169,23 +169,20 @@ class ShardTemplate:
     def resolve(
         cls,
         family: str,
-        index_factory: Optional[IndexFactory] = None,
         factor: int = 1,
         profiles: Optional[Sequence[str]] = None,
         policy: str = "cost",
     ) -> "ShardTemplate":
         """Validate what :meth:`ShardRouter.build` was asked for, or
         what a recovered manifest recorded, into a template."""
-        if index_factory is None:
-            if family not in FAMILY_FACTORIES:
-                raise ValueError(
-                    f"unknown family {family!r}; expected one of "
-                    f"{sorted(FAMILY_FACTORIES)}"
-                )
-            index_factory = FAMILY_FACTORIES[family]
+        if family not in FAMILY_FACTORIES:
+            raise ValueError(
+                f"unknown family {family!r}; expected one of "
+                f"{sorted(FAMILY_FACTORIES)}"
+            )
         thread_safe = family in THREAD_SAFE_FAMILIES
         if factor == 1 and profiles is None:
-            return cls((index_factory,), thread_safe)
+            return cls((FAMILY_FACTORIES[family],), thread_safe)
         if family != "adaptive":
             raise ValueError(
                 "replication requires the 'adaptive' family — divergence "
@@ -294,7 +291,6 @@ class ShardRouter:
         num_shards: int = 4,
         partitioning: str = "hash",
         budget: Optional[MemoryBudget] = None,
-        index_factory: Optional[IndexFactory] = None,
         durability: Optional[DurabilityManager] = None,
         replication_factor: int = 1,
         replica_profiles: Optional[Sequence[str]] = None,
@@ -304,14 +300,14 @@ class ShardRouter:
     ) -> "ShardRouter":
         """Bulk-load a router from sorted unique pairs.
 
-        ``family`` picks a factory from :data:`FAMILY_FACTORIES` unless
-        an explicit ``index_factory`` is given; ``partitioning`` is
-        ``"hash"`` or ``"range"`` (range boundaries are chosen
-        equi-depth from the loaded keys).  With ``durability``, every
-        shard gets a fresh epoch-0 log (base snapshot of its loaded
-        pairs) and the routing manifest is published before the router
-        is handed out — a crash mid-bootstrap leaves either no manifest
-        (re-bootstrap from the same pairs) or a complete one.
+        ``family`` picks a factory from :data:`FAMILY_FACTORIES`;
+        ``partitioning`` is ``"hash"`` or ``"range"`` (range boundaries
+        are chosen equi-depth from the loaded keys).  With
+        ``durability``, every shard gets a fresh epoch-0 log (base
+        snapshot of its loaded pairs) and the routing manifest is
+        published before the router is handed out — a crash
+        mid-bootstrap leaves either no manifest (re-bootstrap from the
+        same pairs) or a complete one.
 
         With ``replication_factor > 1`` (or explicit
         ``replica_profiles``) every shard keeps N copies built under
@@ -326,7 +322,7 @@ class ShardRouter:
         its shards register there as ``<member_prefix>shard-<n>``.
         """
         template = ShardTemplate.resolve(
-            family, index_factory, replication_factor, replica_profiles, replica_routing
+            family, replication_factor, replica_profiles, replica_routing
         )
         pairs = list(pairs)
         partitioner: Partitioner
@@ -368,7 +364,6 @@ class ShardRouter:
         durability: DurabilityManager,
         family: str = "olc",
         budget: Optional[MemoryBudget] = None,
-        index_factory: Optional[IndexFactory] = None,
         arbiter: Optional[ResourceArbiter] = None,
         member_prefix: str = "",
     ) -> "ShardRouter":
@@ -390,7 +385,6 @@ class ShardRouter:
         block = manifest.replicas or {}
         template = ShardTemplate.resolve(
             family,
-            index_factory,
             block.get("factor", 1),
             block.get("profiles"),
             block.get("policy", "cost"),
@@ -472,7 +466,7 @@ class ShardRouter:
         tracer = active_tracer()
         span = tracer and open_span(tracer, _ROUTE_SPAN, op="get", fanout=1)
         try:
-            value = self.shard_for(key).get(key)
+            (value,) = self.shard_for(key).get_many((key,))
         finally:
             if span is not None:
                 span.close()
@@ -887,20 +881,23 @@ class ShardRouter:
         """Verify every shard and the routing discipline itself.
 
         Each shard's structural self-verification runs, and every key is
-        checked to live on the shard the partitioner routes it to.
+        checked to live on the shard the partitioner routes it to; one
+        violation is raised per misplaced key.
         """
         table = self._table
+        misplaced: List[str] = []
         for position, shard in enumerate(table.shards):
             shard.verify()
             for key, _ in shard.items():
                 routed = table.partitioner.shard_of(key)
                 if routed != position:
-                    from repro.core.invariants import InvariantViolation
-
-                    raise InvariantViolation(
-                        f"key {key!r} lives on shard {position} but "
-                        f"routes to shard {routed}"
+                    misplaced.append(
+                        f"key {key!r} lives on shard {position} but routes to shard {routed}"
                     )
+        if misplaced:
+            from repro.core.invariants import InvariantViolation
+
+            raise InvariantViolation(misplaced)
 
     def _count_ops(self, kind: str, amount: int) -> None:
         registry = active_registry()

@@ -26,9 +26,13 @@ counts what it misses (``behind``); a write every live copy refuses is
 the request's fault and raises with every copy up — at N = 1, exactly
 what the index itself would do.
 
-**Reads** of a single copy go straight to it; several copies are read
-through a :class:`~repro.replication.routing.ReplicaRouter`, and a copy
-that fails a read is marked down while a survivor answers.
+**Reads** have one algorithm on every copy: each key is one call of the
+index's own ``lookup``.  The families' sorted ``lookup_many`` pays only
+on dense sorted probes, and a shard's share of a routed batch is a few
+scattered keys.  A single copy is read right here (a lock-free one with
+no lock held); several copies are read through a
+:class:`~repro.replication.routing.ReplicaRouter`, and a copy that fails
+a read is marked down while a survivor answers.
 
 Invariant: every *acknowledged* write is applied (and logged) on every
 copy up at acknowledgment time, so any live copy serves the full acked
@@ -84,7 +88,6 @@ _REPLICAS_UP_GAUGE = "replication.replicas_up"
 
 #: Per write op, the WAL append method and index method it calls.
 _WRITE_METHODS = {
-    "put": ("append_put", "insert"),
     "put_many": ("append_put_many", "insert_many"),
     "delete": ("append_delete", "delete"),
 }
@@ -138,23 +141,12 @@ class ReplicaSetUnavailableError(RuntimeError):
     """Every copy of a shard is down; the operation cannot proceed."""
 
 
-def _lookup_one(index: IndexFamily, key: Key) -> Optional[int]:
-    return index.lookup(key)
+def _lookup_each(index: IndexFamily, keys: Sequence[Key]) -> List[Optional[int]]:
+    return list(map(index.lookup, keys))
 
 
 def _scan(index: IndexFamily, bounds: Tuple[Key, int]) -> List[Pair]:
     return list(index.scan(*bounds))
-
-
-def _lookup_sorted(index: IndexFamily, keys: Sequence[Key]) -> List[Optional[int]]:
-    """Values aligned with ``keys``: the batch sorted once through the
-    family's ``lookup_many``."""
-    order = sorted(range(len(keys)), key=lambda position: keys[position])
-    sorted_values = index.lookup_many([keys[position] for position in order])
-    values: List[Optional[int]] = [None] * len(keys)
-    for rank, position in enumerate(order):
-        values[position] = sorted_values[rank]
-    return values
 
 
 class Replica:
@@ -329,31 +321,13 @@ class Shard:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, key: Key) -> Optional[int]:
-        """The value under ``key``, or None."""
-        tracer = active_tracer()
-        span = tracer and open_span(tracer, _SHARD_OP_SPAN, op="get", shard_id=self.shard_id)
-        try:
-            replicas = self.replicas
-            if len(replicas) > 1:
-                return self._read("point", "get", 1, _lookup_one, key)
-            with self._ops_lock:
-                self.ops += 1
-            only = replicas[0]
-            if only.op_lock is None:
-                return only.index.lookup(key)
-            with only.op_lock:
-                return only.index.lookup(key)
-        finally:
-            if span is not None:
-                span.close()
-
     def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
-        """Values aligned with ``keys``; the whole batch rides one copy.
+        """Values aligned with ``keys``, one ``lookup`` per key; the whole
+        batch rides one copy.
 
-        A single copy is read right here: a thread-safe one through
-        per-key OLC-validated lookups, a locked one through the sorted
-        ``lookup_many`` fast path.  Several are read through :meth:`_read`.
+        A single copy is read right here, a lock-free one with no lock
+        held and a locked one under its ``op_lock``; several are read
+        through :meth:`_read`.
         """
         if not keys:
             return []
@@ -364,14 +338,14 @@ class Shard:
         try:
             replicas = self.replicas
             if len(replicas) > 1:
-                return self._read("point", "get_many", len(keys), _lookup_sorted, keys)
+                return self._read("point", "get_many", len(keys), _lookup_each, keys)
             with self._ops_lock:
                 self.ops += len(keys)
             only = replicas[0]
             if only.op_lock is None:
                 return list(map(only.index.lookup, keys))
             with only.op_lock:
-                return _lookup_sorted(only.index, keys)
+                return list(map(only.index.lookup, keys))
         finally:
             if span is not None:
                 span.close()
@@ -439,10 +413,6 @@ class Shard:
     # ------------------------------------------------------------------
     # Writes (caller holds ``write_gate``)
     # ------------------------------------------------------------------
-    def put(self, key: Key, value: int) -> None:
-        """Upsert one pair on every live copy."""
-        self._fanout_write("put", ((key, value),), (key, value))
-
     def put_many(self, pairs: Sequence[Pair]) -> None:
         """Upsert a batch on every live copy: a durable copy logs it as one
         group commit (one write, one fsync) before any pair touches its

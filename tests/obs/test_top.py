@@ -133,7 +133,7 @@ class TestRenderSnapshot:
                     },
                     {
                         "replica": 1,
-                        "profile": "squeezed",
+                        "profile": "scan",
                         "down": True,
                         "num_keys": 2500,
                         "ops": 150,
@@ -149,7 +149,7 @@ class TestRenderSnapshot:
         assert "alpha/0.r0" in frame
         assert "alpha/0.r1" in frame
         assert "point" in frame
-        assert "squeezed!" in frame      # down replicas are flagged
+        assert "scan!" in frame      # down replicas are flagged
         assert "gapped:7 succinct:2" in frame
         assert "gapped:9" not in frame   # the aggregate census is hidden
 

@@ -11,38 +11,26 @@ class TestRegistry:
             assert profile.name == name
 
     def test_specialists_and_baseline_exist(self):
-        assert {"point", "scan", "squeezed", "balanced"} <= set(REPLICA_PROFILES)
+        assert set(REPLICA_PROFILES) == {"point", "scan", "balanced"}
 
     def test_affinities(self):
         assert REPLICA_PROFILES["point"].affinity == "point"
         assert REPLICA_PROFILES["scan"].affinity == "scan"
-        assert REPLICA_PROFILES["squeezed"].affinity is None
         assert REPLICA_PROFILES["balanced"].affinity is None
 
-    def test_squeezed_budget_below_specialists(self):
-        squeezed = REPLICA_PROFILES["squeezed"].budget_bits_per_key
-        point = REPLICA_PROFILES["point"].budget_bits_per_key
-        assert squeezed is not None and point is not None
-        assert squeezed < point
-
-    def test_balanced_budget_matches_specialists(self):
+    def test_every_profile_gets_one_budget(self):
         # The identical-replica baseline must not be handicapped: the
         # bench's comparison is divergence, not budget.
-        assert (
-            REPLICA_PROFILES["balanced"].budget_bits_per_key
-            == REPLICA_PROFILES["point"].budget_bits_per_key
-        )
+        budgets = {
+            profile.manager_config().budget.bits_per_key
+            for profile in REPLICA_PROFILES.values()
+        }
+        assert budgets == {80.0}
 
     def test_manager_config_carries_budget(self):
         config = REPLICA_PROFILES["point"].manager_config()
         assert config.budget.bits_per_key is not None
         assert config.heuristic is not None
-
-    def test_describe_is_json_safe(self):
-        import json
-
-        for profile in REPLICA_PROFILES.values():
-            json.dumps(profile.describe())
 
 
 class TestResolve:
@@ -52,11 +40,11 @@ class TestResolve:
 
     def test_default_lineup_for_factor_three(self):
         names = [profile.name for profile in resolve_profiles(3)]
-        assert names == ["point", "scan", "squeezed"]
+        assert names == ["point", "scan", "balanced"]
 
     def test_larger_factors_fill_with_balanced(self):
         names = [profile.name for profile in resolve_profiles(5)]
-        assert names == ["point", "scan", "squeezed", "balanced", "balanced"]
+        assert names == ["point", "scan", "balanced", "balanced", "balanced"]
 
     def test_explicit_names(self):
         names = [p.name for p in resolve_profiles(2, ["scan", "scan"])]
@@ -78,7 +66,7 @@ class TestResolve:
 class TestBuildIndex:
     def test_builds_working_adaptive_tree(self):
         pairs = [(key, key * 7) for key in range(0, 600, 2)]
-        tree = REPLICA_PROFILES["squeezed"].build_index(pairs)
+        tree = REPLICA_PROFILES["scan"].build_index(pairs)
         assert tree.lookup(100) == 700
         assert tree.lookup(101) is None
         assert len(tree.scan(0, 5)) == 5

@@ -33,7 +33,7 @@ class TestManifest:
         manifest = durability.read_manifest()
         assert manifest.replicas is not None
         assert manifest.replicas["factor"] == 3
-        assert manifest.replicas["profiles"] == ["point", "scan", "squeezed"]
+        assert manifest.replicas["profiles"] == ["point", "scan", "balanced"]
         assert len(manifest.replicas["logs"]) == 2
         for log_ids in manifest.replicas["logs"]:
             assert len(log_ids) == 3
@@ -109,6 +109,42 @@ class TestManifestCompatibility:
             assert info["replication_factor"] == 2
             assert info["replicas_rebuilt"] == 0
             assert info["frames_replayed"] == 2  # the one put, on both copies
+        finally:
+            recovered.close()
+
+    def test_manifest_naming_the_retired_squeezed_profile_recovers(self, tmp_path):
+        durability, router, expected = build_router(tmp_path)
+        router.put(1, 100)
+        router.close()
+        write_parent_format_manifest(
+            durability,
+            {
+                "format": 1,
+                "epoch": 0,
+                "partitioner": {"kind": "hash", "num_shards": 2},
+                "shards": ["e00000000-p0000-r00", "e00000000-p0001-r00"],
+                "replicas": {
+                    "factor": 3,
+                    "profiles": ["point", "scan", "squeezed"],
+                    "policy": "cost",
+                    "logs": [
+                        [f"e00000000-p{shard:04d}-r{copy:02d}" for copy in range(3)]
+                        for shard in range(2)
+                    ],
+                },
+            },
+        )
+        recovered = ShardRouter.recover(durability, family="adaptive")
+        try:
+            for shard in recovered.table.shards:
+                names = [replica.profile.name for replica in shard.replicas]
+                assert names == ["point", "scan", "balanced"]
+            assert recovered.get(1) == 100
+            items = sorted([*expected.items(), (1, 100)])
+            assert recovered.scan(-1, len(items) + 10) == items
+            assert recovered.last_recovery["frames_replayed"] == 3
+            assert recovered.last_recovery["replicas_rebuilt"] == 0
+            recovered.verify()
         finally:
             recovered.close()
 
@@ -191,7 +227,7 @@ class TestRecovery:
                 replica.profile.name
                 for replica in recovered.table.shards[0].replicas
             ]
-            assert profiles == ["point", "scan", "squeezed"]
+            assert profiles == ["point", "scan", "balanced"]
             items = sorted(expected.items())
             assert recovered.scan(-1, len(items) + 10) == items
             recovered.verify()

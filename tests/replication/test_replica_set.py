@@ -21,7 +21,7 @@ from repro.service.router import ShardTemplate
 
 def make_shard(num_keys=500, durability=None, factor=3):
     """An adaptive shard: plain at factor 1, else the default profile
-    line-up (point, scan, squeezed)."""
+    line-up (point, scan, balanced)."""
     pairs = [(key, key + 1) for key in range(0, num_keys * 2, 2)]
     template = ShardTemplate.resolve("adaptive", factor=factor)
     logs = None
@@ -33,10 +33,9 @@ def make_shard(num_keys=500, durability=None, factor=3):
 class TestBasics:
     def test_reads_and_writes_fan_out(self):
         shard = make_shard()
-        assert shard.get(10) == 11
-        assert shard.get(11) is None
-        shard.put(11, 99)
-        assert shard.get(11) == 99
+        assert shard.get_many([10, 11]) == [11, None]
+        shard.put_many([(11, 99)])
+        assert shard.get_many([11]) == [99]
         shard.put_many([(201, 1), (203, 2)])
         assert shard.get_many([201, 203, 205]) == [1, 2, None]
         assert shard.delete(201) is True
@@ -56,7 +55,7 @@ class TestBasics:
         assert stats["replication_factor"] == 3
         assert stats["replicas_up"] == 3
         profiles = [row["profile"] for row in stats["replicas"]]
-        assert profiles == ["point", "scan", "squeezed"]
+        assert profiles == ["point", "scan", "balanced"]
         assert len(stats["routing"]) == 3
 
     def test_size_counts_every_replica(self):
@@ -72,10 +71,10 @@ class TestReadFailover:
         target = shard.router.pick(shard, "point")
         shard.router._picks["point"] = 0  # rewind so the next pick repeats
 
-        def explode(keys):
+        def explode(key):
             raise RuntimeError("replica storage failure")
 
-        target.index.lookup_many = explode
+        target.index.lookup = explode
         if factor == 1:
             # No survivor: the error surfaces as the index raised it and
             # the copy stays up.
@@ -100,7 +99,7 @@ class TestReadFailover:
         for replica in shard.replicas:
             shard.mark_down(replica, "test")
         with pytest.raises(ReplicaSetUnavailableError):
-            shard.get(10)
+            shard.get_many([10])
 
 
 class TestWriteFencing:
@@ -134,7 +133,7 @@ class TestWriteFencing:
             # later write the fenced replica misses.
             shard.put_many([(5, 50)])
             assert shard.replicas[1].behind == 3
-            assert shard.get(5) == 50
+            assert shard.get_many([5]) == [50]
         finally:
             shard.close_logs()
 
@@ -156,7 +155,7 @@ class TestWriteFencing:
         for replica in shard.replicas:
             shard.mark_down(replica, "test")
         with pytest.raises(ReplicaSetUnavailableError):
-            shard.put(1, 1)
+            shard.put_many([(1, 1)])
 
 
 class TestRevive:
@@ -168,7 +167,7 @@ class TestRevive:
         revived = shard.revive(2)
         assert not revived.down
         assert revived.behind == 0
-        assert revived.profile.name == "squeezed"
+        assert revived.profile.name == "balanced"
         assert revived.items() == shard.replicas[0].items()
         shard.verify()
 

@@ -8,7 +8,7 @@ from repro.service.router import ShardTemplate
 from repro.service.shard import Shard
 
 
-def make_shard(profiles=("point", "scan", "squeezed"), num_keys=400, router=None):
+def make_shard(profiles=("point", "scan", "balanced"), num_keys=400, router=None):
     pairs = [(key, key + 1) for key in range(0, num_keys * 2, 2)]
     template = ShardTemplate.resolve("adaptive", factor=len(profiles), profiles=profiles)
     shard = template.make(0, pairs, None)
@@ -117,6 +117,6 @@ class TestDescribe:
     def test_describe_lists_every_replica(self):
         shard = make_shard()
         rows = shard.router.describe(shard)
-        assert [row["profile"] for row in rows] == ["point", "scan", "squeezed"]
+        assert [row["profile"] for row in rows] == ["point", "scan", "balanced"]
         for row in rows:
             assert set(row["scores_ns"]) == {"point", "scan"}

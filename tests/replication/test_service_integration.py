@@ -83,7 +83,7 @@ class TestRequestFaultsLeaveReplicasUp:
 class TestReplicatedReshape:
     """Split/merge through the one shard lifecycle, at replication factor 2."""
 
-    PROFILES = ["scan", "squeezed"]
+    PROFILES = ["scan", "balanced"]
 
     def build(self, durability=None):
         return ShardRouter.build(
@@ -237,7 +237,7 @@ class TestStatsOpcode:
                     (shard,) = stats["shards"]["acme"]
                     assert shard["replication_factor"] == 3
                     profiles = [row["profile"] for row in shard["replicas"]]
-                    assert profiles == ["point", "scan", "squeezed"]
+                    assert profiles == ["point", "scan", "balanced"]
                     for row in shard["replicas"]:
                         assert "encoding_census" in row
                         assert "reads_routed" in row

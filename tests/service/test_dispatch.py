@@ -273,6 +273,21 @@ def test_untraced_get_many_call_budget():
         assert len(calls) <= 50, Counter(calls).most_common()
 
 
+def test_untraced_locked_get_many_call_budget():
+    """The same ``get_many`` over 4 ``adaptive`` shards, whose copies are
+    locked, makes at most 110 Python-level calls (94 today): per key a
+    tree lookup, its tracer read and descent, the access hook with two
+    counter adds and two sample countdowns, and the leaf's lookup and
+    probe; per shard one ``get_many`` and its tracer read.  A batch path
+    grown back into the shard (a sort, then ``lookup_many`` decoding
+    whole blocks) costs 128."""
+    with ShardRouter.build(PAIRS, family="adaptive", num_shards=NUM_SHARDS) as router:
+        keys = KEYS[::50]
+        values, calls = count_calls(lambda: router.get_many(keys))
+        assert values == [key * 10 for key in keys]
+        assert len(calls) <= 110, Counter(calls).most_common()
+
+
 def test_untraced_put_many_call_budget():
     """An untraced ``put_many`` of 8 pairs over 4 OLC shards makes at most
     100 Python-level calls (76 today): per key a lock upgrade, a leaf

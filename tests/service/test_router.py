@@ -67,6 +67,24 @@ class TestBuild:
             assert router.num_shards == 4
             router.verify()
 
+    def test_verify_names_each_misplaced_key_once(self):
+        """A key in the wrong shard's index is one violation, naming the
+        key, the shard that holds it and the shard it routes to."""
+        from repro.core.invariants import InvariantViolation
+
+        with ShardRouter.build(int_pairs(40), num_shards=4) as router:
+            expected = []
+            for key in (10**6, 10**6 + 1):
+                routed = router.table.partitioner.shard_of(key)
+                holder = (routed + 1) % 4
+                router.table.shards[holder].replicas[0].index.insert(key, 1)
+                expected.append(
+                    f"key {key} lives on shard {holder} but routes to shard {routed}"
+                )
+                with pytest.raises(InvariantViolation) as caught:
+                    router.verify()
+                assert sorted(caught.value.violations) == sorted(expected)
+
 
 class TestPointAndBatchedOps:
     @pytest.mark.parametrize("family", FAMILIES)

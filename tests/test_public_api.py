@@ -67,7 +67,9 @@ class TestSettableValues:
         from repro.net import loadgen
         from repro.net.server import NetServer
         from repro.net.tenancy import TenantDirectory, demo_directory
+        from repro.replication.profiles import ReplicaProfile
         from repro.replication.routing import ReplicaRouter
+        from repro.service.router import ShardRouter
 
         def parameters(callable_):
             return [
@@ -92,6 +94,35 @@ class TestSettableValues:
             "max_sample_size",
         ]
         assert parameters(ReplicaRouter) == ["policy"]
+        assert parameters(ShardRouter.build) == [
+            "pairs",
+            "family",
+            "num_shards",
+            "partitioning",
+            "budget",
+            "durability",
+            "replication_factor",
+            "replica_profiles",
+            "replica_routing",
+            "arbiter",
+            "member_prefix",
+        ]
+        assert parameters(ShardRouter.recover) == [
+            "durability",
+            "family",
+            "budget",
+            "arbiter",
+            "member_prefix",
+        ]
+        assert [field.name for field in dataclasses.fields(ReplicaProfile)] == [
+            "name",
+            "description",
+            "affinity",
+            "cold_phases_to_compact",
+            "cold_phases_to_forget",
+            "phase_sample_size",
+            "skip_length",
+        ]
         assert parameters(NetServer) == [
             "directory",
             "host",
