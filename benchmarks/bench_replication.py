@@ -2,13 +2,13 @@
 
 One machine-readable ``BENCH_PR9.json`` at the repo root.  On a mixed
 point/scan workload served through the routed read path, a replica set
-of divergently tuned copies (point-tuned, scan-tuned, balanced) behind
-cost routing is compared with the same number of ``balanced``
-copies behind round-robin.  The ratio is *modeled*: each leg's
-structural counter deltas priced through the calibrated cost model.  The
-same run's wall-clock reads/s ratio is printed beside it so the two
-orderings can be compared; neither is gated yet (docs/replication.md
-splits the modeled ratio into its parts).  That losing a replica loses
+of divergently tuned copies (point-tuned, scan-tuned, balanced), each
+read going to the copy whose affinity is its class, is compared with the
+same number of ``balanced`` copies, which take reads in turn.  The ratio
+is *modeled*: each leg's structural counter deltas priced through the
+calibrated cost model.  The same run's wall-clock reads/s ratio is
+printed beside it so the two orderings can be compared; neither is gated
+yet (docs/replication.md).  That losing a replica loses
 no acked write is the wire oracle's claim
 (``tests/integration/test_wire_oracle.py``).
 
@@ -47,7 +47,7 @@ def _workload_scale(num_keys):
 
 
 def run_replication_bench(num_keys=DEFAULT_KEYS, factor=REPLICATION_FACTOR, seed=0):
-    """Run both routing legs; returns the BENCH_PR9.json payload."""
+    """Run both legs; returns the BENCH_PR9.json payload."""
     scale = _workload_scale(num_keys)
     comparison = run_replication_comparison(
         num_keys=num_keys, factor=factor, seed=seed, **scale
@@ -79,7 +79,7 @@ def format_report(payload):
     ]
     for leg_name, leg in payload["legs"].items():
         lines.append(
-            f"{leg_name:>9s}  routing {leg['routing']:<11s} "
+            f"{leg_name:>9s}  profiles {'+'.join(leg['profiles']):<19s} "
             f"modeled {leg['modeled_ns_per_read']:>6.2f} ns/read  "
             f"size {leg['size_bytes'] / (1024 * 1024):.2f} MiB"
         )

@@ -71,10 +71,10 @@ class Manifest:
     epoch: int
     partitioner: Dict[str, Any]
     shards: List[str]  # primary log ids, in routing-table order
-    #: Replication block: {"factor": int, "profiles": [str], "policy":
-    #: str, "logs": [[str]]} — or None for a plain single-copy store.
-    #: ``policy`` (the replica read-routing policy) is optional on read:
-    #: manifests written before it existed mean ``"cost"``.
+    #: Replication block: {"factor": int, "profiles": [str], "logs":
+    #: [[str]]} — or None for a plain single-copy store.  Older stores
+    #: also carry a ``"policy"`` string (a retired read-routing knob),
+    #: which is accepted and ignored.
     replicas: Optional[Dict[str, Any]] = None
 
     def shard_log_ids(self) -> List[List[str]]:
@@ -232,7 +232,7 @@ class DurabilityManager:
                 not isinstance(replicas, dict)
                 or not isinstance(replicas.get("factor"), int)
                 or not isinstance(replicas.get("profiles"), list)
-                or not isinstance(replicas.get("policy", "cost"), str)
+                or not isinstance(replicas.get("policy", ""), str)
                 or not isinstance(replicas.get("logs"), list)
                 or not all(
                     isinstance(ids, list) and all(isinstance(i, str) for i in ids)

@@ -4,25 +4,23 @@ One key space, two replicated shard groups with the same replication
 factor, the same data, and the same mixed point/scan workload:
 
 * **divergent** — the default line-up (point-tuned, scan-tuned, then
-  balanced) behind the cost-scoring
-  :class:`~repro.replication.routing.ReplicaRouter`.  Routing feeds each
-  replica mostly one read class, so each copy's
+  balanced).  Each read goes to the copy whose profile's affinity is
+  its class, so each specialist's
   :class:`~repro.core.manager.AdaptationManager` spends its budget on
   *that* class's hot leaves.
 * **identical** — the same factor of ``balanced`` replicas (same budget
-  as the specialists) behind round-robin routing: every copy sees the
+  as the specialists), which take reads in turn: every copy sees the
   full mix and must split its budget across both hot regions.
 
 The workload keeps a point-hot key region and a disjoint scan region,
 each too large for one budget to cover both — the pressure that makes
-divergence pay.  After warmup passes (adaptation converges, the router's
-EWMAs fill in), one measured pass prices each leg's summed replica
+divergence pay.  After warmup passes (adaptation converges), one
+measured pass prices each leg's summed replica
 counter deltas through the calibrated
 :class:`~repro.sim.costmodel.CostModel` and times the same pass on the
 wall clock.  The ratio of modeled ns/read, identical over divergent, is
 paper context, not a service claim: ``benchmarks/bench_replication.py``
-prints it beside the wall-clock reads/s ratio and gates neither, and
-docs/replication.md splits it into routing and encoding divergence.
+prints it beside the wall-clock reads/s ratio and gates neither.
 """
 
 from __future__ import annotations
@@ -133,7 +131,6 @@ def run_replication_leg(
     factor: int,
     num_shards: int,
     profiles: Optional[Sequence[str]],
-    routing: str,
     warmup_passes: int = 2,
 ) -> Dict[str, Any]:
     """Build one replicated group, warm it up, measure one priced pass."""
@@ -143,7 +140,6 @@ def run_replication_leg(
         num_shards=num_shards,
         replication_factor=factor,
         replica_profiles=profiles,
-        replica_routing=routing,
     )
     try:
         for _ in range(warmup_passes):
@@ -156,11 +152,10 @@ def run_replication_leg(
         total_ns = _priced_total_ns(cost_model, before, router.counter_snapshots())
         if total_ns <= 0.0:
             raise RuntimeError(
-                f"replication leg (routing={routing!r}) priced zero counter "
+                f"replication leg (profiles={profiles!r}) priced zero counter "
                 "events; the adaptive family must publish structural counters"
             )
         return {
-            "routing": routing,
             "profiles": sorted(
                 {row["profile"] for row in _replica_summary(router)}
             ),
@@ -200,7 +195,6 @@ def run_replication_comparison(
         factor,
         num_shards,
         profiles=None,
-        routing="cost",
         warmup_passes=warmup_passes,
     )
     identical = run_replication_leg(
@@ -210,7 +204,6 @@ def run_replication_comparison(
         factor,
         num_shards,
         profiles=["balanced"] * factor,
-        routing="round_robin",
         warmup_passes=warmup_passes,
     )
     speedup = (
@@ -264,7 +257,7 @@ def experiment_replication_bench(
         rows.append(
             (
                 leg,
-                entry["routing"],
+                "+".join(entry["profiles"]),
                 entry["modeled_ns_per_read"],
                 payload["divergent_speedup"] if leg == "divergent" else 1.0,
                 round(entry["size_bytes"] / (1024 * 1024), 2),
@@ -274,7 +267,7 @@ def experiment_replication_bench(
     return {
         "headers": [
             "leg",
-            "routing",
+            "profiles",
             "modeled_ns_per_read",
             "speedup",
             "size_MiB",

@@ -2,9 +2,9 @@
 
 A :class:`ReplicaProfile` is the *policy* half of a replica: it decides
 how that copy's adaptation manager is tuned — how patient its CSHF is
-before compacting cold leaves, how often it samples, and which read
-class (point or scan) the replica router should seed toward it before
-any cost has been measured; every profile gets the same memory budget.
+before compacting cold leaves, how often it samples — and which read
+class (point or scan) it serves; every profile gets the same memory
+budget.
 The *mechanism* (skip-sampling, classification, migration) is exactly
 the paper's :class:`~repro.core.manager.AdaptationManager`; a profile
 only changes its knobs, so every replica remains an ordinary adaptive
@@ -45,14 +45,15 @@ class ReplicaProfile:
 
     name: str
     description: str
-    #: Read class ("point" or "scan") the router seeds toward this
-    #: replica before measured costs exist; None = no prior preference.
+    #: Read class ("point" or "scan") this replica serves: a shard sends
+    #: a class's reads to its copies with that affinity while any is
+    #: live, else to every live copy.  None: serves no class of its own.
     affinity: Optional[str] = None
     #: Consecutive cold phases before the CSHF compacts / evicts a leaf.
     cold_phases_to_compact: int = 2
     cold_phases_to_forget: int = 8
     #: Replica-scale sampling cadence.  A replica sees only the slice of
-    #: the workload the router steers to it, so its phases are much
+    #: the workload its affinity routes to it, so its phases are much
     #: shorter than a standalone index's statistically-derived default —
     #: divergence should show up within a few thousand routed reads,
     #: not hundreds of thousands.

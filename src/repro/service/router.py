@@ -85,7 +85,6 @@ from repro.service.shard import IndexFactory, Pair, Replica, Shard, open_span
 
 # After the shard import: repro.replication builds on repro.service.shard.
 from repro.replication.profiles import ReplicaProfile, resolve_profiles
-from repro.replication.routing import ReplicaRouter
 
 #: RA004: span-name literal for the fan-out layer.
 _ROUTE_SPAN = "service.route"
@@ -147,14 +146,13 @@ _OPS_COUNTERS = {
 class ShardTemplate:
     """What every shard of one router is made of: one index builder per
     copy — the family factory, or one ``profile.build_index`` per
-    divergence profile — read through a replica router of ``policy``.
-    Build, recovery, split and merge all make shards here."""
+    divergence profile.  Build, recovery, split and merge all make
+    shards here."""
 
     builders: Tuple[IndexFactory, ...]
     thread_safe: bool = False
     #: Each copy's divergence profile (None: the family factory builds it).
     profiles: Tuple[Optional[ReplicaProfile], ...] = (None,)
-    policy: str = "cost"
 
     @property
     def replication(self) -> Optional[Dict[str, Any]]:
@@ -163,7 +161,7 @@ class ShardTemplate:
         if self.profiles[0] is None:
             return None
         names = [getattr(profile, "name", None) for profile in self.profiles]
-        return {"factor": len(names), "profiles": names, "policy": self.policy}
+        return {"factor": len(names), "profiles": names}
 
     @classmethod
     def resolve(
@@ -171,7 +169,6 @@ class ShardTemplate:
         family: str,
         factor: int = 1,
         profiles: Optional[Sequence[str]] = None,
-        policy: str = "cost",
     ) -> "ShardTemplate":
         """Validate what :meth:`ShardRouter.build` was asked for, or
         what a recovered manifest recorded, into a template."""
@@ -191,10 +188,7 @@ class ShardTemplate:
         if factor == 1 and profiles is not None:
             factor = len(profiles)
         resolved = tuple(resolve_profiles(factor, profiles))
-        ReplicaRouter(policy=policy)  # rejects an unknown policy
-        return cls(
-            tuple(profile.build_index for profile in resolved), thread_safe, resolved, policy
-        )
+        return cls(tuple(profile.build_index for profile in resolved), thread_safe, resolved)
 
     def make(
         self, position: int, pairs: List[Pair], logs: Optional[Sequence[DurableLog]]
@@ -207,7 +201,6 @@ class ShardTemplate:
                 Replica(copy, build, pairs, self.thread_safe, log, profile)
                 for copy, (build, profile, log) in enumerate(copies)
             ],
-            ReplicaRouter(policy=self.policy),
         )
 
     def provision(
@@ -294,7 +287,6 @@ class ShardRouter:
         durability: Optional[DurabilityManager] = None,
         replication_factor: int = 1,
         replica_profiles: Optional[Sequence[str]] = None,
-        replica_routing: str = "cost",
         arbiter: Optional[ResourceArbiter] = None,
         member_prefix: str = "",
     ) -> "ShardRouter":
@@ -311,9 +303,9 @@ class ShardRouter:
 
         With ``replication_factor > 1`` (or explicit
         ``replica_profiles``) every shard keeps N copies built under
-        divergent adaptation profiles, reads routed by modeled cost
-        (``replica_routing="cost"``, or ``"round_robin"`` for the
-        identical-replica baseline), writes fanned out to per-copy WALs.
+        divergent adaptation profiles, each read going to a copy whose
+        profile's affinity is its class (see :meth:`Shard.pick`), writes
+        fanned out to per-copy WALs.
         Replication requires the ``"adaptive"`` family — the profiles
         exist to tune its manager.
 
@@ -321,9 +313,7 @@ class ShardRouter:
         tenant directory's) instead of a private one over ``budget``;
         its shards register there as ``<member_prefix>shard-<n>``.
         """
-        template = ShardTemplate.resolve(
-            family, replication_factor, replica_profiles, replica_routing
-        )
+        template = ShardTemplate.resolve(family, replication_factor, replica_profiles)
         pairs = list(pairs)
         partitioner: Partitioner
         if partitioning == "hash":
@@ -376,19 +366,14 @@ class ShardRouter:
         is authoritative and stragglers are healed — and makes each
         shard from its recovered pair set as :meth:`build` would.
         ``family`` must fit the manifest: a replicated store is
-        ``"adaptive"`` and comes back under the profiles and routing
-        policy it recorded; ``arbiter``/``member_prefix`` as in :meth:`build`.
+        ``"adaptive"`` and comes back under the profiles it recorded;
+        ``arbiter``/``member_prefix`` as in :meth:`build`.
         ``last_recovery`` summarizes what was replayed, skipped, swept and rebuilt.
         """
         manifest = durability.read_manifest()
         orphans_removed = durability.cleanup_orphans(manifest)
         block = manifest.replicas or {}
-        template = ShardTemplate.resolve(
-            family,
-            block.get("factor", 1),
-            block.get("profiles"),
-            block.get("policy", "cost"),
-        )
+        template = ShardTemplate.resolve(family, block.get("factor", 1), block.get("profiles"))
         shards = []
         opened: List[DurableLog] = []  # closed again if a later shard raises
         tally: Counter[str] = Counter()

@@ -30,9 +30,10 @@ what the index itself would do.
 index's own ``lookup``.  The families' sorted ``lookup_many`` pays only
 on dense sorted probes, and a shard's share of a routed batch is a few
 scattered keys.  A single copy is read right here (a lock-free one with
-no lock held); several copies are read through a
-:class:`~repro.replication.routing.ReplicaRouter`, and a copy that fails
-a read is marked down while a survivor answers.
+no lock held).  Among several, a batch of read class ``point`` or
+``scan`` goes to the live copies whose profile has that affinity (all
+live copies when none has), taken in turn (:meth:`Shard.pick`), and a
+copy that fails a read is marked down while a survivor answers.
 
 Invariant: every *acknowledged* write is applied (and logged) on every
 copy up at acknowledgment time, so any live copy serves the full acked
@@ -49,6 +50,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Collection,
     ContextManager,
     Dict,
     List,
@@ -67,7 +69,6 @@ from repro.service.partition import Key
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.durability.log import DurableLog
     from repro.replication.profiles import ReplicaProfile
-    from repro.replication.routing import ReplicaRouter
 
 Pair = Tuple[Key, int]
 IndexFactory = Callable[[List[Pair]], IndexFamily]
@@ -78,8 +79,10 @@ A = TypeVar("A")
 _SHARD_OP_SPAN = "service.shard_op"
 _WAL_APPEND_SPAN = "durability.wal.append"
 
-#: RA004: literal instrument names for the copies' health.
+#: RA004: literal instrument names for the copies' reads and health.
 _COUNTERS = {
+    "point": "replication.reads.point",
+    "scan": "replication.reads.scan",
     "downs": "replication.replicas_marked_down",
     "fallbacks": "replication.fallbacks",
 }
@@ -151,7 +154,7 @@ def _scan(index: IndexFamily, bounds: Tuple[Key, int]) -> List[Pair]:
 
 class Replica:
     """One copy of a shard: its index, its optional WAL, its own operation
-    lock, and its health (``down``/``behind``/``cost_ewma``)."""
+    lock, and its health (``down``/``behind``)."""
 
     def __init__(
         self,
@@ -183,10 +186,6 @@ class Replica:
         #: Writes fanned out while this copy was down (staleness).
         self.behind = 0
         self.reads_routed = 0
-        #: Router state: measured modeled ns/op per read class, and how
-        #: many batches of each class were routed here (sampling cadence).
-        self.cost_ewma: Dict[str, float] = {}
-        self.routed_batches: Dict[str, int] = {}
 
     # Read by benchmarks/e2e/server_main.py as ``replica.shard.{index,
     # durable_log}``; ROADMAP item 2(b) deletes this alias.
@@ -219,7 +218,6 @@ class Replica:
             "down_reason": self.down_reason,
             "behind": self.behind,
             "reads_routed": self.reads_routed,
-            "cost_ewma_ns": {kind: round(cost, 1) for kind, cost in self.cost_ewma.items()},
             "family": index.stats_family,
             "num_keys": index.num_keys,
             "size_bytes": index.size_bytes(),
@@ -239,9 +237,7 @@ class Replica:
 class Shard:
     """One partition of the key space served by N >= 1 copies."""
 
-    def __init__(
-        self, shard_id: int, replicas: Sequence[Replica], router: "ReplicaRouter"
-    ) -> None:
+    def __init__(self, shard_id: int, replicas: Sequence[Replica]) -> None:
         if not replicas:
             raise ValueError("a shard needs at least one copy")
         #: The position this shard was built for.  Purely informational:
@@ -249,14 +245,15 @@ class Shard:
         #: a shard's constructed id may go stale after splits/merges.
         self.shard_id = shard_id
         self.replicas: List[Replica] = list(replicas)
-        #: Steers read batches across copies (unused with one copy).
-        self.router = router
+        #: Reads picked per class, the turn counter of :meth:`pick`.
+        self._picks = {"point": 0, "scan": 0}
         #: Orders write batches against online split/merge and keeps
         #: every copy's WAL in the same append order.
         self.write_gate = threading.RLock()
         self.ops = 0
-        #: Guards ``ops``: thread-safe copies serve reads with no other
-        #: lock held, so unsynchronized increments would lose counts.
+        #: Guards ``ops`` and ``_picks``: thread-safe copies serve reads
+        #: with no other lock held, so unsynchronized increments would
+        #: lose counts.
         self._ops_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -312,7 +309,6 @@ class Shard:
             replica.down = False
             replica.down_reason = None
             replica.behind = 0
-            replica.cost_ewma = {}
         registry = active_registry()
         if registry is not None:
             registry.gauge(_REPLICAS_UP_GAUGE).set(len(self._alive()))
@@ -371,43 +367,58 @@ class Shard:
             if span is not None:
                 span.close()
 
+    def pick(self, kind: str, exclude: Collection[Replica] = ()) -> Replica:
+        """The copy that serves the next read of class ``kind``.
+
+        The pool is the live copies not in ``exclude`` whose profile's
+        affinity is ``kind``, or every such live copy when none has it;
+        each pick takes the pool's next copy in turn.  Raises
+        :class:`ReplicaSetUnavailableError` when no candidate is live.
+        """
+        alive = [copy for copy in self.replicas if not copy.down and copy not in exclude]
+        if not alive:
+            raise ReplicaSetUnavailableError(
+                f"all {len(self.replicas)} replicas of shard "
+                f"{self.shard_id} are down"
+            )
+        pool = [copy for copy in alive if copy.profile and copy.profile.affinity == kind] or alive
+        with self._ops_lock:
+            turn = self._picks[kind] = self._picks[kind] + 1
+        return pool[turn % len(pool)]
+
     def _read(
         self, kind: str, op: str, operations: int, request: Callable[[IndexFamily, A], T], arg: A
     ) -> T:
         """Run ``request(index, arg)`` on one of several copies' indexes,
         under that copy's lock (a single copy is read by the caller).
 
-        The router picks the cheapest live copy and a copy that raises is
-        skipped for the next-best, then marked down once a survivor
-        answers; a batch every live copy fails is the request's fault (a
-        wrong-typed key, say) and raises with every copy up.  On
-        skip-sampled batches the copy's counter delta is priced into its
-        EWMA.
+        :meth:`pick` chooses the copy; one that raises is skipped for the
+        next pick, then marked down once a survivor answers.  A batch
+        every live copy fails is the request's fault (a wrong-typed key,
+        say) and raises with every copy up.
         """
         with self._ops_lock:
             self.ops += operations
-        router = self.router
-        failed: List[Tuple[Replica, Exception]] = []
+        failed: Dict[Replica, Exception] = {}
         while True:
-            replica = router.pick(self, kind, exclude=[loser for loser, _ in failed])
-            counters = replica.index.counters
-            before = counters.snapshot() if router.should_measure(replica, kind) else None
+            replica = self.pick(kind, failed)
             try:
                 with replica._guard():
                     result = request(replica.index, arg)
             except Exception as error:
-                failed.append((replica, error))
+                failed[replica] = error
                 if len(failed) == len(self._alive()):
                     raise
                 registry = active_registry()
                 if registry is not None:
                     registry.counter(_COUNTERS["fallbacks"]).inc()
                 continue
-            for loser, error in failed:
+            for loser, error in failed.items():
                 self.mark_down(loser, f"{op} failed: {error!r}")
             replica.reads_routed += operations
-            if before is not None:
-                router.observe(replica, kind, counters.diff(before), operations)
+            registry = active_registry()
+            if registry is not None:
+                registry.counter(_COUNTERS[kind]).inc()
             return result
 
     # ------------------------------------------------------------------
@@ -603,7 +614,6 @@ class Shard:
             "replication_factor": len(rows),
             "replicas_up": len(self._alive()),
             "replicas": rows,
-            "routing": self.router.describe(self),
         }
 
     def verify(self) -> None:

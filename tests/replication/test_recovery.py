@@ -34,6 +34,7 @@ class TestManifest:
         assert manifest.replicas is not None
         assert manifest.replicas["factor"] == 3
         assert manifest.replicas["profiles"] == ["point", "scan", "balanced"]
+        assert "policy" not in manifest.replicas
         assert len(manifest.replicas["logs"]) == 2
         for log_ids in manifest.replicas["logs"]:
             assert len(log_ids) == 3
@@ -71,44 +72,73 @@ class TestManifest:
 
 
 def write_parent_format_manifest(durability, payload):
-    """MANIFEST.json exactly as the pre-policy-key writer laid it out."""
+    """MANIFEST.json exactly as an earlier writer laid ``payload`` out."""
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     crc = zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
     blob = json.dumps({"crc": crc, "payload": payload}, sort_keys=True)
     durability.manifest_path.write_bytes(blob.encode("utf-8"))
 
 
+def two_copy_manifest(**extra):
+    """A factor-2 (point, scan) manifest over two hash shards at epoch 0,
+    its ``replicas`` block extended by ``extra``."""
+    return {
+        "format": 1,
+        "epoch": 0,
+        "partitioner": {"kind": "hash", "num_shards": 2},
+        "shards": ["e00000000-p0000-r00", "e00000000-p0001-r00"],
+        "replicas": {
+            "factor": 2,
+            "profiles": ["point", "scan"],
+            "logs": [
+                ["e00000000-p0000-r00", "e00000000-p0000-r01"],
+                ["e00000000-p0001-r00", "e00000000-p0001-r01"],
+            ],
+            **extra,
+        },
+    }
+
+
 class TestManifestCompatibility:
-    def test_replicated_manifest_without_policy_key_recovers_as_cost(self, tmp_path):
+    def test_replicated_manifest_without_policy_key_recovers(self, tmp_path):
         durability, router, expected = build_router(tmp_path, factor=2)
         router.put(1, 100)
         router.close()
-        write_parent_format_manifest(
-            durability,
-            {
-                "format": 1,
-                "epoch": 0,
-                "partitioner": {"kind": "hash", "num_shards": 2},
-                "shards": ["e00000000-p0000-r00", "e00000000-p0001-r00"],
-                "replicas": {
-                    "factor": 2,
-                    "profiles": ["point", "scan"],
-                    "logs": [
-                        ["e00000000-p0000-r00", "e00000000-p0000-r01"],
-                        ["e00000000-p0001-r00", "e00000000-p0001-r01"],
-                    ],
-                },
-            },
-        )
+        write_parent_format_manifest(durability, two_copy_manifest())
         recovered = ShardRouter.recover(durability, family="adaptive")
         try:
-            assert recovered.table.shards[0].router.policy == "cost"
             assert recovered.get(1) == 100
             assert len(recovered) == len(expected) + 1
             info = recovered.last_recovery
             assert info["replication_factor"] == 2
             assert info["replicas_rebuilt"] == 0
             assert info["frames_replayed"] == 2  # the one put, on both copies
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("policy", ["round_robin", "cost"])
+    def test_manifest_with_a_routing_policy_recovers_and_reads_follow_affinity(
+        self, tmp_path, policy
+    ):
+        """Stores written while reads had a routing policy recorded it in
+        the replica block; recovery ignores it."""
+        durability, router, expected = build_router(tmp_path, factor=2)
+        router.put(1, 100)
+        router.close()
+        write_parent_format_manifest(durability, two_copy_manifest(policy=policy))
+        recovered = ShardRouter.recover(durability, family="adaptive")
+        try:
+            items = sorted([*expected.items(), (1, 100)])
+            assert recovered.scan(-1, len(items) + 10) == items
+            keys = [key for key, _ in items]
+            assert recovered.get_many(keys) == [value for _, value in items]
+            for shard in recovered.table.shards:
+                point, scan = shard.replicas
+                assert (point.profile.name, scan.profile.name) == ("point", "scan")
+                # Every point read went to the point copy, the scan to the scan copy.
+                assert point.reads_routed == shard.num_keys
+                assert scan.reads_routed == 1
+            recovered.verify()
         finally:
             recovered.close()
 
@@ -177,24 +207,6 @@ class TestManifestCompatibility:
 
 
 class TestRecoveredTemplate:
-    def test_routing_policy_survives_recovery(self, tmp_path):
-        durability = DurabilityManager(tmp_path)
-        ShardRouter.build(
-            [(key, key) for key in range(100)],
-            family="adaptive",
-            num_shards=2,
-            replication_factor=2,
-            replica_routing="round_robin",
-            durability=durability,
-        ).close()
-        assert durability.read_manifest().replicas["policy"] == "round_robin"
-        recovered = ShardRouter.recover(durability, family="adaptive")
-        try:
-            for shard in recovered.table.shards:
-                assert shard.router.policy == "round_robin"
-        finally:
-            recovered.close()
-
     def test_family_must_fit_a_replicated_manifest(self, tmp_path):
         durability, router, _ = build_router(tmp_path)
         router.close()

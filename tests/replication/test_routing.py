@@ -1,122 +1,88 @@
-"""Replica router: scoring, affinity, exploration, and round-robin."""
+"""Read routing across a shard's copies: one rule, one table.
+
+A read of class ``kind`` goes to the live, non-excluded copies whose
+profile's affinity is ``kind`` (every such copy when none has it), each
+pick taking the pool's next copy in turn on a per-class counter.
+"""
 
 import pytest
 
-from repro.replication import ReplicaRouter, ReplicaSetUnavailableError
-from repro.replication.routing import EXPLORE_EVERY, MEASURE_EVERY
+from repro.replication import ReplicaSetUnavailableError
 from repro.service.router import ShardTemplate
-from repro.service.shard import Shard
+
+PAIRS = [(key, key + 1) for key in range(0, 200, 2)]
+SPECIALISTS = ("point", "scan", "balanced")
+BALANCED = ("balanced",) * 3
+TWO_POINT = ("point", "point", "scan")
 
 
-def make_shard(profiles=("point", "scan", "balanced"), num_keys=400, router=None):
-    pairs = [(key, key + 1) for key in range(0, num_keys * 2, 2)]
-    template = ShardTemplate.resolve("adaptive", factor=len(profiles), profiles=profiles)
-    shard = template.make(0, pairs, None)
-    return Shard(0, shard.replicas, router or shard.router)
+def make_shard(profiles):
+    """One shard over ``PAIRS``: plain when ``profiles`` is None."""
+    if profiles is None:
+        return ShardTemplate.resolve("adaptive").make(0, PAIRS, None)
+    template = ShardTemplate.resolve("adaptive", len(profiles), list(profiles))
+    return template.make(0, PAIRS, None)
 
 
-class TestConstruction:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            ReplicaRouter(policy="random")
-
-
-class TestScoring:
-    def test_census_prior_prefers_expanded_replicas(self):
-        shard = make_shard(profiles=("balanced", "balanced"))
-        router = shard.router
-        fast, slow = shard.replicas
-        # Identical all-Succinct copies price identically...
-        succinct_prior = router.score(slow, "point")
-        assert router.score(fast, "point") == succinct_prior
-        # ...and a measured cheap (Gapped-priced) batch undercuts it.
-        router.observe(fast, "point", {"leaf_visit:gapped": 4, "inner_visit": 8}, 4)
-        assert router.score(fast, "point") < succinct_prior
-
-    def test_affinity_discount_applies_to_measured_cost(self):
-        shard = make_shard()
-        router = shard.router
-        point_replica, scan_replica, _ = shard.replicas
-        events = {"leaf_visit:succinct": 4, "inner_visit": 8}
-        router.observe(point_replica, "point", events, 4)
-        router.observe(scan_replica, "point", events, 4)
-        # Same measured cost; the point-affine replica must score lower
-        # for the point class (the divergence feedback loop's seed).
-        assert router.score(point_replica, "point") < router.score(
-            scan_replica, "point"
-        )
-
-    def test_observe_prices_only_read_service_events(self):
-        shard = make_shard()
-        router = shard.router
-        replica = shard.replicas[0]
-        router.observe(replica, "point", {"leaf_visit:succinct": 4}, 4)
-        baseline = replica.cost_ewma["point"]
-        # Migration work riding along in the delta must not change the
-        # read-cost estimate.
-        router.observe(
-            replica,
-            "point",
-            {"leaf_visit:succinct": 4, "migration": 50, "leaf_reencode": 50},
-            4,
-        )
-        assert replica.cost_ewma["point"] == pytest.approx(baseline)
-
-    def test_lag_penalty_raises_score(self):
-        shard = make_shard()
-        router = shard.router
-        replica = shard.replicas[0]
-        before = router.score(replica, "point")
-        replica.behind = 100
-        assert router.score(replica, "point") > before
+#: Row id -> profiles, down copies, excluded copies, kind, and the copies
+#: six picks return.
+ROWS = {
+    "point-specialist-takes-points": (SPECIALISTS, (), (), "point", [0] * 6),
+    "scan-specialist-takes-scans": (SPECIALISTS, (), (), "scan", [1] * 6),
+    "point-copy-down-rest-rotate": (SPECIALISTS, (0,), (), "point", [2, 1, 2, 1, 2, 1]),
+    "point-copy-excluded-rest-rotate": (SPECIALISTS, (), (0,), "point", [2, 1, 2, 1, 2, 1]),
+    "scan-copy-down-rest-rotate": (SPECIALISTS, (1,), (), "scan", [2, 0, 2, 0, 2, 0]),
+    "two-point-copies-share-points": (TWO_POINT, (), (), "point", [1, 0, 1, 0, 1, 0]),
+    "one-of-two-point-copies-down": (TWO_POINT, (1,), (), "point", [0] * 6),
+    # Identical copies rotate from copy 1: BENCH_PR9's identical leg (its
+    # per-copy reads and migrations) depends on this order.
+    "balanced-x3-points": (BALANCED, (), (), "point", [1, 2, 0, 1, 2, 0]),
+    "balanced-x3-scans": (BALANCED, (), (), "scan", [1, 2, 0, 1, 2, 0]),
+    "balanced-x3-one-down": (BALANCED, (1,), (), "point", [2, 0, 2, 0, 2, 0]),
+    "one-plain-copy": (None, (), (), "point", [0] * 6),
+}
 
 
 class TestPicking:
-    def test_all_down_raises(self):
-        shard = make_shard()
-        for replica in shard.replicas:
-            shard.mark_down(replica, "test")
-        with pytest.raises(ReplicaSetUnavailableError):
-            shard.router.pick(shard, "point")
-
-    def test_down_replicas_never_picked(self):
-        shard = make_shard()
-        shard.mark_down(shard.replicas[0], "test")
-        for _ in range(64):
-            assert shard.router.pick(shard, "point") is not shard.replicas[0]
+    @pytest.mark.parametrize(
+        "profiles, down, exclude, kind, expected", ROWS.values(), ids=list(ROWS)
+    )
+    def test_pick_sequence(self, profiles, down, exclude, kind, expected):
+        shard = make_shard(profiles)
+        for copy in down:
+            shard.mark_down(shard.replicas[copy], "test")
+        excluded = [shard.replicas[copy] for copy in exclude]
+        assert [shard.pick(kind, excluded).replica_id for _ in expected] == expected
 
     def test_round_robin_rotates(self):
-        shard = make_shard(router=ReplicaRouter(policy="round_robin"))
-        seen = {shard.router.pick(shard, "point").replica_id for _ in range(6)}
-        assert seen == {0, 1, 2}
+        """Each read class keeps its own turn."""
+        shard = make_shard(BALANCED)
+        picked = [shard.pick(kind).replica_id for kind in ("point", "scan", "point", "scan")]
+        assert picked == [1, 1, 2, 2]
 
-    def test_cost_policy_steers_class_to_affine_replica(self):
-        shard = make_shard()
-        picks = [shard.router.pick(shard, "scan").profile.name for _ in range(EXPLORE_EVERY - 1)]
-        assert set(picks) == {"scan"}
+    def test_down_replicas_never_picked(self):
+        shard = make_shard(SPECIALISTS)
+        shard.mark_down(shard.replicas[0], "test")
+        shard.mark_down(shard.replicas[1], "test")
+        for _ in range(8):
+            assert shard.get_many([10, 12]) == [11, 13]
+            assert shard.scan(0, 2) == PAIRS[:2]
+        assert [copy.reads_routed for copy in shard.replicas] == [0, 0, 24]
 
-    def test_exploration_rotation_touches_other_replicas(self):
-        shard = make_shard()
-        picked = [shard.router.pick(shard, "point").replica_id for _ in range(2 * EXPLORE_EVERY)]
-        # Every EXPLORE_EVERY-th pick rotates off the cheapest replica.
-        explored = {index + 1 for index, replica in enumerate(picked) if replica != picked[0]}
-        assert explored == {EXPLORE_EVERY, 2 * EXPLORE_EVERY}
+    def test_all_down_raises(self):
+        shard = make_shard(SPECIALISTS)
+        for copy in shard.replicas:
+            shard.mark_down(copy, "test")
+        for kind in ("point", "scan"):
+            with pytest.raises(ReplicaSetUnavailableError):
+                shard.pick(kind)
+        with pytest.raises(ReplicaSetUnavailableError):
+            shard.get_many([10])
+        with pytest.raises(ReplicaSetUnavailableError):
+            shard.scan(0, 2)
 
-    def test_should_measure_is_skip_sampled(self):
-        shard = make_shard()
-        replica = shard.replicas[0]
-        decisions = []
-        for batch in range(2 * MEASURE_EVERY):
-            replica.routed_batches["point"] = batch + 1
-            decisions.append(shard.router.should_measure(replica, "point"))
-        measured = [batch + 1 for batch, measure in enumerate(decisions) if measure]
-        assert measured == [1, MEASURE_EVERY + 1]
-
-
-class TestDescribe:
-    def test_describe_lists_every_replica(self):
-        shard = make_shard()
-        rows = shard.router.describe(shard)
-        assert [row["profile"] for row in rows] == ["point", "scan", "balanced"]
-        for row in rows:
-            assert set(row["scores_ns"]) == {"point", "scan"}
+    def test_every_live_copy_excluded_raises(self):
+        shard = make_shard(SPECIALISTS)
+        shard.mark_down(shard.replicas[2], "test")
+        with pytest.raises(ReplicaSetUnavailableError):
+            shard.pick("point", shard.replicas[:2])

@@ -27,16 +27,6 @@ class TestRouterWiring:
         assert router.table.shards[0].stats()["replication_factor"] == 2
         router.close()
 
-    def test_round_robin_policy_plumbs_through(self):
-        router = ShardRouter.build(
-            make_pairs(),
-            family="adaptive",
-            replication_factor=2,
-            replica_routing="round_robin",
-        )
-        assert router.table.shards[0].router.policy == "round_robin"
-        router.close()
-
     def test_routed_reads_serve_through_replicas(self):
         router = ShardRouter.build(
             make_pairs(400), family="adaptive", num_shards=2, replication_factor=3
@@ -92,7 +82,6 @@ class TestReplicatedReshape:
             num_shards=2,
             partitioning="range",
             replica_profiles=self.PROFILES,
-            replica_routing="round_robin",
             durability=durability,
         )
 
@@ -101,7 +90,6 @@ class TestReplicatedReshape:
         for shard in router.table.shards:
             assert [replica.profile.name for replica in shard.replicas] == self.PROFILES
             assert not any(replica.down for replica in shard.replicas)
-            assert shard.router.policy == "round_robin"
         assert router.scan(-1, 10**6) == make_pairs()
         router.verify()
 
@@ -134,7 +122,6 @@ class TestReplicatedReshape:
             assert recovered.get_many([1, 599, 10]) == [100, 600, 11]
             assert len(recovered) == len(make_pairs()) + 2
             assert recovered.last_recovery["epoch"] == 2
-            assert recovered.table.shards[0].router.policy == "round_robin"
             recovered.verify()
         finally:
             recovered.close()
@@ -241,7 +228,6 @@ class TestStatsOpcode:
                     for row in shard["replicas"]:
                         assert "encoding_census" in row
                         assert "reads_routed" in row
-                    assert len(shard["routing"]) == 3
             finally:
                 directory.close()
 

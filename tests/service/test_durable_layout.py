@@ -18,7 +18,7 @@ PAIRS = [(key, key * 10) for key in range(0, 80, 2)]
 
 HASH = {"kind": "hash", "num_shards": 2}
 RANGE = {"kind": "range", "boundaries": [{"t": "int", "v": "18"}, {"t": "int", "v": "40"}]}
-REPLICAS = {"factor": 2, "policy": "cost", "profiles": ["point", "scan"]}
+REPLICAS = {"factor": 2, "profiles": ["point", "scan"]}
 
 EXPECTED = {
     (1, "hash"): {

@@ -50,8 +50,7 @@ def durable_router(root):
         [(key, key + 1) for key in range(0, 2 * KEYS, 2)],
         family="adaptive",
         num_shards=1,
-        replication_factor=2,
-        replica_routing="round_robin",
+        replica_profiles=["balanced", "balanced"],
         durability=DurabilityManager(root),
     )
 

@@ -46,13 +46,12 @@ class TestBuild:
             ShardRouter.build(int_pairs(10), partitioning="modulo")
 
     def test_shard_count_must_match_partitioner(self):
-        from repro.replication import ReplicaRouter
         from repro.service.shard import Replica, Shard
 
         factory = FAMILY_FACTORIES["olc"]
         with pytest.raises(PartitionError):
             ShardRouter(
-                [Shard(0, [Replica(0, factory, [])], ReplicaRouter())],
+                [Shard(0, [Replica(0, factory, [])])],
                 HashPartitioner(2),
                 ShardTemplate((factory,)),
             )

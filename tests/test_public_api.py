@@ -68,7 +68,6 @@ class TestSettableValues:
         from repro.net.server import NetServer
         from repro.net.tenancy import TenantDirectory, demo_directory
         from repro.replication.profiles import ReplicaProfile
-        from repro.replication.routing import ReplicaRouter
         from repro.service.router import ShardRouter
 
         def parameters(callable_):
@@ -93,7 +92,6 @@ class TestSettableValues:
             "initial_sample_size",
             "max_sample_size",
         ]
-        assert parameters(ReplicaRouter) == ["policy"]
         assert parameters(ShardRouter.build) == [
             "pairs",
             "family",
@@ -103,7 +101,6 @@ class TestSettableValues:
             "durability",
             "replication_factor",
             "replica_profiles",
-            "replica_routing",
             "arbiter",
             "member_prefix",
         ]
