@@ -83,7 +83,6 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
         HotRoot("repro.succinct", "*decode*"),
         # The per-access sampler (Listing 1 of the paper).
         HotRoot("repro.core.sampling", "SkipSampler.is_sample"),
-        HotRoot("repro.core.sampling", "SkipSampler.consume"),
     ]
 )
 

@@ -3,8 +3,9 @@
 Subclasses :class:`~repro.bptree.tree.BPlusTree`, defaults all leaves to
 the Succinct (cold) encoding, and wires an
 :class:`~repro.core.manager.AdaptationManager` into the base tree's
-access paths through its hooks — every lookup, insert, update, delete,
-scan and batched operation is the inherited one:
+access paths through its hooks — every lookup, insert, update, delete
+and scan is the inherited one, and so are the per-key ``lookup_many`` /
+``insert_many`` defaults of the index contract:
 
 * the leaf-access hook passes each access through the sample gate and
   ``track()``-s the sampled ones with the leaf's parent as context;
@@ -83,20 +84,13 @@ class AdaptiveBPlusTree(BPlusTree):
     # The two access hooks (Section 4.1.3 / Table 4)
     # ------------------------------------------------------------------
     def _leaf_accessed(
-        self,
-        leaf: LeafNode,
-        parent: Optional[InnerNode],
-        access: AccessType,
-        count: int = 1,
+        self, leaf: LeafNode, parent: Optional[InnerNode], access: AccessType
     ) -> None:
-        """Pass ``count`` accesses to one leaf through the sample gate.
-
-        One sampler drain models all of them; the sampler state and the
-        tracked (leaf, access) events equal ``count`` single gates because
-        every access in the group touches the same leaf.
-        """
-        self.counters.add("sample_check", count)
-        for _ in self.manager.consume(count):
+        """Pass one access through the sample gate (Listing 1's
+        ``is_sample``) and track it, with the leaf's parent as context,
+        when it is a sample."""
+        self.counters.add("sample_check")
+        if self.manager.is_sample():
             self.manager.track(leaf, access, context=parent)
 
     def _before_leaf_insert(self, leaf: LeafNode, parent: Optional[InnerNode]) -> None:

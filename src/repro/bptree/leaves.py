@@ -103,27 +103,6 @@ class _SortedPairStorage:
             return self.values[index]
         return None
 
-    def lookup_run(self, run: Sequence[int]) -> List[Optional[int]]:
-        """Batched lookup of an ascending key run.
-
-        Because the run is sorted, every search can start where the
-        previous one ended (a monotone ``lo`` hint), so the searched
-        range shrinks as the run advances instead of restarting at 0.
-        """
-        keys = self.keys
-        values = self.values
-        limit = len(keys)
-        results: List[Optional[int]] = []
-        append = results.append
-        lo = 0
-        for key in run:
-            lo = bisect.bisect_left(keys, key, lo)
-            if lo < limit and keys[lo] == key:
-                append(values[lo])
-            else:
-                append(None)
-        return results
-
     def insert(self, key: int, value: int) -> int:
         """Insert or overwrite in one search; returns :data:`LEAF_FULL`
         (nothing changed, caller splits), :data:`INSERTED` or
@@ -404,10 +383,6 @@ class LeafNode:
     def lookup(self, key: int) -> Optional[int]:
         """Return the value stored under ``key``, or None."""
         return self.storage.lookup(key)
-
-    def lookup_run(self, run: Sequence[int]) -> List[Optional[int]]:
-        """Batched lookup of an ascending key run (see the storages)."""
-        return self.storage.lookup_run(run)
 
     def insert(self, key: int, value: int) -> int:
         """Insert or overwrite; :data:`LEAF_FULL`, :data:`INSERTED` or

@@ -235,11 +235,6 @@ class OlcBPlusTree(BPlusTree):
             self._end_lookup_span(tracer, span, node, value)
         return value
 
-    def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
-        """One validated :meth:`lookup` per key: the base tree's cached
-        leaf run would read a leaf without the version protocol."""
-        return [self.lookup(key) for key in keys]
-
     def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed."""
         return self.insert_many(((key, value),))[0]

@@ -164,38 +164,6 @@ class BPlusTree(IndexFamily):
             self.counters.add("inner_visit", len(path))
         return node, path
 
-    def _descend_bounded(
-        self, key: int
-    ) -> Tuple[LeafNode, List[Tuple[InnerNode, int]], Optional[int]]:
-        """Like :meth:`_descend`, plus the exclusive upper bound of the
-        reached leaf's key range (None = +infinity).
-
-        The bound is the smallest separator to the right of the taken
-        child anywhere along the path; any key below it descends to the
-        same leaf, which is what lets sorted batches reuse one descent
-        for a whole run of keys.
-        """
-        path: List[Tuple[InnerNode, int]] = []
-        node: Child = self._root
-        upper: Optional[int] = None
-        steps = 0
-        while isinstance(node, InnerNode):
-            steps += 1
-            index = node.child_index(key)
-            if index < len(node.keys):
-                bound = node.keys[index]
-                if upper is None or bound < upper:
-                    upper = bound
-            path.append((node, index))
-            node = node.children[index]
-        if steps:
-            self.counters.add("inner_visit", steps)
-        return node, path, upper
-
-    @staticmethod
-    def _is_sorted(keys: Sequence[int]) -> bool:
-        return all(a <= b for a, b in zip(keys, keys[1:]))
-
     def find_leaf(self, key: int) -> Tuple[LeafNode, Optional[InnerNode]]:
         """The leaf responsible for ``key`` and its direct parent."""
         leaf, path = self._descend(key)
@@ -203,16 +171,12 @@ class BPlusTree(IndexFamily):
         return leaf, parent
 
     def _leaf_accessed(
-        self,
-        leaf: LeafNode,
-        parent: Optional[InnerNode],
-        access: AccessType,
-        count: int = 1,
+        self, leaf: LeafNode, parent: Optional[InnerNode], access: AccessType
     ) -> None:
         """Hook: ``leaf`` (a child of ``parent``; None for the root and for
-        leaf-chain steps) was reached ``count`` times as ``access``.  Called
-        after the visit is counted and before the leaf is read or written.
-        The plain tree ignores it."""
+        leaf-chain steps) was reached once as ``access``.  Called after the
+        visit is counted and before the leaf is read or written.  The
+        plain tree ignores it."""
 
     def _before_leaf_insert(self, leaf: LeafNode, parent: Optional[InnerNode]) -> None:
         """Hook: ``leaf`` is about to take inserts (called once per descent,
@@ -274,122 +238,6 @@ class BPlusTree(IndexFamily):
         if new:
             self._num_keys += 1
         return new
-
-    def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
-        """Batched point lookups; returns one value (or None) per key.
-
-        For sorted batches the tree descends once per *distinct leaf*
-        instead of once per key: the cached leaf stays valid while the
-        next key is below the smallest right-hand separator crossed on
-        the way down.  Unsorted batches fall back to per-key lookups.
-        Results are identical to ``[self.lookup(k) for k in keys]``.
-        """
-        keys = list(keys)
-        if not keys:
-            return []
-        tracer = active_tracer()
-        span = (
-            tracer.op_start("lookup_many", family=self.stats_family, count=len(keys))
-            if tracer is not None
-            else None
-        )
-        if not self._is_sorted(keys):
-            unsorted = [self.lookup(key) for key in keys]
-            if span is not None:
-                tracer.end(span, sorted=False)
-            return unsorted
-        results: List[Optional[int]] = []
-        counters_add = self.counters.add
-        leaf: Optional[LeafNode] = None
-        parent: Optional[InnerNode] = None
-        lookup_run = None
-        probe_event = ""
-        visit_event = ""
-        descents = 0
-        limit = float("-inf")  # forces the first descent
-        run: List[int] = []
-        run_append = run.append
-        for key in keys:
-            if key >= limit:
-                if run:
-                    counters_add(visit_event, len(run))
-                    results.extend(lookup_run(run))
-                    if span is not None:
-                        tracer.event(probe_event, count=len(run))
-                    self._leaf_accessed(leaf, parent, AccessType.READ, len(run))
-                    run.clear()
-                leaf, path, upper = self._descend_bounded(key)
-                descents += 1
-                if span is not None:
-                    tracer.event("descent", height=self._height)
-                limit = float("inf") if upper is None else upper
-                parent = path[-1][0] if path else None
-                lookup_run = leaf.storage.lookup_run
-                probe_event = LEAF_PROBE_EVENTS[leaf.encoding]
-                visit_event = leaf.storage.visit_event
-            run_append(key)
-        if run:
-            counters_add(visit_event, len(run))
-            results.extend(lookup_run(run))
-            if span is not None:
-                tracer.event(probe_event, count=len(run))
-            self._leaf_accessed(leaf, parent, AccessType.READ, len(run))
-        if span is not None:
-            tracer.end(span, sorted=True, descents=descents)
-        return results
-
-    def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
-        """Batched inserts; one bool per pair (True = key was new).
-
-        Sorted batches reuse one descent per leaf run; a leaf split
-        invalidates the cached leaf and the offending key re-descends,
-        exactly like the retry in :meth:`insert`.  The access hook fires
-        once per leaf run with the run's length (the split key counts
-        towards the leaf it overflowed).  Unsorted batches fall back to
-        per-key inserts.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        if not self._is_sorted([key for key, _ in pairs]):
-            return [self.insert(key, value) for key, value in pairs]
-        results: List[bool] = []
-        leaf: Optional[LeafNode] = None
-        parent: Optional[InnerNode] = None
-        path: List[Tuple[InnerNode, int]] = []
-        upper: Optional[int] = None
-        group = 0
-        for key, value in pairs:
-            if leaf is None or (upper is not None and key >= upper):
-                if group:
-                    self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
-                    group = 0
-                leaf, path, upper = self._descend_bounded(key)
-                parent = path[-1][0] if path else None
-                self._before_leaf_insert(leaf, parent)
-            self.counters.add(leaf.storage.visit_event)
-            group += 1
-            self._count_leaf_write(leaf)
-            before = leaf.size_bytes()
-            outcome = leaf.insert(key, value)
-            if not outcome:  # full, nothing written
-                self._split_leaf(leaf, path)
-                self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
-                group = 0
-                leaf, path, upper = self._descend_bounded(key)
-                parent = path[-1][0] if path else None
-                before = leaf.size_bytes()
-                outcome = leaf.insert(key, value)
-                if not outcome:  # pragma: no cover - split guarantees room
-                    raise AssertionError("leaf still full after split")
-            self._leaf_bytes += leaf.size_bytes() - before
-            new = outcome == INSERTED
-            if new:
-                self._num_keys += 1
-            results.append(new)
-        if group:
-            self._leaf_accessed(leaf, parent, AccessType.INSERT, group)
-        return results
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""

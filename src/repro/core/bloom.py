@@ -11,7 +11,7 @@ roughly a 1% false-positive rate; we default to the same.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Iterator, List
+from typing import Hashable, Iterable, Iterator
 
 from repro.obs.metrics import RATIO_BUCKETS, SIZE_BUCKETS
 from repro.obs.runtime import active_registry
@@ -112,23 +112,6 @@ class BloomFilter:
                 return False
             h1 += h2
         return True
-
-    def contains_many(self, items: Iterable[Hashable]) -> List[bool]:
-        """Batched membership: one bool per item, in order."""
-        num_bits = self._num_bits
-        num_hashes = self._num_hashes
-        bits = self._bits
-        results = []
-        for item in items:
-            h1, h2 = self._hash_pair(item)
-            hit = True
-            for _ in range(num_hashes):
-                if not (bits >> (h1 % num_bits)) & 1:
-                    hit = False
-                    break
-                h1 += h2
-            results.append(hit)
-        return results
 
     def add_and_check(self, item: Hashable) -> bool:
         """Insert ``item``; return True iff it was (probably) seen before.

@@ -222,20 +222,6 @@ class AdaptationManager:
             return False
         return self._sampler.is_sample()
 
-    def consume(self, count: int) -> list:
-        """Batched sample gate: model ``count`` accesses in one call.
-
-        Returns the 0-based batch offsets that are samples (empty when
-        sampling is disabled).  The sampler advances exactly as ``count``
-        individual :meth:`is_sample` calls would, so batched index
-        operations keep the per-access sampling semantics of Listing 1
-        while paying the gate cost once per batch.
-        """
-        self.counters.accesses += count
-        if not self._enabled or count == 0:
-            return []
-        return self._sampler.consume(count)
-
     def track(
         self,
         identifier: Hashable,

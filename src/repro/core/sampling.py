@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
 
 from repro.obs.runtime import active_registry
 
@@ -87,40 +86,6 @@ class SkipSampler:
             return True
         self._countdown -= 1
         return False
-
-    def consume(self, count: int) -> List[int]:
-        """Model ``count`` consecutive accesses in one call.
-
-        Returns the 0-based offsets within the batch that would have been
-        sampled by ``count`` individual :meth:`is_sample` calls — the
-        sampler state afterwards is bit-identical to the per-access loop,
-        but the cost is O(samples) instead of O(accesses): whole skip
-        intervals are subtracted from the countdown at once.
-        """
-        if count < 0:
-            raise ValueError(f"access count must be >= 0, got {count}")
-        if count <= self._countdown:
-            # The whole batch falls inside the current skip interval — the
-            # common case for a single access, which the indexes' access
-            # hooks pass through here as a batch of one.
-            self._countdown -= count
-            return []
-        offsets: List[int] = []
-        position = 0
-        while position < count:
-            if self._countdown == 0:
-                offsets.append(position)
-                self._countdown = self.skip_length
-                position += 1
-                continue
-            step = self._countdown
-            remaining = count - position
-            if step >= remaining:
-                self._countdown -= remaining
-                break
-            self._countdown = 0
-            position += step
-        return offsets
 
     def set_skip_length(self, skip_length: int) -> None:
         """Install a new skip length (takes effect at the next reload).

@@ -9,6 +9,10 @@ search the run's block directory and then the one block it names.  The
 run is immutable; inserts land in the dynamic stage and periodic merges
 rebuild it — the "expensive merge process" the Adaptive-Hybrid-Indexes
 paper contrasts itself against.
+
+Reads go key by key (``lookup_many`` is the index contract's per-key
+default).  Only ``insert_many`` is the family's own: it fills the Bloom
+filter in one ``add_many`` and checks the merge ratio once per batch.
 """
 
 from __future__ import annotations
@@ -122,41 +126,6 @@ class DualStageIndex(IndexFamily):
             tracer.end(span)
         return value
 
-    def lookup_many(self, keys: Sequence[int]) -> List[Optional[int]]:
-        """Batched lookups; one value (or None) per key.
-
-        One ``contains_many`` drains the Bloom filter for the whole
-        batch, Bloom-positive keys probe the dynamic stage in one
-        ``lookup_many``, and only the keys neither stage resolved reach
-        the static run (again as one batch, in key order).  Per-key
-        results and the
-        per-stage probe counters are identical to looping
-        :meth:`lookup`.
-        """
-        keys = list(keys)
-        if not keys:
-            return []
-        self.counters.add("bloom_probe", len(keys))
-        hits = self._bloom.contains_many(keys)
-        results: List[Optional[int]] = [None] * len(keys)
-        dynamic_positions = [i for i, hit in enumerate(hits) if hit]
-        static_positions = [i for i, hit in enumerate(hits) if not hit]
-        if dynamic_positions:
-            self.counters.add("dynamic_stage_probe", len(dynamic_positions))
-            found = self._dynamic.lookup_many([keys[i] for i in dynamic_positions])
-            for position, value in zip(dynamic_positions, found):
-                if value is not None:
-                    results[position] = value
-                elif keys[position] not in self._tombstones:
-                    static_positions.append(position)
-        if static_positions:
-            static_positions.sort(key=keys.__getitem__)  # lookup_run: ascending
-            self.counters.add("static_stage_probe", len(static_positions))
-            found = self._static.lookup_run([keys[i] for i in static_positions])
-            for position, value in zip(static_positions, found):
-                results[position] = value
-        return results
-
     def insert(self, key: int, value: int) -> bool:
         """Insert ``key``; returns False when the key already existed."""
         new = self._dynamic.insert(key, value) and not self._in_static(key)
@@ -170,9 +139,9 @@ class DualStageIndex(IndexFamily):
     def insert_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Batched inserts.
 
-        The dynamic stage takes the whole batch through its own
-        ``insert_many`` (one descent per leaf run for sorted batches)
-        and the Bloom filter is populated in one ``add_many``.  The
+        The dynamic stage takes the pairs one ``insert`` at a time
+        (its ``insert_many`` is the per-key default) and the Bloom filter
+        is populated in one ``add_many``.  The
         merge-ratio check runs once after the batch instead of after
         every key, so a merge can trigger slightly later than under
         per-key inserts — the final contents are identical either way.

@@ -310,14 +310,11 @@ class FST(IndexFamily):
             tracer.end(span)
         return value
 
-    def _descend(
-        self, node: int, key: bytes, depth: int, trail: Optional[list] = None
-    ) -> Tuple[int, int, int]:
+    def _descend(self, node: int, key: bytes, depth: int) -> Tuple[int, int, int]:
         """Follow ``key[depth:]`` down from ``node`` until an edge is
         terminal or missing or the key runs out; returns ``(last edge,
         depth reached, dense visits)``.  Every visit consumes one byte,
-        so the sparse visits are the rest of the depth gained.  Each
-        inner node entered is appended to ``trail`` as ``(node, depth)``.
+        so the sparse visits are the rest of the depth gained.
 
         A sparse step runs in this frame: ``BitVector.select1`` on the
         LOUDS bits (its range check and ``ValueError`` included) finds
@@ -401,8 +398,6 @@ class FST(IndexFamily):
             if edge <= 0:
                 break
             node = edge
-            if trail is not None:
-                trail.append((node, depth))
         return edge, depth, dense_visits
 
     def _count_visits(self, dense: int, sparse: int) -> None:
@@ -419,45 +414,6 @@ class FST(IndexFamily):
         self._count_visits(dense, end - depth - dense)
         # A terminal label is a hit only when it consumed the whole key.
         return self._values[~edge] if edge < 0 and end == len(key) else None
-
-    def lookup_many(self, keys: Sequence[bytes]) -> List[Optional[int]]:
-        """Batched point lookups; element ``i`` equals ``lookup(keys[i])``.
-
-        For sorted key batches the trie descent is amortized: a stack of
-        ``(node, depth)`` pairs from the previous key's path is rewound to
-        the common prefix, so shared prefixes (sorted URL/e-mail batches
-        share most of their bytes) are traversed once per run instead of
-        once per key.  Unsorted batches fall back to per-key lookups.
-        """
-        total = len(keys)
-        if total == 0:
-            return []
-        if self._num_keys == 0:
-            return [None] * total
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            return [self.lookup(key) for key in keys]
-        results: List[Optional[int]] = []
-        stack: List[Tuple[int, int]] = [(0, 0)]  # (node, bytes consumed)
-        previous: Optional[bytes] = None
-        dense_visits = 0
-        sparse_visits = 0
-        values = self._values
-        for key in keys:
-            if previous is not None:
-                limit = min(len(previous), len(key))
-                common = 0
-                while common < limit and previous[common] == key[common]:
-                    common += 1
-                while len(stack) > 1 and stack[-1][1] > common:
-                    stack.pop()
-            previous = key
-            node, depth = stack[-1]
-            edge, end, dense = self._descend(node, key, depth, stack)
-            dense_visits += dense
-            sparse_visits += end - depth - dense
-            results.append(values[~edge] if edge < 0 and end == len(key) else None)
-        self._count_visits(dense_visits, sparse_visits)
-        return results
 
     def iterate_subtree(self, node: int) -> Iterator[Tuple[bytes, int]]:
         """(key_suffix, value) pairs below ``node`` in key order."""

@@ -15,10 +15,12 @@ adaptation manager and the harness — no caller probes for a method.
   families), ``num_keys``, ``size_bytes()`` (modeled bytes) and
   ``encoding_census()`` (encoding -> ``(count, avg bytes)`` or a plain
   count).
-* **Reads:** ``lookup``, ``lookup_many`` (one value per key; a family
-  with a batched path overrides the per-key default), ``scan`` and
+* **Reads:** ``lookup``, ``lookup_many`` (one value per key: the
+  per-key default below, which no family overrides), ``scan`` and
   ``items()`` (every pair, in key order).
-* **Writes:** ``insert``, ``insert_many``, ``update``, ``delete``.
+* **Writes:** ``insert``, ``insert_many`` (a per-key default that only
+  the OLC tree, whose one insert body it is, and the Dual-Stage index
+  override), ``update``, ``delete``.
 * **Checks and reports**, written once here: ``verify()`` raises
   :class:`~repro.core.invariants.InvariantViolation` on a corrupt
   structure, ``stats()`` returns one JSON-safe dict of the shape below

@@ -22,8 +22,8 @@ carry no wall-clock (the index hot path is sequence-ordered on purpose).
 
 ``--require-chain a>b>c`` asserts at least one stitched trace contains
 spans named ``a``, ``b``, ``c`` on one ancestor line, in order, gaps
-allowed (names are prefix-matched, so ``lookup`` also matches
-``lookup_many``).  The ``obs-e2e`` CI job uses this to prove a traced
+allowed (names are prefix-matched, so ``service.shard`` also matches
+``service.shard_op``).  The ``obs-e2e`` CI job uses this to prove a traced
 request really crossed net -> index -> wal.  Exit codes: 0 ok, 1 input
 error, 2 a required chain matched no trace.
 """

@@ -27,13 +27,13 @@ the request's fault and raises with every copy up — at N = 1, exactly
 what the index itself would do.
 
 **Reads** have one algorithm on every copy: each key is one call of the
-index's own ``lookup``.  The families' sorted ``lookup_many`` pays only
-on dense sorted probes, and a shard's share of a routed batch is a few
-scattered keys.  A single copy is read right here (a lock-free one with
-no lock held).  Among several, a batch of read class ``point`` or
-``scan`` goes to the live copies whose profile has that affinity (all
-live copies when none has), taken in turn (:meth:`Shard.pick`), and a
-copy that fails a read is marked down while a survivor answers.
+index's own ``lookup`` (no family keeps a sorted batch read: a shard's
+share of a routed batch is a few scattered keys).  A single copy is read
+right here (a lock-free one with no lock held).  Among several, a batch
+of read class ``point`` or ``scan`` goes to the live copies whose
+profile has that affinity (all live copies when none has), taken in turn
+(:meth:`Shard.pick`), and a copy that fails a read is marked down while
+a survivor answers.
 
 Invariant: every *acknowledged* write is applied (and logged) on every
 copy up at acknowledgment time, so any live copy serves the full acked

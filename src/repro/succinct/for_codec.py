@@ -218,41 +218,6 @@ class ForRun:
         width = deltas._width
         return block.base + ((deltas._buffer >> offset * width) & ((1 << width) - 1))
 
-    def lookup_run(self, run: Sequence[int]) -> List[Optional[int]]:
-        """Batched lookup of an ascending key run.
-
-        Consecutive run keys usually land in the same block, so each
-        touched block's keys are materialized once with a bulk decode and
-        every key in the run bisects the plain list — instead of paying
-        O(log block) packed-array probes per key.  Value blocks are only
-        decoded when a key actually hits.
-        """
-        results: List[Optional[int]] = []
-        append = results.append
-        mins = self._block_min_keys
-        cached_index = -1
-        cached_keys: List[int] = []
-        cached_values: Optional[List[int]] = None
-        lo = 0
-        for key in run:
-            block_index = bisect.bisect_right(mins, key) - 1
-            if block_index < 0:
-                append(None)
-                continue
-            if block_index != cached_index:
-                cached_index = block_index
-                cached_keys = self._key_blocks[block_index].to_list()
-                cached_values = None
-                lo = 0
-            lo = bisect.bisect_left(cached_keys, key, lo)
-            if lo < len(cached_keys) and cached_keys[lo] == key:
-                if cached_values is None:
-                    cached_values = self._value_blocks[block_index].to_list()
-                append(cached_values[lo])
-            else:
-                append(None)
-        return results
-
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Return all ``(key, value)`` pairs as a list."""
         return list(
@@ -262,7 +227,8 @@ class ForRun:
     def entries_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
         """Yield pairs with key >= ``start_key``.
 
-        Each touched block is decoded once, as :meth:`lookup_run` does.
+        Each touched block is decoded once, with one bulk ``to_list`` per
+        key block and value block.
         """
         first, offset = divmod(self._find(start_key)[0], self._block_entries)
         for block_index in range(first, len(self._key_blocks)):

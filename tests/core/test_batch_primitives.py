@@ -1,60 +1,16 @@
 """Batched primitives must be exact drop-ins for their per-item loops.
 
-``SkipSampler.consume`` promises bit-identical sampler state to the
-equivalent ``is_sample`` loop, ``BloomFilter.add_many``/``contains_many``
-must match per-item calls, ``OpCounters.add_many`` must merge like
+``BloomFilter.add_many`` (the Dual-Stage index's batched insert) must
+match per-item ``add``, ``OpCounters.add_many`` must merge like
 repeated ``add``, and the memoized ``required_sample_size`` must return
 what the uncached math returns.
 """
 
 import math
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.bloom import BloomFilter
-from repro.core.sampling import SkipSampler, required_sample_size
+from repro.core.sampling import required_sample_size
 from repro.sim.counters import OpCounters
-
-
-class TestSkipSamplerConsume:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        skip=st.integers(min_value=0, max_value=20),
-        chunks=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
-    )
-    def test_matches_is_sample_loop(self, skip, chunks):
-        batched = SkipSampler(skip_length=skip)
-        looped = SkipSampler(skip_length=skip)
-        for count in chunks:
-            offsets = batched.consume(count)
-            expected = [
-                offset for offset in range(count) if looped.is_sample()
-            ]
-            assert offsets == expected
-            assert batched._countdown == looped._countdown
-
-    def test_zero_skip_samples_everything(self):
-        sampler = SkipSampler(skip_length=0)
-        assert sampler.consume(5) == [0, 1, 2, 3, 4]
-
-    def test_consume_zero_is_noop(self):
-        sampler = SkipSampler(skip_length=3)
-        before = sampler._countdown
-        assert sampler.consume(0) == []
-        assert sampler._countdown == before
-
-    def test_skip_length_change_takes_effect_at_reload(self):
-        batched = SkipSampler(skip_length=2)
-        looped = SkipSampler(skip_length=2)
-        batched.consume(4)
-        for _ in range(4):
-            looped.is_sample()
-        batched.set_skip_length(7)
-        looped.set_skip_length(7)
-        assert batched.consume(40) == [
-            offset for offset in range(40) if looped.is_sample()
-        ]
 
 
 class TestBloomBatches:
@@ -68,13 +24,6 @@ class TestBloomBatches:
         assert batched._bits == looped._bits
         assert batched.approximate_count == looped.approximate_count
 
-    def test_contains_many_equals_membership_loop(self):
-        bloom = BloomFilter(capacity=256)
-        present = [f"in-{index}" for index in range(80)]
-        bloom.add_many(present)
-        probe = present + [f"out-{index}" for index in range(80)]
-        assert bloom.contains_many(probe) == [item in bloom for item in probe]
-
     def test_double_hashing_matches_position_generator(self):
         bloom = BloomFilter(capacity=64)
         bloom.add("probe")
@@ -84,7 +33,6 @@ class TestBloomBatches:
     def test_empty_batches(self):
         bloom = BloomFilter(capacity=8)
         bloom.add_many([])
-        assert bloom.contains_many([]) == []
         assert bloom.approximate_count == 0
 
 

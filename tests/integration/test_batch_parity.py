@@ -1,17 +1,22 @@
 """Batched operations must equal per-key loops on every index family.
 
 Every ``*_many`` entry point promises the same return values as the
-equivalent per-key loop and the same final index contents.  Each test
-builds twin indexes from the same seed data, drives one through the
-batched API and the other through per-key calls, and compares the
-returned values, the resulting contents, the structural counters (a
-batch may only save descents) and — on the adaptive tree — the sampler
-state; the families with a self-verifier additionally prove their
-invariants afterwards.
+equivalent per-key loop and the same final index contents.  Only two
+families keep a batch body of their own: the OLC tree's ``insert_many``
+(its one insert body) and the Dual-Stage index's ``insert_many`` (one
+Bloom ``add_many``, one merge check per batch); everything else is the
+index contract's per-key default, which the service's shard writes and
+the end-to-end span table call.  Each test builds twin indexes from the
+same seed data, drives one through the batched API and the other
+through per-key calls, and compares the returned values, the resulting
+contents, the structural counters and — on the adaptive tree — the
+sampler state; the families with a self-verifier additionally prove
+their invariants afterwards.
 
 The last class pins the design: each family has one copy of each access
-path, so the adaptive B+-tree defines no access path of its own and no
-family carries a traced twin or a batched scan.
+path, so the adaptive B+-tree defines no access path of its own, no
+family carries a traced twin, a batched scan or a sorted batch read,
+and the adaptation manager has one sample gate.
 """
 
 import importlib
@@ -27,8 +32,11 @@ from repro.bptree.hybrid import AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree, _lock_of
 from repro.bptree.tree import BPlusTree
+from repro.core.manager import AdaptationManager
+from repro.core.sampling import SkipSampler
 from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
+from repro.obs.introspect import IndexFamily
 
 
 def int_workload(seed, universe=50_000, loaded=4000, probes=3000):
@@ -58,7 +66,7 @@ def byte_workload(seed, loaded=1500, probes=1500):
 
 def counters_saving_descents(index):
     """Structural counters minus ``inner_visit`` — the one event a sorted
-    batch is allowed to save against the per-key loop."""
+    batch body may save against the per-key loop."""
     counts = index.counters.snapshot()
     counts.pop("inner_visit", None)
     return counts
@@ -198,8 +206,7 @@ class TestDualStageParity:
         for key in deletions:
             assert batched.delete(key) == looped.delete(key)
         # insert_many merges once per batch, so only the probes' own
-        # events are comparable between the twins.  Unsorted probes reach
-        # the static stage's ascending-run lookup sorted by key.
+        # events are comparable between the twins.
         for keys in (sorted(probe_keys), probe_keys):
             before_batched = batched.counters.snapshot()
             before_looped = looped.counters.snapshot()
@@ -248,4 +255,27 @@ class TestOneAccessPathPerFamily:
         assert offenders == []
 
     def test_olc_tree_owns_its_batched_paths(self):
-        assert {"lookup_many", "insert_many"} <= set(vars(OlcBPlusTree))
+        """``insert_many`` is OLC's one insert body; reads inherit the
+        contract's per-key ``lookup_many``."""
+        own = set(vars(OlcBPlusTree))
+        assert "insert_many" in own
+        assert "lookup_many" not in own
+        assert OlcBPlusTree.lookup_many is IndexFamily.lookup_many
+
+    def test_no_sorted_batch_read_anywhere(self):
+        offenders = []
+        for package in ("bptree", "fst", "dualstage", "succinct"):
+            root = importlib.import_module(f"{repro.__name__}.{package}")
+            for info in pkgutil.iter_modules(root.__path__, root.__name__ + "."):
+                module = importlib.import_module(info.name)
+                for name, cls in inspect.getmembers(module, inspect.isclass):
+                    if cls.__module__ != module.__name__:
+                        continue
+                    for banned in ("lookup_run", "_descend_bounded", "lookup_many"):
+                        if banned in vars(cls):
+                            offenders.append(f"{info.name}.{name}.{banned}")
+        assert offenders == []
+
+    def test_manager_has_one_sample_gate(self):
+        assert "consume" not in vars(AdaptationManager)
+        assert "consume" not in vars(SkipSampler)

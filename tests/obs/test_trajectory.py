@@ -201,7 +201,7 @@ class TestCommittedArtifacts:
         assert {entry["file"] for entry in rows} == set(SUITES)
         checked = [entry for entry in rows if entry["ok"] is not None]
         assert [entry for entry in checked if not entry["ok"]] == []
-        assert len(checked) == 122  # 13 over the numbered suites, 109 paper rows
+        assert len(checked) == 121  # 12 over the numbered suites, 109 paper rows
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_bench_headline_reproduces_its_committed_rows(self, name):

@@ -333,3 +333,31 @@ def test_untraced_scan_call_budget():
         result, calls = count_calls(lambda: router.scan(KEYS[10], 50))
         assert result == PAIRS[10:60]
         assert len(calls) <= 40, Counter(calls).most_common()
+
+
+def test_untraced_replicated_put_many_call_budget():
+    """An untraced ``put_many`` of 8 pairs (4 overwrites, 4 new keys) over
+    4 ``adaptive`` shards of two copies (point, scan; ``net_write``'s
+    shape) makes at most 360 Python-level calls in each of 16
+    consecutive batches (322-342 on 3.11): per key and copy one tree
+    ``insert`` with its descent, eager-expansion check, access hook and
+    sample gate, and the leaf write.  While the tree ran its own sorted
+    ``insert_many``, which descended once per leaf run and drained the
+    sampler once per run, the same batches made 274-294: here both of a
+    copy's keys share its one leaf, so that body saved a descent and a
+    hook per copy, and paid a sortedness check."""
+    with ShardRouter.build(
+        PAIRS, family="adaptive", num_shards=NUM_SHARDS, replication_factor=2
+    ) as router:
+        fresh = iter(range(1_000, 2_000, 4))
+        written = {}
+
+        def put_batch():
+            batch = [(key, key * 10 + 1) for key in KEYS[3::50][:4]]
+            batch += [(key, key * 10 + 1) for key in (next(fresh) for _ in range(4))]
+            written.update(batch)
+            return router.put_many(batch)
+
+        _, calls = count_calls(put_batch, batches=16)
+        assert router.get_many(list(written)) == list(written.values())
+        assert len(calls) <= 360, Counter(calls).most_common()
