@@ -19,8 +19,8 @@ chosen at run-time from sampled access statistics.  This package provides:
 * :mod:`repro.harness` — the experiment runner and one entry point per
   paper table/figure;
 * :mod:`repro.service` — a sharded concurrent index service routing
-  batched traffic across per-shard adaptation managers under one
-  global memory budget.
+  batched traffic across per-shard adaptation managers, each under the
+  memory budget its shard's index builder set.
 
 Quickstart::
 

@@ -70,10 +70,6 @@ class ParsedModule:
                 target = _next_code_line(self.lines, suppression.line)
             self._by_line.setdefault(target, set()).update(suppression.rules)
 
-    def suppressed_rules(self, line: int) -> Set[str]:
-        """Rule ids suppressed for findings reported on ``line``."""
-        return self._by_line.get(line, set())
-
     def suppression_targets(self) -> Dict[int, Set[str]]:
         """Every suppression's *target* line mapped to its rule ids.
 

@@ -54,10 +54,6 @@ class ARTNode:
         """Return the modeled C++ footprint in bytes."""
         raise NotImplementedError
 
-    def is_full(self) -> bool:
-        """Return True when the node is at capacity."""
-        return self.num_children() >= self.capacity
-
     def grow(self) -> "ARTNode":
         """Copy into the next larger node type."""
         order = [Node4, Node16, Node48, Node256]

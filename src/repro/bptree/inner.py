@@ -9,8 +9,7 @@ the rest.
 
 from __future__ import annotations
 
-import bisect
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.bptree.leaves import LeafNode
 
@@ -35,14 +34,6 @@ class InnerNode:
             )
         self.keys = keys
         self.children = children
-
-    def child_index(self, key: int) -> int:
-        """Index of the child subtree responsible for ``key``."""
-        return bisect.bisect_right(self.keys, key)
-
-    def route(self, key: int) -> Child:
-        """Return the child subtree responsible for ``key``."""
-        return self.children[self.child_index(key)]
 
     def insert_child(self, index: int, separator: int, right_child: Child) -> None:
         """After child ``index`` split, register its new right sibling."""
@@ -69,13 +60,6 @@ class InnerNode:
             + len(self.keys) * _KEY_BYTES
             + len(self.children) * _POINTER_BYTES
         )
-
-    def find_child_position(self, child: Child) -> Optional[int]:
-        """Linear scan for ``child``'s slot (used when replacing pointers)."""
-        for position, candidate in enumerate(self.children):
-            if candidate is child:
-                return position
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InnerNode(keys={len(self.keys)}, children={len(self.children)})"

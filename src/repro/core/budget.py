@@ -14,12 +14,8 @@ with ``n_c``/``n_u`` compressed/uncompressed node counts and ``m_c``/
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.introspect import IndexFamily
+from typing import Any, Dict, List, Optional
 
 
 def estimate_expandable_k(
@@ -207,110 +203,29 @@ class _TenantState:
         self.overloaded = 0
 
 
-#: Bytes every member of an absolute budget gets before the
-#: key-proportional split, so an empty member cannot be starved.
-MEMBER_FLOOR_BYTES = 64 * 1024
-
-
 class ResourceArbiter:
-    """The one arbiter of a served process, over two resources.
+    """The admission controller of a served process.
 
-    * **memory** — the adaptation manager runs *per structure*, so one
-      service-wide :class:`MemoryBudget` is carved into per-member
-      budgets installed into the members' managers.  Owners register
-      their members as a named group (a shard router its
-      ``<prefix>shard-<n>``, again after every split/merge) through
-      :meth:`replace_group`.  An unbounded or relative (bits per key)
-      budget is handed to every member as is — a relative bound
-      composes exactly; an absolute one gives each member a floor plus
-      a key-proportional share of the rest, so hot large shards get
-      headroom and empty ones cannot starve the others.
-    * **admission** — per-tenant ops/sec token buckets plus a bounded
-      inflight count (:class:`TenantQuota`).  :meth:`admit` is the one
-      entry point the network front end calls per request; a non-``ok``
-      decision becomes a backpressure *response*, never a queue entry.
+    Per-tenant ops/sec token buckets plus a bounded inflight count
+    (:class:`TenantQuota`).  :meth:`admit` is the one entry point the
+    network front end calls per request; a non-``ok`` decision becomes a
+    backpressure *response*, never a queue entry.
+
+    Memory is not arbitrated here: the adaptation manager runs *per
+    structure* (the paper's §3), and each shard copy keeps the
+    :class:`MemoryBudget` its index builder gave it — the family
+    factory's default, or its replica profile's.
 
     Admission state lives on one asyncio event loop in practice (plain
-    int counters); membership changes serialize on a lock, and
-    :meth:`rebalance` is cheap and idempotent.
+    int counters).
     """
 
-    def __init__(self, budget: Optional[MemoryBudget] = None) -> None:
-        self.budget = budget or MemoryBudget.unbounded()
-        self._members: Dict[str, "IndexFamily"] = {}
-        #: Serializes membership changes: routers of different tenants
-        #: share one arbiter and split/merge under their own admin locks.
-        self._members_lock = threading.Lock()
+    def __init__(self) -> None:
         self._tenants: Dict[str, _TenantState] = {}
 
-    # ------------------------------------------------------------------
-    # Memory
-    # ------------------------------------------------------------------
-    def replace_group(
-        self, prefix: str, members: Mapping[str, "IndexFamily"]
-    ) -> Dict[str, MemoryBudget]:
-        """Swap every member named ``prefix…`` for ``members``, then rebalance.
-
-        How one owner (a shard router) re-registers its slice after a
-        split/merge without touching other owners' members.  The member
-        map is replaced, never mutated, so a concurrent reader keeps
-        iterating the map it started with.
-        """
-        with self._members_lock:
-            kept = {
-                name: index
-                for name, index in self._members.items()
-                if not name.startswith(prefix)
-            }
-            self._members = {**kept, **members}
-            return self.rebalance()
-
-    def rebalance(self) -> Dict[str, MemoryBudget]:
-        """Compute per-member budgets and install them into managers.
-
-        Members with a manager (the adaptive families) receive their
-        allocation in place; the full allocation map is returned either
-        way.
-        """
-        members = self._members
-        allocations = self._allocate(members)
-        for name, allocation in allocations.items():
-            manager = members[name].manager
-            if manager is not None:
-                manager.config.budget = allocation
-        return allocations
-
-    def _allocate(self, members: Mapping[str, "IndexFamily"]) -> Dict[str, MemoryBudget]:
-        if not members:
-            return {}
-        if self.budget.absolute_bytes is None:
-            # Unbounded and relative budgets compose without arithmetic.
-            return {name: self.budget for name in members}
-        total_bytes = self.budget.absolute_bytes
-        floor = min(MEMBER_FLOOR_BYTES, total_bytes // len(members))
-        distributable = total_bytes - floor * len(members)
-        keys_by_name = {name: index.num_keys for name, index in members.items()}
-        total_keys = sum(keys_by_name.values())
-        allocations: Dict[str, MemoryBudget] = {}
-        for name in members:
-            if total_keys > 0:
-                share = distributable * keys_by_name[name] // total_keys
-            else:
-                share = distributable // len(members)
-            allocations[name] = MemoryBudget.absolute(max(1, floor + share))
-        return allocations
-
-    # ------------------------------------------------------------------
-    # Tenants and admission
-    # ------------------------------------------------------------------
     def register_tenant(self, name: str, quota: Optional[TenantQuota] = None) -> None:
         """Add (or re-quota) one tenant; no quota admits everything."""
         self._tenants[name] = _TenantState(quota or TenantQuota.unlimited())
-
-    def unregister_tenant(self, name: str) -> None:
-        """Drop one tenant and its memory members."""
-        self._tenants.pop(name, None)
-        self.replace_group(f"{name}/", {})
 
     def tenants(self) -> List[str]:
         """Registered tenant names, sorted."""
@@ -347,23 +262,9 @@ class ResourceArbiter:
         """Currently admitted, unreleased requests for ``tenant``."""
         return self._tenants[tenant].inflight
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:
-        """One JSON-safe summary of the memory carve, quotas and sheds."""
-        members = self._members
-        used = sum(index.size_bytes() for index in members.values())
-        keys = sum(index.num_keys for index in members.values())
+        """One JSON-safe summary of every tenant's quota and sheds."""
         return {
-            "memory": {
-                "bounded": self.budget.bounded,
-                "absolute_bytes": self.budget.absolute_bytes,
-                "bits_per_key": self.budget.bits_per_key,
-                "members": len(members),
-                "used_bytes": used,
-                "utilization": round(self.budget.utilization(used, keys), 4),
-            },
             "tenants": {
                 name: {
                     "ops_per_sec": state.quota.ops_per_sec,

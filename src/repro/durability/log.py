@@ -83,7 +83,6 @@ class DurableLog:
         snap_dir: Path,
         pairs: Sequence[Pair],
         sync: str = "batch",
-        retain: int = 2,
         tear_rng: Optional[random.Random] = None,
     ) -> "DurableLog":
         """Fresh log seeded with a base snapshot of ``pairs`` at LSN 0.
@@ -91,7 +90,7 @@ class DurableLog:
         Any files left under this id by an aborted earlier split are
         destroyed first, so a reused id can never replay stale frames.
         """
-        snapshots = SnapshotStore(snap_dir, log_id, retain=retain)
+        snapshots = SnapshotStore(snap_dir, log_id)
         snapshots.delete_files()
         wal_path = wal_dir / f"{log_id}.wal"
         snapshots.write(list(pairs), 0)
@@ -105,7 +104,6 @@ class DurableLog:
         wal_dir: Path,
         snap_dir: Path,
         sync: str = "batch",
-        retain: int = 2,
         tear_rng: Optional[random.Random] = None,
     ) -> Tuple["DurableLog", RecoveryResult]:
         """Rebuild state from disk; returns the reopened log and its result.
@@ -117,7 +115,7 @@ class DurableLog:
         fallback older than an :meth:`adopt` cannot replay across the
         LSNs it skipped, so it raises rather than serve a stale history.
         """
-        snapshots = SnapshotStore(snap_dir, log_id, retain=retain)
+        snapshots = SnapshotStore(snap_dir, log_id)
         pairs, snapshot_lsn, skipped = snapshots.load_newest()
         state: Dict[Key, int] = dict(pairs)
         wal_path = wal_dir / f"{log_id}.wal"

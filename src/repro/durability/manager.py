@@ -150,12 +150,10 @@ class DurabilityManager:
         self,
         root: Path,
         sync: str = "batch",
-        retain: int = 2,
         tear_rng: Optional[random.Random] = None,
     ) -> None:
         self.root = Path(root)
         self.sync = sync
-        self.retain = retain
         self.tear_rng = tear_rng
         self.wal_dir = self.root / "wal"
         self.snap_dir = self.root / "snap"
@@ -262,7 +260,6 @@ class DurabilityManager:
             self.snap_dir,
             pairs,
             sync=self.sync,
-            retain=self.retain,
             tear_rng=self.tear_rng,
         )
 
@@ -293,7 +290,6 @@ class DurabilityManager:
             self.wal_dir,
             self.snap_dir,
             sync=self.sync,
-            retain=self.retain,
             tear_rng=self.tear_rng,
         )
 

@@ -18,7 +18,7 @@ The CRC is computed over the whole file with the CRC field zeroed
 
 Snapshots are written build-aside and published with one ``os.replace``
 behind the ``durability.snapshot.swap`` fault point; the store retains
-the newest ``retain`` generations so that a snapshot corrupted *after*
+the newest :data:`RETAINED_GENERATIONS` so that a snapshot corrupted *after*
 publication (bit rot, operator error) degrades to the previous
 generation plus a longer WAL replay — never to data loss, because the
 WAL is only truncated up to the *oldest retained* snapshot's LSN.
@@ -38,6 +38,8 @@ from repro.fst.serialize import CorruptSerializationError
 from repro.obs.runtime import active_registry
 
 SNAPSHOT_MAGIC = b"RSNP"
+#: Snapshot generations kept per log: the newest plus one fallback.
+RETAINED_GENERATIONS = 2
 SNAPSHOT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIQQ")
@@ -94,12 +96,9 @@ class SnapshotStore:
     share across checkpoint and recovery code paths.
     """
 
-    def __init__(self, directory: Path, log_id: str, retain: int = 2) -> None:
-        if retain < 1:
-            raise ValueError(f"retain must be >= 1, got {retain}")
+    def __init__(self, directory: Path, log_id: str) -> None:
         self.directory = directory
         self.log_id = log_id
-        self.retain = retain
 
     def _path_for(self, lsn: int) -> Path:
         return self.directory / f"{self.log_id}.{lsn:020d}.snap"
@@ -179,7 +178,8 @@ class SnapshotStore:
     # Retention
     # ------------------------------------------------------------------
     def prune(self) -> Optional[int]:
-        """Drop generations beyond ``retain``; returns the oldest kept LSN.
+        """Drop all but the newest :data:`RETAINED_GENERATIONS`; returns
+        the oldest kept LSN.
 
         The returned LSN is the safe WAL-truncation cutoff: every
         surviving snapshot can still be reached, so frames at or below
@@ -188,7 +188,7 @@ class SnapshotStore:
         lsns = self.list_lsns()
         if not lsns:
             return None
-        doomed = lsns[: -self.retain] if len(lsns) > self.retain else []
+        doomed = lsns[:-RETAINED_GENERATIONS]
         registry = active_registry()
         for lsn in doomed:
             try:

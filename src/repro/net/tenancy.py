@@ -9,15 +9,15 @@ tenant's adaptation managers see exactly that tenant's skew — which is
 the paper's premise (adaptation driven by the workload each index
 actually observes) carried through to multi-tenant serving.
 
-The directory also owns the service-wide
-:class:`~repro.core.budget.ResourceArbiter`: every group's router is
-handed that one arbiter and keeps its own shards registered there as
-``<tenant>/shard-<n>`` members, across splits and merges (one global
-:class:`~repro.core.budget.MemoryBudget` carved across all tenants,
-key-count proportional), and each tenant's admission quota (ops/sec
-bucket + bounded inflight) is installed from its spec.  The network
-front end asks the arbiter per request; the directory is where tenancy
-and resource policy meet.
+The directory also owns the service's one
+:class:`~repro.core.budget.ResourceArbiter`, for admission: each
+tenant's quota (ops/sec bucket + bounded inflight) is installed from
+its spec, and the network front end asks the arbiter per request.
+Memory is per copy, not per directory: every shard copy keeps the
+budget its index builder set — the family factory's default, or, for
+a tenant provisioned with ``replica_profiles``, its profile's (so a
+plain ``adaptive`` tenant that needs a budget names a profile:
+``TenantSpec(family="adaptive", replica_profiles=["balanced"])``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.budget import MemoryBudget, ResourceArbiter, TenantQuota
+from repro.core.budget import ResourceArbiter, TenantQuota
 from repro.durability.manager import DurabilityManager
 from repro.service.router import ShardRouter
 from repro.service.shard import Pair
@@ -59,12 +59,11 @@ class TenantSpec:
 
 
 class TenantDirectory:
-    """Tenant name -> shard group, plus the shared resource arbiter."""
+    """Tenant name -> shard group, plus the shared admission arbiter."""
 
     def __init__(
         self,
         specs: Sequence[TenantSpec],
-        budget: Optional[MemoryBudget] = None,
         durability_root: Optional[Union[str, Path]] = None,
     ) -> None:
         def build(spec: TenantSpec, durability: Optional[DurabilityManager]) -> ShardRouter:
@@ -76,18 +75,15 @@ class TenantDirectory:
                 durability=durability,
                 replication_factor=spec.replication_factor,
                 replica_profiles=spec.replica_profiles,
-                arbiter=self.arbiter,
-                member_prefix=f"{spec.name}/",
             )
 
-        self._open(specs, budget, durability_root, build)
+        self._open(specs, durability_root, build)
 
     @classmethod
     def recover(
         cls,
         specs: Sequence[TenantSpec],
         durability_root: Union[str, Path],
-        budget: Optional[MemoryBudget] = None,
     ) -> "TenantDirectory":
         """Reopen every tenant's group from its tree under ``durability_root``
         after a crash (:meth:`ShardRouter.recover`: the manifest's layout,
@@ -96,17 +92,14 @@ class TenantDirectory:
 
         def reopen(spec: TenantSpec, durability: Optional[DurabilityManager]) -> ShardRouter:
             assert durability is not None  # durability_root is required here
-            return ShardRouter.recover(
-                durability, spec.family, arbiter=directory.arbiter, member_prefix=f"{spec.name}/"
-            )
+            return ShardRouter.recover(durability, spec.family)
 
-        directory._open(specs, budget, durability_root, reopen)
+        directory._open(specs, durability_root, reopen)
         return directory
 
     def _open(
         self,
         specs: Sequence[TenantSpec],
-        budget: Optional[MemoryBudget],
         durability_root: Optional[Union[str, Path]],
         make_router: Callable[[TenantSpec, Optional[DurabilityManager]], ShardRouter],
     ) -> None:
@@ -115,7 +108,7 @@ class TenantDirectory:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
-        self.arbiter = ResourceArbiter(budget=budget)
+        self.arbiter = ResourceArbiter()
         self._groups: Dict[str, ShardRouter] = {}
         self._specs: Dict[str, TenantSpec] = {}
         self._key_types: Dict[str, type] = {}

@@ -2,8 +2,8 @@
 
 Every index family (B+-tree, OLC and adaptive B+-tree, Dual-Stage,
 ART, FST, Hybrid Trie) subclasses :class:`IndexFamily` and is called
-the same way by the service shards, the memory arbiter, the
-adaptation manager and the harness — no caller probes for a method.
+the same way by the service shards, the adaptation manager and the
+harness — no caller probes for a method.
 
 * **Class facts:** ``stats_family`` (the name in stats and spans),
   ``key_type`` (the one key type the family orders; the service refuses

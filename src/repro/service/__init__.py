@@ -4,9 +4,8 @@ The adaptation manager of the paper (Section 3) runs *per structure*
 with bounded memory, which composes naturally across partitions: each
 shard of a :class:`~repro.service.router.ShardRouter` wraps one index
 family instance (AdaptiveBPlusTree, OlcBPlusTree, DualStageIndex,
-HybridTrie, ...) with its own manager, while one
-:class:`~repro.core.budget.ResourceArbiter` divides a single global
-memory budget across all shards.
+HybridTrie, ...) with its own manager under the memory budget its
+builder set (the family factory's default, or a replica profile's).
 
 Components:
 

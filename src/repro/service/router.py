@@ -26,10 +26,11 @@ once the gate is acquired: the table may have been swapped while they
 waited, and writing into the now-orphaned shard would lose the pair,
 so re-routed pairs are retried against the fresh table.
 
-One :class:`~repro.core.budget.ResourceArbiter` — the router's own,
-or the tenant directory's it is handed — divides the service-wide
-memory budget across the per-shard adaptation managers and is
-rebalanced after every split/merge.
+Every shard copy keeps the memory budget its index builder gave its
+adaptation manager — the family factory's default, or its replica
+profile's (:mod:`repro.replication.profiles`) — across build, split,
+merge, recovery and revive: the router never rewrites a manager's
+config.
 
 A shard is a replica set of N >= 1 copies with one write path, and it
 is provisioned, recovered, split, merged and retired through one path
@@ -69,7 +70,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.budget import MemoryBudget, ResourceArbiter
 from repro.durability.log import DurableLog
 from repro.durability.manager import DurabilityManager, build_partitioner, manifest_for
 from repro.faults.injector import fault_point
@@ -233,11 +233,8 @@ class ShardRouter:
         shards: Sequence[Shard],
         partitioner: Partitioner,
         template: ShardTemplate,
-        budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         epoch: int = 0,
-        arbiter: Optional[ResourceArbiter] = None,
-        member_prefix: str = "",
     ) -> None:
         if partitioner.num_shards != len(shards):
             raise PartitionError(
@@ -250,11 +247,6 @@ class ShardRouter:
                     raise ValueError(
                         "a durable router requires every shard to carry a DurableLog"
                     )
-        if arbiter is not None and budget is not None:
-            raise ValueError(
-                "pass a budget or the arbiter to register into, not both: two "
-                "arbiters would install budgets into the same managers"
-            )
         self._table = _RoutingTable(partitioner, tuple(shards))
         self._template = template
         self._admin_lock = threading.Lock()
@@ -267,11 +259,6 @@ class ShardRouter:
         self._epoch = epoch
         #: Summary of the last :meth:`recover` that produced this router.
         self.last_recovery: Optional[Dict[str, Any]] = None
-        #: The one arbiter setting these shards' manager budgets; in a
-        #: shared one the router owns the ``<member_prefix>shard-<n>`` names.
-        self.arbiter = arbiter or ResourceArbiter(budget)
-        self._member_prefix = member_prefix
-        self._register_shards()
 
     # ------------------------------------------------------------------
     # Construction
@@ -283,12 +270,9 @@ class ShardRouter:
         family: str = "olc",
         num_shards: int = 4,
         partitioning: str = "hash",
-        budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         replication_factor: int = 1,
         replica_profiles: Optional[Sequence[str]] = None,
-        arbiter: Optional[ResourceArbiter] = None,
-        member_prefix: str = "",
     ) -> "ShardRouter":
         """Bulk-load a router from sorted unique pairs.
 
@@ -307,11 +291,7 @@ class ShardRouter:
         profile's affinity is its class (see :meth:`Shard.pick`), writes
         fanned out to per-copy WALs.
         Replication requires the ``"adaptive"`` family — the profiles
-        exist to tune its manager.
-
-        ``arbiter`` wires the router into a shared budget arbiter (a
-        tenant directory's) instead of a private one over ``budget``;
-        its shards register there as ``<member_prefix>shard-<n>``.
+        exist to tune its manager, memory budget included.
         """
         template = ShardTemplate.resolve(family, replication_factor, replica_profiles)
         pairs = list(pairs)
@@ -341,11 +321,8 @@ class ShardRouter:
             shards,
             partitioner,
             template,
-            budget=budget,
             durability=durability,
             epoch=0,
-            arbiter=arbiter,
-            member_prefix=member_prefix,
         )
 
     @classmethod
@@ -353,9 +330,6 @@ class ShardRouter:
         cls,
         durability: DurabilityManager,
         family: str = "olc",
-        budget: Optional[MemoryBudget] = None,
-        arbiter: Optional[ResourceArbiter] = None,
-        member_prefix: str = "",
     ) -> "ShardRouter":
         """Rebuild a durable router from its on-disk state after a crash.
 
@@ -366,8 +340,7 @@ class ShardRouter:
         is authoritative and stragglers are healed — and makes each
         shard from its recovered pair set as :meth:`build` would.
         ``family`` must fit the manifest: a replicated store is
-        ``"adaptive"`` and comes back under the profiles it recorded;
-        ``arbiter``/``member_prefix`` as in :meth:`build`.
+        ``"adaptive"`` and comes back under the profiles it recorded.
         ``last_recovery`` summarizes what was replayed, skipped, swept and rebuilt.
         """
         manifest = durability.read_manifest()
@@ -391,11 +364,8 @@ class ShardRouter:
             shards,
             build_partitioner(manifest.partitioner),
             template,
-            budget=budget,
             durability=durability,
             epoch=manifest.epoch,
-            arbiter=arbiter,
-            member_prefix=member_prefix,
         )
         router.last_recovery = {
             "epoch": manifest.epoch,
@@ -780,10 +750,9 @@ class ShardRouter:
     def _install(self, partitioner: Partitioner, shards: Tuple[Shard, ...]) -> None:
         # Never mutate shard objects here: they are shared with the
         # still-published old table, so renumbering them in place would
-        # let concurrent stats()/arbiter readers observe torn ids.
+        # let concurrent stats() readers observe torn ids.
         # Routing positions are derived from the table index instead.
         self._table = _RoutingTable(partitioner, shards)
-        self._register_shards()
 
     @staticmethod
     def _check_shard_id(table: _RoutingTable, shard_id: int) -> None:
@@ -801,22 +770,6 @@ class ShardRouter:
         if candidate == pairs[0][0]:  # pragma: no cover - duplicate guard
             raise PartitionError("no interior split key exists")
         return candidate
-
-    # ------------------------------------------------------------------
-    # Budget arbitration
-    # ------------------------------------------------------------------
-    def _register_shards(self) -> None:
-        """(Re-)register this router's members — and only them — in its
-        arbiter, which then rebalances every manager it governs."""
-        group = f"{self._member_prefix}shard-"
-        self.arbiter.replace_group(
-            group,
-            {
-                f"{group}{position}": index
-                for position, shard in enumerate(self._table.shards)
-                for index in shard.budget_members()
-            },
-        )
 
     # ------------------------------------------------------------------
     # Introspection and metrics
@@ -855,7 +808,6 @@ class ShardRouter:
             "durable": self._durability is not None,
             "epoch": self._epoch,
             "checkpoints": self.checkpoints,
-            "budget": self.arbiter.describe()["memory"],
             "shards": [
                 {**shard.stats(), "shard_id": position}
                 for position, shard in enumerate(table.shards)

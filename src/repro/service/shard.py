@@ -173,9 +173,8 @@ class Replica:
         #: When set, every write is appended here *before* it touches the
         #: index — the write-ahead discipline behind a crash-durable ack.
         self.durable_log = durable_log
-        #: The divergence profile tuning this copy's manager (None: the
-        #: family factory built it).  A profiled copy's budget is its
-        #: profile's, so it stays out of the service-wide arbiter.
+        #: The divergence profile tuning this copy's manager, memory
+        #: budget included (None: the family factory built it).
         self.profile = profile
         #: Serializes every operation on non-thread-safe families.
         self.op_lock: Optional[threading.RLock] = (
@@ -583,12 +582,6 @@ class Shard:
         """Release every log handle this shard carries (idempotent)."""
         for log in self.logs():
             log.close()
-
-    def budget_members(self) -> List[IndexFamily]:
-        """The indexes a service-wide arbiter may budget: not profiled
-        copies, whose budget is divergence policy a global rebalance
-        would erase."""
-        return [copy.index for copy in self.replicas if copy.profile is None]
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe summary: the aggregate (``wal_lag`` the worst

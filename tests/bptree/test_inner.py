@@ -4,26 +4,37 @@ import pytest
 
 from repro.bptree.inner import InnerNode
 from repro.bptree.leaves import LeafEncoding, LeafNode
+from repro.bptree.tree import BPlusTree
 
 
 def leaf(*keys):
     return LeafNode([(key, key) for key in keys], LeafEncoding.GAPPED, capacity=16)
 
 
+def three_leaf_tree():
+    """Leaves [0..3], [4..7], [8..11] under one root with separators 4, 8."""
+    tree = BPlusTree.bulk_load([(key, key) for key in range(12)], leaf_capacity=4, fill_factor=1.0)
+    assert tree.root.keys == [4, 8]
+    return tree
+
+
 class TestRouting:
+    """Routing is the tree's descent (``BPlusTree.find_leaf``); the rule
+    it must keep is that a separator key routes to the right child."""
+
     def test_child_index_boundaries(self):
-        node = InnerNode([10, 20], [leaf(1), leaf(10), leaf(20)])
-        assert node.child_index(5) == 0
-        assert node.child_index(10) == 1   # separator belongs to the right
-        assert node.child_index(15) == 1
-        assert node.child_index(20) == 2
-        assert node.child_index(99) == 2
+        tree = three_leaf_tree()
+        children = tree.root.children
+        for key, position in [(-5, 0), (3, 0), (4, 1), (7, 1), (8, 2), (99, 2)]:
+            found, parent = tree.find_leaf(key)
+            assert parent is tree.root
+            assert found is children[position], key  # separators go right
 
     def test_route_returns_child(self):
-        children = [leaf(1), leaf(10)]
-        node = InnerNode([10], children)
-        assert node.route(3) is children[0]
-        assert node.route(11) is children[1]
+        tree = three_leaf_tree()
+        for key in range(12):
+            found, _ = tree.find_leaf(key)
+            assert found.lookup(key) == key
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):
@@ -54,12 +65,6 @@ class TestMutation:
         assert left.keys == [10, 20]
         assert right.keys == [40]
         assert len(left.children) + len(right.children) == 5
-
-    def test_find_child_position(self):
-        children = [leaf(1), leaf(10)]
-        node = InnerNode([10], children)
-        assert node.find_child_position(children[1]) == 1
-        assert node.find_child_position(leaf(99)) is None
 
 
 class TestSize:

@@ -1,4 +1,4 @@
-"""TokenBucket / TenantQuota / ResourceArbiter: admission and the memory carve."""
+"""TokenBucket / TenantQuota / ResourceArbiter: admission control."""
 
 import pytest
 
@@ -6,22 +6,10 @@ from repro.core.budget import (
     ADMIT_OK,
     SHED_OVERLOADED,
     SHED_THROTTLED,
-    MemoryBudget,
     ResourceArbiter,
     TenantQuota,
     TokenBucket,
 )
-
-
-class FakeIndex:
-    manager = None
-
-    def __init__(self, keys, size):
-        self.num_keys = keys
-        self._size = size
-
-    def size_bytes(self):
-        return self._size
 
 
 class TestTokenBucket:
@@ -140,33 +128,3 @@ class TestResourceArbiterAdmission:
         assert info["overloaded"] == 1
         assert info["throttled"] == 1
 
-
-class TestResourceArbiterMemory:
-    def test_memory_carve_across_tenant_members(self):
-        arbiter = ResourceArbiter(budget=MemoryBudget.absolute(1_000_000))
-        arbiter.register_tenant("a")
-        arbiter.register_tenant("b")
-        arbiter.replace_group("a/", {"a/shard-0": FakeIndex(keys=900, size=10)})
-        arbiter.replace_group("b/", {"b/shard-0": FakeIndex(keys=100, size=10)})
-        allocations = arbiter.rebalance()
-        assert set(allocations) == {"a/shard-0", "b/shard-0"}
-        assert (
-            allocations["a/shard-0"].absolute_bytes
-            > allocations["b/shard-0"].absolute_bytes
-        )
-
-    def test_unregister_tenant_drops_memory_members(self):
-        arbiter = ResourceArbiter(budget=MemoryBudget.absolute(1_000_000))
-        arbiter.register_tenant("a")
-        arbiter.replace_group(
-            "",
-            {
-                "a/shard-0": FakeIndex(10, 10),
-                "a/shard-1": FakeIndex(10, 10),
-                "ab/shard-0": FakeIndex(10, 10),
-            },
-        )
-        assert arbiter.describe()["memory"]["members"] == 3
-        arbiter.unregister_tenant("a")
-        assert arbiter.describe()["memory"]["members"] == 1
-        assert arbiter.tenants() == []

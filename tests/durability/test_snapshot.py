@@ -10,7 +10,7 @@ from repro.obs import Telemetry
 
 @pytest.fixture
 def store(tmp_path):
-    return SnapshotStore(tmp_path, "e00000000-p0000", retain=2)
+    return SnapshotStore(tmp_path, "e00000000-p0000")
 
 
 class TestBlobFormat:

@@ -1,8 +1,8 @@
-"""Tenant directory: shard groups, arbiter wiring, memory carve, restart."""
+"""Tenant directory: shard groups, admission arbiter wiring, restart."""
 
 import pytest
 
-from repro.core.budget import MemoryBudget, TenantQuota
+from repro.core.budget import TenantQuota
 from repro.net.tenancy import TenantDirectory, TenantSpec, demo_directory
 
 
@@ -48,52 +48,6 @@ class TestTenantDirectory:
     def test_arbiter_has_every_tenant_and_shard_member(self):
         with demo_directory(["a", "b"], keys_per_tenant=50, num_shards=2) as directory:
             assert directory.arbiter.tenants() == ["a", "b"]
-            members = set(directory.arbiter.rebalance())
-            assert members == {"a/shard-0", "a/shard-1", "b/shard-0", "b/shard-1"}
-
-    def test_memory_budget_carves_across_tenants(self):
-        budget = MemoryBudget.absolute(1 << 20)
-        pairs = [(key * 2, key * 2 + 1) for key in range(100)]
-        specs = [TenantSpec(name, pairs=pairs) for name in ("a", "b")]
-        with TenantDirectory(specs, budget=budget) as directory:
-            carve = directory.arbiter.describe()["memory"]
-            assert carve["absolute_bytes"] == 1 << 20
-            allocations = directory.arbiter.rebalance()
-            # Equal key counts -> (near-)equal carve across all 4 shards.
-            shares = [b.absolute_bytes for b in allocations.values()]
-            assert len(shares) == 4
-            # Hash partitioning skews per-shard key counts slightly; the
-            # carve tracks keys, so shares are near-equal, not exact.
-            assert max(shares) < 1.5 * min(shares)
-            assert sum(shares) <= 1 << 20
-
-    def test_split_and_merge_keep_the_tenant_budget_bounded(self):
-        pairs = [(key, key) for key in range(1000)]
-        spec = TenantSpec(
-            "t", family="adaptive", partitioning="range", num_shards=2, pairs=pairs
-        )
-        other = TenantSpec("u", family="adaptive", num_shards=1, pairs=pairs[:100])
-        budget = MemoryBudget.absolute(4_000_000)
-        with TenantDirectory([spec, other], budget=budget) as directory:
-            router = directory.router_for("t")
-            assert router.arbiter is directory.arbiter
-
-            def check(members):
-                assert set(directory.arbiter.rebalance()) == members
-                managers = [
-                    shard.replicas[0].index.manager
-                    for tenant in ("t", "u")
-                    for shard in directory.router_for(tenant).table.shards
-                ]
-                budgets = [manager.config.budget for manager in managers]
-                assert all(budget.bounded for budget in budgets)
-                assert sum(budget.absolute_bytes for budget in budgets) <= 4_000_000
-
-            check({"t/shard-0", "t/shard-1", "u/shard-0"})
-            router.split_shard(0)
-            check({"t/shard-0", "t/shard-1", "t/shard-2", "u/shard-0"})
-            router.merge_shards(1)
-            check({"t/shard-0", "t/shard-1", "u/shard-0"})
 
     def test_quota_installed_from_spec(self):
         quota = TenantQuota(ops_per_sec=10.0, max_inflight=3)
@@ -129,19 +83,16 @@ class TestRecover:
         def num_keys(directory):  # what STATS reports per tenant
             return {name: row["num_keys"] for name, row in directory.stats()["tenants"].items()}
 
-        budget = MemoryBudget.absolute(4_000_000)
-        directory = TenantDirectory(specs, budget, durability_root=tmp_path)
+        directory = TenantDirectory(specs, durability_root=tmp_path)
         directory.router_for("a").split_shard(1)
         directory.router_for("b").delete(0)
         directory.router_for("c").put(7, 7)
-        before, members = num_keys(directory), set(directory.arbiter.rebalance())
+        before = num_keys(directory)
         directory.close()  # the kill: nothing survives but the files
 
-        with TenantDirectory.recover(specs, tmp_path, budget) as reopened:
-            assert reopened.arbiter.budget is budget
+        with TenantDirectory.recover(specs, tmp_path) as reopened:
+            assert reopened.arbiter.tenants() == ["a", "b", "c"]
             assert num_keys(reopened) == before == {"a": 300, "b": 299, "c": 1}
-            assert set(reopened.arbiter.rebalance()) == members
-            assert members == {"a/shard-0", "a/shard-1", "a/shard-2", "c/shard-0", "c/shard-1"}
 
 
 class TestDemoDirectory:

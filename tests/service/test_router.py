@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from repro.bptree.olc import _lock_of
-from repro.core.budget import MemoryBudget, ResourceArbiter
 from repro.obs import MetricsRegistry, Telemetry
 from repro.service.partition import HashPartitioner, PartitionError, Partitioner
 from repro.service.router import (
@@ -280,52 +279,6 @@ class TestDualStageKeyCount:
             assert len(router) == len(router.scan(pairs[0][0], 1000)) == 98
 
 
-class TestBudgetIntegration:
-    def test_global_budget_reaches_shard_managers(self):
-        pairs = int_pairs(2000)
-        with ShardRouter.build(
-            pairs,
-            family="adaptive",
-            num_shards=4,
-            partitioning="range",
-            budget=MemoryBudget.absolute(8_000_000),
-        ) as router:
-            budgets = [
-                shard.replicas[0].index.manager.config.budget
-                for shard in router.table.shards
-            ]
-            assert all(budget.bounded for budget in budgets)
-            total = sum(budget.absolute_bytes for budget in budgets)
-            assert total <= 8_000_000
-            assert router.arbiter.describe()["memory"]["members"] == 4
-
-    def test_router_takes_a_budget_or_an_arbiter_never_both(self):
-        with pytest.raises(ValueError, match="arbiter"):
-            ShardRouter.build(
-                [(1, 1)],
-                num_shards=1,
-                budget=MemoryBudget.absolute(1 << 20),
-                arbiter=ResourceArbiter(MemoryBudget.unbounded()),
-            )
-
-    def test_rebalance_follows_split(self):
-        pairs = int_pairs(1000)
-        with ShardRouter.build(
-            pairs,
-            family="adaptive",
-            num_shards=2,
-            partitioning="range",
-            budget=MemoryBudget.absolute(4_000_000),
-        ) as router:
-            router.split_shard(0)
-            assert router.arbiter.describe()["memory"]["members"] == 3
-            budgets = [
-                shard.replicas[0].index.manager.config.budget
-                for shard in router.table.shards
-            ]
-            assert all(budget.bounded for budget in budgets)
-
-
 class TestStatsAndMetrics:
     def test_stats_shape_is_json_safe(self):
         import json
@@ -339,7 +292,6 @@ class TestStatsAndMetrics:
             assert stats["num_keys"] == 500
             assert len(stats["shards"]) == 4
             assert stats["imbalance"] >= 1.0
-            assert stats["budget"]["members"] == 4
 
     def test_service_metrics_published_under_telemetry(self):
         pairs = int_pairs(600)

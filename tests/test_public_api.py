@@ -97,20 +97,11 @@ class TestSettableValues:
             "family",
             "num_shards",
             "partitioning",
-            "budget",
             "durability",
             "replication_factor",
             "replica_profiles",
-            "arbiter",
-            "member_prefix",
         ]
-        assert parameters(ShardRouter.recover) == [
-            "durability",
-            "family",
-            "budget",
-            "arbiter",
-            "member_prefix",
-        ]
+        assert parameters(ShardRouter.recover) == ["durability", "family"]
         assert [field.name for field in dataclasses.fields(ReplicaProfile)] == [
             "name",
             "description",
@@ -159,7 +150,7 @@ class TestSettableValues:
             "trace_sample",
             "json",
         ]
-        assert parameters(TenantDirectory) == ["specs", "budget", "durability_root"]
+        assert parameters(TenantDirectory) == ["specs", "durability_root"]
         assert parameters(demo_directory) == [
             "tenants",
             "keys_per_tenant",
@@ -168,7 +159,7 @@ class TestSettableValues:
             "quota",
             "durability_root",
         ]
-        assert parameters(ResourceArbiter) == ["budget"]
+        assert parameters(ResourceArbiter) == []
         assert parameters(BloomFilter) == ["capacity"]
 
 
