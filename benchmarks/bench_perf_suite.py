@@ -3,9 +3,10 @@
 Prices a write into a Succinct leaf against the same write into a
 Gapped one (same run, same bulk-loaded 0.70-fill trees): what a PUT
 costs where the budget blocks eager expansion.  The headline bounds
-each Succinct-over-Gapped ratio and drift-checks it against the
-committed file (``benchkit``; same-run ratios are stable across
-machines, unlike raw microseconds); ``--write`` rewrites it::
+each Succinct-over-Gapped ratio (the median of five same-run ratios)
+and drift-checks it against the committed file (``benchkit``; same-run
+ratios are stable across machines, unlike raw microseconds);
+``--write`` rewrites it::
 
     PYTHONPATH=src python benchmarks/bench_perf_suite.py --keys 4000
     PYTHONPATH=src python benchmarks/bench_perf_suite.py --write
@@ -15,6 +16,7 @@ or through pytest (reduced scale)::
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_suite.py -q
 """
 
+import statistics
 import time
 
 import benchkit
@@ -42,16 +44,20 @@ def _leaf_writes(pairs, runs=5):
     new one, through a tree bulk-loaded at 0.70 fill, per leaf encoding;
     plus the Succinct-over-Gapped ratios the headline bounds.
 
-    Each run times one Succinct tree, then one Gapped tree, and each
-    encoding keeps its best of ``runs``: host load that shifts during
-    the suite lands on both encodings alike instead of on one half."""
+    Each run times one Succinct tree, then one Gapped tree, and divides
+    the two: each ratio is the median of the ``runs`` per-run ratios, so
+    host load that lands on one half of one run moves one ratio of
+    ``runs``, not the gated value.  Each encoding's microseconds are its
+    best of ``runs``, printed for context."""
     present = {key for key, _ in pairs}
     overwrites = [key for key, _ in pairs[::4]]
     # About 14 new keys a leaf: nowhere near a split, which is not a leaf write.
     fresh = [key + 1 for key, _ in pairs[::10] if key + 1 not in present]
     encodings = (LeafEncoding.SUCCINCT, LeafEncoding.GAPPED)
     best = {encoding: [float("inf"), float("inf")] for encoding in encodings}
+    ratios = ([], [])  # per run: overwrite, insert
     for _ in range(runs):
+        run = {}
         for encoding in encodings:
             tree = BPlusTree.bulk_load(pairs, encoding)
             start = time.perf_counter()
@@ -61,9 +67,10 @@ def _leaf_writes(pairs, runs=5):
             for key in fresh:
                 tree.insert(key, 7)
             end = time.perf_counter()
-            times = best[encoding]
-            times[0] = min(times[0], (middle - start) / len(overwrites))
-            times[1] = min(times[1], (end - middle) / len(fresh))
+            run[encoding] = ((middle - start) / len(overwrites), (end - middle) / len(fresh))
+            best[encoding] = [min(pair) for pair in zip(best[encoding], run[encoding])]
+        for write, ratio in enumerate(ratios):
+            ratio.append(run[LeafEncoding.SUCCINCT][write] / run[LeafEncoding.GAPPED][write])
     section = {
         str(encoding): {
             "overwrite_us": round(overwrite * 1e6, 2),
@@ -71,11 +78,8 @@ def _leaf_writes(pairs, runs=5):
         }
         for encoding, (overwrite, insert) in best.items()
     }
-    succinct, gapped = section["succinct"], section["gapped"]
-    for write in ("overwrite", "insert"):
-        section[f"succinct_{write}_over_gapped"] = round(
-            succinct[f"{write}_us"] / gapped[f"{write}_us"], 2
-        )
+    for write, ratio in zip(("overwrite", "insert"), ratios):
+        section[f"succinct_{write}_over_gapped"] = round(statistics.median(ratio), 2)
     return section
 
 
@@ -98,7 +102,7 @@ def format_report(payload):
         lines.append(
             f"{write:18s} succinct {writes['succinct'][f'{write}_us']:>8.2f} us  "
             f"gapped {writes['gapped'][f'{write}_us']:>8.2f} us  "
-            f"ratio {writes[f'succinct_{write}_over_gapped']:.1f}x"
+            f"median ratio {writes[f'succinct_{write}_over_gapped']:.1f}x"
         )
     return "\n".join(lines)
 

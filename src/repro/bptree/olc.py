@@ -16,7 +16,9 @@ costs what the protocol says it should: one validated descent is a
 single frame of plain attribute reads and ``bisect`` calls, and an
 operation that does not restart builds no closure.  So does a write: an
 insert is that descent, one lock upgrade and one leaf write, and a
-batch flushes its counter events and size deltas once.
+batch flushes its size deltas once.  Lookups, inserts and scans charge
+the cost model's leaf events in place (``counters.counts``), not
+through a call per event.
 
 Structure-modifying operations (splits) are serialized by a tree-level
 lock while still version-bumping every node they touch, a simplification
@@ -28,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bptree.inner import InnerNode
 from repro.bptree.leaves import (
@@ -38,7 +40,7 @@ from repro.bptree.leaves import (
     LeafNode,
 )
 from repro.bptree.tree import DEFAULT_INNER_FANOUT, BPlusTree
-from repro.obs.runtime import active_tracer
+from repro.obs import runtime as _obs_runtime
 
 _MAX_RESTARTS = 10_000
 
@@ -199,8 +201,11 @@ class OlcBPlusTree(BPlusTree):
 
         The descent is :meth:`_descend_locked`'s, with the same double
         validation and restart causes, inlined so that the per-key read
-        a shard batch makes costs one frame."""
-        tracer = active_tracer()
+        a routed batch makes costs one frame besides the leaf's own: the
+        installed tracer is read straight off the telemetry switchboard
+        and the leaf visit is charged in place, neither through a call."""
+        telemetry = _obs_runtime._ACTIVE
+        tracer = telemetry.tracer if telemetry is not None else None
         span = (
             tracer.op_start("lookup", family=self.stats_family)
             if tracer is not None
@@ -224,7 +229,7 @@ class OlcBPlusTree(BPlusTree):
                         raise OlcRestart()
                     node, lock, version = child, child_lock, child_version
                 storage = node.storage
-                self.counters.add(storage.visit_event)
+                self.counters.counts[storage.visit_event] += 1
                 value = storage.lookup(key)
                 if lock.version == version:
                     break
@@ -245,10 +250,11 @@ class OlcBPlusTree(BPlusTree):
         Per pair: :meth:`lookup`'s validated descent, in this frame, one
         leaf lock upgrade and one storage ``insert``, which refuses a full
         leaf without writing (that pair takes the serialized split path).
-        Counter events and size deltas are flushed once, in ``finally``,
-        so a batch that raises part-way accounts for what it wrote."""
+        Each written pair charges its counter events in place, as it
+        lands; size deltas are flushed once, in ``finally``, so a batch
+        that raises part-way accounts for what it wrote."""
         results: List[bool] = []
-        events: Dict[str, int] = {}
+        counts = self.counters.counts
         new_keys = grown = 0
         try:
             for key, value in pairs:
@@ -288,16 +294,14 @@ class OlcBPlusTree(BPlusTree):
                     results.append(self._insert_with_split(key, value))
                     continue
                 # As _count_leaf_write prices it (entries held before the write).
-                visit, write = storage.visit_event, storage.write_event
-                events[visit] = events.get(visit, 0) + 1
-                events[write] = events.get(write, 0) + 1
+                counts[storage.visit_event] += 1
+                counts[storage.write_event] += 1
                 if succinct:
-                    events["leaf_rebuild_entry"] = events.get("leaf_rebuild_entry", 0) + entries
+                    counts["leaf_rebuild_entry"] += entries
                 new = outcome == INSERTED
                 new_keys += new
                 results.append(new)
         finally:
-            self.counters.add_many(events)
             if new_keys or grown:
                 self._adjust_meta(new_keys, grown)
         return results
@@ -381,9 +385,10 @@ class OlcBPlusTree(BPlusTree):
             try:
                 leaf, lock, version = self._descend_locked(start_key)
                 result: List[Tuple[int, int]] = []
+                counts = self.counters.counts
                 while True:
                     storage = leaf.storage
-                    self.counters.add(storage.visit_event)
+                    counts[storage.visit_event] += 1
                     taken = storage.pairs_from(start_key, count - len(result))
                     next_leaf = leaf.next_leaf
                     if lock.version != version:

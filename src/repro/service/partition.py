@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 Key = Any  # int for the B+-tree families, bytes for the tries
@@ -68,14 +69,17 @@ class Partitioner:
         """The shard id serving ``key``."""
         raise NotImplementedError
 
+    def shards_of(self, keys: Sequence[Key]) -> List[int]:
+        """The shard id serving each of ``keys``, in one call: the routing
+        pass every batched read and write makes."""
+        return list(map(self.shard_of, keys))
+
     def group(self, keys: Sequence[Key]) -> Dict[int, Group]:
         """``keys`` grouped by the shard id serving each key, in one
-        routing pass: ``{shard: (its keys, their positions in keys)}``,
-        shards in first-seen order."""
-        shard_of = self.shard_of
+        :meth:`shards_of` pass: ``{shard: (its keys, their positions in
+        keys)}``, shards in first-seen order."""
         groups: Dict[int, Group] = {}
-        for position, key in enumerate(keys):
-            shard = shard_of(key)
+        for position, (key, shard) in enumerate(zip(keys, self.shards_of(keys))):
             group = groups.get(shard)
             if group is None:
                 group = groups[shard] = ([], [])
@@ -120,23 +124,18 @@ class HashPartitioner(Partitioner):
         """The shard id serving ``key``."""
         return stable_hash(key) % self._num_shards
 
-    def group(self, keys: Sequence[Key]) -> Dict[int, Group]:
-        """As :meth:`Partitioner.group`, hashing each key with no
-        :meth:`shard_of` call around it."""
+    def shards_of(self, keys: Sequence[Key]) -> List[int]:
+        """As :meth:`Partitioner.shards_of`, hashing each int key inline
+        (no :meth:`shard_of` or :func:`stable_hash` frame per key)."""
         num_shards = self._num_shards
-        groups: Dict[int, Group] = {}
-        for position, key in enumerate(keys):
+        shards: List[int] = []
+        for key in keys:
             if isinstance(key, int):  # stable_hash's int branch, inline
                 mixed = (key * _MIX_CONSTANT) & _MASK_64
-                shard = (mixed ^ (mixed >> 32)) % num_shards
+                shards.append((mixed ^ (mixed >> 32)) % num_shards)
             else:
-                shard = stable_hash(key) % num_shards
-            group = groups.get(shard)
-            if group is None:
-                group = groups[shard] = ([], [])
-            group[0].append(key)
-            group[1].append(position)
-        return groups
+                shards.append(stable_hash(key) % num_shards)
+        return shards
 
 
 class RangePartitioner(Partitioner):
@@ -189,6 +188,11 @@ class RangePartitioner(Partitioner):
     def shard_of(self, key: Key) -> int:
         """The shard id serving ``key``."""
         return bisect.bisect_right(self._boundaries, key)
+
+    def shards_of(self, keys: Sequence[Key]) -> List[int]:
+        """As :meth:`Partitioner.shards_of`, with one ``bisect`` (and no
+        Python frame) per key."""
+        return list(map(partial(bisect.bisect_right, self._boundaries), keys))
 
     def shard_range(self, shard_id: int) -> Tuple[Optional[Key], Optional[Key]]:
         """``(low, high)`` bounds of one shard; None means unbounded."""

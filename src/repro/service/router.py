@@ -5,7 +5,10 @@ a :class:`~repro.service.partition.Partitioner`, and exposes the familiar
 index surface in batched form: ``get_many`` / ``put_many`` split each
 request into per-shard sub-batches, ``scan`` merges ordered results
 across shards (concatenation under range partitioning, one stable sort
-of the concatenation under hash partitioning).  Every sub-batch runs
+of the concatenation under hash partitioning).  An untraced read over
+shards that are each one lock-free copy (the OLC family) skips the
+sub-batches: it routes each key and calls that copy's ``lookup``, with
+nothing to lock or pick between the two.  Every sub-batch runs
 **on the calling thread**, durable or not: index work is pure Python
 under one interpreter lock, so a thread hand-off buys it no parallelism
 and costs more than the work, and overlapping several shards' WAL
@@ -223,6 +226,20 @@ class _RoutingTable:
 
     partitioner: Partitioner
     shards: Tuple[Shard, ...]
+    #: Each shard's only copy when every shard is one lock-free copy,
+    #: else None: what an untraced read may call ``index.lookup`` on
+    #: directly (see :meth:`ShardRouter._lookup_each`).
+    readers: Optional[Tuple[Replica, ...]]
+
+    @classmethod
+    def of(cls, partitioner: Partitioner, shards: Sequence[Shard]) -> "_RoutingTable":
+        """The table over ``shards``, its readers decided once, here."""
+        shards = tuple(shards)
+        lock_free = all(
+            len(shard.replicas) == 1 and shard.replicas[0].thread_safe for shard in shards
+        )
+        readers = tuple(shard.replicas[0] for shard in shards) if lock_free else None
+        return cls(partitioner, shards, readers)
 
 
 class ShardRouter:
@@ -247,7 +264,7 @@ class ShardRouter:
                     raise ValueError(
                         "a durable router requires every shard to carry a DurableLog"
                     )
-        self._table = _RoutingTable(partitioner, tuple(shards))
+        self._install(partitioner, shards)
         self._template = template
         self._admin_lock = threading.Lock()
         self.splits = 0
@@ -418,43 +435,84 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def get(self, key: Key) -> Optional[int]:
         """The value under ``key``, or None."""
+        table = self._table
+        readers = table.readers
         tracer = active_tracer()
-        span = tracer and open_span(tracer, _ROUTE_SPAN, op="get", fanout=1)
-        try:
-            (value,) = self.shard_for(key).get_many((key,))
-        finally:
-            if span is not None:
-                span.close()
+        if readers is not None and (tracer is None or tracer.current() is None):
+            (value,) = self._lookup_each(table, readers, (key,))
+        else:
+            span = tracer and open_span(tracer, _ROUTE_SPAN, op="get", fanout=1)
+            try:
+                shard = table.shards[table.partitioner.shard_of(key)]
+                (value,) = shard.get_many((key,))
+            finally:
+                if span is not None:
+                    span.close()
         self._count_ops("read", 1)
         return value
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
-        """Values aligned with ``keys``; one sub-batch per shard, inline."""
+        """Values aligned with ``keys``.
+
+        An untraced read over lock-free single-copy shards goes key by
+        key (:meth:`_lookup_each`); otherwise each shard gets its share
+        as one :meth:`Shard.get_many` sub-batch, inline — one copy pick
+        and one lock per shard, and one ``service.shard_op`` span each
+        under a traced request.
+        """
         keys = list(keys)
         if not keys:
             return []
-        table = self._table
-        shards = table.shards
-        # Grouped by the snapshot's own partitioner, so the shard ids
+        # Routed by the snapshot's own partitioner, so the shard ids
         # index ``table.shards`` even if a split/merge swaps the table.
-        groups = None if len(shards) == 1 else table.partitioner.group(keys)
+        table = self._table
+        readers = table.readers
         tracer = active_tracer()
-        span = tracer and open_span(
-            tracer, _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups or shards)
-        )
-        try:
-            if groups is None:
-                results = shards[0].get_many(keys)
-            else:
-                results = [None] * len(keys)
-                for shard_id, (group, positions) in groups.items():
-                    values = shards[shard_id].get_many(group)
-                    for position, value in zip(positions, values):
-                        results[position] = value
-        finally:
-            if span is not None:
-                span.close()
+        if readers is not None and (tracer is None or tracer.current() is None):
+            results = self._lookup_each(table, readers, keys)
+        else:
+            shards = table.shards
+            groups = None if len(shards) == 1 else table.partitioner.group(keys)
+            span = tracer and open_span(
+                tracer, _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups or shards)
+            )
+            try:
+                if groups is None:
+                    results = shards[0].get_many(keys)
+                else:
+                    results = [None] * len(keys)
+                    for shard_id, (group, positions) in groups.items():
+                        values = shards[shard_id].get_many(group)
+                        for position, value in zip(positions, values):
+                            results[position] = value
+            finally:
+                if span is not None:
+                    span.close()
         self._count_ops("read", len(keys))
+        return results
+
+    @staticmethod
+    def _lookup_each(
+        table: _RoutingTable, readers: Tuple[Replica, ...], keys: Sequence[Key]
+    ) -> List[Optional[int]]:
+        """Values aligned with ``keys``, read in one pass: route each key,
+        then call its shard's index ``lookup`` — no grouping, no scatter
+        and no :meth:`Shard.get_many` frame.
+
+        ``readers`` are ``table.readers``: every copy is lock-free, so no
+        lock is held around a lookup and no copy is picked.  ``Shard.ops``
+        moves as :meth:`Shard.get_many` would move it, by the keys each
+        shard served, under that shard's lock, once per touched shard.
+        """
+        results: List[Optional[int]] = []
+        served = [0] * len(readers)
+        for key, shard_id in zip(keys, table.partitioner.shards_of(keys)):
+            results.append(readers[shard_id].index.lookup(key))
+            served[shard_id] += 1
+        for shard, count in zip(table.shards, served):
+            if count:
+                with shard._ops_lock:
+                    shard.ops += count
         return results
 
     def scan(self, start_key: Key, count: int) -> List[Pair]:
@@ -747,12 +805,14 @@ class ShardRouter:
             self._publish_admin_metrics("service.checkpoints")
         return {"epoch": self._epoch, "shards": summaries}
 
-    def _install(self, partitioner: Partitioner, shards: Tuple[Shard, ...]) -> None:
+    def _install(self, partitioner: Partitioner, shards: Sequence[Shard]) -> None:
         # Never mutate shard objects here: they are shared with the
         # still-published old table, so renumbering them in place would
         # let concurrent stats() readers observe torn ids.
         # Routing positions are derived from the table index instead.
-        self._table = _RoutingTable(partitioner, shards)
+        # Construction, recovery, split and merge all publish through
+        # here, so every table's readers match its shards.
+        self._table = _RoutingTable.of(partitioner, shards)
 
     @staticmethod
     def _check_shard_id(table: _RoutingTable, shard_id: int) -> None:

@@ -29,7 +29,10 @@ what the index itself would do.
 **Reads** have one algorithm on every copy: each key is one call of the
 index's own ``lookup`` (no family keeps a sorted batch read: a shard's
 share of a routed batch is a few scattered keys).  A single copy is read
-right here (a lock-free one with no lock held).  Among several, a batch
+right here (a lock-free one with no lock held), or, when it is lock-free
+and the read untraced, by the router itself, key by key
+(``ShardRouter._lookup_each``, which moves ``ops`` under ``_ops_lock``
+as :meth:`Shard.get_many` does).  Among several, a batch
 of read class ``point`` or ``scan`` goes to the live copies whose
 profile has that affinity (all live copies when none has), taken in turn
 (:meth:`Shard.pick`), and a copy that fails a read is marked down while

@@ -34,11 +34,14 @@ class OpCounters:
     """A named-event counter with merge and snapshot support."""
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        #: The live event -> count table.  A hot path may charge an event
+        #: in place (``counters.counts[event] += 1``), which enters no
+        #: Python frame; everything else goes through the methods.
+        self.counts: Counter = Counter()
 
     def add(self, event: str, amount: int = 1) -> None:
         """Add one item/event."""
-        self._counts[event] += amount
+        self.counts[event] += amount
 
     def add_many(self, events: Dict[str, int]) -> None:
         """Merge a mapping of event -> amount in one call.
@@ -48,21 +51,21 @@ class OpCounters:
         hot path pays one frame instead of one add() per event (and not
         ``Counter.update``'s, whose ``Mapping`` check runs two more).
         """
-        counts = self._counts
+        counts = self.counts
         for event, amount in events.items():
             counts[event] = counts.get(event, 0) + amount
 
     def get(self, event: str) -> int:
         """The count of ``event``; 0 when it never happened."""
-        return self._counts.get(event, 0)
+        return self.counts.get(event, 0)
 
     def merge(self, other: "OpCounters") -> None:
         """Merge another instance's contents into this one."""
-        self._counts.update(other._counts)
+        self.counts.update(other.counts)
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the current counts."""
-        return dict(self._counts)
+        return dict(self.counts)
 
     def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
         """Events since ``earlier`` (a previous :meth:`snapshot`).
@@ -79,14 +82,14 @@ class OpCounters:
 
     def reset(self) -> None:
         """Clear all state."""
-        self._counts.clear()
+        self.counts.clear()
 
     def __iter__(self) -> Iterator[Tuple[str, int]]:
-        return iter(self._counts.items())
+        return iter(self.counts.items())
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self.counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        top = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items())[:6])
-        return f"OpCounters({top}{'...' if len(self._counts) > 6 else ''})"
+        top = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items())[:6])
+        return f"OpCounters({top}{'...' if len(self.counts) > 6 else ''})"

@@ -207,38 +207,122 @@ class TestSpansNestUnderTheRoute:
 class TestShardOpsAreExact:
     """``Shard.ops`` (what ``top`` shows per shard) moves by exactly the
     keys the partitioner routed to the shard — one per scanned shard —
-    on the inline single-copy path and on the replicated ``_read`` path."""
+    on the router's key-by-key read, on the inline single-copy path, on
+    the replicated ``_read`` path, and under a traced request, which
+    reads through ``Shard.get_many``."""
 
-    #: Each data call and the keys it routes (None: a scan, which under
-    #: hash partitioning reads every shard once).
+    #: Each data call, the keys it routes (None: a scan, which under
+    #: hash partitioning reads every shard once) and what it returns,
+    #: in the order the calls run.
     CALLS = {
-        "get": (lambda router: router.get(KEYS[7]), [KEYS[7]]),
-        "get_many": (lambda router: router.get_many(KEYS[:50]), KEYS[:50]),
-        "put": (lambda router: router.put(10_000, 1), [10_000]),
-        "put_many": (lambda router: router.put_many([(k, 2) for k in KEYS[:60]]), KEYS[:60]),
-        "delete": (lambda router: router.delete(KEYS[3]), [KEYS[3]]),
-        "scan": (lambda router: router.scan(KEYS[10], 30), None),
+        "get": (lambda router: router.get(KEYS[7]), [KEYS[7]], KEYS[7] * 10),
+        "get_many": (
+            lambda router: router.get_many(KEYS[:50]),
+            KEYS[:50],
+            [key * 10 for key in KEYS[:50]],
+        ),
+        "put": (lambda router: router.put(10_000, 1), [10_000], None),
+        "put_many": (
+            lambda router: router.put_many([(k, 2) for k in KEYS[:60]]),
+            KEYS[:60],
+            None,
+        ),
+        "delete": (lambda router: router.delete(KEYS[3]), [KEYS[3]], True),
+        "scan": (lambda router: router.scan(KEYS[10], 30), None, [(k, 2) for k in KEYS[10:40]]),
     }
 
+    @staticmethod
+    def under_request(call, router):
+        """``call(router)`` inside a traced request; also the names of
+        the spans it emitted."""
+        with Telemetry.with_memory_trace() as telemetry:
+            tracer = telemetry.tracer
+            request = tracer.start_remote("net.server.request", trace_id=5)
+            with tracer.adopt(request):
+                result = call(router)
+            tracer.finish(request)
+            return result, {record["name"] for record in tracer.sink.records}
+
     @pytest.mark.parametrize(
-        "family, copies", [("olc", 1), ("adaptive", 2)], ids=["olc-inline", "adaptive-2-copies"]
+        "family, copies, traced",
+        [("olc", 1, False), ("adaptive", 2, False), ("olc", 1, True), ("adaptive", 2, True)],
+        ids=["olc-inline", "adaptive-2-copies", "olc-inline-traced", "adaptive-2-copies-traced"],
     )
-    def test_every_data_call(self, family, copies):
+    def test_every_data_call(self, family, copies, traced):
         with ShardRouter.build(
             PAIRS, family=family, num_shards=NUM_SHARDS, replication_factor=copies
         ) as router:
             shards = router.table.shards
             assert all(len(shard.replicas) == copies for shard in shards)
+            assert (router.table.readers is not None) == (family == "olc")
             shard_of = router.table.partitioner.shard_of
-            for name, (call, routed) in self.CALLS.items():
+            for name, (call, routed, returned) in self.CALLS.items():
                 before = [shard.stats()["ops"] for shard in shards]
-                call(router)
+                if traced:
+                    result, spans = self.under_request(call, router)
+                    assert {"service.route", "service.shard_op"} <= spans, name
+                else:
+                    result = call(router)
+                assert result == returned, name
                 if routed is None:
                     expected = dict.fromkeys(range(NUM_SHARDS), 1)
                 else:
                     expected = Counter(shard_of(key) for key in routed)
                 moved = [shard.stats()["ops"] - was for shard, was in zip(shards, before)]
                 assert moved == [expected.get(shard, 0) for shard in range(NUM_SHARDS)], name
+
+    def test_threaded_reads_beside_a_writer(self):
+        """Reader threads run ``get_many`` and ``scan`` while a writer runs
+        ``put_many`` on an OLC router: every read sees a value some write
+        gave its key, and ``sum(Shard.ops)`` is exactly the keys read and
+        written plus one per shard per scan — the router's key-by-key
+        read loses no count to the writer's."""
+        with build_router() as router:
+            counted = {"keys": 0, "scans": 0}
+            count_lock = threading.Lock()
+            failures = []
+
+            def reader(seed):
+                keys = KEYS[seed::7][:8]
+                allowed = {key: {key * 10 + rnd for rnd in range(41)} for key in keys}
+                reads = scans = 0
+                for rnd in range(300):
+                    values = router.get_many(keys)
+                    reads += len(keys)
+                    failures.extend(
+                        (key, value) for key, value in zip(keys, values) if value not in allowed[key]
+                    )
+                    if rnd % 50 == 0:
+                        router.scan(KEYS[seed], 10)
+                        scans += 1
+                with count_lock:
+                    counted["keys"] += reads
+                    counted["scans"] += scans
+
+            def writer():
+                written = 0
+                for rnd in range(1, 41):
+                    batch = [(key, key * 10 + rnd) for key in KEYS[rnd % 5 :: 25]]
+                    router.put_many(batch)
+                    written += len(batch)
+                with count_lock:
+                    counted["keys"] += written
+
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(3)]
+            threads.append(threading.Thread(target=writer))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            ops = sum(shard.ops for shard in router.table.shards)
+            assert ops == counted["keys"] + NUM_SHARDS * counted["scans"]
 
 
 def count_calls(call, batches=1):
@@ -268,15 +352,17 @@ def count_calls(call, batches=1):
 
 def test_untraced_get_many_call_budget():
     """An untraced ``get_many`` of 8 keys over 4 OLC shards makes at most
-    50 Python-level calls (46 today): per key a hash, an OLC lookup, its
-    tracer read, counter event and leaf read; per shard one ``get_many``
-    and its tracer read; and no frame that does no work."""
+    26 Python-level calls (23 on 3.11): one routing pass for the batch,
+    then per key an OLC lookup and its leaf read, with the tracer read
+    and the leaf-visit event charged inline; no group, no scatter and no
+    ``Shard.get_many`` frame.  Grouped per shard, with a tracer call and
+    an ``OpCounters.add`` per lookup, the same read made 46."""
     with build_router() as router:
         keys = KEYS[::50]
         assert len(keys) == 8
         values, calls = count_calls(lambda: router.get_many(keys))
         assert values == [key * 10 for key in keys]
-        assert len(calls) <= 50, Counter(calls).most_common()
+        assert len(calls) <= 26, Counter(calls).most_common()
 
 
 def test_untraced_locked_get_many_call_budget():
@@ -312,10 +398,10 @@ def test_untraced_replicated_get_many_call_budget():
 
 def test_untraced_put_many_call_budget():
     """An untraced ``put_many`` of 8 pairs over 4 OLC shards makes at most
-    100 Python-level calls (76 today): per key a lock upgrade, a leaf
+    100 Python-level calls (73 on 3.11): per key a lock upgrade, a leaf
     write, its two size reads and the unlock; per shard one gated write,
-    ``put_many``, ``_fanout_write`` and ``insert_many`` with its one
-    counter flush; and no frame that does no work."""
+    ``put_many``, ``_fanout_write`` and ``insert_many``, which charges
+    its counter events inline; and no frame that does no work."""
     with build_router() as router:
         batch = [(key, key * 10 + 1) for key in KEYS[::50]]
         assert len(batch) == 8
@@ -326,9 +412,9 @@ def test_untraced_put_many_call_budget():
 
 def test_untraced_scan_call_budget():
     """An untraced hash ``scan`` of 50 over 4 OLC shards makes at most 40
-    Python-level calls (29 today): per shard a ``scan``, its tracer read,
-    an OLC descent and one slice per visited leaf, then one sort, with no
-    frame per merged pair."""
+    Python-level calls (25 on 3.11): per shard a ``scan``, its tracer
+    read, an OLC descent and one slice per visited leaf (its leaf visit
+    charged inline), then one sort, with no frame per merged pair."""
     with build_router() as router:
         result, calls = count_calls(lambda: router.scan(KEYS[10], 50))
         assert result == PAIRS[10:60]

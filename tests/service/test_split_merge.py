@@ -22,6 +22,17 @@ def contents(router):
     return router.scan(-(10**12), 10**6)
 
 
+def assert_point_reads(router, family, pairs):
+    """Every key reads its value through ``get_many`` on the swapped-in
+    table; an OLC table reads key by key through its new shards' copies."""
+    table = router.table
+    if family == "olc":
+        assert table.readers == tuple(shard.replicas[0] for shard in table.shards)
+    else:
+        assert table.readers is None
+    assert router.get_many([key for key, _ in pairs]) == [value for _, value in pairs]
+
+
 class _RecordingLock:
     """RLock stand-in that logs every acquisition under a label."""
 
@@ -59,6 +70,7 @@ class TestSplit:
             assert router.num_shards == 3
             assert router.splits == 1
             assert contents(router) == pairs
+            assert_point_reads(router, family, pairs)
             router.verify()
             # The new boundary routes the split key to the right-hand shard.
             assert router.table.partitioner.shard_of(split_key) == 2
@@ -103,6 +115,7 @@ class TestMerge:
             assert router.num_shards == 3
             assert router.merges == 1
             assert contents(router) == pairs
+            assert_point_reads(router, family, pairs)
             router.verify()
 
     def test_split_then_merge_round_trips(self):
