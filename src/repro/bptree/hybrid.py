@@ -12,7 +12,11 @@ and scan is the inherited one, and so are the per-key ``lookup_many`` /
 * the before-insert hook *eagerly* migrates a Succinct leaf to Gapped
   (the paper: "AHI-BTree eagerly migrates Succinct nodes to the Gapped
   encoding on inserts and defers their compaction until they are cold
-  again");
+  again"), but only while the memory budget has the headroom a manager
+  expansion needs (utilization below the CSHF's
+  ``BUDGET_EXPAND_CEILING``): past it, every byte a compaction frees would
+  go to re-encoding whichever cold leaf takes the next insert, only for
+  the manager to compact that leaf again two phases later;
 * leaf splits propagate the changed context to the manager, and an
   emptied leaf is forgotten;
 * the manager calls back into :meth:`migrate` / :meth:`encoding_census` /
@@ -38,6 +42,13 @@ BTREE_ENCODING_ORDER: Tuple[LeafEncoding, ...] = (
     LeafEncoding.GAPPED,
 )
 
+#: Precomputed ``eager_expansion:<src>`` / ``eager_expansion_failed:<src>``
+#: counter names per source encoding (never formatted per insert).
+_EAGER_EXPANSION_EVENTS = {
+    encoding: (f"eager_expansion:{encoding}", f"eager_expansion_failed:{encoding}")
+    for encoding in LeafEncoding
+}
+
 
 class AdaptiveBPlusTree(BPlusTree):
     """The adaptive Hybrid B+-tree (AHI-BTree)."""
@@ -54,6 +65,11 @@ class AdaptiveBPlusTree(BPlusTree):
     ) -> None:
         super().__init__(cold_encoding, leaf_capacity, inner_fanout)
         self.eager_insert_expansion = eager_insert_expansion
+        #: Leaves expanded on insert, and inserts into a compact leaf left
+        #: compact for lack of budget headroom (plain ints, not
+        #: ``OpCounters`` events: the cost model does not price them).
+        self.eager_expansions = 0
+        self.eager_expansions_refused = 0
         if manager_config is None:
             manager_config = ManagerConfig(encoding_order=BTREE_ENCODING_ORDER)
         self.manager = AdaptationManager(self, manager_config)
@@ -97,13 +113,16 @@ class AdaptiveBPlusTree(BPlusTree):
         """Eager expansion: writes into compact leaves are expensive, so
         the tree switches the leaf to the write-optimized encoding
         immediately and lets the next cold classification compact it —
-        unless the memory budget is already exhausted."""
+        while the budget has the headroom a manager expansion needs
+        (:meth:`~repro.core.manager.AdaptationManager.has_expansion_headroom`).
+        Without it the insert writes into the compact leaf, and the
+        refusal is counted."""
         if leaf.encoding is LeafEncoding.GAPPED or not self.eager_insert_expansion:
             return
-        budget = self.manager.config.budget
-        if budget.exceeded(self.size_bytes(), self.num_keys):
+        if not self.manager.has_expansion_headroom():
+            self.eager_expansions_refused += 1
             return
-        source = leaf.encoding
+        expanded_event, failed_event = _EAGER_EXPANSION_EVENTS[leaf.encoding]
         before = leaf.size_bytes()
         try:
             migrated = migrate_leaf(leaf, LeafEncoding.GAPPED, self.counters)
@@ -113,11 +132,12 @@ class AdaptiveBPlusTree(BPlusTree):
             # A failed eager expansion is an optimization miss, not an
             # error: the transactional migration left the leaf intact, so
             # the insert proceeds on the old encoding.
-            self.counters.add(f"eager_expansion_failed:{source}")
+            self.counters.add(failed_event)
             migrated = False
         if migrated:
             self.note_leaf_resized(leaf.size_bytes() - before)
-            self.counters.add(f"eager_expansion:{source}")
+            self.counters.add(expanded_event)
+            self.eager_expansions += 1
             # Register so a later cold classification compacts it.
             self.manager.register(leaf, context=parent)
 
@@ -176,8 +196,12 @@ class AdaptiveBPlusTree(BPlusTree):
 
     def stats(self) -> dict:
         """The tree's stats plus the sampling framework's own bytes (an
-        adaptive tree's leaves have no one encoding)."""
+        adaptive tree's leaves have no one encoding) and what eager
+        expansion did: leaves expanded on insert, and expansions the
+        budget's headroom refused."""
         stats = super().stats()
         del stats["leaf_encoding"]
         stats["total_size_bytes"] = stats["size_bytes"] + self.manager.size_bytes()
+        stats["eager_expansions"] = self.eager_expansions
+        stats["eager_expansions_refused"] = self.eager_expansions_refused
         return stats

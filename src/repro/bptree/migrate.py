@@ -25,6 +25,19 @@ def migration_kind(source: LeafEncoding, target: LeafEncoding) -> str:
     return "recode" if (source, target) in _RECODE_PAIRS else "cheap"
 
 
+#: Precomputed ``migration:<src>-><dst>`` and ``migration_entry:<kind>``
+#: counter names per encoding pair (never formatted per migration).
+_MIGRATION_EVENTS = {
+    (source, target): (
+        f"migration:{source}->{target}",
+        f"migration_entry:{migration_kind(source, target)}",
+    )
+    for source in LeafEncoding
+    for target in LeafEncoding
+    if source is not target
+}
+
+
 def migrate_leaf(
     leaf: LeafNode,
     target: LeafEncoding,
@@ -36,9 +49,7 @@ def migrate_leaf(
         return False
     migrated = leaf.migrate_to(target)
     if migrated and counters is not None:
-        counters.add(f"migration:{source}->{target}")
-        counters.add(
-            f"migration_entry:{migration_kind(source, target)}",
-            leaf.num_entries(),
-        )
+        migration_event, entry_event = _MIGRATION_EVENTS[source, target]
+        counters.add(migration_event)
+        counters.add(entry_event, leaf.num_entries())
     return migrated

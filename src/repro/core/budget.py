@@ -96,10 +96,13 @@ class MemoryBudget:
         return used_bytes > self.limit_bytes(num_keys)
 
     def utilization(self, used_bytes: int, num_keys: int) -> float:
-        """``used / limit``; 0.0 for an unbounded budget."""
+        """``used / limit``; 0.0 for an unbounded budget, infinite for a
+        relative one over an empty index (its limit is 0 bytes)."""
         limit = self.limit_bytes(num_keys)
         if limit == float("inf"):
             return 0.0
+        if limit == 0.0:
+            return float("inf")
         return used_bytes / limit
 
 

@@ -67,9 +67,10 @@ class HeuristicDecision:
 Heuristic = Callable[[HeuristicInput], HeuristicDecision]
 
 # Defaults mirroring the prose around Figure 7: expansion requires budget
-# headroom (utilization below 95%), compaction waits for two consecutive
-# cold phases (one sampling miss may be noise), and a unit cold for the
-# whole remembered history stops being tracked.
+# headroom (utilization below 95%; the one ceiling for the CSHF and for an
+# index's eager expansion on insert alike), compaction waits for two
+# consecutive cold phases (one sampling miss may be noise), and a unit cold
+# for the whole remembered history stops being tracked.
 BUDGET_EXPAND_CEILING = 0.95
 COLD_PHASES_TO_COMPACT = 2
 COLD_PHASES_TO_FORGET = 8
@@ -78,13 +79,13 @@ COLD_PHASES_TO_FORGET = 8
 def make_threshold_heuristic(
     fast_encoding: object,
     compact_encoding: object,
-    budget_ceiling: float = BUDGET_EXPAND_CEILING,
     cold_phases_to_compact: int = COLD_PHASES_TO_COMPACT,
     cold_phases_to_forget: int = COLD_PHASES_TO_FORGET,
 ) -> Heuristic:
     """Build the default two-encoding CSHF of Figure 7.
 
-    * hot + budget headroom -> ``fast_encoding``
+    * hot + budget headroom (utilization below
+      :data:`BUDGET_EXPAND_CEILING`) -> ``fast_encoding``
     * hot but budget nearly exhausted -> keep (expansion would overshoot)
     * cold for ``cold_phases_to_compact`` consecutive phases ->
       ``compact_encoding``
@@ -97,7 +98,7 @@ def make_threshold_heuristic(
         if info.classification is Classification.HOT:
             if info.current_encoding == fast_encoding:
                 return HeuristicDecision.keep()
-            if info.budget_utilization >= budget_ceiling:
+            if info.budget_utilization >= BUDGET_EXPAND_CEILING:
                 return HeuristicDecision.keep()
             return HeuristicDecision.migrate(fast_encoding)
         # Cold path: the freshest classification is already in history.

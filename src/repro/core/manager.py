@@ -25,6 +25,7 @@ from repro.core.bloom import BloomFilter
 from repro.core.budget import MemoryBudget, estimate_expandable_k
 from repro.core.events import AdaptationEvent, EventLog
 from repro.core.heuristics import (
+    BUDGET_EXPAND_CEILING,
     Heuristic,
     HeuristicAction,
     HeuristicInput,
@@ -426,6 +427,16 @@ class AdaptationManager:
     def total_migration_failures(self) -> int:
         """Raising migrations seen over the manager's lifetime."""
         return self._total_migration_failures
+
+    def has_expansion_headroom(self) -> bool:
+        """True while the budget leaves room to expand a unit: utilization
+        below :data:`~repro.core.heuristics.BUDGET_EXPAND_CEILING`, the
+        ceiling the default CSHF gates its expansions on.  An unbounded
+        budget always has room.  The index's eager expansion on insert
+        asks this, so both expansion paths stop at the same point."""
+        index = self._index
+        limit = self.config.budget.limit_bytes(index.num_keys)
+        return index.size_bytes() < BUDGET_EXPAND_CEILING * limit
 
     def enable(self) -> None:
         """Resume sampling."""

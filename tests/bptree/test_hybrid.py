@@ -130,6 +130,54 @@ class TestEagerInsertExpansion:
         tree.insert(pairs[100][0] + 1, 42)
         assert tree.counters.get("eager_expansion:succinct") == 0
 
+    def test_tree_within_its_budget_but_past_the_ceiling_refuses(self):
+        pairs = sorted_pairs(500)
+        size = AdaptiveBPlusTree.bulk_load_adaptive(pairs, leaf_capacity=32).size_bytes()
+        budget = MemoryBudget.absolute(int(size / 0.96))  # utilization ~0.96
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs, leaf_capacity=32, manager_config=fast_config(budget=budget)
+        )
+        assert not budget.exceeded(tree.size_bytes(), tree.num_keys)
+        assert not tree.manager.has_expansion_headroom()
+        tree.insert(pairs[100][0] + 1, 42)
+        assert tree.counters.get("eager_expansion:succinct") == 0
+        assert (tree.eager_expansions, tree.eager_expansions_refused) == (0, 1)
+        assert tree.encoding_counts() == {LeafEncoding.SUCCINCT: tree.num_leaves}
+        assert tree.stats()["eager_expansions_refused"] == 1
+        assert "eager_expansions_refused: 1" in tree.describe()
+
+    def test_tree_well_under_the_ceiling_expands_on_first_insert(self):
+        pairs = sorted_pairs(500)
+        size = AdaptiveBPlusTree.bulk_load_adaptive(pairs, leaf_capacity=32).size_bytes()
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs,
+            leaf_capacity=32,
+            manager_config=fast_config(budget=MemoryBudget.absolute(2 * size)),
+        )
+        tree.insert(pairs[100][0] + 1, 42)
+        assert tree.counters.get("eager_expansion:succinct") == 1
+        assert (tree.eager_expansions, tree.eager_expansions_refused) == (1, 0)
+        assert tree.stats()["eager_expansions"] == 1
+
+    def test_unbounded_tree_expands_every_succinct_leaf_on_first_insert(self):
+        pairs = sorted_pairs(500)
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(pairs, leaf_capacity=32)
+        firsts = [leaf.min_key() for leaf in tree.leaves()]
+        for key in firsts:
+            tree.insert(key + 1, 7)
+        assert tree.eager_expansions == len(firsts) == tree.num_leaves
+        assert tree.eager_expansions_refused == 0
+        assert tree.encoding_counts() == {LeafEncoding.GAPPED: tree.num_leaves}
+        tree.verify()
+
+    def test_empty_tree_under_a_relative_budget_has_no_headroom(self):
+        tree = AdaptiveBPlusTree(
+            manager_config=fast_config(budget=MemoryBudget.relative(1000.0))
+        )
+        tree.insert(5, 6)
+        assert (tree.eager_expansions, tree.eager_expansions_refused) == (0, 1)
+        assert tree.lookup(5) == 6
+
 
 class TestBudget:
     def test_budget_limits_expansion(self):
@@ -146,6 +194,24 @@ class TestBudget:
         for _ in range(5000):
             tree.lookup(keys[rng.integers(0, 400)])
         assert tree.size_bytes() <= budget_bytes * 1.1  # small transient slack
+
+    def test_emptied_tree_under_a_relative_budget_keeps_adapting(self):
+        pairs = sorted_pairs(100)
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs,
+            leaf_capacity=32,
+            manager_config=fast_config(
+                budget=MemoryBudget.relative(200.0),
+                initial_sample_size=20,
+                max_sample_size=20,
+            ),
+        )
+        for key, _ in pairs:
+            tree.delete(key)
+        for _ in range(100):
+            assert tree.lookup(pairs[0][0]) is None
+        assert tree.manager.counters.adaptation_phases >= 1
+        tree.verify()
 
 
 class TestScanTracking:

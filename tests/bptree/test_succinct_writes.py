@@ -351,20 +351,20 @@ def stream_pairs():
 PINNED = {
     "eager": (
         {
-            "eager_expansion:succinct": 321,
+            "eager_expansion:succinct": 269,
             "inner_visit": 10030,
-            "leaf_rebuild_entry": 21397,
+            "leaf_rebuild_entry": 25774,
             "leaf_split": 15,
-            "leaf_visit:gapped": 3950,
-            "leaf_visit:succinct": 1180,
-            "leaf_write:gapped": 1792,
-            "leaf_write:succinct": 423,
-            "migration:gapped->succinct": 296,
-            "migration:succinct->gapped": 321,
-            "migration_entry:recode": 31007,
+            "leaf_visit:gapped": 3822,
+            "leaf_visit:succinct": 1308,
+            "leaf_write:gapped": 1708,
+            "leaf_write:succinct": 507,
+            "migration:gapped->succinct": 249,
+            "migration:succinct->gapped": 271,
+            "migration_entry:recode": 26255,
             "sample_check": 5130,
         },
-        49235,
+        46830,
     ),
     "budget_blocked": (
         {

@@ -54,6 +54,10 @@ class TestMemoryBudget:
         assert budget.exceeded(2001, 1000)
         assert not budget.exceeded(1999, 1000)
 
+    def test_relative_over_no_keys_is_fully_used(self):
+        budget = MemoryBudget.relative(bits_per_key=16)
+        assert budget.utilization(64, 0) == float("inf")
+
     def test_relative_scales_with_keys(self):
         budget = MemoryBudget.relative(bits_per_key=8)
         assert budget.limit_bytes(2000) == 2 * budget.limit_bytes(1000)
