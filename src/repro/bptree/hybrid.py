@@ -103,9 +103,9 @@ class AdaptiveBPlusTree(BPlusTree):
         self, leaf: LeafNode, parent: Optional[InnerNode], access: AccessType
     ) -> None:
         """Pass one access through the sample gate (Listing 1's
-        ``is_sample``) and track it, with the leaf's parent as context,
-        when it is a sample."""
-        self.counters.add("sample_check")
+        ``is_sample``, charged in place) and track it, with the leaf's
+        parent as context, when it is a sample."""
+        self.counters.counts["sample_check"] += 1
         if self.manager.is_sample():
             self.manager.track(leaf, access, context=parent)
 

@@ -29,8 +29,8 @@ from repro.bptree.leaves import (
     LeafNode,
 )
 from repro.core.access import AccessType
+from repro.obs import runtime as _obs_runtime
 from repro.obs.introspect import IndexFamily
-from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 
 DEFAULT_INNER_FANOUT = 64
@@ -153,7 +153,7 @@ class BPlusTree(IndexFamily):
     # ------------------------------------------------------------------
     def _descend(self, key: int) -> Tuple[LeafNode, List[Tuple[InnerNode, int]]]:
         """Walk to the leaf for ``key``; return it and the (node, child
-        index) path for split propagation."""
+        index) path for split propagation (only an insert needs it)."""
         path: List[Tuple[InnerNode, int]] = []
         node: Child = self._root
         while isinstance(node, InnerNode):
@@ -161,14 +161,19 @@ class BPlusTree(IndexFamily):
             path.append((node, index))
             node = node.children[index]
         if path:
-            self.counters.add("inner_visit", len(path))
+            self.counters.counts["inner_visit"] += len(path)
         return node, path
 
     def find_leaf(self, key: int) -> Tuple[LeafNode, Optional[InnerNode]]:
         """The leaf responsible for ``key`` and its direct parent."""
-        leaf, path = self._descend(key)
-        parent = path[-1][0] if path else None
-        return leaf, parent
+        node: Child = self._root
+        parent: Optional[InnerNode] = None
+        while isinstance(node, InnerNode):
+            parent = node
+            node = node.children[bisect_right(node.keys, key)]
+        if parent is not None:  # every leaf sits at depth height - 1
+            self.counters.counts["inner_visit"] += self._height - 1
+        return node, parent
 
     def _leaf_accessed(
         self, leaf: LeafNode, parent: Optional[InnerNode], access: AccessType
@@ -198,21 +203,30 @@ class BPlusTree(IndexFamily):
 
         Under an installed tracer the same path emits a sampled ``lookup``
         span; with telemetry off that costs one global read and a branch.
+        :meth:`find_leaf`'s walk is inlined and the visits charged in place.
         """
-        tracer = active_tracer()
+        telemetry = _obs_runtime._ACTIVE
+        tracer = telemetry.tracer if telemetry is not None else None
         span = (
             tracer.op_start("lookup", family=self.stats_family)
             if tracer is not None
             else None
         )
-        leaf, path = self._descend(key)
-        self.counters.add(leaf.storage.visit_event)
-        self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.READ)
+        node: Child = self._root
+        parent: Optional[InnerNode] = None
+        while isinstance(node, InnerNode):
+            parent = node
+            node = node.children[bisect_right(node.keys, key)]
+        counts = self.counters.counts
+        if parent is not None:
+            counts["inner_visit"] += self._height - 1
+        counts[node.storage.visit_event] += 1
+        self._leaf_accessed(node, parent, AccessType.READ)
         # Read after the hook: an adaptation phase it runs may re-encode
         # the leaf, swapping its storage.
-        value = leaf.storage.lookup(key)
+        value = node.storage.lookup(key)
         if span is not None:
-            self._end_lookup_span(tracer, span, leaf, value)
+            self._end_lookup_span(tracer, span, node, value)
         return value
 
     def insert(self, key: int, value: int) -> bool:
@@ -221,7 +235,7 @@ class BPlusTree(IndexFamily):
         leaf, path = self._descend(key)
         parent = path[-1][0] if path else None
         self._before_leaf_insert(leaf, parent)
-        self.counters.add(leaf.storage.visit_event)
+        self.counters.counts[leaf.storage.visit_event] += 1
         self._leaf_accessed(leaf, parent, AccessType.INSERT)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
@@ -241,9 +255,9 @@ class BPlusTree(IndexFamily):
 
     def update(self, key: int, value: int) -> bool:
         """Overwrite the value of an existing ``key``; False if absent."""
-        leaf, path = self._descend(key)
-        self.counters.add(leaf.storage.visit_event)
-        self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.UPDATE)
+        leaf, parent = self.find_leaf(key)
+        self.counters.counts[leaf.storage.visit_event] += 1
+        self._leaf_accessed(leaf, parent, AccessType.UPDATE)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
         updated = leaf.update(key, value)
@@ -252,9 +266,9 @@ class BPlusTree(IndexFamily):
 
     def delete(self, key: int) -> bool:
         """Delete ``key`` (lazy: leaves are never merged)."""
-        leaf, path = self._descend(key)
-        self.counters.add(leaf.storage.visit_event)
-        self._leaf_accessed(leaf, path[-1][0] if path else None, AccessType.DELETE)
+        leaf, parent = self.find_leaf(key)
+        self.counters.counts[leaf.storage.visit_event] += 1
+        self._leaf_accessed(leaf, parent, AccessType.DELETE)
         self._count_leaf_write(leaf)
         before = leaf.size_bytes()
         removed = leaf.delete(key)
@@ -270,40 +284,29 @@ class BPlusTree(IndexFamily):
         C++ Succinct leaf re-encodes every entry (Figure 16 reproduces
         from that), whatever fewer blocks this implementation touches."""
         storage = leaf.storage
-        self.counters.add(storage.write_event)
+        self.counters.counts[storage.write_event] += 1
         if storage.encoding is LeafEncoding.SUCCINCT:
-            self.counters.add("leaf_rebuild_entry", storage.num_entries())
+            self.counters.counts["leaf_rebuild_entry"] += storage.num_entries()
 
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def _leaf_runs(self, leaf: LeafNode, start_key: int, count: int):
-        """Walk the leaf chain from ``leaf``; yield ``(leaf, pairs)`` per
-        visited leaf until ``count`` pairs were produced.
-
-        Every leaf is sliced from ``start_key``: the ones after the first
-        hold only larger keys, so that takes them whole, negative keys
-        included."""
-        remaining = count
-        current: Optional[LeafNode] = leaf
-        while current is not None and remaining > 0:
-            storage = current.storage
-            self.counters.add(storage.visit_event)
-            taken = storage.pairs_from(start_key, remaining)
-            remaining -= len(taken)
-            yield current, taken
-            current = current.next_leaf
-
     def scan(self, start_key: int, count: int) -> List[Tuple[int, int]]:
         """Up to ``count`` pairs with key >= ``start_key``, in key order
-        (each visited leaf is one scan access, Section 4.1.3)."""
+        (each visited leaf is one scan access, Section 4.1.3).  Every leaf
+        on the chain is sliced from ``start_key``: the ones after the first
+        hold only larger keys, so that takes them whole."""
         if count <= 0:
             return []
-        leaf, _ = self._descend(start_key)
+        leaf: Optional[LeafNode] = self.find_leaf(start_key)[0]
+        counts = self.counters.counts
         result: List[Tuple[int, int]] = []
-        for visited, taken in self._leaf_runs(leaf, start_key, count):
-            self._leaf_accessed(visited, None, AccessType.SCAN)
-            result.extend(taken)
+        while leaf is not None and len(result) < count:
+            storage = leaf.storage
+            counts[storage.visit_event] += 1
+            result += storage.pairs_from(start_key, count - len(result))
+            self._leaf_accessed(leaf, None, AccessType.SCAN)
+            leaf = leaf.next_leaf
         return result
 
     def items(self) -> Iterator[Tuple[int, int]]:
@@ -320,7 +323,7 @@ class BPlusTree(IndexFamily):
     # Splits
     # ------------------------------------------------------------------
     def _split_leaf(self, leaf: LeafNode, path: List[Tuple[InnerNode, int]]) -> None:
-        self.counters.add("leaf_split")
+        self.counters.counts["leaf_split"] += 1
         pairs = leaf.to_pairs()
         middle = len(pairs) // 2
         before = leaf.size_bytes()

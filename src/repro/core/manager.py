@@ -217,11 +217,15 @@ class AdaptationManager:
     # Hot path
     # ------------------------------------------------------------------
     def is_sample(self) -> bool:
-        """Per-access gate; True when the access should be tracked."""
+        """Per-access gate; True when the access should be tracked.  Runs
+        ``SkipSampler.is_sample``'s countdown on its state, in one frame."""
         self.counters.accesses += 1
         if not self._enabled:
             return False
-        return self._sampler.is_sample()
+        sampler = self._sampler
+        countdown = sampler._countdown
+        sampler._countdown = countdown - 1 if countdown else sampler.skip_length
+        return not countdown
 
     def track(
         self,

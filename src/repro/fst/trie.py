@@ -403,9 +403,9 @@ class FST(IndexFamily):
     def _count_visits(self, dense: int, sparse: int) -> None:
         """One flush per descent; a zero total must not create the key."""
         if dense:
-            self.counters.add("fst_dense_visit", dense)
+            self.counters.counts["fst_dense_visit"] += dense
         if sparse:
-            self.counters.add("fst_sparse_visit", sparse)
+            self.counters.counts["fst_sparse_visit"] += sparse
 
     def lookup_from(self, node: int, key: bytes, depth: int) -> Optional[int]:
         """Continue a lookup from ``node`` at key byte ``depth`` — the entry

@@ -30,8 +30,8 @@ from repro.core.trained import rank_units
 from repro.faults.injector import fault_point
 from repro.fst.trie import FST
 from repro.hybridtrie.tagged import BRANCH_POINTER_BYTES, TrieBranch, TrieEncoding
+from repro.obs import runtime as _obs_runtime
 from repro.obs.introspect import IndexFamily
-from repro.obs.runtime import active_tracer
 
 TRIE_ENCODING_ORDER: Tuple[TrieEncoding, ...] = (TrieEncoding.FST, TrieEncoding.ART)
 DEFAULT_ART_LEVELS = 2
@@ -135,7 +135,8 @@ class HybridTrie(IndexFamily):
         ``lookup`` span; its ``art_steps`` are the ART nodes the descent
         visited, the count it flushes to ``art_visit`` once at the end.
         """
-        tracer = active_tracer()
+        telemetry = _obs_runtime._ACTIVE
+        tracer = telemetry.tracer if telemetry is not None else None
         span = (
             tracer.op_start("lookup", family=self.stats_family)
             if tracer is not None
@@ -145,7 +146,7 @@ class HybridTrie(IndexFamily):
             if span is not None:
                 tracer.end(span, empty=True)
             return None
-        self.counters.add("sample_check")
+        self.counters.counts["sample_check"] += 1
         track = self.adaptive and self.manager.is_sample()
         current = self._root
         depth = 0
@@ -171,13 +172,13 @@ class HybridTrie(IndexFamily):
             if child is None:
                 break
             if isinstance(child, int):
-                self.counters.add("trie_value_fetch")
+                self.counters.counts["trie_value_fetch"] += 1
                 value = child if depth == len(key) else None
                 probe = "art"
                 break
             current = child
         if art_steps:
-            self.counters.add("art_visit", art_steps)
+            self.counters.counts["art_visit"] += art_steps
         if span is not None:
             tracer.event("descent", art_steps=art_steps, depth=depth)
             tracer.event(_PROBE_EVENTS[probe], hit=value is not None)
@@ -194,7 +195,7 @@ class HybridTrie(IndexFamily):
         """Up to ``count`` pairs with key >= ``start_key`` in key order."""
         if count <= 0 or self._root is None:
             return []
-        self.counters.add("sample_check")
+        self.counters.counts["sample_check"] += 1
         track = self.adaptive and self.manager.is_sample()
         result: List[Tuple[bytes, int]] = []
         self._scan(self._root, b"", start_key, bool(start_key), count, result, track)
@@ -219,7 +220,7 @@ class HybridTrie(IndexFamily):
                 self._fst.scan_from(current.fst_node, path, start_key, count, result)
                 return
             current = current.art_node
-        self.counters.add("art_visit")
+        self.counters.counts["art_visit"] += 1
         floor = start_key[len(path)] if bounded else 0
         last = len(path) + 1 == len(start_key)
         for label, child in current.children_items():

@@ -170,6 +170,7 @@ def manager_stats(manager: Any, recent_events: int = RECENT_EVENTS_KEPT) -> Dict
         "tracked_units": manager.tracked_units,
         "accesses_seen": manager.counters.accesses,
         "sampled": manager.counters.sampled,
+        "bloom_rejections": manager.counters.bloom_rejections,
         "phases": manager.counters.adaptation_phases,
         "quarantined_units": manager.quarantined_units,
         "degraded": manager.adaptation_degraded,
@@ -225,7 +226,8 @@ def format_stats(stats: Dict) -> str:
             f"  adaptation: epoch {adaptation['epoch']}, "
             f"skip {adaptation['skip_length']}, "
             f"sample size {adaptation['sample_size']}, "
-            f"{adaptation['tracked_units']} tracked units"
+            f"{adaptation['tracked_units']} tracked units, "
+            f"{adaptation['bloom_rejections']} bloom rejections"
         )
         lines.append(
             f"  migrations: {history['expansions']} expansions, "

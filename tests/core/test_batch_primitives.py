@@ -1,16 +1,14 @@
 """Batched primitives must be exact drop-ins for their per-item loops.
 
 ``BloomFilter.add_many`` (the Dual-Stage index's batched insert) must
-match per-item ``add``, ``OpCounters.add_many`` must merge like
-repeated ``add``, and the memoized ``required_sample_size`` must return
-what the uncached math returns.
+match per-item ``add``, and the memoized ``required_sample_size`` must
+return what the uncached math returns.
 """
 
 import math
 
 from repro.core.bloom import BloomFilter
 from repro.core.sampling import required_sample_size
-from repro.sim.counters import OpCounters
 
 
 class TestBloomBatches:
@@ -34,19 +32,6 @@ class TestBloomBatches:
         bloom = BloomFilter(capacity=8)
         bloom.add_many([])
         assert bloom.approximate_count == 0
-
-
-class TestCounterBatches:
-    def test_add_many_equals_add_loop(self):
-        batched = OpCounters()
-        looped = OpCounters()
-        events = {"a": 3, "b": 1, "c": 7}
-        batched.add_many(events)
-        batched.add_many({"a": 2})
-        for event, amount in events.items():
-            looped.add(event, amount)
-        looped.add("a", 2)
-        assert batched.snapshot() == looped.snapshot()
 
 
 class TestRequiredSampleSizeCache:

@@ -1,4 +1,5 @@
-"""Helpers shared by the suites that import ``benchmarks/*.py``."""
+"""Helpers shared across suites: importing ``benchmarks/*.py`` and
+counting the Python-level calls of one operation."""
 
 import importlib.util
 import sys
@@ -17,3 +18,28 @@ def load_bench(name):
     sys.modules[name] = module  # the bench modules ``import benchkit``
     spec.loader.exec_module(module)
     return module
+
+
+def count_calls(call, batches=1):
+    """``call()``'s result and the name of every Python function it
+    enters (``sys.setprofile`` ``call`` events), after one warm-up call;
+    over ``batches`` consecutive calls, the names of the one that entered
+    the most.  A budget counts calls, not time, so a regrown path fails
+    on any host."""
+    call()
+    calls, worst = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    for _ in range(batches):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            result = call()
+        finally:
+            sys.setprofile(None)
+        if len(calls) > len(worst):
+            worst = list(calls)
+    return result, worst

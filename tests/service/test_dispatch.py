@@ -10,6 +10,7 @@ import pytest
 from repro.durability import DurabilityManager
 from repro.obs import Telemetry
 from repro.service import ShardRouter
+from tests.helpers import count_calls
 
 NUM_SHARDS = 4
 PAIRS = [(key, key * 10) for key in range(400)]
@@ -325,31 +326,6 @@ class TestShardOpsAreExact:
             assert ops == counted["keys"] + NUM_SHARDS * counted["scans"]
 
 
-def count_calls(call, batches=1):
-    """``call()``'s result and the name of every Python function it
-    enters (``sys.setprofile`` ``call`` events), after one warm-up call;
-    over ``batches`` consecutive calls, the names of the one that entered
-    the most.  A budget counts calls, not time, so a regrown path fails
-    on any host."""
-    call()
-    calls, worst = [], []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
-
-    for _ in range(batches):
-        calls.clear()
-        sys.setprofile(profile)
-        try:
-            result = call()
-        finally:
-            sys.setprofile(None)
-        if len(calls) > len(worst):
-            worst = list(calls)
-    return result, worst
-
-
 def test_untraced_get_many_call_budget():
     """An untraced ``get_many`` of 8 keys over 4 OLC shards makes at most
     26 Python-level calls (23 on 3.11): one routing pass for the batch,
@@ -367,12 +343,13 @@ def test_untraced_get_many_call_budget():
 
 def test_untraced_locked_get_many_call_budget():
     """The same ``get_many`` over 4 ``adaptive`` shards, whose copies are
-    locked, makes at most 110 Python-level calls (94 today): per key a
-    tree lookup, its tracer read and descent, the access hook with two
-    counter adds and two sample countdowns, and the leaf's lookup and
-    probe; per shard one ``get_many`` and its tracer read.  A batch path
-    grown back into the shard (a sort, then ``lookup_many`` decoding
-    whole blocks) costs 128."""
+    locked, makes at most 110 Python-level calls (55 on 3.11): per key a
+    tree lookup, the access hook, the sample gate, and the leaf's lookup
+    and probe; per shard one ``get_many`` and its tracer read.  With a
+    tracer read, a descent, two ``OpCounters.add`` frames and a gate that
+    called the sampler per key it made 95, and a batch path grown back
+    into the shard (a sort, then ``lookup_many`` decoding whole blocks)
+    costs 128."""
     with ShardRouter.build(PAIRS, family="adaptive", num_shards=NUM_SHARDS) as router:
         keys = KEYS[::50]
         values, calls = count_calls(lambda: router.get_many(keys))
@@ -383,10 +360,11 @@ def test_untraced_locked_get_many_call_budget():
 def test_untraced_replicated_get_many_call_budget():
     """The same ``get_many`` over 4 ``adaptive`` shards of two copies
     (point, scan; ``net_write``'s shape) makes at most 165 Python-level
-    calls in each of 16 consecutive batches (121-158 on 3.11; the
-    highest end an adaptation phase): per shard one ``pick`` with its
-    two pools and a ``_read``.  Cost routing, which priced every 8th
-    batch per copy and scored every copy per pick, reached 260."""
+    calls in each of 16 consecutive batches (83-120 on 3.11, 123-160
+    before the tree's lookup lost six frames; the highest end an
+    adaptation phase): per shard one ``pick`` with its two pools and a
+    ``_read``.  Cost routing, which priced every 8th batch per copy and
+    scored every copy per pick, reached 260."""
     with ShardRouter.build(
         PAIRS, family="adaptive", num_shards=NUM_SHARDS, replication_factor=2
     ) as router:
@@ -425,9 +403,10 @@ def test_untraced_replicated_put_many_call_budget():
     """An untraced ``put_many`` of 8 pairs (4 overwrites, 4 new keys) over
     4 ``adaptive`` shards of two copies (point, scan; ``net_write``'s
     shape) makes at most 360 Python-level calls in each of 16
-    consecutive batches (322-342 on 3.11): per key and copy one tree
-    ``insert`` with its descent, eager-expansion check, access hook and
-    sample gate, and the leaf write.  While the tree ran its own sorted
+    consecutive batches (259-279 on 3.11; 323-343 while the tree charged
+    through ``OpCounters.add``): per key and copy one tree ``insert``
+    with its descent, eager-expansion check, access hook and sample
+    gate, and the leaf write.  While the tree ran its own sorted
     ``insert_many``, which descended once per leaf run and drained the
     sampler once per run, the same batches made 274-294: here both of a
     copy's keys share its one leaf, so that body saved a descent and a
