@@ -431,8 +431,8 @@ def ablation_eager(num_keys, num_ops):
         {"eager expansion (paper)": {"eager_insert_expansion": True},
          "no eager expansion": {"eager_insert_expansion": False}},
         ["eager_expansions", "succinct_writes", "final_bytes"],
-        lambda tree, run, _: (tree.counters.get("eager_expansion:succinct"),
-                              tree.counters.get("leaf_write:succinct"), run.final_index_bytes),
+        lambda tree, run, c: (c.eager_expansions, tree.counters.get("leaf_write:succinct"),
+                              run.final_index_bytes),
     )
 
 

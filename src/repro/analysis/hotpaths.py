@@ -81,8 +81,8 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
         HotRoot("repro.succinct", "*.rank*"),
         HotRoot("repro.succinct", "*.select*"),
         HotRoot("repro.succinct", "*decode*"),
-        # The per-access sampler (Listing 1 of the paper).
-        HotRoot("repro.core.sampling", "SkipSampler.is_sample"),
+        # The per-access sample gate (Listing 1 of the paper).
+        HotRoot("repro.core.manager", "AdaptationManager.is_sample"),
     ]
 )
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.art.nodes import Node4, Node16, Node48, Node256
+from repro.obs import runtime as _obs_runtime
 from repro.obs.introspect import IndexFamily
-from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 
 _LEAF_HEADER_BYTES = 16
@@ -90,7 +90,8 @@ class ART(IndexFamily):
         children; ``nodes_visited`` is the count the descent flushes to
         ``art_visit`` once at the end.
         """
-        tracer = active_tracer()
+        telemetry = _obs_runtime._ACTIVE
+        tracer = telemetry.tracer if telemetry is not None else None
         span = (
             tracer.op_start("lookup", family=self.stats_family)
             if tracer is not None
@@ -116,7 +117,7 @@ class ART(IndexFamily):
             node = node.find_child(key[depth])
             depth += 1
         if visits:
-            self.counters.add("art_visit", visits)
+            self.counters.counts["art_visit"] += visits
         if span is not None:
             tracer.event("descent", nodes_visited=visits, depth=depth)
             tracer.event(
@@ -310,12 +311,11 @@ class ART(IndexFamily):
     ) -> None:
         if node is None or len(result) >= count:
             return
+        self.counters.counts["art_visit"] += 1
         if isinstance(node, ARTLeaf):
-            self.counters.add("art_visit")
             if node.key >= start_key:
                 result.append((node.key, node.value))
             return
-        self.counters.add("art_visit")
         path = path + node.prefix
         # Prune subtrees that end before the start key: the largest key in
         # this subtree starts with ``path`` + 0xFF... ; a cheap safe bound

@@ -42,13 +42,6 @@ BTREE_ENCODING_ORDER: Tuple[LeafEncoding, ...] = (
     LeafEncoding.GAPPED,
 )
 
-#: Precomputed ``eager_expansion:<src>`` / ``eager_expansion_failed:<src>``
-#: counter names per source encoding (never formatted per insert).
-_EAGER_EXPANSION_EVENTS = {
-    encoding: (f"eager_expansion:{encoding}", f"eager_expansion_failed:{encoding}")
-    for encoding in LeafEncoding
-}
-
 
 class AdaptiveBPlusTree(BPlusTree):
     """The adaptive Hybrid B+-tree (AHI-BTree)."""
@@ -65,11 +58,6 @@ class AdaptiveBPlusTree(BPlusTree):
     ) -> None:
         super().__init__(cold_encoding, leaf_capacity, inner_fanout)
         self.eager_insert_expansion = eager_insert_expansion
-        #: Leaves expanded on insert, and inserts into a compact leaf left
-        #: compact for lack of budget headroom (plain ints, not
-        #: ``OpCounters`` events: the cost model does not price them).
-        self.eager_expansions = 0
-        self.eager_expansions_refused = 0
         if manager_config is None:
             manager_config = ManagerConfig(encoding_order=BTREE_ENCODING_ORDER)
         self.manager = AdaptationManager(self, manager_config)
@@ -115,14 +103,15 @@ class AdaptiveBPlusTree(BPlusTree):
         immediately and lets the next cold classification compact it —
         while the budget has the headroom a manager expansion needs
         (:meth:`~repro.core.manager.AdaptationManager.has_expansion_headroom`).
-        Without it the insert writes into the compact leaf, and the
-        refusal is counted."""
+        Without it the insert writes into the compact leaf.  The
+        manager's counters tally expansions, refusals and failures (the
+        cost model prices the migration's own events, not these)."""
         if leaf.encoding is LeafEncoding.GAPPED or not self.eager_insert_expansion:
             return
-        if not self.manager.has_expansion_headroom():
-            self.eager_expansions_refused += 1
+        manager = self.manager
+        if not manager.has_expansion_headroom():
+            manager.counters.eager_expansions_refused += 1
             return
-        expanded_event, failed_event = _EAGER_EXPANSION_EVENTS[leaf.encoding]
         before = leaf.size_bytes()
         try:
             migrated = migrate_leaf(leaf, LeafEncoding.GAPPED, self.counters)
@@ -132,14 +121,13 @@ class AdaptiveBPlusTree(BPlusTree):
             # A failed eager expansion is an optimization miss, not an
             # error: the transactional migration left the leaf intact, so
             # the insert proceeds on the old encoding.
-            self.counters.add(failed_event)
+            manager.counters.eager_expansion_failures += 1
             migrated = False
         if migrated:
             self.note_leaf_resized(leaf.size_bytes() - before)
-            self.counters.add(expanded_event)
-            self.eager_expansions += 1
+            manager.counters.eager_expansions += 1
             # Register so a later cold classification compacts it.
-            self.manager.register(leaf, context=parent)
+            manager.register(leaf, context=parent)
 
     # ------------------------------------------------------------------
     # Structural notifications (Section 4.1.4)
@@ -202,6 +190,7 @@ class AdaptiveBPlusTree(BPlusTree):
         stats = super().stats()
         del stats["leaf_encoding"]
         stats["total_size_bytes"] = stats["size_bytes"] + self.manager.size_bytes()
-        stats["eager_expansions"] = self.eager_expansions
-        stats["eager_expansions_refused"] = self.eager_expansions_refused
+        counters = self.manager.counters
+        stats["eager_expansions"] = counters.eager_expansions
+        stats["eager_expansions_refused"] = counters.eager_expansions_refused
         return stats

@@ -50,6 +50,7 @@ def migrate_leaf(
     migrated = leaf.migrate_to(target)
     if migrated and counters is not None:
         migration_event, entry_event = _MIGRATION_EVENTS[source, target]
-        counters.add(migration_event)
-        counters.add(entry_event, leaf.num_entries())
+        counts = counters.counts
+        counts[migration_event] += 1
+        counts[entry_event] += leaf.num_entries()
     return migrated

@@ -317,7 +317,7 @@ class OlcBPlusTree(BPlusTree):
             for lock in locks:
                 lock.write_lock()
             try:
-                self.counters.add(leaf.storage.visit_event)
+                self.counters.counts[leaf.storage.visit_event] += 1
                 self._count_leaf_write(leaf)
                 target = leaf
                 before = target.size_bytes()
@@ -349,7 +349,7 @@ class OlcBPlusTree(BPlusTree):
         leaf, lock = self._write_locked_leaf(key)
         try:
             storage = leaf.storage
-            self.counters.add(storage.visit_event)
+            self.counters.counts[storage.visit_event] += 1
             self._count_leaf_write(leaf)
             before = storage.size_bytes()
             updated = storage.update(key, value)
@@ -363,7 +363,7 @@ class OlcBPlusTree(BPlusTree):
         leaf, lock = self._write_locked_leaf(key)
         try:
             storage = leaf.storage
-            self.counters.add(storage.visit_event)
+            self.counters.counts[storage.visit_event] += 1
             self._count_leaf_write(leaf)
             before = storage.size_bytes()
             removed = storage.delete(key)

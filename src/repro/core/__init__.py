@@ -20,7 +20,7 @@ from repro.core.heuristics import (
     make_threshold_heuristic,
 )
 from repro.core.manager import AdaptationManager, AdaptiveIndex, ManagerConfig
-from repro.core.sampling import SkipSampler, required_sample_size
+from repro.core.sampling import required_sample_size
 from repro.core.topk import TopKClassifier
 from repro.core.trained import train_offline
 
@@ -42,7 +42,6 @@ __all__ = [
     "AdaptationManager",
     "AdaptiveIndex",
     "ManagerConfig",
-    "SkipSampler",
     "required_sample_size",
     "TopKClassifier",
     "train_offline",

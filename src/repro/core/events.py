@@ -54,7 +54,9 @@ class AdaptationEvent:
 
 @dataclass
 class EventLog:
-    """Append-only record of adaptation phases."""
+    """Append-only record of adaptation phases: the per-phase series.
+    Lifetime totals are the manager's
+    :class:`~repro.core.manager.ManagerCounters`."""
 
     events: List[AdaptationEvent] = field(default_factory=list)
 
@@ -70,31 +72,6 @@ class EventLog:
 
     def __getitem__(self, index: int) -> AdaptationEvent:
         return self.events[index]
-
-    @property
-    def total_expansions(self) -> int:
-        """Expansions across all logged phases."""
-        return sum(event.expansions for event in self.events)
-
-    @property
-    def total_compactions(self) -> int:
-        """Compactions across all logged phases."""
-        return sum(event.compactions for event in self.events)
-
-    @property
-    def total_migrations(self) -> int:
-        """Expansions plus compactions across all phases."""
-        return self.total_expansions + self.total_compactions
-
-    @property
-    def total_migration_failures(self) -> int:
-        """Failed (raising) migrations across all logged phases."""
-        return sum(event.migration_failures for event in self.events)
-
-    @property
-    def total_quarantined(self) -> int:
-        """Units quarantined across all logged phases."""
-        return sum(event.quarantined for event in self.events)
 
     def as_dicts(self) -> List[Dict]:
         """Every event through :meth:`AdaptationEvent.as_dict`, in order."""

@@ -17,7 +17,7 @@ The index side of the contract is the :class:`AdaptiveIndex` protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, Optional, Protocol, Sequence
 
 from repro.core.access import AccessStats, AccessType, Classification
@@ -36,7 +36,6 @@ from repro.core.sampling import (
     DEFAULT_EPSILON,
     SKIP_MAX,
     SKIP_MIN,
-    SkipSampler,
     adjust_skip_length,
     required_sample_size,
 )
@@ -155,20 +154,21 @@ class ManagerConfig:
 
 
 @dataclass
-class _PhaseOutcome:
-    """What one adaptation phase's migration pass actually did."""
-
-    expansions: int = 0
-    compactions: int = 0
-    evictions: int = 0
-    failures: int = 0
-    retries: int = 0
-    quarantined: int = 0
-
-
-@dataclass
 class ManagerCounters:
-    """Bookkeeping counters the cost model converts into modeled time."""
+    """The one tally of every adaptation fact, cumulative over the
+    manager's life: what it sampled and classified (the bookkeeping the
+    cost model prices), what it migrated, and what the index's eager
+    expansion on insert did.  A phase's :class:`AdaptationEvent` carries
+    the deltas of these counters over that phase.
+
+    ``accesses`` counts the gate evaluations this manager saw.  The
+    ``sample_check`` :class:`~repro.sim.counters.OpCounters` event is a
+    different fact: the index charges it per access it prices, and a
+    non-adaptive Hybrid Trie charges it without asking any manager.
+
+    Eager failures are not ``migration_failures``: they never count
+    toward :data:`DISABLE_AFTER_FAILURES`.
+    """
 
     accesses: int = 0
     sampled: int = 0
@@ -183,6 +183,9 @@ class ManagerCounters:
     migration_failures: int = 0
     migration_retries: int = 0
     quarantined_units: int = 0
+    eager_expansions: int = 0          # units expanded on insert
+    eager_expansions_refused: int = 0  # refused for lack of budget headroom
+    eager_expansion_failures: int = 0  # eager migrations that raised
 
 
 class AdaptationManager:
@@ -195,7 +198,9 @@ class AdaptationManager:
             fast_encoding=config.fast_encoding,
             compact_encoding=config.compact_encoding,
         )
-        self._sampler = SkipSampler(config.initial_skip_length)
+        # Listing 1's countdown, reloaded from the skip length.
+        self._skip_length = config.initial_skip_length
+        self._countdown = config.initial_skip_length
         self._samples: Dict[Hashable, AccessStats] = {}
         self._epoch = 1
         self._sampled_this_phase = 0
@@ -203,9 +208,9 @@ class AdaptationManager:
         self._failure_streaks: Dict[Hashable, int] = {}  # consecutive failures
         self._retry_at: Dict[Hashable, int] = {}         # epoch gating the retry
         self._quarantined: set = set()
-        self._total_migration_failures = 0
         self._degraded = False
         self.counters = ManagerCounters()
+        self._last_phase = ManagerCounters()  # the counters as the last phase ended
         self.events = EventLog()
         self._sample_size = self._initial_sample_size()
         self._filter = self._new_filter()
@@ -217,14 +222,16 @@ class AdaptationManager:
     # Hot path
     # ------------------------------------------------------------------
     def is_sample(self) -> bool:
-        """Per-access gate; True when the access should be tracked.  Runs
-        ``SkipSampler.is_sample``'s countdown on its state, in one frame."""
+        """Per-access gate (Listing 1); True when the access should be
+        tracked.  Skip counting (Vitter): a countdown reloaded from the
+        skip length, so every ``skip_length + 1``-th access is a sample
+        (``0`` samples every access) and a new skip length takes effect
+        at the next reload."""
         self.counters.accesses += 1
         if not self._enabled:
             return False
-        sampler = self._sampler
-        countdown = sampler._countdown
-        sampler._countdown = countdown - 1 if countdown else sampler.skip_length
+        countdown = self._countdown
+        self._countdown = countdown - 1 if countdown else self._skip_length
         return not countdown
 
     def track(
@@ -306,53 +313,54 @@ class AdaptationManager:
                 span.set(hot=len(hot_items))
         else:
             hot_items = self._classify(k)
-        outcome = self._apply_heuristic(hot_items)
+        counters = self.counters
+        before = self._last_phase
+        self._apply_heuristic(hot_items)
+        expansions = counters.expansions - before.expansions
+        compactions = counters.compactions - before.compactions
 
         if (
             not self._degraded
-            and self._total_migration_failures >= DISABLE_AFTER_FAILURES
+            and counters.migration_failures >= DISABLE_AFTER_FAILURES
         ):
             # Too many failed migrations overall: stop adapting and keep
             # serving the workload on the current (now static) layout.
             self._degraded = True
             self.disable()
 
-        skip_before = self._sampler.skip_length
+        skip_before = self._skip_length
         if self.config.adaptive_skip:
-            new_skip = adjust_skip_length(
+            self._skip_length = adjust_skip_length(
                 current=skip_before,
-                migrated=outcome.expansions + outcome.compactions,
+                migrated=expansions + compactions,
                 sampled=max(1, self._sampled_this_phase),
                 skip_min=self.config.skip_min,
                 skip_max=self.config.skip_max,
             )
-            self._sampler.set_skip_length(new_skip)
         self._sample_size = self._next_sample_size(k)
 
         event = AdaptationEvent(
             epoch=self._epoch,
-            accesses_seen=self.counters.accesses,
+            accesses_seen=counters.accesses,
             sampled=self._sampled_this_phase,
             unique_tracked=len(self._samples),
             hot=len(hot_items),
-            expansions=outcome.expansions,
-            compactions=outcome.compactions,
-            evictions=outcome.evictions,
+            expansions=expansions,
+            compactions=compactions,
+            evictions=counters.evictions - before.evictions,
             skip_length_before=skip_before,
-            skip_length_after=self._sampler.skip_length,
+            skip_length_after=self._skip_length,
             sample_size_after=self._sample_size,
             index_bytes=self._index.size_bytes(),
-            migration_failures=outcome.failures,
-            retries=outcome.retries,
-            quarantined=outcome.quarantined,
+            migration_failures=counters.migration_failures - before.migration_failures,
+            retries=counters.migration_retries - before.migration_retries,
+            quarantined=counters.quarantined_units - before.quarantined_units,
             adaptation_disabled=self._degraded,
         )
         self.events.append(event)
 
-        self.counters.adaptation_phases += 1
-        self.counters.expansions += outcome.expansions
-        self.counters.compactions += outcome.compactions
-        self.counters.evictions += outcome.evictions
+        counters.adaptation_phases += 1
+        self._last_phase = replace(counters)
         self._epoch += 1
         self._sampled_this_phase = 0
         self._filter.reset()
@@ -362,13 +370,15 @@ class AdaptationManager:
             tracer.end(phase_span, **event.as_dict())
         registry = active_registry()
         if registry is not None:
-            self._publish_phase_metrics(registry, event)
+            self._publish_phase_metrics(registry, event, before)
         return event
 
     def _publish_phase_metrics(
-        self, registry: MetricsRegistry, event: AdaptationEvent
+        self, registry: MetricsRegistry, event: AdaptationEvent, before: ManagerCounters
     ) -> None:
-        """Push one phase's outcome into the installed metrics registry."""
+        """Push one phase's outcome, and the eager expansions since the
+        previous phase, into the installed metrics registry."""
+        counters = self.counters
         registry.counter("manager.phases").inc()
         registry.counter("manager.expansions").inc(event.expansions)
         registry.counter("manager.compactions").inc(event.compactions)
@@ -376,6 +386,15 @@ class AdaptationManager:
         registry.counter("manager.migration_failures").inc(event.migration_failures)
         registry.counter("manager.migration_retries").inc(event.retries)
         registry.counter("manager.quarantined").inc(event.quarantined)
+        registry.counter("manager.eager_expansions").inc(
+            counters.eager_expansions - before.eager_expansions
+        )
+        registry.counter("manager.eager_expansions_refused").inc(
+            counters.eager_expansions_refused - before.eager_expansions_refused
+        )
+        registry.counter("manager.eager_expansion_failures").inc(
+            counters.eager_expansion_failures - before.eager_expansion_failures
+        )
         registry.histogram("manager.sampled_per_phase", SIZE_BUCKETS).record(event.sampled)
         registry.histogram("manager.hot_per_phase", SIZE_BUCKETS).record(event.hot)
         registry.histogram("manager.migrations_per_phase", SIZE_BUCKETS).record(
@@ -397,7 +416,7 @@ class AdaptationManager:
     @property
     def skip_length(self) -> int:
         """The current skip length."""
-        return self._sampler.skip_length
+        return self._skip_length
 
     @property
     def sample_size(self) -> int:
@@ -426,11 +445,6 @@ class AdaptationManager:
     def adaptation_degraded(self) -> bool:
         """True once repeated failures disabled adaptation entirely."""
         return self._degraded
-
-    @property
-    def total_migration_failures(self) -> int:
-        """Raising migrations seen over the manager's lifetime."""
-        return self._total_migration_failures
 
     def has_expansion_headroom(self) -> bool:
         """True while the budget leaves room to expand a unit: utilization
@@ -476,11 +490,13 @@ class AdaptationManager:
         self.counters.heap_operations += classifier.heap_operations
         return classifier.hot_items()
 
-    def _apply_heuristic(self, hot_items: set) -> _PhaseOutcome:
+    def _apply_heuristic(self, hot_items: set) -> None:
+        """Migrate what the heuristic decides, counting into
+        :attr:`counters`."""
         tracer = active_tracer()  # once per phase; spans per migration below
         budget = self.config.budget
         utilization = budget.utilization(self._index.size_bytes(), self._index.num_keys)
-        outcome = _PhaseOutcome()
+        counters = self.counters
         to_evict = []
         # Iterate over a snapshot: migrations may mutate index internals.
         for identifier, stats in list(self._samples.items()):
@@ -510,14 +526,13 @@ class AdaptationManager:
                 if self._retry_at.get(identifier, 0) >= self._epoch:
                     continue  # still backing off from an earlier failure
                 if identifier in self._failure_streaks:
-                    outcome.retries += 1
-                    self.counters.migration_retries += 1
+                    counters.migration_retries += 1
                 try:
                     migrated = self._index.migrate(
                         identifier, decision.target_encoding, stats.context
                     )
                 except Exception:
-                    self._record_migration_failure(identifier, outcome)
+                    self._record_migration_failure(identifier)
                     if tracer is not None:
                         tracer.event(
                             _migration_span_name(current_encoding, decision.target_encoding),
@@ -538,30 +553,24 @@ class AdaptationManager:
                 if not migrated:
                     continue
                 if self._is_expansion(current_encoding, decision.target_encoding):
-                    outcome.expansions += 1
+                    counters.expansions += 1
                 else:
-                    outcome.compactions += 1
+                    counters.compactions += 1
                 utilization = budget.utilization(
                     self._index.size_bytes(), self._index.num_keys
                 )
         for identifier in to_evict:
             self._samples.pop(identifier, None)
-        outcome.evictions = len(to_evict)
-        return outcome
+        counters.evictions += len(to_evict)
 
-    def _record_migration_failure(
-        self, identifier: Hashable, outcome: _PhaseOutcome
-    ) -> None:
+    def _record_migration_failure(self, identifier: Hashable) -> None:
         """Book one raising migration: backoff, quarantine, disable."""
-        outcome.failures += 1
         self.counters.migration_failures += 1
-        self._total_migration_failures += 1
         streak = self._failure_streaks.get(identifier, 0) + 1
         self._failure_streaks[identifier] = streak
         if streak >= MAX_MIGRATION_RETRIES:
             self._quarantined.add(identifier)
             self._retry_at.pop(identifier, None)
-            outcome.quarantined += 1
             self.counters.quarantined_units += 1
             return
         backoff = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * (2 ** (streak - 1)))

@@ -1,4 +1,4 @@
-"""Sample-size math (Equation 1) and the skip-length sampler.
+"""Sample-size math (Equation 1) and the skip-length control.
 
 Equation (1) of the paper gives the sample size needed for an
 e-approximation of the top-k frequent items over ``n`` items with
@@ -8,16 +8,15 @@ reliability ``1 - delta``:
 
 Sampling itself follows Vitter's skip-counting idea: instead of flipping a
 coin per access, a counter skips a fixed number of accesses between two
-samples, so the per-access cost is a single decrement.
+samples, so the per-access cost is a single decrement.  The countdown is
+the manager's (:meth:`~repro.core.manager.AdaptationManager.is_sample`);
+:func:`adjust_skip_length` sets its skip length between phases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-
-from repro.obs.runtime import active_registry
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_DELTA = 0.05
@@ -58,49 +57,6 @@ def required_sample_size(
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     k = max(1, min(k, population))
     return _required_sample_size_cached(population, k, epsilon, delta)
-
-
-@dataclass
-class SkipSampler:
-    """Skip-length access sampler.
-
-    Every call to :meth:`is_sample` models one index access; every
-    ``skip_length + 1``-th access is a sample.  ``skip_length = 0`` samples
-    every access (the worst case of Figure 5).  The adaptation manager
-    adjusts :attr:`skip_length` between phases; the new value takes effect
-    when the current countdown expires, matching the thread-local reload
-    from the global skip in Listing 1.
-    """
-
-    skip_length: int = SKIP_MIN
-
-    def __post_init__(self) -> None:
-        if self.skip_length < 0:
-            raise ValueError(f"skip length must be >= 0, got {self.skip_length}")
-        self._countdown = self.skip_length
-
-    def is_sample(self) -> bool:
-        """Return True when the current access should be sampled."""
-        if self._countdown == 0:
-            self._countdown = self.skip_length
-            return True
-        self._countdown -= 1
-        return False
-
-    def set_skip_length(self, skip_length: int) -> None:
-        """Install a new skip length (takes effect at the next reload).
-
-        Called between phases (never per access), so it is also where the
-        sampler publishes its current stride into an installed metrics
-        registry.
-        """
-        if skip_length < 0:
-            raise ValueError(f"skip length must be >= 0, got {skip_length}")
-        self.skip_length = skip_length
-        registry = active_registry()
-        if registry is not None:
-            registry.gauge("sampler.skip_length").set(skip_length)
-            registry.counter("sampler.skip_updates").inc()
 
 
 def adjust_skip_length(

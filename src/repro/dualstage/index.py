@@ -25,6 +25,7 @@ from repro.bptree.leaves import LeafEncoding, PackedStorage
 from repro.bptree.tree import BPlusTree
 from repro.core.bloom import BloomFilter
 from repro.faults.injector import fault_point
+from repro.obs import runtime as _obs_runtime
 from repro.obs.introspect import IndexFamily
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
@@ -100,25 +101,27 @@ class DualStageIndex(IndexFamily):
         Under an installed tracer the same probe sequence emits a sampled
         ``lookup`` span naming the stage that answered.
         """
-        tracer = active_tracer()
+        telemetry = _obs_runtime._ACTIVE
+        tracer = telemetry.tracer if telemetry is not None else None
         span = (
             tracer.op_start("lookup", family=self.stats_family)
             if tracer is not None
             else None
         )
-        self.counters.add("bloom_probe")
+        counts = self.counters.counts
+        counts["bloom_probe"] += 1
         bloom_hit = key in self._bloom
         value: Optional[int] = None
         stage = "static"
         if bloom_hit:
-            self.counters.add("dynamic_stage_probe")
+            counts["dynamic_stage_probe"] += 1
             value = self._dynamic.lookup(key)
             if value is not None:
                 stage = "dynamic"
             elif key in self._tombstones:
                 stage = "tombstone"
         if stage == "static":
-            self.counters.add("static_stage_probe")
+            counts["static_stage_probe"] += 1
             value = self._static.lookup(key)
         if span is not None:
             tracer.event("descent", bloom_hit=bloom_hit)
@@ -189,7 +192,7 @@ class DualStageIndex(IndexFamily):
         result = list(itertools.islice(self._merged(iter(dynamic), static), count))
         taken = len(window_pairs) - length_hint(static)
         if taken:
-            self.counters.add("static_scan_item", taken)
+            self.counters.counts["static_scan_item"] += taken
         return result
 
     def items(self) -> Iterator[Tuple[int, int]]:
@@ -268,8 +271,8 @@ class DualStageIndex(IndexFamily):
 
     def _merge_impl(self) -> None:
         fault_point("dualstage.merge.collect")
-        self.counters.add(
-            "merge_entry", len(self._dynamic) + self._static.num_entries()
+        self.counters.counts["merge_entry"] += (
+            len(self._dynamic) + self._static.num_entries()
         )
         merged = list(self.items())
         fault_point("dualstage.merge.build")

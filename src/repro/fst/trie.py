@@ -25,8 +25,8 @@ from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
+from repro.obs import runtime as _obs_runtime
 from repro.obs.introspect import IndexFamily
-from repro.obs.runtime import active_tracer
 from repro.sim.counters import OpCounters
 from repro.succinct.bitvector import SELECT_SAMPLE_RATE, BitVector, _SELECT_IN_BYTE
 
@@ -286,7 +286,8 @@ class FST(IndexFamily):
         """
         if self._num_keys == 0:
             return None
-        tracer = active_tracer()
+        telemetry = _obs_runtime._ACTIVE
+        tracer = telemetry.tracer if telemetry is not None else None
         span = (
             tracer.op_start("lookup", family=self.stats_family)
             if tracer is not None

@@ -122,13 +122,10 @@ class _BaseAdapter:
     def expansions(self) -> int:
         """Manager-driven expansions plus the tree's eager insert
         expansions — both are encoding migrations toward the fast end."""
-        eager = sum(
-            count
-            for event, count in self.index.counters.snapshot().items()
-            if event.startswith("eager_expansion:")
-        )
-        managed = self._manager.counters.expansions if self._manager is not None else 0
-        return managed + eager
+        if self._manager is None:
+            return 0
+        counters = self._manager.counters
+        return counters.expansions + counters.eager_expansions
 
     def compactions(self) -> int:
         """Cumulative compactions."""

@@ -301,8 +301,9 @@ class HybridTrie(IndexFamily):
         branch.art_node = node
         self._art_bytes += node.size_bytes()
         self._num_branches += new_branches
-        self.counters.add("migration:fst->art")
-        self.counters.add("migration_label:fst->art", len(entries))
+        counts = self.counters.counts
+        counts["migration:fst->art"] += 1
+        counts["migration_label:fst->art"] += len(entries)
         return True
 
     def compact_branch(self, branch: TrieBranch) -> bool:
@@ -328,7 +329,7 @@ class HybridTrie(IndexFamily):
             child.detached = True
             self._num_branches -= 1
             self.manager.forget(child)
-        self.counters.add("migration:art->fst")
+        self.counters.counts["migration:art->fst"] += 1
         return True
 
     # ------------------------------------------------------------------

@@ -161,25 +161,25 @@ def census_stats(census: Mapping[Any, Any]) -> Dict[str, Dict]:
 
 def manager_stats(manager: Any, recent_events: int = RECENT_EVENTS_KEPT) -> Dict:
     """The adaptation block of ``stats()`` for one AdaptationManager."""
-    events = manager.events
-    recent = [event.as_dict() for event in events.events[-recent_events:]]
+    counters = manager.counters
+    recent = [event.as_dict() for event in manager.events.events[-recent_events:]]
     return {
         "epoch": manager.epoch,
         "skip_length": manager.skip_length,
         "sample_size": manager.sample_size,
         "tracked_units": manager.tracked_units,
-        "accesses_seen": manager.counters.accesses,
-        "sampled": manager.counters.sampled,
-        "bloom_rejections": manager.counters.bloom_rejections,
-        "phases": manager.counters.adaptation_phases,
+        "accesses_seen": counters.accesses,
+        "sampled": counters.sampled,
+        "bloom_rejections": counters.bloom_rejections,
+        "phases": counters.adaptation_phases,
         "quarantined_units": manager.quarantined_units,
         "degraded": manager.adaptation_degraded,
         "migration_history": {
-            "expansions": events.total_expansions,
-            "compactions": events.total_compactions,
-            "migrations": events.total_migrations,
-            "failures": events.total_migration_failures,
-            "quarantined": events.total_quarantined,
+            "expansions": counters.expansions,
+            "compactions": counters.compactions,
+            "migrations": counters.expansions + counters.compactions,
+            "failures": counters.migration_failures,
+            "quarantined": counters.quarantined_units,
             "recent_events": recent,
         },
     }

@@ -3,25 +3,44 @@
 Every index in this reproduction increments named counters for the
 structural work it performs; the cost model prices them.  Counter names
 are plain strings so substrates can introduce their own events without
-touching this module.  The conventional names are:
+touching this module.  The events the cost model prices
+(:data:`~repro.sim.costmodel.DEFAULT_COSTS_NS`; ``<...>`` names a
+variable part; ``tests/sim/test_costmodel.py`` keeps the two in step):
 
-===========================  ==================================================
-``inner_visit``              one B+-tree inner-node traversal step
-``leaf_visit:gapped``        one access to a Gapped leaf
-``leaf_visit:packed``        one access to a Packed leaf
-``leaf_visit:succinct``      one access to a Succinct leaf
-``leaf_write:<enc>``         one in-leaf mutation (insert/update/delete)
-``art_visit``                one ART node traversal step
-``fst_dense_visit``          one LOUDS-dense node step
-``fst_sparse_visit``         one LOUDS-sparse node step
-``migration:<src>-><dst>``   one encoding migration (priced per entry too)
-``migration_entries:...``    entries moved by those migrations
-``sample_check``             one is-sample gate evaluation
-``sample_track``             one tracked sample (hash-map update)
-``bloom_check``              one Bloom-filter membership test
-``classify_item``            one item pass during classification
-``heap_op``                  one heap push/replace during classification
-===========================  ==================================================
+============================  ==================================================
+``inner_visit``               one B+-tree inner-node traversal step
+``leaf_visit:<enc>``          one access to a Gapped/Packed/Succinct leaf
+``leaf_write:<enc>``          one in-leaf mutation (insert/update/delete)
+``leaf_rebuild_entry``        one entry a Succinct leaf write re-encodes
+``leaf_split``                one leaf split
+``migration:<src>-><dst>``    one leaf or trie-branch encoding migration
+``migration_entry:<kind>``    one entry a leaf migration moves (cheap/recode)
+``migration_label:fst->art``  one label an FST->ART expansion materializes
+``art_visit``                 one ART node traversal step
+``fst_dense_visit``           one LOUDS-dense node step
+``fst_sparse_visit``          one LOUDS-sparse node step
+``trie_value_fetch``          one value read at the end of a trie descent
+``sample_check``              one is-sample gate evaluation
+``sample_track``              one tracked sample (hash-map update)
+``bloom_check``               one Bloom-filter membership test
+``classify_item``             one item pass during classification
+``heap_op``                   one heap push/replace during classification
+``lock_acquire``              one sampling-map lock acquisition (Figure 18)
+``lock_blocked``              one acquisition that waited
+``lock_contention_pair``      one acquisition per other contender
+``map_merge_entry``           one thread-local sample merged into the global map
+``dynamic_stage_probe``       one Dual-Stage dynamic-stage probe
+``static_stage_probe``        one Dual-Stage static-stage probe
+``bloom_probe``               one Dual-Stage Bloom-filter probe
+``merge_entry``               one entry a Dual-Stage merge moves
+``static_scan_item``          one pair a scan takes from the static stage
+============================  ==================================================
+
+The sampling framework's bookkeeping (``sample_track`` through
+``heap_op``) is tallied by the adaptation manager's
+:class:`~repro.core.manager.ManagerCounters` and the contention events by
+the Figure 18 run; ``repro.harness.runner.cost_events`` and that run add
+them to an index's own counts before pricing.
 """
 
 from __future__ import annotations
@@ -38,10 +57,6 @@ class OpCounters:
         #: place (``counts[event] += n``, no Python frame).  Not a
         #: ``Counter``, whose Python ``__delitem__`` makes a store ~3x slower.
         self.counts: DefaultDict[str, int] = defaultdict(int)
-
-    def add(self, event: str, amount: int = 1) -> None:
-        """Add one item/event."""
-        self.counts[event] += amount
 
     def get(self, event: str) -> int:
         """The count of ``event``; 0 when it never happened."""

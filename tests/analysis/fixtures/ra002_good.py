@@ -4,7 +4,7 @@ import time
 
 
 def lookup(index, key):
-    index.counters.add("probe")
+    index.counters.counts["probe"] += 1
     try:
         return index.get(key)
     except KeyError:

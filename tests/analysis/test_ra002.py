@@ -55,7 +55,7 @@ class TestRootRegistry:
         prefixes = {root.module_prefix for root in DEFAULT_HOT_ROOTS}
         for family in ("repro.bptree", "repro.art", "repro.fst", "repro.dualstage"):
             assert family in prefixes
-        assert "repro.core.sampling" in prefixes
+        assert "repro.core.manager" in prefixes  # the per-access sample gate
 
     def test_root_matching_respects_module_prefix(self):
         root = HotRoot("repro.bptree", "*lookup*")

@@ -72,7 +72,7 @@ class TestAdaptation:
         assert expanded_before >= 1
         for _ in range(4000):
             tree.lookup(second_hot[rng.integers(0, 40)])
-        assert tree.manager.events.total_compactions >= 1
+        assert tree.manager.counters.compactions >= 1
 
     def test_lookup_results_survive_migrations(self):
         pairs = sorted_pairs(2000)
@@ -88,12 +88,18 @@ class TestAdaptation:
         tree.verify()
 
 
+def eager_counts(tree):
+    """The manager's (eager expansions, refusals) for ``tree``."""
+    counters = tree.manager.counters
+    return counters.eager_expansions, counters.eager_expansions_refused
+
+
 class TestEagerInsertExpansion:
     def test_insert_into_succinct_leaf_expands_it(self):
         tree = AdaptiveBPlusTree.bulk_load_adaptive(sorted_pairs(500), leaf_capacity=32)
         key = sorted_pairs(500)[100][0] + 1
         tree.insert(key, 42)
-        assert tree.counters.get("eager_expansion:succinct") == 1
+        assert tree.manager.counters.eager_expansions == 1
         assert tree.lookup(key) == 42
         tree.verify()
 
@@ -115,7 +121,7 @@ class TestEagerInsertExpansion:
         )
         key = sorted_pairs(500)[100][0] + 1
         tree.insert(key, 42)
-        assert tree.counters.get("eager_expansion:succinct") == 0
+        assert tree.manager.counters.eager_expansions == 0
         assert tree.lookup(key) == 42
 
     def test_eager_expansion_respects_budget(self):
@@ -128,7 +134,7 @@ class TestEagerInsertExpansion:
             ),
         )
         tree.insert(pairs[100][0] + 1, 42)
-        assert tree.counters.get("eager_expansion:succinct") == 0
+        assert tree.manager.counters.eager_expansions == 0
 
     def test_tree_within_its_budget_but_past_the_ceiling_refuses(self):
         pairs = sorted_pairs(500)
@@ -140,8 +146,7 @@ class TestEagerInsertExpansion:
         assert not budget.exceeded(tree.size_bytes(), tree.num_keys)
         assert not tree.manager.has_expansion_headroom()
         tree.insert(pairs[100][0] + 1, 42)
-        assert tree.counters.get("eager_expansion:succinct") == 0
-        assert (tree.eager_expansions, tree.eager_expansions_refused) == (0, 1)
+        assert eager_counts(tree) == (0, 1)
         assert tree.encoding_counts() == {LeafEncoding.SUCCINCT: tree.num_leaves}
         assert tree.stats()["eager_expansions_refused"] == 1
         assert "eager_expansions_refused: 1" in tree.describe()
@@ -155,8 +160,7 @@ class TestEagerInsertExpansion:
             manager_config=fast_config(budget=MemoryBudget.absolute(2 * size)),
         )
         tree.insert(pairs[100][0] + 1, 42)
-        assert tree.counters.get("eager_expansion:succinct") == 1
-        assert (tree.eager_expansions, tree.eager_expansions_refused) == (1, 0)
+        assert eager_counts(tree) == (1, 0)
         assert tree.stats()["eager_expansions"] == 1
 
     def test_unbounded_tree_expands_every_succinct_leaf_on_first_insert(self):
@@ -165,8 +169,8 @@ class TestEagerInsertExpansion:
         firsts = [leaf.min_key() for leaf in tree.leaves()]
         for key in firsts:
             tree.insert(key + 1, 7)
-        assert tree.eager_expansions == len(firsts) == tree.num_leaves
-        assert tree.eager_expansions_refused == 0
+        assert tree.manager.counters.eager_expansions == len(firsts) == tree.num_leaves
+        assert tree.manager.counters.eager_expansions_refused == 0
         assert tree.encoding_counts() == {LeafEncoding.GAPPED: tree.num_leaves}
         tree.verify()
 
@@ -175,7 +179,7 @@ class TestEagerInsertExpansion:
             manager_config=fast_config(budget=MemoryBudget.relative(1000.0))
         )
         tree.insert(5, 6)
-        assert (tree.eager_expansions, tree.eager_expansions_refused) == (0, 1)
+        assert eager_counts(tree) == (0, 1)
         assert tree.lookup(5) == 6
 
 

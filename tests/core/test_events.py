@@ -1,8 +1,31 @@
-"""Tests for the adaptation event log."""
+"""Tests for the adaptation event log: the per-phase series, whose
+fields are deltas of the manager's lifetime counters."""
 
 import json
 
 from repro.core.events import AdaptationEvent, EventLog
+from repro.core.manager import MAX_MIGRATION_RETRIES
+from repro.obs.introspect import manager_stats
+
+from tests.core.test_manager_degradation import FlakyIndex, heat_and_adapt, make_manager
+
+#: AdaptationEvent field -> the ManagerCounters field it is a delta of.
+DELTA_FIELDS = {
+    "expansions": "expansions",
+    "compactions": "compactions",
+    "evictions": "evictions",
+    "migration_failures": "migration_failures",
+    "retries": "migration_retries",
+    "quarantined": "quarantined_units",
+}
+
+
+def assert_events_sum_to_counters(manager):
+    counters = manager.counters
+    for event_field, counter_field in DELTA_FIELDS.items():
+        total = sum(getattr(event, event_field) for event in manager.events)
+        assert total == getattr(counters, counter_field), event_field
+    assert len(manager.events) == counters.adaptation_phases
 
 
 def make_event(epoch=1, expansions=0, compactions=0, **overrides):
@@ -33,12 +56,16 @@ class TestEventLog:
         assert log[1].epoch == 2
 
     def test_totals(self):
-        log = EventLog()
-        log.append(make_event(expansions=3, compactions=1))
-        log.append(make_event(epoch=2, expansions=2, compactions=4))
-        assert log.total_expansions == 5
-        assert log.total_compactions == 5
-        assert log.total_migrations == 10
+        """Lifetime totals are the manager's counters; the log's phases
+        sum to them."""
+        index = FlakyIndex(range(5))
+        manager = make_manager(index)
+        for unit in (0, 1, 2):
+            heat_and_adapt(manager, unit)
+        assert_events_sum_to_counters(manager)
+        counters = manager.counters
+        assert (counters.expansions, counters.compactions) == (3, 1)
+        assert counters.expansions + counters.compactions == len(index.migrations)
 
     def test_iteration(self):
         log = EventLog()
@@ -50,7 +77,7 @@ class TestEventLog:
         log.append(make_event())
         log.clear()
         assert len(log) == 0
-        assert log.total_migrations == 0
+        assert log.as_dicts() == []
 
     def test_events_are_frozen(self):
         import dataclasses
@@ -62,16 +89,26 @@ class TestEventLog:
             event.epoch = 99
 
     def test_aggregates_against_hand_built_sequence(self):
-        log = EventLog()
-        log.append(make_event(epoch=1, expansions=4, migration_failures=1))
-        log.append(make_event(epoch=2, compactions=2, quarantined=1))
-        log.append(make_event(epoch=3, expansions=1, compactions=1, retries=2))
-        assert log.total_expansions == 5
-        assert log.total_compactions == 3
-        assert log.total_migrations == 8
-        assert log.total_migration_failures == 1
-        assert log.total_quarantined == 1
-        assert log[2].migrations == 2
+        """Failures, backoff phases, retries and a quarantine, then a
+        migration: every event is its phase's delta of the counters, and
+        ``stats()``'s migration history reads the counters."""
+        index = FlakyIndex(range(5), failing={0})
+        manager = make_manager(index)
+        while not manager.is_quarantined(0):
+            heat_and_adapt(manager, 0)
+        event = heat_and_adapt(manager, 1)
+        assert event.migrations == event.expansions == 1
+        assert_events_sum_to_counters(manager)
+        counters = manager.counters
+        assert counters.migration_failures == MAX_MIGRATION_RETRIES
+        assert counters.migration_retries == MAX_MIGRATION_RETRIES - 1
+        assert counters.quarantined_units == 1
+        history = manager_stats(manager)["migration_history"]
+        assert history["expansions"] == counters.expansions
+        assert history["compactions"] == counters.compactions
+        assert history["migrations"] == counters.expansions + counters.compactions
+        assert history["failures"] == counters.migration_failures
+        assert history["quarantined"] == counters.quarantined_units
 
 
 class TestSerialization:

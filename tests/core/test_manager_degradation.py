@@ -84,7 +84,6 @@ class TestFailureAccounting:
         assert index.attempts == [0]
         assert event.migration_failures == 1
         assert event.expansions == 0
-        assert manager.total_migration_failures == 1
         assert manager.counters.migration_failures == 1
         assert index.encodings[0] == COMPACT  # untouched
 
@@ -94,7 +93,7 @@ class TestFailureAccounting:
         event = heat_and_adapt(manager, 0)
         assert event.migration_failures == 0
         assert index.encodings[0] == FAST
-        assert manager.total_migration_failures == 0
+        assert manager.counters.migration_failures == 0
 
 
 class TestBackoff:
@@ -138,7 +137,7 @@ class TestBackoff:
         assert index.encodings[0] == FAST
         assert event.retries == 1
         assert event.expansions == 1
-        assert manager.total_migration_failures == 1
+        assert manager.counters.migration_failures == 1
 
 
 class TestQuarantine:
@@ -202,7 +201,8 @@ class TestDisable:
         manager = make_manager(index)
         heat_and_adapt(manager, 0)
         heat_and_adapt(manager, 1)
-        assert manager.events.total_migration_failures == 2
+        assert sum(event.migration_failures for event in manager.events) == 2
+        assert manager.counters.migration_failures == 2
         assert any(event.adaptation_disabled for event in manager.events)
 
 

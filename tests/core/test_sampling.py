@@ -1,4 +1,5 @@
-"""Tests for Equation (1) and the skip sampler."""
+"""Tests for Equation (1), the skip-length control, and the skip sampler
+(the manager's per-access gate, Listing 1)."""
 
 import math
 
@@ -6,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sampling import (
-    SkipSampler,
-    adjust_skip_length,
-    required_sample_size,
-)
+from repro.core.manager import AdaptationManager, ManagerConfig
+from repro.core.sampling import SKIP_MAX, adjust_skip_length, required_sample_size
+
+
+def gate(skip_length):
+    """A manager whose only use here is its sample gate: no phase runs
+    within these tests' accesses, so it needs no index."""
+    config = ManagerConfig(
+        encoding_order=("compact", "fast"),
+        initial_skip_length=skip_length,
+        skip_min=0,
+        skip_max=max(skip_length, SKIP_MAX),
+        initial_sample_size=1,
+    )
+    return AdaptationManager(None, config)
 
 
 class TestRequiredSampleSize:
@@ -52,27 +63,28 @@ class TestRequiredSampleSize:
 
 class TestSkipSampler:
     def test_skip_zero_samples_everything(self):
-        sampler = SkipSampler(0)
+        sampler = gate(0)
         assert all(sampler.is_sample() for _ in range(10))
 
     def test_skip_n_samples_every_n_plus_one(self):
-        sampler = SkipSampler(3)
+        sampler = gate(3)
         outcomes = [sampler.is_sample() for _ in range(12)]
         assert outcomes == [False, False, False, True] * 3
 
     def test_sampling_rate(self):
-        sampler = SkipSampler(9)
+        sampler = gate(9)
         samples = sum(sampler.is_sample() for _ in range(1000))
         assert samples == 100
+        assert sampler.counters.accesses == 1000
 
     def test_negative_skip_rejected(self):
         with pytest.raises(ValueError):
-            SkipSampler(-1)
+            gate(-1)
 
     def test_set_skip_takes_effect_on_reload(self):
-        sampler = SkipSampler(1)
+        sampler = gate(1)
         assert not sampler.is_sample()
-        sampler.set_skip_length(4)
+        sampler._skip_length = 4  # as a phase's skip control sets it
         assert sampler.is_sample()  # old countdown expires
         # New countdown uses the updated skip of 4.
         outcomes = [sampler.is_sample() for _ in range(5)]
@@ -111,7 +123,7 @@ def test_sample_size_monotone_in_population(n, k):
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=500))
 def test_skip_sampler_exact_rate(skip, rounds):
-    sampler = SkipSampler(skip)
+    sampler = gate(skip)
     total = rounds * (skip + 1)
     assert sum(sampler.is_sample() for _ in range(total)) == rounds
 

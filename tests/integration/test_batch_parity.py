@@ -16,7 +16,8 @@ their invariants afterwards.
 The last class pins the design: each family has one copy of each access
 path, so the adaptive B+-tree defines no access path of its own, no
 family carries a traced twin, a batched scan or a sorted batch read,
-and the adaptation manager has one sample gate.
+the adaptation manager has one sample gate, and it keeps the one tally
+of each adaptation fact.
 """
 
 import importlib
@@ -28,12 +29,11 @@ import pytest
 
 import repro
 from repro.art.tree import terminated
-from repro.bptree.hybrid import AdaptiveBPlusTree
+from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree, _lock_of
 from repro.bptree.tree import BPlusTree
-from repro.core.manager import AdaptationManager
-from repro.core.sampling import SkipSampler
+from repro.core.manager import AdaptationManager, ManagerConfig
 from repro.dualstage.index import DualStageIndex
 from repro.fst.trie import FST
 from repro.obs.introspect import IndexFamily
@@ -77,7 +77,7 @@ def sampler_state(tree):
     return (
         manager.counters.accesses,
         manager.counters.sampled,
-        manager._sampler._countdown,
+        manager._countdown,
         manager.tracked_units,
     )
 
@@ -278,4 +278,42 @@ class TestOneAccessPathPerFamily:
 
     def test_manager_has_one_sample_gate(self):
         assert "consume" not in vars(AdaptationManager)
-        assert "consume" not in vars(SkipSampler)
+
+    def test_each_adaptation_fact_is_counted_once_by_the_manager(self):
+        """Eager expansions are the manager's counts, not ``OpCounters``
+        events, and ``stats()`` reads the eager and migration totals off
+        ``manager.counters``."""
+        pairs, probe_keys = int_workload(5)
+        config = ManagerConfig(
+            encoding_order=BTREE_ENCODING_ORDER,
+            initial_skip_length=0,
+            skip_min=0,
+            skip_max=4,
+            initial_sample_size=300,
+            max_sample_size=300,
+        )
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(
+            pairs, leaf_capacity=32, manager_config=config
+        )
+        for step, key in enumerate(probe_keys):
+            if step % 3:
+                tree.lookup(key)
+            else:
+                tree.insert(key, step)
+        counters = tree.manager.counters
+        assert counters.eager_expansions > 0
+        assert counters.expansions + counters.compactions > 0
+        assert not [
+            event for event in tree.counters.snapshot() if event.startswith("eager_expansion")
+        ]
+        stats = tree.stats()
+        assert stats["eager_expansions"] == counters.eager_expansions
+        assert stats["eager_expansions_refused"] == counters.eager_expansions_refused
+        assert stats["adaptation"]["migration_history"] == {
+            "expansions": counters.expansions,
+            "compactions": counters.compactions,
+            "migrations": counters.expansions + counters.compactions,
+            "failures": counters.migration_failures,
+            "quarantined": counters.quarantined_units,
+            "recent_events": stats["adaptation"]["migration_history"]["recent_events"],
+        }

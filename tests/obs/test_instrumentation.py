@@ -1,8 +1,8 @@
 """Hot-path instrumentation: every publisher reaches the installed telemetry.
 
 These are end-to-end checks of the call sites sprinkled through the
-index families, the adaptation manager, the Bloom filter, the sampler,
-and the fault injector — the wiring :mod:`repro.obs` exists for.
+index families, the adaptation manager (and its sample gate), the Bloom
+filter, and the fault injector — the wiring :mod:`repro.obs` exists for.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.bptree.leaves import LeafEncoding
 from repro.bptree.olc import OlcBPlusTree
 from repro.bptree.tree import BPlusTree
 from repro.core.bloom import BloomFilter
-from repro.core.sampling import SkipSampler
 from repro.dualstage.index import DualStageIndex
 from repro.faults import FaultInjector, InjectedFault, fault_point
 from repro.fst.trie import FST
@@ -32,7 +31,7 @@ def _sampler_state(index):
         manager.counters.accesses,
         manager.counters.sampled,
         manager.counters.adaptation_phases,
-        manager._sampler._countdown,
+        manager._countdown,
         manager.tracked_units,
     )
 
@@ -153,12 +152,28 @@ class TestCorePublishers:
             assert telemetry.registry.snapshot()["histograms"] == {}
 
     def test_sampler_publishes_skip_length(self):
-        sampler = SkipSampler(skip_length=10)
+        """The sample gate is the manager's: a phase publishes its skip
+        length as ``manager.skip_length`` (no ``sampler.*`` twin) and the
+        eager expansions since the previous phase as ``manager.eager_*``."""
+        tree = AdaptiveBPlusTree.bulk_load_adaptive(INT_PAIRS, leaf_capacity=32)
+        for key in range(1, 1000, 40):
+            tree.insert(key, key)
+        eager = tree.manager.counters.eager_expansions
+        assert eager > 0
         with Telemetry() as telemetry:
-            sampler.set_skip_length(25)
+            tree.manager.run_adaptation()
+            tree.insert(3, 3)
+            tree.manager.run_adaptation()  # publishes the delta, not the total
             snapshot = telemetry.registry.snapshot()
-            assert snapshot["gauges"]["sampler.skip_length"] == 25
-            assert snapshot["counters"]["sampler.skip_updates"] == 1
+        assert snapshot["gauges"]["manager.skip_length"] == tree.manager.skip_length
+        counted = tree.manager.counters.eager_expansions
+        assert snapshot["counters"]["manager.eager_expansions"] == counted < 2 * eager
+        assert snapshot["counters"]["manager.eager_expansions_refused"] == 0
+        assert not any(
+            name.startswith("sampler.")
+            for kind in ("gauges", "counters")
+            for name in snapshot[kind]
+        )
 
     def test_fault_injector_counts_raises(self):
         with Telemetry() as telemetry:

@@ -1,7 +1,10 @@
 """Tests for the calibrated cost model."""
 
+import re
+
 import pytest
 
+from repro.sim import counters as counters_module
 from repro.sim.costmodel import (
     DEFAULT_COSTS_NS,
     CostModel,
@@ -119,3 +122,25 @@ class TestStorageLatency:
             StorageDevice.PMEM, write=False, compressed=True, uncompressed_bytes=4096
         )
         assert latency > 0
+
+
+def documented_event_patterns():
+    """The first column of the event table in ``repro.sim.counters``'s
+    docstring, each ``<...>`` part matching one name segment."""
+    rows = re.findall(r"^``(\S+)``  ", counters_module.__doc__, flags=re.MULTILINE)
+    return {
+        row: re.compile("[a-z]+".join(map(re.escape, re.split(r"<[a-z]+>", row))) + "$")
+        for row in rows
+    }
+
+
+def test_event_table_lists_what_the_cost_model_prices():
+    """Every priced event matches exactly one table row, and every row
+    names at least one priced event."""
+    patterns = documented_event_patterns()
+    assert len(patterns) >= 20
+    for event in DEFAULT_COSTS_NS:
+        matching = [row for row, pattern in patterns.items() if pattern.match(event)]
+        assert len(matching) == 1, (event, matching)
+    for row, pattern in patterns.items():
+        assert any(pattern.match(event) for event in DEFAULT_COSTS_NS), row

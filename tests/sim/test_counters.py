@@ -9,30 +9,30 @@ from repro.sim.counters import OpCounters
 class TestOpCounters:
     def test_add_and_get(self):
         counters = OpCounters()
-        counters.add("inner_visit")
-        counters.add("inner_visit", 4)
+        counters.counts["inner_visit"] += 1
+        counters.counts["inner_visit"] += 4
         assert counters.get("inner_visit") == 5
         assert counters.get("unknown") == 0
 
     def test_snapshot_is_copy(self):
         counters = OpCounters()
-        counters.add("x")
+        counters.counts["x"] += 1
         snap = counters.snapshot()
-        counters.add("x")
+        counters.counts["x"] += 1
         assert snap["x"] == 1
         assert counters.get("x") == 2
 
     def test_diff(self):
         counters = OpCounters()
-        counters.add("a", 3)
+        counters.counts["a"] += 3
         earlier = counters.snapshot()
-        counters.add("a", 2)
-        counters.add("b")
+        counters.counts["a"] += 2
+        counters.counts["b"] += 1
         assert counters.diff(earlier) == {"a": 2, "b": 1}
 
     def test_diff_skips_zero_deltas(self):
         counters = OpCounters()
-        counters.add("a")
+        counters.counts["a"] += 1
         assert counters.diff(counters.snapshot()) == {}
 
     def test_diff_ignores_events_absent_now(self):
@@ -40,23 +40,23 @@ class TestOpCounters:
         # in the earlier snapshot (e.g. after a reset) is silently
         # dropped, never reported as a negative delta.
         counters = OpCounters()
-        counters.add("a", 3)
+        counters.counts["a"] += 3
         earlier = counters.snapshot()
         counters.reset()
-        counters.add("b", 2)
+        counters.counts["b"] += 2
         assert counters.diff(earlier) == {"b": 2}
 
     def test_diff_against_empty_snapshot(self):
         counters = OpCounters()
-        counters.add("a", 5)
+        counters.counts["a"] += 5
         assert counters.diff({}) == {"a": 5}
 
     def test_diff_reports_decreases_when_event_survives(self):
         counters = OpCounters()
-        counters.add("a", 5)
+        counters.counts["a"] += 5
         earlier = counters.snapshot()
         counters.reset()
-        counters.add("a", 2)
+        counters.counts["a"] += 2
         assert counters.diff(earlier) == {"a": -3}
 
     def test_snapshot_of_empty_counters(self):
@@ -65,22 +65,22 @@ class TestOpCounters:
     def test_merge(self):
         a = OpCounters()
         b = OpCounters()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
+        a.counts["x"] += 1
+        b.counts["x"] += 2
+        b.counts["y"] += 3
         a.merge(b)
         assert a.get("x") == 3
         assert a.get("y") == 3
 
     def test_reset(self):
         counters = OpCounters()
-        counters.add("x")
+        counters.counts["x"] += 1
         counters.reset()
         assert len(counters) == 0
 
     def test_iter(self):
         counters = OpCounters()
-        counters.add("a", 2)
+        counters.counts["a"] += 2
         assert dict(counters) == {"a": 2}
 
 
@@ -89,7 +89,7 @@ def test_diff_survives_an_event_added_by_another_thread():
     while a writer adds first-seen events under it."""
     counters = OpCounters()
     for i in range(64):
-        counters.add(f"event{i}")
+        counters.counts[f"event{i}"] += 1
     before = counters.snapshot()
     stop = threading.Event()
 
@@ -97,7 +97,7 @@ def test_diff_survives_an_event_added_by_another_thread():
         for i in range(20_000):
             if stop.is_set():
                 return
-            counters.add(f"new{i}")
+            counters.counts[f"new{i}"] += 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
