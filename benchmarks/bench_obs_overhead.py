@@ -17,6 +17,10 @@ and divided by each family's measured per-lookup time.  That
 The suite also reports measured throughput with telemetry off, with a
 metrics registry installed, and with full tracing (sampled op spans
 into an in-memory sink) — the honest price of turning telemetry *on*.
+Each round times the three arms back to back (their order rotating
+round to round), and an overhead is the median of the per-round
+ratios: a lookup loop lasts a few milliseconds, so arms timed in
+separate blocks drift apart with the host, and their ratio with them.
 The price of sampled distributed tracing over the wire is measured, not
 gated (docs/observability.md, *Overhead budget*).
 
@@ -31,6 +35,10 @@ or through pytest (reduced scale)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py -q
 """
+
+import contextlib
+import statistics
+import time
 
 import benchkit
 import pytest
@@ -49,6 +57,7 @@ from repro.obs import runtime as _obs_runtime
 DEFAULT_KEYS = 4_000
 OVERHEAD_BOUND = 0.05          # disabled-telemetry gate share per lookup
 TRACE_SAMPLE_EVERY = 64        # op-span sampling in the traced mode
+ROUNDS = 9                     # interleaved off / metrics / traced rounds
 RESULT_FILE = benchkit.REPO_ROOT / "BENCH_PR3.json"
 
 
@@ -104,7 +113,34 @@ def _build_lookup_loops(num_keys):
     }
 
 
-def run_suite(num_keys=DEFAULT_KEYS, runs=3):
+#: The three arms, each a factory of the context it times a loop in.
+ARMS = {
+    "off": contextlib.nullcontext,
+    "metrics": lambda: Telemetry(registry=MetricsRegistry(), tracer=None),
+    "traced": lambda: Telemetry.with_memory_trace(op_sample_every=TRACE_SAMPLE_EVERY),
+}
+
+
+def time_arms(loop, rounds=ROUNDS):
+    """``{arm: [seconds per round]}``: each round times one loop per
+    arm, back to back, in an order that rotates round to round."""
+    names = list(ARMS)
+    times = {name: [] for name in names}
+    for round_index in range(rounds):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            with ARMS[name]():
+                start = time.perf_counter()
+                loop()
+                times[name].append(time.perf_counter() - start)
+    return times
+
+
+def _median_overhead(arm, off):
+    return statistics.median(seconds / base for seconds, base in zip(arm, off)) - 1.0
+
+
+def run_suite(num_keys=DEFAULT_KEYS, rounds=ROUNDS):
     """Run every family in every mode; returns the BENCH_PR3.json payload."""
     assert active() is None, "telemetry must not be installed for the baseline"
     loops = _build_lookup_loops(num_keys)
@@ -112,23 +148,18 @@ def run_suite(num_keys=DEFAULT_KEYS, runs=3):
     families = {}
 
     for family, (loop, total_ops) in loops.items():
-        off_time = _best_of(runs, loop)
-
-        with Telemetry(registry=MetricsRegistry(), tracer=None):
-            metrics_time = _best_of(runs, loop)
-
-        with Telemetry.with_memory_trace(op_sample_every=TRACE_SAMPLE_EVERY):
-            traced_time = _best_of(runs, loop)
-
+        loop()  # warm-up, outside every round
+        times = time_arms(loop, rounds)
+        off_time = min(times["off"])
         off_ns_per_op = off_time / total_ops * 1e9
         families[family] = {
             "off_ops_per_sec": round(total_ops / off_time, 1),
-            "metrics_ops_per_sec": round(total_ops / metrics_time, 1),
-            "traced_ops_per_sec": round(total_ops / traced_time, 1),
+            "metrics_ops_per_sec": round(total_ops / min(times["metrics"]), 1),
+            "traced_ops_per_sec": round(total_ops / min(times["traced"]), 1),
             "off_ns_per_op": round(off_ns_per_op, 1),
             "gate_share": round(gate_ns / off_ns_per_op, 4),
-            "metrics_overhead": round(metrics_time / off_time - 1.0, 4),
-            "traced_overhead": round(traced_time / off_time - 1.0, 4),
+            "metrics_overhead": round(_median_overhead(times["metrics"], times["off"]), 4),
+            "traced_overhead": round(_median_overhead(times["traced"], times["off"]), 4),
         }
 
     return {

@@ -16,13 +16,19 @@ queries.
 Traversal work is counted as ``fst_dense_visit`` / ``fst_sparse_visit``
 events for the cost model (the paper's Table 2: sparse nodes need an
 explicit in-node search and are markedly slower).
+
+Two loops read the trie.  A point descent (``_descend``) follows one
+key's bytes; a range scan (``scan_from``) walks a subtree in key order
+with one position per level, as SuRF's FST iterator does.  Neither
+enters a Python frame per node: labels, child numbers and value
+indices are read from the words, and each runs the LOUDS select inline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
 from repro.obs import runtime as _obs_runtime
@@ -486,72 +492,200 @@ class FST(IndexFamily):
         """Append pairs with key >= ``start_key`` from the subtree of
         ``node`` (whose key prefix is ``path``) until ``result`` holds
         ``count`` — how Hybrid Trie continues a scan below a compact
-        branch.  Visits are counted locally and flushed once."""
-        prefix = start_key[: len(path)]
+        branch.
+
+        One loop walks the subtree in key order, as SuRF's FST iterator
+        does.  The node being read is a label position and its end, in
+        locals; a label, its has-child bit and the next position are
+        word reads.  A node with labels left after the one it descends
+        through saves the next position, its end, path and level on a
+        stack; a node's last label saves nothing, so a chain of
+        single-label nodes pushes nothing.  No ``(label, edge)`` list is
+        built: a value index is the terminal rank before its position,
+        counted from the has-child words when a pair is appended.
+
+        ``bounded``: ``path`` is a proper prefix of the start key, so
+        labels below the start key's next byte cannot contribute, the
+        equal label (``boundary``, always the first one read) stays on
+        the boundary, and is the start key itself when it is the key's
+        last byte; off the boundary every key of the subtree qualifies.
+
+        A sparse node's range comes from its level's cursor, a list
+        indexed by level holding the end of the last sparse node read
+        there.  One walk meets a level's nodes in increasing BFS number
+        with no gap (on each level it enters the node on the start
+        key's path, if there is one, then every node after it in key
+        order until ``result`` is full), and BFS order is the sparse
+        arrays' order: every node after a level's first starts where
+        the one before it ended.  Only the first node of a
+        level needs its number (the has-child rank through its parent
+        label) and a select, run inline as in :meth:`_descend`, so a
+        node past the last one raises its ``ValueError``; a dense node
+        always needs its number, for its bitmap.  Visits are counted
+        locally and flushed once.
+        """
+        level = len(path)
+        prefix = start_key[:level]
         if path < prefix:
             return  # the whole subtree precedes the start key
-        visits = [0, 0]  # dense, sparse
-        bounded = path == prefix and len(path) < len(start_key)
-        self._scan(node, path, start_key, bounded, count, result, visits, {})
-        self._count_visits(*visits)
-
-    def _scan(
-        self,
-        node: int,
-        path: bytes,
-        start_key: bytes,
-        bounded: bool,
-        count: int,
-        result: List[Tuple[bytes, int]],
-        visits: List[int],
-        cursor: Dict[int, Tuple[int, int]],
-    ) -> None:
-        # ``bounded``: ``path`` is a proper prefix of the start key, so
-        # labels below the start key's next byte cannot contribute, the
-        # equal label stays on the boundary (and is the start key itself
-        # when it is its ``last`` byte), and larger ones leave it.  Off
-        # the boundary every key of the subtree qualifies.
-        #
-        # ``cursor`` maps a level to the ``(node, end)`` of the last sparse
-        # node this walk read there.  A key-order walk meets each level's
-        # nodes in increasing BFS number, and BFS order is the sparse
-        # arrays' order, so a node numbered one past its level's last one
-        # starts where that one ended: only a miss pays the select.
-        level = len(path)
-        floor = start_key[level] if bounded else 0
-        last = level + 1 == len(start_key)
-        if node < self._num_dense_nodes:
-            visits[0] += 1
-            edges: Iterable[Tuple[int, int]] = self._dense_edges(node, floor)
-        else:
-            visits[1] += 1
-            previous = cursor.get(level)
-            if previous is not None and previous[0] == node - 1:
-                start = previous[1]
-                louds = self._sparse_louds
-                rest = louds._words[start >> 6] >> (start & 63) >> 1
-                end = start + (rest & -rest).bit_length() if rest else louds.next1(start + 1)
+        bounded = path == prefix and level < len(start_key)
+        key_length = len(start_key)
+        room = count - len(result)
+        append = result.append
+        values = self._values
+        dense_levels = self.dense_levels
+        dense_label_words = self._dense_labels._words
+        dense_label_blocks = self._dense_labels._rank_blocks
+        dense_child_words = self._dense_haschild._words
+        dense_child_blocks = self._dense_haschild._rank_blocks
+        louds = self._sparse_louds
+        louds_words = louds._words
+        louds_blocks = louds._rank_blocks
+        directory = louds._select1_directory
+        louds_ones = louds._ones
+        last_slot = len(directory) - 1
+        last_word = len(louds_words) - 1
+        labels = self._sparse_labels
+        child_words = self._sparse_haschild._words
+        child_blocks = self._sparse_haschild._rank_blocks
+        child_base = self._dense_hc_total
+        num_dense = self._num_dense_nodes
+        value_base = self._dense_terminal_total
+        cursor = [-1] * (self._height + 1)  # -1: no sparse node read there yet
+        stack: List[Tuple[int, int, bytes, int]] = []
+        dense_visits = sparse_visits = 0
+        dense = node < num_dense
+        while True:
+            # Enter the next node at its first label at or above the
+            # floor; ``node`` is its number if it is dense or its level's
+            # first, and stale otherwise.
+            floor = start_key[level] if bounded else 0
+            boundary = -1
+            if dense:
+                dense_visits += 1
+                end = (node + 1) << 8
+                pos = node << 8 | floor
+                word = dense_label_words[pos >> 6] >> (pos & 63)
+                if word:
+                    pos += (word & -word).bit_length() - 1
+                else:
+                    pos = ((pos >> 6) + 1) << 6
+                    while pos < end:
+                        word = dense_label_words[pos >> 6]
+                        if word:
+                            pos += (word & -word).bit_length() - 1
+                            break
+                        pos += 64
+                if bounded and pos < end and pos & 255 == floor:
+                    boundary = pos
             else:
-                start, end = self._sparse_range(node)
-            cursor[level] = node, end
-            edges = self._sparse_edges(start, end, floor)
-        for label, edge in edges:
-            if len(result) >= count:
-                return
-            on_boundary = bounded and label == floor
-            if edge > 0:
-                self._scan(
-                    edge,
-                    path + _BYTE[label],
-                    start_key,
-                    on_boundary and not last,
-                    count,
-                    result,
-                    visits,
-                    cursor,
-                )
-            elif last or not on_boundary:
-                result.append((path + _BYTE[label], self._values[~edge]))
+                sparse_visits += 1
+                pos = cursor[level]
+                if pos < 0:
+                    # ``louds.select1(rank)``, as :meth:`_descend` runs it.
+                    rank = node - num_dense + 1
+                    if rank > louds_ones:
+                        raise ValueError(
+                            f"select1({rank}) out of range; vector has {louds_ones} ones"
+                        )
+                    slot = (rank - 1) // _SELECT_STRIDE
+                    word_index = directory[slot]
+                    last = directory[slot + 1] if slot < last_slot else last_word
+                    word_index = bisect_left(louds_blocks, rank, word_index + 1, last + 1) - 1
+                    lane = louds_words[word_index]
+                    remaining = rank - louds_blocks[word_index]
+                    pos = word_index << 6
+                    ones = (lane & 0xFFFFFFFF).bit_count()
+                    if remaining > ones:
+                        remaining -= ones
+                        lane >>= 32
+                        pos += 32
+                    ones = (lane & 0xFFFF).bit_count()
+                    if remaining > ones:
+                        remaining -= ones
+                        lane >>= 16
+                        pos += 16
+                    ones = (lane & 0xFF).bit_count()
+                    if remaining > ones:
+                        remaining -= ones
+                        lane >>= 8
+                        pos += 8
+                    pos += _SELECT_IN_BYTE[(lane & 0xFF) << 3 | remaining - 1]
+                # The node ends at the next LOUDS bit: in the same word
+                # unless its labels run past it.
+                rest = louds_words[pos >> 6] >> (pos & 63) >> 1
+                end = pos + (rest & -rest).bit_length() if rest else louds.next1(pos + 1)
+                cursor[level] = end
+                if bounded:
+                    pos = bisect_left(labels, floor, pos, end)
+                    if pos < end and labels[pos] == floor:
+                        boundary = pos
+            # Read labels until one descends; an exhausted node resumes
+            # the deepest saved one.
+            while True:
+                if pos >= end:
+                    if not stack:
+                        self._count_visits(dense_visits, sparse_visits)
+                        return
+                    pos, end, path, level = stack.pop()
+                    dense = level < dense_levels
+                    boundary = -1
+                    continue
+                if room <= 0:
+                    self._count_visits(dense_visits, sparse_visits)
+                    return
+                if dense:
+                    label = pos & 255
+                    child_word = dense_child_words[pos >> 6]
+                    rest = dense_label_words[pos >> 6] >> (pos & 63) >> 1
+                    if rest:
+                        after = pos + (rest & -rest).bit_length()
+                    else:
+                        after = ((pos >> 6) + 1) << 6
+                        while after < end:
+                            rest = dense_label_words[after >> 6]
+                            if rest:
+                                after += (rest & -rest).bit_length() - 1
+                                break
+                            after += 64
+                else:
+                    label = labels[pos]
+                    child_word = child_words[pos >> 6]
+                    after = pos + 1
+                bit = pos & 63
+                if child_word >> bit & 1:
+                    if after < end:
+                        stack.append((after, end, path, level))
+                    level += 1
+                    bounded = pos == boundary and level < key_length
+                    path += _BYTE[label]
+                    if cursor[level] < 0:
+                        # The child's number is the has-child rank
+                        # through ``pos``; a level's cursor hands over
+                        # without it.
+                        children = (child_word & ((2 << bit) - 1)).bit_count()
+                        if dense:
+                            node = dense_child_blocks[pos >> 6] + children
+                        else:
+                            node = child_base + child_blocks[pos >> 6] + children
+                    dense = level < dense_levels
+                    break
+                if pos != boundary or level + 1 == key_length:
+                    # The value index is the terminal rank before ``pos``.
+                    mask = (1 << bit) - 1
+                    children = (child_word & mask).bit_count()
+                    if dense:
+                        index = (
+                            dense_label_blocks[pos >> 6]
+                            + (dense_label_words[pos >> 6] & mask).bit_count()
+                            - dense_child_blocks[pos >> 6]
+                            - children
+                        )
+                    else:
+                        index = value_base + pos - child_blocks[pos >> 6] - children
+                    append((path + _BYTE[label], values[index]))
+                    room -= 1
+                pos = after
 
     # ------------------------------------------------------------------
     # Serialization

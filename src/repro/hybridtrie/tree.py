@@ -28,7 +28,7 @@ from repro.core.budget import MemoryBudget
 from repro.core.manager import AdaptationManager, ManagerConfig
 from repro.core.trained import rank_units
 from repro.faults.injector import fault_point
-from repro.fst.trie import FST
+from repro.fst.trie import _BYTE, FST
 from repro.hybridtrie.tagged import BRANCH_POINTER_BYTES, TrieBranch, TrieEncoding
 from repro.obs import runtime as _obs_runtime
 from repro.obs.introspect import IndexFamily
@@ -211,7 +211,7 @@ class HybridTrie(IndexFamily):
         result: List[Tuple[bytes, int]],
         track: bool,
     ) -> None:
-        # ``bounded`` as in :meth:`FST._scan`: ``path`` is a proper prefix
+        # ``bounded`` as in :meth:`FST.scan_from`: ``path`` is a proper prefix
         # of the start key, so only labels from its next byte up matter.
         if isinstance(current, TrieBranch):
             if track:
@@ -232,7 +232,7 @@ class HybridTrie(IndexFamily):
             if not isinstance(child, int):
                 self._scan(
                     child,
-                    path + bytes([label]),
+                    path + _BYTE[label],
                     start_key,
                     on_boundary and not last,
                     count,
@@ -240,7 +240,7 @@ class HybridTrie(IndexFamily):
                     track,
                 )
             elif last or not on_boundary:
-                result.append((path + bytes([label]), child))
+                result.append((path + _BYTE[label], child))
 
     def prefix_items(self, prefix: bytes) -> List[Tuple[bytes, int]]:
         """All (key, value) pairs whose key starts with ``prefix``, in key

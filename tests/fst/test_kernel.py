@@ -198,22 +198,38 @@ def test_hybrid_scan_from_every_third_key_and_prefix(art_levels):
         assert trie.scan(start, count) == model_scan(pairs, start, count), (start, count)
 
 
+def node_paths(fst):
+    """Every node's key prefix, from a breadth-first walk of ``children``."""
+    paths = {0: b""}
+    for node in range(fst.num_nodes):
+        for label, child, _ in fst.children(node):
+            if child is not None:
+                paths[child] = paths[node] + bytes([label])
+    return paths
+
+
 def test_a_cursor_hands_over_only_to_the_next_node_of_its_level():
-    """One ``scan_from`` walk meets a level's nodes consecutively, so no
-    public call ever offers a cursor a node past a gap.  Sharing one
-    cursor across walks of disjoint subtrees does: the nodes between them
-    are skipped, and each walk must still select where the gap is."""
+    """One ``scan_from`` walk meets a level's nodes consecutively, so each
+    level's cursor hands a node the end of the one before it, and the
+    first node the walk meets on a level selects.  A walk rooted at any
+    node of the trie (sparse, split or all dense) enters each deeper
+    level part way along, where a cursor that handed over from nothing
+    (or from a node not just before) would read another node's labels."""
     pairs = email_pairs(300, 11)
-    for dense_levels in (0, 1):
+    keys = [key for key, _ in pairs]
+    past_last = keys[-1] + b"\x00"
+    for dense_levels in dense_configs(pairs):
         fst = FST(pairs, dense_levels=dense_levels)
-        cursor: dict = {}
-        for prefix in (b"al", b"bob", b"carol", b"eve", b"zed"):
-            node = 0
-            for label in prefix:
-                node = fst.step(node, label)[0]
-            result: list = []
-            fst._scan(node, prefix, prefix, False, 40, result, [0, 0], cursor)
-            assert result == [pair for pair in pairs if pair[0].startswith(prefix)][:40]
+        for node, path in node_paths(fst).items():
+            below = [pair for pair in pairs if pair[0].startswith(path)]
+            inside = below[len(below) // 2][0]
+            for start in (b"", b"\xff" * 8, past_last, path, inside):
+                for count in (0, 1, 20, fst.num_keys):
+                    result: list = []
+                    fst.scan_from(node, path, start, count, result)
+                    assert result == model_scan(below, start, count), (node, start, count)
+                    if node == 0 and count:
+                        assert fst.scan(start, count) == model_scan(pairs, start, count)
 
 
 @pytest.mark.parametrize("dense_levels", [0, 2, "height"])
