@@ -63,14 +63,12 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
     + [
         # Leaf scan layer: reads that families dispatch to dynamically
         # (invisible to the call graph; the leaf probes are `*lookup*`).
-        HotRoot("repro.bptree.leaves", "*.entries_from"),
         HotRoot("repro.bptree.leaves", "*.pairs_from"),
         # The FOR-blocked run's read path, which the Succinct leaf and
         # the Dual-Stage static stage inherit or dispatch to.  Its search
         # (``ForRun._find``, a plain ``self.`` call) reads the packed
         # buffers by shift and mask and calls no accessor.
         HotRoot("repro.succinct", "*lookup*"),
-        HotRoot("repro.succinct", "*.entries_from"),
         HotRoot("repro.succinct", "*.pairs_from"),
         # Succinct primitives the FST navigation kernel reaches by
         # attribute dispatch (``__getitem__`` is also a FOR block's

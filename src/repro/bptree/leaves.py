@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.injector import fault_point
 from repro.succinct.for_codec import (
@@ -137,12 +137,6 @@ class _SortedPairStorage:
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Return all ``(key, value)`` pairs as a list."""
         return list(zip(self.keys, self.values))
-
-    def entries_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
-        """Yield pairs with key >= ``start_key`` within this leaf."""
-        index = bisect.bisect_left(self.keys, start_key)
-        for position in range(index, len(self.keys)):
-            yield self.keys[position], self.values[position]
 
     def pairs_from(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
         """Up to ``limit`` pairs with key >= ``start_key``: one slice per
@@ -400,10 +394,6 @@ class LeafNode:
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Return all ``(key, value)`` pairs as a list."""
         return self.storage.to_pairs()
-
-    def entries_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
-        """Yield pairs with key >= ``start_key`` within this leaf."""
-        return self.storage.entries_from(start_key)
 
     def size_bytes(self) -> int:
         """Return the modeled C++ footprint in bytes."""

@@ -240,7 +240,7 @@ def check_trie(trie: Any) -> List[str]:
     # Key-set diff against the static, complete FST: the hybrid view must
     # surface exactly the same pairs in exactly the same order.
     hybrid_items = trie.items()
-    fst_items = list(trie.fst.items())
+    fst_items = trie.fst.items()
     if hybrid_items != fst_items:
         missing = len(set(fst_items) - set(hybrid_items))
         extra = len(set(hybrid_items) - set(fst_items))
@@ -401,11 +401,14 @@ def check_fst(fst: FST) -> List[str]:
         )
 
     if not violations:
-        # Census versus reality: every key must be reachable by traversal.
-        reachable = sum(1 for _ in fst.items())
-        if reachable != fst.num_keys:
+        # Census versus reality: every key must be reachable by traversal,
+        # in key order (``scan_from`` is every ordered read's walker).
+        keys = [key for key, _ in fst.items()]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            violations.append("traversal yields keys out of order")
+        if len(keys) != fst.num_keys:
             violations.append(
-                f"traversal reaches {reachable} keys, header claims {fst.num_keys}"
+                f"traversal reaches {len(keys)} keys, header claims {fst.num_keys}"
             )
     return violations
 

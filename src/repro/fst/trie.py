@@ -18,17 +18,20 @@ events for the cost model (the paper's Table 2: sparse nodes need an
 explicit in-node search and are markedly slower).
 
 Two loops read the trie.  A point descent (``_descend``) follows one
-key's bytes; a range scan (``scan_from``) walks a subtree in key order
-with one position per level, as SuRF's FST iterator does.  Neither
-enters a Python frame per node: labels, child numbers and value
-indices are read from the words, and each runs the LOUDS select inline.
+key's bytes; every ordered read (``scan``, ``items``, ``prefix_items``
+and Hybrid Trie's scan below a compact branch) is ``scan_from``, which
+walks a subtree in key order with one position per level, as SuRF's FST
+iterator does.  Neither enters a Python frame per node: labels, child
+numbers and value indices are read from the words, and each runs the
+LOUDS select inline.  ``children`` lists one node, for Hybrid Trie
+expansion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.fst.builder import TrieLevels, build_trie_levels
 from repro.obs import runtime as _obs_runtime
@@ -156,17 +159,6 @@ class FST(IndexFamily):
         """True when ``node`` lives in the dense region."""
         return node < self._num_dense_nodes
 
-    def level_of_node(self, node: int) -> int:
-        """The level a node lives on (binary search over level offsets)."""
-        lo, hi = 0, len(self._level_first_node) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._level_first_node[mid] <= node:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     # An *edge* is the navigation kernel's one-int answer to "follow
     # ``label`` out of ``node``": a child node number (> 0; the root is
     # nobody's child), ``~value_index`` (< 0) for a terminal label, or 0
@@ -210,76 +202,45 @@ class FST(IndexFamily):
             return edge, None, True
         return (None, self._values[~edge], True) if edge else (None, None, False)
 
-    def _edges(self, node: int, floor: int = 0) -> Iterable[Tuple[int, int]]:
-        """``(label, edge)`` for ``node``'s labels >= ``floor`` in label
-        order."""
-        if node < self._num_dense_nodes:
-            return self._dense_edges(node, floor)
-        return self._sparse_edges(*self._sparse_range(node), floor)
-
-    def _dense_edges(self, node: int, floor: int) -> Iterator[Tuple[int, int]]:
-        """Lazily yield a dense node's ``(label, edge)`` pairs."""
-        base = node * 256
-        remaining = self._dense_labels.word_slice(base, 256) >> floor << floor
-        haschild_bits = self._dense_haschild.word_slice(base, 256)
-        # Ranks *before* the first enumerated label; advanced per label.
-        child = self._dense_haschild.rank1(base + floor)
-        value_index = self._dense_labels.rank1(base + floor) - child
-        while remaining:
-            label = (remaining & -remaining).bit_length() - 1
-            remaining &= remaining - 1
-            if haschild_bits >> label & 1:
-                child += 1
-                yield label, child
-            else:
-                yield label, ~value_index
-                value_index += 1
-
-    def _sparse_edges(self, start: int, end: int, floor: int) -> List[Tuple[int, int]]:
-        """The ``(label, edge)`` pairs of the sparse node at label positions
-        ``[start, end)``: a list, as sparse nodes average barely more than
-        one label."""
-        labels = self._sparse_labels
-        if floor:
-            start = bisect_left(labels, floor, start, end)
-            if start == end:
-                return []
-        # Ranks *before* ``start`` (one word read), advanced per label.
-        words = self._sparse_haschild._words
-        ones = self._sparse_haschild._rank_blocks[start >> 6] + (
-            words[start >> 6] & ((1 << (start & 63)) - 1)
-        ).bit_count()
-        child = self._dense_hc_total + ones
-        value_index = self._dense_terminal_total + start - ones
-        edges = []
-        for position in range(start, end):
-            if words[position >> 6] >> (position & 63) & 1:
-                child += 1
-                edges.append((labels[position], child))
-            else:
-                edges.append((labels[position], ~value_index))
-                value_index += 1
-        return edges
-
     def children(self, node: int) -> List[Tuple[int, Optional[int], Optional[int]]]:
         """All (label, child_node, value) triples of ``node`` in label order.
 
         Exactly one of ``child_node`` / ``value`` is non-None per triple.
-        This is what Hybrid Trie expansion enumerates.
+        This is what Hybrid Trie expansion enumerates: the node's labels
+        and has-child bits, then one loop that advances the child and
+        terminal ranks from the ones before its first label.
         """
+        if node < self._num_dense_nodes:
+            base = node << 8
+            bits = self._dense_labels.word_slice(base, 256)
+            haschild_bits = self._dense_haschild.word_slice(base, 256)
+            labels = []
+            while bits:
+                low = bits & -bits
+                labels.append(low.bit_length() - 1)
+                bits ^= low
+            flags = [haschild_bits >> label & 1 for label in labels]
+            child = self._dense_haschild.rank1(base)
+            value_index = self._dense_labels.rank1(base) - child
+        else:
+            start, end = self._sparse_range(node)
+            haschild = self._sparse_haschild
+            words = haschild._words
+            labels = list(self._sparse_labels[start:end])
+            flags = [words[position >> 6] >> (position & 63) & 1 for position in range(start, end)]
+            ones = haschild.rank1(start)
+            child = self._dense_hc_total + ones
+            value_index = self._dense_terminal_total + start - ones
         values = self._values
-        return [
-            (label, edge, None) if edge > 0 else (label, None, values[~edge])
-            for label, edge in self._edges(node)
-        ]
-
-    def node_fanout(self, node: int) -> int:
-        """Number of labels of ``node``."""
-        if self.is_dense_node(node):
-            base = node * 256
-            return self._dense_labels.rank1(base + 256) - self._dense_labels.rank1(base)
-        start, end = self._sparse_range(node)
-        return end - start
+        triples: List[Tuple[int, Optional[int], Optional[int]]] = []
+        for label, has_child in zip(labels, flags):
+            if has_child:
+                child += 1
+                triples.append((label, child, None))
+            else:
+                triples.append((label, None, values[value_index]))
+                value_index += 1
+        return triples
 
     # ------------------------------------------------------------------
     # Lookups and scans
@@ -422,22 +383,12 @@ class FST(IndexFamily):
         # A terminal label is a hit only when it consumed the whole key.
         return self._values[~edge] if edge < 0 and end == len(key) else None
 
-    def iterate_subtree(self, node: int) -> Iterator[Tuple[bytes, int]]:
-        """(key_suffix, value) pairs below ``node`` in key order."""
-        yield from self._iterate_from(node, b"")
-
-    def _iterate_from(self, node: int, suffix: bytes) -> Iterator[Tuple[bytes, int]]:
-        for label, edge in self._edges(node):
-            if edge < 0:
-                yield suffix + _BYTE[label], self._values[~edge]
-            else:
-                yield from self._iterate_from(edge, suffix + _BYTE[label])
-
-    def items(self) -> Iterator[Tuple[bytes, int]]:
-        """Yield all ``(key, value)`` pairs in key order."""
-        if self._num_keys == 0:
-            return
-        yield from self._iterate_from(0, b"")
+    def items(self) -> List[Tuple[bytes, int]]:
+        """All ``(key, value)`` pairs in key order (no visits charged)."""
+        result: List[Tuple[bytes, int]] = []
+        if self._num_keys:
+            self.scan_from(0, b"", b"", self._num_keys, result)
+        return result
 
     def successor(self, key: bytes) -> Optional[Tuple[bytes, int]]:
         """The smallest stored (key, value) with key >= ``key``.
@@ -461,24 +412,28 @@ class FST(IndexFamily):
         found = self.successor(low)
         return found is not None and found[0] <= high
 
-    def prefix_items(self, prefix: bytes) -> Iterator[Tuple[bytes, int]]:
+    def prefix_items(self, prefix: bytes) -> List[Tuple[bytes, int]]:
         """All (key, value) pairs whose key starts with ``prefix``,
-        in key order — e.g. every e-mail under one host."""
+        in key order — e.g. every e-mail under one host.  The descent to
+        the prefix's node is charged; the walk below it is not."""
+        result: List[Tuple[bytes, int]] = []
         if self._num_keys == 0:
-            return
+            return result
         edge, depth, dense = self._descend(0, prefix, 0)
         self._count_visits(dense, depth - dense)
         if edge > 0 or not prefix:  # an inner node (the root for b"")
-            yield from self._iterate_from(edge, prefix)
+            self.scan_from(edge, prefix, prefix, self._num_keys, result)
         elif edge < 0 and depth == len(prefix):
-            yield prefix, self._values[~edge]
+            result.append((prefix, self._values[~edge]))
+        return result
 
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
         """Up to ``count`` pairs with key >= ``start_key`` in key order."""
         if count <= 0 or self._num_keys == 0:
             return []
         result: List[Tuple[bytes, int]] = []
-        self.scan_from(0, b"", start_key, count, result)
+        dense, sparse = self.scan_from(0, b"", start_key, count, result)
+        self._count_visits(dense, sparse)
         return result
 
     def scan_from(
@@ -488,7 +443,7 @@ class FST(IndexFamily):
         start_key: bytes,
         count: int,
         result: List[Tuple[bytes, int]],
-    ) -> None:
+    ) -> Tuple[int, int]:
         """Append pairs with key >= ``start_key`` from the subtree of
         ``node`` (whose key prefix is ``path``) until ``result`` holds
         ``count`` — how Hybrid Trie continues a scan below a compact
@@ -521,13 +476,17 @@ class FST(IndexFamily):
         level needs its number (the has-child rank through its parent
         label) and a select, run inline as in :meth:`_descend`, so a
         node past the last one raises its ``ValueError``; a dense node
-        always needs its number, for its bitmap.  Visits are counted
-        locally and flushed once.
+        always needs its number, for its bitmap.
+
+        Returns the walk's ``(dense, sparse)`` visits, counted locally:
+        a scan charges them through :meth:`_count_visits`, while
+        ``items`` and ``prefix_items`` walk a whole subtree (``path ==
+        start_key``, so nothing is bounded) and charge none.
         """
         level = len(path)
         prefix = start_key[:level]
         if path < prefix:
-            return  # the whole subtree precedes the start key
+            return 0, 0  # the whole subtree precedes the start key
         bounded = path == prefix and level < len(start_key)
         key_length = len(start_key)
         room = count - len(result)
@@ -625,15 +584,13 @@ class FST(IndexFamily):
             while True:
                 if pos >= end:
                     if not stack:
-                        self._count_visits(dense_visits, sparse_visits)
-                        return
+                        return dense_visits, sparse_visits
                     pos, end, path, level = stack.pop()
                     dense = level < dense_levels
                     boundary = -1
                     continue
                 if room <= 0:
-                    self._count_visits(dense_visits, sparse_visits)
-                    return
+                    return dense_visits, sparse_visits
                 if dense:
                     label = pos & 255
                     child_word = dense_child_words[pos >> 6]

@@ -217,7 +217,9 @@ class HybridTrie(IndexFamily):
             if track:
                 self.manager.track(current, AccessType.SCAN)
             if not current.expanded:
-                self._fst.scan_from(current.fst_node, path, start_key, count, result)
+                fst = self._fst
+                dense, sparse = fst.scan_from(current.fst_node, path, start_key, count, result)
+                fst._count_visits(dense, sparse)
                 return
             current = current.art_node
         self.counters.counts["art_visit"] += 1

@@ -17,7 +17,7 @@ run, and the leaf chooses which blocks they edit.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.succinct.bitpack import PackedIntArray
 
@@ -223,19 +223,6 @@ class ForRun:
         return list(
             zip(_decode_blocks(self._key_blocks), _decode_blocks(self._value_blocks))
         )
-
-    def entries_from(self, start_key: int) -> Iterator[Tuple[int, int]]:
-        """Yield pairs with key >= ``start_key``.
-
-        Each touched block is decoded once, with one bulk ``to_list`` per
-        key block and value block.
-        """
-        first, offset = divmod(self._find(start_key)[0], self._block_entries)
-        for block_index in range(first, len(self._key_blocks)):
-            keys = self._key_blocks[block_index].to_list()
-            values = self._value_blocks[block_index].to_list()
-            yield from zip(keys[offset:], values[offset:])
-            offset = 0
 
     def pairs_from(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
         """Up to ``limit`` pairs with key >= ``start_key``, decoding only

@@ -270,7 +270,7 @@ def test_scan_entries_match_pairs_from_every_start():
     storage = SuccinctStorage(pairs, CAPACITY)
     for start in (0, 1, 93, 96, 97, 297, 298):
         expected = [pair for pair in pairs if pair[0] >= start]
-        assert list(storage.entries_from(start)) == expected
+        assert storage.pairs_from(start, len(pairs)) == expected
 
 
 def test_a_read_between_publish_assignments_raises_index_error():

@@ -134,6 +134,18 @@ class TestFST:
         fst._sparse_louds._words[0] ^= 0b100
         assert violations_of(fst)
 
+    def test_detects_walk_out_of_order(self, monkeypatch):
+        fst = FST(byte_pairs())
+        walk = fst.scan_from
+
+        def swapping_walk(node, path, start_key, count, result):
+            visits = walk(node, path, start_key, count, result)
+            result[3], result[4] = result[4], result[3]
+            return visits
+
+        monkeypatch.setattr(fst, "scan_from", swapping_walk)
+        assert "traversal yields keys out of order" in violations_of(fst)
+
 
 class TestDualStage:
     def test_healthy_index_is_clean(self):

@@ -166,7 +166,7 @@ def test_step_matches_the_public_primitives(dense_levels):
 def test_step_matches_on_wide_nodes_past_several_select_samples(dense_levels):
     fst = FST(wide_pairs(), dense_levels=dense_levels)
     assert fst.num_nodes - fst.num_dense_nodes > 3 * SELECT_SAMPLE_RATE
-    assert max(fst.node_fanout(node) for node in range(fst.num_dense_nodes, fst.num_nodes)) > 64
+    assert max(len(fst.children(node)) for node in range(fst.num_dense_nodes, fst.num_nodes)) > 64
     assert_step_matches_reference(fst)
 
 

@@ -89,18 +89,6 @@ class TestStructure:
             found = fst.children(node_number)
             assert [(label, child is not None, value) for label, child, value in found] == entries
 
-    def test_level_of_node(self):
-        pairs = int_pairs(100)
-        fst = FST(pairs, dense_levels=2)
-        assert fst.level_of_node(0) == 0
-        deepest = fst.num_nodes - 1
-        assert fst.level_of_node(deepest) == fst.height - 1
-
-    def test_node_fanout(self, dense_levels):
-        pairs = int_pairs(100)
-        fst = FST(pairs, dense_levels=dense_levels)
-        for node in range(min(20, fst.num_nodes)):
-            assert fst.node_fanout(node) == len(fst.children(node))
 
 
 class TestIterationAndScans:
@@ -123,10 +111,17 @@ class TestIterationAndScans:
         assert fst.scan(b"aa", 0) == []
 
     def test_iterate_subtree(self):
+        """A subtree walk is ``scan_from`` rooted at the node with
+        ``path == start_key``: every key below it; the one visit is
+        returned, not charged."""
         pairs = [(b"ax", 0), (b"ay", 1), (b"bz", 2)]
         fst = FST(pairs, dense_levels=0)
         child, _, _ = fst.step(0, ord("a"))
-        assert list(fst.iterate_subtree(child)) == [(b"x", 0), (b"y", 1)]
+        charged = dict(fst.counters.counts)
+        result = []
+        assert fst.scan_from(child, b"a", b"a", fst.num_keys, result) == (0, 1)
+        assert result == [(b"ax", 0), (b"ay", 1)]
+        assert dict(fst.counters.counts) == charged
 
 
 class TestSizesAndCounters:

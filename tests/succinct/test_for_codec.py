@@ -89,7 +89,7 @@ def test_run_read_path_matches_its_pairs(pairs, block_entries, probes):
         assert run._find(key) == (bisect_left(keys, key), key in mapping)
     for key in probes[:20]:
         tail = [pair for pair in pairs if pair[0] >= key]
-        assert list(run.entries_from(key)) == tail
+        assert run.pairs_from(key, len(pairs)) == tail
         assert run.pairs_from(key, 9) == tail[:9]
     blocks = run._key_blocks + run._value_blocks
     assert run.size_bytes() == HEADER_BYTES + sum(block.size_bytes() for block in blocks)
