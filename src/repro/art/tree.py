@@ -264,13 +264,6 @@ class ART(IndexFamily):
         result = self.scan(key, 1)
         return result[0] if result else None
 
-    def range_contains(self, low: bytes, high: bytes) -> bool:
-        """True iff any stored key lies in ``[low, high]`` (inclusive)."""
-        if high < low:
-            return False
-        found = self.successor(low)
-        return found is not None and found[0] <= high
-
     def prefix_items(self, prefix: bytes) -> Iterator[Tuple[bytes, int]]:
         """All (key, value) pairs whose key starts with ``prefix``,
         in key order."""

@@ -29,7 +29,7 @@ its own integrity after any failed migration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 if TYPE_CHECKING:
     from repro.dualstage.index import DualStageIndex
@@ -249,7 +249,8 @@ def check_trie(trie: Any) -> List[str]:
             f"the FST ({len(hybrid_items)} vs {len(fst_items)} total)"
         )
 
-    violations.extend(check_fst(trie.fst))
+    # The FST's own checks reuse that walk rather than take a second one.
+    violations.extend(_louds_violations(trie.fst) or _walk_violations(trie.fst, fst_items))
     return violations
 
 
@@ -297,6 +298,11 @@ def _check_rank_directory(name: str, vector: Any, violations: List[str]) -> None
 
 def check_fst(fst: FST) -> List[str]:
     """All violations of an FST's LOUDS and value-array invariants."""
+    return _louds_violations(fst) or _walk_violations(fst, fst.items())
+
+
+def _louds_violations(fst: FST) -> List[str]:
+    """Every check of :func:`check_fst` that does not walk the keys."""
     violations: List[str] = []
 
     for name, vector in (
@@ -400,16 +406,20 @@ def check_fst(fst: FST) -> List[str]:
             f"last level starts at node {levels[-1]} >= num_nodes {fst.num_nodes}"
         )
 
-    if not violations:
-        # Census versus reality: every key must be reachable by traversal,
-        # in key order (``scan_from`` is every ordered read's walker).
-        keys = [key for key, _ in fst.items()]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            violations.append("traversal yields keys out of order")
-        if len(keys) != fst.num_keys:
-            violations.append(
-                f"traversal reaches {len(keys)} keys, header claims {fst.num_keys}"
-            )
+    return violations
+
+
+def _walk_violations(fst: FST, items: List[Tuple[bytes, int]]) -> List[str]:
+    """Census versus reality: every key must be reachable by traversal
+    (``items``, the pairs of ``fst.items()``), in key order."""
+    violations: List[str] = []
+    keys = [key for key, _ in items]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        violations.append("traversal yields keys out of order")
+    if len(keys) != fst.num_keys:
+        violations.append(
+            f"traversal reaches {len(keys)} keys, header claims {fst.num_keys}"
+        )
     return violations
 
 

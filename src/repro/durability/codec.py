@@ -13,19 +13,18 @@ so the codec is tagged and length-prefixed rather than fixed-width:
     a ``u32`` length plus the same signed big-endian int encoding
     (values are always ints in the service surface).
 
-Decoding follows the FST2 discipline (see ``repro.fst.serialize``):
-every declared length is bounds-checked against the blob before
-unpacking, and any inconsistency raises
-:class:`~repro.fst.serialize.CorruptSerializationError` rather than
-returning a half-decoded record.
+Decoding checks before it reads: every declared length is
+bounds-checked against the blob before unpacking (:func:`_require`),
+and any inconsistency raises :class:`CorruptSerializationError` rather
+than returning a half-decoded record.  The WAL, the snapshot, the
+manifest and the wire protocol raise the same error on the same
+discipline.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Tuple, Union
-
-from repro.fst.serialize import CorruptSerializationError
 
 Key = Union[int, bytes]
 
@@ -37,6 +36,11 @@ _U32 = struct.Struct("<I")
 #: Sanity ceiling on one declared key/value payload (64 MiB): a longer
 #: declaration is garbage framing, not data.
 MAX_ITEM_BYTES = 64 * 1024 * 1024
+
+
+class CorruptSerializationError(ValueError):
+    """A serialized blob failed validation (truncated, bit-flipped, or
+    carrying internally inconsistent counts)."""
 
 
 def _require(condition: bool, message: str) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.durability.codec import Key
+from repro.durability.codec import CorruptSerializationError, Key
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import (
     OP_DELETE,
@@ -46,7 +46,6 @@ from repro.durability.wal import (
     read_frames,
 )
 from repro.faults.injector import fault_point
-from repro.fst.serialize import CorruptSerializationError
 
 Pair = Tuple[Key, int]
 

@@ -39,10 +39,9 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.atomicio import discard_aside, publish_aside, write_aside
-from repro.durability.codec import Key
+from repro.durability.codec import CorruptSerializationError, Key
 from repro.durability.log import DurableLog, RecoveryResult
 from repro.faults.injector import fault_point
-from repro.fst.serialize import CorruptSerializationError
 from repro.obs.runtime import active_registry
 
 MANIFEST_FORMAT = 1

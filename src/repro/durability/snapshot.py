@@ -12,9 +12,10 @@ set (the PR-1 migration invariant).  Format:
               || lsn u64 || count u64                      -- 28 bytes
     record := key || value                                 -- codec.py
 
-The CRC is computed over the whole file with the CRC field zeroed
-(the FST2 discipline), so a flipped byte anywhere — header or records
-— invalidates the snapshot as a unit.
+The CRC is computed over the whole file with the CRC field zeroed, so a
+flipped byte anywhere — header or records — invalidates the snapshot as
+a unit; records decode in ``codec.py``'s bounds-check-then-raise
+discipline.
 
 Snapshots are written build-aside and published with one ``os.replace``
 behind the ``durability.snapshot.swap`` fault point; the store retains
@@ -32,9 +33,15 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.atomicio import discard_aside, publish_aside, write_aside
-from repro.durability.codec import Key, decode_key, decode_value, encode_key, encode_value
+from repro.durability.codec import (
+    CorruptSerializationError,
+    Key,
+    decode_key,
+    decode_value,
+    encode_key,
+    encode_value,
+)
 from repro.faults.injector import fault_point
-from repro.fst.serialize import CorruptSerializationError
 from repro.obs.runtime import active_registry
 
 SNAPSHOT_MAGIC = b"RSNP"

@@ -1,6 +1,7 @@
 """Per-shard write-ahead log: CRC-framed records, group commit, torn-tail reads.
 
-One WAL file per shard log, in the FST2 framing discipline:
+One WAL file per shard log; each frame carries its own CRC and is decoded
+in ``codec.py``'s bounds-check-then-raise discipline:
 
 .. code-block:: text
 
@@ -54,9 +55,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.durability.codec import Key, decode_key, decode_value, encode_key, encode_value
+from repro.durability.codec import (
+    CorruptSerializationError,
+    Key,
+    decode_key,
+    decode_value,
+    encode_key,
+    encode_value,
+)
 from repro.faults.injector import InjectedFault, fault_point
-from repro.fst.serialize import CorruptSerializationError
 from repro.obs.runtime import active_registry
 
 WAL_MAGIC = b"RWAL"

@@ -1,7 +1,7 @@
 """The seedable fault injector and its injection-point hook.
 
 Structure-modifying code (leaf re-encoding, trie expansion/compaction,
-dual-stage merges, serialization) calls :func:`fault_point` with a stable
+dual-stage merges, WAL and snapshot writes) calls :func:`fault_point` with a stable
 site name at every step that could fail in a real system — allocation,
 re-encoding, the pointer swap.  With no injector installed the call is a
 near-free global check; under an installed :class:`FaultInjector` it may

@@ -6,12 +6,11 @@ accessed levels use the *LOUDS-dense* encoding (two 256-bit bitmaps per
 node, fast random access); the lower levels use *LOUDS-sparse* (explicit
 label bytes, smaller but requiring in-node search).
 
-This implementation follows the same structure and size arithmetic but is
-not bit-compatible with the SuRF serialization (see DESIGN.md §6).
+This implementation follows the same structure and size arithmetic; it
+has no file format of its own (see DESIGN.md §6).
 """
 
 from repro.fst.builder import TrieLevels, build_trie_levels
-from repro.fst.serialize import CorruptSerializationError, fst_from_bytes, fst_to_bytes
 from repro.fst.trie import FST, choose_dense_cutoff
 
 __all__ = [
@@ -19,7 +18,4 @@ __all__ = [
     "TrieLevels",
     "build_trie_levels",
     "choose_dense_cutoff",
-    "CorruptSerializationError",
-    "fst_from_bytes",
-    "fst_to_bytes",
 ]

@@ -401,17 +401,6 @@ class FST(IndexFamily):
         result = self.scan(key, 1)
         return result[0] if result else None
 
-    def range_contains(self, low: bytes, high: bytes) -> bool:
-        """True iff any stored key lies in ``[low, high]`` (inclusive).
-
-        This is the range-membership query SuRF answers approximately;
-        over the complete key set it is exact.
-        """
-        if high < low:
-            return False
-        found = self.successor(low)
-        return found is not None and found[0] <= high
-
     def prefix_items(self, prefix: bytes) -> List[Tuple[bytes, int]]:
         """All (key, value) pairs whose key starts with ``prefix``,
         in key order — e.g. every e-mail under one host.  The descent to
@@ -643,22 +632,6 @@ class FST(IndexFamily):
                     append((path + _BYTE[label], values[index]))
                     room -= 1
                 pos = after
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize to this library's stable binary format."""
-        from repro.fst.serialize import fst_to_bytes
-
-        return fst_to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "FST":
-        """Load an FST serialized with :meth:`to_bytes`."""
-        from repro.fst.serialize import fst_from_bytes
-
-        return fst_from_bytes(blob)
 
     # ------------------------------------------------------------------
     # Size accounting

@@ -47,8 +47,8 @@ _PROBE_EVENTS = {
 
 def _branches_under(current) -> Iterator[TrieBranch]:
     """Every branch at or below ``current`` (an ART node or a branch), in
-    key order.  A branch is yielded before its ART node is entered, so a
-    caller may expand it and the walk continues into the new node."""
+    key order; an expanded branch comes before the branches its ART node
+    holds."""
     if isinstance(current, TrieBranch):
         yield current
         if current.expanded:
@@ -74,21 +74,8 @@ class HybridTrie(IndexFamily):
         adaptive: bool = True,
         manager_config: Optional[ManagerConfig] = None,
     ) -> None:
-        self._attach(
-            FST(pairs, dense_levels=dense_levels),
-            art_levels,
-            adaptive,
-            manager_config or ManagerConfig(encoding_order=TRIE_ENCODING_ORDER),
-        )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _attach(
-        self, fst: FST, art_levels: int, adaptive: bool, manager_config: ManagerConfig
-    ) -> None:
-        """Build the ART region over ``fst`` (whose counters become the
-        trie's) and the adaptation manager."""
+        fst = FST(pairs, dense_levels=dense_levels)
+        # The FST's counters are the trie's.
         self.counters = fst.counters
         self._fst = fst
         self._num_keys = fst.num_keys
@@ -99,10 +86,15 @@ class HybridTrie(IndexFamily):
         self._art_bytes = 0
         self._root = self._build_upper(0, 0) if self._num_keys else None
         self.adaptive = adaptive
-        self.manager = AdaptationManager(self, manager_config)
+        self.manager = AdaptationManager(
+            self, manager_config or ManagerConfig(encoding_order=TRIE_ENCODING_ORDER)
+        )
         if not adaptive:
             self.manager.disable()
 
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
     def _build_upper(self, fst_node: int, level: int):
         """Materialize the permanent ART region down to ``art_levels``."""
         if level >= self.art_levels:
@@ -395,78 +387,6 @@ class HybridTrie(IndexFamily):
             if child is None or isinstance(child, int):
                 return None
             current = child
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def expanded_fst_nodes(self) -> List[int]:
-        """FST node numbers of all currently expanded branches."""
-        return sorted(branch.fst_node for branch in self.branches() if branch.expanded)
-
-    def to_bytes(self) -> bytes:
-        """Serialize the trie: the FST plus the expansion layout.
-
-        A trained trie round-trips exactly — the offline-training story of
-        Section 3.2 (build and train centrally, ship to query nodes).
-        Run-time sampling state is deliberately not persisted.
-        """
-        import struct
-
-        fst_blob = self._fst.to_bytes()
-        expanded = self.expanded_fst_nodes()
-        header = struct.pack("<4sQQQ", b"AHT1", self.art_levels, len(fst_blob), len(expanded))
-        body = b"".join(struct.pack("<Q", number) for number in expanded)
-        return header + fst_blob + body
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, adaptive: bool = True) -> "HybridTrie":
-        """Load a trie serialized with :meth:`to_bytes`.
-
-        Raises :class:`~repro.fst.serialize.CorruptSerializationError` on
-        a truncated or inconsistent blob (the embedded FST additionally
-        carries its own checksum).
-        """
-        import struct
-
-        from repro.fst.serialize import CorruptSerializationError
-
-        header = struct.Struct("<4sQQQ")
-        if len(blob) < header.size:
-            raise CorruptSerializationError("truncated HybridTrie blob (incomplete header)")
-        magic, art_levels, fst_length, expanded_count = header.unpack_from(blob, 0)
-        if magic != b"AHT1":
-            raise CorruptSerializationError(f"bad magic {magic!r}; not a HybridTrie blob")
-        offset = header.size
-        if offset + fst_length > len(blob):
-            raise CorruptSerializationError(
-                f"embedded FST of {fst_length} bytes overruns the blob"
-            )
-        fst = FST.from_bytes(blob[offset : offset + fst_length])
-        offset += fst_length
-        if offset + 8 * expanded_count != len(blob):
-            raise CorruptSerializationError(
-                f"expansion list of {expanded_count} entries does not match "
-                f"the {len(blob) - offset} remaining bytes"
-            )
-        expanded = {
-            struct.unpack_from("<Q", blob, offset + 8 * index)[0]
-            for index in range(expanded_count)
-        }
-        if any(node >= fst.num_nodes for node in expanded):
-            raise CorruptSerializationError(
-                "expansion list names FST nodes beyond the node count"
-            )
-        trie = cls.__new__(cls)
-        trie._attach(
-            fst, art_levels, adaptive, ManagerConfig(encoding_order=TRIE_ENCODING_ORDER)
-        )
-        # Re-expand outer-to-inner: the walk enters a branch's ART node
-        # after the branch is yielded, so the children an expansion
-        # reveals are visited in the same pass.
-        for branch in trie.branches():
-            if branch.fst_node in expanded:
-                trie.expand_branch(branch)
-        return trie
 
     # ------------------------------------------------------------------
     # AdaptiveIndex protocol

@@ -51,13 +51,13 @@ import zlib
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.durability.codec import (
+    CorruptSerializationError,
     Key,
     decode_key,
     decode_value,
     encode_key,
     encode_value,
 )
-from repro.fst.serialize import CorruptSerializationError
 from repro.obs.distributed import TraceContext
 
 #: One frame body longer than this is garbage framing, not data (4 MiB).

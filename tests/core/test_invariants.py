@@ -92,6 +92,15 @@ class TestHybridTrie:
         trie._num_branches += 1
         assert any("branch" in violation for violation in violations_of(trie))
 
+    def test_verify_walks_the_fst_once(self, monkeypatch):
+        # The key-set diff and the FST's traversal check share one walk.
+        trie = HybridTrie(byte_pairs(), adaptive=False)
+        walks = []
+        items = FST.items
+        monkeypatch.setattr(FST, "items", lambda fst: walks.append(fst) or items(fst))
+        trie.verify()
+        assert walks == [trie.fst]
+
 
 def _branches(trie):
     """All reachable TrieBranch wrappers, found by walking the upper ART."""

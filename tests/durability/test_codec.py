@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.durability.codec import decode_key, decode_value, encode_key, encode_value
-from repro.fst.serialize import CorruptSerializationError
+from repro.durability.codec import (
+    CorruptSerializationError,
+    decode_key,
+    decode_value,
+    encode_key,
+    encode_value,
+)
 
 
 class TestKeyRoundtrip:
@@ -58,6 +63,10 @@ class TestValueRoundtrip:
 
 
 class TestCorruptionRejection:
+    def test_corrupt_error_is_value_error(self):
+        # Callers that predate the error class catch ValueError.
+        assert issubclass(CorruptSerializationError, ValueError)
+
     def test_truncated_key_header(self):
         with pytest.raises(CorruptSerializationError):
             decode_key(b"\x01\x01", 0)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.durability import DurabilityManager, Manifest, build_partitioner, partitioner_spec
+from repro.durability.codec import CorruptSerializationError
 from repro.faults import FaultInjector, InjectedFault
-from repro.fst.serialize import CorruptSerializationError
 from repro.service.partition import HashPartitioner, RangePartitioner
 
 

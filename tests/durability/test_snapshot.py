@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.durability.codec import CorruptSerializationError
 from repro.durability.snapshot import SnapshotStore, decode_snapshot, encode_snapshot
 from repro.faults import FaultInjector, InjectedFault
-from repro.fst.serialize import CorruptSerializationError
 from repro.obs import Telemetry
 
 

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from repro.durability.codec import CorruptSerializationError
 from repro.durability.wal import (
     OP_DELETE,
     OP_PUT,
@@ -15,7 +16,6 @@ from repro.durability.wal import (
     read_frames,
 )
 from repro.faults import FaultInjector, InjectedFault
-from repro.fst.serialize import CorruptSerializationError
 from repro.obs import Telemetry
 
 

@@ -14,7 +14,7 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 ALL_EXAMPLES = sorted(path.stem for path in EXAMPLES_DIR.glob("*.py"))
-FAST_EXAMPLES = ["fst_persistence"]
+FAST_EXAMPLES = ["quickstart"]
 
 
 def load_module(name):

@@ -97,6 +97,9 @@ def test_prefix_property(raw_keys, prefix):
 
 
 class TestSuccessorAndRangeMembership:
+    """``successor(low)`` answers range membership: ``[low, high]``
+    holds a key iff the successor exists and is at most ``high``."""
+
     @pytest.fixture(scope="class")
     def indexed(self):
         import random
@@ -129,22 +132,3 @@ class TestSuccessorAndRangeMembership:
         _, art, fst = indexed
         assert art.successor(b"\xff" * 8) is None
         assert fst.successor(b"\xff" * 8) is None
-
-    def test_range_contains(self, indexed):
-        pairs, art, fst = indexed
-        low, high = pairs[10][0], pairs[12][0]
-        for index in (art, fst):
-            assert index.range_contains(low, high)
-            assert index.range_contains(low, low)  # inclusive bounds
-            assert not index.range_contains(high, low)  # inverted
-
-    def test_empty_gap_reports_false(self, indexed):
-        pairs, art, fst = indexed
-        # A gap strictly between two adjacent keys holds nothing.
-        a = int.from_bytes(pairs[20][0], "big")
-        b = int.from_bytes(pairs[21][0], "big")
-        if b - a > 2:
-            low = (a + 1).to_bytes(8, "big")
-            high = (b - 1).to_bytes(8, "big")
-            assert not art.range_contains(low, high)
-            assert not fst.range_contains(low, high)

@@ -85,12 +85,9 @@ HOT_WINDOW = 64
 FENCE_REASON = "wire oracle"
 CONCURRENT_EVERY = 4
 RECOVERY_CRASH_EVERY = 7
-#: Sites no oracle arm reaches (a branch expansion needs a trie tenant,
-#: FST serialization a file), and the test file that arms each.
+#: Sites no oracle arm reaches (a branch expansion needs a trie tenant),
+#: by label prefix, and the test file that arms each.
 UNIT_ARMED = {
-    "fst.serialize.encode": "tests/fst/test_serialize.py",
-    "fst.serialize.decode": "tests/fst/test_serialize.py",
-    "fst.serialize.swap": "tests/fst/test_serialize_file.py",
     "trie.": "tests/hybridtrie/test_migration_faults.py",
 }
 
@@ -500,10 +497,14 @@ def armed_by(site):
 
 def test_every_fault_site_is_literal_and_armed():
     """Sites are enumerated by their labels, so a computed label would
-    drop out of every coverage bar unseen, and a new site needs an arm."""
+    drop out of every coverage bar unseen, a new site needs an arm, and
+    an arm whose sites are all gone is stale."""
     calls = list(fault_point_calls())
     assert calls
     assert [where for where, label in calls if label is None] == [], "non-literal labels"
+    labels = [label for _, label in calls]
+    stale = [prefix for prefix in UNIT_ARMED if not any(s.startswith(prefix) for s in labels)]
+    assert stale == [], "unit arms with no live site"
     arms = {label: armed_by(label) for _, label in calls}
     assert [site for site, arm in arms.items() if arm is None] == [], "unarmed sites"
     unit_armed = {site: arm for site, arm in arms.items() if not arm.startswith("oracle")}

@@ -7,9 +7,9 @@ import zlib
 
 import pytest
 
+from repro.durability.codec import CorruptSerializationError
 from repro.durability.manager import DurabilityManager, Manifest
 from repro.faults.injector import FaultInjector, InjectedFault
-from repro.fst.serialize import CorruptSerializationError
 from repro.service.router import ShardRouter
 
 
