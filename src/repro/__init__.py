@@ -37,45 +37,51 @@ Quickstart::
     tree.manager.events        # adaptation phases, migrations, sizes
 """
 
-from repro.art.tree import ART
-from repro.bptree.hybrid import AdaptiveBPlusTree
-from repro.bptree.leaves import LeafEncoding
-from repro.bptree.olc import OlcBPlusTree
-from repro.bptree.tree import BPlusTree
-from repro.core.access import AccessType
-from repro.core.budget import MemoryBudget
-from repro.core.manager import AdaptationManager, ManagerConfig
-from repro.core.invariants import InvariantViolation, validate
-from repro.dualstage.index import DualStageIndex
-from repro.faults.injector import FaultInjector, InjectedFault
-from repro.fst.trie import FST
-from repro.hybridtrie.tree import HybridTrie
-from repro.service.partition import HashPartitioner, RangePartitioner
-from repro.service.router import ShardRouter
-from repro.sim.costmodel import CostModel
+from __future__ import annotations
+
+import importlib
+from typing import Any, Dict, List
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ART",
-    "AdaptiveBPlusTree",
-    "LeafEncoding",
-    "BPlusTree",
-    "OlcBPlusTree",
-    "AccessType",
-    "MemoryBudget",
-    "HashPartitioner",
-    "RangePartitioner",
-    "ShardRouter",
-    "AdaptationManager",
-    "ManagerConfig",
-    "DualStageIndex",
-    "FaultInjector",
-    "InjectedFault",
-    "InvariantViolation",
-    "validate",
-    "FST",
-    "HybridTrie",
-    "CostModel",
-    "__version__",
-]
+#: The module each export lives in.  An export is imported the first time
+#: it is read (a module ``__getattr__``, PEP 562), so importing one
+#: subpackage — say ``repro.durability.codec`` — loads that subpackage
+#: alone, not every index family.
+_EXPORTS: Dict[str, str] = {
+    "ART": "repro.art.tree",
+    "AdaptiveBPlusTree": "repro.bptree.hybrid",
+    "LeafEncoding": "repro.bptree.leaves",
+    "BPlusTree": "repro.bptree.tree",
+    "OlcBPlusTree": "repro.bptree.olc",
+    "AccessType": "repro.core.access",
+    "MemoryBudget": "repro.core.budget",
+    "HashPartitioner": "repro.service.partition",
+    "RangePartitioner": "repro.service.partition",
+    "ShardRouter": "repro.service.router",
+    "AdaptationManager": "repro.core.manager",
+    "ManagerConfig": "repro.core.manager",
+    "DualStageIndex": "repro.dualstage.index",
+    "FaultInjector": "repro.faults.injector",
+    "InjectedFault": "repro.faults.injector",
+    "InvariantViolation": "repro.core.invariants",
+    "validate": "repro.core.invariants",
+    "FST": "repro.fst.trie",
+    "HybridTrie": "repro.hybridtrie.tree",
+    "CostModel": "repro.sim.costmodel",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # resolved once; later reads skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -33,13 +33,16 @@ from repro.succinct.for_codec import (
     HEADER_BYTES,
     ForBlock,
     ForRun,
-    _blocks_bytes,
-    _insert_key,
-    _insert_value,
+    _frame_holds,
+    _ones,
+    _rebased,
     _remove_key,
     _remove_value,
     _replace_value,
+    _rewidth,
     _single,
+    _splice,
+    _spliced_encode,
 )
 
 DEFAULT_LEAF_CAPACITY = 255
@@ -188,9 +191,10 @@ class SuccinctStorage(ForRun):
     the touched block, and every later block — its entries move one
     slot, chunk boundaries stay at multiples of 32 — takes one entry in
     and hands one on.  A value below a block's base rebases the block's
-    other fields in place.  A block whose width would change is
-    re-encoded instead, so the blocks always equal, one for one, a
-    from-scratch encode of the same pairs.
+    other fields in place.  A block is re-encoded only where an edit
+    cannot tell its new width or base without reading every field, so
+    the blocks always equal, one for one, a from-scratch encode of the
+    same pairs.
     """
 
     encoding = LeafEncoding.SUCCINCT
@@ -213,9 +217,14 @@ class SuccinctStorage(ForRun):
         self._value_blocks[block_index] = block
 
     def _publish(
-        self, first: int, key_tail: List[ForBlock], value_tail: List[ForBlock]
+        self,
+        first: int,
+        key_tail: List[ForBlock],
+        value_tail: List[ForBlock],
+        grown: int,
     ) -> None:
-        """Make ``key_tail`` / ``value_tail`` the blocks ``first`` onwards.
+        """Make ``key_tail`` / ``value_tail`` the blocks ``first`` onwards;
+        the writer counted the ``grown`` modeled bytes as it built them.
 
         The new blocks were built aside and are put in place with one
         slice assignment per array, so an optimistic (OLC) reader sees the
@@ -223,14 +232,10 @@ class SuccinctStorage(ForRun):
         that its version check or the ``IndexError`` it already restarts
         on rejects.
         """
-        key_blocks = self._key_blocks
-        value_blocks = self._value_blocks
-        self._size_bytes += _blocks_bytes(key_tail + value_tail) - _blocks_bytes(
-            key_blocks[first:] + value_blocks[first:]
-        )
-        key_blocks[first:] = key_tail
-        value_blocks[first:] = value_tail
+        self._key_blocks[first:] = key_tail
+        self._value_blocks[first:] = value_tail
         self._block_min_keys[first:] = [block.base for block in key_tail]
+        self._size_bytes += grown
 
     def insert(self, key: int, value: int) -> int:
         """Insert or overwrite in one search; returns :data:`LEAF_FULL`
@@ -239,8 +244,15 @@ class SuccinctStorage(ForRun):
 
         The pair is spliced into the touched block at its offset; every
         later block (all of them full but the last) takes the entry the
-        block before it hands on in front and hands on its own last one.
-        ``_insert_key`` / ``_insert_value`` do both.
+        block before it hands on in front, as its new base, and hands on
+        its own last one.  The loop edits both packed buffers of each
+        block in place: a key block's fields grow by the distance to its
+        new base, a value below a value block's base rebases that block
+        (``_rebased``), and a block whose width moves is re-packed
+        (``_rewidth``).  Only a value block whose base field leaves, or
+        whose width shrinks or grows by more than a bit, is re-encoded.
+        The loop adds up the modeled bytes of the blocks whose length or
+        width moves as it goes.
         """
         index, found = self._find(key)
         if found:
@@ -253,22 +265,98 @@ class SuccinctStorage(ForRun):
         value_blocks = self._value_blocks
         key_tail: List[ForBlock] = []
         value_tail: List[ForBlock] = []
-        carry: Optional[int] = key
-        carried: Optional[int] = value
+        grown = 0
+        carry, carried = key, value
         for block_index in range(first, len(key_blocks)):
-            key_block, carry = _insert_key(
-                key_blocks[block_index], offset, carry, _FOR_BLOCK_ENTRIES
-            )
-            value_block, carried = _insert_value(
-                value_blocks[block_index], offset, carried, _FOR_BLOCK_ENTRIES
-            )
+            keys = key_blocks[block_index]
+            values = value_blocks[block_index]
+            key_base, key_buffer, key_width = keys.base, keys.buffer, keys.width
+            value_base, value_buffer = values.base, values.buffer
+            value_width = values.width
+            length = keys.length
+            full = length == _FOR_BLOCK_ENTRIES
+            gone = None
+            if full:  # hand the last entry on
+                length -= 1
+                kept = length * key_width
+                out = key_base + (key_buffer >> kept)
+                key_buffer &= (1 << kept) - 1
+                kept = length * value_width
+                gone = value_buffer >> kept
+                value_buffer &= (1 << kept) - 1
+                out_value = value_base + gone
+            # Sorted keys keep their largest delta last: it gives the width.
+            if offset:
+                delta = carry - key_base
+                if offset == length:
+                    width = delta.bit_length()
+                else:
+                    width = (key_buffer >> (length - 1) * key_width).bit_length()
+                if width != key_width:
+                    key_buffer = _rewidth(
+                        key_buffer, _FOR_BLOCK_ENTRIES, key_width, width
+                    )
+                key_buffer = _splice(key_buffer, offset * width, width, delta)
+                key_block = ForBlock(key_base, key_buffer, length + 1, width)
+            else:  # the carried key is the new base: every field grows
+                shift = key_base - carry
+                width = ((key_buffer >> (length - 1) * key_width) + shift).bit_length()
+                if width != key_width:
+                    key_buffer = _rewidth(
+                        key_buffer, _FOR_BLOCK_ENTRIES, key_width, width
+                    )
+                key_buffer = (key_buffer + shift * _ones(width, length)) << width
+                key_block = ForBlock(carry, key_buffer, length + 1, width)
+            delta = carried - value_base
+            width = value_width
+            if delta < 0:  # the carried value is the new base
+                shift = -delta
+                buffer = _rebased(value_buffer, length, width, shift)
+                if buffer is None:  # a field outgrew the width: try one bit more
+                    width = max(width + 1, shift.bit_length())
+                    buffer = _rebased(
+                        _rewidth(value_buffer, _FOR_BLOCK_ENTRIES, value_width, width),
+                        length,
+                        width,
+                        shift,
+                    )
+                value_base, delta = carried, 0
+            elif delta >> width and gone != 0:  # the new maximum, wider
+                width = delta.bit_length()
+                buffer = _rewidth(value_buffer, _FOR_BLOCK_ENTRIES, value_width, width)
+            elif gone is None or _frame_holds(
+                width, gone, value_buffer, length, delta
+            ):
+                buffer = value_buffer
+            else:  # the leaving field was the only 0, or the only wide one
+                buffer = None
+            if buffer is None:
+                value_block = _spliced_encode(values, length, offset, carried)
+            else:
+                if offset:
+                    buffer = _splice(buffer, offset * width, width, delta)
+                else:
+                    buffer = buffer << width | delta
+                value_block = ForBlock(value_base, buffer, length + 1, width)
             key_tail.append(key_block)
             value_tail.append(value_block)
+            moved = key_block.width != key_width or value_block.width != value_width
+            if moved or not full:
+                grown += (
+                    key_block.size_bytes()
+                    + value_block.size_bytes()
+                    - keys.size_bytes()
+                    - values.size_bytes()
+                )
+                if not full:
+                    break
+            carry, carried = out, out_value
             offset = 0
-        if carry is not None:  # a full last block spills a 1-entry block
+        else:  # a full last block (or none) spills a 1-entry block
             key_tail.append(_single(carry))
             value_tail.append(_single(carried))
-        self._publish(first, key_tail, value_tail)
+            grown += key_tail[-1].size_bytes() + value_tail[-1].size_bytes()
+        self._publish(first, key_tail, value_tail, grown)
         self._num_entries += 1
         return INSERTED
 
@@ -296,19 +384,23 @@ class SuccinctStorage(ForRun):
         last = len(key_blocks) - 1
         key_tail: List[ForBlock] = []
         value_tail: List[ForBlock] = []
+        grown = 0
         for block_index in range(first, last + 1):
+            keys = key_blocks[block_index]
+            values = value_blocks[block_index]
+            grown -= keys.size_bytes() + values.size_bytes()
             next_key = next_value = None
             if block_index < last:
                 next_key = key_blocks[block_index + 1].base
                 next_value = value_blocks[block_index + 1][0]
-            key_block = _remove_key(key_blocks[block_index], offset, next_key)
+            key_block = _remove_key(keys, offset, next_key)
             if key_block is not None:  # None: the last block's only entry went
+                value_block = _remove_value(values, offset, next_value)
+                grown += key_block.size_bytes() + value_block.size_bytes()
                 key_tail.append(key_block)
-                value_tail.append(
-                    _remove_value(value_blocks[block_index], offset, next_value)
-                )
+                value_tail.append(value_block)
             offset = 0
-        self._publish(first, key_tail, value_tail)
+        self._publish(first, key_tail, value_tail, grown)
         self._num_entries -= 1
         return True
 

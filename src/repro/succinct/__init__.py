@@ -6,11 +6,10 @@ encodings rest on:
 * :class:`~repro.succinct.bitvector.BitVector` — an appendable bitvector
   with constant-time ``rank``/``select`` support (block-structured
   directories, as used by LOUDS tries).
-* :class:`~repro.succinct.bitpack.PackedIntArray` — fixed-width bit-packed
-  integer arrays (the storage layer of frame-of-reference encoded leaves).
 * :mod:`~repro.succinct.for_codec` — frame-of-reference (FOR) encoding:
   :func:`~repro.succinct.for_codec.for_encode` builds one
-  :class:`~repro.succinct.for_codec.ForBlock`, and
+  :class:`~repro.succinct.for_codec.ForBlock` (a base and fixed-width
+  bit-packed fields in one ``int``), and
   :class:`~repro.succinct.for_codec.ForRun` is the one FOR-blocked sorted
   run of pairs — the Succinct B+-tree leaf (32-entry blocks) and the
   Dual-Stage static stage (256-entry blocks) — with its read path and
@@ -19,15 +18,12 @@ encodings rest on:
   standing in for LZ4 in the Figure 3 storage experiment.
 """
 
-from repro.succinct.bitpack import PackedIntArray, bits_required
 from repro.succinct.bitvector import BitVector
 from repro.succinct.for_codec import ForBlock, ForRun, for_encode
 from repro.succinct.lz import lz_compress, lz_decompress
 
 __all__ = [
     "BitVector",
-    "PackedIntArray",
-    "bits_required",
     "ForBlock",
     "ForRun",
     "for_encode",

@@ -10,16 +10,15 @@ stay binary-searchable without decompressing.
 pairs: the Succinct B+-tree leaf (32-entry blocks) and the Dual-Stage
 index's compact static stage (256-entry blocks) are both built on it.
 It owns the read path; the in-buffer write kernels below
-(``_insert_*``, ``_remove_*``, ``_replace_value``) edit one block of a
-run, and the leaf chooses which blocks they edit.
+(``_remove_*``, ``_replace_value``, and the field moves ``_splice``,
+``_rebased`` and ``_rewidth`` that the leaf's insert loop calls) edit
+one block of a run, and the leaf chooses which blocks they edit.
 """
 
 from __future__ import annotations
 
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.succinct.bitpack import PackedIntArray
 
 #: The modeled node header every sorted-pair layout pays.
 HEADER_BYTES = 16
@@ -28,62 +27,84 @@ HEADER_BYTES = 16
 class ForBlock:
     """A FOR-encoded integer sequence.
 
-    ``base`` is the frame of reference (the minimum of the input), and
-    ``deltas`` holds ``value - base`` for every element in input order.
-    A block is never changed once built: a writer builds a new one and
-    swaps it in.  Two blocks are equal when base and deltas are.
+    ``base`` is the frame of reference (the minimum of the input); field
+    ``i`` of ``buffer`` holds ``value - base`` for the ``i``-th element in
+    input order.  The ``length`` fields are ``width`` bits each, field
+    ``i`` at bits ``[i * width, (i + 1) * width)`` of the ``int``, which
+    stands for a contiguous byte buffer in the modeled C++ layout: a read
+    shifts and masks as the C++ code would.  A block is never changed once
+    built: a writer builds a new one and swaps it in.  Two blocks are
+    equal when all four fields are.
     """
 
     # A plain slotted class, not a frozen dataclass: the Succinct leaf
     # builds one per block it writes, and the frozen dataclass's
     # ``object.__setattr__`` construction costs over twice as much.
-    __slots__ = ("base", "deltas")
+    __slots__ = ("base", "buffer", "length", "width")
 
-    def __init__(self, base: int, deltas: PackedIntArray) -> None:
+    def __init__(self, base: int, buffer: int, length: int, width: int) -> None:
         self.base = base
-        self.deltas = deltas
+        self.buffer = buffer
+        self.length = length
+        self.width = width
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ForBlock):
             return NotImplemented
-        return self.base == other.base and self.deltas == other.deltas
+        return (
+            self.base == other.base
+            and self.buffer == other.buffer
+            and self.length == other.length
+            and self.width == other.width
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ForBlock(base={self.base}, deltas={self.deltas!r})"
+        return f"ForBlock(base={self.base}, length={self.length}, width={self.width})"
 
     def __len__(self) -> int:
-        return len(self.deltas)
+        return self.length
 
     def __getitem__(self, index: int) -> int:
-        return self.base + self.deltas[index]
+        length = self.length
+        if index < 0:
+            index += length
+        if not 0 <= index < length:
+            raise IndexError(f"index {index} out of range for length {length}")
+        width = self.width
+        return self.base + ((self.buffer >> index * width) & ((1 << width) - 1))
 
     def to_list(self) -> List[int]:
         """Decode to a plain list."""
-        return self.deltas.to_list(self.base)
+        base, buffer, width = self.base, self.buffer, self.width
+        mask = (1 << width) - 1
+        return [
+            base + ((buffer >> shift) & mask)
+            for shift in range(0, self.length * width, width)
+        ]
 
     def size_bytes(self) -> int:
-        """Modeled footprint: an 8-byte base plus the packed deltas."""
-        return 8 + self.deltas.size_bytes()
+        """Modeled footprint: an 8-byte base plus the packed fields,
+        rounded up to whole bytes."""
+        return 8 + ((self.length * self.width + 7) >> 3)
 
 
 def for_encode(values: Sequence[int]) -> ForBlock:
     """Encode ``values`` with frame-of-reference + bit packing.
 
     Works for any integer sequence (sorted or not); the frame is the
-    minimum value so all deltas are non-negative.
+    minimum value so all deltas are non-negative, and the width is the
+    fewest bits that hold the largest delta (at least 1).
     """
     if len(values) == 0:
-        return ForBlock(base=0, deltas=PackedIntArray([], width=1))
+        return ForBlock(0, 0, 0, 1)
     base = min(values)
-    # base is the minimum, so every delta is >= 0 and fits the width: the
-    # packed array needs none of the constructor's range checks.
     width = (max(values) - base).bit_length() or 1
     buffer = 0
     shift = 0
     for value in values:
         buffer |= (value - base) << shift
         shift += width
-    return ForBlock(base, PackedIntArray._from_buffer(buffer, len(values), width))
+    return ForBlock(base, buffer, len(values), width)
 
 
 def _encode_blocks(values: Sequence[int], block_entries: int) -> List[ForBlock]:
@@ -101,16 +122,6 @@ def _decode_blocks(blocks: Sequence[ForBlock]) -> List[int]:
     return values
 
 
-def _blocks_bytes(blocks: Sequence[ForBlock]) -> int:
-    """:meth:`ForBlock.size_bytes` summed, read straight off each block's
-    length and width."""
-    total = 8 * len(blocks)
-    for block in blocks:
-        deltas = block.deltas
-        total += (deltas._length * deltas._width + 7) >> 3
-    return total
-
-
 class ForRun:
     """A strictly sorted run of pairs, FOR-encoded in fixed-length blocks.
 
@@ -123,7 +134,7 @@ class ForRun:
     packed block: random access, no decompression.
 
     The modeled footprint is a :data:`HEADER_BYTES` header plus every
-    block's 8-byte base and packed deltas; a writer that replaces blocks
+    block's 8-byte base and packed fields; a writer that replaces blocks
     keeps ``_size_bytes`` up to date.
     """
 
@@ -145,8 +156,8 @@ class ForRun:
         self._value_blocks = _encode_blocks([value for _, value in pairs], block_entries)
         self._block_min_keys = keys[::block_entries]
         self._num_entries = len(keys)
-        self._size_bytes = HEADER_BYTES + _blocks_bytes(
-            self._key_blocks + self._value_blocks
+        self._size_bytes = HEADER_BYTES + sum(
+            block.size_bytes() for block in self._key_blocks + self._value_blocks
         )
 
     def num_entries(self) -> int:
@@ -183,8 +194,7 @@ class ForRun:
         if block_index < 0:
             return 0, False
         block = self._key_blocks[block_index]
-        deltas = block.deltas
-        width, length, buffer = deltas._width, deltas._length, deltas._buffer
+        width, length, buffer = block.width, block.length, block.buffer
         mask = (1 << width) - 1
         target = key - block.base
         lo, hi = 0, length
@@ -210,13 +220,12 @@ class ForRun:
             return None
         block_index, offset = divmod(index, self._block_entries)
         block = self._value_blocks[block_index]
-        deltas = block.deltas
-        if offset >= deltas._length:
+        if offset >= block.length:
             raise IndexError(
-                f"offset {offset} out of range for a {deltas._length}-entry value block"
+                f"offset {offset} out of range for a {block.length}-entry value block"
             )
-        width = deltas._width
-        return block.base + ((deltas._buffer >> offset * width) & ((1 << width) - 1))
+        width = block.width
+        return block.base + ((block.buffer >> offset * width) & ((1 << width) - 1))
 
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Return all ``(key, value)`` pairs as a list."""
@@ -225,16 +234,32 @@ class ForRun:
         )
 
     def pairs_from(self, start_key: int, limit: int) -> List[Tuple[int, int]]:
-        """Up to ``limit`` pairs with key >= ``start_key``, decoding only
-        the blocks they come from."""
+        """Up to ``limit`` pairs with key >= ``start_key``.
+
+        Reads only the fields it returns: from each block, the key and the
+        value buffer are shifted to the first field taken and walked side
+        by side, one field of each per pair; no block is decoded whole.
+        """
         first, offset = divmod(self._find(start_key)[0], self._block_entries)
+        key_blocks = self._key_blocks
+        value_blocks = self._value_blocks
         pairs: List[Tuple[int, int]] = []
-        for block_index in range(first, len(self._key_blocks)):
-            end = offset + limit - len(pairs)
-            pairs += zip(
-                self._key_blocks[block_index].to_list()[offset:end],
-                self._value_blocks[block_index].to_list()[offset:end],
-            )
+        append = pairs.append
+        for block_index in range(first, len(key_blocks)):
+            keys = key_blocks[block_index]
+            values = value_blocks[block_index]
+            key_base, key_width = keys.base, keys.width
+            value_base, value_width = values.base, values.width
+            key_mask = (1 << key_width) - 1
+            value_mask = (1 << value_width) - 1
+            key_fields = keys.buffer >> offset * key_width
+            value_fields = values.buffer >> offset * value_width
+            for _ in range(min(keys.length - offset, limit - len(pairs))):
+                append(
+                    (key_base + (key_fields & key_mask), value_base + (value_fields & value_mask))
+                )
+                key_fields >>= key_width
+                value_fields >>= value_width
             if len(pairs) >= limit:
                 break
             offset = 0
@@ -254,12 +279,13 @@ class ForRun:
 # moves every later entry one slot right: each later block takes the
 # previous block's last entry in front (a splice at offset 0) and — when
 # full — hands its own last entry on.  A delete cuts one field out and
-# is the mirror image.  Each edit is a few big-int operations while the
-# block keeps the width a fresh encode would pick; a new minimum moves
-# the frame of reference, and every other field is rebased inside the
-# buffer.  Only a block whose width changes, or whose base field leaves,
-# is decoded and re-encoded (the fallback), so every block always equals
-# ``for_encode`` of its entries.
+# is the mirror image.  Each edit is a few big-int operations: a new
+# minimum moves the frame of reference, and every other field is rebased
+# inside the buffer.  An insert also re-packs a block whose width moves
+# (:func:`_rewidth`) when it knows the new width.  Only a block whose
+# base field leaves, or whose new width is not known without reading
+# every field, is decoded and re-encoded (the fallback), so every block
+# always equals ``for_encode`` of its entries.
 
 #: Memo of :func:`_ones`, a pure function (the division costs up to 1 µs
 #: at width 61); it holds one entry per width seen and block length.
@@ -275,51 +301,79 @@ def _ones(width: int, fields: int) -> int:
     return ones
 
 
-#: Memo of :func:`_lanes`, a pure function like :func:`_ones`.
-_LANES: Dict[Tuple[int, int], Tuple[int, int, int, int, int]] = {}
-
-
-def _lanes(width: int, fields: int) -> Tuple[int, int, int, int, int]:
-    """What :func:`_rebased` reads ``fields`` ``width``-bit fields with:
-    each field alone in a 2w-bit lane, the even fields in one set of
-    lanes and the odd ones in another.  Returns R(2w) over the even
-    lanes and over the odd ones, then per lane the mask of its field, of
-    the carry bits above the field and of the field's top bit."""
-    lanes = _LANES.get((width, fields))
-    if lanes is None:
-        even = _ones(2 * width, (fields + 1) // 2)
-        field = even * ((1 << width) - 1)
-        lanes = (
-            even,
-            _ones(2 * width, fields // 2),
-            field,
-            field << width,
-            even << width - 1,
-        )
-        _LANES[width, fields] = lanes
-    return lanes
-
-
 def _rebased(buffer: int, fields: int, width: int, shift: int) -> Optional[int]:
     """``buffer`` with ``shift`` (> 0) added to each of its ``fields``
     fields — a value block whose base moves ``shift`` down — or None when
     a fresh encode would then pick another width: a field overflows
     ``width`` bits or, above width 1, no field keeps the top bit.
 
-    Added in place, one field's carry would run into the next.  So the
-    even and the odd fields are summed apart, each in a lane twice its
-    width whose upper half catches the carry, and one AND per check
-    reads every lane at once.
+    One addition adds ``shift`` to every field.  A field that overflows
+    carries into the bit above its own, and ``a ^ b ^ (a + b)`` holds
+    every carry the addition made, so one AND with the lowest bit of each
+    next field finds the first overflow (the fields below it were added
+    exactly).  When none overflows, one AND reads every field's top bit.
     """
     if shift >> width:  # every field would overflow
         return None
-    ones_even, ones_odd, field, carry, top = _lanes(width, fields)
-    even = (buffer & field) + shift * ones_even
-    odd = ((buffer >> width) & field) + shift * ones_odd
-    either = even | odd
-    if either & carry or (width > 1 and not either & top):
+    ones = _ones(width, fields)
+    added = shift * ones
+    rebased = buffer + added
+    if (buffer ^ added ^ rebased) & ones << width or (
+        width > 1 and not rebased & ones << width - 1
+    ):
         return None
-    return even | odd << width
+    return rebased
+
+
+#: Memo of :func:`_rewidth`'s moves, a pure function of its widths and
+#: field count like :func:`_ones`.
+_MOVES: Dict[Tuple[int, int, int], List[Tuple[int, int]]] = {}
+
+
+def _rewidth(buffer: int, fields: int, width: int, new_width: int) -> int:
+    """``buffer``'s fields moved from ``width`` to ``new_width`` bits
+    apart.  Each must fit in the narrower width; ``fields`` may exceed
+    the fields present (the missing ones are 0 and move as 0).
+
+    Field ``i`` moves ``i * d`` bits, ``d`` the two widths' difference:
+    one masked move per bit ``k`` of ``i`` takes every field whose index
+    has that bit ``d << k`` bits, the high bits first when the fields
+    spread out and the low bits first when they close up, so no field
+    lands on one that has not moved yet.  A 32-field block takes five.
+    """
+    moves = _MOVES.get((fields, width, new_width))
+    if moves is None:
+        moves = _MOVES[fields, width, new_width] = _moves(fields, width, new_width)
+    if new_width > width:
+        for mask, shift in moves:
+            moved = buffer & mask
+            buffer = buffer ^ moved | moved << shift
+    else:
+        for mask, shift in moves:
+            moved = buffer & mask
+            buffer = buffer ^ moved | moved >> shift
+    return buffer
+
+
+def _moves(fields: int, width: int, new_width: int) -> List[Tuple[int, int]]:
+    """:func:`_rewidth`'s masked moves, in order: the mask of the fields
+    that move, where they are by then, and how far they move."""
+    field = (1 << min(width, new_width)) - 1
+    step = abs(new_width - width)
+    bits = range((fields - 1).bit_length())
+    spread = new_width > width
+    moves = []
+    for k in reversed(bits) if spread else bits:
+        mask = 0
+        for index in range(fields):
+            if index >> k & 1:
+                if spread:  # moved out by its higher bits already
+                    position = index * width + step * (index >> k + 1 << k + 1)
+                else:  # moved in by its lower bits already
+                    position = index * width - step * (index & (1 << k) - 1)
+                mask |= field << position
+        moves.append((mask, step << k))
+    return moves
 
 
 def _splice(buffer: int, bits: int, width: int, field: int) -> int:
@@ -337,14 +391,9 @@ def _cut(buffer: int, bits: int, width: int) -> Tuple[int, int]:
     return low | (high >> width) << bits, high & ((1 << width) - 1)
 
 
-def _block(base: int, buffer: int, length: int, width: int) -> ForBlock:
-    """The block an edit built in ``buffer``."""
-    return ForBlock(base, PackedIntArray._from_buffer(buffer, length, width))
-
-
 def _single(value: int) -> ForBlock:
     """The block ``for_encode([value])`` builds."""
-    return _block(value, 0, 1, 1)
+    return ForBlock(value, 0, 1, 1)
 
 
 def _frame_holds(width: int, gone: int, kept: int, fields: int, delta: int) -> bool:
@@ -365,78 +414,20 @@ def _frame_holds(width: int, gone: int, kept: int, fields: int, delta: int) -> b
     )
 
 
-def _insert_key(
-    block: ForBlock, offset: int, key: int, full: int
-) -> Tuple[ForBlock, Optional[int]]:
-    """``block`` with ``key`` spliced in at ``offset``, and the key that
-    drops off its end when it held ``full`` entries (else None).  At
-    offset 0 the key is the new base, so every field grows by the old
-    base's distance."""
-    deltas = block.deltas
-    width, length, buffer = deltas._width, deltas._length, deltas._buffer
-    base = block.base
-    out = None
-    if length == full:
-        length -= 1
-        kept = length * width
-        out = base + (buffer >> kept)
-        buffer &= (1 << kept) - 1
-    # Keys are sorted, so the last field is the largest delta: the width
-    # holds while it keeps the top bit.
-    if offset:
-        delta = key - base
-        last = delta if offset == length else buffer >> (length - 1) * width
-        if last >> width - 1 == 1:
-            buffer = _splice(buffer, offset * width, width, delta)
-            return _block(base, buffer, length + 1, width), out
-    else:
-        shift = base - key
-        if (buffer >> (length - 1) * width) + shift >> width - 1 == 1:
-            buffer = (buffer + shift * _ones(width, length)) << width
-            return _block(key, buffer, length + 1, width), out
-    keys = block.to_list()[:length]
-    keys.insert(offset, key)
-    return for_encode(keys), out
-
-
-def _insert_value(
-    block: ForBlock, offset: int, value: int, full: int
-) -> Tuple[ForBlock, Optional[int]]:
-    """:func:`_insert_key` for a value block (unsorted; base is the
-    minimum).  A value below the base becomes the base, the other fields
-    rebased in the buffer by :func:`_rebased`."""
-    deltas = block.deltas
-    width, length, buffer = deltas._width, deltas._length, deltas._buffer
-    base = block.base
-    out = gone = None
-    if length == full:
-        length -= 1
-        kept = length * width
-        gone = buffer >> kept
-        buffer &= (1 << kept) - 1
-        out = base + gone
-    delta = value - base
-    if delta < 0:
-        rebased = _rebased(buffer, length, width, -delta)
-        if rebased is not None:
-            buffer = _splice(rebased, offset * width, width, 0)
-            return _block(value, buffer, length + 1, width), out
-    elif not delta >> width and (
-        gone is None or _frame_holds(width, gone, buffer, length, delta)
-    ):
-        buffer = _splice(buffer, offset * width, width, delta)
-        return _block(base, buffer, length + 1, width), out
+def _spliced_encode(block: ForBlock, length: int, offset: int, value: int) -> ForBlock:
+    """``for_encode`` of ``block``'s first ``length`` entries with
+    ``value`` spliced in at ``offset``: an insert's fallback when the
+    block's width or its base field would move."""
     values = block.to_list()[:length]
     values.insert(offset, value)
-    return for_encode(values), out
+    return for_encode(values)
 
 
 def _remove_key(block: ForBlock, offset: int, key: Optional[int]) -> Optional[ForBlock]:
     """``block`` without its key at ``offset`` and with ``key`` (above its
     last key; None: nothing) at the end; None when nothing is left.  At
     offset 0 the second key is the new base: every field shrinks by it."""
-    deltas = block.deltas
-    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    width, length, buffer = block.width, block.length, block.buffer
     length -= 1
     if not length:
         return None if key is None else _single(key)
@@ -452,7 +443,7 @@ def _remove_key(block: ForBlock, offset: int, key: Optional[int]) -> Optional[Fo
         if key is not None:
             rest |= top << length * width
             length += 1
-        return _block(base, rest, length, width)
+        return ForBlock(base, rest, length, width)
     keys = block.to_list()
     del keys[offset]
     if key is not None:
@@ -462,23 +453,23 @@ def _remove_key(block: ForBlock, offset: int, key: Optional[int]) -> Optional[Fo
 
 def _remove_value(block: ForBlock, offset: int, value: Optional[int]) -> ForBlock:
     """:func:`_remove_key` for a value block that keeps an entry; a value
-    below the base rebases the others as in :func:`_insert_value`."""
-    deltas = block.deltas
-    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    below the base becomes the base, the others rebased in the buffer by
+    :func:`_rebased`."""
+    width, length, buffer = block.width, block.length, block.buffer
     length -= 1
     base = block.base
     rest, gone = _cut(buffer, offset * width, width)
     if value is None:
         if _frame_holds(width, gone, rest, length, 1):
-            return _block(base, rest, length, width)
+            return ForBlock(base, rest, length, width)
     else:
         delta = value - base
         if delta < 0:
             rebased = _rebased(rest, length, width, -delta)
             if rebased is not None:  # the new last field is the 0
-                return _block(value, rebased, length + 1, width)
+                return ForBlock(value, rebased, length + 1, width)
         elif not delta >> width and _frame_holds(width, gone, rest, length, delta):
-            return _block(base, rest | delta << length * width, length + 1, width)
+            return ForBlock(base, rest | delta << length * width, length + 1, width)
     values = block.to_list()
     del values[offset]
     if value is not None:
@@ -492,20 +483,19 @@ def _replace_value(block: ForBlock, offset: int, value: int) -> Tuple[ForBlock, 
     adds none.  A value below the base is the new base, so its field is
     cut, the others rebased and a 0 spliced back.  When the width or the
     base field moves, the block is re-encoded."""
-    deltas = block.deltas
-    width, length, buffer = deltas._width, deltas._length, deltas._buffer
+    width, length, buffer = block.width, block.length, block.buffer
     bits = offset * width
     delta = value - block.base
     if delta < 0:
         rest, _ = _cut(buffer, bits, width)
         rebased = _rebased(rest, length - 1, width, -delta)
         if rebased is not None:
-            return _block(value, _splice(rebased, bits, width, 0), length, width), 0
+            return ForBlock(value, _splice(rebased, bits, width, 0), length, width), 0
     else:
         gone = (buffer >> bits) & ((1 << width) - 1)
         others = buffer ^ (gone << bits)
         if not delta >> width and _frame_holds(width, gone, others, length, delta):
-            return _block(block.base, others | delta << bits, length, width), 0
+            return ForBlock(block.base, others | delta << bits, length, width), 0
     values = block.to_list()
     values[offset] = value
     new = for_encode(values)

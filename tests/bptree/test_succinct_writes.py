@@ -8,6 +8,8 @@ import random
 import sys
 import threading
 from bisect import bisect_left
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,9 +24,12 @@ from repro.bptree.leaves import (
     SuccinctStorage,
 )
 from repro.bptree.olc import OlcBPlusTree
+from repro.bptree.tree import BPlusTree
 from repro.core.budget import MemoryBudget
 from repro.core.manager import ManagerConfig
+from repro.dualstage.index import DualStageIndex
 from repro.succinct import for_codec
+from tests.helpers import count_calls
 
 CAPACITY = 256
 KEYS = st.integers(0, 2**40)
@@ -158,6 +163,14 @@ def op(action, key, value=0):
     evens(96, lambda key: 0 if key in (126, 128) else 5),
     insert_update_delete(1, 5, 128, 0),
 )
+# The leaving value is a block's only minimum and the carried one is wider
+# than the block: the block is re-encoded (its base moves), not widened.
+@example(
+    evens(
+        96, lambda key: 2**20 if key == 62 else 0 if key == 126 else key // 2 % 7 + 1
+    ),
+    insert_update_delete(1, 3, 64, 0),
+)
 # The carried value is below the next block's base.
 @example(
     evens(96, lambda key: 1 if key < 64 else 100 + key),
@@ -242,6 +255,26 @@ def test_a_new_key_in_block_0_re_encodes_block_0_alone(monkeypatch):
     assert_equals_fresh_encode(storage)
 
 
+def test_a_block_one_bit_wider_is_re_packed_not_re_encoded(monkeypatch):
+    """Three full blocks; block 1 starts 8 above block 0's last key and
+    its values sit 3 above the value block 0 hands on.  The insert into
+    block 0 widens block 1's key block from 6 to 7 bits and its value
+    block from 3 to 4 (rebased by 3): both are re-packed in their
+    buffers, so nothing is encoded."""
+    keys = list(range(0, 64, 2)) + list(range(70, 198, 2))
+    pairs = [
+        (key, 997 if key == 62 else 1000 + index % 8) for index, key in enumerate(keys)
+    ]
+    storage = SuccinctStorage(pairs, 300)
+    assert (storage._key_blocks[1].width, storage._value_blocks[1].width) == (6, 3)
+    encoded = count_encodes(monkeypatch)
+    assert storage.insert(1, 997) == INSERTED
+    assert encoded == []
+    monkeypatch.undo()
+    assert (storage._key_blocks[1].width, storage._value_blocks[1].width) == (7, 4)
+    assert_equals_fresh_encode(storage)
+
+
 def test_the_wire_mix_re_encodes_nothing(monkeypatch):
     """61-bit preloaded values meet 40-bit writes, as on the wire
     benchmark.  Each block's first value is its 41-bit minimum and the
@@ -254,7 +287,7 @@ def test_the_wire_mix_re_encodes_nothing(monkeypatch):
         for index in range(256)
     ]
     storage = SuccinctStorage(pairs, 300)
-    assert {block.deltas.width for block in storage._value_blocks} == {61}
+    assert {block.width for block in storage._value_blocks} == {61}
     encoded = count_encodes(monkeypatch)
     assert storage.insert(1, 2**39) == INSERTED
     assert storage.insert(8, 2**38) == OVERWROTE
@@ -263,6 +296,25 @@ def test_the_wire_mix_re_encodes_nothing(monkeypatch):
     monkeypatch.undo()
     assert_equals_fresh_encode(storage)
     assert storage.lookup(1) == 2**39 and storage.lookup(8) == 2**38
+
+
+def test_a_scan_decodes_no_whole_block():
+    """An untraced Succinct ``tree.scan(k, 20)`` and a Dual-Stage scan
+    over its static stage read only the fields they return: neither
+    enters ``ForBlock.to_list`` or ``_decode_blocks`` (each scan made two
+    ``to_list`` calls per block it read).  Both scans cross a block
+    edge, and the tree's a leaf edge too."""
+    pairs = [(3 * key, key ^ 0x5A5A) for key in range(2000)]
+    tree = BPlusTree.bulk_load(pairs, LeafEncoding.SUCCINCT, leaf_capacity=64)
+    start = 3 * 30  # leaf 0 holds 44 pairs (0.7 fill): blocks of 32 and 12
+    result, calls = count_calls(partial(tree.scan, start, 20))
+    assert result == pairs[30:50]
+    assert not {"to_list", "_decode_blocks"} & set(calls), Counter(calls)
+    index = DualStageIndex.bulk_load(pairs)
+    start = 3 * 250  # the static stage's blocks hold 256 entries
+    result, calls = count_calls(partial(index.scan, start, 20))
+    assert result == pairs[250:270]
+    assert not {"to_list", "_decode_blocks"} & set(calls), Counter(calls)
 
 
 def test_scan_entries_match_pairs_from_every_start():

@@ -1,96 +1,87 @@
-"""Tests for fixed-width bit-packed arrays."""
+"""Tests for the bit packing inside a FOR block: the width ``for_encode``
+picks, and the fixed-width fields a :class:`ForBlock` holds in one int."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.succinct.bitpack import PackedIntArray, bits_required
+from repro.succinct.for_codec import ForBlock, for_encode
 
 
 class TestBitsRequired:
+    """The width is the fewest bits that hold the largest delta."""
+
     def test_zero_needs_one_bit(self):
-        assert bits_required(0) == 1
+        # Every delta is 0: the block still has a well-defined, nonzero width.
+        assert for_encode([5, 5, 5]).width == 1
 
     def test_powers_of_two(self):
-        assert bits_required(1) == 1
-        assert bits_required(2) == 2
-        assert bits_required(255) == 8
-        assert bits_required(256) == 9
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bits_required(-1)
+        assert for_encode([0, 1]).width == 1
+        assert for_encode([0, 2]).width == 2
+        assert for_encode([0, 255]).width == 8
+        assert for_encode([0, 256]).width == 9
 
 
 class TestPackedIntArray:
+    """A block's ``length`` fields of ``width`` bits, field ``i`` at bit
+    ``i * width`` of ``buffer``."""
+
     def test_roundtrip(self):
         values = [5, 0, 31, 17]
-        packed = PackedIntArray(values)
-        assert packed.to_list() == values
-        assert len(packed) == 4
+        block = for_encode(values)
+        assert block.to_list() == values
+        assert len(block) == 4
 
     def test_auto_width_is_minimal(self):
-        assert PackedIntArray([7]).width == 3
-        assert PackedIntArray([8]).width == 4
-        assert PackedIntArray([0]).width == 1
+        assert for_encode([0, 7]).width == 3
+        assert for_encode([0, 8]).width == 4
+        assert for_encode([0]).width == 1
 
     def test_empty(self):
-        packed = PackedIntArray([])
-        assert len(packed) == 0
-        assert packed.to_list() == []
-        assert packed.size_bytes() == 0
-
-    def test_explicit_width_enforced(self):
-        with pytest.raises(ValueError):
-            PackedIntArray([16], width=4)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            PackedIntArray([-1])
-
-    def test_error_names_the_first_offending_value(self):
-        with pytest.raises(ValueError, match=r"^value 16 does not fit in 4 bits$"):
-            PackedIntArray([3, 16, -2, 99], width=4)
-        with pytest.raises(ValueError, match=r"^value -2 does not fit in 4 bits$"):
-            PackedIntArray([3, -2, 16], width=4)
-        with pytest.raises(ValueError, match=r"^width must be >= 1, got 0$"):
-            PackedIntArray([], width=0)
+        block = for_encode([])
+        assert (block.base, block.buffer, block.length, block.width) == (0, 0, 0, 1)
+        assert block.to_list() == []
+        assert block.size_bytes() == 8  # the base alone
 
     def test_to_list_adds_the_base(self):
-        assert PackedIntArray([0, 5, 2], width=3).to_list(100) == [100, 105, 102]
+        block = ForBlock(100, 0 | 5 << 3 | 2 << 6, 3, 3)
+        assert block.to_list() == [100, 105, 102]
+        assert block == for_encode([100, 105, 102])
 
     def test_random_access(self):
-        values = list(range(100))
-        packed = PackedIntArray(values)
-        assert packed[0] == 0
-        assert packed[50] == 50
-        assert packed[-1] == 99
+        block = for_encode(list(range(100)))
+        assert block[0] == 0
+        assert block[50] == 50
+        assert block[-1] == 99
 
     def test_index_out_of_range(self):
-        packed = PackedIntArray([1, 2])
+        block = for_encode([1, 2])
         with pytest.raises(IndexError):
-            packed[2]
+            block[2]
+        with pytest.raises(IndexError):
+            block[-3]
 
     def test_equality(self):
-        assert PackedIntArray([1, 2, 3]) == PackedIntArray([1, 2, 3])
-        assert PackedIntArray([1, 2, 3]) != PackedIntArray([1, 2, 4])
-        assert PackedIntArray([1], width=2) != PackedIntArray([1], width=3)
+        assert for_encode([1, 2, 3]) == for_encode([1, 2, 3])
+        assert for_encode([1, 2, 3]) != for_encode([1, 2, 4])
+        # The same base and buffer read at another width or length.
+        assert ForBlock(0, 1, 1, 2) != ForBlock(0, 1, 1, 3)
+        assert ForBlock(0, 1, 1, 2) != ForBlock(0, 1, 2, 2)
 
     def test_size_bytes_rounds_up(self):
-        # 10 values x 3 bits = 30 bits -> 4 bytes
-        assert PackedIntArray([7] * 10).size_bytes() == 4
+        # 10 fields x 3 bits = 30 bits -> 4 bytes, plus the 8-byte base.
+        assert for_encode([0] + [7] * 9).size_bytes() == 8 + 4
 
     def test_size_smaller_than_plain_ints(self):
         values = list(range(1000))
-        packed = PackedIntArray(values)
-        assert packed.size_bytes() < 8 * len(values)
+        assert for_encode(values).size_bytes() < 8 * len(values)
 
 
 @settings(max_examples=80)
 @given(st.lists(st.integers(min_value=0, max_value=2**48), max_size=200))
 def test_roundtrip_property(values):
-    packed = PackedIntArray(values)
-    assert packed.to_list() == values
-    assert list(packed) == values
+    block = for_encode(values)
+    assert block.to_list() == values
+    assert list(block) == values
     for index, value in enumerate(values):
-        assert packed[index] == value
+        assert block[index] == value

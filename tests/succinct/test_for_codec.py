@@ -93,3 +93,31 @@ def test_run_read_path_matches_its_pairs(pairs, block_entries, probes):
         assert run.pairs_from(key, 9) == tail[:9]
     blocks = run._key_blocks + run._value_blocks
     assert run.size_bytes() == HEADER_BYTES + sum(block.size_bytes() for block in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    RUN_PAIRS.filter(bool),
+    st.sampled_from([32, 256]),
+    st.data(),
+)
+def test_pairs_from_is_a_slice_of_to_pairs(pairs, block_entries, data):
+    """``pairs_from(start, limit)`` is ``to_pairs()[i : i + limit]``, ``i``
+    the first key >= ``start``: from every key, from one past the last,
+    and for limits that end inside the first block, one block on and two
+    or more on (0, 1 and >= 2 block edges crossed)."""
+    run = ForRun(pairs, block_entries)
+    everything = run.to_pairs()
+    keys = [key for key, _ in pairs]
+    for index, start in enumerate(keys + [keys[-1] + 1]):
+        to_edge = block_entries - index % block_entries
+        limit = data.draw(
+            st.sampled_from(
+                [1, to_edge, to_edge + 1, to_edge + block_entries + 1, len(pairs)]
+            )
+        )
+        assert run.pairs_from(start, limit) == everything[index : index + limit]
+        # A start between two keys reads like the key after it.
+        assert run.pairs_from(start - 1, limit)[:1] == everything[
+            bisect_left(keys, start - 1) :
+        ][:1]
