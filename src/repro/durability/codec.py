@@ -28,8 +28,9 @@ from typing import Tuple, Union
 
 Key = Union[int, bytes]
 
-_TAG_INT = 0x01
-_TAG_BYTES = 0x02
+#: Key tags (the wire protocol's codec reads them too).
+TAG_INT = 0x01
+TAG_BYTES = 0x02
 
 _U32 = struct.Struct("<I")
 
@@ -59,9 +60,9 @@ def encode_key(key: Key) -> bytes:
         raise TypeError(f"durable keys are int or bytes, got {type(key).__name__}")
     if isinstance(key, int):
         payload = _int_to_bytes(key)
-        return bytes((_TAG_INT,)) + _U32.pack(len(payload)) + payload
+        return bytes((TAG_INT,)) + _U32.pack(len(payload)) + payload
     payload = bytes(key)
-    return bytes((_TAG_BYTES,)) + _U32.pack(len(payload)) + payload
+    return bytes((TAG_BYTES,)) + _U32.pack(len(payload)) + payload
 
 
 def decode_key(blob: bytes, offset: int) -> Tuple[Key, int]:
@@ -74,10 +75,10 @@ def decode_key(blob: bytes, offset: int) -> Tuple[Key, int]:
     _require(offset + length <= len(blob), f"key payload of {length} bytes overruns the blob")
     payload = blob[offset : offset + length]
     offset += length
-    if tag == _TAG_INT:
+    if tag == TAG_INT:
         _require(length >= 1, "int key with empty payload")
         return int.from_bytes(payload, "big", signed=True), offset
-    if tag == _TAG_BYTES:
+    if tag == TAG_BYTES:
         return payload, offset
     raise CorruptSerializationError(f"unknown key tag 0x{tag:02x}")
 

@@ -22,9 +22,11 @@ PUT queue keeps **at most one flush in flight**: entries that arrive
 meanwhile go out together when it returns — group commit sized by the
 ``fsync``.  SCAN/DELETE follow the same rule one call at a time.
 
-Each queued request carries a completion callback ``done(result,
-error)``; a failed flush fails exactly its own batch, never silently
-drops a request, and the queue keeps serving.
+Each queued request is one entry tuple ``(payload, span, done, ...)``
+that carries everything its answer needs, so a caller builds no closure
+per request: the flush calls ``done(entry, result, error)`` for each
+entry in FIFO order.  A failed flush fails exactly its own batch, never
+silently drops a request, and the queue keeps serving.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
 from repro.obs.tracing import Span
 from repro.service.router import ShardRouter
-from repro.service.shard import Pair
-from repro.service.partition import Key
 
 #: RA004: literal instrument names for the coalescing path.  A "timer"
 #: flush is one whose window closed (the loop went idle) before the batch
@@ -58,13 +58,13 @@ _BATCH_SPAN = "net.coalesce.batch"
 _GET = "get"
 _PUT = "put"
 
-#: How a request learns its outcome: ``done(result, None)`` or
-#: ``done(None, error)``, always on the loop thread.
-Completion = Callable[[Any, Optional[BaseException]], None]
-
-#: One queued request: payload, its completion, and (when the request is
-#: part of a sampled distributed trace) the server span to link/nest under.
-_Entry = Tuple[Any, Completion, Optional[Span]]
+#: One queued request: ``(payload, span, done, *context)``.  ``span`` is
+#: the server span to link/nest under when the request is part of a
+#: sampled distributed trace, else None.  ``done`` is how the request
+#: learns its outcome, always on the loop thread: ``done(entry, result,
+#: None)`` or ``done(entry, None, error)``.  The rest is the caller's
+#: own, carried for ``done``.
+Entry = Tuple[Any, ...]
 
 
 class _Queue:
@@ -76,7 +76,7 @@ class _Queue:
     def __init__(self, router: ShardRouter, kind: str) -> None:
         self.router = router
         self.kind = kind
-        self.entries: List[_Entry] = []
+        self.entries: List[Entry] = []
         self.active = False
 
 
@@ -120,8 +120,8 @@ class Coalescer:
         """Fail what is still queued; shut the owned executor down."""
         for queue in self._queues.values():
             entries, queue.entries = queue.entries, []
-            for _, done, _ in entries:
-                done(None, ConnectionAbortedError("server stopped"))
+            for entry in entries:
+                entry[2](entry, None, ConnectionAbortedError("server stopped"))
         self._queues.clear()
         if self._owns_executor and self._executor is not None:
             self._executor.shutdown(wait=False)
@@ -130,63 +130,54 @@ class Coalescer:
     # ------------------------------------------------------------------
     # Enqueue (event-loop side)
     # ------------------------------------------------------------------
-    def get(
-        self,
-        router: ShardRouter,
-        key: Key,
-        done: Completion,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Queue one GET against ``router``; completes with the value/None."""
-        self._enqueue(router, _GET, key, done, span)
+    def get(self, router: ShardRouter, entry: Entry) -> None:
+        """Queue one GET ``entry`` (its payload the key) against
+        ``router``; completes with the value or None."""
+        queue = self._queues.get((id(router), _GET))
+        if queue is None or not queue.active:
+            queue = self._activate(router, _GET)
+        queue.entries.append(entry)
 
-    def put(
-        self,
-        router: ShardRouter,
-        pair: Pair,
-        done: Completion,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Queue one PUT against ``router``; completes with None on ack."""
-        self._enqueue(router, _PUT, pair, done, span)
+    def put(self, router: ShardRouter, entry: Entry) -> None:
+        """Queue one PUT ``entry`` (its payload the ``(key, value)``
+        pair) against ``router``; completes with None on ack."""
+        queue = self._queues.get((id(router), _PUT))
+        if queue is None or not queue.active:
+            queue = self._activate(router, _PUT)
+        queue.entries.append(entry)
 
     def run_single(
         self,
         router: Optional[ShardRouter],
         call: Callable[[], Any],
-        done: Completion,
-        span: Optional[Span] = None,
+        entry: Entry,
         *,
         writes: bool,
     ) -> None:
         """Run one uncoalesced call (scan; delete, which ``writes``; stats
-        with no router).
+        with no router) for ``entry``, whose payload it does not read.
 
-        When the request carries a sampled trace, ``span`` (the server
+        When the request carries a sampled trace, its span (the server
         span) is adopted on the running thread so the router/shard/index
         spans the call emits nest under it.
         """
-        tracer = active_tracer()
-        if span is not None and tracer is not None:
-            call = tracer.adopting(span, call)
-        self._run(router, call, done, writes)
+        span = entry[1]
+        if span is not None:
+            tracer = active_tracer()
+            if tracer is not None:
+                call = tracer.adopting(span, call)
+        self._run(router, call, partial(entry[2], entry), writes)
 
-    def _enqueue(
-        self,
-        router: ShardRouter,
-        kind: str,
-        payload: Any,
-        done: Completion,
-        span: Optional[Span],
-    ) -> None:
+    def _activate(self, router: ShardRouter, kind: str) -> _Queue:
+        """The ``(router, kind)`` queue, opened if new, with its flush
+        scheduled: the window, which everything else the loop reads in
+        this pass joins."""
         queue = self._queues.get((id(router), kind))
         if queue is None:
             queue = self._queues[(id(router), kind)] = _Queue(router, kind)
-        queue.entries.append((payload, done, span))
-        if not queue.active:
-            # The window: everything else the loop reads in this pass joins.
-            queue.active = True
-            asyncio.get_running_loop().call_soon(self._flush, queue)
+        queue.active = True
+        asyncio.get_running_loop().call_soon(self._flush, queue)
+        return queue
 
     # ------------------------------------------------------------------
     # Flush (event-loop side; the executor only behind a WAL)
@@ -205,7 +196,7 @@ class Coalescer:
         queue.active = False
 
     def _flush_entries(
-        self, queue: _Queue, entries: List[_Entry]
+        self, queue: _Queue, entries: List[Entry]
     ) -> "Optional[asyncio.Future[None]]":
         loop = asyncio.get_running_loop()
         router, kind = queue.router, queue.kind
@@ -221,7 +212,7 @@ class Coalescer:
             else:
                 registry.counter(_COUNTERS["size_flushes"]).inc()
             registry.histogram(_BATCH_SIZE_HISTOGRAM, SIZE_BUCKETS).record(len(entries))
-        payloads = [payload for payload, _, _ in entries]
+        payloads = [entry[0] for entry in entries]
         batch: Callable[[Any], Any] = router.get_many if kind == _GET else router.put_many
         call: Callable[[], Any] = partial(batch, payloads)
 
@@ -232,7 +223,7 @@ class Coalescer:
         tracer = active_tracer()
         batch_span: Optional[Span] = None
         if tracer is not None:
-            spans = [span for _, _, span in entries if span is not None]
+            spans = [entry[1] for entry in entries if entry[1] is not None]
             if spans:
                 batch_span = tracer.start_child(
                     _BATCH_SPAN,
@@ -254,8 +245,8 @@ class Coalescer:
                 tracer.finish(batch_span, elapsed_s=loop.time() - started)
             if error is not None or kind == _PUT:
                 values = repeat(None)
-            for (_, done, _), value in zip(entries, values):
-                done(value, error)
+            for entry, value in zip(entries, values):
+                entry[2](entry, value, error)
 
         return self._run(router, call, resolve, writes=kind == _PUT)
 
@@ -263,7 +254,7 @@ class Coalescer:
         self,
         router: Optional[ShardRouter],
         call: Callable[[], Any],
-        done: Completion,
+        done: Callable[[Any, Optional[BaseException]], None],
         writes: bool,
     ) -> "Optional[asyncio.Future[None]]":
         """Run ``call`` where it cannot park the loop; ``done`` gets the outcome.

@@ -7,6 +7,9 @@ connection is an :class:`asyncio.Protocol`: one ``data_received`` splits
 every complete frame it was handed and runs the request path as plain
 calls — no task, future or lock per request — so a pipelined burst
 reaches the coalescer in one loop pass, which is what gives it batches.
+Every op takes the one path below (``_on_request``); it builds no
+closure per request, and a read event reads the metrics registry and the
+tracer once for all of its requests.
 
 The request path, in order:
 
@@ -21,12 +24,15 @@ The request path, in order:
    count.  Sheds become *responses* (:data:`STATUS_THROTTLED` /
    :data:`STATUS_OVERLOADED`): bounded queues with backpressure, never
    unbounded buffering.
-3. **dispatch** — GET/PUT enter the coalescer with a completion
-   callback; SCAN/DELETE are single calls under the coalescer's rule
+3. **dispatch** — the request becomes one entry tuple that carries
+   what its reply needs; GET/PUT entries enter the
+   coalescer, SCAN/DELETE are single calls under the coalescer's rule
    (on the loop without a WAL, on the executor behind one); STATS
    always runs on the executor; PING answers inline.
-4. **respond** — replies collect per connection and leave in one
-   ``transport.write`` per loop pass.  A peer that stops reading its
+4. **respond** — the coalescer hands each entry its result through the
+   connection's ``_complete``, which releases the admission slot and
+   encodes the reply into the connection's reply list; replies leave in
+   one ``transport.write`` per loop pass.  A peer that stops reading its
    replies stops being read (``pause_writing`` -> ``pause_reading``).
    Request latency (loop time, decode through reply queued) lands in
    the ``net.request_seconds`` histogram with latency-scaled buckets.
@@ -39,10 +45,11 @@ from __future__ import annotations
 import asyncio
 import json
 from functools import partial
+from time import monotonic
 from typing import Any, List, Optional, Set
 
 from repro.core.budget import ADMIT_OK, SHED_THROTTLED
-from repro.net.coalescer import Coalescer, Completion
+from repro.net.coalescer import Coalescer, Entry
 from repro.net.protocol import (
     OP_DELETE,
     OP_GET,
@@ -69,7 +76,8 @@ from repro.net.tenancy import TenantDirectory
 from repro.obs.jsonable import to_jsonable
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.runtime import active_registry, active_tracer
-from repro.obs.tracing import Span
+from repro.obs.tracing import Span, Tracer
+from repro.service.router import ShardRouter
 
 #: RA004: literal instrument names for the serving path.
 _COUNTERS = {
@@ -95,6 +103,10 @@ _ADMISSION_EVENT = "net.admission"
 #: Ops charged against the tenant token bucket per request kind; a scan
 #: is priced by the rows it may return, amortized to its batch shape.
 _SCAN_OP_WEIGHT = 0.05
+
+#: Builds a response from all of its fields without the Python-level
+#: ``__new__`` frame that calling ``Response(...)`` enters.
+_new_tuple = tuple.__new__
 
 
 def _count(key: str) -> None:
@@ -230,6 +242,8 @@ class _Connection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         buffer = memoryview(self._tail + data if self._tail else data)
+        # Read once for every request of this read event.
+        registry, tracer = active_registry(), active_tracer()
         offset = 0
         try:
             while True:
@@ -237,7 +251,7 @@ class _Connection(asyncio.Protocol):
                 if frame is None:
                     break
                 offset += frame[1]
-                self._on_request(decode_request(frame[0]))
+                self._on_request(decode_request(frame[0]), registry, tracer)
         except ProtocolError:
             self._protocol_error()
             return
@@ -270,13 +284,6 @@ class _Connection(asyncio.Protocol):
             self._transport.close()
             self._transport = None
 
-    def _send(self, response: Response, op: int) -> None:
-        if self._transport is None:
-            return
-        if not self._replies:
-            self._loop.call_soon(self._write_replies)
-        self._replies.append(encode_frame(encode_response(response, op)))
-
     def _write_replies(self) -> None:
         frames, self._replies = self._replies, []
         if self._transport is not None:
@@ -285,147 +292,157 @@ class _Connection(asyncio.Protocol):
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _on_request(self, request: Request) -> None:
-        server, loop, op = self._server, self._loop, request.op
-        started = loop.time()
+    def _on_request(
+        self, request: Request, registry: Any, tracer: Optional[Tracer]
+    ) -> None:
+        """Answer one request now, or admit it and hand it on as one
+        coalescer :data:`~repro.net.coalescer.Entry` that :meth:`_complete`
+        answers: ``(payload, span, done, req_id, op, started, admitted,
+        registry, tracer)``.  ``started`` is the request's arrival on
+        ``monotonic()``, the event loop's clock; ``admitted`` is the tenant
+        whose inflight slot it holds (None for STATS or with admission
+        off); ``registry``/``tracer`` are what its read event found."""
+        req_id, op, tenant, key, value, count, trace = request
+        server = self._server
+        started = monotonic()
         server.requests += 1
-        registry = active_registry()
         if registry is not None:
             registry.counter(_COUNTERS["requests"]).inc()
         # Continue the client's trace: a sampled context opens a detached
         # server span (the per-thread stack is useless here — many
         # requests interleave on this one loop thread).
-        tracer = active_tracer()
         span: Optional[Span] = None
-        if (
-            tracer is not None
-            and request.trace is not None
-            and request.trace.sampled
-        ):
+        if tracer is not None and trace is not None and trace.sampled:
             span = tracer.start_remote(
                 _SERVER_SPAN,
-                trace_id=request.trace.trace_id,
-                remote_parent_id=request.trace.parent_span_id,
+                trace_id=trace.trace_id,
+                remote_parent_id=trace.parent_span_id,
                 op=OP_NAMES.get(op, f"0x{op:02x}"),
-                tenant=request.tenant,
+                tenant=tenant,
             )
-
-        def reply(response: Response) -> None:
-            self._send(response, op)
-            if span is not None and tracer is not None:
-                tracer.finish(
-                    span, status=response.status, elapsed_s=loop.time() - started
-                )
-
         if op == OP_PING:
-            reply(Response(request.req_id, STATUS_OK))
-            self._observe(registry, loop.time() - started)
+            server.responses += 1
+            self._reply(Response(req_id, STATUS_OK), op, span, tracer, started)
+            if registry is not None:
+                self._observe(registry, monotonic() - started)
             return
-        admitted = False
+        router: Optional[ShardRouter] = None
+        admitted: Optional[str] = None  # the tenant whose inflight slot it holds
         if op != OP_STATS:
             # STATS is tenant-less introspection and bypasses admission on
             # purpose: an operator can still see the arbiter while tenants shed.
-            if request.tenant not in server.directory:
+            route = server.directory.routes.get(tenant)
+            if route is None:
                 _count("unknown_tenant")
-                reply(
-                    Response(
-                        request.req_id,
-                        STATUS_UNKNOWN_TENANT,
-                        message=f"unknown tenant {request.tenant!r}",
-                    )
+                response = Response(
+                    req_id, STATUS_UNKNOWN_TENANT, message=f"unknown tenant {tenant!r}"
                 )
+                self._reply(response, op, span, tracer, started)
                 return
+            router, key_type = route
             # A key the tenant's family cannot order is this request's
             # fault alone: refused here, it never joins a coalesced batch
             # that the index would fail as a whole.
-            key_type = server.directory.key_type(request.tenant)
-            if request.key is not None and not isinstance(request.key, key_type):
+            if not isinstance(key, key_type):
                 message = (
-                    f"tenant {request.tenant!r} orders {key_type.__name__} keys, "
-                    f"got {type(request.key).__name__}"
+                    f"tenant {tenant!r} orders {key_type.__name__} keys, "
+                    f"got {type(key).__name__}"
                 )
-                reply(Response(request.req_id, STATUS_BAD_REQUEST, message=message))
+                response = Response(req_id, STATUS_BAD_REQUEST, message=message)
+                self._reply(response, op, span, tracer, started)
                 return
             if server.admission:
-                cost = 1.0
-                if op == OP_SCAN:
-                    cost = max(1.0, request.count * _SCAN_OP_WEIGHT)
-                decision = server.directory.arbiter.admit(
-                    request.tenant, ops=cost, now=started
-                )
+                cost = max(1.0, count * _SCAN_OP_WEIGHT) if op == OP_SCAN else 1.0
+                decision = server.directory.arbiter.admit(tenant, ops=cost, now=started)
                 if span is not None and tracer is not None:
-                    tracer.child_event(
-                        _ADMISSION_EVENT, span, decision=decision, cost=cost
-                    )
+                    tracer.child_event(_ADMISSION_EVENT, span, decision=decision, cost=cost)
                 if decision != ADMIT_OK:
                     server.sheds += 1
                     throttled = decision == SHED_THROTTLED
                     _count("shed_throttled" if throttled else "shed_overloaded")
                     status = STATUS_THROTTLED if throttled else STATUS_OVERLOADED
-                    reply(Response(request.req_id, status, message=decision))
+                    response = Response(req_id, status, message=decision)
+                    self._reply(response, op, span, tracer, started)
                     return
-                admitted = True
-
-        def complete(result: Any, error: Optional[BaseException]) -> None:
-            """One response per request, whatever the dispatch did."""
-            if error is not None:
-                _count("server_errors")
-                response = Response(
-                    request.req_id,
-                    STATUS_SERVER_ERROR,
-                    message=f"{type(error).__name__}: {error}",
-                )
-            elif op == OP_GET:
-                response = Response(
-                    request.req_id, STATUS_OK, found=result is not None, value=result
-                )
-            elif op == OP_DELETE:
-                response = Response(request.req_id, STATUS_OK, removed=bool(result))
-            elif op == OP_SCAN:
-                response = Response(request.req_id, STATUS_OK, pairs=list(result))
-            elif op == OP_STATS:
-                response = Response(request.req_id, STATUS_OK, payload=result)
-            else:
-                response = Response(request.req_id, STATUS_OK)
-            if admitted:
-                arbiter = server.directory.arbiter
-                arbiter.release(request.tenant)
-                if registry is not None:
-                    registry.gauge(_GAUGES["inflight"]).set(
-                        sum(arbiter.inflight(t) for t in arbiter.tenants())
-                    )
-            service_elapsed = None if op == OP_STATS else loop.time() - started
-            reply(response)
-            self._observe(registry, loop.time() - started, service_elapsed)
-
+                admitted = tenant
+        payload = (key, value) if op == OP_PUT else key
+        entry = (payload, span, self._complete, req_id, op, started, admitted, registry, tracer)
+        coalescer = server.coalescer
         try:
-            self._dispatch(request, complete, span)
+            if op == OP_STATS:
+                coalescer.run_single(None, server._stats_payload, entry, writes=False)
+                return
+            assert router is not None
+            if op == OP_GET:
+                coalescer.get(router, entry)
+            elif op == OP_PUT:
+                coalescer.put(router, entry)
+            elif op == OP_DELETE:
+                coalescer.run_single(router, partial(router.delete, key), entry, writes=True)
+            else:
+                call = partial(router.scan, key, count)
+                coalescer.run_single(router, call, entry, writes=False)
         except Exception as error:  # noqa: BLE001 - one response per failure
-            complete(None, error)
+            self._complete(entry, None, error)
 
-    def _dispatch(
-        self, request: Request, complete: Completion, span: Optional[Span]
-    ) -> None:
-        """Hand one admitted request to its tenant's shard group."""
-        coalescer, op, key = self._server.coalescer, request.op, request.key
-        if op == OP_STATS:
-            coalescer.run_single(
-                None, self._server._stats_payload, complete, span, writes=False
+    def _complete(self, entry: Entry, result: Any, error: Optional[BaseException]) -> None:
+        """One response per dispatched request, whatever the dispatch did."""
+        _, span, _, req_id, op, started, admitted, registry, tracer = entry
+        server = self._server
+        if admitted is not None:
+            arbiter = server.directory.arbiter
+            arbiter.release(admitted)
+            if registry is not None:
+                registry.gauge(_GAUGES["inflight"]).set(
+                    sum(arbiter.inflight(t) for t in arbiter.tenants())
+                )
+        if error is not None:
+            _count("server_errors")
+            message = f"{type(error).__name__}: {error}"
+            response = Response(req_id, STATUS_SERVER_ERROR, message=message)
+        elif op == OP_GET:
+            response = _new_tuple(
+                Response, (req_id, STATUS_OK, result, result is not None, False, None, "", b"")
             )
-            return
-        router = self._server.directory.router_for(request.tenant)
-        assert key is not None
-        if op == OP_GET:
-            coalescer.get(router, key, complete, span)
-        elif op == OP_PUT:
-            assert request.value is not None
-            coalescer.put(router, (key, request.value), complete, span)
         elif op == OP_DELETE:
-            delete = partial(router.delete, key)
-            coalescer.run_single(router, delete, complete, span, writes=True)
-        else:
-            scan = partial(router.scan, key, request.count)
-            coalescer.run_single(router, scan, complete, span, writes=False)
+            response = Response(req_id, STATUS_OK, removed=bool(result))
+        elif op == OP_SCAN:
+            response = Response(req_id, STATUS_OK, pairs=list(result))
+        elif op == OP_STATS:
+            response = Response(req_id, STATUS_OK, payload=result)
+        else:  # a PUT's ack
+            response = _new_tuple(
+                Response, (req_id, STATUS_OK, None, False, False, None, "", b"")
+            )
+        server.responses += 1
+        service_elapsed = None
+        if registry is not None and op != OP_STATS:
+            service_elapsed = monotonic() - started
+        # ``_reply``'s body, inline: this is every dispatched request's path.
+        if self._transport is not None:
+            if not self._replies:
+                self._loop.call_soon(self._write_replies)
+            self._replies.append(encode_frame(encode_response(response, op)))
+        if span is not None and tracer is not None:
+            tracer.finish(span, status=response.status, elapsed_s=monotonic() - started)
+        if registry is not None:
+            self._observe(registry, monotonic() - started, service_elapsed)
+
+    def _reply(
+        self,
+        response: Response,
+        op: int,
+        span: Optional[Span],
+        tracer: Optional[Tracer],
+        started: float,
+    ) -> None:
+        """Queue ``response`` for this pass's one write; close its span."""
+        if self._transport is not None:
+            if not self._replies:
+                self._loop.call_soon(self._write_replies)
+            self._replies.append(encode_frame(encode_response(response, op)))
+        if span is not None and tracer is not None:
+            tracer.finish(span, status=response.status, elapsed_s=monotonic() - started)
 
     def _observe(
         self,
@@ -433,9 +450,6 @@ class _Connection(asyncio.Protocol):
         elapsed: float,
         service_elapsed: Optional[float] = None,
     ) -> None:
-        self._server.responses += 1
-        if registry is None:
-            return
         registry.counter(_COUNTERS["responses"]).inc()
         registry.histogram(_LATENCY_HISTOGRAM, LATENCY_BUCKETS).record(elapsed)
         if service_elapsed is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.budget import ResourceArbiter, TenantQuota
 from repro.durability.manager import DurabilityManager
@@ -109,9 +109,12 @@ class TenantDirectory:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
         self.arbiter = ResourceArbiter()
-        self._groups: Dict[str, ShardRouter] = {}
+        #: Tenant -> its shard group and the one key type the group's
+        #: index family orders (:attr:`~repro.obs.introspect.IndexFamily
+        #: .key_type`): what the front end reads for every request.
+        #: Read-only outside this class.
+        self.routes: Dict[str, Tuple[ShardRouter, type]] = {}
         self._specs: Dict[str, TenantSpec] = {}
-        self._key_types: Dict[str, type] = {}
         for spec in specs:
             durability = None
             if durability_root is not None:
@@ -123,9 +126,11 @@ class TenantDirectory:
             except BaseException:
                 self.close()  # the groups already opened
                 raise
-            self._groups[spec.name] = router
+            self.routes[spec.name] = (
+                router,
+                router.table.shards[0].replicas[0].index.key_type,
+            )
             self._specs[spec.name] = spec
-            self._key_types[spec.name] = router.table.shards[0].replicas[0].index.key_type
             self.arbiter.register_tenant(spec.name, spec.quota)
 
     # ------------------------------------------------------------------
@@ -133,31 +138,26 @@ class TenantDirectory:
     # ------------------------------------------------------------------
     def router_for(self, tenant: str) -> ShardRouter:
         """The shard group serving ``tenant`` (KeyError when unknown)."""
-        return self._groups[tenant]
-
-    def key_type(self, tenant: str) -> type:
-        """The one key type ``tenant``'s index family orders
-        (:attr:`~repro.obs.introspect.IndexFamily.key_type`)."""
-        return self._key_types[tenant]
+        return self.routes[tenant][0]
 
     def __contains__(self, tenant: str) -> bool:
-        return tenant in self._groups
+        return tenant in self.routes
 
     def tenants(self) -> List[str]:
         """All tenant names, sorted."""
-        return sorted(self._groups)
+        return sorted(self.routes)
 
     @property
     def num_shards(self) -> int:
         """Total shards across every group."""
-        return sum(router.num_shards for router in self._groups.values())
+        return sum(router.num_shards for router, _ in self.routes.values())
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut down every shard group (idempotent)."""
-        for router in self._groups.values():
+        for router, _ in self.routes.values():
             router.close()
 
     def __enter__(self) -> "TenantDirectory":
@@ -178,7 +178,7 @@ class TenantDirectory:
                     ),
                     "family": self._specs[name].family,
                 }
-                for name, router in sorted(self._groups.items())
+                for name, (router, _) in sorted(self.routes.items())
             },
             "arbiter": self.arbiter.describe(),
         }

@@ -1,8 +1,13 @@
 """RA005 async purity: fixtures, transitivity, executor blind spots."""
 
-from repro.analysis.rules.ra005_async import AsyncPurityRule
+import inspect
 
-from tests.analysis.helpers import fixture_project
+from repro.analysis.loader import load_paths
+from repro.analysis.project import Project
+from repro.analysis.rules.ra005_async import AsyncPurityRule
+from repro.net.server import _Connection
+
+from tests.analysis.helpers import REPO_ROOT, fixture_project
 
 
 def _run(fixture, roots):
@@ -74,3 +79,22 @@ class TestScoping:
     def test_fixture_invisible_under_default_roots(self):
         project = fixture_project("ra005_bad.py")
         assert sorted(AsyncPurityRule().run(project)) == []
+
+
+class TestRealTreeRoots:
+    """The serving loop's own callbacks stay rooted when they move or are renamed."""
+
+    def test_every_connection_method_and_scheduled_callback_is_a_root(self):
+        tree = Project(load_paths([REPO_ROOT / "src" / "repro" / "net"]))
+        roots = set(AsyncPurityRule().async_roots(tree))
+        methods = [
+            name
+            for name, member in vars(_Connection).items()
+            if inspect.isfunction(member)
+        ]
+        assert {"data_received", "_on_request", "_complete", "_write_replies"} <= set(methods)
+        assert {f"repro.net.server._Connection.{name}" for name in methods} <= roots
+        assert "repro.net.coalescer.Coalescer._flush" in roots  # handed to call_soon
+        reached = tree.reachable_from(sorted(roots))
+        for name in ("_flush_entries", "_run"):
+            assert f"repro.net.coalescer.Coalescer.{name}" in reached
